@@ -67,6 +67,41 @@ def propagate(
     return channel.h @ theta * x + noise
 
 
+def draw_trials(seed: int, trials, n_bits: int, n_rx: int, n_refl: int):
+    """Every random draw of several trials, as ``run_trial`` makes them.
+
+    Each trial draws from its own ``trial_rng`` stream, in the scalar
+    order: bits, channel (real, imaginary), noise (real, imaginary).
+    Returns bits (T, n_bits), channels (T, n_rx, n_refl) and unit-variance
+    complex noise (T, n_rx) before its sigma / sqrt(2) scaling.
+    """
+    n_h = n_rx * n_refl
+    bits = np.empty((len(trials), n_bits), dtype=np.int64)
+    normals = np.empty((len(trials), 2 * (n_h + n_rx)))
+    for k, trial_index in enumerate(trials):
+        rng = trial_rng(seed, trial_index)
+        bits[k] = rng.integers(0, 2, size=n_bits, dtype=np.int64)
+        rng.standard_normal(out=normals[k])
+    # In place, to keep one complex copy of the channels alive at a time;
+    # element for element this is (re + 1j * im) / sqrt(2) as in sample_channel.
+    h = 1j * normals[:, n_h : 2 * n_h].reshape(len(trials), n_rx, n_refl)
+    h.real += normals[:, :n_h].reshape(h.shape)
+    h /= np.sqrt(2.0)
+    noise = 1j * normals[:, 2 * n_h + n_rx :]
+    noise.real += normals[:, 2 * n_h : 2 * n_h + n_rx]
+    return bits, h, noise
+
+
+def propagate_batch(h: np.ndarray, theta: np.ndarray, x: np.ndarray, noise: np.ndarray,
+                    noise_sigma: float) -> np.ndarray:
+    """``propagate`` for a stack of trials: y = H theta x + sigma/sqrt(2) * noise.
+
+    ``noise`` is the unit draw from ``draw_trials``.  H theta is one
+    matrix-vector product per trial, as in the scalar path.
+    """
+    return (h @ theta[..., None])[..., 0] * x[:, None] + noise * (noise_sigma / np.sqrt(2.0))
+
+
 def _blocks(n_refl: int, n_sel: int):
     delta = n_refl // n_sel
     return delta, [slice(i * delta, (i + 1) * delta) for i in range(n_sel)], slice(n_sel * delta, n_refl)

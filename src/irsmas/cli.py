@@ -10,18 +10,22 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 
 import numpy as np
 
-from .core import MOD_ORDERS, SystemConfig, validate_config
+from .core import MOD_ORDERS, SystemConfig, snr_value_ok, validate_config
 from .harness import CSV_COLUMNS, DETECTORS, SCHEMES, bits_per_tx, run_sweep
 
 # config-file keys, normalized to the flag spellings
 _KEYS = ("config", "scheme", "detector", "nr", "np", "n-reflectors", "mod",
          "alpha", "nc", "iters", "snr", "trials", "seed", "out", "format")
+# keys that only the mas scheme reads; the single-antenna baselines pin or
+# ignore them, so setting one there is an error
+_MAS_ONLY_KEYS = ("np", "alpha", "nc", "iters")
 
 
 @dataclasses.dataclass
@@ -40,16 +44,26 @@ def parse_alpha(text: str) -> tuple:
 
 
 def parse_snr(text: str) -> tuple:
-    """SNR grid in dB: either "start:step:stop" (stop inclusive) or a comma list."""
+    """SNR grid in dB: either "start:step:stop" (stop inclusive) or a comma list.
+
+    List values must be finite or ``inf`` (noiseless); range bounds and
+    step must be finite.
+    """
     if ":" in text:
         start, step, stop = (float(tok) for tok in text.split(":"))
+        if not all(math.isfinite(v) for v in (start, step, stop)):
+            raise ValueError(f"snr: range bounds and step must be finite, got {text!r}")
         if step == 0:
             raise ValueError("snr: step must be nonzero")
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
         if n < 1:
             raise ValueError(f"snr: empty range {text!r}")
         return tuple(start + i * step for i in range(n))
-    return tuple(float(tok) for tok in text.split(","))
+    values = tuple(float(tok) for tok in text.split(","))
+    bad = [tok for tok, v in zip(text.split(","), values) if not snr_value_ok(v)]
+    if bad:
+        raise ValueError(f"snr: values must be finite or inf, got {','.join(bad)}")
+    return values
 
 
 def read_config_file(path: str) -> dict:
@@ -133,6 +147,13 @@ def parse_run_spec(argv=None) -> RunSpec:
         detector = resolve("detector", args.detector) or ("ssd" if scheme == "mas" else "ml")
         if detector not in DETECTORS:
             raise ValueError(f"detector: expected one of {DETECTORS}, got {detector!r}")
+        if scheme != "mas":
+            given = [key for key in _MAS_ONLY_KEYS
+                     if resolve(key, getattr(args, key)) is not None]
+            if given:
+                raise ValueError(
+                    f"{given[0]}: only applies to --scheme mas, not {scheme} "
+                    f"(got {', '.join('--' + key for key in given)})")
         defaults = SystemConfig()
         fields = {}
         raw = resolve("nr", args.nr)

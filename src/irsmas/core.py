@@ -96,6 +96,21 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int64)
 
 
+def pack_bits(bits, width: int) -> np.ndarray:
+    """Row-wise bits_to_int: big-endian groups of ``width`` bits along the
+    last axis become integers, (..., k*width) -> (..., k)."""
+    bits = np.asarray(bits, dtype=np.int64)
+    groups = bits.reshape(bits.shape[:-1] + (-1, width))
+    return groups @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
+
+
+def unpack_bits(values, width: int) -> np.ndarray:
+    """Row-wise int_to_bits, the inverse of pack_bits: (..., k) -> (..., k*width)."""
+    values = np.asarray(values, dtype=np.int64)
+    bits = (values[..., None] >> np.arange(width - 1, -1, -1, dtype=np.int64)) & 1
+    return bits.reshape(values.shape[:-1] + (-1,))
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All scenario parameters. Immutable; derived quantities are properties.
@@ -117,9 +132,6 @@ class SystemConfig:
     snr_grid_db: tuple = (-20.0, -18.0, -16.0, -14.0, -12.0, -10.0, -8.0)
     n_trials: int = 100_000
     seed: int = 0
-    # Subtract all previously decoded components instead of only the most
-    # recent one during successive decoding (only differs for n_sel > 2).
-    cumulative_sic: bool = False
     # Stop a sweep point once this many block errors accumulate (None = never).
     error_budget: int = 500
     # Refuse exhaustive ML search beyond this many (combination, symbol) pairs.
@@ -171,6 +183,11 @@ def _superposition_min_gap(cfg: SystemConfig, points: np.ndarray) -> float:
     return float(gap)
 
 
+def snr_value_ok(snr_db: float) -> bool:
+    """An SNR in dB is usable when finite, or +inf for a noiseless point."""
+    return math.isfinite(snr_db) or snr_db == math.inf
+
+
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check every invariant of a SystemConfig; raise ValueError naming each violation."""
     problems = []
@@ -202,6 +219,9 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         problems.append("sym_energy: must be positive")
     if cfg.noise_sigma < 0:
         problems.append("noise_sigma: must be non-negative")
+    bad_snr = [s for s in cfg.snr_grid_db if not snr_value_ok(s)]
+    if bad_snr:
+        problems.append(f"snr_grid_db: values must be finite or inf (got {bad_snr})")
     if not cfg.n_sel <= cfg.n_cand_antennas <= cfg.n_rx:
         problems.append(
             f"n_cand_antennas: must satisfy n_sel <= n_c <= n_rx "

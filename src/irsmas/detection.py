@@ -15,7 +15,13 @@ import numpy as np
 
 from .core import Constellation, SystemConfig, int_to_bits
 from .rac import RacTable, rac_find, rac_row
-from .transmitter import reflector_phases, sort_weights_asc, sort_weights_desc
+from .transmitter import (
+    channel_row_norms,
+    reflector_phases,
+    row_phases,
+    sort_weights_asc,
+    sort_weights_desc,
+)
 
 
 @dataclass
@@ -101,7 +107,7 @@ def ssd_candidate_decode(
 
     Slots are visited weakest channel first; the first slot is quantized
     against the largest power ratio directly, later slots after subtracting
-    the previously decoded component.  Returns (per-slot symbols,
+    every previously decoded component.  Returns (per-slot symbols,
     reconstructed transmit scalar, squared distance over all antennas).
     A zero effective gain on any visited slot disqualifies the candidate
     with an infinite distance.
@@ -122,14 +128,8 @@ def ssd_candidate_decode(
         if gain == 0:
             return symbols, 0j, np.inf
         v = y[sel[slot - 1] - 1] / gain
-        if i > 1:
-            if cfg.cumulative_sic:
-                for j in range(1, i):
-                    prev = order[j - 1]
-                    v -= np.sqrt(cfg.alpha[n_sel - j]) * e_s * symbols[prev - 1]
-            else:
-                prev = order[i - 2]
-                v -= np.sqrt(cfg.alpha[n_sel - i + 1]) * e_s * symbols[prev - 1]
+        for j in range(1, i):
+            v -= np.sqrt(cfg.alpha[n_sel - j]) * e_s * symbols[order[j - 1] - 1]
         symbols[slot - 1] = quantize(v, cfg.alpha[n_sel - i], e_s, const)
 
     x_hat = 0j
@@ -172,6 +172,100 @@ def ssd_detect(
     )
 
 
+def rac_candidates_batch(y: np.ndarray, table: RacTable, n_c: int, n_iters: int):
+    """``rac_candidates`` for a stack of received vectors y (T, n_rx).
+
+    Returns the table indices of each trial's best min(n_iters, C) rows in
+    ranked order (T, V), and each trial's candidate count (T,), i.e.
+    ``len(rac_candidates(...).rows)``.  Only the first
+    min(n_iters, count) columns of a trial are candidates.
+    """
+    power = np.abs(y) ** 2
+    n_trials, n_rx = power.shape
+    n_sel = table.rows.shape[1]
+    ranked = np.argsort(-power, axis=1, kind="stable")
+    top = np.zeros((n_trials, n_rx), dtype=bool)
+    np.put_along_axis(top, ranked[:, :n_c], True, axis=1)
+    in_top = top[:, table.rows - 1].sum(axis=-1)  # (T, C)
+
+    # Whole tiers join, fewest misses first, until n_iters rows are in: the
+    # admitted rows are those with at least m* antennas in the top set, m*
+    # the largest m whose rows number n_iters or more (0 when none does).
+    at_least = (in_top[:, :, None] >= np.arange(n_sel + 1)).sum(axis=1)  # (T, n_sel+1)
+    enough = at_least[:, ::-1] >= n_iters
+    m_star = np.where(enough.any(axis=1), n_sel - np.argmax(enough, axis=1), 0)
+    admitted = in_top >= m_star[:, None]
+
+    # Score descending; ties keep tiered-list order (tier, then table index).
+    scores = power[:, table.rows - 1].sum(axis=-1)
+    key = np.where(admitted, -scores, np.inf)
+    ranking = np.lexsort((n_sel - in_top, key), axis=1)
+    return ranking[:, : min(n_iters, table.row_count)], admitted.sum(axis=1)
+
+
+def ssd_detect_batch(
+    y: np.ndarray,
+    h: np.ndarray,
+    cfg: SystemConfig,
+    table: RacTable,
+    const: Constellation,
+):
+    """``ssd_detect`` for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl).
+
+    Successive cancellation runs over all (trial, candidate) pairs at once
+    with the scalar path's arithmetic and tie rules: a zero gain
+    disqualifies a candidate, the first minimum distance wins, and a trial
+    whose candidates are all disqualified falls back to its first ranked
+    row with ``points[0]`` symbols.  Returns the detected row indices (T,),
+    per-slot symbol labels (T, n_sel) and candidate counts (T,).
+    """
+    cand, n_cand = rac_candidates_batch(y, table, cfg.n_cand_antennas, cfg.n_iters)
+    n_trials, n_v = cand.shape
+    n_sel, points = cfg.n_sel, const.points
+    trial = np.arange(n_trials)
+    ant = table.rows[cand] - 1  # (T, V, n_sel), 0-based, by slot
+    weights = channel_row_norms(h)[trial[:, None, None], ant]
+    order = np.argsort(-weights, axis=-1, kind="stable")[..., ::-1]  # weakest first
+    ant_o = np.take_along_axis(ant, order, axis=-1)  # antennas in decoding order
+
+    theta = row_phases(h, ant + 1, cfg.delta)  # (T, V, n_refl)
+    g_all = (h[:, None] @ theta[..., None])[..., 0]  # (T, V, n_rx), one H theta per candidate
+    gains = np.take_along_axis(g_all, ant_o, axis=-1)
+    dead = (gains == 0).any(axis=-1)
+    gains[gains == 0] = 1  # a dead candidate's decode is discarded below
+    y_o = y[trial[:, None, None], ant_o]
+
+    # decoding step k scales by the k-th largest power ratio
+    coef = [np.sqrt(cfg.alpha[n_sel - 1 - k]) * cfg.sym_energy for k in range(n_sel)]
+    labels_o = np.zeros((n_trials, n_v, n_sel), dtype=np.int64)
+    x_hat = np.zeros((n_trials, n_v), dtype=complex)
+    for k in range(n_sel):
+        v = y_o[..., k] / gains[..., k]
+        for m in range(k):
+            v -= coef[m] * points[labels_o[..., m]]
+        labels_o[..., k] = np.argmin(np.abs(v[..., None] - coef[k] * points), axis=-1)
+        x_hat += coef[k] * points[labels_o[..., k]]
+    distance = np.sum(np.abs(y[:, None, :] - g_all * x_hat[..., None]) ** 2, axis=-1)
+
+    live = ~dead & (np.arange(n_v) < n_cand[:, None]) & (distance < np.inf)
+    best = np.argmin(np.where(live, distance, np.inf), axis=1)
+    found = live[trial, best]
+    best[~found] = 0
+    labels = np.zeros((n_trials, n_sel), dtype=np.int64)
+    np.put_along_axis(labels, order[trial, best], labels_o[trial, best], axis=1)
+    labels[~found] = 0
+    return cand[trial, best], labels, n_cand
+
+
+def check_ml_guard(cfg: SystemConfig) -> None:
+    """Refuse an exhaustive ML search over more than cfg.ml_guard hypotheses."""
+    n_hyp = cfg.n_rac * cfg.mod_order**cfg.n_sel
+    if n_hyp > cfg.ml_guard:
+        raise ValueError(
+            f"ML search space {n_hyp} exceeds guard {cfg.ml_guard}; use the SSD detector"
+        )
+
+
 def ml_detect(
     y: np.ndarray,
     channel,
@@ -185,23 +279,9 @@ def ml_detect(
     value x in the superposition set.  Ties resolve to the smaller p, then
     the lexicographically earlier symbol tuple.
     """
-    n_hyp = table.row_count * const.order**cfg.n_sel
-    if n_hyp > cfg.ml_guard:
-        raise ValueError(
-            f"ML search space {n_hyp} exceeds guard {cfg.ml_guard}; use the SSD detector"
-        )
+    check_ml_guard(cfg)
     values, labels = superposition_set(cfg, const)
-
-    # One reflector configuration per row, built column-wise for all rows.
-    n_refl = channel.shape[1]
-    delta = cfg.delta
-    theta_all = np.empty((n_refl, table.row_count), dtype=complex)
-    for i in range(cfg.n_sel):
-        block = slice(i * delta, (i + 1) * delta)
-        theta_all[block, :] = np.exp(-1j * np.angle(channel.h[table.rows[:, i] - 1, block])).T
-    tail = slice(cfg.n_sel * delta, n_refl)
-    theta_all[tail, :] = np.exp(-1j * np.angle(channel.h[table.rows[:, 0] - 1, tail])).T
-    gains = channel.h @ theta_all  # n_rx x C
+    gains = channel.h @ row_phases(channel.h, table.rows, cfg.delta).T  # n_rx x C
 
     best = (np.inf, -1, -1)
     chunk = max(1, 2**14 // len(values))

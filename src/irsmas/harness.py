@@ -5,6 +5,14 @@ parallel execution cannot change the result: a run consumes a prefix of
 the block sequence, each block is a pure function of (config, scheme,
 detector, block index), and counts are summed in block order.  The same
 seed therefore yields bit-identical output for any worker count.
+
+A ``mas``/``ssd`` block runs through the batched engine: chunks of
+CHUNK_TRIALS trials pass each stage (draws, encode, propagate, detect) as
+arrays over trials x candidates.  Every trial still draws from its own
+stream, in the same order, and gets the same arithmetic, so a block's
+counts equal the sum of ``run_trial`` outcomes over its trials.
+``run_trial`` stays the reference path and runs the ``ml`` and baseline
+blocks.
 """
 
 import os
@@ -15,13 +23,15 @@ from multiprocessing import Pool
 import numpy as np
 
 from .baselines import SasScheme, sas_detect, sas_encode
-from .channel import propagate, sample_channel, trial_rng
-from .core import MOD_NAMES, SystemConfig, make_constellation, validate_config
-from .detection import ml_detect, ssd_detect
+from .channel import draw_trials, propagate, propagate_batch, sample_channel, trial_rng
+from .core import MOD_NAMES, SystemConfig, make_constellation, unpack_bits, validate_config
+from .detection import check_ml_guard, mac_ssd, ml_detect, ssd_detect, ssd_detect_batch
 from .rac import build_rac_table
-from .transmitter import encode
+from .transmitter import encode, encode_batch
 
 BLOCK_TRIALS = 1000
+# Trials the batched ssd engine carries through each stage at once.
+CHUNK_TRIALS = 16
 
 SCHEMES = ("mas", "sas-sm", "sas-ssk")
 DETECTORS = ("ml", "ssd")
@@ -122,9 +132,40 @@ def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -
     return TrialOutcome(bit_errors=bit_errors, block_error=int(bit_errors > 0), mac=mac)
 
 
+def _ssd_chunk_counts(cfg: SystemConfig, trials: range, table, const):
+    """(bit errors, block errors, MACs) of a few mas/ssd trials, run as arrays.
+
+    Draws, encodes, propagates and detects exactly what ``run_trial`` would
+    for each trial, so the counts equal the sum of the scalar outcomes.
+    """
+    bits, h, noise = draw_trials(cfg.seed, trials, cfg.block_len, cfg.n_rx, cfg.n_refl)
+    x, theta = encode_batch(bits, h, cfg, table, const)
+    y = propagate_batch(h, theta, x, noise, cfg.noise_sigma)
+    p_hat, labels, n_cand = ssd_detect_batch(y, h, cfg, table, const)
+    bits_hat = np.concatenate(
+        [unpack_bits(p_hat[:, None], cfg.l1), unpack_bits(labels, cfg.bits_per_sym)], axis=1)
+    errors = np.count_nonzero(bits != bits_hat, axis=1)
+    mac = sum(mac_ssd(cfg, int(n)) for n in n_cand)
+    return int(errors.sum()), int(np.count_nonzero(errors)), mac
+
+
+def _ssd_block_counts(cfg: SystemConfig, start: int, count: int):
+    """Counts of a mas/ssd block, CHUNK_TRIALS trials at a time."""
+    table = build_rac_table(cfg.n_rx, cfg.n_sel)
+    const = _constellation(cfg.mod_order)
+    totals = (0, 0, 0)
+    for lo in range(start, start + count, CHUNK_TRIALS):
+        trials = range(lo, min(lo + CHUNK_TRIALS, start + count))
+        chunk = _ssd_chunk_counts(cfg, trials, table, const)
+        totals = tuple(a + b for a, b in zip(totals, chunk))
+    return (count, *totals)
+
+
 def _block_counts(args):
     """Aggregate counts for one scheduling block (top level for pickling)."""
     cfg, scheme, detector, start, count = args
+    if scheme == "mas" and detector == "ssd":
+        return _ssd_block_counts(cfg, start, count)
     bit_errors = block_errors = mac_total = 0
     for trial_index in range(start, start + count):
         out = run_trial(cfg, scheme, detector, trial_index)
@@ -216,6 +257,8 @@ def run_sweep(cfg: SystemConfig, scheme: str = "mas", detector: str = "ssd",
         raise ValueError("baseline schemes are detected with the exhaustive ml search")
     if scheme == "mas":
         validate_config(cfg)
+        if detector == "ml":
+            check_ml_guard(cfg)
     workers = _resolve_workers(workers)
 
     block_len = bits_per_tx(cfg, scheme)

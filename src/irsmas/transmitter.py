@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constellation, SystemConfig, bits_to_int
+from .core import Constellation, SystemConfig, bits_to_int, pack_bits
 from .rac import RacTable, rac_row
 
 
@@ -76,6 +76,25 @@ def reflector_phases(sel_channel: np.ndarray, delta: int) -> np.ndarray:
     return theta
 
 
+def row_phases(h: np.ndarray, rows: np.ndarray, delta: int) -> np.ndarray:
+    """Phase vectors for many antenna rows at once, one per row of ``rows``.
+
+    ``h`` is (..., n_rx, n_refl) and ``rows`` (..., R, n_sel) holds 1-based
+    antenna indices; the result is (..., R, n_refl) and its row r equals
+    ``reflector_phases(h[rows[r] - 1, :], delta)`` element for element.
+    """
+    n_refl = h.shape[-1]
+    n_sel = rows.shape[-1]
+    theta = np.empty(rows.shape[:-1] + (n_refl,), dtype=complex)
+    blocks = [slice(i * delta, (i + 1) * delta) for i in range(n_sel)]
+    blocks.append(slice(n_sel * delta, n_refl))  # leftover reflectors follow row 0
+    for i, block in enumerate(blocks):
+        ant = rows[..., i % n_sel, None] - 1
+        angle = np.angle(np.take_along_axis(h[..., block], ant, axis=-2))
+        np.exp(-1j * angle, out=theta[..., block])
+    return theta
+
+
 def encode(bits, channel, cfg: SystemConfig, table: RacTable, const: Constellation) -> TxOutput:
     """Map one block of bits to the transmit scalar and reflector configuration.
 
@@ -108,3 +127,32 @@ def encode(bits, channel, cfg: SystemConfig, table: RacTable, const: Constellati
         weights=weights,
         delta=cfg.delta,
     )
+
+
+def channel_row_norms(h: np.ndarray) -> np.ndarray:
+    """Norm of every channel row, (T, n_rx, n_refl) -> (T, n_rx).
+
+    Taken one trial at a time: the values match ``np.linalg.norm`` on any
+    subset of a trial's rows, and the complex temporaries stay one trial big.
+    """
+    return np.array([np.linalg.norm(h_t, axis=1) for h_t in h])
+
+
+def encode_batch(bits: np.ndarray, h: np.ndarray, cfg: SystemConfig, table: RacTable,
+                 const: Constellation):
+    """``encode`` for a stack of trials, with the same arithmetic per trial.
+
+    ``bits`` is (T, block_len) and ``h`` (T, n_rx, n_refl).  Returns the
+    transmit scalars (T,) and reflector phase vectors (T, n_refl).
+    """
+    mu = cfg.bits_per_sym
+    sel = table.rows[pack_bits(bits[:, : cfg.l1], cfg.l1)[:, 0]]  # (T, n_sel)
+    weights = np.take_along_axis(channel_row_norms(h), sel - 1, axis=1)
+    order = np.argsort(-weights, axis=1, kind="stable")
+    symbols = const.points[pack_bits(bits[:, cfg.l1 :], mu)]  # per slot
+    x = np.zeros(len(bits), dtype=complex)
+    for i in range(cfg.n_sel):
+        slot_symbols = np.take_along_axis(symbols, order[:, i, None], axis=1)[:, 0]
+        x += np.sqrt(cfg.alpha[i]) * cfg.sym_energy * slot_symbols
+    theta = row_phases(h, sel[:, None, :], cfg.delta)[:, 0]
+    return x, theta

@@ -105,6 +105,20 @@ def test_criterion_2_noiseless_exactness():
            f"ml_block_errors={ml_block_errors} ssd_block_errors={ssd_block_errors}")
 
 
+def test_criterion_2_noiseless_exactness_three_selected():
+    # With three slots the ssd receiver must cancel every decoded component,
+    # not only the latest one (which left 145/300 blocks in error here).
+    cfg = dataclasses.replace(BPSK_CFG, n_sel=3, n_refl=96, alpha=(0.05, 0.2, 0.75))
+    validate_config(cfg)
+    ml_block_errors = sum(run_trial(cfg, "mas", "ml", t).block_error for t in range(300))
+    ssd_block_errors = sum(run_trial(cfg, "mas", "ssd", t).block_error for t in range(300))
+    sweep_block_errors = _sweep(cfg, "mas", "ssd", (float("inf"),), trials=300)[0].block_errors
+    ok = ml_block_errors == 0 and ssd_block_errors <= 1 and sweep_block_errors == ssd_block_errors
+    _check(2, "noiseless exactness with three selected antennas over 300 trials", ok,
+           f"ml_block_errors={ml_block_errors} ssd_block_errors={ssd_block_errors} "
+           f"sweep_block_errors={sweep_block_errors}")
+
+
 def test_criterion_3_asbt_saturation():
     capacities = {"mas bpsk": 8, "mas qpsk": 10, "sas-sm bpsk": 5,
                   "sas-sm qpsk": 6, "sas-ssk": 4}

@@ -48,6 +48,11 @@ class TestParseSnr:
         assert parse_snr("inf") == (float("inf"),)
         assert parse_snr("-10") == (-10.0,)
 
+    @pytest.mark.parametrize("text", ["nan", "-inf", "-14,nan", "-inf:2:-8", "0:inf:5", "0:1:nan"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValueError, match="snr"):
+            parse_snr(text)
+
     def test_bad_forms(self):
         with pytest.raises(ValueError):
             parse_snr("0:0:5")
@@ -133,6 +138,37 @@ class TestParseRunSpec:
         path.write_text("mod=pam8\n")
         with pytest.raises(SystemExit):
             parse_run_spec(["--config", str(path)])
+
+    @pytest.mark.parametrize("argv", [["--snr", "nan"], ["--snr=-inf"], ["--snr", "-14,nan"]])
+    def test_non_finite_snr_exits(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_run_spec(argv)
+        assert exc.value.code != 0
+        assert "snr" in capsys.readouterr().err
+
+    def test_non_finite_snr_in_file_exits(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("scheme=sas-sm\nnr=16\nsnr=nan\n")
+        with pytest.raises(SystemExit):
+            parse_run_spec(["--config", str(path)])
+        assert "snr" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--np", "5"), ("--alpha", "0.3,0.7"),
+                                            ("--nc", "4"), ("--iters", "3")])
+    @pytest.mark.parametrize("scheme", ["sas-sm", "sas-ssk"])
+    def test_mas_only_flag_rejected_on_baseline(self, scheme, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_run_spec(["--scheme", scheme, "--nr", "16", flag, value])
+        assert exc.value.code != 0
+        assert flag.lstrip("-") + ":" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["np=2", "alpha=0.3,0.7", "nc=4", "iters=3"])
+    def test_mas_only_key_in_file_rejected_on_baseline(self, tmp_path, line, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"scheme=sas-sm\nnr=16\n{line}\n")
+        with pytest.raises(SystemExit):
+            parse_run_spec(["--config", str(path)])
+        assert line.split("=")[0] + ":" in capsys.readouterr().err
 
     def test_qpsk_capacity_resolution(self):
         spec = parse_run_spec("--mod qpsk".split())

@@ -12,6 +12,8 @@ from irsmas.core import (
     bits_to_int,
     int_to_bits,
     make_constellation,
+    pack_bits,
+    unpack_bits,
     validate_config,
 )
 
@@ -100,6 +102,15 @@ class TestBits:
         np.testing.assert_array_equal(int_to_bits(bits_to_int(bits), len(bits)), bits)
 
 
+    @given(st.integers(min_value=1, max_value=12), st.data())
+    def test_row_wise_packing_matches_scalar(self, width, data):
+        bits = np.array(data.draw(st.lists(
+            st.integers(min_value=0, max_value=1), min_size=3 * width, max_size=3 * width)))
+        values = pack_bits(bits.reshape(1, -1), width)[0]
+        assert values.tolist() == [bits_to_int(bits[i * width:(i + 1) * width]) for i in range(3)]
+        np.testing.assert_array_equal(unpack_bits(values, width), bits)
+
+
 class TestSystemConfig:
     def test_paper_bpsk_derived(self):
         cfg = validate_config(PAPER_CFG)
@@ -133,6 +144,8 @@ class TestSystemConfig:
             ({"noise_sigma": -1.0}, "noise_sigma"),
             ({"sym_energy": 0.0}, "sym_energy"),
             ({"n_refl": 1, "n_sel": 2}, "n_refl"),
+            ({"snr_grid_db": (-14.0, float("nan"))}, "snr"),
+            ({"snr_grid_db": (float("-inf"),)}, "snr"),
         ],
     )
     def test_validation_names_field(self, fields, fragment):
@@ -155,6 +168,9 @@ class TestSystemConfig:
             validate_config(cfg)
         # the same ratios are fine for BPSK, whose axis has only two levels
         validate_config(dataclasses.replace(PAPER_CFG, alpha=(0.1, 0.9)))
+
+    def test_noiseless_snr_accepted(self):
+        validate_config(dataclasses.replace(PAPER_CFG, snr_grid_db=(-14.0, float("inf"))))
 
     def test_validate_returns_config(self):
         assert validate_config(PAPER_CFG) is PAPER_CFG

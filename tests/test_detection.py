@@ -14,8 +14,10 @@ from irsmas.detection import (
     ml_detect,
     quantize,
     rac_candidates,
+    rac_candidates_batch,
     ssd_candidate_decode,
     ssd_detect,
+    ssd_detect_batch,
     superposition_set,
 )
 from irsmas.rac import build_rac_table, rac_find
@@ -140,21 +142,67 @@ class TestSsd:
         _, _, d = ssd_candidate_decode(y, ch, result.rac_index, CFG, TABLE, BPSK)
         assert result.distance == pytest.approx(d)
 
-    def test_single_step_and_cumulative_agree_for_two_slots(self):
-        # with two slots only one prior symbol exists, so both subtraction
-        # policies must produce identical decisions
-        cfg_cum = dataclasses.replace(CFG, cumulative_sic=True)
-        for trial in range(50):
-            bits, ch, y = make_trial(CFG, trial, seed=5, sigma=2.0)
-            a = ssd_detect(y, ch, CFG, TABLE, BPSK)
-            b = ssd_detect(y, ch, cfg_cum, TABLE, BPSK)
-            np.testing.assert_array_equal(a.bits, b.bits)
-
     def test_mac_count_reflects_candidate_total(self):
         bits, ch, y = make_trial(CFG, 4)
         result = ssd_detect(y, ch, CFG, TABLE, BPSK)
         n_cand = len(rac_candidates(y, TABLE, CFG.n_cand_antennas, CFG.n_iters).rows)
         assert result.mac_count == mac_ssd(CFG, n_cand)
+
+
+class TestSsdBatch:
+    """The batched receiver against ssd_detect, trial by trial."""
+
+    def stack(self, cfg, const, seed=6, sigma=0.7, n=6):
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        trials = [make_trial(cfg, t, seed=seed, const=const, table=table, sigma=sigma)
+                  for t in range(n)]
+        h = np.stack([ch.h for _, ch, _ in trials])
+        y = np.stack([y for _, _, y in trials])
+        return h, y
+
+    def assert_matches_scalar(self, y, h, cfg, const):
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        p_hat, labels, n_cand = ssd_detect_batch(y, h, cfg, table, const)
+        for t in range(len(y)):
+            ref = ssd_detect(y[t], ChannelMatrix(h[t]), cfg, table, const)
+            assert p_hat[t] == ref.rac_index
+            np.testing.assert_array_equal(const.points[labels[t]], ref.symbols)
+            assert mac_ssd(cfg, int(n_cand[t])) == ref.mac_count
+        return p_hat, labels
+
+    def test_zeroed_channel_row_and_fallback(self):
+        h, y = self.stack(CFG, BPSK)
+        h[1, 0, :] = 0.0   # antenna 1 dead: rows holding it are disqualified
+        y[1, 0] = 10.0     # ...and ranked first, so some decoded rows are dead
+        h[2] = 0.0         # every gain zero: every candidate is disqualified
+        h[3, np.arange(CFG.n_rx) != 4, :] = 0.0
+        y[3, 4] = 10.0     # one live antenna: one zero gain per row still disqualifies
+        p_hat, labels = self.assert_matches_scalar(y, h, CFG, BPSK)
+        for t in (2, 3):
+            cands = rac_candidates(y[t], TABLE, CFG.n_cand_antennas, CFG.n_iters)
+            assert ssd_detect(y[t], ChannelMatrix(h[t]), CFG, TABLE, BPSK).distance == np.inf
+            assert p_hat[t] == rac_find(TABLE, cands.rows[cands.order[0]])
+            np.testing.assert_array_equal(labels[t], 0)
+
+    def test_three_slots_qpsk(self):
+        cfg = dataclasses.replace(CFG, n_sel=3, n_refl=67, mod_order=4,
+                                  alpha=(0.05, 0.2, 0.75))
+        qpsk = make_constellation(4)
+        h, y = self.stack(cfg, qpsk, sigma=0.3)
+        h[0, 4, :] = 0.0
+        self.assert_matches_scalar(y, h, cfg, qpsk)
+
+    def test_ranking_matches_tiered_list(self):
+        h, y = self.stack(CFG, BPSK, sigma=3.0, n=8)
+        y[3] = 1.0  # all powers tie: ranking falls back to tier, then table index
+        for n_c, n_iters in [(2, 1), (2, 8), (6, 8), (12, 100)]:
+            cand, n_cand = rac_candidates_batch(y, TABLE, n_c, n_iters)
+            for t in range(len(y)):
+                ref = rac_candidates(y[t], TABLE, n_c, n_iters)
+                assert n_cand[t] == len(ref.rows)
+                k = min(n_iters, len(ref.rows))
+                want = [rac_find(TABLE, row) for row in ref.rows[ref.order[:k]]]
+                assert cand[t, :k].tolist() == want
 
 
 class TestMl:

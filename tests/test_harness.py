@@ -1,15 +1,20 @@
 """Sweep-engine tests: trial determinism, metrics, scheduling, parallel equality."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from irsmas.core import SystemConfig
+import irsmas.harness
+from irsmas.core import SystemConfig, validate_config
 from irsmas.harness import (
     BLOCK_TRIALS,
+    CHUNK_TRIALS,
     CSV_COLUMNS,
     SweepRow,
+    _block_counts,
     bits_per_tx,
     compute_metrics,
     monte_carlo_se,
@@ -44,6 +49,52 @@ class TestRunTrial:
         out = run_trial(cfg, "sas-ssk", "ml", 0)
         assert out.bit_errors == 0
         assert out.mac == 133_616
+
+
+# power ratios with distinct superposed values, by (n_sel, modulation order)
+ALPHAS = {
+    (1, 2): (1.0,), (1, 4): (1.0,), (1, 16): (1.0,),
+    (2, 2): (0.2, 0.8), (2, 4): (0.2, 0.8), (2, 16): (0.05, 0.95),
+    (3, 2): (0.05, 0.2, 0.75), (3, 4): (0.05, 0.2, 0.75), (3, 16): (0.01, 0.1, 0.89),
+}
+
+
+@st.composite
+def ssd_blocks(draw):
+    """A small mas/ssd config plus a block (start, count) of its trials."""
+    n_sel = draw(st.sampled_from((1, 2, 3)))
+    n_rx = draw(st.integers(n_sel + 1, 8))
+    mod_order = draw(st.sampled_from((2, 4, 16)))
+    n_refl = n_sel * draw(st.integers(1, 12)) + draw(st.integers(0, n_sel - 1))
+    n_rac = 1 << (math.comb(n_rx, n_sel).bit_length() - 1)
+    cfg = SystemConfig(
+        n_rx=n_rx, n_sel=n_sel, n_refl=n_refl, mod_order=mod_order,
+        alpha=ALPHAS[n_sel, mod_order],
+        n_cand_antennas=draw(st.integers(n_sel, n_rx)),
+        n_iters=draw(st.integers(1, n_rac + 2)),
+        noise_sigma=draw(st.sampled_from((0.0, 0.05, 0.5, 2.0, 20.0))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return cfg, draw(st.integers(0, 5000)), draw(st.integers(1, 3 * CHUNK_TRIALS + 5))
+
+
+class TestBatchedSsdEngine:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ssd_blocks())
+    @example((SystemConfig(n_rx=8, n_sel=3, n_refl=31, mod_order=16, alpha=(0.01, 0.1, 0.89),
+                           n_cand_antennas=3, n_iters=1, noise_sigma=0.5, seed=4), 997, 37))
+    @example((SystemConfig(n_rx=5, n_sel=2, n_refl=9, mod_order=4, n_cand_antennas=5,
+                           n_iters=10, seed=2), 16, 20))
+    def test_block_counts_equal_sum_of_scalar_trials(self, case):
+        cfg, start, count = case
+        validate_config(cfg)
+        want = [0, 0, 0]
+        for trial in range(start, start + count):
+            out = run_trial(cfg, "mas", "ssd", trial)
+            want[0] += out.bit_errors
+            want[1] += out.block_error
+            want[2] += out.mac
+        assert _block_counts((cfg, "mas", "ssd", start, count)) == (count, *want)
 
 
 class TestBitsPerTx:
@@ -134,6 +185,15 @@ class TestRunSweep:
             run_sweep(self.small_cfg(), "mas", "zf")
         with pytest.raises(ValueError, match="ml"):
             run_sweep(self.small_cfg(n_rx=16, n_sel=1, alpha=(1.0,)), "sas-sm", "ssd")
+
+    def test_ml_guard_checked_before_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a Pool was created before the ml guard was checked")
+
+        monkeypatch.setattr(irsmas.harness, "Pool", no_pool)
+        cfg = self.small_cfg(ml_guard=100)
+        with pytest.raises(ValueError, match="guard"):
+            run_sweep(cfg, "mas", "ml", workers=2)
 
     def test_config_validated(self):
         bad = dataclasses.replace(self.small_cfg(), alpha=(0.5, 0.5))
