@@ -189,9 +189,7 @@ def parse_run_spec(argv=None) -> RunSpec:
             # single-antenna baselines: one slot carrying the full symbol power
             fields["n_sel"] = 1
             fields["alpha"] = (1.0,)
-        cfg = dataclasses.replace(defaults, **fields)
-        if scheme == "mas":
-            validate_config(cfg)
+        cfg = validate_config(dataclasses.replace(defaults, **fields), scheme)
     except ValueError as exc:
         parser.error(str(exc))
 

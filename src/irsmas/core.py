@@ -188,8 +188,8 @@ def snr_value_ok(snr_db: float) -> bool:
     return math.isfinite(snr_db) or snr_db == math.inf
 
 
-def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Check every invariant of a SystemConfig; raise ValueError naming each violation."""
+def _selection_problems(cfg: SystemConfig) -> list:
+    """Violations among the fields that only the mas scheme reads."""
     problems = []
     if cfg.n_rx < 1:
         problems.append("n_rx: must be a positive integer")
@@ -197,15 +197,11 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         problems.append("n_sel: must be a positive integer")
     elif cfg.n_sel >= cfg.n_rx:
         problems.append(f"n_sel: must be smaller than n_rx ({cfg.n_sel} >= {cfg.n_rx})")
-    if cfg.n_refl < 1:
-        problems.append("n_refl: must be a positive integer")
-    elif cfg.n_sel >= 1 and cfg.n_refl < cfg.n_sel:
+    if 1 <= cfg.n_refl < cfg.n_sel:
         problems.append(
             f"n_refl: need at least one reflector per selected antenna "
             f"({cfg.n_refl} < {cfg.n_sel})"
         )
-    if cfg.mod_order not in MOD_ORDERS.values():
-        problems.append(f"mod_order: unsupported order {cfg.mod_order}")
     if len(cfg.alpha) != cfg.n_sel:
         problems.append(f"alpha: expected {cfg.n_sel} ratios, got {len(cfg.alpha)}")
     else:
@@ -215,13 +211,6 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
             problems.append(f"alpha: ratios must sum to 1 (got {sum(cfg.alpha)!r})")
         if any(a >= b for a, b in zip(cfg.alpha, cfg.alpha[1:])):
             problems.append("alpha: ratios must be strictly increasing")
-    if cfg.sym_energy <= 0:
-        problems.append("sym_energy: must be positive")
-    if cfg.noise_sigma < 0:
-        problems.append("noise_sigma: must be non-negative")
-    bad_snr = [s for s in cfg.snr_grid_db if not snr_value_ok(s)]
-    if bad_snr:
-        problems.append(f"snr_grid_db: values must be finite or inf (got {bad_snr})")
     if not cfg.n_sel <= cfg.n_cand_antennas <= cfg.n_rx:
         problems.append(
             f"n_cand_antennas: must satisfy n_sel <= n_c <= n_rx "
@@ -229,6 +218,35 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         )
     if cfg.n_iters < 1:
         problems.append("n_iters: must be a positive integer")
+    return problems
+
+
+def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
+    """Check every invariant of a SystemConfig that ``scheme`` reads; raise
+    ValueError naming each violation.
+
+    The single-antenna baselines (any scheme other than ``mas``) need n_rx
+    to be a power of two and ignore the selection fields (n_sel, alpha,
+    n_cand_antennas, n_iters); every scheme reads the remaining fields.
+    """
+    mas = scheme == "mas"
+    if mas:
+        problems = _selection_problems(cfg)
+    elif cfg.n_rx < 2 or cfg.n_rx & (cfg.n_rx - 1):
+        problems = [f"n_rx: must be a power of two >= 2 for {scheme} (got {cfg.n_rx})"]
+    else:
+        problems = []
+    if cfg.n_refl < 1:
+        problems.append("n_refl: must be a positive integer")
+    if cfg.mod_order not in MOD_ORDERS.values():
+        problems.append(f"mod_order: unsupported order {cfg.mod_order}")
+    if cfg.sym_energy <= 0:
+        problems.append("sym_energy: must be positive")
+    if cfg.noise_sigma < 0:
+        problems.append("noise_sigma: must be non-negative")
+    bad_snr = [s for s in cfg.snr_grid_db if not snr_value_ok(s)]
+    if bad_snr:
+        problems.append(f"snr_grid_db: values must be finite or inf (got {bad_snr})")
     if cfg.n_trials < 1:
         problems.append("n_trials: must be a positive integer")
     if not 0 <= cfg.seed < 2**64:
@@ -236,7 +254,7 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
 
     # Superposed transmit values must be pairwise distinct or detection is
     # ill-posed; only checkable once alpha itself is well formed.
-    if not problems and cfg.mod_order ** cfg.n_sel <= 4096:
+    if mas and not problems and cfg.mod_order ** cfg.n_sel <= 4096:
         const = make_constellation(cfg.mod_order)
         gap = _superposition_min_gap(cfg, const.points)
         if gap <= SUPERPOSITION_GAP * cfg.sym_energy:

@@ -1,6 +1,10 @@
 """Receivers: the optimal exhaustive ML demodulator and the low-complexity
 successive signal detection (SSD) receiver, plus their MAC-complexity models.
 
+The ML search screens every hypothesis with an expanded distance in real
+arithmetic and recomputes only those near the minimum with the direct
+elementwise distance, which fixes the decision.
+
 The SSD receiver first ranks antenna combinations by received power (the
 candidate sorter), then for each of the top candidates re-derives the
 reflector configuration, peels the superposed symbols off weakest-slot
@@ -16,11 +20,12 @@ import numpy as np
 from .core import Constellation, SystemConfig, int_to_bits
 from .rac import RacTable, rac_find, rac_row
 from .transmitter import (
+    aligning_phases,
     channel_row_norms,
+    reflector_blocks,
     reflector_phases,
     row_phases,
     sort_weights_asc,
-    sort_weights_desc,
 )
 
 
@@ -266,6 +271,93 @@ def check_ml_guard(cfg: SystemConfig) -> None:
         )
 
 
+def ml_detect_batch(
+    y: np.ndarray,
+    h: np.ndarray,
+    cfg: SystemConfig,
+    table: RacTable,
+    const: Constellation,
+):
+    """Exhaustive ML search for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl).
+
+    Minimizes ||y - H theta_p x||^2 over every legitimate row p and every
+    value x in the superposition set.  Ties resolve to the smaller p, then
+    the lexicographically earlier symbol tuple.  Returns the detected row
+    indices (T,), per-slot symbol labels (T, n_sel) and distances (T,).
+
+    Hypotheses are first screened in real arithmetic with the expansion
+    ||y||^2 - 2 Re(conj(x) g^H y) + |x|^2 ||g||^2, which costs C n_rx + C V
+    instead of C n_rx V.  Every hypothesis whose score lies within a
+    rounding bound of its trial's minimum is then recomputed elementwise,
+    exactly as the direct search computes it (antennas summed in order), so
+    the decision and distance are those of the direct search, bit for bit.
+    """
+    check_ml_guard(cfg)
+    values, tuples = superposition_set(cfg, const)
+    n_trials, n_rx = y.shape
+    n_rows = table.row_count
+    # theta_p of every row p is ``row_phases(h_t, table.rows, delta)``.  A
+    # reflector's phase depends only on the antenna it follows, so a trial's
+    # n_rx x n_refl phases are computed once and gathered for all C rows.
+    # One product per trial, as the direct search forms it: a stacked
+    # product may differ in the last bits.
+    n_refl = h.shape[-1]
+    follows = np.empty((n_rows, n_refl), dtype=np.int64)  # antenna of each reflector
+    for block, slot in reflector_blocks(n_refl, cfg.n_sel, cfg.delta):
+        follows[:, block] = table.rows[:, slot, None] - 1
+    flat = follows * n_refl + np.arange(n_refl)
+    gains = np.stack([h_t @ u_t.take(flat).T for h_t, u_t in zip(h, aligning_phases(h))])
+
+    # score(p, x) = distance - ||y||^2, as one (pairs x 3) @ (3 x V) product
+    energy = np.sum(gains.real**2 + gains.imag**2, axis=1)  # (T, C), ||g||^2
+    corr = (y[:, None, :] @ gains.conj())[:, 0]  # (T, C), g^H y
+    coef = np.stack([energy, corr.real, corr.imag], axis=-1).reshape(-1, 3)
+    basis = np.stack([np.abs(values) ** 2, -2 * values.real, -2 * values.imag])
+    # The direct search can pick a hypothesis over the screened minimum only
+    # if their scores differ by less than twice the rounding error of both
+    # computations: under (3 n_rx + 22) eps (||y|| + |x| ||g||)^2.  The
+    # shortlist bound is more than twice that.
+    scale = np.linalg.norm(y, axis=1) + np.abs(values).max() * np.sqrt(energy.max(axis=1))
+    tol = 8 * (n_rx + 8) * np.finfo(float).eps * scale**2
+
+    # Screen at most 2**16 hypotheses at a time, in slices of (trial, row)
+    # pairs.  A slice keeps what lies near the running minimum of its
+    # trial: a superset of what lies near the final one, and so of every
+    # hypothesis the direct search could pick.
+    best = np.full(n_trials, np.inf)
+    pair_step = max(1, 2**16 // len(values))
+    pairs, tuple_idx = [], []
+    for lo in range(0, n_trials * n_rows, pair_step):
+        score = coef[lo : lo + pair_step] @ basis
+        trial = np.arange(lo, lo + len(score)) // n_rows
+        pair_min = score.min(axis=1)
+        np.minimum.at(best, trial, pair_min)
+        limit = (best + tol)[trial]
+        near = np.flatnonzero(pair_min <= limit)
+        pair, v = np.nonzero(score[near] <= limit[near, None])
+        pairs.append(lo + near[pair])
+        tuple_idx.append(v)
+    t, p = np.divmod(np.concatenate(pairs), n_rows)
+    v = np.concatenate(tuple_idx)
+
+    # Exact re-check: the direct search's elementwise terms, summed over
+    # antennas in sequence (np.sum may pair them up differently).
+    terms = np.abs(y.T[:, t] - gains.transpose(1, 0, 2)[:, t, p] * values[v]) ** 2
+    distance = terms[0].copy()
+    for r in range(1, n_rx):
+        distance += terms[r]
+    # t is ascending, and (p, v) ascending within each trial
+    ranked = np.lexsort((distance, t))
+    first = ranked[np.searchsorted(t[ranked], np.arange(n_trials))]
+
+    p_hat = p[first]
+    weights = np.take_along_axis(channel_row_norms(h), table.rows[p_hat] - 1, axis=1)
+    order = np.argsort(-weights, axis=1, kind="stable")  # slot of each tuple position
+    labels = np.empty((n_trials, cfg.n_sel), dtype=np.int64)
+    np.put_along_axis(labels, order, tuples[v[first]], axis=1)
+    return p_hat, labels, distance[first]
+
+
 def ml_detect(
     y: np.ndarray,
     channel,
@@ -273,41 +365,15 @@ def ml_detect(
     table: RacTable,
     const: Constellation,
 ) -> DetectionResult:
-    """Jointly optimal exhaustive search over antenna rows and superposed values.
-
-    Minimizes ||y - H theta_p x||^2 over every legitimate row p and every
-    value x in the superposition set.  Ties resolve to the smaller p, then
-    the lexicographically earlier symbol tuple.
-    """
-    check_ml_guard(cfg)
-    values, labels = superposition_set(cfg, const)
-    gains = channel.h @ row_phases(channel.h, table.rows, cfg.delta).T  # n_rx x C
-
-    best = (np.inf, -1, -1)
-    chunk = max(1, 2**14 // len(values))
-    for lo in range(0, table.row_count, chunk):
-        g = gains[:, lo : lo + chunk]
-        d = np.sum(
-            np.abs(y[:, None, None] - g[:, :, None] * values[None, None, :]) ** 2,
-            axis=0,
-        )
-        flat = int(np.argmin(d))
-        p_off, t = divmod(flat, len(values))
-        if d[p_off, t] < best[0]:
-            best = (float(d[p_off, t]), lo + p_off, t)
-
-    distance, p_hat, t_hat = best
-    sel = rac_row(table, p_hat)
-    order = sort_weights_desc(np.linalg.norm(channel.h[sel - 1, :], axis=1))
-    symbols = np.zeros(cfg.n_sel, dtype=complex)
-    for i, slot in enumerate(order):
-        symbols[slot - 1] = const.points[labels[t_hat, i]]
-    bits = detection_to_bits(p_hat, symbols, cfg, table, const)
+    """Jointly optimal exhaustive search for one trial: ``ml_detect_batch``
+    on a stack of one."""
+    p_hat, labels, distance = ml_detect_batch(y[None], channel.h[None], cfg, table, const)
+    symbols = const.points[labels[0]]
     return DetectionResult(
-        rac_index=p_hat,
+        rac_index=int(p_hat[0]),
         symbols=symbols,
-        bits=bits,
-        distance=distance,
+        bits=detection_to_bits(int(p_hat[0]), symbols, cfg, table, const),
+        distance=float(distance[0]),
         mac_count=mac_ml(cfg),
     )
 

@@ -6,13 +6,13 @@ the block sequence, each block is a pure function of (config, scheme,
 detector, block index), and counts are summed in block order.  The same
 seed therefore yields bit-identical output for any worker count.
 
-A ``mas``/``ssd`` block runs through the batched engine: chunks of
-CHUNK_TRIALS trials pass each stage (draws, encode, propagate, detect) as
-arrays over trials x candidates.  Every trial still draws from its own
-stream, in the same order, and gets the same arithmetic, so a block's
-counts equal the sum of ``run_trial`` outcomes over its trials.
-``run_trial`` stays the reference path and runs the ``ml`` and baseline
-blocks.
+Every ``mas`` block, with either detector, runs through the batched
+engine: chunks of CHUNK_TRIALS trials pass each stage (draws, encode,
+propagate, detect) as arrays over trials x candidates.  Every trial still
+draws from its own stream, in the same order, and gets the same
+arithmetic, so a block's counts equal the sum of ``run_trial`` outcomes
+over its trials.  ``run_trial`` stays the reference path; in sweeps it
+runs only the baseline blocks.
 """
 
 import os
@@ -25,12 +25,20 @@ import numpy as np
 from .baselines import SasScheme, sas_detect, sas_encode
 from .channel import draw_trials, propagate, propagate_batch, sample_channel, trial_rng
 from .core import MOD_NAMES, SystemConfig, make_constellation, unpack_bits, validate_config
-from .detection import check_ml_guard, mac_ssd, ml_detect, ssd_detect, ssd_detect_batch
+from .detection import (
+    check_ml_guard,
+    mac_ml,
+    mac_ssd,
+    ml_detect,
+    ml_detect_batch,
+    ssd_detect,
+    ssd_detect_batch,
+)
 from .rac import build_rac_table
 from .transmitter import encode, encode_batch
 
 BLOCK_TRIALS = 1000
-# Trials the batched ssd engine carries through each stage at once.
+# Trials the batched engine carries through each stage at once.
 CHUNK_TRIALS = 16
 
 SCHEMES = ("mas", "sas-sm", "sas-ssk")
@@ -132,8 +140,8 @@ def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -
     return TrialOutcome(bit_errors=bit_errors, block_error=int(bit_errors > 0), mac=mac)
 
 
-def _ssd_chunk_counts(cfg: SystemConfig, trials: range, table, const):
-    """(bit errors, block errors, MACs) of a few mas/ssd trials, run as arrays.
+def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, table, const):
+    """(bit errors, block errors, MACs) of a few mas trials, run as arrays.
 
     Draws, encodes, propagates and detects exactly what ``run_trial`` would
     for each trial, so the counts equal the sum of the scalar outcomes.
@@ -141,38 +149,32 @@ def _ssd_chunk_counts(cfg: SystemConfig, trials: range, table, const):
     bits, h, noise = draw_trials(cfg.seed, trials, cfg.block_len, cfg.n_rx, cfg.n_refl)
     x, theta = encode_batch(bits, h, cfg, table, const)
     y = propagate_batch(h, theta, x, noise, cfg.noise_sigma)
-    p_hat, labels, n_cand = ssd_detect_batch(y, h, cfg, table, const)
+    if detector == "ml":
+        p_hat, labels, _ = ml_detect_batch(y, h, cfg, table, const)
+        mac = len(trials) * mac_ml(cfg)
+    else:
+        p_hat, labels, n_cand = ssd_detect_batch(y, h, cfg, table, const)
+        mac = sum(mac_ssd(cfg, int(n)) for n in n_cand)
     bits_hat = np.concatenate(
         [unpack_bits(p_hat[:, None], cfg.l1), unpack_bits(labels, cfg.bits_per_sym)], axis=1)
     errors = np.count_nonzero(bits != bits_hat, axis=1)
-    mac = sum(mac_ssd(cfg, int(n)) for n in n_cand)
     return int(errors.sum()), int(np.count_nonzero(errors)), mac
-
-
-def _ssd_block_counts(cfg: SystemConfig, start: int, count: int):
-    """Counts of a mas/ssd block, CHUNK_TRIALS trials at a time."""
-    table = build_rac_table(cfg.n_rx, cfg.n_sel)
-    const = _constellation(cfg.mod_order)
-    totals = (0, 0, 0)
-    for lo in range(start, start + count, CHUNK_TRIALS):
-        trials = range(lo, min(lo + CHUNK_TRIALS, start + count))
-        chunk = _ssd_chunk_counts(cfg, trials, table, const)
-        totals = tuple(a + b for a, b in zip(totals, chunk))
-    return (count, *totals)
 
 
 def _block_counts(args):
     """Aggregate counts for one scheduling block (top level for pickling)."""
     cfg, scheme, detector, start, count = args
-    if scheme == "mas" and detector == "ssd":
-        return _ssd_block_counts(cfg, start, count)
-    bit_errors = block_errors = mac_total = 0
-    for trial_index in range(start, start + count):
-        out = run_trial(cfg, scheme, detector, trial_index)
-        bit_errors += out.bit_errors
-        block_errors += out.block_error
-        mac_total += out.mac
-    return count, bit_errors, block_errors, mac_total
+    stop = start + count
+    if scheme == "mas":
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        const = _constellation(cfg.mod_order)
+        chunks = (range(lo, min(lo + CHUNK_TRIALS, stop))
+                  for lo in range(start, stop, CHUNK_TRIALS))
+        parts = [_chunk_counts(cfg, detector, trials, table, const) for trials in chunks]
+    else:
+        outs = (run_trial(cfg, scheme, detector, i) for i in range(start, stop))
+        parts = [(out.bit_errors, out.block_error, out.mac) for out in outs]
+    return (count, *(sum(column) for column in zip(*parts)))
 
 
 def compute_metrics(trials: int, bit_errors: int, block_errors: int,
@@ -255,10 +257,9 @@ def run_sweep(cfg: SystemConfig, scheme: str = "mas", detector: str = "ssd",
         raise ValueError(f"detector must be one of {DETECTORS}, got {detector!r}")
     if scheme != "mas" and detector != "ml":
         raise ValueError("baseline schemes are detected with the exhaustive ml search")
-    if scheme == "mas":
-        validate_config(cfg)
-        if detector == "ml":
-            check_ml_guard(cfg)
+    validate_config(cfg, scheme)
+    if scheme == "mas" and detector == "ml":
+        check_ml_guard(cfg)
     workers = _resolve_workers(workers)
 
     block_len = bits_per_tx(cfg, scheme)

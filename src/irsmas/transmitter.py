@@ -76,6 +76,19 @@ def reflector_phases(sel_channel: np.ndarray, delta: int) -> np.ndarray:
     return theta
 
 
+def aligning_phases(h: np.ndarray, out=None) -> np.ndarray:
+    """Unit-modulus phases exp(-j arg h) that cancel the phase of each entry."""
+    return np.exp(-1j * np.angle(h), out=out)
+
+
+def reflector_blocks(n_refl: int, n_sel: int, delta: int) -> list:
+    """(reflectors, slot) pairs: block i, reflectors i*delta .. (i+1)*delta-1,
+    is aligned to the antenna of slot i; leftover reflectors to slot 0."""
+    blocks = [(slice(i * delta, (i + 1) * delta), i) for i in range(n_sel)]
+    blocks.append((slice(n_sel * delta, n_refl), 0))
+    return blocks
+
+
 def row_phases(h: np.ndarray, rows: np.ndarray, delta: int) -> np.ndarray:
     """Phase vectors for many antenna rows at once, one per row of ``rows``.
 
@@ -84,14 +97,10 @@ def row_phases(h: np.ndarray, rows: np.ndarray, delta: int) -> np.ndarray:
     ``reflector_phases(h[rows[r] - 1, :], delta)`` element for element.
     """
     n_refl = h.shape[-1]
-    n_sel = rows.shape[-1]
     theta = np.empty(rows.shape[:-1] + (n_refl,), dtype=complex)
-    blocks = [slice(i * delta, (i + 1) * delta) for i in range(n_sel)]
-    blocks.append(slice(n_sel * delta, n_refl))  # leftover reflectors follow row 0
-    for i, block in enumerate(blocks):
-        ant = rows[..., i % n_sel, None] - 1
-        angle = np.angle(np.take_along_axis(h[..., block], ant, axis=-2))
-        np.exp(-1j * angle, out=theta[..., block])
+    for block, slot in reflector_blocks(n_refl, rows.shape[-1], delta):
+        ant = rows[..., slot, None] - 1
+        aligning_phases(np.take_along_axis(h[..., block], ant, axis=-2), out=theta[..., block])
     return theta
 
 

@@ -170,6 +170,19 @@ class TestParseRunSpec:
             parse_run_spec(["--config", str(path)])
         assert line.split("=")[0] + ":" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,field", [
+        ("--scheme sas-sm --nr 16 --n-reflectors 0", "n_refl:"),
+        ("--scheme sas-sm --nr 16 --trials 0", "n_trials:"),
+        ("--scheme sas-ssk --nr 16 --seed -1", "seed:"),
+        ("--scheme sas-ssk --nr 12", "n_rx:"),
+        ("--trials 0", "n_trials:"),
+    ])
+    def test_invalid_config_exits_naming_field(self, argv, field, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_run_spec(argv.split())
+        assert exc.value.code != 0
+        assert field in capsys.readouterr().err
+
     def test_qpsk_capacity_resolution(self):
         spec = parse_run_spec("--mod qpsk".split())
         assert spec.cfg.block_len == 10

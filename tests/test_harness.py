@@ -8,7 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import irsmas.harness
-from irsmas.core import SystemConfig, validate_config
+from irsmas.channel import ChannelMatrix, propagate, sample_channel, trial_rng
+from irsmas.core import SystemConfig, make_constellation, validate_config
+from irsmas.detection import (
+    detection_to_bits,
+    mac_ml,
+    ml_detect,
+    ml_detect_batch,
+    superposition_set,
+)
 from irsmas.harness import (
     BLOCK_TRIALS,
     CHUNK_TRIALS,
@@ -21,6 +29,8 @@ from irsmas.harness import (
     run_sweep,
     run_trial,
 )
+from irsmas.rac import build_rac_table, rac_row
+from irsmas.transmitter import encode, reflector_phases, sort_weights_desc
 
 CFG = SystemConfig()
 
@@ -60,8 +70,8 @@ ALPHAS = {
 
 
 @st.composite
-def ssd_blocks(draw):
-    """A small mas/ssd config plus a block (start, count) of its trials."""
+def mas_blocks(draw):
+    """A small mas config plus a block (start, count) of its trials."""
     n_sel = draw(st.sampled_from((1, 2, 3)))
     n_rx = draw(st.integers(n_sel + 1, 8))
     mod_order = draw(st.sampled_from((2, 4, 16)))
@@ -80,7 +90,7 @@ def ssd_blocks(draw):
 
 class TestBatchedSsdEngine:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(ssd_blocks())
+    @given(mas_blocks())
     @example((SystemConfig(n_rx=8, n_sel=3, n_refl=31, mod_order=16, alpha=(0.01, 0.1, 0.89),
                            n_cand_antennas=3, n_iters=1, noise_sigma=0.5, seed=4), 997, 37))
     @example((SystemConfig(n_rx=5, n_sel=2, n_refl=9, mod_order=4, n_cand_antennas=5,
@@ -95,6 +105,112 @@ class TestBatchedSsdEngine:
             want[1] += out.block_error
             want[2] += out.mac
         assert _block_counts((cfg, "mas", "ssd", start, count)) == (count, *want)
+
+
+def direct_ml_detect(y, channel, cfg, table, const):
+    """Reference ML search: every (row, tuple) distance computed elementwise,
+    2**14 hypotheses at a time; the first minimum wins."""
+    values, labels = superposition_set(cfg, const)
+    theta = np.stack([reflector_phases(channel.h[row - 1], cfg.delta) for row in table.rows])
+    gains = channel.h @ theta.T  # n_rx x C
+
+    best = (np.inf, -1, -1)
+    chunk = max(1, 2**14 // len(values))
+    for lo in range(0, table.row_count, chunk):
+        g = gains[:, lo : lo + chunk]
+        d = np.sum(
+            np.abs(y[:, None, None] - g[:, :, None] * values[None, None, :]) ** 2,
+            axis=0,
+        )
+        flat = int(np.argmin(d))
+        p_off, t = divmod(flat, len(values))
+        if d[p_off, t] < best[0]:
+            best = (float(d[p_off, t]), lo + p_off, t)
+
+    distance, p_hat, t_hat = best
+    sel = rac_row(table, p_hat)
+    order = sort_weights_desc(np.linalg.norm(channel.h[sel - 1, :], axis=1))
+    symbols = np.zeros(cfg.n_sel, dtype=complex)
+    for i, slot in enumerate(order):
+        symbols[slot - 1] = const.points[labels[t_hat, i]]
+    return p_hat, symbols, distance
+
+
+def scalar_trial(cfg, table, const, trial):
+    """One trial's bits, channel and received vector, drawn as run_trial draws them."""
+    rng = trial_rng(cfg.seed, trial)
+    bits = rng.integers(0, 2, size=cfg.block_len, dtype=np.int64)
+    ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
+    tx = encode(bits, ch, cfg, table, const)
+    return bits, ch, propagate(ch, tx.theta, tx.x, cfg.noise_sigma, rng)
+
+
+class TestBatchedMlEngine:
+    """The batched ML search against the direct search: row, labels and
+    distance must agree bit for bit."""
+
+    def assert_matches_direct(self, y, h, cfg):
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        const = make_constellation(cfg.mod_order)
+        p_hat, labels, distance = ml_detect_batch(y, h, cfg, table, const)
+        for t in range(len(y)):
+            ref_p, ref_symbols, ref_d = direct_ml_detect(y[t], ChannelMatrix(h[t]), cfg,
+                                                         table, const)
+            assert p_hat[t] == ref_p
+            np.testing.assert_array_equal(const.points[labels[t]], ref_symbols)
+            assert distance[t] == ref_d
+        return p_hat, labels, distance
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mas_blocks())
+    def test_block_matches_direct_search(self, case):
+        cfg, start, count = case
+        validate_config(cfg)
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        const = make_constellation(cfg.mod_order)
+        trials = [scalar_trial(cfg, table, const, t) for t in range(start, start + count)]
+        y = np.stack([y for _, _, y in trials])
+        h = np.stack([ch.h for _, ch, _ in trials])
+        p_hat, labels, _ = self.assert_matches_direct(y, h, cfg)
+
+        errors = [np.count_nonzero(bits != detection_to_bits(int(p), const.points[lab], cfg,
+                                                              table, const))
+                  for (bits, _, _), p, lab in zip(trials, p_hat, labels)]
+        want = (count, sum(errors), np.count_nonzero(errors), count * mac_ml(cfg))
+        assert _block_counts((cfg, "mas", "ml", start, count)) == want
+
+    def test_all_zero_channel_ties_to_first_hypothesis(self):
+        cfg = SystemConfig(n_rx=6, n_sel=3, n_refl=14, mod_order=4, alpha=(0.05, 0.2, 0.75),
+                           noise_sigma=0.5, seed=3)
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        const = make_constellation(cfg.mod_order)
+        trials = [scalar_trial(cfg, table, const, t) for t in range(4)]
+        y = np.stack([y for _, _, y in trials])
+        h = np.stack([ch.h for _, ch, _ in trials])
+        h[1] = 0.0  # every hypothesis explains y[1] equally badly
+        h[3] = 0.0
+        y[3] = 0.0  # ...and here equally well
+        p_hat, labels, distance = self.assert_matches_direct(y, h, cfg)
+        for t in (1, 3):
+            assert p_hat[t] == 0
+            np.testing.assert_array_equal(labels[t], 0)
+        assert distance[3] == 0.0
+
+    def test_search_wider_than_budget_is_sliced(self):
+        # C * V = 32 * 16**3 = 2**17 hypotheses a trial, twice the screening budget
+        cfg = SystemConfig(n_rx=8, n_sel=3, n_refl=31, mod_order=16, alpha=(0.01, 0.1, 0.89),
+                           noise_sigma=0.5, seed=4)
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        const = make_constellation(cfg.mod_order)
+        trials = [scalar_trial(cfg, table, const, t) for t in range(3)]
+        y = np.stack([y for _, _, y in trials])
+        h = np.stack([ch.h for _, ch, _ in trials])
+        self.assert_matches_direct(y, h, cfg)
+        bits, ch, y0 = trials[0]
+        p_hat, symbols, distance = direct_ml_detect(y0, ch, cfg, table, const)
+        result = ml_detect(y0, ch, cfg, table, const)
+        assert (result.rac_index, result.distance) == (p_hat, distance)
+        np.testing.assert_array_equal(result.symbols, symbols)
 
 
 class TestBitsPerTx:
@@ -195,7 +311,40 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="guard"):
             run_sweep(cfg, "mas", "ml", workers=2)
 
+    def test_ml_worker_count_does_not_change_rows(self):
+        cfg = self.small_cfg(n_trials=BLOCK_TRIALS + 37)
+        rows1 = run_sweep(cfg, "mas", "ml", workers=1)
+        rows2 = run_sweep(cfg, "mas", "ml", workers=2)
+        assert rows1 == rows2
+        noiseless = sum(run_trial(cfg, "mas", "ml", t).block_error for t in range(cfg.n_trials))
+        assert rows1[0].block_errors == noiseless == 0
+
     def test_config_validated(self):
         bad = dataclasses.replace(self.small_cfg(), alpha=(0.5, 0.5))
         with pytest.raises(ValueError, match="alpha"):
             run_sweep(bad, "mas", "ssd")
+
+    @pytest.mark.parametrize("fields,fragment", [
+        ({"snr_grid_db": (float("nan"),)}, "snr"),
+        ({"n_trials": 0}, "n_trials"),
+        ({"n_refl": 0}, "n_refl"),
+        ({"sym_energy": -1.0}, "sym_energy"),
+        ({"seed": -1}, "seed"),
+        ({"n_rx": 12}, "n_rx"),
+    ])
+    @pytest.mark.parametrize("scheme", ["sas-sm", "sas-ssk"])
+    def test_baseline_config_validated_before_any_trial(self, monkeypatch, scheme, fields,
+                                                        fragment):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before the config was validated")
+
+        monkeypatch.setattr(irsmas.harness, "run_trial", no_trial)
+        cfg = self.small_cfg(**{"n_rx": 16, "n_sel": 1, "alpha": (1.0,), **fields})
+        with pytest.raises(ValueError, match=fragment):
+            run_sweep(cfg, scheme, "ml", workers=1)
+
+    def test_baseline_ignores_selection_fields(self):
+        # n_sel, alpha, n_cand_antennas and n_iters mean nothing to a baseline
+        cfg = self.small_cfg(n_trials=20, n_rx=16, n_sel=5, alpha=(0.5, 0.5),
+                             n_cand_antennas=99, n_iters=0)
+        assert run_sweep(cfg, "sas-sm", "ml", workers=1)[0].ber == 0.0

@@ -12,6 +12,7 @@ from irsmas.rac import build_rac_table, rac_row
 from irsmas.transmitter import (
     encode,
     reflector_phases,
+    row_phases,
     sort_weights_asc,
     sort_weights_desc,
     superpose,
@@ -94,6 +95,18 @@ class TestReflectorPhases:
         theta = reflector_phases(sel_channel, 32)
         tail = sel_channel[0, 64] * theta[64]
         assert abs(tail.imag) <= 1e-12 and tail.real > 0
+
+    @pytest.mark.parametrize("n_rx,n_sel,n_refl", [(12, 2, 64), (8, 3, 31), (5, 1, 7)])
+    def test_row_phases_match_per_row_phases(self, n_rx, n_sel, n_refl):
+        # a stack of 3 trials, each with every row of its table, tail reflectors included
+        table = build_rac_table(n_rx, n_sel)
+        h = np.stack([sample_channel(n_rx, n_refl, trial_rng(9, t)).h for t in range(3)])
+        rows = np.broadcast_to(table.rows, (3,) + table.rows.shape)
+        theta = row_phases(h, rows, n_refl // n_sel)
+        for t in range(3):
+            for r, row in enumerate(table.rows):
+                want = reflector_phases(h[t, row - 1], n_refl // n_sel)
+                np.testing.assert_array_equal(theta[t, r], want)
 
     def test_aligned_gain_beats_random(self):
         # the beamforming gain at the aligned antenna dwarfs a random antenna
