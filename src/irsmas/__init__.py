@@ -26,6 +26,7 @@ from .core import (
     bits_to_int,
     int_to_bits,
     make_constellation,
+    superposition_set,
     validate_config,
 )
 from .detection import (
@@ -36,7 +37,6 @@ from .detection import (
     quantize,
     rac_candidates,
     ssd_detect,
-    superposition_set,
 )
 from .harness import (
     CSV_COLUMNS,

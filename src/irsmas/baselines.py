@@ -4,14 +4,19 @@ The index-only variant (ssk) carries log2(n_rx) bits in the antenna choice
 alone and transmits the bare symbol energy; the modulated variant (sm)
 appends one constellation symbol.  Both are detected with an exhaustive
 search, which is affordable because the hypothesis count is small.
+
+A reflector aligned to target antenna r gets phase exp(-j arg h[r, n]), so
+one n_rx x n_refl array of aligning phases per trial holds the phase vector
+of every target: the batched encoder gathers its row, and the detector
+uses every row.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Constellation, make_constellation, bits_to_int, int_to_bits
-from .transmitter import reflector_phases
+from .core import Constellation, make_constellation, bits_to_int, pack_bits, unpack_bits
+from .transmitter import aligning_phases, reflector_phases
 
 
 @dataclass
@@ -36,9 +41,20 @@ class SasScheme:
         return self.const.order.bit_length() - 1
 
     @property
+    def antenna_bits(self) -> int:
+        return self.n_rx.bit_length() - 1
+
+    @property
     def bits_per_tx(self) -> int:
-        antenna_bits = self.n_rx.bit_length() - 1
-        return antenna_bits + (self.bits_per_sym if self.mode == "sm" else 0)
+        return self.antenna_bits + (self.bits_per_sym if self.mode == "sm" else 0)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Transmit scalars indexed by symbol label: the scaled constellation
+        (sm), or the bare symbol energy alone (ssk)."""
+        if self.mode == "sm":
+            return self.sym_energy * self.const.points
+        return np.array([self.sym_energy], dtype=complex)
 
 
 def sas_encode(bits: np.ndarray, channel, scheme: SasScheme):
@@ -50,7 +66,7 @@ def sas_encode(bits: np.ndarray, channel, scheme: SasScheme):
     """
     if len(bits) != scheme.bits_per_tx:
         raise ValueError(f"expected {scheme.bits_per_tx} bits, got {len(bits)}")
-    antenna_bits = scheme.n_rx.bit_length() - 1
+    antenna_bits = scheme.antenna_bits
     target = bits_to_int(bits[:antenna_bits]) + 1
     theta = reflector_phases(channel.h[target - 1 : target, :], channel.shape[1])
     if scheme.mode == "sm":
@@ -61,34 +77,49 @@ def sas_encode(bits: np.ndarray, channel, scheme: SasScheme):
     return x, theta, target
 
 
+def sas_encode_batch(bits: np.ndarray, phases: np.ndarray, scheme: SasScheme):
+    """``sas_encode`` for a stack of trials, with the same values per trial.
+
+    ``bits`` is (T, bits_per_tx) and ``phases`` the trials' aligning phases
+    (T, n_rx, n_refl) from ``aligning_phases``; row r of a trial's phases
+    is ``reflector_phases`` for target r + 1.  Returns the transmit scalars
+    (T,) and reflector phase vectors (T, n_refl).
+    """
+    values = scheme.values
+    # The bit block read as one integer is target index * V + symbol label.
+    target, label = np.divmod(pack_bits(bits, scheme.bits_per_tx)[:, 0], len(values))
+    return values[label], phases[np.arange(len(bits)), target]
+
+
+def sas_detect_batch(y: np.ndarray, h: np.ndarray, phases: np.ndarray, scheme: SasScheme):
+    """Exhaustive search over target antennas and symbols for a stack of
+    trials: y (T, n_rx), h and its aligning phases (T, n_rx, n_refl).
+
+    Each hypothesis gets ``sas_detect``'s arithmetic: the gain g = H theta
+    as one matrix-vector product per (trial, target), and the distance
+    sum |y - g x|^2 over antennas, reduced by np.sum over the same
+    (n_rx, V) layout.  The first minimum in (target, symbol) order wins.
+    Returns the detected bits (T, bits_per_tx) and distances (T,).
+    """
+    values = scheme.values
+    gains = (h[:, None] @ phases[..., None])[..., 0]  # (T, target, n_rx)
+    terms = np.abs(y[:, None, :, None] - gains[..., None] * values) ** 2
+    distance = np.sum(terms, axis=-2).reshape(len(y), -1)  # (T, target * V + label)
+    best = np.argmin(distance, axis=1)
+    bits = unpack_bits(best[:, None], scheme.bits_per_tx)
+    return bits, distance[np.arange(len(y)), best]
+
+
 def sas_detect(y: np.ndarray, channel, scheme: SasScheme):
-    """Exhaustive search over target antennas (and symbols in sm mode).
+    """Exhaustive search over target antennas (and symbols in sm mode) for
+    one trial: ``sas_detect_batch`` on a stack of one.
 
     Returns (bits, distance, mac_count).  Ties resolve to the lowest
     antenna, then the lowest symbol label.
     """
-    n_refl = channel.shape[1]
-    if scheme.mode == "sm":
-        values = scheme.sym_energy * scheme.const.points
-    else:
-        values = np.array([scheme.sym_energy], dtype=complex)
-
-    best = (np.inf, -1, -1)
-    for target in range(1, scheme.n_rx + 1):
-        theta = reflector_phases(channel.h[target - 1 : target, :], n_refl)
-        g = channel.h @ theta
-        d = np.sum(np.abs(y[:, None] - np.outer(g, values)) ** 2, axis=0)
-        t = int(np.argmin(d))
-        if d[t] < best[0]:
-            best = (float(d[t]), target, t)
-
-    distance, target, t = best
-    antenna_bits = scheme.n_rx.bit_length() - 1
-    parts = [int_to_bits(target - 1, antenna_bits)]
-    if scheme.mode == "sm":
-        parts.append(int_to_bits(t, scheme.bits_per_sym))
-    bits = np.concatenate(parts)
-    return bits, distance, sas_mac(scheme, n_refl)
+    h = channel.h[None]
+    bits, distance = sas_detect_batch(y[None], h, aligning_phases(h), scheme)
+    return bits[0], float(distance[0]), sas_mac(scheme, h.shape[-1])
 
 
 def sas_mac(scheme: SasScheme, n_refl: int) -> int:

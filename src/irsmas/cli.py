@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from .core import MOD_ORDERS, SystemConfig, snr_value_ok, validate_config
+from .core import MOD_ORDERS, SNR_FLOOR_DB, SystemConfig, snr_value_ok, validate_config
 from .harness import CSV_COLUMNS, DETECTORS, SCHEMES, bits_per_tx, run_sweep
 
 # config-file keys, normalized to the flag spellings
@@ -46,8 +46,8 @@ def parse_alpha(text: str) -> tuple:
 def parse_snr(text: str) -> tuple:
     """SNR grid in dB: either "start:step:stop" (stop inclusive) or a comma list.
 
-    List values must be finite or ``inf`` (noiseless); range bounds and
-    step must be finite.
+    Every value must be ``inf`` (noiseless) or finite and at least
+    SNR_FLOOR_DB; range bounds and step must be finite.
     """
     if ":" in text:
         start, step, stop = (float(tok) for tok in text.split(":"))
@@ -58,11 +58,13 @@ def parse_snr(text: str) -> tuple:
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
         if n < 1:
             raise ValueError(f"snr: empty range {text!r}")
-        return tuple(start + i * step for i in range(n))
-    values = tuple(float(tok) for tok in text.split(","))
-    bad = [tok for tok, v in zip(text.split(","), values) if not snr_value_ok(v)]
+        values = tuple(start + i * step for i in range(n))
+    else:
+        values = tuple(float(tok) for tok in text.split(","))
+    bad = [f"{v:g}" for v in values if not snr_value_ok(v)]
     if bad:
-        raise ValueError(f"snr: values must be finite or inf, got {','.join(bad)}")
+        raise ValueError(f"snr: values must be inf or finite and at least {SNR_FLOOR_DB:g} dB, "
+                         f"got {','.join(bad)}")
     return values
 
 

@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -14,6 +13,10 @@ ALPHA_SUM_TOL = 1e-12
 ENERGY_TOL = 1e-12
 # Minimum gap (relative to symbol energy) between any two superposed values.
 SUPERPOSITION_GAP = 1e-9
+# Lowest accepted SNR in dB.  At -1000 dB the noise variance is 1e100, so
+# received vectors and every squared distance the receivers form stay
+# finite; far lower SNRs overflow to inf and NaN.
+SNR_FLOOR_DB = -1000.0
 
 
 class Constellation:
@@ -167,25 +170,33 @@ class SystemConfig:
         return 1 << self.l1
 
 
-def _superposition_min_gap(cfg: SystemConfig, points: np.ndarray) -> float:
-    """Smallest pairwise distance among all superposed transmit values."""
+def superposition_set(cfg: SystemConfig, const: Constellation):
+    """All M^n_sel superposed transmit values with their symbol-label tuples.
+
+    Tuples are enumerated lexicographically; tuple position i carries power
+    ratio alpha[i].
+    """
+    labels = np.indices((const.order,) * cfg.n_sel).reshape(cfg.n_sel, -1).T
     scale = np.sqrt(np.asarray(cfg.alpha)) * cfg.sym_energy
-    values = np.array(
-        [np.dot(scale, [points[t] for t in tup]) for tup in product(range(len(points)), repeat=cfg.n_sel)]
-    )
+    values = const.points[labels] @ scale.astype(complex)
+    return values, labels
+
+
+def _superposition_min_gap(values: np.ndarray) -> float:
+    """Smallest distance between two superposed values of different tuples."""
     gap = np.inf
     chunk = 512
     for lo in range(0, len(values), chunk):
-        block = values[lo : lo + chunk]
-        d = np.abs(block[:, None] - values[None, :])
-        d[d == 0.0] = np.inf  # self-distances on the diagonal
+        d = np.abs(values[lo : lo + chunk, None] - values[None, :])
+        np.fill_diagonal(d[:, lo:], np.inf)  # each tuple's distance to itself
         gap = min(gap, d.min())
     return float(gap)
 
 
 def snr_value_ok(snr_db: float) -> bool:
-    """An SNR in dB is usable when finite, or +inf for a noiseless point."""
-    return math.isfinite(snr_db) or snr_db == math.inf
+    """An SNR in dB is usable when it is +inf (a noiseless point) or finite
+    and at least SNR_FLOOR_DB."""
+    return snr_db == math.inf or (math.isfinite(snr_db) and snr_db >= SNR_FLOOR_DB)
 
 
 def _selection_problems(cfg: SystemConfig) -> list:
@@ -246,7 +257,10 @@ def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
         problems.append("noise_sigma: must be non-negative")
     bad_snr = [s for s in cfg.snr_grid_db if not snr_value_ok(s)]
     if bad_snr:
-        problems.append(f"snr_grid_db: values must be finite or inf (got {bad_snr})")
+        problems.append(
+            f"snr_grid_db: values must be inf or finite and at least {SNR_FLOOR_DB:g} dB "
+            f"(got {bad_snr})"
+        )
     if cfg.n_trials < 1:
         problems.append("n_trials: must be a positive integer")
     if not 0 <= cfg.seed < 2**64:
@@ -255,8 +269,8 @@ def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
     # Superposed transmit values must be pairwise distinct or detection is
     # ill-posed; only checkable once alpha itself is well formed.
     if mas and not problems and cfg.mod_order ** cfg.n_sel <= 4096:
-        const = make_constellation(cfg.mod_order)
-        gap = _superposition_min_gap(cfg, const.points)
+        values, _ = superposition_set(cfg, make_constellation(cfg.mod_order))
+        gap = _superposition_min_gap(values)
         if gap <= SUPERPOSITION_GAP * cfg.sym_energy:
             problems.append(
                 f"alpha: superposed transmit values collide (min gap {gap:.3e})"

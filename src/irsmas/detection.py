@@ -13,11 +13,10 @@ reconstruction is closest to the observed vector.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .core import Constellation, SystemConfig, int_to_bits
+from .core import Constellation, SystemConfig, int_to_bits, superposition_set
 from .rac import RacTable, rac_find, rac_row
 from .transmitter import (
     aligning_phases,
@@ -53,18 +52,6 @@ def quantize(value: complex, ratio: float, sym_energy: float, const: Constellati
     """Nearest constellation point once scaled by sqrt(ratio)*E_s (first point on ties)."""
     scaled = np.sqrt(ratio) * sym_energy * const.points
     return complex(const.points[np.argmin(np.abs(value - scaled))])
-
-
-def superposition_set(cfg: SystemConfig, const: Constellation):
-    """All M^n_sel superposed transmit values with their symbol-label tuples.
-
-    Tuples are enumerated lexicographically; tuple position i carries power
-    ratio alpha[i].
-    """
-    labels = np.array(list(product(range(const.order), repeat=cfg.n_sel)), dtype=np.int64)
-    scale = np.sqrt(np.asarray(cfg.alpha)) * cfg.sym_energy
-    values = const.points[labels] @ scale.astype(complex)
-    return values, labels
 
 
 def rac_candidates(y: np.ndarray, table: RacTable, n_c: int, n_iters: int) -> CandidateSet:

@@ -6,13 +6,13 @@ the block sequence, each block is a pure function of (config, scheme,
 detector, block index), and counts are summed in block order.  The same
 seed therefore yields bit-identical output for any worker count.
 
-Every ``mas`` block, with either detector, runs through the batched
+Every block, of every scheme and detector, runs through the batched
 engine: chunks of CHUNK_TRIALS trials pass each stage (draws, encode,
 propagate, detect) as arrays over trials x candidates.  Every trial still
 draws from its own stream, in the same order, and gets the same
 arithmetic, so a block's counts equal the sum of ``run_trial`` outcomes
-over its trials.  ``run_trial`` stays the reference path; in sweeps it
-runs only the baseline blocks.
+over its trials.  ``run_trial`` is the scalar reference path: sweeps never
+call it, and the tests compare the engine with it.
 """
 
 import os
@@ -22,7 +22,14 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .baselines import SasScheme, sas_detect, sas_encode
+from .baselines import (
+    SasScheme,
+    sas_detect,
+    sas_detect_batch,
+    sas_encode,
+    sas_encode_batch,
+    sas_mac,
+)
 from .channel import draw_trials, propagate, propagate_batch, sample_channel, trial_rng
 from .core import MOD_NAMES, SystemConfig, make_constellation, unpack_bits, validate_config
 from .detection import (
@@ -35,7 +42,7 @@ from .detection import (
     ssd_detect_batch,
 )
 from .rac import build_rac_table
-from .transmitter import encode, encode_batch
+from .transmitter import aligning_phases, encode, encode_batch
 
 BLOCK_TRIALS = 1000
 # Trials the batched engine carries through each stage at once.
@@ -97,10 +104,14 @@ def _constellation(mod_order: int):
     return make_constellation(mod_order)
 
 
+@lru_cache(maxsize=None)
+def _sas(mode: str, n_rx: int, mod_order: int, sym_energy: float) -> SasScheme:
+    return SasScheme(mode=mode, n_rx=n_rx, mod_order=mod_order, sym_energy=sym_energy)
+
+
 def _sas_scheme(cfg: SystemConfig, scheme: str) -> SasScheme:
     mode = "sm" if scheme == "sas-sm" else "ssk"
-    return SasScheme(mode=mode, n_rx=cfg.n_rx, mod_order=cfg.mod_order,
-                     sym_energy=cfg.sym_energy)
+    return _sas(mode, cfg.n_rx, cfg.mod_order, cfg.sym_energy)
 
 
 def bits_per_tx(cfg: SystemConfig, scheme: str) -> int:
@@ -140,23 +151,34 @@ def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -
     return TrialOutcome(bit_errors=bit_errors, block_error=int(bit_errors > 0), mac=mac)
 
 
-def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, table, const):
-    """(bit errors, block errors, MACs) of a few mas trials, run as arrays.
+def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range):
+    """(bit errors, block errors, MACs) of a few trials, run as arrays.
 
     Draws, encodes, propagates and detects exactly what ``run_trial`` would
     for each trial, so the counts equal the sum of the scalar outcomes.
     """
-    bits, h, noise = draw_trials(cfg.seed, trials, cfg.block_len, cfg.n_rx, cfg.n_refl)
-    x, theta = encode_batch(bits, h, cfg, table, const)
-    y = propagate_batch(h, theta, x, noise, cfg.noise_sigma)
-    if detector == "ml":
-        p_hat, labels, _ = ml_detect_batch(y, h, cfg, table, const)
-        mac = len(trials) * mac_ml(cfg)
+    bits, h, noise = draw_trials(cfg.seed, trials, bits_per_tx(cfg, scheme), cfg.n_rx,
+                                 cfg.n_refl)
+    if scheme == "mas":
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        const = _constellation(cfg.mod_order)
+        x, theta = encode_batch(bits, h, cfg, table, const)
+        y = propagate_batch(h, theta, x, noise, cfg.noise_sigma)
+        if detector == "ml":
+            p_hat, labels, _ = ml_detect_batch(y, h, cfg, table, const)
+            mac = len(trials) * mac_ml(cfg)
+        else:
+            p_hat, labels, n_cand = ssd_detect_batch(y, h, cfg, table, const)
+            mac = sum(mac_ssd(cfg, int(n)) for n in n_cand)
+        bits_hat = np.concatenate(
+            [unpack_bits(p_hat[:, None], cfg.l1), unpack_bits(labels, cfg.bits_per_sym)], axis=1)
     else:
-        p_hat, labels, n_cand = ssd_detect_batch(y, h, cfg, table, const)
-        mac = sum(mac_ssd(cfg, int(n)) for n in n_cand)
-    bits_hat = np.concatenate(
-        [unpack_bits(p_hat[:, None], cfg.l1), unpack_bits(labels, cfg.bits_per_sym)], axis=1)
+        sas = _sas_scheme(cfg, scheme)
+        phases = aligning_phases(h)  # every target's reflector phases, shared
+        x, theta = sas_encode_batch(bits, phases, sas)
+        y = propagate_batch(h, theta, x, noise, cfg.noise_sigma)
+        bits_hat, _ = sas_detect_batch(y, h, phases, sas)
+        mac = len(trials) * sas_mac(sas, cfg.n_refl)
     errors = np.count_nonzero(bits != bits_hat, axis=1)
     return int(errors.sum()), int(np.count_nonzero(errors)), mac
 
@@ -165,15 +187,8 @@ def _block_counts(args):
     """Aggregate counts for one scheduling block (top level for pickling)."""
     cfg, scheme, detector, start, count = args
     stop = start + count
-    if scheme == "mas":
-        table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        const = _constellation(cfg.mod_order)
-        chunks = (range(lo, min(lo + CHUNK_TRIALS, stop))
-                  for lo in range(start, stop, CHUNK_TRIALS))
-        parts = [_chunk_counts(cfg, detector, trials, table, const) for trials in chunks]
-    else:
-        outs = (run_trial(cfg, scheme, detector, i) for i in range(start, stop))
-        parts = [(out.bit_errors, out.block_error, out.mac) for out in outs]
+    parts = [_chunk_counts(cfg, scheme, detector, range(lo, min(lo + CHUNK_TRIALS, stop)))
+             for lo in range(start, stop, CHUNK_TRIALS)]
     return (count, *(sum(column) for column in zip(*parts)))
 
 

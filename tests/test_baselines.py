@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from irsmas.baselines import SasScheme, sas_detect, sas_encode, sas_mac
+from irsmas.baselines import SasScheme, sas_detect, sas_encode, sas_encode_batch, sas_mac
 from irsmas.channel import propagate, sample_channel, trial_rng
+from irsmas.transmitter import aligning_phases
 
 
 def make_trial(scheme, trial, seed=0, n_refl=64, sigma=0.0):
@@ -51,6 +52,17 @@ class TestEncode:
         x, theta, target = sas_encode(np.array([1, 0, 1, 1, 0]), ch, scheme)
         assert target == 0b1011 + 1
         assert x == pytest.approx(1.0)  # symbol bit 0 -> +1
+
+    @pytest.mark.parametrize("mode,order", [("ssk", 2), ("sm", 2), ("sm", 16)])
+    def test_batch_matches_scalar(self, mode, order):
+        scheme = SasScheme(mode=mode, n_rx=16, mod_order=order)
+        trials = [make_trial(scheme, trial, n_refl=37) for trial in range(20)]
+        bits = np.stack([t[0] for t in trials])
+        h = np.stack([t[1].h for t in trials])
+        x, theta = sas_encode_batch(bits, aligning_phases(h), scheme)
+        for k, (_, _, x_ref, theta_ref, _, _) in enumerate(trials):
+            assert x[k] == x_ref
+            np.testing.assert_array_equal(theta[k], theta_ref)
 
     def test_wrong_bit_count(self):
         scheme = SasScheme(mode="ssk", n_rx=16)

@@ -146,6 +146,15 @@ class TestParseRunSpec:
         assert exc.value.code != 0
         assert "snr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", ["--snr=-7000", "--detector ml --snr=-6130",
+                                      "--scheme sas-sm --nr 16 --snr=-3100",
+                                      "--snr=-1001:1:-999"])
+    def test_snr_below_floor_exits(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_run_spec(argv.split() + ["--trials", "20"])
+        assert exc.value.code != 0
+        assert "snr" in capsys.readouterr().err
+
     def test_non_finite_snr_in_file_exits(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("scheme=sas-sm\nnr=16\nsnr=nan\n")
@@ -253,6 +262,16 @@ class TestRunMain:
         )
         assert code == 0
         assert "L=4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", ["--snr=-1000", "--detector ml --snr=-1000",
+                                      "--scheme sas-sm --nr 16 --snr=-1000"])
+    def test_snr_floor_emits_row(self, argv, tmp_path):
+        code, out = self.run(argv.split() + ["--trials", "20"], tmp_path)
+        assert code == 0
+        with open(out) as fh:
+            records = list(csv.DictReader(fh))
+        assert [float(r["snr_db"]) for r in records] == [-1000.0]
+        assert int(records[0]["trials"]) == 20
 
     def test_oversized_ml_search_fails_cleanly(self, tmp_path, capsys):
         spec = parse_run_spec(

@@ -13,6 +13,7 @@ from irsmas.core import (
     int_to_bits,
     make_constellation,
     pack_bits,
+    superposition_set,
     unpack_bits,
     validate_config,
 )
@@ -146,6 +147,7 @@ class TestSystemConfig:
             ({"n_refl": 1, "n_sel": 2}, "n_refl"),
             ({"snr_grid_db": (-14.0, float("nan"))}, "snr"),
             ({"snr_grid_db": (float("-inf"),)}, "snr"),
+            ({"snr_grid_db": (-14.0, -1000.5)}, "snr"),
         ],
     )
     def test_validation_names_field(self, fields, fragment):
@@ -169,8 +171,20 @@ class TestSystemConfig:
         # the same ratios are fine for BPSK, whose axis has only two levels
         validate_config(dataclasses.replace(PAPER_CFG, alpha=(0.1, 0.9)))
 
+    def test_exact_collision_detected(self):
+        # sqrt(1/14) + sqrt(4/14) - sqrt(9/14) is exactly 0.0, so two tuples
+        # superpose to the same value, not merely to close ones
+        cfg = SystemConfig(n_sel=3, mod_order=2, alpha=(1 / 14, 4 / 14, 9 / 14))
+        values, _ = superposition_set(cfg, make_constellation(2))
+        assert np.count_nonzero(values == 0) == 2
+        with pytest.raises(ValueError, match="alpha"):
+            validate_config(cfg)
+
     def test_noiseless_snr_accepted(self):
         validate_config(dataclasses.replace(PAPER_CFG, snr_grid_db=(-14.0, float("inf"))))
+
+    def test_snr_floor_accepted(self):
+        validate_config(dataclasses.replace(PAPER_CFG, snr_grid_db=(-1000.0,)))
 
     def test_validate_returns_config(self):
         assert validate_config(PAPER_CFG) is PAPER_CFG

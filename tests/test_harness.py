@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import irsmas.harness
+from irsmas.baselines import SasScheme, sas_detect, sas_encode
 from irsmas.channel import ChannelMatrix, propagate, sample_channel, trial_rng
-from irsmas.core import SystemConfig, make_constellation, validate_config
+from irsmas.core import SystemConfig, int_to_bits, make_constellation, validate_config
 from irsmas.detection import (
     detection_to_bits,
     mac_ml,
@@ -213,6 +214,86 @@ class TestBatchedMlEngine:
         np.testing.assert_array_equal(result.symbols, symbols)
 
 
+def direct_sas_detect(y, channel, scheme):
+    """Reference baseline search: one target at a time, its phases from the
+    scalar ``reflector_phases``, every symbol's distance elementwise; the
+    first minimum wins.  Returns (bits, distance)."""
+    n_refl = channel.shape[1]
+    best = (np.inf, -1, -1)
+    for target in range(1, scheme.n_rx + 1):
+        theta = reflector_phases(channel.h[target - 1 : target, :], n_refl)
+        g = channel.h @ theta
+        d = np.sum(np.abs(y[:, None] - np.outer(g, scheme.values)) ** 2, axis=0)
+        t = int(np.argmin(d))
+        if d[t] < best[0]:
+            best = (float(d[t]), target, t)
+
+    distance, target, t = best
+    parts = [int_to_bits(target - 1, scheme.antenna_bits)]
+    if scheme.mode == "sm":
+        parts.append(int_to_bits(t, scheme.bits_per_sym))
+    return np.concatenate(parts), distance
+
+
+@st.composite
+def sas_blocks(draw):
+    """A small baseline config and scheme plus a block (start, count) of its trials."""
+    cfg = SystemConfig(
+        n_rx=draw(st.sampled_from((2, 4, 16))), n_sel=1, alpha=(1.0,),
+        n_refl=draw(st.integers(1, 70)),
+        mod_order=draw(st.sampled_from((2, 4, 16))),
+        noise_sigma=draw(st.sampled_from((0.0, 0.05, 0.5, 2.0, 20.0))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    scheme = draw(st.sampled_from(("sas-sm", "sas-ssk")))
+    return cfg, scheme, draw(st.integers(0, 5000)), draw(st.integers(1, 3 * CHUNK_TRIALS + 5))
+
+
+class TestBatchedSasEngine:
+    """The batched baselines against the scalar path: block counts against
+    ``run_trial``, and ``sas_detect`` against the per-target search, bit
+    for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(sas_blocks())
+    @example((SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,), n_refl=64, mod_order=16,
+                           noise_sigma=25.0, seed=1), "sas-sm", 999, 37))
+    @example((SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,), n_refl=70, noise_sigma=25.0,
+                           seed=2), "sas-ssk", 0, 16))
+    def test_block_counts_equal_sum_of_scalar_trials(self, case):
+        cfg, scheme, start, count = case
+        validate_config(cfg, scheme)
+        sas = SasScheme(mode=scheme[4:], n_rx=cfg.n_rx, mod_order=cfg.mod_order)
+        want = [0, 0, 0]
+        for trial in range(start, start + count):
+            out = run_trial(cfg, scheme, "ml", trial)
+            want[0] += out.bit_errors
+            want[1] += out.block_error
+            want[2] += out.mac
+
+            rng = trial_rng(cfg.seed, trial)
+            bits = rng.integers(0, 2, size=sas.bits_per_tx, dtype=np.int64)
+            ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
+            x, theta, _ = sas_encode(bits, ch, sas)
+            y = propagate(ch, theta, x, cfg.noise_sigma, rng)
+            got_bits, got_d, _ = sas_detect(y, ch, sas)
+            ref_bits, ref_d = direct_sas_detect(y, ch, sas)
+            np.testing.assert_array_equal(got_bits, ref_bits)
+            assert got_d == ref_d
+        assert _block_counts((cfg, scheme, "ml", start, count)) == (count, *want)
+
+    @pytest.mark.parametrize("mode", ["sm", "ssk"])
+    def test_all_zero_channel_ties_to_first_hypothesis(self, mode):
+        sas = SasScheme(mode=mode, n_rx=4, mod_order=4)
+        ch = ChannelMatrix(np.zeros((4, 9)))
+        for y in (np.zeros(4, dtype=complex), np.full(4, 0.3 - 0.1j)):
+            bits, distance, _ = sas_detect(y, ch, sas)
+            ref_bits, ref_d = direct_sas_detect(y, ch, sas)
+            np.testing.assert_array_equal(bits, 0)
+            np.testing.assert_array_equal(ref_bits, 0)
+            assert distance == ref_d == np.sum(np.abs(y) ** 2)
+
+
 class TestBitsPerTx:
     def test_values(self):
         assert bits_per_tx(CFG, "mas") == 8
@@ -319,6 +400,15 @@ class TestRunSweep:
         noiseless = sum(run_trial(cfg, "mas", "ml", t).block_error for t in range(cfg.n_trials))
         assert rows1[0].block_errors == noiseless == 0
 
+    @pytest.mark.parametrize("scheme,mod_order", [("sas-sm", 4), ("sas-ssk", 2)])
+    def test_baseline_worker_count_does_not_change_rows(self, scheme, mod_order):
+        cfg = self.small_cfg(n_trials=BLOCK_TRIALS + 37, n_rx=16, n_sel=1, alpha=(1.0,),
+                             mod_order=mod_order, snr_grid_db=(-30.0, -24.0))
+        rows1 = run_sweep(cfg, scheme, "ml", workers=1)
+        rows2 = run_sweep(cfg, scheme, "ml", workers=2)
+        assert rows1 == rows2
+        assert rows1[0].block_errors > 0
+
     def test_config_validated(self):
         bad = dataclasses.replace(self.small_cfg(), alpha=(0.5, 0.5))
         with pytest.raises(ValueError, match="alpha"):
@@ -339,6 +429,7 @@ class TestRunSweep:
             raise AssertionError("a trial ran before the config was validated")
 
         monkeypatch.setattr(irsmas.harness, "run_trial", no_trial)
+        monkeypatch.setattr(irsmas.harness, "draw_trials", no_trial)
         cfg = self.small_cfg(**{"n_rx": 16, "n_sel": 1, "alpha": (1.0,), **fields})
         with pytest.raises(ValueError, match=fragment):
             run_sweep(cfg, scheme, "ml", workers=1)
