@@ -67,29 +67,51 @@ def propagate(
     return channel.h @ theta * x + noise
 
 
+# Generator.integers(0, 2) turns each 32-bit output u into u >> 31 (a
+# range of two never rejects), and Philox serves 32-bit outputs as the low,
+# then the high half of each 64-bit word: bit j is bit _BIT_SHIFTS[j % 2]
+# of word j // 2.
+_BIT_SHIFTS = np.array([31, 63], dtype=np.uint64)
+# numpy divides a complex value by the real sqrt(2) by multiplying both
+# parts by this reciprocal, so (re + 1j * im) / sqrt(2), as sample_channel
+# forms it, equals re * _INV_SQRT2 + 1j * (im * _INV_SQRT2) bit for bit.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
 def draw_trials(seed: int, trials, n_bits: int, n_rx: int, n_refl: int):
     """Every random draw of several trials, as ``run_trial`` makes them.
 
     Each trial draws from its own ``trial_rng`` stream, in the scalar
-    order: bits, channel (real, imaginary), noise (real, imaginary).
+    order: bits, channel (real, imaginary), noise (real, imaginary).  One
+    Philox generator serves all the trials: before each trial its state is
+    set to exactly the state ``trial_rng`` starts from (counter
+    (0, 0, 0, trial_index), empty output buffer, no cached 32-bit half),
+    which costs far less than building a generator per trial.  The bits
+    come from the raw 64-bit words that ``integers(0, 2)`` would consume,
+    and the complex parts are assembled with real arithmetic; both give
+    the scalar path's values bit for bit.
     Returns bits (T, n_bits), channels (T, n_rx, n_refl) and unit-variance
     complex noise (T, n_rx) before its sigma / sqrt(2) scaling.
     """
-    n_h = n_rx * n_refl
-    bits = np.empty((len(trials), n_bits), dtype=np.int64)
-    normals = np.empty((len(trials), 2 * (n_h + n_rx)))
+    n_trials, n_h = len(trials), n_rx * n_refl
+    words = np.empty((n_trials, (n_bits + 1) // 2), dtype=np.uint64)
+    normals = np.empty((n_trials, 2 * (n_h + n_rx)))
+    bit_gen = np.random.Philox(key=seed)
+    rng = np.random.Generator(bit_gen)
+    start = bit_gen.state  # a fresh generator's state, at counter 0
     for k, trial_index in enumerate(trials):
-        rng = trial_rng(seed, trial_index)
-        bits[k] = rng.integers(0, 2, size=n_bits, dtype=np.int64)
+        start["state"]["counter"][3] = trial_index
+        bit_gen.state = start
+        words[k] = bit_gen.random_raw(words.shape[1])
         rng.standard_normal(out=normals[k])
-    # In place, to keep one complex copy of the channels alive at a time;
-    # element for element this is (re + 1j * im) / sqrt(2) as in sample_channel.
-    h = 1j * normals[:, n_h : 2 * n_h].reshape(len(trials), n_rx, n_refl)
-    h.real += normals[:, :n_h].reshape(h.shape)
-    h /= np.sqrt(2.0)
-    noise = 1j * normals[:, 2 * n_h + n_rx :]
-    noise.real += normals[:, 2 * n_h : 2 * n_h + n_rx]
-    return bits, h, noise
+    bits = (words[..., None] >> _BIT_SHIFTS & 1).reshape(n_trials, -1)[:, :n_bits]
+    h = np.empty((n_trials, n_rx, n_refl), dtype=complex)
+    np.multiply(normals[:, :n_h].reshape(h.shape), _INV_SQRT2, out=h.real)
+    np.multiply(normals[:, n_h : 2 * n_h].reshape(h.shape), _INV_SQRT2, out=h.imag)
+    noise = np.empty((n_trials, n_rx), dtype=complex)
+    noise.real = normals[:, 2 * n_h : 2 * n_h + n_rx]
+    noise.imag = normals[:, 2 * n_h + n_rx :]
+    return bits.astype(np.int64), h, noise
 
 
 def propagate_batch(h: np.ndarray, theta: np.ndarray, x: np.ndarray, noise: np.ndarray,

@@ -23,6 +23,8 @@ from .harness import CSV_COLUMNS, DETECTORS, SCHEMES, bits_per_tx, run_sweep
 # config-file keys, normalized to the flag spellings
 _KEYS = ("config", "scheme", "detector", "nr", "np", "n-reflectors", "mod",
          "alpha", "nc", "iters", "snr", "trials", "seed", "out", "format")
+# most points a "start:step:stop" SNR range may expand to
+SNR_MAX_POINTS = 1000
 # keys that only the mas scheme reads; the single-antenna baselines pin or
 # ignore them, so setting one there is an error
 _MAS_ONLY_KEYS = ("np", "alpha", "nc", "iters")
@@ -47,7 +49,8 @@ def parse_snr(text: str) -> tuple:
     """SNR grid in dB: either "start:step:stop" (stop inclusive) or a comma list.
 
     Every value must be ``inf`` (noiseless) or finite and at least
-    SNR_FLOOR_DB; range bounds and step must be finite.
+    SNR_FLOOR_DB; range bounds and step must be finite, and a range may
+    hold at most SNR_MAX_POINTS points (counted before any is built).
     """
     if ":" in text:
         start, step, stop = (float(tok) for tok in text.split(":"))
@@ -55,10 +58,13 @@ def parse_snr(text: str) -> tuple:
             raise ValueError(f"snr: range bounds and step must be finite, got {text!r}")
         if step == 0:
             raise ValueError("snr: step must be nonzero")
-        n = int(np.floor((stop - start) / step + 1e-9)) + 1
+        n = np.floor((stop - start) / step + 1e-9) + 1  # inf for a tiny step
         if n < 1:
             raise ValueError(f"snr: empty range {text!r}")
-        values = tuple(start + i * step for i in range(n))
+        if n > SNR_MAX_POINTS:
+            raise ValueError(f"snr: range {text!r} has {n:g} points, "
+                             f"more than {SNR_MAX_POINTS}")
+        values = tuple(start + i * step for i in range(int(n)))
     else:
         values = tuple(float(tok) for tok in text.split(","))
     bad = [f"{v:g}" for v in values if not snr_value_ok(v)]

@@ -20,7 +20,6 @@ from .core import Constellation, SystemConfig, int_to_bits, superposition_set
 from .rac import RacTable, rac_find, rac_row
 from .transmitter import (
     aligning_phases,
-    channel_row_norms,
     reflector_blocks,
     reflector_phases,
     row_phases,
@@ -216,7 +215,7 @@ def ssd_detect_batch(
     n_sel, points = cfg.n_sel, const.points
     trial = np.arange(n_trials)
     ant = table.rows[cand] - 1  # (T, V, n_sel), 0-based, by slot
-    weights = channel_row_norms(h)[trial[:, None, None], ant]
+    weights = np.linalg.norm(h, axis=-1)[trial[:, None, None], ant]
     order = np.argsort(-weights, axis=-1, kind="stable")[..., ::-1]  # weakest first
     ant_o = np.take_along_axis(ant, order, axis=-1)  # antennas in decoding order
 
@@ -338,7 +337,7 @@ def ml_detect_batch(
     first = ranked[np.searchsorted(t[ranked], np.arange(n_trials))]
 
     p_hat = p[first]
-    weights = np.take_along_axis(channel_row_norms(h), table.rows[p_hat] - 1, axis=1)
+    weights = np.take_along_axis(np.linalg.norm(h, axis=-1), table.rows[p_hat] - 1, axis=1)
     order = np.argsort(-weights, axis=1, kind="stable")  # slot of each tuple position
     labels = np.empty((n_trials, cfg.n_sel), dtype=np.int64)
     np.put_along_axis(labels, order, tuples[v[first]], axis=1)

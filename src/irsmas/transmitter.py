@@ -60,25 +60,37 @@ def superpose(symbols, order_desc, alpha, sym_energy: float = 1.0) -> complex:
 def reflector_phases(sel_channel: np.ndarray, delta: int) -> np.ndarray:
     """Unit-modulus phase vector aligning reflector block i to selected antenna i.
 
-    Block i covers reflectors (i-1)*delta .. i*delta-1 and conjugates the
-    phases of row i of the selected channel.  Reflectors beyond
+    Block i covers reflectors (i-1)*delta .. i*delta-1 and gets the
+    ``aligning_phases`` of row i of the selected channel.  Reflectors beyond
     n_sel*delta (present only when n_sel does not divide n_refl) are
     aligned to row 0.
     """
     sel_channel = np.atleast_2d(sel_channel)
     n_sel, n_refl = sel_channel.shape
     theta = np.empty(n_refl, dtype=complex)
-    for i in range(n_sel):
-        block = slice(i * delta, (i + 1) * delta)
-        theta[block] = np.exp(-1j * np.angle(sel_channel[i, block]))
-    tail = slice(n_sel * delta, n_refl)
-    theta[tail] = np.exp(-1j * np.angle(sel_channel[0, tail]))
+    for block, slot in reflector_blocks(n_refl, n_sel, delta):
+        aligning_phases(sel_channel[slot, block], out=theta[block])
     return theta
 
 
 def aligning_phases(h: np.ndarray, out=None) -> np.ndarray:
-    """Unit-modulus phases exp(-j arg h) that cancel the phase of each entry."""
-    return np.exp(-1j * np.angle(h), out=out)
+    """Unit-modulus phases exp(-j arg h) that cancel the phase of each entry.
+
+    Computed as conj(h) / |h|, one real division per component, which is
+    the same value up to rounding (within 1e-15) without an arctan and a
+    complex exponential per entry.  A zero entry gets exactly 1, as
+    exp(-j arg 0) does, and raises no warning.  ``out``, if given, is
+    overwritten.
+    """
+    mag = np.abs(h)
+    nonzero = mag != 0
+    if out is None:
+        out = np.ones(mag.shape, dtype=complex)
+    else:
+        out[...] = 1
+    np.divide(h.real, mag, out=out.real, where=nonzero)
+    np.divide(h.imag, -mag, out=out.imag, where=nonzero)
+    return out
 
 
 def reflector_blocks(n_refl: int, n_sel: int, delta: int) -> list:
@@ -138,15 +150,6 @@ def encode(bits, channel, cfg: SystemConfig, table: RacTable, const: Constellati
     )
 
 
-def channel_row_norms(h: np.ndarray) -> np.ndarray:
-    """Norm of every channel row, (T, n_rx, n_refl) -> (T, n_rx).
-
-    Taken one trial at a time: the values match ``np.linalg.norm`` on any
-    subset of a trial's rows, and the complex temporaries stay one trial big.
-    """
-    return np.array([np.linalg.norm(h_t, axis=1) for h_t in h])
-
-
 def encode_batch(bits: np.ndarray, h: np.ndarray, cfg: SystemConfig, table: RacTable,
                  const: Constellation):
     """``encode`` for a stack of trials, with the same arithmetic per trial.
@@ -156,7 +159,7 @@ def encode_batch(bits: np.ndarray, h: np.ndarray, cfg: SystemConfig, table: RacT
     """
     mu = cfg.bits_per_sym
     sel = table.rows[pack_bits(bits[:, : cfg.l1], cfg.l1)[:, 0]]  # (T, n_sel)
-    weights = np.take_along_axis(channel_row_norms(h), sel - 1, axis=1)
+    weights = np.take_along_axis(np.linalg.norm(h, axis=-1), sel - 1, axis=1)
     order = np.argsort(-weights, axis=1, kind="stable")
     symbols = const.points[pack_bits(bits[:, cfg.l1 :], mu)]  # per slot
     x = np.zeros(len(bits), dtype=complex)

@@ -8,6 +8,7 @@ import pytest
 from irsmas.channel import (
     ChannelMatrix,
     decompose_received,
+    draw_trials,
     propagate,
     sample_channel,
     snr_aligned,
@@ -52,6 +53,33 @@ class TestTrialRng:
         c = trial_rng(4, 17).standard_normal(8)
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
+
+
+class TestDrawTrials:
+    """``draw_trials`` re-points one generator at each trial's stream; every
+    draw must equal the trial's own ``trial_rng`` stream, bit for bit."""
+
+    @staticmethod
+    def reference(seed, trial_index, n_bits, n_rx, n_refl):
+        rng = trial_rng(seed, trial_index)
+        bits = rng.integers(0, 2, size=n_bits, dtype=np.int64)
+        h = sample_channel(n_rx, n_refl, rng).h
+        noise = rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
+        return bits, h, noise
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("trials", [range(0, 6), range(2**32 - 3, 2**32 + 3),
+                                        range(1000, 1003)])
+    # an odd count leaves the reference generator a cached 32-bit half
+    @pytest.mark.parametrize("n_bits", [1, 7, 8])
+    def test_matches_per_trial_streams(self, seed, trials, n_bits):
+        n_rx, n_refl = 3, 5
+        bits, h, noise = draw_trials(seed, trials, n_bits, n_rx, n_refl)
+        for k, trial_index in enumerate(trials):
+            want = self.reference(seed, trial_index, n_bits, n_rx, n_refl)
+            np.testing.assert_array_equal(bits[k], want[0])
+            np.testing.assert_array_equal(h[k], want[1])
+            np.testing.assert_array_equal(noise[k], want[2])
 
 
 class TestPropagate:

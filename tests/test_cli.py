@@ -4,11 +4,13 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from irsmas.cli import (
+    SNR_MAX_POINTS,
     RunSpec,
     emit_results,
     main,
@@ -60,6 +62,22 @@ class TestParseSnr:
             parse_snr("5:1:0")
         with pytest.raises(ValueError):
             parse_snr("abc")
+
+    def test_range_at_point_cap(self):
+        assert len(parse_snr("0:1:999")) == SNR_MAX_POINTS
+
+    @pytest.mark.parametrize("text", ["0:1:1000", "0:1e-4:1", "0:1e-6:1", "0:5e-324:1"])
+    def test_oversized_range_rejected_before_building(self, text):
+        # a tiny step is refused from the point count; the 10**6 points of
+        # "0:1e-6:1" would take tens of MB if the grid were built first
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"snr: .* more than {SNR_MAX_POINTS}"):
+                parse_snr(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestConfigFile:
@@ -152,6 +170,12 @@ class TestParseRunSpec:
     def test_snr_below_floor_exits(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_run_spec(argv.split() + ["--trials", "20"])
+        assert exc.value.code != 0
+        assert "snr" in capsys.readouterr().err
+
+    def test_oversized_snr_range_exits(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_run_spec(["--snr", "0:1e-4:1", "--trials", "20"])
         assert exc.value.code != 0
         assert "snr" in capsys.readouterr().err
 

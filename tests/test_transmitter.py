@@ -1,6 +1,7 @@
 """Transmit-side tests: sorting, superposition, reflector phases, encoding."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from irsmas.channel import ChannelMatrix, sample_channel, trial_rng
 from irsmas.core import SystemConfig, bits_to_int, make_constellation
 from irsmas.rac import build_rac_table, rac_row
 from irsmas.transmitter import (
+    aligning_phases,
     encode,
     reflector_phases,
     row_phases,
@@ -74,6 +76,36 @@ class TestReflectorPhases:
         ch = sample_channel(12, 64, self.rng())
         theta = reflector_phases(ch.h[:2, :], 32)
         assert np.max(np.abs(np.abs(theta) - 1.0)) <= 1e-12
+        h = np.stack([sample_channel(16, 64, trial_rng(5, t)).h for t in range(16)])
+        assert np.max(np.abs(np.abs(aligning_phases(h)) - 1.0)) <= 4 * np.finfo(float).eps
+
+    def test_aligning_phases_match_exponential_form(self):
+        # conj(h)/|h| is exp(-j arg h) up to rounding, also for tiny and huge entries
+        h = np.stack([sample_channel(16, 64, trial_rng(6, t)).h for t in range(16)])
+        h[0] *= 1e-300
+        h[1] *= 1e300
+        want = np.exp(-1j * np.angle(h))
+        assert np.max(np.abs(aligning_phases(h) - want)) <= 1e-15
+
+    def test_zero_entries_give_exactly_one(self):
+        h = sample_channel(4, 8, self.rng()).h
+        h[1, 2] = 0
+        h[2, :] = complex(-0.0, -0.0)
+        theta = aligning_phases(h)
+        assert np.all(theta[h == 0] == 1)
+        np.testing.assert_array_equal(theta[h != 0], aligning_phases(h[h != 0]))
+        out = np.full(h.shape, np.nan, dtype=complex)  # an out array is overwritten
+        assert aligning_phases(h, out=out) is out
+        np.testing.assert_array_equal(out, theta)
+
+    def test_all_zero_channel_is_quiet(self):
+        h = np.zeros((3, 4, 9), dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta = aligning_phases(h)
+            block = reflector_phases(h[0, :2], 4)
+            rows = row_phases(h, np.ones((3, 1, 2), dtype=np.int64), 4)
+        assert np.all(theta == 1) and np.all(block == 1) and np.all(rows == 1)
 
     def test_block_alignment_gain(self):
         # within its own block, the product h * theta must be real positive
