@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Constellation, make_constellation, bits_to_int, pack_bits, unpack_bits
-from .transmitter import aligning_phases, reflector_phases
+from .core import Constellation, make_constellation, pack_bits, unpack_bits
+from .detection import mac_base
 
 
 @dataclass
@@ -57,33 +57,16 @@ class SasScheme:
         return np.array([self.sym_energy], dtype=complex)
 
 
-def sas_encode(bits: np.ndarray, channel, scheme: SasScheme):
-    """Map a bit block to (transmit scalar, reflector phases, target antenna).
-
-    The leading bits pick the target antenna (1-based); every reflector is
-    phase-aligned to that antenna's channel row.  In sm mode the remaining
-    bits choose a constellation point.
-    """
-    if len(bits) != scheme.bits_per_tx:
-        raise ValueError(f"expected {scheme.bits_per_tx} bits, got {len(bits)}")
-    antenna_bits = scheme.antenna_bits
-    target = bits_to_int(bits[:antenna_bits]) + 1
-    theta = reflector_phases(channel.h[target - 1 : target, :], channel.shape[1])
-    if scheme.mode == "sm":
-        label = bits_to_int(bits[antenna_bits:])
-        x = scheme.sym_energy * scheme.const.points[label]
-    else:
-        x = complex(scheme.sym_energy)
-    return x, theta, target
-
-
 def sas_encode_batch(bits: np.ndarray, phases: np.ndarray, scheme: SasScheme):
-    """``sas_encode`` for a stack of trials, with the same values per trial.
+    """Map a stack of bit blocks to transmit scalars and reflector phases.
 
-    ``bits`` is (T, bits_per_tx) and ``phases`` the trials' aligning phases
-    (T, n_rx, n_refl) from ``aligning_phases``; row r of a trial's phases
-    is ``reflector_phases`` for target r + 1.  Returns the transmit scalars
-    (T,) and reflector phase vectors (T, n_refl).
+    The leading bits pick the target antenna; every reflector is
+    phase-aligned to that antenna's channel row.  In sm mode the remaining
+    bits choose a constellation point.  ``bits`` is (T, bits_per_tx) and
+    ``phases`` the trials' aligning phases (T, n_rx, n_refl) from
+    ``aligning_phases``; row r of a trial's phases steers every reflector
+    to antenna r + 1.  Returns the transmit scalars (T,) and reflector
+    phase vectors (T, n_refl).
     """
     values = scheme.values
     # The bit block read as one integer is target index * V + symbol label.
@@ -95,11 +78,12 @@ def sas_detect_batch(y: np.ndarray, h: np.ndarray, phases: np.ndarray, scheme: S
     """Exhaustive search over target antennas and symbols for a stack of
     trials: y (T, n_rx), h and its aligning phases (T, n_rx, n_refl).
 
-    Each hypothesis gets ``sas_detect``'s arithmetic: the gain g = H theta
-    as one matrix-vector product per (trial, target), and the distance
-    sum |y - g x|^2 over antennas, reduced by np.sum over the same
-    (n_rx, V) layout.  The first minimum in (target, symbol) order wins.
-    Returns the detected bits (T, bits_per_tx) and distances (T,).
+    Each hypothesis gets the gain g = H theta as one matrix-vector product
+    per (trial, target), and the distance sum |y - g x|^2 over antennas,
+    reduced by np.sum over an (n_rx, V) layout.  The first minimum in
+    (target, symbol) order wins: ties resolve to the lowest antenna, then
+    the lowest symbol label.  Returns the detected bits (T, bits_per_tx)
+    and distances (T,).
     """
     values = scheme.values
     gains = (h[:, None] @ phases[..., None])[..., 0]  # (T, target, n_rx)
@@ -110,19 +94,6 @@ def sas_detect_batch(y: np.ndarray, h: np.ndarray, phases: np.ndarray, scheme: S
     return bits, distance[np.arange(len(y)), best]
 
 
-def sas_detect(y: np.ndarray, channel, scheme: SasScheme):
-    """Exhaustive search over target antennas (and symbols in sm mode) for
-    one trial: ``sas_detect_batch`` on a stack of one.
-
-    Returns (bits, distance, mac_count).  Ties resolve to the lowest
-    antenna, then the lowest symbol label.
-    """
-    h = channel.h[None]
-    bits, distance = sas_detect_batch(y[None], h, aligning_phases(h), scheme)
-    return bits[0], float(distance[0]), sas_mac(scheme, h.shape[-1])
-
-
 def sas_mac(scheme: SasScheme, n_refl: int) -> int:
     """Multiply-accumulate count for one exhaustive baseline detection."""
-    base = 8 * scheme.n_rx * n_refl + 10 * scheme.n_rx - 1
-    return 2**scheme.bits_per_tx * base
+    return 2**scheme.bits_per_tx * mac_base(scheme.n_rx, n_refl)

@@ -4,30 +4,15 @@ per-antenna signal decompositions / SNR diagnostics."""
 import numpy as np
 
 from .core import SystemConfig
-from .transmitter import reflector_phases
+from .transmitter import reflector_blocks, reflector_phases
 
 
 class ChannelMatrix:
-    """n_rx x n_refl complex fading matrix with amplitude and phase views."""
+    """n_rx x n_refl complex fading matrix with an amplitude view."""
 
     def __init__(self, h: np.ndarray):
         self.h = np.asarray(h, dtype=complex)
-        self._beta = None
-        self._psi = None
-
-    @property
-    def beta(self) -> np.ndarray:
-        """Entry amplitudes |h|."""
-        if self._beta is None:
-            self._beta = np.abs(self.h)
-        return self._beta
-
-    @property
-    def psi(self) -> np.ndarray:
-        """Entry phases arg(h) in radians."""
-        if self._psi is None:
-            self._psi = np.angle(self.h)
-        return self._psi
+        self.beta = np.abs(self.h)  # entry amplitudes
 
     @property
     def shape(self):
@@ -39,9 +24,12 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
     Counter-based split of the master seed: each trial owns a disjoint
     stretch of the Philox counter space, so streams are identical no matter
-    which worker runs the trial or in what order.
+    which worker runs the trial or in what order.  The counter is built as
+    uint64: numpy would cast a list of Python ints through float64, which
+    loses the trial index near 2**64.
     """
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, trial_index]))
+    counter = np.array([0, 0, 0, trial_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def sample_channel(n_rx: int, n_refl: int, rng: np.random.Generator) -> ChannelMatrix:
@@ -79,17 +67,18 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def draw_trials(seed: int, trials, n_bits: int, n_rx: int, n_refl: int):
-    """Every random draw of several trials, as ``run_trial`` makes them.
+    """Every random draw of several trials.
 
-    Each trial draws from its own ``trial_rng`` stream, in the scalar
-    order: bits, channel (real, imaginary), noise (real, imaginary).  One
+    Each trial draws from its own ``trial_rng`` stream, in this order:
+    bits (as ``integers(0, 2)``), channel (as ``sample_channel``), noise
+    (real, imaginary).  One
     Philox generator serves all the trials: before each trial its state is
     set to exactly the state ``trial_rng`` starts from (counter
     (0, 0, 0, trial_index), empty output buffer, no cached 32-bit half),
     which costs far less than building a generator per trial.  The bits
     come from the raw 64-bit words that ``integers(0, 2)`` would consume,
     and the complex parts are assembled with real arithmetic; both give
-    the scalar path's values bit for bit.
+    the stream's values bit for bit.
     Returns bits (T, n_bits), channels (T, n_rx, n_refl) and unit-variance
     complex noise (T, n_rx) before its sigma / sqrt(2) scaling.
     """
@@ -119,14 +108,9 @@ def propagate_batch(h: np.ndarray, theta: np.ndarray, x: np.ndarray, noise: np.n
     """``propagate`` for a stack of trials: y = H theta x + sigma/sqrt(2) * noise.
 
     ``noise`` is the unit draw from ``draw_trials``.  H theta is one
-    matrix-vector product per trial, as in the scalar path.
+    matrix-vector product per trial.
     """
     return (h @ theta[..., None])[..., 0] * x[:, None] + noise * (noise_sigma / np.sqrt(2.0))
-
-
-def _blocks(n_refl: int, n_sel: int):
-    delta = n_refl // n_sel
-    return delta, [slice(i * delta, (i + 1) * delta) for i in range(n_sel)], slice(n_sel * delta, n_refl)
 
 
 def decompose_received(channel: ChannelMatrix, theta, x, sel, slot: int):
@@ -146,11 +130,12 @@ def decompose_received(channel: ChannelMatrix, theta, x, sel, slot: int):
     n_sel = len(sel)
     if not 1 <= slot <= n_sel:
         raise IndexError(f"slot {slot} out of range [1, {n_sel}]")
-    _, blocks, tail = _blocks(channel.shape[1], n_sel)
+    n_refl = channel.shape[1]
+    *blocks, (tail, _) = reflector_blocks(n_refl, n_sel, n_refl // n_sel)
     ant = sel[slot - 1] - 1
-    constructive = np.sum(channel.beta[ant, blocks[slot - 1]]) * x
+    constructive = np.sum(channel.beta[ant, blocks[slot - 1][0]]) * x
     nonconstructive = 0j
-    for q, block in enumerate(blocks):
+    for block, q in blocks:
         if q != slot - 1:
             nonconstructive += np.dot(channel.h[ant, block], theta[block]) * x
     leftover = np.dot(channel.h[ant, tail], theta[tail]) * x
@@ -168,15 +153,16 @@ def snr_aligned(channel: ChannelMatrix, sel, cfg: SystemConfig) -> float:
         raise ValueError("noise_sigma is zero; SNR undefined (use the numerator directly)")
     sel = np.asarray(sel)
     n_sel = len(sel)
-    _, blocks, _ = _blocks(channel.shape[1], n_sel)
-    theta = reflector_phases(channel.h[sel - 1, :], channel.shape[1] // n_sel)
+    delta = channel.shape[1] // n_sel
+    blocks = reflector_blocks(channel.shape[1], n_sel, delta)[:-1]
+    theta = reflector_phases(channel.h[sel - 1, :], delta)
     total = 0.0
     for i in range(n_sel):
         ant = sel[i] - 1
-        aligned = np.sum(channel.beta[ant, blocks[i]])
+        aligned = np.sum(channel.beta[ant, blocks[i][0]])
         cross = sum(
             np.dot(channel.h[ant, block], theta[block])
-            for q, block in enumerate(blocks)
+            for block, q in blocks
             if q != i
         )
         total += aligned**2 + abs(cross) ** 2
@@ -189,9 +175,9 @@ def snr_unaligned(channel: ChannelMatrix, sel, cfg: SystemConfig) -> float:
         raise ValueError("noise_sigma is zero; SNR undefined")
     sel = np.asarray(sel)
     n_sel = len(sel)
-    _, blocks, _ = _blocks(channel.shape[1], n_sel)
+    blocks = reflector_blocks(channel.shape[1], n_sel, channel.shape[1] // n_sel)[:-1]
     acc = 0j
-    for q, block in enumerate(blocks):
+    for block, q in blocks:
         ant = sel[q] - 1
         acc += np.sum(np.conj(channel.h[ant, block]))
     return cfg.sym_energy * n_sel * abs(acc) ** 2 / cfg.noise_sigma**2

@@ -17,6 +17,10 @@ SUPERPOSITION_GAP = 1e-9
 # received vectors and every squared distance the receivers form stay
 # finite; far lower SNRs overflow to inf and NaN.
 SNR_FLOOR_DB = -1000.0
+# Most trials per SNR point.  Trial indices address Philox counter space
+# and must stay below 2**64; a sweep also lists its 1000-trial blocks up
+# front.  10**9 trials is days of work per point, far below either limit.
+MAX_TRIALS = 10**9
 
 
 class Constellation:
@@ -261,8 +265,8 @@ def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
             f"snr_grid_db: values must be inf or finite and at least {SNR_FLOOR_DB:g} dB "
             f"(got {bad_snr})"
         )
-    if cfg.n_trials < 1:
-        problems.append("n_trials: must be a positive integer")
+    if not 1 <= cfg.n_trials <= MAX_TRIALS:
+        problems.append(f"n_trials: must be a positive integer at most {MAX_TRIALS}")
     if not 0 <= cfg.seed < 2**64:
         problems.append("seed: must fit in an unsigned 64-bit integer")
 

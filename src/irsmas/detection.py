@@ -1,5 +1,6 @@
-"""Receivers: the optimal exhaustive ML demodulator and the low-complexity
-successive signal detection (SSD) receiver, plus their MAC-complexity models.
+"""Receivers: the optimal exhaustive ML search and the low-complexity
+successive signal detection (SSD) receiver, run on a stack of trials, plus
+the paper's MAC-complexity models.
 
 The ML search screens every hypothesis with an expanded distance in real
 arithmetic and recomputes only those near the minimum with the direct
@@ -10,30 +11,17 @@ candidate sorter), then for each of the top candidates re-derives the
 reflector configuration, peels the superposed symbols off weakest-slot
 first, rebuilds the transmit scalar, and keeps the candidate whose
 reconstruction is closest to the observed vector.
+
+``ml_detect`` and ``ssd_detect`` run one trial, as a stack of one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constellation, SystemConfig, int_to_bits, superposition_set
-from .rac import RacTable, rac_find, rac_row
-from .transmitter import (
-    aligning_phases,
-    reflector_blocks,
-    reflector_phases,
-    row_phases,
-    sort_weights_asc,
-)
-
-
-@dataclass
-class CandidateSet:
-    """Ranked antenna-combination candidates for the SSD receiver."""
-
-    rows: np.ndarray     # lambda x n_sel candidate antenna rows (1-based)
-    scores: np.ndarray   # received-power score per candidate row
-    order: np.ndarray    # positions into rows, best score first
+from .core import Constellation, SystemConfig, superposition_set, unpack_bits
+from .rac import RacTable
+from .transmitter import aligning_phases, reflector_blocks, row_phases, slot_order
 
 
 @dataclass
@@ -47,129 +35,26 @@ class DetectionResult:
     mac_count: int
 
 
-def quantize(value: complex, ratio: float, sym_energy: float, const: Constellation) -> complex:
-    """Nearest constellation point once scaled by sqrt(ratio)*E_s (first point on ties)."""
-    scaled = np.sqrt(ratio) * sym_energy * const.points
-    return complex(const.points[np.argmin(np.abs(value - scaled))])
+def detected_bits(p_hat: np.ndarray, labels: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Bit blocks (T, block_len) from detected row indices (T,) and per-slot
+    symbol labels (T, n_sel): the row index, then each slot's label."""
+    return np.concatenate(
+        [unpack_bits(p_hat[:, None], cfg.l1), unpack_bits(labels, cfg.bits_per_sym)], axis=1)
 
 
-def rac_candidates(y: np.ndarray, table: RacTable, n_c: int, n_iters: int) -> CandidateSet:
-    """Rank legitimate antenna rows by received power around the top-n_c antennas.
+def rac_candidates_batch(y: np.ndarray, table: RacTable, n_c: int, n_iters: int):
+    """Rank legitimate antenna rows by received power around the top-n_c
+    antennas, for a stack of received vectors y (T, n_rx).
 
     A row qualifies outright when all of its antennas are among the n_c
     largest |y|^2.  If fewer than n_iters rows qualify, membership is
     relaxed one antenna at a time (rows with n_sel-1 antennas in the top
     set, then n_sel-2, ...) until enough rows exist or the table is
-    exhausted.  Scores are the summed received powers of each row's
-    antennas; the returned order sorts them descending.
-    """
-    power = np.abs(y) ** 2
-    ranked = np.argsort(-power, kind="stable")  # antenna indices, 0-based
-    top_mask = np.zeros(len(y), dtype=bool)
-    top_mask[ranked[:n_c]] = True
-
-    in_top = top_mask[table.rows - 1].sum(axis=1)
-    n_sel = table.rows.shape[1]
-    keep: list[np.ndarray] = []
-    total = 0
-    for misses in range(n_sel + 1):
-        tier = np.flatnonzero(in_top == n_sel - misses)
-        if tier.size:
-            keep.append(tier)
-            total += tier.size
-        if total >= n_iters:
-            break
-    chosen = np.concatenate(keep) if keep else np.empty(0, dtype=np.int64)
-    rows = table.rows[chosen]
-    scores = power[rows - 1].sum(axis=1)
-    order = np.argsort(-scores, kind="stable")
-    return CandidateSet(rows=rows, scores=scores, order=order)
-
-
-def ssd_candidate_decode(
-    y: np.ndarray,
-    channel,
-    p_hat: int,
-    cfg: SystemConfig,
-    table: RacTable,
-    const: Constellation,
-):
-    """Successively decode the superposed symbols assuming antenna row p_hat.
-
-    Slots are visited weakest channel first; the first slot is quantized
-    against the largest power ratio directly, later slots after subtracting
-    every previously decoded component.  Returns (per-slot symbols,
-    reconstructed transmit scalar, squared distance over all antennas).
-    A zero effective gain on any visited slot disqualifies the candidate
-    with an infinite distance.
-    """
-    sel = rac_row(table, p_hat)
-    sel_channel = channel.h[sel - 1, :]
-    weights = np.linalg.norm(sel_channel, axis=1)
-    order = sort_weights_asc(weights)
-    theta = reflector_phases(sel_channel, cfg.delta)
-    gains = sel_channel @ theta  # per-slot effective gain, slot j at gains[j-1]
-
-    n_sel = cfg.n_sel
-    e_s = cfg.sym_energy
-    symbols = np.zeros(n_sel, dtype=complex)
-    for i in range(1, n_sel + 1):
-        slot = order[i - 1]
-        gain = gains[slot - 1]
-        if gain == 0:
-            return symbols, 0j, np.inf
-        v = y[sel[slot - 1] - 1] / gain
-        for j in range(1, i):
-            v -= np.sqrt(cfg.alpha[n_sel - j]) * e_s * symbols[order[j - 1] - 1]
-        symbols[slot - 1] = quantize(v, cfg.alpha[n_sel - i], e_s, const)
-
-    x_hat = 0j
-    for i in range(1, n_sel + 1):
-        x_hat += np.sqrt(cfg.alpha[n_sel - i]) * e_s * symbols[order[i - 1] - 1]
-    distance = float(np.sum(np.abs(y - channel.h @ theta * x_hat) ** 2))
-    return symbols, complex(x_hat), distance
-
-
-def ssd_detect(
-    y: np.ndarray,
-    channel,
-    cfg: SystemConfig,
-    table: RacTable,
-    const: Constellation,
-) -> DetectionResult:
-    """Full SSD receiver: rank candidates, decode the best n_iters, keep the closest."""
-    cands = rac_candidates(y, table, cfg.n_cand_antennas, cfg.n_iters)
-    n_cand = len(cands.rows)
-    best_d = np.inf
-    best_p = None
-    best_symbols = None
-    for v in range(min(cfg.n_iters, n_cand)):
-        p_hat = rac_find(table, cands.rows[cands.order[v]])
-        symbols, _, d = ssd_candidate_decode(y, channel, p_hat, cfg, table, const)
-        if d < best_d:
-            best_d = d
-            best_p = p_hat
-            best_symbols = symbols
-    if best_p is None:  # every candidate had a degenerate zero gain
-        best_p = rac_find(table, cands.rows[cands.order[0]])
-        best_symbols = np.full(cfg.n_sel, const.points[0])
-    bits = detection_to_bits(best_p, best_symbols, cfg, table, const)
-    return DetectionResult(
-        rac_index=best_p,
-        symbols=best_symbols,
-        bits=bits,
-        distance=best_d,
-        mac_count=mac_ssd(cfg, n_cand),
-    )
-
-
-def rac_candidates_batch(y: np.ndarray, table: RacTable, n_c: int, n_iters: int):
-    """``rac_candidates`` for a stack of received vectors y (T, n_rx).
-
-    Returns the table indices of each trial's best min(n_iters, C) rows in
-    ranked order (T, V), and each trial's candidate count (T,), i.e.
-    ``len(rac_candidates(...).rows)``.  Only the first
-    min(n_iters, count) columns of a trial are candidates.
+    exhausted.  Candidates rank by the summed received power of their
+    antennas, descending.  Returns the table indices of each trial's best
+    min(n_iters, C) rows in ranked order (T, V), and each trial's count of
+    qualifying rows (T,).  Only the first min(n_iters, count) columns of a
+    trial are candidates.
     """
     power = np.abs(y) ** 2
     n_trials, n_rx = power.shape
@@ -201,25 +86,29 @@ def ssd_detect_batch(
     table: RacTable,
     const: Constellation,
 ):
-    """``ssd_detect`` for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl).
+    """SSD receiver for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl).
 
-    Successive cancellation runs over all (trial, candidate) pairs at once
-    with the scalar path's arithmetic and tie rules: a zero gain
-    disqualifies a candidate, the first minimum distance wins, and a trial
-    whose candidates are all disqualified falls back to its first ranked
-    row with ``points[0]`` symbols.  Returns the detected row indices (T,),
-    per-slot symbol labels (T, n_sel) and candidate counts (T,).
+    Decodes the best n_iters ranked candidates of every trial at once.  A
+    candidate's slots are visited weakest channel row first; the first is
+    quantized against the largest power ratio, each later one after
+    subtracting every component decoded before it (the first point wins a
+    tie).  The candidate whose rebuilt transmit scalar lies closest to y
+    over all antennas wins, the first on ties.  A zero effective gain on
+    any slot disqualifies a candidate, and a trial whose candidates are all
+    disqualified falls back to its first ranked row with ``points[0]``
+    symbols.  Returns the detected row indices (T,), per-slot symbol labels
+    (T, n_sel), distances (T, inf when every candidate is disqualified)
+    and candidate counts (T,).
     """
     cand, n_cand = rac_candidates_batch(y, table, cfg.n_cand_antennas, cfg.n_iters)
     n_trials, n_v = cand.shape
     n_sel, points = cfg.n_sel, const.points
     trial = np.arange(n_trials)
-    ant = table.rows[cand] - 1  # (T, V, n_sel), 0-based, by slot
-    weights = np.linalg.norm(h, axis=-1)[trial[:, None, None], ant]
-    order = np.argsort(-weights, axis=-1, kind="stable")[..., ::-1]  # weakest first
-    ant_o = np.take_along_axis(ant, order, axis=-1)  # antennas in decoding order
+    rows, _, order = slot_order(cand, h, table)  # (T, V, n_sel), by slot
+    order = order[..., ::-1]  # weakest first
+    ant_o = np.take_along_axis(rows - 1, order, axis=-1)  # antennas in decoding order
 
-    theta = row_phases(h, ant + 1, cfg.delta)  # (T, V, n_refl)
+    theta = row_phases(h, rows, cfg.delta)  # (T, V, n_refl)
     g_all = (h[:, None] @ theta[..., None])[..., 0]  # (T, V, n_rx), one H theta per candidate
     gains = np.take_along_axis(g_all, ant_o, axis=-1)
     dead = (gains == 0).any(axis=-1)
@@ -245,7 +134,7 @@ def ssd_detect_batch(
     labels = np.zeros((n_trials, n_sel), dtype=np.int64)
     np.put_along_axis(labels, order[trial, best], labels_o[trial, best], axis=1)
     labels[~found] = 0
-    return cand[trial, best], labels, n_cand
+    return cand[trial, best], labels, np.where(found, distance[trial, best], np.inf), n_cand
 
 
 def check_ml_guard(cfg: SystemConfig) -> None:
@@ -337,55 +226,46 @@ def ml_detect_batch(
     first = ranked[np.searchsorted(t[ranked], np.arange(n_trials))]
 
     p_hat = p[first]
-    weights = np.take_along_axis(np.linalg.norm(h, axis=-1), table.rows[p_hat] - 1, axis=1)
-    order = np.argsort(-weights, axis=1, kind="stable")  # slot of each tuple position
+    _, _, order = slot_order(p_hat, h, table)  # slot of each tuple position
     labels = np.empty((n_trials, cfg.n_sel), dtype=np.int64)
     np.put_along_axis(labels, order, tuples[v[first]], axis=1)
     return p_hat, labels, distance[first]
 
 
-def ml_detect(
-    y: np.ndarray,
-    channel,
-    cfg: SystemConfig,
-    table: RacTable,
-    const: Constellation,
-) -> DetectionResult:
+def ml_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
+              const: Constellation) -> DetectionResult:
     """Jointly optimal exhaustive search for one trial: ``ml_detect_batch``
     on a stack of one."""
     p_hat, labels, distance = ml_detect_batch(y[None], channel.h[None], cfg, table, const)
-    symbols = const.points[labels[0]]
-    return DetectionResult(
-        rac_index=int(p_hat[0]),
-        symbols=symbols,
-        bits=detection_to_bits(int(p_hat[0]), symbols, cfg, table, const),
-        distance=float(distance[0]),
-        mac_count=mac_ml(cfg),
-    )
+    return _first_result(p_hat, labels, distance, cfg, const, mac_ml(cfg))
 
 
-def detection_to_bits(
-    p_hat: int,
-    symbols,
-    cfg: SystemConfig,
-    table: RacTable,
-    const: Constellation,
-) -> np.ndarray:
-    """Recover the bit block from a detected row index and per-slot symbols."""
-    parts = [int_to_bits(p_hat, cfg.l1)]
-    for slot in range(1, cfg.n_sel + 1):
-        label = const.index_of(symbols[slot - 1])
-        parts.append(int_to_bits(label, cfg.bits_per_sym))
-    return np.concatenate(parts)
+def ssd_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
+               const: Constellation) -> DetectionResult:
+    """SSD receiver for one trial: ``ssd_detect_batch`` on a stack of one."""
+    p_hat, labels, distance, n_cand = ssd_detect_batch(y[None], channel.h[None], cfg, table,
+                                                       const)
+    return _first_result(p_hat, labels, distance, cfg, const, mac_ssd(cfg, int(n_cand[0])))
+
+
+def _first_result(p_hat, labels, distance, cfg: SystemConfig, const: Constellation,
+                  mac_count: int) -> DetectionResult:
+    """The first trial of a batched detector's output, with its bits."""
+    return DetectionResult(rac_index=int(p_hat[0]), symbols=const.points[labels[0]],
+                           bits=detected_bits(p_hat, labels, cfg)[0],
+                           distance=float(distance[0]), mac_count=mac_count)
+
+
+def mac_base(n_rx: int, n_refl: int) -> int:
+    """Multiply-accumulate count of one joint-hypothesis evaluation: 8 N_r N + 10 N_r - 1."""
+    return 8 * n_rx * n_refl + 10 * n_rx - 1
 
 
 def mac_ssd(cfg: SystemConfig, n_cand: int) -> int:
     """Multiply-accumulate count charged to one SSD detection with n_cand candidates."""
-    base = 8 * cfg.n_rx * cfg.n_refl + 10 * cfg.n_rx - 1
-    return cfg.n_iters * base + n_cand * (cfg.n_sel - 1) + 3 * cfg.n_rx
+    return cfg.n_iters * mac_base(cfg.n_rx, cfg.n_refl) + n_cand * (cfg.n_sel - 1) + 3 * cfg.n_rx
 
 
 def mac_ml(cfg: SystemConfig) -> int:
     """Multiply-accumulate count charged to one exhaustive ML detection."""
-    base = 8 * cfg.n_rx * cfg.n_refl + 10 * cfg.n_rx - 1
-    return 2 ** (cfg.l1 + cfg.l2) * base
+    return 2 ** (cfg.l1 + cfg.l2) * mac_base(cfg.n_rx, cfg.n_refl)

@@ -8,11 +8,10 @@ seed therefore yields bit-identical output for any worker count.
 
 Every block, of every scheme and detector, runs through the batched
 engine: chunks of CHUNK_TRIALS trials pass each stage (draws, encode,
-propagate, detect) as arrays over trials x candidates.  Every trial still
-draws from its own stream, in the same order, and gets the same
-arithmetic, so a block's counts equal the sum of ``run_trial`` outcomes
-over its trials.  ``run_trial`` is the scalar reference path: sweeps never
-call it, and the tests compare the engine with it.
+propagate, detect) as arrays over trials x candidates.  Every trial draws
+from its own stream and gets the same arithmetic whatever chunk it runs
+in, so a block's counts equal the sum of ``run_trial`` outcomes over its
+trials.  ``run_trial`` runs one trial as a chunk of one.
 """
 
 import os
@@ -22,27 +21,19 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .baselines import (
-    SasScheme,
-    sas_detect,
-    sas_detect_batch,
-    sas_encode,
-    sas_encode_batch,
-    sas_mac,
-)
-from .channel import draw_trials, propagate, propagate_batch, sample_channel, trial_rng
-from .core import MOD_NAMES, SystemConfig, make_constellation, unpack_bits, validate_config
+from .baselines import SasScheme, sas_detect_batch, sas_encode_batch, sas_mac
+from .channel import draw_trials, propagate_batch
+from .core import MOD_NAMES, SystemConfig, make_constellation, validate_config
 from .detection import (
     check_ml_guard,
+    detected_bits,
     mac_ml,
     mac_ssd,
-    ml_detect,
     ml_detect_batch,
-    ssd_detect,
     ssd_detect_batch,
 )
 from .rac import build_rac_table
-from .transmitter import aligning_phases, encode, encode_batch
+from .transmitter import aligning_phases, encode_batch
 
 BLOCK_TRIALS = 1000
 # Trials the batched engine carries through each stage at once.
@@ -121,41 +112,11 @@ def bits_per_tx(cfg: SystemConfig, scheme: str) -> int:
     return _sas_scheme(cfg, scheme).bits_per_tx
 
 
-def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -> TrialOutcome:
-    """Simulate one transmission block and count its bit and block errors.
-
-    Every trial owns an independent random stream derived from (seed,
-    trial_index); draws happen in a fixed order (bits, channel, noise) so
-    results do not depend on execution order.
-    """
-    rng = trial_rng(cfg.seed, trial_index)
-    n_bits = bits_per_tx(cfg, scheme)
-    bits = rng.integers(0, 2, size=n_bits, dtype=np.int64)
-    channel = sample_channel(cfg.n_rx, cfg.n_refl, rng)
-
-    if scheme == "mas":
-        table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        const = _constellation(cfg.mod_order)
-        tx = encode(bits, channel, cfg, table, const)
-        y = propagate(channel, tx.theta, tx.x, cfg.noise_sigma, rng)
-        detect = ml_detect if detector == "ml" else ssd_detect
-        result = detect(y, channel, cfg, table, const)
-        bits_hat, mac = result.bits, result.mac_count
-    else:
-        sas = _sas_scheme(cfg, scheme)
-        x, theta, _ = sas_encode(bits, channel, sas)
-        y = propagate(channel, theta, x, cfg.noise_sigma, rng)
-        bits_hat, _, mac = sas_detect(y, channel, sas)
-
-    bit_errors = int(np.sum(bits != bits_hat))
-    return TrialOutcome(bit_errors=bit_errors, block_error=int(bit_errors > 0), mac=mac)
-
-
 def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range):
     """(bit errors, block errors, MACs) of a few trials, run as arrays.
 
-    Draws, encodes, propagates and detects exactly what ``run_trial`` would
-    for each trial, so the counts equal the sum of the scalar outcomes.
+    Each trial draws bits, channel and noise from its own ``trial_rng``
+    stream, in that order, then is encoded, propagated and detected.
     """
     bits, h, noise = draw_trials(cfg.seed, trials, bits_per_tx(cfg, scheme), cfg.n_rx,
                                  cfg.n_refl)
@@ -168,10 +129,9 @@ def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range):
             p_hat, labels, _ = ml_detect_batch(y, h, cfg, table, const)
             mac = len(trials) * mac_ml(cfg)
         else:
-            p_hat, labels, n_cand = ssd_detect_batch(y, h, cfg, table, const)
+            p_hat, labels, _, n_cand = ssd_detect_batch(y, h, cfg, table, const)
             mac = sum(mac_ssd(cfg, int(n)) for n in n_cand)
-        bits_hat = np.concatenate(
-            [unpack_bits(p_hat[:, None], cfg.l1), unpack_bits(labels, cfg.bits_per_sym)], axis=1)
+        bits_hat = detected_bits(p_hat, labels, cfg)
     else:
         sas = _sas_scheme(cfg, scheme)
         phases = aligning_phases(h)  # every target's reflector phases, shared
@@ -181,6 +141,13 @@ def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range):
         mac = len(trials) * sas_mac(sas, cfg.n_refl)
     errors = np.count_nonzero(bits != bits_hat, axis=1)
     return int(errors.sum()), int(np.count_nonzero(errors)), mac
+
+
+def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -> TrialOutcome:
+    """Simulate one transmission block and count its bit and block errors:
+    the engine on a chunk of one trial."""
+    trials = range(trial_index, trial_index + 1)
+    return TrialOutcome(*_chunk_counts(cfg, scheme, detector, trials))
 
 
 def _block_counts(args):

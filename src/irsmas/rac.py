@@ -6,7 +6,7 @@ the table maps both ways between row indices and antenna sets.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 
@@ -18,13 +18,12 @@ MAX_ROWS = 1 << 24
 
 @dataclass(frozen=True)
 class RacTable:
-    """C x n_sel matrix of 1-based antenna indices plus the reverse lookup."""
+    """C x n_sel matrix of 1-based antenna indices."""
 
     rows: np.ndarray
     row_count: int
     l1: int
     n_rx: int
-    reverse: dict = field(repr=False)
 
 
 @lru_cache(maxsize=None)
@@ -45,8 +44,7 @@ def build_rac_table(n_rx: int, n_sel: int) -> RacTable:
     rows = np.array(
         list(islice(combinations(range(1, n_rx + 1), n_sel), count)), dtype=np.int64
     )
-    reverse = {tuple(row): p for p, row in enumerate(rows.tolist())}
-    table = RacTable(rows=rows, row_count=count, l1=l1, n_rx=n_rx, reverse=reverse)
+    table = RacTable(rows=rows, row_count=count, l1=l1, n_rx=n_rx)
     table.rows.flags.writeable = False
     return table
 
@@ -66,4 +64,5 @@ def rac_find(table: RacTable, antennas) -> int | None:
         raise ValueError(f"expected {n_sel} distinct antennas, got {antennas}")
     if ants[0] < 1 or ants[-1] > table.n_rx:
         raise ValueError(f"antenna indices out of range [1, {table.n_rx}]: {antennas}")
-    return table.reverse.get(tuple(ants))
+    hits = np.flatnonzero((table.rows == ants).all(axis=1))
+    return int(hits[0]) if hits.size else None

@@ -1,0 +1,329 @@
+"""Scalar reference path: one trial at a time, the oracle for the engine.
+
+``irsmas`` runs every trial through its batched engine.  This module keeps
+an independent implementation of the same chain, written with per-slot,
+per-block and per-candidate loops: each trial's draws from its own
+``trial_rng`` stream, MAS encoding, the ssd receiver, the direct ml search
+and the single-antenna baselines.  The engine-equivalence tests compare
+the engine with it, count for count and value for value.  ``irsmas``
+never imports it.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from irsmas.baselines import SasScheme, sas_mac
+from irsmas.channel import propagate, sample_channel, trial_rng
+from irsmas.core import (
+    Constellation,
+    SystemConfig,
+    bits_to_int,
+    int_to_bits,
+    make_constellation,
+    superposition_set,
+)
+from irsmas.detection import DetectionResult, mac_ml, mac_ssd
+from irsmas.harness import TrialOutcome
+from irsmas.rac import RacTable, build_rac_table, rac_find, rac_row
+from irsmas.transmitter import TxOutput, aligning_phases
+
+
+def draw_trial(seed: int, trial_index: int, n_bits: int, n_rx: int, n_refl: int):
+    """One trial's bits, channel and unit-variance noise, drawn in order
+    from its own stream."""
+    rng = trial_rng(seed, trial_index)
+    bits = rng.integers(0, 2, size=n_bits, dtype=np.int64)
+    h = sample_channel(n_rx, n_refl, rng).h
+    noise = rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
+    return bits, h, noise
+
+
+def sort_weights_desc(weights) -> np.ndarray:
+    """Slot indices (1-based) ordered by descending weight, ties to the smaller slot."""
+    w = np.asarray(weights, dtype=float)
+    return np.argsort(-w, kind="stable") + 1
+
+
+def sort_weights_asc(weights) -> np.ndarray:
+    """Ascending slot order, defined as the exact reverse of the descending one.
+
+    Reversing (rather than sorting again) keeps transmitter and receiver
+    consistent even when two slots have equal weight.
+    """
+    return sort_weights_desc(weights)[::-1]
+
+
+def superpose(symbols, order_desc, alpha, sym_energy: float = 1.0) -> complex:
+    """Combine per-slot symbols into one scalar: x = sum_i sqrt(alpha_i) E_s s_{k_i}.
+
+    ``symbols`` is indexed by slot; ``order_desc[i]`` names the slot whose
+    symbol is scaled by ``alpha[i]``.
+    """
+    symbols = np.asarray(symbols)
+    x = 0j
+    for i, slot in enumerate(order_desc):
+        x += np.sqrt(alpha[i]) * sym_energy * symbols[slot - 1]
+    return complex(x)
+
+
+def reflector_phases(sel_channel: np.ndarray, delta: int) -> np.ndarray:
+    """Phase vector aligning reflector block i to row i of the selected
+    channel, one block at a time; leftover reflectors follow row 0."""
+    sel_channel = np.atleast_2d(sel_channel)
+    n_sel, n_refl = sel_channel.shape
+    theta = np.empty(n_refl, dtype=complex)
+    for i in range(n_sel):
+        block = slice(i * delta, (i + 1) * delta)
+        theta[block] = aligning_phases(sel_channel[i, block])
+    tail = slice(n_sel * delta, n_refl)
+    theta[tail] = aligning_phases(sel_channel[0, tail])
+    return theta
+
+
+def encode(bits, channel, cfg: SystemConfig, table: RacTable, const: Constellation) -> TxOutput:
+    """Map one block of bits to the transmit scalar and reflector configuration."""
+    mu = cfg.bits_per_sym
+    sel = rac_row(table, bits_to_int(bits[: cfg.l1]))
+    sel_channel = channel.h[sel - 1, :]
+    weights = np.linalg.norm(sel_channel, axis=1)
+    order = sort_weights_desc(weights)
+    symbols = [const.points[bits_to_int(bits[start : start + mu])]
+               for start in range(cfg.l1, cfg.block_len, mu)]
+    x = superpose(symbols, order, cfg.alpha, cfg.sym_energy)
+    theta = reflector_phases(sel_channel, cfg.delta)
+    return TxOutput(x=x, theta=theta, sel=sel, order_desc=order, weights=weights)
+
+
+def make_trial(cfg: SystemConfig, trial: int, seed=None, sigma=None):
+    """One mas trial's bits, channel and received vector, drawn and encoded
+    one step at a time.  ``seed`` and ``sigma`` default to the config's."""
+    table = build_rac_table(cfg.n_rx, cfg.n_sel)
+    const = make_constellation(cfg.mod_order)
+    rng = trial_rng(cfg.seed if seed is None else seed, trial)
+    bits = rng.integers(0, 2, size=cfg.block_len, dtype=np.int64)
+    ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
+    tx = encode(bits, ch, cfg, table, const)
+    y = propagate(ch, tx.theta, tx.x, cfg.noise_sigma if sigma is None else sigma, rng)
+    return bits, ch, y
+
+
+def make_trials(cfg: SystemConfig, trials, seed=None, sigma=None):
+    """``make_trial`` for several trials, stacked: bits (T, block_len),
+    channels (T, n_rx, n_refl) and received vectors (T, n_rx)."""
+    bits, channels, ys = zip(*(make_trial(cfg, t, seed, sigma) for t in trials))
+    return np.stack(bits), np.stack([ch.h for ch in channels]), np.stack(ys)
+
+
+@dataclass
+class CandidateSet:
+    """Ranked antenna-combination candidates for the ssd receiver."""
+
+    rows: np.ndarray     # lambda x n_sel candidate antenna rows (1-based)
+    scores: np.ndarray   # received-power score per candidate row
+    order: np.ndarray    # positions into rows, best score first
+
+
+def quantize(value: complex, ratio: float, sym_energy: float, const: Constellation) -> complex:
+    """Nearest constellation point once scaled by sqrt(ratio)*E_s (first point on ties)."""
+    scaled = np.sqrt(ratio) * sym_energy * const.points
+    return complex(const.points[np.argmin(np.abs(value - scaled))])
+
+
+def rac_candidates(y: np.ndarray, table: RacTable, n_c: int, n_iters: int) -> CandidateSet:
+    """Rank legitimate antenna rows by received power around the top-n_c antennas.
+
+    A row qualifies outright when all of its antennas are among the n_c
+    largest |y|^2.  If fewer than n_iters rows qualify, membership is
+    relaxed one antenna at a time until enough rows exist or the table is
+    exhausted.  Scores are the summed received powers of each row's
+    antennas; the returned order sorts them descending.
+    """
+    power = np.abs(y) ** 2
+    ranked = np.argsort(-power, kind="stable")
+    top_mask = np.zeros(len(y), dtype=bool)
+    top_mask[ranked[:n_c]] = True
+
+    in_top = top_mask[table.rows - 1].sum(axis=1)
+    n_sel = table.rows.shape[1]
+    keep = []
+    total = 0
+    for misses in range(n_sel + 1):
+        tier = np.flatnonzero(in_top == n_sel - misses)
+        if tier.size:
+            keep.append(tier)
+            total += tier.size
+        if total >= n_iters:
+            break
+    chosen = np.concatenate(keep) if keep else np.empty(0, dtype=np.int64)
+    rows = table.rows[chosen]
+    scores = power[rows - 1].sum(axis=1)
+    order = np.argsort(-scores, kind="stable")
+    return CandidateSet(rows=rows, scores=scores, order=order)
+
+
+def ssd_candidate_decode(y, channel, p_hat: int, cfg: SystemConfig, table: RacTable,
+                         const: Constellation):
+    """Successively decode the superposed symbols assuming antenna row p_hat.
+
+    Slots are visited weakest channel first; each later slot is quantized
+    after subtracting every previously decoded component.  Returns
+    (per-slot symbols, reconstructed transmit scalar, squared distance over
+    all antennas); a zero effective gain on a visited slot gives an
+    infinite distance.
+    """
+    sel = rac_row(table, p_hat)
+    sel_channel = channel.h[sel - 1, :]
+    order = sort_weights_asc(np.linalg.norm(sel_channel, axis=1))
+    theta = reflector_phases(sel_channel, cfg.delta)
+    gains = sel_channel @ theta  # per-slot effective gain, slot j at gains[j-1]
+
+    n_sel = cfg.n_sel
+    e_s = cfg.sym_energy
+    symbols = np.zeros(n_sel, dtype=complex)
+    for i in range(1, n_sel + 1):
+        slot = order[i - 1]
+        gain = gains[slot - 1]
+        if gain == 0:
+            return symbols, 0j, np.inf
+        v = y[sel[slot - 1] - 1] / gain
+        for j in range(1, i):
+            v -= np.sqrt(cfg.alpha[n_sel - j]) * e_s * symbols[order[j - 1] - 1]
+        symbols[slot - 1] = quantize(v, cfg.alpha[n_sel - i], e_s, const)
+
+    x_hat = 0j
+    for i in range(1, n_sel + 1):
+        x_hat += np.sqrt(cfg.alpha[n_sel - i]) * e_s * symbols[order[i - 1] - 1]
+    distance = float(np.sum(np.abs(y - channel.h @ theta * x_hat) ** 2))
+    return symbols, complex(x_hat), distance
+
+
+def detection_to_bits(p_hat: int, symbols, cfg: SystemConfig, table: RacTable,
+                      const: Constellation) -> np.ndarray:
+    """Recover the bit block from a detected row index and per-slot symbols."""
+    parts = [int_to_bits(p_hat, cfg.l1)]
+    for slot in range(1, cfg.n_sel + 1):
+        parts.append(int_to_bits(const.index_of(symbols[slot - 1]), cfg.bits_per_sym))
+    return np.concatenate(parts)
+
+
+def ssd_detect(y, channel, cfg: SystemConfig, table: RacTable,
+               const: Constellation) -> DetectionResult:
+    """Full ssd receiver: rank candidates, decode the best n_iters, keep the closest."""
+    cands = rac_candidates(y, table, cfg.n_cand_antennas, cfg.n_iters)
+    n_cand = len(cands.rows)
+    best_d, best_p, best_symbols = np.inf, None, None
+    for v in range(min(cfg.n_iters, n_cand)):
+        p_hat = rac_find(table, cands.rows[cands.order[v]])
+        symbols, _, d = ssd_candidate_decode(y, channel, p_hat, cfg, table, const)
+        if d < best_d:
+            best_d, best_p, best_symbols = d, p_hat, symbols
+    if best_p is None:  # every candidate had a degenerate zero gain
+        best_p = rac_find(table, cands.rows[cands.order[0]])
+        best_symbols = np.full(cfg.n_sel, const.points[0])
+    return DetectionResult(
+        rac_index=best_p,
+        symbols=best_symbols,
+        bits=detection_to_bits(best_p, best_symbols, cfg, table, const),
+        distance=best_d,
+        mac_count=mac_ssd(cfg, n_cand),
+    )
+
+
+def direct_ml_detect(y, channel, cfg: SystemConfig, table: RacTable, const: Constellation):
+    """Reference ML search: every (row, tuple) distance computed elementwise,
+    2**14 hypotheses at a time; the first minimum wins.  Returns (row
+    index, per-slot symbols, distance)."""
+    values, labels = superposition_set(cfg, const)
+    theta = np.stack([reflector_phases(channel.h[row - 1], cfg.delta) for row in table.rows])
+    gains = channel.h @ theta.T  # n_rx x C
+
+    best = (np.inf, -1, -1)
+    chunk = max(1, 2**14 // len(values))
+    for lo in range(0, table.row_count, chunk):
+        g = gains[:, lo : lo + chunk]
+        d = np.sum(
+            np.abs(y[:, None, None] - g[:, :, None] * values[None, None, :]) ** 2,
+            axis=0,
+        )
+        flat = int(np.argmin(d))
+        p_off, t = divmod(flat, len(values))
+        if d[p_off, t] < best[0]:
+            best = (float(d[p_off, t]), lo + p_off, t)
+
+    distance, p_hat, t_hat = best
+    sel = rac_row(table, p_hat)
+    order = sort_weights_desc(np.linalg.norm(channel.h[sel - 1, :], axis=1))
+    symbols = np.zeros(cfg.n_sel, dtype=complex)
+    for i, slot in enumerate(order):
+        symbols[slot - 1] = const.points[labels[t_hat, i]]
+    return p_hat, symbols, distance
+
+
+def sas_encode(bits, channel, scheme: SasScheme):
+    """Map a bit block to (transmit scalar, reflector phases, target antenna).
+
+    The leading bits pick the target antenna (1-based); every reflector is
+    phase-aligned to that antenna's channel row.  In sm mode the remaining
+    bits choose a constellation point.
+    """
+    target = bits_to_int(bits[: scheme.antenna_bits]) + 1
+    theta = reflector_phases(channel.h[target - 1 : target, :], channel.shape[1])
+    if scheme.mode == "sm":
+        x = scheme.sym_energy * scheme.const.points[bits_to_int(bits[scheme.antenna_bits :])]
+    else:
+        x = complex(scheme.sym_energy)
+    return x, theta, target
+
+
+def direct_sas_detect(y, channel, scheme: SasScheme):
+    """Reference baseline search: one target at a time, its phases from the
+    scalar ``reflector_phases``, every symbol's distance elementwise; the
+    first minimum wins.  Returns (bits, distance)."""
+    n_refl = channel.shape[1]
+    best = (np.inf, -1, -1)
+    for target in range(1, scheme.n_rx + 1):
+        theta = reflector_phases(channel.h[target - 1 : target, :], n_refl)
+        g = channel.h @ theta
+        d = np.sum(np.abs(y[:, None] - np.outer(g, scheme.values)) ** 2, axis=0)
+        t = int(np.argmin(d))
+        if d[t] < best[0]:
+            best = (float(d[t]), target, t)
+
+    distance, target, t = best
+    parts = [int_to_bits(target - 1, scheme.antenna_bits)]
+    if scheme.mode == "sm":
+        parts.append(int_to_bits(t, scheme.bits_per_sym))
+    return np.concatenate(parts), distance
+
+
+def make_sas_trial(scheme: SasScheme, trial: int, seed=0, n_refl=64, sigma=0.0):
+    """One baseline trial: (bits, channel, x, theta, target, y)."""
+    rng = trial_rng(seed, trial)
+    bits = rng.integers(0, 2, size=scheme.bits_per_tx, dtype=np.int64)
+    ch = sample_channel(scheme.n_rx, n_refl, rng)
+    x, theta, target = sas_encode(bits, ch, scheme)
+    y = propagate(ch, theta, x, sigma, rng)
+    return bits, ch, x, theta, target, y
+
+
+def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -> TrialOutcome:
+    """Simulate one transmission block, step by step, and count its errors."""
+    if scheme == "mas":
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        const = make_constellation(cfg.mod_order)
+        bits, ch, y = make_trial(cfg, trial_index)
+        if detector == "ml":
+            p_hat, symbols, _ = direct_ml_detect(y, ch, cfg, table, const)
+            bits_hat, mac = detection_to_bits(p_hat, symbols, cfg, table, const), mac_ml(cfg)
+        else:
+            result = ssd_detect(y, ch, cfg, table, const)
+            bits_hat, mac = result.bits, result.mac_count
+    else:
+        sas = SasScheme(mode=scheme[4:], n_rx=cfg.n_rx, mod_order=cfg.mod_order,
+                        sym_energy=cfg.sym_energy)
+        bits, ch, *_, y = make_sas_trial(sas, trial_index, cfg.seed, cfg.n_refl, cfg.noise_sigma)
+        bits_hat, _ = direct_sas_detect(y, ch, sas)
+        mac = sas_mac(sas, cfg.n_refl)
+    bit_errors = int(np.sum(bits != bits_hat))
+    return TrialOutcome(bit_errors=bit_errors, block_error=int(bit_errors > 0), mac=mac)

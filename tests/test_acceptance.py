@@ -27,6 +27,7 @@ from irsmas.detection import mac_ml, mac_ssd, ml_detect, ssd_detect
 from irsmas.harness import monte_carlo_se, run_sweep, run_trial
 from irsmas.rac import build_rac_table, rac_find, rac_row
 from irsmas.transmitter import encode, reflector_phases
+from reference import run_trial as reference_run_trial
 
 BPSK_CFG = SystemConfig()  # 12 rx, 2 selected, 64 reflectors, [0.2, 0.8]
 QPSK_CFG = dataclasses.replace(BPSK_CFG, mod_order=4)
@@ -116,6 +117,20 @@ def test_criterion_2_noiseless_exactness_three_selected():
     ok = ml_block_errors == 0 and ssd_block_errors <= 1 and sweep_block_errors == ssd_block_errors
     _check(2, "noiseless exactness with three selected antennas over 300 trials", ok,
            f"ml_block_errors={ml_block_errors} ssd_block_errors={ssd_block_errors} "
+           f"sweep_block_errors={sweep_block_errors}")
+
+
+def test_criterion_2_three_selected_sweep_matches_reference():
+    # run_trial runs the sweep engine on one trial, so the case above
+    # compares the sweep with the engine; this one compares it with the
+    # independent scalar path of tests/reference.py.
+    cfg = dataclasses.replace(BPSK_CFG, n_sel=3, n_refl=96, alpha=(0.05, 0.2, 0.75))
+    ref_block_errors = sum(
+        reference_run_trial(cfg, "mas", "ssd", t).block_error for t in range(300))
+    sweep_block_errors = _sweep(cfg, "mas", "ssd", (float("inf"),), trials=300)[0].block_errors
+    ok = ref_block_errors <= 1 and sweep_block_errors == ref_block_errors
+    _check(2, "three selected antennas: sweep matches the scalar reference over 300 trials",
+           ok, f"reference_block_errors={ref_block_errors} "
            f"sweep_block_errors={sweep_block_errors}")
 
 

@@ -3,18 +3,24 @@
 import numpy as np
 import pytest
 
-from irsmas.baselines import SasScheme, sas_detect, sas_encode, sas_encode_batch, sas_mac
-from irsmas.channel import propagate, sample_channel, trial_rng
+from irsmas.baselines import SasScheme, sas_detect_batch, sas_encode_batch, sas_mac
+from irsmas.channel import sample_channel, trial_rng
+from irsmas.core import SystemConfig, bits_to_int
+from irsmas.harness import run_trial
 from irsmas.transmitter import aligning_phases
+from reference import make_sas_trial as make_trial
 
 
-def make_trial(scheme, trial, seed=0, n_refl=64, sigma=0.0):
-    rng = trial_rng(seed, trial)
-    bits = rng.integers(0, 2, size=scheme.bits_per_tx)
-    ch = sample_channel(scheme.n_rx, n_refl, rng)
-    x, theta, target = sas_encode(bits, ch, scheme)
-    y = propagate(ch, theta, x, sigma, rng)
-    return bits, ch, x, theta, target, y
+def encode_one(bits, h, scheme):
+    """``sas_encode_batch`` on a stack of one: (x, theta)."""
+    x, theta = sas_encode_batch(np.asarray(bits)[None], aligning_phases(h[None]), scheme)
+    return x[0], theta[0]
+
+
+def detect_one(y, h, scheme):
+    """``sas_detect_batch`` on a stack of one: (bits, distance)."""
+    bits, distance = sas_detect_batch(y[None], h[None], aligning_phases(h[None]), scheme)
+    return bits[0], distance[0]
 
 
 class TestScheme:
@@ -35,7 +41,9 @@ class TestScheme:
 class TestEncode:
     def test_all_reflectors_align_to_target(self):
         scheme = SasScheme(mode="ssk", n_rx=16)
-        bits, ch, x, theta, target, y = make_trial(scheme, 0)
+        bits, ch, *_ = make_trial(scheme, 0)
+        x, theta = encode_one(bits, ch.h, scheme)
+        target = bits_to_int(bits) + 1
         aligned = ch.h[target - 1, :] * theta
         np.testing.assert_allclose(aligned.imag, 0, atol=1e-12)
         assert (aligned.real >= 0).all()
@@ -43,14 +51,15 @@ class TestEncode:
 
     def test_ssk_sends_bare_energy(self):
         scheme = SasScheme(mode="ssk", n_rx=16, sym_energy=1.0)
-        bits, ch, x, theta, target, y = make_trial(scheme, 1)
+        bits, ch, *_ = make_trial(scheme, 1)
+        x, _ = encode_one(bits, ch.h, scheme)
         assert x == 1.0
 
     def test_target_is_leading_bits(self):
         scheme = SasScheme(mode="sm", n_rx=16, mod_order=2)
         ch = sample_channel(16, 64, trial_rng(0, 2))
-        x, theta, target = sas_encode(np.array([1, 0, 1, 1, 0]), ch, scheme)
-        assert target == 0b1011 + 1
+        x, theta = encode_one([1, 0, 1, 1, 0], ch.h, scheme)
+        np.testing.assert_array_equal(theta, aligning_phases(ch.h)[0b1011])
         assert x == pytest.approx(1.0)  # symbol bit 0 -> +1
 
     @pytest.mark.parametrize("mode,order", [("ssk", 2), ("sm", 2), ("sm", 16)])
@@ -64,20 +73,14 @@ class TestEncode:
             assert x[k] == x_ref
             np.testing.assert_array_equal(theta[k], theta_ref)
 
-    def test_wrong_bit_count(self):
-        scheme = SasScheme(mode="ssk", n_rx=16)
-        ch = sample_channel(16, 64, trial_rng(0, 3))
-        with pytest.raises(ValueError, match="bits"):
-            sas_encode(np.zeros(5, dtype=int), ch, scheme)
-
 
 class TestDetect:
     @pytest.mark.parametrize("mode,order", [("ssk", 2), ("sm", 2), ("sm", 4)])
     def test_noiseless_round_trip(self, mode, order):
         scheme = SasScheme(mode=mode, n_rx=16, mod_order=order)
         for trial in range(100):
-            bits, ch, x, theta, target, y = make_trial(scheme, trial, seed=4)
-            got, distance, mac = sas_detect(y, ch, scheme)
+            bits, ch, *_, y = make_trial(scheme, trial, seed=4)
+            got, distance = detect_one(y, ch.h, scheme)
             np.testing.assert_array_equal(got, bits)
             assert distance <= 1e-12
 
@@ -86,7 +89,7 @@ class TestDetect:
         wrong = 0
         for trial in range(100):
             bits, ch, *_, y = make_trial(scheme, trial, seed=5, sigma=0.5)
-            got, _, _ = sas_detect(y, ch, scheme)
+            got, _ = detect_one(y, ch.h, scheme)
             wrong += int(not np.array_equal(got, bits))
         assert wrong == 0  # 64 aligned reflectors vs sigma=0.5: huge margin
 
@@ -100,6 +103,5 @@ class TestMac:
 
     def test_detect_reports_same_count(self):
         scheme = SasScheme(mode="ssk", n_rx=16)
-        bits, ch, *_, y = make_trial(scheme, 6)
-        _, _, mac = sas_detect(y, ch, scheme)
-        assert mac == sas_mac(scheme, 64)
+        cfg = SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,))
+        assert run_trial(cfg, "sas-ssk", "ml", 6).mac == sas_mac(scheme, 64)

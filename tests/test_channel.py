@@ -17,6 +17,7 @@ from irsmas.channel import (
 )
 from irsmas.core import SystemConfig
 from irsmas.transmitter import reflector_phases
+from reference import draw_trial
 
 CFG = SystemConfig()
 
@@ -35,10 +36,9 @@ class TestSampleChannel:
         h = sample_channel(100, 1000, rng).h
         assert abs(np.mean(np.abs(h)) - np.sqrt(np.pi) / 2) <= 0.01
 
-    def test_beta_psi_cached_views(self):
-        rng = np.random.default_rng(0)
-        ch = sample_channel(4, 8, rng)
-        np.testing.assert_allclose(ch.beta * np.exp(1j * ch.psi), ch.h, atol=1e-12)
+    def test_beta_is_amplitude(self):
+        ch = sample_channel(4, 8, np.random.default_rng(0))
+        np.testing.assert_array_equal(ch.beta, np.abs(ch.h))
 
 
 class TestTrialRng:
@@ -59,24 +59,16 @@ class TestDrawTrials:
     """``draw_trials`` re-points one generator at each trial's stream; every
     draw must equal the trial's own ``trial_rng`` stream, bit for bit."""
 
-    @staticmethod
-    def reference(seed, trial_index, n_bits, n_rx, n_refl):
-        rng = trial_rng(seed, trial_index)
-        bits = rng.integers(0, 2, size=n_bits, dtype=np.int64)
-        h = sample_channel(n_rx, n_refl, rng).h
-        noise = rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
-        return bits, h, noise
-
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("trials", [range(0, 6), range(2**32 - 3, 2**32 + 3),
-                                        range(1000, 1003)])
+                                        range(1000, 1003), range(2**64 - 3, 2**64)])
     # an odd count leaves the reference generator a cached 32-bit half
     @pytest.mark.parametrize("n_bits", [1, 7, 8])
     def test_matches_per_trial_streams(self, seed, trials, n_bits):
         n_rx, n_refl = 3, 5
         bits, h, noise = draw_trials(seed, trials, n_bits, n_rx, n_refl)
         for k, trial_index in enumerate(trials):
-            want = self.reference(seed, trial_index, n_bits, n_rx, n_refl)
+            want = draw_trial(seed, trial_index, n_bits, n_rx, n_refl)
             np.testing.assert_array_equal(bits[k], want[0])
             np.testing.assert_array_equal(h[k], want[1])
             np.testing.assert_array_equal(noise[k], want[2])

@@ -209,6 +209,7 @@ class TestParseRunSpec:
         ("--scheme sas-ssk --nr 16 --seed -1", "seed:"),
         ("--scheme sas-ssk --nr 12", "n_rx:"),
         ("--trials 0", "n_trials:"),
+        ("--trials 18446744073709551617", "n_trials:"),
     ])
     def test_invalid_config_exits_naming_field(self, argv, field, capsys):
         with pytest.raises(SystemExit) as exc:

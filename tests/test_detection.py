@@ -5,39 +5,32 @@ import dataclasses
 import numpy as np
 import pytest
 
-from irsmas.channel import ChannelMatrix, propagate, sample_channel, trial_rng
+from irsmas.channel import ChannelMatrix, sample_channel, trial_rng
 from irsmas.core import SystemConfig, make_constellation
 from irsmas.detection import (
-    detection_to_bits,
+    detected_bits,
+    mac_base,
     mac_ml,
     mac_ssd,
     ml_detect,
-    quantize,
-    rac_candidates,
+    ml_detect_batch,
     rac_candidates_batch,
-    ssd_candidate_decode,
     ssd_detect,
     ssd_detect_batch,
     superposition_set,
 )
 from irsmas.rac import build_rac_table, rac_find
-from irsmas.transmitter import encode
+from reference import make_trial, make_trials, quantize, rac_candidates, ssd_candidate_decode
+from reference import ssd_detect as reference_ssd_detect
 
 CFG = SystemConfig()
 TABLE = build_rac_table(CFG.n_rx, CFG.n_sel)
 BPSK = make_constellation(2)
 
 
-def make_trial(cfg, trial, seed=0, const=BPSK, table=TABLE, sigma=0.0):
-    rng = trial_rng(seed, trial)
-    bits = rng.integers(0, 2, size=cfg.block_len)
-    ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
-    tx = encode(bits, ch, cfg, table, const)
-    y = propagate(ch, tx.theta, tx.x, sigma, rng)
-    return bits, ch, y
-
-
 class TestQuantize:
+    """The reference quantizer that the ssd oracle uses."""
+
     def test_frozen_bpsk(self):
         # scaled points are +-sqrt(0.8) ~ +-0.894; -0.4 is nearer the negative one
         assert quantize(-0.4, 0.8, 1.0, BPSK) == pytest.approx(-1.0)
@@ -75,6 +68,8 @@ class TestSuperpositionSet:
 
 
 class TestRacCandidates:
+    """The reference candidate sorter, which TestSsdBatch compares the engine's with."""
+
     def test_containment_rule(self):
         # antennas 1..6 carry all the power; every row inside {1..6} qualifies
         y = np.array([5, 4, 3, 2, 1, 0.5] + [0.01] * 6, dtype=complex)
@@ -124,7 +119,7 @@ class TestSsd:
         cfg = dataclasses.replace(CFG, mod_order=4)
         qpsk = make_constellation(4)
         for trial in range(100):
-            bits, ch, y = make_trial(cfg, trial, seed=1, const=qpsk)
+            bits, ch, y = make_trial(cfg, trial, seed=1)
             result = ssd_detect(y, ch, cfg, TABLE, qpsk)
             np.testing.assert_array_equal(result.bits, bits)
 
@@ -150,37 +145,30 @@ class TestSsd:
 
 
 class TestSsdBatch:
-    """The batched receiver against ssd_detect, trial by trial."""
-
-    def stack(self, cfg, const, seed=6, sigma=0.7, n=6):
-        table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        trials = [make_trial(cfg, t, seed=seed, const=const, table=table, sigma=sigma)
-                  for t in range(n)]
-        h = np.stack([ch.h for _, ch, _ in trials])
-        y = np.stack([y for _, _, y in trials])
-        return h, y
+    """The batched receiver against the scalar reference, trial by trial."""
 
     def assert_matches_scalar(self, y, h, cfg, const):
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        p_hat, labels, n_cand = ssd_detect_batch(y, h, cfg, table, const)
+        p_hat, labels, distance, n_cand = ssd_detect_batch(y, h, cfg, table, const)
         for t in range(len(y)):
-            ref = ssd_detect(y[t], ChannelMatrix(h[t]), cfg, table, const)
+            ref = reference_ssd_detect(y[t], ChannelMatrix(h[t]), cfg, table, const)
             assert p_hat[t] == ref.rac_index
             np.testing.assert_array_equal(const.points[labels[t]], ref.symbols)
+            assert distance[t] == ref.distance
             assert mac_ssd(cfg, int(n_cand[t])) == ref.mac_count
-        return p_hat, labels
+        return p_hat, labels, distance
 
     def test_zeroed_channel_row_and_fallback(self):
-        h, y = self.stack(CFG, BPSK)
+        _, h, y = make_trials(CFG, range(6), seed=6, sigma=0.7)
         h[1, 0, :] = 0.0   # antenna 1 dead: rows holding it are disqualified
         y[1, 0] = 10.0     # ...and ranked first, so some decoded rows are dead
         h[2] = 0.0         # every gain zero: every candidate is disqualified
         h[3, np.arange(CFG.n_rx) != 4, :] = 0.0
         y[3, 4] = 10.0     # one live antenna: one zero gain per row still disqualifies
-        p_hat, labels = self.assert_matches_scalar(y, h, CFG, BPSK)
+        p_hat, labels, distance = self.assert_matches_scalar(y, h, CFG, BPSK)
         for t in (2, 3):
             cands = rac_candidates(y[t], TABLE, CFG.n_cand_antennas, CFG.n_iters)
-            assert ssd_detect(y[t], ChannelMatrix(h[t]), CFG, TABLE, BPSK).distance == np.inf
+            assert distance[t] == np.inf
             assert p_hat[t] == rac_find(TABLE, cands.rows[cands.order[0]])
             np.testing.assert_array_equal(labels[t], 0)
 
@@ -188,12 +176,12 @@ class TestSsdBatch:
         cfg = dataclasses.replace(CFG, n_sel=3, n_refl=67, mod_order=4,
                                   alpha=(0.05, 0.2, 0.75))
         qpsk = make_constellation(4)
-        h, y = self.stack(cfg, qpsk, sigma=0.3)
+        _, h, y = make_trials(cfg, range(6), seed=6, sigma=0.3)
         h[0, 4, :] = 0.0
         self.assert_matches_scalar(y, h, cfg, qpsk)
 
     def test_ranking_matches_tiered_list(self):
-        h, y = self.stack(CFG, BPSK, sigma=3.0, n=8)
+        _, h, y = make_trials(CFG, range(8), seed=6, sigma=3.0)
         y[3] = 1.0  # all powers tie: ranking falls back to tier, then table index
         for n_c, n_iters in [(2, 1), (2, 8), (6, 8), (12, 100)]:
             cand, n_cand = rac_candidates_batch(y, TABLE, n_c, n_iters)
@@ -217,7 +205,7 @@ class TestMl:
         cfg = dataclasses.replace(CFG, mod_order=16, alpha=(0.05, 0.95))
         qam = make_constellation(16)
         for trial in range(30):
-            bits, ch, y = make_trial(cfg, trial, seed=2, const=qam)
+            bits, ch, y = make_trial(cfg, trial, seed=2)
             result = ml_detect(y, ch, cfg, TABLE, qam)
             np.testing.assert_array_equal(result.bits, bits)
 
@@ -237,18 +225,14 @@ class TestMl:
 
 class TestBitsRecovery:
     def test_round_trip(self):
-        symbols = np.array([BPSK.points[1], BPSK.points[0]])
-        bits = detection_to_bits(37, symbols, CFG, TABLE, BPSK)
+        bits = detected_bits(np.array([37]), np.array([[1, 0]]), CFG)[0]
         np.testing.assert_array_equal(bits[:6], [1, 0, 0, 1, 0, 1])  # 37
         np.testing.assert_array_equal(bits[6:], [1, 0])
 
     def test_matches_encode_layout(self):
         bits, ch, y = make_trial(CFG, 9)
-        result = ml_detect(y, ch, CFG, TABLE, BPSK)
-        np.testing.assert_array_equal(
-            detection_to_bits(result.rac_index, result.symbols, CFG, TABLE, BPSK),
-            bits,
-        )
+        p_hat, labels, _ = ml_detect_batch(y[None], ch.h[None], CFG, TABLE, BPSK)
+        np.testing.assert_array_equal(detected_bits(p_hat, labels, CFG)[0], bits)
 
 
 class TestMacModels:
@@ -261,7 +245,7 @@ class TestMacModels:
 
     def test_base_term(self):
         # one joint-hypothesis evaluation costs 8 N_r N + 10 N_r - 1
-        assert 8 * 12 * 64 + 10 * 12 - 1 == 6263
+        assert mac_base(12, 64) == 6263
         assert mac_ml(CFG) == 2**8 * 6263
 
     def test_ssd_scales_with_candidates(self):

@@ -8,16 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import irsmas.harness
-from irsmas.baselines import SasScheme, sas_detect, sas_encode
-from irsmas.channel import ChannelMatrix, propagate, sample_channel, trial_rng
-from irsmas.core import SystemConfig, int_to_bits, make_constellation, validate_config
-from irsmas.detection import (
-    detection_to_bits,
-    mac_ml,
-    ml_detect,
-    ml_detect_batch,
-    superposition_set,
-)
+from irsmas.baselines import SasScheme, sas_detect_batch
+from irsmas.channel import ChannelMatrix
+from irsmas.core import SystemConfig, make_constellation, validate_config
+from irsmas.detection import mac_ml, ml_detect, ml_detect_batch
 from irsmas.harness import (
     BLOCK_TRIALS,
     CHUNK_TRIALS,
@@ -30,8 +24,16 @@ from irsmas.harness import (
     run_sweep,
     run_trial,
 )
-from irsmas.rac import build_rac_table, rac_row
-from irsmas.transmitter import encode, reflector_phases, sort_weights_desc
+from irsmas.rac import build_rac_table
+from irsmas.transmitter import aligning_phases
+from reference import (
+    detection_to_bits,
+    direct_ml_detect,
+    direct_sas_detect,
+    make_sas_trial,
+    make_trials,
+)
+from reference import run_trial as reference_run_trial
 
 CFG = SystemConfig()
 
@@ -101,49 +103,11 @@ class TestBatchedSsdEngine:
         validate_config(cfg)
         want = [0, 0, 0]
         for trial in range(start, start + count):
-            out = run_trial(cfg, "mas", "ssd", trial)
+            out = reference_run_trial(cfg, "mas", "ssd", trial)
             want[0] += out.bit_errors
             want[1] += out.block_error
             want[2] += out.mac
         assert _block_counts((cfg, "mas", "ssd", start, count)) == (count, *want)
-
-
-def direct_ml_detect(y, channel, cfg, table, const):
-    """Reference ML search: every (row, tuple) distance computed elementwise,
-    2**14 hypotheses at a time; the first minimum wins."""
-    values, labels = superposition_set(cfg, const)
-    theta = np.stack([reflector_phases(channel.h[row - 1], cfg.delta) for row in table.rows])
-    gains = channel.h @ theta.T  # n_rx x C
-
-    best = (np.inf, -1, -1)
-    chunk = max(1, 2**14 // len(values))
-    for lo in range(0, table.row_count, chunk):
-        g = gains[:, lo : lo + chunk]
-        d = np.sum(
-            np.abs(y[:, None, None] - g[:, :, None] * values[None, None, :]) ** 2,
-            axis=0,
-        )
-        flat = int(np.argmin(d))
-        p_off, t = divmod(flat, len(values))
-        if d[p_off, t] < best[0]:
-            best = (float(d[p_off, t]), lo + p_off, t)
-
-    distance, p_hat, t_hat = best
-    sel = rac_row(table, p_hat)
-    order = sort_weights_desc(np.linalg.norm(channel.h[sel - 1, :], axis=1))
-    symbols = np.zeros(cfg.n_sel, dtype=complex)
-    for i, slot in enumerate(order):
-        symbols[slot - 1] = const.points[labels[t_hat, i]]
-    return p_hat, symbols, distance
-
-
-def scalar_trial(cfg, table, const, trial):
-    """One trial's bits, channel and received vector, drawn as run_trial draws them."""
-    rng = trial_rng(cfg.seed, trial)
-    bits = rng.integers(0, 2, size=cfg.block_len, dtype=np.int64)
-    ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
-    tx = encode(bits, ch, cfg, table, const)
-    return bits, ch, propagate(ch, tx.theta, tx.x, cfg.noise_sigma, rng)
 
 
 class TestBatchedMlEngine:
@@ -169,14 +133,12 @@ class TestBatchedMlEngine:
         validate_config(cfg)
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        trials = [scalar_trial(cfg, table, const, t) for t in range(start, start + count)]
-        y = np.stack([y for _, _, y in trials])
-        h = np.stack([ch.h for _, ch, _ in trials])
+        bits, h, y = make_trials(cfg, range(start, start + count))
         p_hat, labels, _ = self.assert_matches_direct(y, h, cfg)
 
-        errors = [np.count_nonzero(bits != detection_to_bits(int(p), const.points[lab], cfg,
-                                                              table, const))
-                  for (bits, _, _), p, lab in zip(trials, p_hat, labels)]
+        errors = [np.count_nonzero(b != detection_to_bits(int(p), const.points[lab], cfg,
+                                                           table, const))
+                  for b, p, lab in zip(bits, p_hat, labels)]
         want = (count, sum(errors), np.count_nonzero(errors), count * mac_ml(cfg))
         assert _block_counts((cfg, "mas", "ml", start, count)) == want
 
@@ -185,9 +147,7 @@ class TestBatchedMlEngine:
                            noise_sigma=0.5, seed=3)
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        trials = [scalar_trial(cfg, table, const, t) for t in range(4)]
-        y = np.stack([y for _, _, y in trials])
-        h = np.stack([ch.h for _, ch, _ in trials])
+        _, h, y = make_trials(cfg, range(4))
         h[1] = 0.0  # every hypothesis explains y[1] equally badly
         h[3] = 0.0
         y[3] = 0.0  # ...and here equally well
@@ -203,36 +163,13 @@ class TestBatchedMlEngine:
                            noise_sigma=0.5, seed=4)
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        trials = [scalar_trial(cfg, table, const, t) for t in range(3)]
-        y = np.stack([y for _, _, y in trials])
-        h = np.stack([ch.h for _, ch, _ in trials])
+        _, h, y = make_trials(cfg, range(3))
         self.assert_matches_direct(y, h, cfg)
-        bits, ch, y0 = trials[0]
-        p_hat, symbols, distance = direct_ml_detect(y0, ch, cfg, table, const)
-        result = ml_detect(y0, ch, cfg, table, const)
+        ch = ChannelMatrix(h[0])
+        p_hat, symbols, distance = direct_ml_detect(y[0], ch, cfg, table, const)
+        result = ml_detect(y[0], ch, cfg, table, const)
         assert (result.rac_index, result.distance) == (p_hat, distance)
         np.testing.assert_array_equal(result.symbols, symbols)
-
-
-def direct_sas_detect(y, channel, scheme):
-    """Reference baseline search: one target at a time, its phases from the
-    scalar ``reflector_phases``, every symbol's distance elementwise; the
-    first minimum wins.  Returns (bits, distance)."""
-    n_refl = channel.shape[1]
-    best = (np.inf, -1, -1)
-    for target in range(1, scheme.n_rx + 1):
-        theta = reflector_phases(channel.h[target - 1 : target, :], n_refl)
-        g = channel.h @ theta
-        d = np.sum(np.abs(y[:, None] - np.outer(g, scheme.values)) ** 2, axis=0)
-        t = int(np.argmin(d))
-        if d[t] < best[0]:
-            best = (float(d[t]), target, t)
-
-    distance, target, t = best
-    parts = [int_to_bits(target - 1, scheme.antenna_bits)]
-    if scheme.mode == "sm":
-        parts.append(int_to_bits(t, scheme.bits_per_sym))
-    return np.concatenate(parts), distance
 
 
 @st.composite
@@ -250,9 +187,9 @@ def sas_blocks(draw):
 
 
 class TestBatchedSasEngine:
-    """The batched baselines against the scalar path: block counts against
-    ``run_trial``, and ``sas_detect`` against the per-target search, bit
-    for bit."""
+    """The batched baselines against the scalar reference: block counts
+    against its ``run_trial``, and ``sas_detect_batch`` against the
+    per-target search, bit for bit."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(sas_blocks())
@@ -266,32 +203,30 @@ class TestBatchedSasEngine:
         sas = SasScheme(mode=scheme[4:], n_rx=cfg.n_rx, mod_order=cfg.mod_order)
         want = [0, 0, 0]
         for trial in range(start, start + count):
-            out = run_trial(cfg, scheme, "ml", trial)
+            out = reference_run_trial(cfg, scheme, "ml", trial)
             want[0] += out.bit_errors
             want[1] += out.block_error
             want[2] += out.mac
 
-            rng = trial_rng(cfg.seed, trial)
-            bits = rng.integers(0, 2, size=sas.bits_per_tx, dtype=np.int64)
-            ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
-            x, theta, _ = sas_encode(bits, ch, sas)
-            y = propagate(ch, theta, x, cfg.noise_sigma, rng)
-            got_bits, got_d, _ = sas_detect(y, ch, sas)
+            _, ch, *_, y = make_sas_trial(sas, trial, cfg.seed, cfg.n_refl, cfg.noise_sigma)
+            h = ch.h[None]
+            got_bits, got_d = sas_detect_batch(y[None], h, aligning_phases(h), sas)
             ref_bits, ref_d = direct_sas_detect(y, ch, sas)
-            np.testing.assert_array_equal(got_bits, ref_bits)
-            assert got_d == ref_d
+            np.testing.assert_array_equal(got_bits[0], ref_bits)
+            assert got_d[0] == ref_d
         assert _block_counts((cfg, scheme, "ml", start, count)) == (count, *want)
 
     @pytest.mark.parametrize("mode", ["sm", "ssk"])
     def test_all_zero_channel_ties_to_first_hypothesis(self, mode):
         sas = SasScheme(mode=mode, n_rx=4, mod_order=4)
         ch = ChannelMatrix(np.zeros((4, 9)))
+        h = ch.h[None]
         for y in (np.zeros(4, dtype=complex), np.full(4, 0.3 - 0.1j)):
-            bits, distance, _ = sas_detect(y, ch, sas)
+            bits, distance = sas_detect_batch(y[None], h, aligning_phases(h), sas)
             ref_bits, ref_d = direct_sas_detect(y, ch, sas)
             np.testing.assert_array_equal(bits, 0)
             np.testing.assert_array_equal(ref_bits, 0)
-            assert distance == ref_d == np.sum(np.abs(y) ** 2)
+            assert distance[0] == ref_d == np.sum(np.abs(y) ** 2)
 
 
 class TestBitsPerTx:

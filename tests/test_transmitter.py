@@ -10,15 +10,9 @@ from hypothesis import given, strategies as st
 from irsmas.channel import ChannelMatrix, sample_channel, trial_rng
 from irsmas.core import SystemConfig, bits_to_int, make_constellation
 from irsmas.rac import build_rac_table, rac_row
-from irsmas.transmitter import (
-    aligning_phases,
-    encode,
-    reflector_phases,
-    row_phases,
-    sort_weights_asc,
-    sort_weights_desc,
-    superpose,
-)
+from irsmas.transmitter import aligning_phases, encode, reflector_phases, row_phases
+from reference import reflector_phases as reference_reflector_phases
+from reference import sort_weights_asc, sort_weights_desc, superpose
 
 CFG = SystemConfig()
 TABLE = build_rac_table(CFG.n_rx, CFG.n_sel)
@@ -26,6 +20,8 @@ BPSK = make_constellation(2)
 
 
 class TestSorting:
+    """The reference slot order that the scalar encoder and receivers use."""
+
     def test_descending_example(self):
         np.testing.assert_array_equal(sort_weights_desc([3.0, 5.0]), [2, 1])
 
@@ -45,6 +41,8 @@ class TestSorting:
 
 
 class TestSuperpose:
+    """The reference superposition that the scalar path uses."""
+
     def test_frozen_bpsk_values(self):
         # alpha (0.2, 0.8), strongest slot first in order_desc
         x = superpose([1.0, -1.0], order_desc=[1, 2], alpha=(0.2, 0.8))
@@ -137,7 +135,7 @@ class TestReflectorPhases:
         theta = row_phases(h, rows, n_refl // n_sel)
         for t in range(3):
             for r, row in enumerate(table.rows):
-                want = reflector_phases(h[t, row - 1], n_refl // n_sel)
+                want = reference_reflector_phases(h[t, row - 1], n_refl // n_sel)
                 np.testing.assert_array_equal(theta[t, r], want)
 
     def test_aligned_gain_beats_random(self):
