@@ -96,13 +96,6 @@ def bits_to_int(bits) -> int:
     return value
 
 
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """Integer -> big-endian bit vector of the given width. Inverse of bits_to_int."""
-    if not 0 <= value < (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int64)
-
-
 def pack_bits(bits, width: int) -> np.ndarray:
     """Row-wise bits_to_int: big-endian groups of ``width`` bits along the
     last axis become integers, (..., k*width) -> (..., k)."""
@@ -112,7 +105,8 @@ def pack_bits(bits, width: int) -> np.ndarray:
 
 
 def unpack_bits(values, width: int) -> np.ndarray:
-    """Row-wise int_to_bits, the inverse of pack_bits: (..., k) -> (..., k*width)."""
+    """The inverse of pack_bits: each integer along the last axis becomes
+    ``width`` big-endian bits, (..., k) -> (..., k*width)."""
     values = np.asarray(values, dtype=np.int64)
     bits = (values[..., None] >> np.arange(width - 1, -1, -1, dtype=np.int64)) & 1
     return bits.reshape(values.shape[:-1] + (-1,))

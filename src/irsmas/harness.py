@@ -1,10 +1,16 @@
 """Monte Carlo harness: per-trial simulation, metric aggregation, SNR sweeps.
 
 Trials are scheduled in fixed blocks of 1000 so that early stopping and
-parallel execution cannot change the result: a run consumes a prefix of
-the block sequence, each block is a pure function of (config, scheme,
+parallel execution cannot change the result: a point consumes a prefix of
+its block sequence, each block is a pure function of (config, scheme,
 detector, block index), and counts are summed in block order.  The same
 seed therefore yields bit-identical output for any worker count.
+
+A sweep runs every point's blocks through one scheduler, on one process
+pool for the whole sweep (or in process with one worker).  Blocks are
+handed out breadth-first across the points that have not met their error
+budget, so a worker that finishes one point's last block starts on the
+next point instead of idling.
 
 Every block, of every scheme and detector, runs through the batched
 engine: chunks of CHUNK_TRIALS trials pass each stage (draws, encode,
@@ -14,7 +20,9 @@ in, so a block's counts equal the sum of ``run_trial`` outcomes over its
 trials.  ``run_trial`` runs one trial as a chunk of one.
 """
 
+import heapq
 import os
+import queue
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from multiprocessing import Pool
@@ -37,7 +45,7 @@ from .transmitter import aligning_phases, encode_batch
 
 BLOCK_TRIALS = 1000
 # Trials the batched engine carries through each stage at once.
-CHUNK_TRIALS = 16
+CHUNK_TRIALS = 32
 
 SCHEMES = ("mas", "sas-sm", "sas-ssk")
 DETECTORS = ("ml", "ssd")
@@ -191,43 +199,105 @@ def _available_parallelism() -> int:
 
 
 def _resolve_workers(workers) -> int:
+    """Worker count: ``workers`` if given, else ``IRSMAS_WORKERS`` if set and
+    not empty, else every available core.  Anything but an integer >= 1 is
+    rejected, naming where it came from."""
+    source = "workers"
     if workers is None:
-        workers = os.environ.get("IRSMAS_WORKERS") or _available_parallelism()
-    return max(1, int(workers))
+        workers = os.environ.get("IRSMAS_WORKERS")
+        if not workers:
+            return _available_parallelism()
+        source = "IRSMAS_WORKERS"
+    try:
+        count = int(workers)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {workers!r}")
+    return count
 
 
-def _point_counts(cfg: SystemConfig, scheme: str, detector: str, workers: int):
-    """Run one operating point, stopping at a block boundary once the error
-    budget is met.  Blocks are consumed strictly in index order so the
-    consumed prefix, and hence every count, is identical for any worker
-    count."""
-    n_blocks = (cfg.n_trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    jobs = []
-    for b in range(n_blocks):
-        start = b * BLOCK_TRIALS
-        count = min(BLOCK_TRIALS, cfg.n_trials - start)
-        jobs.append((cfg, scheme, detector, start, count))
+class _Point:
+    """One SNR point's share of the scheduler: the blocks handed out, the
+    results waiting for their turn, and the counts of the consumed prefix."""
 
-    trials = bit_errors = block_errors = mac_total = 0
+    def __init__(self, cfg: SystemConfig):
+        self.cfg = cfg
+        self.n_blocks = (cfg.n_trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
+        self.consumed = 0
+        self.waiting = {}  # block index -> counts that arrived out of order
+        self.counts = (0, 0, 0, 0)  # trials, bit errors, block errors, MACs
+        self.stopped = False
 
-    def consume(result) -> bool:
-        nonlocal trials, bit_errors, block_errors, mac_total
-        trials += result[0]
-        bit_errors += result[1]
-        block_errors += result[2]
-        mac_total += result[3]
-        return cfg.error_budget is not None and block_errors >= cfg.error_budget
+    def job(self, block: int, scheme: str, detector: str):
+        start = block * BLOCK_TRIALS
+        return self.cfg, scheme, detector, start, min(BLOCK_TRIALS, self.cfg.n_trials - start)
+
+    def take(self, block: int, result) -> None:
+        """Consume every result now next in block order, stopping at a block
+        boundary once the error budget is met; later results are dropped."""
+        if self.stopped:
+            return
+        self.waiting[block] = result
+        budget = self.cfg.error_budget
+        while self.consumed in self.waiting:
+            result = self.waiting.pop(self.consumed)
+            self.consumed += 1
+            self.counts = tuple(a + b for a, b in zip(self.counts, result))
+            if budget is not None and self.counts[2] >= budget:
+                self.stopped = True
+                self.waiting.clear()
+                return
+
+
+def _sweep_counts(point_cfgs: list, scheme: str, detector: str, workers: int) -> list:
+    """(trials, bit errors, block errors, MACs) of every point of a sweep.
+
+    All points' blocks go through one scheduler.  It keeps at most
+    ``workers`` blocks in flight, on one pool for the whole sweep, and hands
+    each new block to the live point with the fewest blocks handed out
+    (lower index first), so points advance breadth-first.  Each point
+    consumes its results strictly in block order, so the consumed prefix,
+    and hence every count, is identical for any worker count.
+    """
+    points = [_Point(cfg) for cfg in point_cfgs]
+    workers = min(workers, sum(p.n_blocks for p in points))
+    ready = [(0, i) for i in range(len(points))]  # heap of (blocks handed out, point)
+    done = queue.SimpleQueue()  # (point, block, counts or the exception raised)
+
+    def next_job():
+        while ready:
+            block, i = heapq.heappop(ready)
+            if not points[i].stopped:
+                if block + 1 < points[i].n_blocks:
+                    heapq.heappush(ready, (block + 1, i))
+                return i, block, points[i].job(block, scheme, detector)
+        return None
+
+    def run(submit):
+        in_flight = 0
+        while True:
+            while in_flight < workers and (job := next_job()) is not None:
+                submit(*job)
+                in_flight += 1
+            if not in_flight:
+                return
+            i, block, result = done.get()
+            in_flight -= 1
+            if isinstance(result, BaseException):
+                raise result
+            points[i].take(block, result)
 
     if workers == 1:
-        for job in jobs:
-            if consume(_block_counts(job)):
-                break
+        run(lambda i, block, job: done.put((i, block, _block_counts(job))))
     else:
         with Pool(workers) as pool:
-            for result in pool.imap(_block_counts, jobs):
-                if consume(result):
-                    break
-    return trials, bit_errors, block_errors, mac_total
+            def submit(i, block, job):
+                pool.apply_async(_block_counts, (job,),
+                                 callback=lambda result: done.put((i, block, result)),
+                                 error_callback=lambda exc: done.put((i, block, exc)))
+            run(submit)
+    return [p.counts for p in points]
 
 
 def run_sweep(cfg: SystemConfig, scheme: str = "mas", detector: str = "ssd",
@@ -244,13 +314,14 @@ def run_sweep(cfg: SystemConfig, scheme: str = "mas", detector: str = "ssd",
         check_ml_guard(cfg)
     workers = _resolve_workers(workers)
 
+    sigmas = [0.0 if np.isposinf(snr_db) else 10.0 ** (-snr_db / 20.0)
+              for snr_db in cfg.snr_grid_db]
+    point_cfgs = [replace(cfg, noise_sigma=sigma) for sigma in sigmas]
+    sweep_counts = _sweep_counts(point_cfgs, scheme, detector, workers)
     block_len = bits_per_tx(cfg, scheme)
     modulation = "none" if scheme == "sas-ssk" else MOD_NAMES[cfg.mod_order]
     rows = []
-    for snr_db in cfg.snr_grid_db:
-        sigma = 0.0 if np.isposinf(snr_db) else 10.0 ** (-snr_db / 20.0)
-        point_cfg = replace(cfg, noise_sigma=sigma)
-        counts = _point_counts(point_cfg, scheme, detector, workers)
+    for snr_db, counts in zip(cfg.snr_grid_db, sweep_counts):
         metrics = compute_metrics(*counts, block_len)
         rows.append(SweepRow(
             scheme=scheme,

@@ -19,7 +19,6 @@ from irsmas.core import (
     Constellation,
     SystemConfig,
     bits_to_int,
-    int_to_bits,
     make_constellation,
     superposition_set,
 )
@@ -27,6 +26,13 @@ from irsmas.detection import DetectionResult, mac_ml, mac_ssd
 from irsmas.harness import TrialOutcome
 from irsmas.rac import RacTable, build_rac_table, rac_find, rac_row
 from irsmas.transmitter import TxOutput, aligning_phases
+
+
+def int_to_bits(value: int, width: int) -> np.ndarray:
+    """Integer -> big-endian bit vector of the given width. Inverse of bits_to_int."""
+    if not 0 <= value < (1 << width):
+        raise ValueError(f"value {value} does not fit in {width} bits")
+    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int64)
 
 
 def draw_trial(seed: int, trial_index: int, n_bits: int, n_rx: int, n_refl: int):

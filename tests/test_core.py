@@ -10,13 +10,13 @@ from irsmas.core import (
     MOD_ORDERS,
     SystemConfig,
     bits_to_int,
-    int_to_bits,
     make_constellation,
     pack_bits,
     superposition_set,
     unpack_bits,
     validate_config,
 )
+from reference import int_to_bits
 
 PAPER_CFG = SystemConfig()  # 12 rx, 2 selected, 64 reflectors, BPSK, [0.2, 0.8]
 

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import signal
+from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from irsmas.harness import (
     CSV_COLUMNS,
     SweepRow,
     _block_counts,
+    _resolve_workers,
     bits_per_tx,
     compute_metrics,
     monte_carlo_se,
@@ -36,6 +40,27 @@ from reference import (
 from reference import run_trial as reference_run_trial
 
 CFG = SystemConfig()
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail with TimeoutError, instead of hanging, if the block overruns."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def failing_chunk_counts(*args):
+    """Stands in for ``_chunk_counts`` in a worker (module level, so the
+    forked worker finds it by name)."""
+    raise RuntimeError("chunk failed in a worker")
 
 
 class TestRunTrial:
@@ -229,6 +254,63 @@ class TestBatchedSasEngine:
             assert distance[0] == ref_d == np.sum(np.abs(y) ** 2)
 
 
+# name: (scheme, detector, noisy config); the block below has errors in each
+CHUNK_CASES = {
+    "mas-ssd": ("mas", "ssd", SystemConfig(noise_sigma=10.0, seed=11)),
+    "mas-ml": ("mas", "ml", SystemConfig(noise_sigma=10.0, seed=12)),
+    "sas-sm": ("sas-sm", "ml", SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,), noise_sigma=25.0,
+                                            seed=13)),
+    "sas-ssk": ("sas-ssk", "ml", SystemConfig(n_rx=8, n_sel=1, alpha=(1.0,), noise_sigma=30.0,
+                                              seed=14)),
+}
+CHUNK_BLOCK = (45, 67)  # start, count: 67 trials is no multiple of 7, 16 or 32
+
+
+@lru_cache(maxsize=None)
+def reference_block(name):
+    """(bit errors, block errors, MACs) of CHUNK_BLOCK by the scalar reference."""
+    scheme, detector, cfg = CHUNK_CASES[name]
+    start, count = CHUNK_BLOCK
+    outs = [reference_run_trial(cfg, scheme, detector, t) for t in range(start, start + count)]
+    return (sum(o.bit_errors for o in outs), sum(o.block_error for o in outs),
+            sum(o.mac for o in outs))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16, 32])
+@pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+def test_chunk_length_does_not_change_counts(monkeypatch, name, chunk):
+    scheme, detector, cfg = CHUNK_CASES[name]
+    want = reference_block(name)
+    assert want[1] > 0
+    monkeypatch.setattr(irsmas.harness, "CHUNK_TRIALS", chunk)
+    assert _block_counts((cfg, scheme, detector, *CHUNK_BLOCK)) == (CHUNK_BLOCK[1], *want)
+
+
+class TestResolveWorkers:
+    def test_default_is_every_core(self, monkeypatch):
+        monkeypatch.delenv("IRSMAS_WORKERS", raising=False)
+        assert _resolve_workers(None) == irsmas.harness._available_parallelism()
+        monkeypatch.setenv("IRSMAS_WORKERS", "")
+        assert _resolve_workers(None) == irsmas.harness._available_parallelism()
+
+    def test_environment_and_argument(self, monkeypatch):
+        monkeypatch.setenv("IRSMAS_WORKERS", "3")
+        assert _resolve_workers(None) == 3
+        monkeypatch.setenv("IRSMAS_WORKERS", "abc")
+        assert _resolve_workers(2) == 2  # an argument wins over the environment
+
+    @pytest.mark.parametrize("text", ["-3", "0", "abc", "2.5", " "])
+    def test_bad_environment_value_named(self, monkeypatch, text):
+        monkeypatch.setenv("IRSMAS_WORKERS", text)
+        with pytest.raises(ValueError, match="IRSMAS_WORKERS"):
+            _resolve_workers(None)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_bad_argument_named(self, workers):
+        with pytest.raises(ValueError, match="workers must be"):
+            _resolve_workers(workers)
+
+
 class TestBitsPerTx:
     def test_values(self):
         assert bits_per_tx(CFG, "mas") == 8
@@ -309,6 +391,62 @@ class TestRunSweep:
         rows2 = run_sweep(cfg, "mas", "ssd", workers=3)
         assert rows1 == rows2
         assert rows1[0].trials < 4 * BLOCK_TRIALS
+
+    def staggered_cfg(self):
+        """Three points that stop in block 0, in block 1 and never."""
+        return self.small_cfg(n_trials=3 * BLOCK_TRIALS, error_budget=100,
+                              snr_grid_db=(-30.0, -14.0, float("inf")))
+
+    def test_staggered_stops_equal_for_any_worker_count(self):
+        cfg = self.staggered_cfg()
+        rows = {w: run_sweep(cfg, "mas", "ssd", workers=w) for w in (1, 2, 3)}
+        assert [r.trials for r in rows[1]] == [BLOCK_TRIALS, 2 * BLOCK_TRIALS, 3 * BLOCK_TRIALS]
+        assert rows[1] == rows[2] == rows[3]
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        opened = []
+        real_pool = irsmas.harness.Pool
+
+        def counting_pool(processes):
+            opened.append(processes)
+            return real_pool(processes)
+
+        monkeypatch.setattr(irsmas.harness, "Pool", counting_pool)
+        cfg = self.small_cfg(snr_grid_db=(-14.0, -12.0, float("inf")))
+        rows = run_sweep(cfg, "mas", "ssd", workers=2)
+        assert opened == [2]
+        assert run_sweep(cfg, "mas", "ssd", workers=1) == rows
+        assert opened == [2]
+
+    def test_pool_capped_at_total_blocks(self, monkeypatch):
+        opened = []
+
+        class InlinePool:
+            """Runs each job when it is submitted; starts no process."""
+
+            def __init__(self, processes):
+                opened.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def apply_async(self, fn, args, callback, error_callback):
+                callback(fn(*args))
+
+        monkeypatch.setattr(irsmas.harness, "Pool", InlinePool)
+        cfg = self.small_cfg(n_trials=BLOCK_TRIALS + 1, snr_grid_db=(-14.0, -12.0))
+        run_sweep(cfg, "mas", "ssd", workers=10_000)
+        assert opened == [4]  # two points of two blocks each
+        run_sweep(self.small_cfg(snr_grid_db=(-14.0,)), "mas", "ssd", workers=10_000)
+        assert opened == [4]  # a single block runs in process
+
+    def test_worker_exception_comes_out(self, monkeypatch):
+        monkeypatch.setattr(irsmas.harness, "_chunk_counts", failing_chunk_counts)
+        with time_limit(60), pytest.raises(RuntimeError, match="chunk failed"):
+            run_sweep(self.staggered_cfg(), "mas", "ssd", workers=2)
 
     def test_invalid_scheme_and_detector(self):
         with pytest.raises(ValueError, match="scheme"):
