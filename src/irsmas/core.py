@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -13,6 +14,9 @@ ALPHA_SUM_TOL = 1e-12
 ENERGY_TOL = 1e-12
 # Minimum gap (relative to symbol energy) between any two superposed values.
 SUPERPOSITION_GAP = 1e-9
+# Most values per axis that the gap check sorts (an 8 MB array): BPSK and
+# QPSK up to n_sel 20, 16-QAM up to 10, 64-QAM up to 6.
+MAX_AXIS_VALUES = 2**20
 # Lowest accepted SNR in dB.  At -1000 dB the noise variance is 1e100, so
 # received vectors and every squared distance the receivers form stay
 # finite; far lower SNRs overflow to inf and NaN.
@@ -180,15 +184,64 @@ def superposition_set(cfg: SystemConfig, const: Constellation):
     return values, labels
 
 
-def _superposition_min_gap(values: np.ndarray) -> float:
-    """Smallest distance between two superposed values of different tuples."""
-    gap = np.inf
-    chunk = 512
-    for lo in range(0, len(values), chunk):
-        d = np.abs(values[lo : lo + chunk, None] - values[None, :])
-        np.fill_diagonal(d[:, lo:], np.inf)  # each tuple's distance to itself
-        gap = min(gap, d.min())
-    return float(gap)
+@dataclass(frozen=True, eq=False)
+class SuperpositionAxes:
+    """The superposition set as the product of two real per-axis sets.
+
+    Constellation points are per-axis Gray and alpha and E_s are real, so
+    the value of tuple v is a[ia[v]] + j b[ib[v]]: ``a`` holds every sum
+    of slot I-levels, ``b`` every sum of slot Q-levels (just 0 for BPSK),
+    each enumerated lexicographically like the tuples.  Both sets sum slot
+    0 first; ``superposition_set`` may round in another order, so the two
+    agree within an ulp.  ``ia`` and ``ib`` have M^n_sel entries and are
+    built on first use.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    level_a: np.ndarray  # I-level index of each constellation label
+    level_b: np.ndarray  # Q-level index of each constellation label
+    n_sel: int
+
+    @cached_property
+    def ia(self) -> np.ndarray:
+        return self._tuple_index(self.level_a)
+
+    @cached_property
+    def ib(self) -> np.ndarray:
+        return self._tuple_index(self.level_b)
+
+    def _tuple_index(self, level: np.ndarray) -> np.ndarray:
+        index = level
+        for _ in range(1, self.n_sel):
+            index = (index[:, None] * (level.max() + 1) + level).ravel()
+        index.setflags(write=False)
+        return index
+
+    def min_gap(self) -> float:
+        """Smallest distance between the values of two different tuples:
+        the smaller of the two axes' smallest adjacent differences."""
+        return float(min((np.diff(np.sort(axis)).min() for axis in (self.a, self.b)
+                          if len(axis) > 1), default=np.inf))
+
+
+@lru_cache(maxsize=8)
+def superposition_axes(mod_order: int, alpha: tuple, sym_energy: float) -> SuperpositionAxes:
+    """The per-axis split of ``superposition_set`` for one (M, alpha, E_s),
+    built once and shared read-only."""
+    points = make_constellation(mod_order).points
+    scale = np.sqrt(np.asarray(alpha)) * sym_energy
+    parts = []
+    for part in (points.real, points.imag):
+        levels, level_of = np.unique(part, return_inverse=True)
+        values = levels * scale[0]
+        for s in scale[1:]:
+            values = (values[:, None] + levels * s).ravel()
+        values.setflags(write=False)
+        level_of.setflags(write=False)
+        parts.append((values, level_of))
+    (a, level_a), (b, level_b) = parts
+    return SuperpositionAxes(a, b, level_a, level_b, len(alpha))
 
 
 def snr_value_ok(snr_db: float) -> bool:
@@ -230,6 +283,19 @@ def _selection_problems(cfg: SystemConfig) -> list:
     return problems
 
 
+def _superposition_problems(cfg: SystemConfig) -> list:
+    """The gap check on a well-formed mas config: every pair of superposed
+    values at least SUPERPOSITION_GAP * E_s apart, checked exactly per axis."""
+    levels = max(2, math.isqrt(cfg.mod_order))  # per axis: BPSK 2, square QAM sqrt(M)
+    if levels**cfg.n_sel > MAX_AXIS_VALUES:
+        return [f"n_sel: too many superposed levels to check ({levels}^{cfg.n_sel} per axis, "
+                f"at most {MAX_AXIS_VALUES})"]
+    gap = superposition_axes(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy).min_gap()
+    if gap <= SUPERPOSITION_GAP * cfg.sym_energy:
+        return [f"alpha: superposed transmit values collide (min gap {gap:.3e})"]
+    return []
+
+
 def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
     """Check every invariant of a SystemConfig that ``scheme`` reads; raise
     ValueError naming each violation.
@@ -266,13 +332,8 @@ def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
 
     # Superposed transmit values must be pairwise distinct or detection is
     # ill-posed; only checkable once alpha itself is well formed.
-    if mas and not problems and cfg.mod_order ** cfg.n_sel <= 4096:
-        values, _ = superposition_set(cfg, make_constellation(cfg.mod_order))
-        gap = _superposition_min_gap(values)
-        if gap <= SUPERPOSITION_GAP * cfg.sym_energy:
-            problems.append(
-                f"alpha: superposed transmit values collide (min gap {gap:.3e})"
-            )
+    if mas and not problems:
+        problems = _superposition_problems(cfg)
 
     if problems:
         raise ValueError("invalid configuration: " + "; ".join(problems))

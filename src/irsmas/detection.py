@@ -3,8 +3,9 @@ successive signal detection (SSD) receiver, run on a stack of trials, plus
 the paper's MAC-complexity models.
 
 The ML search screens every hypothesis with an expanded distance in real
-arithmetic and recomputes only those near the minimum with the direct
-elementwise distance, which fixes the decision.
+arithmetic, split into one term per axis of the superposed value, and
+recomputes only those near the minimum with the direct elementwise
+distance, which fixes the decision.
 
 The SSD receiver first ranks antenna combinations by received power (the
 candidate sorter), then for each of the top candidates re-derives the
@@ -19,9 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constellation, SystemConfig, superposition_set, unpack_bits
+from .core import (
+    Constellation,
+    SuperpositionAxes,
+    SystemConfig,
+    superposition_axes,
+    superposition_set,
+    unpack_bits,
+)
 from .rac import RacTable
 from .transmitter import aligning_phases, reflector_blocks, row_phases, slot_order
+
+# Most scores (or distance terms) any one array of the ML search holds,
+# unless a single pair's |A| + |B| scores are more.
+SCREEN_BUDGET = 2**16
 
 
 @dataclass
@@ -161,14 +173,19 @@ def ml_detect_batch(
     indices (T,), per-slot symbol labels (T, n_sel) and distances (T,).
 
     Hypotheses are first screened in real arithmetic with the expansion
-    ||y||^2 - 2 Re(conj(x) g^H y) + |x|^2 ||g||^2, which costs C n_rx + C V
-    instead of C n_rx V.  Every hypothesis whose score lies within a
-    rounding bound of its trial's minimum is then recomputed elementwise,
-    exactly as the direct search computes it (antennas summed in order), so
-    the decision and distance are those of the direct search, bit for bit.
+    ||y||^2 - 2 Re(conj(x) g^H y) + |x|^2 ||g||^2.  Every superposed value
+    is x = a + jb with a from a per-axis set A and b from B, so the score
+    splits into one term per axis, and a (trial, row) pair's best score is
+    the sum of its two per-axis minima.  The screen costs C n_rx + C (|A| +
+    |B|) instead of C n_rx V (V = |A| |B| = M^n_sel), plus V for each pair
+    near its trial's minimum.  Every hypothesis whose score lies within a
+    rounding bound of that minimum is then recomputed elementwise, exactly
+    as the direct search computes it (antennas summed in order), so the
+    decision and distance are those of the direct search, bit for bit.
     """
     check_ml_guard(cfg)
     values, tuples = superposition_set(cfg, const)
+    axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
     n_trials, n_rx = y.shape
     n_rows = table.row_count
     # theta_p of every row p is ``row_phases(h_t, table.rows, delta)``.  A
@@ -183,53 +200,109 @@ def ml_detect_batch(
     flat = follows * n_refl + np.arange(n_refl)
     gains = np.stack([h_t @ u_t.take(flat).T for h_t, u_t in zip(h, aligning_phases(h))])
 
-    # score(p, x) = distance - ||y||^2, as one (pairs x 3) @ (3 x V) product
-    energy = np.sum(gains.real**2 + gains.imag**2, axis=1)  # (T, C), ||g||^2
-    corr = (y[:, None, :] @ gains.conj())[:, 0]  # (T, C), g^H y
-    coef = np.stack([energy, corr.real, corr.imag], axis=-1).reshape(-1, 3)
-    basis = np.stack([np.abs(values) ** 2, -2 * values.real, -2 * values.imag])
+    # score(p, a + jb) = distance - ||y||^2 = f_A(p, a) + f_B(p, b), with
+    # f_A = a (||g||^2 a - 2 Re(g^H y)) and f_B = b (||g||^2 b - 2 Im(g^H y)),
+    # one row per value of A then of B, and (trial, row) pairs along the
+    # trailing axis.
+    energy = np.sum(gains.real**2 + gains.imag**2, axis=1).ravel()  # ||g||^2
+    corr2 = 2 * (y[:, None, :] @ gains.conj())[:, 0].ravel()  # 2 g^H y
+    ab = np.concatenate([axes.a, axes.b])
+    n_a = len(axes.a)
+    # Rounding, to first order in eps, with S = ||y|| + max|x| max||g||:
+    #  - a screened score is off from the exact one at a + jb by under
+    #    (3 n_rx + 5) eps/2 S^2 (||g||^2, g^H y, three roundings per axis and
+    #    the sum of the two);
+    #  - a + jb is off from values[v] by under 3 n_sel eps/2 max|x| (each is a
+    #    rounded n_sel-term sum), which moves the exact distance by under
+    #    6 n_sel eps/2 S^2;
+    #  - the direct elementwise distance is off by under (n_rx + 11) eps/2 S^2.
     # The direct search can pick a hypothesis over the screened minimum only
-    # if their scores differ by less than twice the rounding error of both
-    # computations: under (3 n_rx + 22) eps (||y|| + |x| ||g||)^2.  The
-    # shortlist bound is more than twice that.
-    scale = np.linalg.norm(y, axis=1) + np.abs(values).max() * np.sqrt(energy.max(axis=1))
-    tol = 8 * (n_rx + 8) * np.finfo(float).eps * scale**2
+    # if their scores differ by less than twice the sum, (4 n_rx + 6 n_sel +
+    # 16) eps S^2.  The shortlist bound is more than twice that.
+    scale = np.linalg.norm(y, axis=1) + np.abs(values).max() * np.sqrt(
+        energy.reshape(n_trials, n_rows).max(axis=1))
+    tol = 8 * (n_rx + 2 * cfg.n_sel + 8) * np.finfo(float).eps * scale**2
 
-    # Screen at most 2**16 hypotheses at a time, in slices of (trial, row)
-    # pairs.  A slice keeps what lies near the running minimum of its
-    # trial: a superset of what lies near the final one, and so of every
-    # hypothesis the direct search could pick.
-    best = np.full(n_trials, np.inf)
-    pair_step = max(1, 2**16 // len(values))
-    pairs, tuple_idx = [], []
-    for lo in range(0, n_trials * n_rows, pair_step):
-        score = coef[lo : lo + pair_step] @ basis
-        trial = np.arange(lo, lo + len(score)) // n_rows
-        pair_min = score.min(axis=1)
-        np.minimum.at(best, trial, pair_min)
-        limit = (best + tol)[trial]
+    # Screen SCREEN_BUDGET // (|A| + |B|) pairs at a time.  A pair's minimum
+    # is min f_A + min f_B, which rounded addition keeps equal to the least
+    # of its V sums.  A slice keeps what lies near the running minimum of
+    # its trial: a superset of what lies near the final one, and so of
+    # every hypothesis the direct search could pick.  Those are re-checked
+    # as they come, in (trial, p, v) order, and the first least distance of
+    # each trial is kept.
+    n_pairs = n_trials * n_rows
+    pair_step = max(1, SCREEN_BUDGET // len(ab))
+    low = np.full(n_trials, np.inf)
+    found = (np.full(n_trials, np.inf), np.full(n_trials, -1), np.zeros(n_trials, dtype=np.int64))
+    for lo in range(0, n_pairs, pair_step):
+        pairs = slice(lo, min(lo + pair_step, n_pairs))
+        f = np.multiply.outer(ab, energy[pairs])
+        f[:n_a] -= corr2.real[pairs]
+        f[n_a:] -= corr2.imag[pairs]
+        f *= ab[:, None]
+        f_a, f_b = f[:n_a], f[n_a:]
+        pair_min = f_a.min(axis=0) + f_b.min(axis=0)
+        trial = np.arange(pairs.start, pairs.stop) // n_rows
+        np.minimum.at(low, trial, pair_min)
+        limit = (low + tol)[trial]
         near = np.flatnonzero(pair_min <= limit)
-        pair, v = np.nonzero(score[near] <= limit[near, None])
-        pairs.append(lo + near[pair])
-        tuple_idx.append(v)
-    t, p = np.divmod(np.concatenate(pairs), n_rows)
-    v = np.concatenate(tuple_idx)
+        for pair, v in _near_hypotheses(f_a, f_b, axes, near, limit):
+            t, p = np.divmod(lo + pair, n_rows)
+            _keep_first_minimum(found, t, p, v, _exact_distance(y, gains, values, t, p, v))
+    distance, p_hat, v_hat = found
 
-    # Exact re-check: the direct search's elementwise terms, summed over
-    # antennas in sequence (np.sum may pair them up differently).
-    terms = np.abs(y.T[:, t] - gains.transpose(1, 0, 2)[:, t, p] * values[v]) ** 2
-    distance = terms[0].copy()
-    for r in range(1, n_rx):
-        distance += terms[r]
-    # t is ascending, and (p, v) ascending within each trial
-    ranked = np.lexsort((distance, t))
-    first = ranked[np.searchsorted(t[ranked], np.arange(n_trials))]
-
-    p_hat = p[first]
     _, _, order = slot_order(p_hat, h, table)  # slot of each tuple position
     labels = np.empty((n_trials, cfg.n_sel), dtype=np.int64)
-    np.put_along_axis(labels, order, tuples[v[first]], axis=1)
-    return p_hat, labels, distance[first]
+    np.put_along_axis(labels, order, tuples[v_hat], axis=1)
+    return p_hat, labels, distance
+
+
+def _near_hypotheses(f_a, f_b, axes: SuperpositionAxes, near, limit):
+    """Expand the screened pairs ``near`` (columns of the per-axis scores
+    f_a and f_b) into their hypotheses (pair, v) whose score f_a[ia[v]] +
+    f_b[ib[v]] is at most the pair's limit, in (pair, v) order, forming at
+    most SCREEN_BUDGET scores at a time."""
+    n_values = len(axes.ia)
+    v_step = min(n_values, SCREEN_BUDGET)
+    k_step = SCREEN_BUDGET // v_step
+    for k in range(0, len(near), k_step):
+        cols = near[k : k + k_step]
+        f_a_k, f_b_k = f_a[:, cols].T, f_b[:, cols].T
+        for v0 in range(0, n_values, v_step):
+            score = f_a_k[:, axes.ia[v0 : v0 + v_step]]
+            score += f_b_k[:, axes.ib[v0 : v0 + v_step]]
+            pair, v = np.nonzero(score <= limit[cols, None])
+            yield cols[pair], v0 + v
+
+
+def _exact_distance(y, gains, values, t, p, v):
+    """The direct search's distance of hypotheses (trial t, row p, value v):
+    elementwise terms summed over antennas in sequence (np.sum may pair
+    them up differently), at most SCREEN_BUDGET terms at a time."""
+    n_rx = y.shape[1]
+    distance = np.empty(len(t))
+    step = max(1, SCREEN_BUDGET // n_rx)
+    for lo in range(0, len(t), step):
+        s = slice(lo, lo + step)
+        terms = np.abs(y.T[:, t[s]] - gains.transpose(1, 0, 2)[:, t[s], p[s]] * values[v[s]]) ** 2
+        part = distance[s]
+        part[:] = terms[0]
+        for r in range(1, n_rx):
+            part += terms[r]
+    return distance
+
+
+def _keep_first_minimum(found, t, p, v, distance):
+    """Fold re-checked hypotheses into each trial's best so far, ``found`` =
+    (distance, p, v) arrays with p = -1 before a trial's first hypothesis.
+    The hypotheses come in (t, p, v) order, after every one folded before
+    them, so the first least distance of a trial wins."""
+    ranked = np.lexsort((distance, t))
+    first = ranked[np.flatnonzero(np.diff(t[ranked], prepend=-1))]
+    best, rows, vals = found
+    tf = t[first]
+    take = first[(rows[tf] < 0) | (distance[first] < best[tf])]
+    best[t[take]], rows[t[take]], vals[t[take]] = distance[take], p[take], v[take]
 
 
 def ml_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,

@@ -4,14 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from irsmas.core import (
     MOD_ORDERS,
+    SUPERPOSITION_GAP,
     SystemConfig,
     bits_to_int,
     make_constellation,
     pack_bits,
+    superposition_axes,
     superposition_set,
     unpack_bits,
     validate_config,
@@ -178,6 +180,47 @@ class TestSystemConfig:
         values, _ = superposition_set(cfg, make_constellation(2))
         assert np.count_nonzero(values == 0) == 2
         with pytest.raises(ValueError, match="alpha"):
+            validate_config(cfg)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 4, 16, 64]), st.integers(1, 3), st.data())
+    def test_per_axis_gap_is_pairwise_gap(self, mod_order, n_sel, data):
+        assume(mod_order**n_sel <= 4096)  # small enough for the pairwise check
+        crafted = {1: [(1.0,)], 2: [(0.1, 0.9), (0.2, 0.8), (0.5, 0.5), (0.01, 0.99)],
+                   3: [(1 / 14, 4 / 14, 9 / 14), (0.05, 0.2, 0.75), (0.01, 0.1, 0.89)]}[n_sel]
+        drawn = np.sort(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n_sel,
+                                           max_size=n_sel)))
+        alpha = data.draw(st.sampled_from(crafted + [tuple(drawn / drawn.sum())]))
+        cfg = SystemConfig(n_rx=8, n_sel=n_sel, mod_order=mod_order, alpha=alpha)
+        values, _ = superposition_set(cfg, make_constellation(mod_order))
+        pairwise = np.inf
+        for lo in range(0, len(values), 256):  # 256 rows of distances at a time
+            d = np.abs(values[lo : lo + 256, None] - values)
+            np.fill_diagonal(d[:, lo:], np.inf)  # each tuple's distance to itself
+            pairwise = min(pairwise, d.min())
+        gap = superposition_axes(mod_order, alpha, 1.0).min_gap()
+        assert abs(gap - pairwise) <= 2.3e-16
+        try:
+            validate_config(cfg)
+        except ValueError as err:
+            assert pairwise <= SUPERPOSITION_GAP or "alpha: ratios" in str(err)
+        else:
+            assert pairwise > SUPERPOSITION_GAP
+
+    def test_gap_checked_beyond_4096_values(self):
+        # 64**3 superposed values: checked per axis, where a pairwise check
+        # was skipped; sqrt ratios 1 : 2 : 3 collide exactly
+        cfg = SystemConfig(n_sel=3, mod_order=64, alpha=(1 / 14, 4 / 14, 9 / 14))
+        with pytest.raises(ValueError, match="alpha: superposed transmit values collide"):
+            validate_config(cfg)
+        validate_config(dataclasses.replace(cfg, alpha=(0.001, 0.02, 0.979)))
+
+    @pytest.mark.parametrize("mod_order, n_sel", [(2, 21), (64, 7)])
+    def test_too_many_levels_to_check_names_n_sel(self, mod_order, n_sel):
+        alpha = tuple(np.arange(1, n_sel + 1) / (n_sel * (n_sel + 1) / 2))
+        cfg = SystemConfig(n_rx=n_sel + 1, n_sel=n_sel, n_cand_antennas=n_sel,
+                           mod_order=mod_order, alpha=alpha)
+        with pytest.raises(ValueError, match="n_sel: too many superposed levels"):
             validate_config(cfg)
 
     def test_noiseless_snr_accepted(self):

@@ -4,9 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from irsmas.channel import ChannelMatrix, sample_channel, trial_rng
-from irsmas.core import SystemConfig, make_constellation
+from irsmas.core import SystemConfig, make_constellation, superposition_axes
 from irsmas.detection import (
     detected_bits,
     mac_base,
@@ -65,6 +66,48 @@ class TestSuperpositionSet:
         values, labels = superposition_set(cfg, qpsk)
         assert values.shape == (16,) and labels.shape == (16, 2)
         assert len(np.unique(np.round(values, 9))) == 16
+
+
+@st.composite
+def axis_cases(draw):
+    """A modulation order, n_sel and positive power ratios (any, even colliding)."""
+    mod_order = draw(st.sampled_from((2, 4, 16, 64)))
+    n_sel = draw(st.integers(1, 3))
+    alpha = tuple(draw(st.lists(st.floats(1e-3, 1.0), min_size=n_sel, max_size=n_sel)))
+    return mod_order, alpha, draw(st.sampled_from((1.0, 0.3, 2.5)))
+
+
+class TestSuperpositionAxes:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(axis_cases())
+    @example((64, (0.01, 0.1, 0.89), 1.0))
+    def test_axes_rebuild_superposition_set(self, case):
+        mod_order, alpha, sym_energy = case
+        cfg = SystemConfig(n_sel=len(alpha), mod_order=mod_order, alpha=alpha,
+                           sym_energy=sym_energy)
+        values, _ = superposition_set(cfg, make_constellation(mod_order))
+        axes = superposition_axes(mod_order, alpha, sym_energy)
+        # (ia, ib) is a bijection from the tuples onto A x B
+        assert len(values) == len(axes.a) * len(axes.b) == len(axes.ia) == len(axes.ib)
+        np.testing.assert_array_equal(np.sort(axes.ia * len(axes.b) + axes.ib),
+                                      np.arange(len(values)))
+        # ... and each value is a + jb to within an ulp of the largest value
+        ulp = np.spacing(np.abs(values).max())
+        assert np.abs(axes.a[axes.ia] - values.real).max() <= ulp
+        assert np.abs(axes.b[axes.ib] - values.imag).max() <= ulp
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([(2, (0.05, 0.2, 0.75)), (4, (0.2, 0.8)), (16, (0.05, 0.95))]),
+           st.data())
+    def test_pair_minimum_is_least_sum(self, case, data):
+        # rounded addition is monotone, so min f_A + min f_B is exactly the
+        # least of the |A| |B| rounded sums, whatever the scores
+        mod_order, alpha = case
+        axes = superposition_axes(mod_order, alpha, 1.0)
+        scores = st.floats(-1e6, 1e6, allow_subnormal=False)
+        f_a = np.array(data.draw(st.lists(scores, min_size=len(axes.a), max_size=len(axes.a))))
+        f_b = np.array(data.draw(st.lists(scores, min_size=len(axes.b), max_size=len(axes.b))))
+        assert f_a.min() + f_b.min() == (f_a[axes.ia] + f_b[axes.ib]).min()
 
 
 class TestRacCandidates:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -13,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 import irsmas.harness
 from irsmas.baselines import SasScheme, sas_detect_batch
 from irsmas.channel import ChannelMatrix
-from irsmas.core import SystemConfig, make_constellation, validate_config
-from irsmas.detection import mac_ml, ml_detect, ml_detect_batch
+from irsmas.core import SystemConfig, make_constellation, superposition_set, validate_config
+from irsmas.detection import SCREEN_BUDGET, mac_ml, ml_detect, ml_detect_batch
 from irsmas.harness import (
     BLOCK_TRIALS,
     CHUNK_TRIALS,
@@ -29,7 +30,7 @@ from irsmas.harness import (
     run_trial,
 )
 from irsmas.rac import build_rac_table
-from irsmas.transmitter import aligning_phases
+from irsmas.transmitter import aligning_phases, row_phases
 from reference import (
     detection_to_bits,
     direct_ml_detect,
@@ -195,6 +196,70 @@ class TestBatchedMlEngine:
         result = ml_detect(y[0], ch, cfg, table, const)
         assert (result.rac_index, result.distance) == (p_hat, distance)
         np.testing.assert_array_equal(result.symbols, symbols)
+
+    def test_slice_boundary_inside_a_trial(self):
+        # BPSK at n_sel 3: |A| + |B| = 8 + 1 scores a pair, so a slice holds
+        # 2**16 // 9 = 7281 pairs, which ends inside trial 227 (C = 32)
+        cfg = SystemConfig(n_rx=8, n_sel=3, n_refl=31, alpha=(0.05, 0.2, 0.75),
+                           noise_sigma=0.5, seed=6)
+        pair_step = SCREEN_BUDGET // 9
+        assert pair_step % 32 and 240 * 32 > pair_step
+        _, h, y = make_trials(cfg, range(240))
+        self.assert_matches_direct(y, h, cfg)
+
+    @pytest.mark.parametrize("budget", [40, 100, 300])
+    def test_small_budget_slices_pairs_and_values(self, monkeypatch, budget):
+        # 16-QAM at n_sel 2: |A| + |B| = 32 and V = 256 exceed or nearly fill
+        # these budgets, so slices end inside trials and each kept pair is
+        # expanded over several runs of values; trial 2 ties everywhere
+        monkeypatch.setattr(irsmas.detection, "SCREEN_BUDGET", budget)
+        cfg = SystemConfig(n_rx=5, n_sel=2, n_refl=9, mod_order=16, alpha=(0.05, 0.95),
+                           noise_sigma=0.3, seed=8)
+        _, h, y = make_trials(cfg, range(5))
+        h[2] = 0.0
+        p_hat, labels, _ = self.assert_matches_direct(y, h, cfg)
+        assert p_hat[2] == 0
+        np.testing.assert_array_equal(labels[2], 0)
+
+    def test_identical_channel_rows_tie_to_smaller_row(self):
+        # antennas 3 and 4 see the same channel, so rows (1, 3) and (1, 4)
+        # align the same reflector phases and explain y equally well
+        cfg = SystemConfig(n_rx=6, n_sel=2, n_refl=10, mod_order=4, noise_sigma=0.05, seed=5)
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        const = make_constellation(cfg.mod_order)
+        values, _ = superposition_set(cfg, const)
+        _, h, y = make_trials(cfg, range(3))
+        h[:, 3] = h[:, 2]
+        np.testing.assert_array_equal(table.rows[1:3], [[1, 3], [1, 4]])
+        for t in range(3):
+            gains = h[t] @ row_phases(h[t], table.rows, cfg.delta).T
+            np.testing.assert_array_equal(gains[:, 1], gains[:, 2])
+            y[t] += gains[:, 2] * values[5 * t]  # sent on row 2, as loud as the noise
+        p_hat, _, _ = self.assert_matches_direct(y, h, cfg)
+        np.testing.assert_array_equal(p_hat, 1)
+
+    def test_all_zero_channel_memory_is_bounded(self):
+        # Every hypothesis of every trial ties: 32 * 64 * 256 = 2**19 of
+        # them.  Listing them all before the re-check took over 300 MB; the
+        # screen and re-check hold at most 2**16 scores (512 KB) an array.
+        cfg = SystemConfig(mod_order=16, alpha=(0.05, 0.95))
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        const = make_constellation(cfg.mod_order)
+        rng = np.random.default_rng(1)
+        y = rng.standard_normal((CHUNK_TRIALS, cfg.n_rx)) + 0j
+        h = np.zeros((CHUNK_TRIALS, cfg.n_rx, cfg.n_refl), dtype=complex)
+        ml_detect_batch(y[:1], h[:1], cfg, table, const)  # build the cached axes first
+        tracemalloc.start()
+        try:
+            p_hat, labels, distance = ml_detect_batch(y, h, cfg, table, const)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        np.testing.assert_array_equal(p_hat, 0)
+        np.testing.assert_array_equal(labels, 0)
+        terms = np.abs(y) ** 2  # ||y - 0||^2, summed over antennas in order
+        np.testing.assert_array_equal(distance, sum(terms[:, r] for r in range(cfg.n_rx)))
 
 
 @st.composite
