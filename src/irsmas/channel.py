@@ -66,7 +66,17 @@ _BIT_SHIFTS = np.array([31, 63], dtype=np.uint64)
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def draw_trials(seed: int, trials, n_bits: int, n_rx: int, n_refl: int):
+def draw_layout(n_trials: int, n_bits: int, n_rx: int, n_refl: int) -> list:
+    """(shape, dtype) of each buffer ``draw_trials`` fills for up to
+    ``n_trials`` trials: raw 64-bit words, standard normals, channels and
+    unit noise."""
+    return [((n_trials, (n_bits + 1) // 2), np.dtype(np.uint64)),
+            ((n_trials, 2 * n_rx * (n_refl + 1)), np.dtype(float)),
+            ((n_trials, n_rx, n_refl), np.dtype(complex)),
+            ((n_trials, n_rx), np.dtype(complex))]
+
+
+def draw_trials(seed: int, trials, n_bits: int, n_rx: int, n_refl: int, out=None):
     """Every random draw of several trials.
 
     Each trial draws from its own ``trial_rng`` stream, in this order:
@@ -80,11 +90,16 @@ def draw_trials(seed: int, trials, n_bits: int, n_rx: int, n_refl: int):
     and the complex parts are assembled with real arithmetic; both give
     the stream's values bit for bit.
     Returns bits (T, n_bits), channels (T, n_rx, n_refl) and unit-variance
-    complex noise (T, n_rx) before its sigma / sqrt(2) scaling.
+    complex noise (T, n_rx) before its sigma / sqrt(2) scaling.  ``out``,
+    if given, holds C-contiguous arrays laid out as ``draw_layout`` for at
+    least T trials: the draws overwrite their leading rows, and the
+    channels and noise returned are views of them.
     """
     n_trials, n_h = len(trials), n_rx * n_refl
-    words = np.empty((n_trials, (n_bits + 1) // 2), dtype=np.uint64)
-    normals = np.empty((n_trials, 2 * (n_h + n_rx)))
+    if out is None:
+        out = [np.empty(shape, dtype) for shape, dtype in draw_layout(n_trials, n_bits, n_rx,
+                                                                      n_refl)]
+    words, normals, h, noise = (buf[:n_trials] for buf in out)
     bit_gen = np.random.Philox(key=seed)
     rng = np.random.Generator(bit_gen)
     start = bit_gen.state  # a fresh generator's state, at counter 0
@@ -94,10 +109,8 @@ def draw_trials(seed: int, trials, n_bits: int, n_rx: int, n_refl: int):
         words[k] = bit_gen.random_raw(words.shape[1])
         rng.standard_normal(out=normals[k])
     bits = (words[..., None] >> _BIT_SHIFTS & 1).reshape(n_trials, -1)[:, :n_bits]
-    h = np.empty((n_trials, n_rx, n_refl), dtype=complex)
     np.multiply(normals[:, :n_h].reshape(h.shape), _INV_SQRT2, out=h.real)
     np.multiply(normals[:, n_h : 2 * n_h].reshape(h.shape), _INV_SQRT2, out=h.imag)
-    noise = np.empty((n_trials, n_rx), dtype=complex)
     noise.real = normals[:, 2 * n_h : 2 * n_h + n_rx]
     noise.imag = normals[:, 2 * n_h + n_rx :]
     return bits.astype(np.int64), h, noise

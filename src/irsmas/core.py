@@ -172,15 +172,20 @@ class SystemConfig:
         return 1 << self.l1
 
 
-def superposition_set(cfg: SystemConfig, const: Constellation):
-    """All M^n_sel superposed transmit values with their symbol-label tuples.
+@lru_cache(maxsize=8)
+def superposition_set(mod_order: int, alpha: tuple, sym_energy: float):
+    """All M^n_sel superposed transmit values with their symbol-label tuples,
+    for one (M, alpha, E_s), built once and shared read-only.
 
     Tuples are enumerated lexicographically; tuple position i carries power
     ratio alpha[i].
     """
-    labels = np.indices((const.order,) * cfg.n_sel).reshape(cfg.n_sel, -1).T
-    scale = np.sqrt(np.asarray(cfg.alpha)) * cfg.sym_energy
-    values = const.points[labels] @ scale.astype(complex)
+    points = make_constellation(mod_order).points
+    labels = np.indices((mod_order,) * len(alpha)).reshape(len(alpha), -1).T
+    scale = np.sqrt(np.asarray(alpha)) * sym_energy
+    values = points[labels] @ scale.astype(complex)
+    values.setflags(write=False)
+    labels.setflags(write=False)
     return values, labels
 
 
@@ -329,6 +334,8 @@ def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
         problems.append(f"n_trials: must be a positive integer at most {MAX_TRIALS}")
     if not 0 <= cfg.seed < 2**64:
         problems.append("seed: must fit in an unsigned 64-bit integer")
+    if cfg.error_budget is not None and cfg.error_budget < 1:
+        problems.append("error_budget: must be None (never stop) or at least 1")
 
     # Superposed transmit values must be pairwise distinct or detection is
     # ill-posed; only checkable once alpha itself is well formed.

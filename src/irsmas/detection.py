@@ -94,11 +94,13 @@ def rac_candidates_batch(y: np.ndarray, table: RacTable, n_c: int, n_iters: int)
 def ssd_detect_batch(
     y: np.ndarray,
     h: np.ndarray,
+    norms: np.ndarray,
     cfg: SystemConfig,
     table: RacTable,
     const: Constellation,
 ):
-    """SSD receiver for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl).
+    """SSD receiver for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl)
+    and its row norms (T, n_rx).
 
     Decodes the best n_iters ranked candidates of every trial at once.  A
     candidate's slots are visited weakest channel row first; the first is
@@ -116,7 +118,7 @@ def ssd_detect_batch(
     n_trials, n_v = cand.shape
     n_sel, points = cfg.n_sel, const.points
     trial = np.arange(n_trials)
-    rows, _, order = slot_order(cand, h, table)  # (T, V, n_sel), by slot
+    rows, _, order = slot_order(cand, norms, table)  # (T, V, n_sel), by slot
     order = order[..., ::-1]  # weakest first
     ant_o = np.take_along_axis(rows - 1, order, axis=-1)  # antennas in decoding order
 
@@ -161,11 +163,12 @@ def check_ml_guard(cfg: SystemConfig) -> None:
 def ml_detect_batch(
     y: np.ndarray,
     h: np.ndarray,
+    norms: np.ndarray,
     cfg: SystemConfig,
     table: RacTable,
-    const: Constellation,
 ):
-    """Exhaustive ML search for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl).
+    """Exhaustive ML search for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl)
+    and its row norms (T, n_rx).
 
     Minimizes ||y - H theta_p x||^2 over every legitimate row p and every
     value x in the superposition set.  Ties resolve to the smaller p, then
@@ -184,7 +187,7 @@ def ml_detect_batch(
     decision and distance are those of the direct search, bit for bit.
     """
     check_ml_guard(cfg)
-    values, tuples = superposition_set(cfg, const)
+    values, tuples = superposition_set(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
     axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
     n_trials, n_rx = y.shape
     n_rows = table.row_count
@@ -251,7 +254,7 @@ def ml_detect_batch(
             _keep_first_minimum(found, t, p, v, _exact_distance(y, gains, values, t, p, v))
     distance, p_hat, v_hat = found
 
-    _, _, order = slot_order(p_hat, h, table)  # slot of each tuple position
+    _, _, order = slot_order(p_hat, norms, table)  # slot of each tuple position
     labels = np.empty((n_trials, cfg.n_sel), dtype=np.int64)
     np.put_along_axis(labels, order, tuples[v_hat], axis=1)
     return p_hat, labels, distance
@@ -309,15 +312,18 @@ def ml_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
               const: Constellation) -> DetectionResult:
     """Jointly optimal exhaustive search for one trial: ``ml_detect_batch``
     on a stack of one."""
-    p_hat, labels, distance = ml_detect_batch(y[None], channel.h[None], cfg, table, const)
+    h = channel.h[None]
+    p_hat, labels, distance = ml_detect_batch(y[None], h, np.linalg.norm(h, axis=-1), cfg,
+                                              table)
     return _first_result(p_hat, labels, distance, cfg, const, mac_ml(cfg))
 
 
 def ssd_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
                const: Constellation) -> DetectionResult:
     """SSD receiver for one trial: ``ssd_detect_batch`` on a stack of one."""
-    p_hat, labels, distance, n_cand = ssd_detect_batch(y[None], channel.h[None], cfg, table,
-                                                       const)
+    h = channel.h[None]
+    p_hat, labels, distance, n_cand = ssd_detect_batch(y[None], h, np.linalg.norm(h, axis=-1),
+                                                       cfg, table, const)
     return _first_result(p_hat, labels, distance, cfg, const, mac_ssd(cfg, int(n_cand[0])))
 
 

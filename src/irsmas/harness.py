@@ -21,6 +21,8 @@ trials.  ``run_trial`` runs one trial as a chunk of one.
 """
 
 import heapq
+import math
+import operator
 import os
 import queue
 from dataclasses import dataclass, replace
@@ -30,7 +32,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .baselines import SasScheme, sas_detect_batch, sas_encode_batch, sas_mac
-from .channel import draw_trials, propagate_batch
+from .channel import draw_layout, draw_trials, propagate_batch
 from .core import MOD_NAMES, SystemConfig, make_constellation, validate_config
 from .detection import (
     check_ml_guard,
@@ -120,35 +122,63 @@ def bits_per_tx(cfg: SystemConfig, scheme: str) -> int:
     return _sas_scheme(cfg, scheme).bits_per_tx
 
 
-def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range):
+def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range,
+                  workspace=None):
     """(bit errors, block errors, MACs) of a few trials, run as arrays.
 
     Each trial draws bits, channel and noise from its own ``trial_rng``
     stream, in that order, then is encoded, propagated and detected.
+    ``workspace``, if given, is ``_workspace`` for at least this many
+    trials, and the chunk overwrites its arrays instead of allocating them.
     """
+    draws, phases = workspace or (None, None)
     bits, h, noise = draw_trials(cfg.seed, trials, bits_per_tx(cfg, scheme), cfg.n_rx,
-                                 cfg.n_refl)
+                                 cfg.n_refl, out=draws)
     if scheme == "mas":
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = _constellation(cfg.mod_order)
-        x, theta = encode_batch(bits, h, cfg, table, const)
+        norms = np.linalg.norm(h, axis=-1)  # for every slot order, encoder's and detector's
+        x, theta = encode_batch(bits, h, norms, cfg, table, const)
         y = propagate_batch(h, theta, x, noise, cfg.noise_sigma)
         if detector == "ml":
-            p_hat, labels, _ = ml_detect_batch(y, h, cfg, table, const)
+            p_hat, labels, _ = ml_detect_batch(y, h, norms, cfg, table)
             mac = len(trials) * mac_ml(cfg)
         else:
-            p_hat, labels, _, n_cand = ssd_detect_batch(y, h, cfg, table, const)
+            p_hat, labels, _, n_cand = ssd_detect_batch(y, h, norms, cfg, table, const)
             mac = sum(mac_ssd(cfg, int(n)) for n in n_cand)
         bits_hat = detected_bits(p_hat, labels, cfg)
     else:
         sas = _sas_scheme(cfg, scheme)
-        phases = aligning_phases(h)  # every target's reflector phases, shared
+        # every target's reflector phases, shared by encoder and detector
+        phases = aligning_phases(h, out=None if phases is None else phases[: len(trials)])
         x, theta = sas_encode_batch(bits, phases, sas)
         y = propagate_batch(h, theta, x, noise, cfg.noise_sigma)
         bits_hat, _ = sas_detect_batch(y, h, phases, sas)
         mac = len(trials) * sas_mac(sas, cfg.n_refl)
     errors = np.count_nonzero(bits != bits_hat, axis=1)
     return int(errors.sum()), int(np.count_nonzero(errors)), mac
+
+
+def _workspace(cfg: SystemConfig, scheme: str, n_trials: int):
+    """The large arrays of a chunk of up to ``n_trials`` trials: the draws'
+    buffers and, for a baseline, the aligning phases.
+
+    A block allocates them once and every chunk overwrites them, so the
+    chunk loop does not free and fault in the same pages again.  They are
+    views of one allocation, at offsets that are multiples of 64 bytes:
+    freed at the end of a block as one large mmap'ed chunk, it makes glibc
+    raise its heap trim threshold to twice its size, so the heap keeps the
+    pages that the next block's workspace and temporaries reuse.
+    """
+    layout = draw_layout(n_trials, bits_per_tx(cfg, scheme), cfg.n_rx, cfg.n_refl)
+    if scheme != "mas":
+        layout.append(layout[2])  # phases, shaped like the channels
+    nbytes = [math.prod(shape) * dtype.itemsize for shape, dtype in layout]
+    starts = np.cumsum([0] + [-(-n // 64) * 64 for n in nbytes])
+    memory = np.empty(starts[-1], dtype=np.uint8)
+    arrays = [memory[lo : lo + n].view(dtype).reshape(shape)
+              for (shape, dtype), n, lo in zip(layout, nbytes, starts)]
+    return arrays[:4], (arrays[4] if scheme != "mas" else None)
 
 
 def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -> TrialOutcome:
@@ -162,7 +192,9 @@ def _block_counts(args):
     """Aggregate counts for one scheduling block (top level for pickling)."""
     cfg, scheme, detector, start, count = args
     stop = start + count
-    parts = [_chunk_counts(cfg, scheme, detector, range(lo, min(lo + CHUNK_TRIALS, stop)))
+    workspace = _workspace(cfg, scheme, min(CHUNK_TRIALS, count))
+    parts = [_chunk_counts(cfg, scheme, detector, range(lo, min(lo + CHUNK_TRIALS, stop)),
+                           workspace)
              for lo in range(start, stop, CHUNK_TRIALS)]
     return (count, *(sum(column) for column in zip(*parts)))
 
@@ -200,8 +232,8 @@ def _available_parallelism() -> int:
 
 def _resolve_workers(workers) -> int:
     """Worker count: ``workers`` if given, else ``IRSMAS_WORKERS`` if set and
-    not empty, else every available core.  Anything but an integer >= 1 is
-    rejected, naming where it came from."""
+    not empty, else every available core.  Anything but an integer >= 1 (a
+    float such as 2.5 included) is rejected, naming where it came from."""
     source = "workers"
     if workers is None:
         workers = os.environ.get("IRSMAS_WORKERS")
@@ -209,8 +241,8 @@ def _resolve_workers(workers) -> int:
             return _available_parallelism()
         source = "IRSMAS_WORKERS"
     try:
-        count = int(workers)
-    except ValueError:
+        count = int(workers) if isinstance(workers, str) else operator.index(workers)
+    except (TypeError, ValueError):
         count = 0
     if count < 1:
         raise ValueError(f"{source} must be an integer >= 1, got {workers!r}")

@@ -84,31 +84,33 @@ def row_phases(h: np.ndarray, rows: np.ndarray, delta: int) -> np.ndarray:
     return theta
 
 
-def slot_order(p: np.ndarray, h: np.ndarray, table: RacTable):
+def slot_order(p: np.ndarray, norms: np.ndarray, table: RacTable):
     """The antennas of RAC rows ``p`` and their slots in power order.
 
-    ``p`` holds row indices (T, ...) and ``h`` the trials' channels
-    (T, n_rx, n_refl).  Returns the rows' antennas (T, ..., n_sel,
-    1-based), their channel row norms, and the slots by descending norm
-    (0-based, ties to the smaller slot).
+    ``p`` holds row indices (T, ...) and ``norms`` the trials' channel row
+    norms (T, n_rx), ``np.linalg.norm(h, axis=-1)`` of their channels.
+    Returns the rows' antennas (T, ..., n_sel, 1-based), their channel row
+    norms, and the slots by descending norm (0-based, ties to the smaller
+    slot).
     """
     sel = table.rows[p]
-    norms = np.linalg.norm(h, axis=-1).reshape(len(h), *(1,) * (p.ndim - 1), -1)
+    norms = norms.reshape(len(norms), *(1,) * (p.ndim - 1), -1)
     weights = np.take_along_axis(norms, sel - 1, axis=-1)
     return sel, weights, np.argsort(-weights, axis=-1, kind="stable")
 
 
-def encode_batch(bits: np.ndarray, h: np.ndarray, cfg: SystemConfig, table: RacTable,
-                 const: Constellation):
+def encode_batch(bits: np.ndarray, h: np.ndarray, norms: np.ndarray, cfg: SystemConfig,
+                 table: RacTable, const: Constellation):
     """Map a stack of bit blocks to transmit scalars and reflector phases.
 
     The first l1 bits pick the antenna combination; bit block j (of
     bits_per_sym bits) modulates slot j's symbol.  Power ratio alpha[i] goes
     to the slot in descending-weight position i.  ``bits`` is
-    (T, block_len) and ``h`` (T, n_rx, n_refl).  Returns the transmit
-    scalars (T,) and reflector phase vectors (T, n_refl).
+    (T, block_len), ``h`` (T, n_rx, n_refl) and ``norms`` its row norms
+    (T, n_rx).  Returns the transmit scalars (T,) and reflector phase
+    vectors (T, n_refl).
     """
-    sel, _, order = slot_order(pack_bits(bits[:, : cfg.l1], cfg.l1)[:, 0], h, table)
+    sel, _, order = slot_order(pack_bits(bits[:, : cfg.l1], cfg.l1)[:, 0], norms, table)
     symbols = const.points[pack_bits(bits[:, cfg.l1 :], cfg.bits_per_sym)]  # per slot
     x = np.zeros(len(bits), dtype=complex)
     for i in range(cfg.n_sel):
@@ -125,7 +127,9 @@ def encode(bits, channel, cfg: SystemConfig, table: RacTable, const: Constellati
     if len(bits) != cfg.block_len:
         raise ValueError(f"expected {cfg.block_len} bits, got {len(bits)}")
     h = channel.h[None]
-    x, theta = encode_batch(bits[None], h, cfg, table, const)
-    sel, weights, order = slot_order(pack_bits(bits[None, : cfg.l1], cfg.l1)[:, 0], h, table)
+    norms = np.linalg.norm(h, axis=-1)
+    x, theta = encode_batch(bits[None], h, norms, cfg, table, const)
+    sel, weights, order = slot_order(pack_bits(bits[None, : cfg.l1], cfg.l1)[:, 0], norms,
+                                     table)
     return TxOutput(x=complex(x[0]), theta=theta[0], sel=sel[0], order_desc=order[0] + 1,
                     weights=weights[0])

@@ -240,7 +240,7 @@ def direct_ml_detect(y, channel, cfg: SystemConfig, table: RacTable, const: Cons
     """Reference ML search: every (row, tuple) distance computed elementwise,
     2**14 hypotheses at a time; the first minimum wins.  Returns (row
     index, per-slot symbols, distance)."""
-    values, labels = superposition_set(cfg, const)
+    values, labels = superposition_set(cfg.mod_order, cfg.alpha, cfg.sym_energy)
     theta = np.stack([reflector_phases(channel.h[row - 1], cfg.delta) for row in table.rows])
     gains = channel.h @ theta.T  # n_rx x C
 

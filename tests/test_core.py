@@ -150,6 +150,8 @@ class TestSystemConfig:
             ({"snr_grid_db": (-14.0, float("nan"))}, "snr"),
             ({"snr_grid_db": (float("-inf"),)}, "snr"),
             ({"snr_grid_db": (-14.0, -1000.5)}, "snr"),
+            ({"error_budget": 0}, "error_budget"),
+            ({"error_budget": -4}, "error_budget"),
         ],
     )
     def test_validation_names_field(self, fields, fragment):
@@ -177,7 +179,7 @@ class TestSystemConfig:
         # sqrt(1/14) + sqrt(4/14) - sqrt(9/14) is exactly 0.0, so two tuples
         # superpose to the same value, not merely to close ones
         cfg = SystemConfig(n_sel=3, mod_order=2, alpha=(1 / 14, 4 / 14, 9 / 14))
-        values, _ = superposition_set(cfg, make_constellation(2))
+        values, _ = superposition_set(2, cfg.alpha, cfg.sym_energy)
         assert np.count_nonzero(values == 0) == 2
         with pytest.raises(ValueError, match="alpha"):
             validate_config(cfg)
@@ -192,7 +194,7 @@ class TestSystemConfig:
                                            max_size=n_sel)))
         alpha = data.draw(st.sampled_from(crafted + [tuple(drawn / drawn.sum())]))
         cfg = SystemConfig(n_rx=8, n_sel=n_sel, mod_order=mod_order, alpha=alpha)
-        values, _ = superposition_set(cfg, make_constellation(mod_order))
+        values, _ = superposition_set(mod_order, alpha, cfg.sym_energy)
         pairwise = np.inf
         for lo in range(0, len(values), 256):  # 256 rows of distances at a time
             d = np.abs(values[lo : lo + 256, None] - values)
@@ -228,6 +230,10 @@ class TestSystemConfig:
 
     def test_snr_floor_accepted(self):
         validate_config(dataclasses.replace(PAPER_CFG, snr_grid_db=(-1000.0,)))
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_error_budget_accepted(self, budget):
+        validate_config(dataclasses.replace(PAPER_CFG, error_budget=budget))
 
     def test_validate_returns_config(self):
         assert validate_config(PAPER_CFG) is PAPER_CFG

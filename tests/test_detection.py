@@ -50,7 +50,7 @@ class TestQuantize:
 
 class TestSuperpositionSet:
     def test_bpsk_frozen_values(self):
-        values, labels = superposition_set(CFG, BPSK)
+        values, labels = superposition_set(2, CFG.alpha, CFG.sym_energy)
         assert len(values) == 4
         np.testing.assert_array_equal(labels, [[0, 0], [0, 1], [1, 0], [1, 1]])
         np.testing.assert_allclose(
@@ -61,11 +61,22 @@ class TestSuperpositionSet:
         )
 
     def test_sizes(self):
-        qpsk = make_constellation(4)
-        cfg = dataclasses.replace(CFG, mod_order=4)
-        values, labels = superposition_set(cfg, qpsk)
+        values, labels = superposition_set(4, CFG.alpha, CFG.sym_energy)
         assert values.shape == (16,) and labels.shape == (16, 2)
         assert len(np.unique(np.round(values, 9))) == 16
+
+    def test_built_once_read_only(self):
+        alpha = (0.01, 0.1, 0.89)
+        values, labels = superposition_set(16, alpha, 2.5)
+        again = superposition_set(16, alpha, 2.5)
+        assert again[0] is values and again[1] is labels
+        assert not values.flags.writeable and not labels.flags.writeable
+        # equal, bit for bit, to a build from the constellation by one product
+        want_labels = np.indices((16,) * 3).reshape(3, -1).T
+        scale = np.sqrt(np.asarray(alpha)) * 2.5
+        np.testing.assert_array_equal(labels, want_labels)
+        np.testing.assert_array_equal(
+            values, make_constellation(16).points[want_labels] @ scale.astype(complex))
 
 
 @st.composite
@@ -83,9 +94,7 @@ class TestSuperpositionAxes:
     @example((64, (0.01, 0.1, 0.89), 1.0))
     def test_axes_rebuild_superposition_set(self, case):
         mod_order, alpha, sym_energy = case
-        cfg = SystemConfig(n_sel=len(alpha), mod_order=mod_order, alpha=alpha,
-                           sym_energy=sym_energy)
-        values, _ = superposition_set(cfg, make_constellation(mod_order))
+        values, _ = superposition_set(mod_order, alpha, sym_energy)
         axes = superposition_axes(mod_order, alpha, sym_energy)
         # (ia, ib) is a bijection from the tuples onto A x B
         assert len(values) == len(axes.a) * len(axes.b) == len(axes.ia) == len(axes.ib)
@@ -192,7 +201,8 @@ class TestSsdBatch:
 
     def assert_matches_scalar(self, y, h, cfg, const):
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        p_hat, labels, distance, n_cand = ssd_detect_batch(y, h, cfg, table, const)
+        p_hat, labels, distance, n_cand = ssd_detect_batch(y, h, np.linalg.norm(h, axis=-1), cfg,
+                                                           table, const)
         for t in range(len(y)):
             ref = reference_ssd_detect(y[t], ChannelMatrix(h[t]), cfg, table, const)
             assert p_hat[t] == ref.rac_index
@@ -274,7 +284,8 @@ class TestBitsRecovery:
 
     def test_matches_encode_layout(self):
         bits, ch, y = make_trial(CFG, 9)
-        p_hat, labels, _ = ml_detect_batch(y[None], ch.h[None], CFG, TABLE, BPSK)
+        h = ch.h[None]
+        p_hat, labels, _ = ml_detect_batch(y[None], h, np.linalg.norm(h, axis=-1), CFG, TABLE)
         np.testing.assert_array_equal(detected_bits(p_hat, labels, CFG)[0], bits)
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import irsmas.harness
 from irsmas.baselines import SasScheme, sas_detect_batch
-from irsmas.channel import ChannelMatrix
+from irsmas.channel import ChannelMatrix, draw_layout, draw_trials
 from irsmas.core import SystemConfig, make_constellation, superposition_set, validate_config
 from irsmas.detection import SCREEN_BUDGET, mac_ml, ml_detect, ml_detect_batch
 from irsmas.harness import (
@@ -143,7 +143,7 @@ class TestBatchedMlEngine:
     def assert_matches_direct(self, y, h, cfg):
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        p_hat, labels, distance = ml_detect_batch(y, h, cfg, table, const)
+        p_hat, labels, distance = ml_detect_batch(y, h, np.linalg.norm(h, axis=-1), cfg, table)
         for t in range(len(y)):
             ref_p, ref_symbols, ref_d = direct_ml_detect(y[t], ChannelMatrix(h[t]), cfg,
                                                          table, const)
@@ -226,8 +226,7 @@ class TestBatchedMlEngine:
         # align the same reflector phases and explain y equally well
         cfg = SystemConfig(n_rx=6, n_sel=2, n_refl=10, mod_order=4, noise_sigma=0.05, seed=5)
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        const = make_constellation(cfg.mod_order)
-        values, _ = superposition_set(cfg, const)
+        values, _ = superposition_set(cfg.mod_order, cfg.alpha, cfg.sym_energy)
         _, h, y = make_trials(cfg, range(3))
         h[:, 3] = h[:, 2]
         np.testing.assert_array_equal(table.rows[1:3], [[1, 3], [1, 4]])
@@ -244,14 +243,14 @@ class TestBatchedMlEngine:
         # screen and re-check hold at most 2**16 scores (512 KB) an array.
         cfg = SystemConfig(mod_order=16, alpha=(0.05, 0.95))
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        const = make_constellation(cfg.mod_order)
         rng = np.random.default_rng(1)
         y = rng.standard_normal((CHUNK_TRIALS, cfg.n_rx)) + 0j
         h = np.zeros((CHUNK_TRIALS, cfg.n_rx, cfg.n_refl), dtype=complex)
-        ml_detect_batch(y[:1], h[:1], cfg, table, const)  # build the cached axes first
+        norms = np.linalg.norm(h, axis=-1)
+        ml_detect_batch(y[:1], h[:1], norms[:1], cfg, table)  # build the cached sets first
         tracemalloc.start()
         try:
-            p_hat, labels, distance = ml_detect_batch(y, h, cfg, table, const)
+            p_hat, labels, distance = ml_detect_batch(y, h, norms, cfg, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,6 +350,51 @@ def test_chunk_length_does_not_change_counts(monkeypatch, name, chunk):
     assert _block_counts((cfg, scheme, detector, *CHUNK_BLOCK)) == (CHUNK_BLOCK[1], *want)
 
 
+class TestWorkspace:
+    """A block allocates its chunks' large arrays once, and every chunk
+    overwrites them."""
+
+    @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+    def test_every_chunk_reuses_the_block_buffers(self, monkeypatch, name):
+        scheme, detector, cfg = CHUNK_CASES[name]
+        monkeypatch.setattr(irsmas.harness, "CHUNK_TRIALS", 32)
+        seen = []
+        real_draw, real_phases = irsmas.harness.draw_trials, irsmas.harness.aligning_phases
+
+        def draw_trials(*args, out=None):
+            bits, h, noise = real_draw(*args, out=out)
+            assert np.shares_memory(h, out[2]) and np.shares_memory(noise, out[3])
+            seen.append(("draws", len(bits), tuple(buf.ctypes.data for buf in out)))
+            return bits, h, noise
+
+        def aligning_phases(h, out=None):
+            seen.append(("phases", len(h), out.ctypes.data))
+            return real_phases(h, out=out)
+
+        monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
+        monkeypatch.setattr(irsmas.harness, "aligning_phases", aligning_phases)
+        assert _block_counts((cfg, scheme, detector, *CHUNK_BLOCK)) == (CHUNK_BLOCK[1],
+                                                                          *reference_block(name))
+        kinds = ["draws"] if scheme == "mas" else ["draws", "phases"]
+        for kind in kinds:
+            calls = [(n, data) for k, n, data in seen if k == kind]
+            assert [n for n, _ in calls] == [32, 32, 3]  # 67 trials: the last chunk is ragged
+            assert len({data for _, data in calls}) == 1
+
+    def test_draws_into_used_buffers_equal_fresh_draws(self):
+        n_bits, n_rx, n_refl = 7, 3, 5
+        out = [np.empty(shape, dtype) for shape, dtype in draw_layout(10, n_bits, n_rx, n_refl)]
+        out[0].fill(np.iinfo(np.uint64).max)
+        for buf in out[1:]:
+            buf.fill(np.nan)
+        # NaN-filled buffers, then a larger chunk, then a smaller one after it
+        for trials in (range(40, 44), range(20, 30), range(2**32 - 1, 2**32 + 2)):
+            got = draw_trials(9, trials, n_bits, n_rx, n_refl, out=out)
+            want = draw_trials(9, trials, n_bits, n_rx, n_refl)
+            for got_part, want_part in zip(got, want):
+                np.testing.assert_array_equal(got_part, want_part)
+
+
 class TestResolveWorkers:
     def test_default_is_every_core(self, monkeypatch):
         monkeypatch.delenv("IRSMAS_WORKERS", raising=False)
@@ -370,7 +414,7 @@ class TestResolveWorkers:
         with pytest.raises(ValueError, match="IRSMAS_WORKERS"):
             _resolve_workers(None)
 
-    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("workers", [0, -1, 2.5])
     def test_bad_argument_named(self, workers):
         with pytest.raises(ValueError, match="workers must be"):
             _resolve_workers(workers)
