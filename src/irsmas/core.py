@@ -21,6 +21,8 @@ MAX_AXIS_VALUES = 2**20
 # received vectors and every squared distance the receivers form stay
 # finite; far lower SNRs overflow to inf and NaN.
 SNR_FLOOR_DB = -1000.0
+# Noise standard deviation at SNR_FLOOR_DB, the largest accepted.
+MAX_NOISE_SIGMA = 10.0 ** (-SNR_FLOOR_DB / 20.0)
 # Most trials per SNR point.  Trial indices address Philox counter space
 # and must stay below 2**64; a sweep also lists its 1000-trial blocks up
 # front.  10**9 trials is days of work per point, far below either limit.
@@ -271,6 +273,8 @@ def _selection_problems(cfg: SystemConfig) -> list:
         )
     if len(cfg.alpha) != cfg.n_sel:
         problems.append(f"alpha: expected {cfg.n_sel} ratios, got {len(cfg.alpha)}")
+    elif not all(map(math.isfinite, cfg.alpha)):
+        problems.append(f"alpha: ratios must be finite (got {cfg.alpha!r})")
     else:
         if any(a <= 0 for a in cfg.alpha):
             problems.append("alpha: ratios must be positive")
@@ -320,10 +324,13 @@ def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
         problems.append("n_refl: must be a positive integer")
     if cfg.mod_order not in MOD_ORDERS.values():
         problems.append(f"mod_order: unsupported order {cfg.mod_order}")
-    if cfg.sym_energy <= 0:
-        problems.append("sym_energy: must be positive")
-    if cfg.noise_sigma < 0:
-        problems.append("noise_sigma: must be non-negative")
+    if not (math.isfinite(cfg.sym_energy) and cfg.sym_energy > 0):
+        problems.append("sym_energy: must be positive and finite")
+    if not 0 <= cfg.noise_sigma <= MAX_NOISE_SIGMA:
+        problems.append(
+            f"noise_sigma: must be finite and between 0 and {MAX_NOISE_SIGMA:g}, "
+            f"the noise at {SNR_FLOOR_DB:g} dB (got {cfg.noise_sigma!r})"
+        )
     bad_snr = [s for s in cfg.snr_grid_db if not snr_value_ok(s)]
     if bad_snr:
         problems.append(

@@ -166,9 +166,11 @@ def ml_detect_batch(
     norms: np.ndarray,
     cfg: SystemConfig,
     table: RacTable,
+    phases=None,
+    buffers=None,
 ):
-    """Exhaustive ML search for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl)
-    and its row norms (T, n_rx).
+    """Exhaustive ML search for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl),
+    its row norms (T, n_rx) and, if already computed, its ``aligning_phases``.
 
     Minimizes ||y - H theta_p x||^2 over every legitimate row p and every
     value x in the superposition set.  Ties resolve to the smaller p, then
@@ -185,6 +187,10 @@ def ml_detect_batch(
     rounding bound of that minimum is then recomputed elementwise, exactly
     as the direct search computes it (antennas summed in order), so the
     decision and distance are those of the direct search, bit for bit.
+
+    ``buffers``, if given, is a row-phase buffer (C, n_refl) and a gains
+    stack (at least T, n_rx, C), complex, which the search overwrites
+    instead of allocating them.
     """
     check_ml_guard(cfg)
     values, tuples = superposition_set(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
@@ -201,7 +207,18 @@ def ml_detect_batch(
     for block, slot in reflector_blocks(n_refl, cfg.n_sel, cfg.delta):
         follows[:, block] = table.rows[:, slot, None] - 1
     flat = follows * n_refl + np.arange(n_refl)
-    gains = np.stack([h_t @ u_t.take(flat).T for h_t, u_t in zip(h, aligning_phases(h))])
+    if phases is None:
+        phases = aligning_phases(h)
+    if buffers is None:
+        buffers = (np.empty((n_rows, n_refl), dtype=complex),
+                   np.empty((n_trials, n_rx, n_rows), dtype=complex))
+    theta, gains = buffers
+    gains = gains[:n_trials]
+    for h_t, u_t, g_t in zip(h, phases, gains):
+        # flat is in range, so "clip" changes no index; the default "raise"
+        # would have numpy copy the result through a temporary
+        np.take(u_t, flat, out=theta, mode="clip")
+        np.matmul(h_t, theta.T, out=g_t)
 
     # score(p, a + jb) = distance - ||y||^2 = f_A(p, a) + f_B(p, b), with
     # f_A = a (||g||^2 a - 2 Re(g^H y)) and f_B = b (||g||^2 b - 2 Im(g^H y)),
@@ -340,8 +357,9 @@ def mac_base(n_rx: int, n_refl: int) -> int:
     return 8 * n_rx * n_refl + 10 * n_rx - 1
 
 
-def mac_ssd(cfg: SystemConfig, n_cand: int) -> int:
-    """Multiply-accumulate count charged to one SSD detection with n_cand candidates."""
+def mac_ssd(cfg: SystemConfig, n_cand):
+    """Multiply-accumulate count charged to one SSD detection with n_cand
+    candidates; elementwise for an array of candidate counts."""
     return cfg.n_iters * mac_base(cfg.n_rx, cfg.n_refl) + n_cand * (cfg.n_sel - 1) + 3 * cfg.n_rx
 
 

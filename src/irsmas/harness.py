@@ -131,9 +131,14 @@ def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range,
     ``workspace``, if given, is ``_workspace`` for at least this many
     trials, and the chunk overwrites its arrays instead of allocating them.
     """
-    draws, phases = workspace or (None, None)
+    draws, buffers = workspace or (None, [])
+    n_trials = len(trials)
     bits, h, noise = draw_trials(cfg.seed, trials, bits_per_tx(cfg, scheme), cfg.n_rx,
                                  cfg.n_refl, out=draws)
+    if scheme != "mas" or detector == "ml":
+        # every target's reflector phases, for a baseline's encoder and
+        # detector or for the ml search's gathers
+        phases = aligning_phases(h, out=buffers[0][:n_trials] if buffers else None)
     if scheme == "mas":
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = _constellation(cfg.mod_order)
@@ -141,27 +146,29 @@ def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range,
         x, theta = encode_batch(bits, h, norms, cfg, table, const)
         y = propagate_batch(h, theta, x, noise, cfg.noise_sigma)
         if detector == "ml":
-            p_hat, labels, _ = ml_detect_batch(y, h, norms, cfg, table)
-            mac = len(trials) * mac_ml(cfg)
+            p_hat, labels, _ = ml_detect_batch(y, h, norms, cfg, table, phases,
+                                               buffers[1:] or None)
+            mac = n_trials * mac_ml(cfg)
         else:
             p_hat, labels, _, n_cand = ssd_detect_batch(y, h, norms, cfg, table, const)
-            mac = sum(mac_ssd(cfg, int(n)) for n in n_cand)
+            mac = int(mac_ssd(cfg, n_cand).sum())
         bits_hat = detected_bits(p_hat, labels, cfg)
     else:
         sas = _sas_scheme(cfg, scheme)
-        # every target's reflector phases, shared by encoder and detector
-        phases = aligning_phases(h, out=None if phases is None else phases[: len(trials)])
         x, theta = sas_encode_batch(bits, phases, sas)
         y = propagate_batch(h, theta, x, noise, cfg.noise_sigma)
         bits_hat, _ = sas_detect_batch(y, h, phases, sas)
-        mac = len(trials) * sas_mac(sas, cfg.n_refl)
+        mac = n_trials * sas_mac(sas, cfg.n_refl)
     errors = np.count_nonzero(bits != bits_hat, axis=1)
     return int(errors.sum()), int(np.count_nonzero(errors)), mac
 
 
-def _workspace(cfg: SystemConfig, scheme: str, n_trials: int):
+def _workspace(cfg: SystemConfig, scheme: str, detector: str, n_trials: int):
     """The large arrays of a chunk of up to ``n_trials`` trials: the draws'
-    buffers and, for a baseline, the aligning phases.
+    buffers and a list of the rest.  The list holds, for a baseline, the
+    aligning phases; for ``ml``, the aligning phases, the row-phase buffer
+    (C, n_refl) and the gains stack (n_trials, n_rx, C); for ``ssd``,
+    nothing.  The phases share the normals' bytes, so they cost no memory.
 
     A block allocates them once and every chunk overwrites them, so the
     chunk loop does not free and fault in the same pages again.  They are
@@ -171,14 +178,22 @@ def _workspace(cfg: SystemConfig, scheme: str, n_trials: int):
     pages that the next block's workspace and temporaries reuse.
     """
     layout = draw_layout(n_trials, bits_per_tx(cfg, scheme), cfg.n_rx, cfg.n_refl)
-    if scheme != "mas":
-        layout.append(layout[2])  # phases, shaped like the channels
+    if scheme == "mas" and detector == "ml":
+        n_rows = build_rac_table(cfg.n_rx, cfg.n_sel).row_count
+        layout += [((n_rows, cfg.n_refl), np.dtype(complex)),
+                   ((n_trials, cfg.n_rx, n_rows), np.dtype(complex))]
     nbytes = [math.prod(shape) * dtype.itemsize for shape, dtype in layout]
     starts = np.cumsum([0] + [-(-n // 64) * 64 for n in nbytes])
     memory = np.empty(starts[-1], dtype=np.uint8)
     arrays = [memory[lo : lo + n].view(dtype).reshape(shape)
               for (shape, dtype), n, lo in zip(layout, nbytes, starts)]
-    return arrays[:4], (arrays[4] if scheme != "mas" else None)
+    draws, rest = arrays[:4], arrays[4:]
+    if scheme != "mas" or detector == "ml":
+        # shaped like the channels; draw_trials has consumed the normals
+        # by the time the phases are computed
+        channels = draws[2]
+        rest.insert(0, draws[1].ravel().view(complex)[: channels.size].reshape(channels.shape))
+    return draws, rest
 
 
 def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -> TrialOutcome:
@@ -192,7 +207,7 @@ def _block_counts(args):
     """Aggregate counts for one scheduling block (top level for pickling)."""
     cfg, scheme, detector, start, count = args
     stop = start + count
-    workspace = _workspace(cfg, scheme, min(CHUNK_TRIALS, count))
+    workspace = _workspace(cfg, scheme, detector, min(CHUNK_TRIALS, count))
     parts = [_chunk_counts(cfg, scheme, detector, range(lo, min(lo + CHUNK_TRIALS, stop)),
                            workspace)
              for lo in range(start, stop, CHUNK_TRIALS)]

@@ -210,6 +210,7 @@ class TestParseRunSpec:
         ("--scheme sas-ssk --nr 12", "n_rx:"),
         ("--trials 0", "n_trials:"),
         ("--trials 18446744073709551617", "n_trials:"),
+        ("--alpha=nan,nan", "alpha:"),
     ])
     def test_invalid_config_exits_naming_field(self, argv, field, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from irsmas.core import (
+    MAX_NOISE_SIGMA,
     MOD_ORDERS,
+    SNR_FLOOR_DB,
     SUPERPOSITION_GAP,
     SystemConfig,
     bits_to_int,
@@ -152,12 +154,24 @@ class TestSystemConfig:
             ({"snr_grid_db": (-14.0, -1000.5)}, "snr"),
             ({"error_budget": 0}, "error_budget"),
             ({"error_budget": -4}, "error_budget"),
+            ({"noise_sigma": float("nan")}, "noise_sigma"),
+            ({"noise_sigma": float("inf")}, "noise_sigma"),
+            ({"noise_sigma": 1.01e50}, "noise_sigma"),
+            ({"sym_energy": float("nan")}, "sym_energy"),
+            ({"sym_energy": float("inf")}, "sym_energy"),
+            ({"alpha": (float("nan"), float("nan"))}, "alpha: ratios must be finite"),
+            ({"alpha": (0.05, float("nan"))}, "alpha: ratios must be finite"),
         ],
     )
     def test_validation_names_field(self, fields, fragment):
         cfg = dataclasses.replace(PAPER_CFG, **fields)
         with pytest.raises(ValueError, match=fragment):
             validate_config(cfg)
+
+    def test_noise_at_snr_floor_accepted(self):
+        sigma = 10.0 ** (-SNR_FLOOR_DB / 20.0)  # as run_sweep derives it
+        assert sigma == MAX_NOISE_SIGMA
+        validate_config(dataclasses.replace(PAPER_CFG, noise_sigma=sigma))
 
     def test_equal_power_split_collides(self):
         # alpha = [0.5, 0.5] makes s1+s2 and s2+s1 style collisions; the

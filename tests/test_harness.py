@@ -22,6 +22,7 @@ from irsmas.harness import (
     CSV_COLUMNS,
     SweepRow,
     _block_counts,
+    _chunk_counts,
     _resolve_workers,
     bits_per_tx,
     compute_metrics,
@@ -360,6 +361,7 @@ class TestWorkspace:
         monkeypatch.setattr(irsmas.harness, "CHUNK_TRIALS", 32)
         seen = []
         real_draw, real_phases = irsmas.harness.draw_trials, irsmas.harness.aligning_phases
+        real_ml = irsmas.harness.ml_detect_batch
 
         def draw_trials(*args, out=None):
             bits, h, noise = real_draw(*args, out=out)
@@ -371,15 +373,82 @@ class TestWorkspace:
             seen.append(("phases", len(h), out.ctypes.data))
             return real_phases(h, out=out)
 
+        def ml_detect_batch(y, h, norms, cfg, table, phases=None, buffers=None):
+            theta, gains = buffers
+            assert theta.shape == (table.row_count, cfg.n_refl)
+            assert gains.shape == (32, cfg.n_rx, table.row_count)
+            seen.append(("ml", len(y), (phases.ctypes.data, theta.ctypes.data,
+                                        gains.ctypes.data)))
+            return real_ml(y, h, norms, cfg, table, phases, buffers)
+
         monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
         monkeypatch.setattr(irsmas.harness, "aligning_phases", aligning_phases)
+        monkeypatch.setattr(irsmas.harness, "ml_detect_batch", ml_detect_batch)
         assert _block_counts((cfg, scheme, detector, *CHUNK_BLOCK)) == (CHUNK_BLOCK[1],
                                                                           *reference_block(name))
-        kinds = ["draws"] if scheme == "mas" else ["draws", "phases"]
+        kinds = {"ssd": ["draws"], "ml": ["draws", "phases"]}[detector]
+        if scheme == "mas" and detector == "ml":
+            kinds.append("ml")
         for kind in kinds:
             calls = [(n, data) for k, n, data in seen if k == kind]
             assert [n for n, _ in calls] == [32, 32, 3]  # 67 trials: the last chunk is ragged
             assert len({data for _, data in calls}) == 1
+        if "ml" in kinds:  # the search gathers from the chunk's phases
+            assert ({data for k, _, data in seen if k == "phases"}
+                    == {data[0] for k, _, data in seen if k == "ml"})
+
+    @pytest.mark.parametrize("count", [CHUNK_TRIALS, 7])  # a full chunk, then a ragged one
+    def test_ml_into_used_buffers_equals_fresh_search(self, count):
+        cfg = dataclasses.replace(CHUNK_CASES["mas-ml"][2], mod_order=16, alpha=(0.05, 0.95))
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        _, h, y = make_trials(cfg, range(100, 100 + count))
+        norms = np.linalg.norm(h, axis=-1)
+        size = CHUNK_TRIALS + 5
+        phases = np.full((size, cfg.n_rx, cfg.n_refl), np.nan, dtype=complex)
+        buffers = (np.full((table.row_count, cfg.n_refl), np.nan, dtype=complex),
+                   np.full((size, cfg.n_rx, table.row_count), np.nan, dtype=complex))
+        want = ml_detect_batch(y, h, norms, cfg, table)
+        for _ in range(2):  # NaN-filled buffers, then the same buffers used
+            got = ml_detect_batch(y, h, norms, cfg, table,
+                                  aligning_phases(h, out=phases[:count]), buffers)
+            for got_part, want_part in zip(got, want):
+                np.testing.assert_array_equal(got_part, want_part)
+
+    def test_ml_workspace_lowers_the_chunk_peak(self):
+        scheme, detector, cfg = CHUNK_CASES["mas-ml"]
+        trials = range(45, 45 + CHUNK_TRIALS)
+        workspace = irsmas.harness._workspace(cfg, scheme, detector, CHUNK_TRIALS)
+        (_, _, h, _), (phases, _, gains) = workspace
+        want = _chunk_counts(cfg, scheme, detector, trials)  # build the cached sets first
+        peaks = []
+        tracemalloc.start()
+        try:
+            for space in (None, workspace):
+                tracemalloc.reset_peak()
+                assert _chunk_counts(cfg, scheme, detector, trials, space) == want
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # without a workspace, the search holds the channels, their phases
+        # and the gains stack at once
+        assert peaks[0] - peaks[1] >= h.nbytes + phases.nbytes + gains.nbytes
+
+    @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+    def test_workspace_adds_only_the_ml_buffers_to_the_draws(self, name):
+        scheme, detector, cfg = CHUNK_CASES[name]
+        draws, rest = irsmas.harness._workspace(cfg, scheme, detector, CHUNK_TRIALS)
+        memory = draws[0]
+        while memory.base is not None:
+            memory = memory.base
+        layout = draw_layout(CHUNK_TRIALS, bits_per_tx(cfg, scheme), cfg.n_rx, cfg.n_refl)
+        assert [(buf.shape, buf.dtype) for buf in draws] == layout
+        if scheme != "mas" or detector == "ml":  # the phases take the normals' bytes
+            assert rest[0].shape == draws[2].shape and np.shares_memory(rest[0], draws[1])
+        # every buffer is a multiple of 64 bytes here, so none is padded
+        ml_bytes = sum(buf.nbytes for buf in rest[1:])
+        assert memory.nbytes == ml_bytes + sum(math.prod(shape) * dtype.itemsize
+                                               for shape, dtype in layout)
+        assert len(rest) == {"mas-ssd": 0, "mas-ml": 3}.get(name, 1)
 
     def test_draws_into_used_buffers_equal_fresh_draws(self):
         n_bits, n_rx, n_refl = 7, 3, 5
