@@ -10,8 +10,8 @@ not on the constellation size, so its advantage grows exponentially.
 
 import dataclasses
 
-from irsmas import SasScheme, SystemConfig, mac_ml, mac_ssd
-from irsmas.baselines import sas_mac
+from irsmas import SystemConfig, mac_ml, mac_ssd
+from irsmas.harness import bits_per_tx
 
 cfg = SystemConfig()
 
@@ -28,8 +28,8 @@ for n_cand in (8, 10, 12, 15):
     print(f"  {n_cand:2d} candidates -> {mac_ssd(cfg, n_cand):,} macs")
 
 print("\nsingle-antenna baselines (16 rx, exhaustive detection):")
-for mode, order in [("ssk", 2), ("sm", 2), ("sm", 4)]:
-    scheme = SasScheme(mode=mode, n_rx=16, mod_order=order)
-    label = mode if mode == "ssk" else f"{mode}-{'bpsk' if order == 2 else 'qpsk'}"
-    print(f"  {label:<8} {scheme.bits_per_tx} bits/tx, "
-          f"{sas_mac(scheme, cfg.n_refl):,} macs")
+for label, scheme, order in [("ssk", "sas-ssk", 2), ("sm-bpsk", "sas-sm", 2),
+                             ("sm-qpsk", "sas-sm", 4)]:
+    c = dataclasses.replace(cfg, n_rx=16, mod_order=order)
+    bits = bits_per_tx(c, scheme)
+    print(f"  {label:<8} {bits} bits/tx, {mac_ml(c, bits):,} macs")

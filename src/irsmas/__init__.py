@@ -9,7 +9,6 @@ CSV/JSON command line (cli).  The package exports the names the demos and
 the benchmark use.
 """
 
-from .baselines import SasScheme
 from .channel import (
     decompose_received,
     propagate,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CSV_COLUMNS",
-    "SasScheme",
     "SystemConfig",
     "bits_to_int",
     "build_rac_table",

@@ -1,9 +1,11 @@
 """Single-antenna baseline schemes: all reflectors steer to one target antenna.
 
-The index-only variant (ssk) carries log2(n_rx) bits in the antenna choice
-alone and transmits the bare symbol energy; the modulated variant (sm)
-appends one constellation symbol.  Both are detected with an exhaustive
-search, which is affordable because the hypothesis count is small.
+A baseline is a SystemConfig with one selected antenna carrying the full
+symbol power.  The index-only variant (sas-ssk) carries the l1 =
+log2(n_rx) antenna bits alone and transmits the bare symbol energy; the
+modulated variant (sas-sm) appends one constellation symbol, block_len
+bits in all.  Both are detected with an exhaustive search, which is
+affordable because the hypothesis count is small.
 
 A reflector aligned to target antenna r gets phase exp(-j arg h[r, n]), so
 one n_rx x n_refl array of aligning phases per trial holds the phase vector
@@ -11,70 +13,56 @@ of every target: the batched encoder gathers its row, and the detector
 uses every row.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
-from .core import Constellation, make_constellation, pack_bits, unpack_bits
-from .detection import mac_base
+from .core import SystemConfig, make_constellation, pack_bits, unpack_bits
 
 
-@dataclass
-class SasScheme:
-    """Configuration for a single-target-antenna baseline."""
-
-    mode: str = "ssk"        # "ssk" (index only) or "sm" (index + one symbol)
-    n_rx: int = 16
-    mod_order: int = 2       # ignored in ssk mode
-    sym_energy: float = 1.0
-    const: Constellation = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.mode not in ("ssk", "sm"):
-            raise ValueError(f"mode must be 'ssk' or 'sm', got {self.mode!r}")
-        if self.n_rx < 2 or self.n_rx & (self.n_rx - 1):
-            raise ValueError(f"n_rx must be a power of two >= 2, got {self.n_rx}")
-        self.const = make_constellation(self.mod_order)
-
-    @property
-    def bits_per_sym(self) -> int:
-        return self.const.order.bit_length() - 1
-
-    @property
-    def antenna_bits(self) -> int:
-        return self.n_rx.bit_length() - 1
-
-    @property
-    def bits_per_tx(self) -> int:
-        return self.antenna_bits + (self.bits_per_sym if self.mode == "sm" else 0)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Transmit scalars indexed by symbol label: the scaled constellation
-        (sm), or the bare symbol energy alone (ssk)."""
-        if self.mode == "sm":
-            return self.sym_energy * self.const.points
-        return np.array([self.sym_energy], dtype=complex)
+def baseline_config(cfg: SystemConfig) -> SystemConfig:
+    """``cfg`` as a baseline reads it: n_sel 1 and alpha (1.0,), and ``cfg``
+    itself if already so, as every chunk asks.  n_cand_antennas and n_iters are ignored."""
+    return cfg if (cfg.n_sel, cfg.alpha) == (1, (1.0,)) else replace(cfg, n_sel=1, alpha=(1.0,))
 
 
-def sas_encode_batch(bits: np.ndarray, phases: np.ndarray, scheme: SasScheme):
+def baseline_bits(cfg: SystemConfig, scheme: str) -> int:
+    """Bits one transmission of ``scheme`` carries under a ``baseline_config``."""
+    return cfg.l1 if scheme == "sas-ssk" else cfg.block_len
+
+
+@lru_cache(maxsize=None)
+def baseline_values(scheme: str, mod_order: int, sym_energy: float) -> np.ndarray:
+    """Transmit scalars indexed by symbol label, built once and shared
+    read-only: the scaled constellation (sas-sm), or the bare symbol energy
+    alone (sas-ssk)."""
+    if scheme == "sas-sm":
+        values = sym_energy * make_constellation(mod_order).points
+    else:
+        values = np.array([sym_energy], dtype=complex)
+    values.setflags(write=False)
+    return values
+
+
+def sas_encode_batch(bits: np.ndarray, phases: np.ndarray, values: np.ndarray, n_bits: int):
     """Map a stack of bit blocks to transmit scalars and reflector phases.
 
     The leading bits pick the target antenna; every reflector is
-    phase-aligned to that antenna's channel row.  In sm mode the remaining
-    bits choose a constellation point.  ``bits`` is (T, bits_per_tx) and
-    ``phases`` the trials' aligning phases (T, n_rx, n_refl) from
-    ``aligning_phases``; row r of a trial's phases steers every reflector
-    to antenna r + 1.  Returns the transmit scalars (T,) and reflector
-    phase vectors (T, n_refl).
+    phase-aligned to that antenna's channel row.  The remaining bits, if
+    any, choose one of ``values`` (``baseline_values``).  ``bits`` is
+    (T, n_bits) and ``phases`` the trials' aligning phases (T, n_rx, n_refl)
+    from ``aligning_phases``; row r of a trial's phases steers every
+    reflector to antenna r + 1.  Returns the transmit scalars (T,) and
+    reflector phase vectors (T, n_refl).
     """
-    values = scheme.values
     # The bit block read as one integer is target index * V + symbol label.
-    target, label = np.divmod(pack_bits(bits, scheme.bits_per_tx)[:, 0], len(values))
+    target, label = np.divmod(pack_bits(bits, n_bits)[:, 0], len(values))
     return values[label], phases[np.arange(len(bits)), target]
 
 
-def sas_detect_batch(y: np.ndarray, h: np.ndarray, phases: np.ndarray, scheme: SasScheme):
+def sas_detect_batch(y: np.ndarray, h: np.ndarray, phases: np.ndarray, values: np.ndarray,
+                     n_bits: int):
     """Exhaustive search over target antennas and symbols for a stack of
     trials: y (T, n_rx), h and its aligning phases (T, n_rx, n_refl).
 
@@ -82,18 +70,12 @@ def sas_detect_batch(y: np.ndarray, h: np.ndarray, phases: np.ndarray, scheme: S
     per (trial, target), and the distance sum |y - g x|^2 over antennas,
     reduced by np.sum over an (n_rx, V) layout.  The first minimum in
     (target, symbol) order wins: ties resolve to the lowest antenna, then
-    the lowest symbol label.  Returns the detected bits (T, bits_per_tx)
-    and distances (T,).
+    the lowest symbol label.  Returns the detected bits (T, n_bits) and
+    distances (T,).
     """
-    values = scheme.values
     gains = (h[:, None] @ phases[..., None])[..., 0]  # (T, target, n_rx)
     terms = np.abs(y[:, None, :, None] - gains[..., None] * values) ** 2
     distance = np.sum(terms, axis=-2).reshape(len(y), -1)  # (T, target * V + label)
     best = np.argmin(distance, axis=1)
-    bits = unpack_bits(best[:, None], scheme.bits_per_tx)
+    bits = unpack_bits(best[:, None], n_bits)
     return bits, distance[np.arange(len(y)), best]
-
-
-def sas_mac(scheme: SasScheme, n_refl: int) -> int:
-    """Multiply-accumulate count for one exhaustive baseline detection."""
-    return 2**scheme.bits_per_tx * mac_base(scheme.n_rx, n_refl)

@@ -17,8 +17,8 @@ import tempfile
 
 import numpy as np
 
-from .core import MOD_ORDERS, SNR_FLOOR_DB, SystemConfig, snr_value_ok, validate_config
-from .harness import CSV_COLUMNS, DETECTORS, SCHEMES, bits_per_tx, run_sweep
+from .core import MOD_ORDERS, SNR_FLOOR_DB, SystemConfig, snr_value_ok
+from .harness import CSV_COLUMNS, bits_per_tx, check_run, run_sweep, scheme_config
 
 # config-file keys, normalized to the flag spellings
 _KEYS = ("config", "scheme", "detector", "nr", "np", "n-reflectors", "mod",
@@ -150,11 +150,8 @@ def parse_run_spec(argv=None) -> RunSpec:
 
     try:
         scheme = resolve("scheme", args.scheme) or "mas"
-        if scheme not in SCHEMES:
-            raise ValueError(f"scheme: expected one of {SCHEMES}, got {scheme!r}")
         detector = resolve("detector", args.detector) or ("ssd" if scheme == "mas" else "ml")
-        if detector not in DETECTORS:
-            raise ValueError(f"detector: expected one of {DETECTORS}, got {detector!r}")
+        check_run(scheme, detector)
         if scheme != "mas":
             given = [key for key in _MAS_ONLY_KEYS
                      if resolve(key, getattr(args, key)) is not None]
@@ -193,11 +190,7 @@ def parse_run_spec(argv=None) -> RunSpec:
         raw = resolve("seed", args.seed)
         if raw is not None:
             fields["seed"] = int(raw)
-        if scheme != "mas":
-            # single-antenna baselines: one slot carrying the full symbol power
-            fields["n_sel"] = 1
-            fields["alpha"] = (1.0,)
-        cfg = validate_config(dataclasses.replace(defaults, **fields), scheme)
+        cfg = scheme_config(dataclasses.replace(defaults, **fields), scheme, detector)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -363,6 +363,8 @@ def mac_ssd(cfg: SystemConfig, n_cand):
     return cfg.n_iters * mac_base(cfg.n_rx, cfg.n_refl) + n_cand * (cfg.n_sel - 1) + 3 * cfg.n_rx
 
 
-def mac_ml(cfg: SystemConfig) -> int:
-    """Multiply-accumulate count charged to one exhaustive ML detection."""
-    return 2 ** (cfg.l1 + cfg.l2) * mac_base(cfg.n_rx, cfg.n_refl)
+def mac_ml(cfg: SystemConfig, n_bits: int | None = None) -> int:
+    """Multiply-accumulate count charged to one exhaustive search over
+    2^n_bits hypotheses: by default ML detection's 2^block_len, or a
+    baseline's own bit count."""
+    return 2 ** (cfg.block_len if n_bits is None else n_bits) * mac_base(cfg.n_rx, cfg.n_refl)

@@ -25,13 +25,19 @@ import math
 import operator
 import os
 import queue
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from multiprocessing import Pool
 
 import numpy as np
 
-from .baselines import SasScheme, sas_detect_batch, sas_encode_batch, sas_mac
+from .baselines import (
+    baseline_bits,
+    baseline_config,
+    baseline_values,
+    sas_detect_batch,
+    sas_encode_batch,
+)
 from .channel import draw_layout, draw_trials, propagate_batch
 from .core import MOD_NAMES, SystemConfig, make_constellation, validate_config
 from .detection import (
@@ -52,23 +58,6 @@ CHUNK_TRIALS = 32
 SCHEMES = ("mas", "sas-sm", "sas-ssk")
 DETECTORS = ("ml", "ssd")
 
-CSV_COLUMNS = (
-    "scheme",
-    "detector",
-    "modulation",
-    "n_reflectors",
-    "snr_db",
-    "trials",
-    "bit_errors",
-    "total_bits",
-    "ber",
-    "block_errors",
-    "bler",
-    "asbt_perbit",
-    "asbt_block",
-    "mean_mac",
-)
-
 
 @dataclass
 class TrialOutcome:
@@ -79,7 +68,7 @@ class TrialOutcome:
 
 @dataclass
 class SweepRow:
-    """One operating point of a sweep; fields mirror the CSV columns."""
+    """One operating point of a sweep; its fields are the CSV columns, in order."""
 
     scheme: str
     detector: str
@@ -100,26 +89,37 @@ class SweepRow:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
 @lru_cache(maxsize=None)
 def _constellation(mod_order: int):
     return make_constellation(mod_order)
 
 
-@lru_cache(maxsize=None)
-def _sas(mode: str, n_rx: int, mod_order: int, sym_energy: float) -> SasScheme:
-    return SasScheme(mode=mode, n_rx=n_rx, mod_order=mod_order, sym_energy=sym_energy)
+def check_run(scheme: str, detector: str = "ml") -> None:
+    """Reject an unknown scheme or detector, or a baseline detected by anything
+    but ``ml``, naming the field; without a detector, check the scheme alone."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme: expected one of {SCHEMES}, got {scheme!r}")
+    if detector not in DETECTORS:
+        raise ValueError(f"detector: expected one of {DETECTORS}, got {detector!r}")
+    if scheme != "mas" and detector != "ml":
+        raise ValueError(f"detector: baseline schemes are detected with the exhaustive ml "
+                         f"search, got {detector!r} for {scheme}")
 
 
-def _sas_scheme(cfg: SystemConfig, scheme: str) -> SasScheme:
-    mode = "sm" if scheme == "sas-sm" else "ssk"
-    return _sas(mode, cfg.n_rx, cfg.mod_order, cfg.sym_energy)
+def scheme_config(cfg: SystemConfig, scheme: str, detector: str) -> SystemConfig:
+    """``cfg`` as ``scheme`` reads it (``baseline_config`` for a baseline),
+    after ``check_run`` and ``validate_config``."""
+    check_run(scheme, detector)
+    return validate_config(cfg if scheme == "mas" else baseline_config(cfg), scheme)
 
 
 def bits_per_tx(cfg: SystemConfig, scheme: str) -> int:
     """Bits carried by one transmission under the given scheme."""
-    if scheme == "mas":
-        return cfg.block_len
-    return _sas_scheme(cfg, scheme).bits_per_tx
+    check_run(scheme)
+    return cfg.block_len if scheme == "mas" else baseline_bits(baseline_config(cfg), scheme)
 
 
 def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range,
@@ -128,14 +128,15 @@ def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range,
 
     Each trial draws bits, channel and noise from its own ``trial_rng``
     stream, in that order, then is encoded, propagated and detected.
-    ``workspace``, if given, is ``_workspace`` for at least this many
-    trials, and the chunk overwrites its arrays instead of allocating them.
+    ``cfg`` is ``scheme_config``'s.  ``workspace``, if given, is
+    ``_workspace`` for at least this many trials, and the chunk overwrites
+    its arrays instead of allocating them.
     """
     draws, buffers = workspace or (None, [])
     n_trials = len(trials)
-    bits, h, noise = draw_trials(cfg.seed, trials, bits_per_tx(cfg, scheme), cfg.n_rx,
-                                 cfg.n_refl, out=draws)
-    if scheme != "mas" or detector == "ml":
+    n_bits = bits_per_tx(cfg, scheme)
+    bits, h, noise = draw_trials(cfg.seed, trials, n_bits, cfg.n_rx, cfg.n_refl, out=draws)
+    if detector == "ml":
         # every target's reflector phases, for a baseline's encoder and
         # detector or for the ml search's gathers
         phases = aligning_phases(h, out=buffers[0][:n_trials] if buffers else None)
@@ -148,17 +149,15 @@ def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range,
         if detector == "ml":
             p_hat, labels, _ = ml_detect_batch(y, h, norms, cfg, table, phases,
                                                buffers[1:] or None)
-            mac = n_trials * mac_ml(cfg)
         else:
             p_hat, labels, _, n_cand = ssd_detect_batch(y, h, norms, cfg, table, const)
-            mac = int(mac_ssd(cfg, n_cand).sum())
         bits_hat = detected_bits(p_hat, labels, cfg)
     else:
-        sas = _sas_scheme(cfg, scheme)
-        x, theta = sas_encode_batch(bits, phases, sas)
+        values = baseline_values(scheme, cfg.mod_order, cfg.sym_energy)
+        x, theta = sas_encode_batch(bits, phases, values, n_bits)
         y = propagate_batch(h, theta, x, noise, cfg.noise_sigma)
-        bits_hat, _ = sas_detect_batch(y, h, phases, sas)
-        mac = n_trials * sas_mac(sas, cfg.n_refl)
+        bits_hat, _ = sas_detect_batch(y, h, phases, values, n_bits)
+    mac = n_trials * mac_ml(cfg, n_bits) if detector == "ml" else int(mac_ssd(cfg, n_cand).sum())
     errors = np.count_nonzero(bits != bits_hat, axis=1)
     return int(errors.sum()), int(np.count_nonzero(errors)), mac
 
@@ -188,7 +187,7 @@ def _workspace(cfg: SystemConfig, scheme: str, detector: str, n_trials: int):
     arrays = [memory[lo : lo + n].view(dtype).reshape(shape)
               for (shape, dtype), n, lo in zip(layout, nbytes, starts)]
     draws, rest = arrays[:4], arrays[4:]
-    if scheme != "mas" or detector == "ml":
+    if detector == "ml":
         # shaped like the channels; draw_trials has consumed the normals
         # by the time the phases are computed
         channels = draws[2]
@@ -199,6 +198,7 @@ def _workspace(cfg: SystemConfig, scheme: str, detector: str, n_trials: int):
 def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -> TrialOutcome:
     """Simulate one transmission block and count its bit and block errors:
     the engine on a chunk of one trial."""
+    cfg = scheme_config(cfg, scheme, detector)
     trials = range(trial_index, trial_index + 1)
     return TrialOutcome(*_chunk_counts(cfg, scheme, detector, trials))
 
@@ -350,13 +350,7 @@ def _sweep_counts(point_cfgs: list, scheme: str, detector: str, workers: int) ->
 def run_sweep(cfg: SystemConfig, scheme: str = "mas", detector: str = "ssd",
               workers=None) -> list:
     """Sweep the configured SNR grid and return one SweepRow per point."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if detector not in DETECTORS:
-        raise ValueError(f"detector must be one of {DETECTORS}, got {detector!r}")
-    if scheme != "mas" and detector != "ml":
-        raise ValueError("baseline schemes are detected with the exhaustive ml search")
-    validate_config(cfg, scheme)
+    cfg = scheme_config(cfg, scheme, detector)
     if scheme == "mas" and detector == "ml":
         check_ml_guard(cfg)
     workers = _resolve_workers(workers)
@@ -372,7 +366,7 @@ def run_sweep(cfg: SystemConfig, scheme: str = "mas", detector: str = "ssd",
         metrics = compute_metrics(*counts, block_len)
         rows.append(SweepRow(
             scheme=scheme,
-            detector=detector if scheme == "mas" else "ml",
+            detector=detector,
             modulation=modulation,
             n_reflectors=cfg.n_refl,
             snr_db=float(snr_db),

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from irsmas.baselines import SasScheme, sas_mac
 from irsmas.channel import propagate, sample_channel, trial_rng
 from irsmas.core import (
     Constellation,
@@ -22,7 +21,7 @@ from irsmas.core import (
     make_constellation,
     superposition_set,
 )
-from irsmas.detection import DetectionResult, mac_ml, mac_ssd
+from irsmas.detection import DetectionResult, mac_base, mac_ml, mac_ssd
 from irsmas.harness import TrialOutcome
 from irsmas.rac import RacTable, build_rac_table, rac_find, rac_row
 from irsmas.transmitter import TxOutput, aligning_phases
@@ -266,50 +265,63 @@ def direct_ml_detect(y, channel, cfg: SystemConfig, table: RacTable, const: Cons
     return p_hat, symbols, distance
 
 
-def sas_encode(bits, channel, scheme: SasScheme):
+def sas_bits(cfg: SystemConfig, scheme: str) -> tuple:
+    """(antenna bits, symbol bits) of a baseline transmission: log2(n_rx)
+    bits pick the target, and sas-sm appends one symbol's bits."""
+    antenna_bits = cfg.n_rx.bit_length() - 1
+    return antenna_bits, cfg.bits_per_sym if scheme == "sas-sm" else 0
+
+
+def sas_encode(bits, channel, cfg: SystemConfig, scheme: str):
     """Map a bit block to (transmit scalar, reflector phases, target antenna).
 
     The leading bits pick the target antenna (1-based); every reflector is
-    phase-aligned to that antenna's channel row.  In sm mode the remaining
-    bits choose a constellation point.
+    phase-aligned to that antenna's channel row.  Under sas-sm the remaining
+    bits choose a constellation point; sas-ssk sends the bare symbol energy.
     """
-    target = bits_to_int(bits[: scheme.antenna_bits]) + 1
+    antenna_bits, _ = sas_bits(cfg, scheme)
+    target = bits_to_int(bits[:antenna_bits]) + 1
     theta = reflector_phases(channel.h[target - 1 : target, :], channel.shape[1])
-    if scheme.mode == "sm":
-        x = scheme.sym_energy * scheme.const.points[bits_to_int(bits[scheme.antenna_bits :])]
+    if scheme == "sas-sm":
+        const = make_constellation(cfg.mod_order)
+        x = cfg.sym_energy * const.points[bits_to_int(bits[antenna_bits:])]
     else:
-        x = complex(scheme.sym_energy)
+        x = complex(cfg.sym_energy)
     return x, theta, target
 
 
-def direct_sas_detect(y, channel, scheme: SasScheme):
+def direct_sas_detect(y, channel, cfg: SystemConfig, scheme: str):
     """Reference baseline search: one target at a time, its phases from the
     scalar ``reflector_phases``, every symbol's distance elementwise; the
     first minimum wins.  Returns (bits, distance)."""
+    antenna_bits, symbol_bits = sas_bits(cfg, scheme)
+    if scheme == "sas-sm":
+        values = cfg.sym_energy * make_constellation(cfg.mod_order).points
+    else:
+        values = np.array([cfg.sym_energy], dtype=complex)
     n_refl = channel.shape[1]
     best = (np.inf, -1, -1)
-    for target in range(1, scheme.n_rx + 1):
+    for target in range(1, cfg.n_rx + 1):
         theta = reflector_phases(channel.h[target - 1 : target, :], n_refl)
         g = channel.h @ theta
-        d = np.sum(np.abs(y[:, None] - np.outer(g, scheme.values)) ** 2, axis=0)
+        d = np.sum(np.abs(y[:, None] - np.outer(g, values)) ** 2, axis=0)
         t = int(np.argmin(d))
         if d[t] < best[0]:
             best = (float(d[t]), target, t)
 
     distance, target, t = best
-    parts = [int_to_bits(target - 1, scheme.antenna_bits)]
-    if scheme.mode == "sm":
-        parts.append(int_to_bits(t, scheme.bits_per_sym))
-    return np.concatenate(parts), distance
+    bits = [int_to_bits(target - 1, antenna_bits), int_to_bits(t, symbol_bits)]
+    return np.concatenate(bits), distance
 
 
-def make_sas_trial(scheme: SasScheme, trial: int, seed=0, n_refl=64, sigma=0.0):
-    """One baseline trial: (bits, channel, x, theta, target, y)."""
-    rng = trial_rng(seed, trial)
-    bits = rng.integers(0, 2, size=scheme.bits_per_tx, dtype=np.int64)
-    ch = sample_channel(scheme.n_rx, n_refl, rng)
-    x, theta, target = sas_encode(bits, ch, scheme)
-    y = propagate(ch, theta, x, sigma, rng)
+def make_sas_trial(cfg: SystemConfig, scheme: str, trial: int):
+    """One baseline trial of ``cfg`` (its seed, n_rx, n_refl and
+    noise_sigma): (bits, channel, x, theta, target, y)."""
+    rng = trial_rng(cfg.seed, trial)
+    bits = rng.integers(0, 2, size=sum(sas_bits(cfg, scheme)), dtype=np.int64)
+    ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
+    x, theta, target = sas_encode(bits, ch, cfg, scheme)
+    y = propagate(ch, theta, x, cfg.noise_sigma, rng)
     return bits, ch, x, theta, target, y
 
 
@@ -326,10 +338,8 @@ def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -
             result = ssd_detect(y, ch, cfg, table, const)
             bits_hat, mac = result.bits, result.mac_count
     else:
-        sas = SasScheme(mode=scheme[4:], n_rx=cfg.n_rx, mod_order=cfg.mod_order,
-                        sym_energy=cfg.sym_energy)
-        bits, ch, *_, y = make_sas_trial(sas, trial_index, cfg.seed, cfg.n_refl, cfg.noise_sigma)
-        bits_hat, _ = direct_sas_detect(y, ch, sas)
-        mac = sas_mac(sas, cfg.n_refl)
+        bits, ch, *_, y = make_sas_trial(cfg, scheme, trial_index)
+        bits_hat, _ = direct_sas_detect(y, ch, cfg, scheme)
+        mac = 2 ** len(bits) * mac_base(cfg.n_rx, cfg.n_refl)
     bit_errors = int(np.sum(bits != bits_hat))
     return TrialOutcome(bit_errors=bit_errors, block_error=int(bit_errors > 0), mac=mac)

@@ -15,7 +15,6 @@ import sys
 import numpy as np
 import pytest
 
-from irsmas.baselines import SasScheme
 from irsmas.channel import (
     decompose_received,
     propagate,
@@ -24,7 +23,7 @@ from irsmas.channel import (
 )
 from irsmas.core import SystemConfig, make_constellation, validate_config
 from irsmas.detection import mac_ml, mac_ssd, ml_detect, ssd_detect
-from irsmas.harness import monte_carlo_se, run_sweep, run_trial
+from irsmas.harness import bits_per_tx, monte_carlo_se, run_sweep, run_trial
 from irsmas.rac import build_rac_table, rac_find, rac_row
 from irsmas.transmitter import encode, reflector_phases
 from reference import run_trial as reference_run_trial
@@ -85,9 +84,9 @@ def test_criterion_1_capacities():
     values = {
         "mas bpsk": validate_config(BPSK_CFG).block_len,
         "mas qpsk": validate_config(QPSK_CFG).block_len,
-        "sas-sm bpsk": SasScheme(mode="sm", n_rx=16, mod_order=2).bits_per_tx,
-        "sas-sm qpsk": SasScheme(mode="sm", n_rx=16, mod_order=4).bits_per_tx,
-        "sas-ssk": SasScheme(mode="ssk", n_rx=16).bits_per_tx,
+        "sas-sm bpsk": bits_per_tx(SAS_CFG, "sas-sm"),
+        "sas-sm qpsk": bits_per_tx(dataclasses.replace(SAS_CFG, mod_order=4), "sas-sm"),
+        "sas-ssk": bits_per_tx(SAS_CFG, "sas-ssk"),
     }
     expected = {"mas bpsk": 8, "mas qpsk": 10, "sas-sm bpsk": 5,
                 "sas-sm qpsk": 6, "sas-ssk": 4}

@@ -218,6 +218,17 @@ class TestParseRunSpec:
         assert exc.value.code != 0
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["sas-sm", "sas-ssk"])
+    def test_baseline_with_ssd_exits_naming_detector(self, tmp_path, scheme, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"scheme={scheme}\ndetector=ssd\n")
+        for argv in (["--scheme", scheme, "--nr", "16", "--detector", "ssd"],
+                     ["--config", str(path), "--nr", "16"]):
+            with pytest.raises(SystemExit) as exc:
+                parse_run_spec(argv)
+            assert exc.value.code == 2  # a parse error, before any sweep
+            assert "detector:" in capsys.readouterr().err
+
     def test_qpsk_capacity_resolution(self):
         spec = parse_run_spec("--mod qpsk".split())
         assert spec.cfg.block_len == 10

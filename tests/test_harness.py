@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import irsmas.harness
-from irsmas.baselines import SasScheme, sas_detect_batch
+from irsmas.baselines import baseline_values, sas_detect_batch
 from irsmas.channel import ChannelMatrix, draw_layout, draw_trials
 from irsmas.core import SystemConfig, make_constellation, superposition_set, validate_config
 from irsmas.detection import SCREEN_BUDGET, mac_ml, ml_detect, ml_detect_batch
@@ -89,6 +89,38 @@ class TestRunTrial:
         out = run_trial(cfg, "sas-ssk", "ml", 0)
         assert out.bit_errors == 0
         assert out.mac == 133_616
+
+    @pytest.mark.parametrize("scheme,detector,fragment", [
+        ("bogus", "ml", "scheme:"),
+        ("mas", "bogus", "detector:"),
+        ("sas-sm", "ssd", "detector:"),
+        ("sas-ssk", "ssd", "detector:"),
+    ])
+    def test_unknown_scheme_or_detector_rejected(self, monkeypatch, scheme, detector, fragment):
+        def no_chunk(*args):
+            raise AssertionError("a trial ran before the scheme and detector were checked")
+
+        monkeypatch.setattr(irsmas.harness, "_chunk_counts", no_chunk)
+        cfg = dataclasses.replace(CFG, n_rx=16, n_sel=1, alpha=(1.0,))
+        with pytest.raises(ValueError, match=fragment):
+            run_trial(cfg, scheme, detector, 0)
+
+    @pytest.mark.parametrize("scheme,cfg,fragment", [
+        ("sas-ssk", SystemConfig(n_rx=12), "n_rx:"),
+        ("sas-sm", SystemConfig(n_rx=16, n_refl=0), "n_refl:"),
+        ("mas", SystemConfig(alpha=(0.5, 0.5)), "alpha:"),
+    ])
+    def test_config_validated(self, scheme, cfg, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            run_trial(cfg, scheme, "ml", 0)
+
+    @pytest.mark.parametrize("scheme", ["sas-sm", "sas-ssk"])
+    def test_baseline_pins_selection_fields(self, scheme):
+        # n_sel 2 would give sas-ssk floor(log2(C(16, 2))) = 6 index bits
+        pinned = SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,), noise_sigma=25.0, seed=3)
+        loose = dataclasses.replace(pinned, n_sel=2, alpha=(0.2, 0.8))
+        for trial in range(5):
+            assert run_trial(loose, scheme, "ml", trial) == run_trial(pinned, scheme, "ml", trial)
 
 
 # power ratios with distinct superposed values, by (n_sel, modulation order)
@@ -290,7 +322,7 @@ class TestBatchedSasEngine:
     def test_block_counts_equal_sum_of_scalar_trials(self, case):
         cfg, scheme, start, count = case
         validate_config(cfg, scheme)
-        sas = SasScheme(mode=scheme[4:], n_rx=cfg.n_rx, mod_order=cfg.mod_order)
+        values = baseline_values(scheme, cfg.mod_order, cfg.sym_energy)
         want = [0, 0, 0]
         for trial in range(start, start + count):
             out = reference_run_trial(cfg, scheme, "ml", trial)
@@ -298,22 +330,25 @@ class TestBatchedSasEngine:
             want[1] += out.block_error
             want[2] += out.mac
 
-            _, ch, *_, y = make_sas_trial(sas, trial, cfg.seed, cfg.n_refl, cfg.noise_sigma)
+            _, ch, *_, y = make_sas_trial(cfg, scheme, trial)
             h = ch.h[None]
-            got_bits, got_d = sas_detect_batch(y[None], h, aligning_phases(h), sas)
-            ref_bits, ref_d = direct_sas_detect(y, ch, sas)
+            got_bits, got_d = sas_detect_batch(y[None], h, aligning_phases(h), values,
+                                               bits_per_tx(cfg, scheme))
+            ref_bits, ref_d = direct_sas_detect(y, ch, cfg, scheme)
             np.testing.assert_array_equal(got_bits[0], ref_bits)
             assert got_d[0] == ref_d
         assert _block_counts((cfg, scheme, "ml", start, count)) == (count, *want)
 
     @pytest.mark.parametrize("mode", ["sm", "ssk"])
     def test_all_zero_channel_ties_to_first_hypothesis(self, mode):
-        sas = SasScheme(mode=mode, n_rx=4, mod_order=4)
+        cfg, scheme = SystemConfig(n_rx=4, n_sel=1, alpha=(1.0,), mod_order=4), "sas-" + mode
+        values = baseline_values(scheme, cfg.mod_order, cfg.sym_energy)
         ch = ChannelMatrix(np.zeros((4, 9)))
         h = ch.h[None]
         for y in (np.zeros(4, dtype=complex), np.full(4, 0.3 - 0.1j)):
-            bits, distance = sas_detect_batch(y[None], h, aligning_phases(h), sas)
-            ref_bits, ref_d = direct_sas_detect(y, ch, sas)
+            bits, distance = sas_detect_batch(y[None], h, aligning_phases(h), values,
+                                              bits_per_tx(cfg, scheme))
+            ref_bits, ref_d = direct_sas_detect(y, ch, cfg, scheme)
             np.testing.assert_array_equal(bits, 0)
             np.testing.assert_array_equal(ref_bits, 0)
             assert distance[0] == ref_d == np.sum(np.abs(y) ** 2)
@@ -495,6 +530,10 @@ class TestBitsPerTx:
         sas_cfg = dataclasses.replace(CFG, n_rx=16, n_sel=1, alpha=(1.0,))
         assert bits_per_tx(sas_cfg, "sas-sm") == 5
         assert bits_per_tx(sas_cfg, "sas-ssk") == 4
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="scheme: expected one of"):
+            bits_per_tx(CFG, "bogus")
 
 
 class TestMetrics:
