@@ -39,7 +39,7 @@ print(f"  index part    : {''.join(map(str, bits[:cfg.l1]))} "
 print(f"  symbol part   : {''.join(map(str, bits[cfg.l1:]))}")
 
 channel = sample_channel(cfg.n_rx, cfg.n_refl, rng)
-tx = encode(bits, channel, cfg, table, const)
+tx = encode(bits, channel, cfg, table)
 print(f"antenna weights : {np.round(tx.weights, 3)}")
 print(f"power order     : slot {tx.order_desc[0]} strongest "
       f"(ratio {cfg.alpha[0]}), slot {tx.order_desc[1]} gets {cfg.alpha[1]}")

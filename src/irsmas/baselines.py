@@ -9,16 +9,16 @@ affordable because the hypothesis count is small.
 
 A reflector aligned to target antenna r gets phase exp(-j arg h[r, n]), so
 one n_rx x n_refl array of aligning phases per trial holds the phase vector
-of every target: the batched encoder gathers its row, and the detector
-uses every row.
+of every target: the batched encoder gathers its row (``gather_phases``
+at n_sel 1), and the detector uses every row.
 """
 
 from dataclasses import replace
-from functools import lru_cache
 
 import numpy as np
 
-from .core import SystemConfig, make_constellation, pack_bits, unpack_bits
+from .core import SystemConfig, pack_bits, superposition_set, unpack_bits
+from .transmitter import gather_phases
 
 
 def baseline_config(cfg: SystemConfig) -> SystemConfig:
@@ -32,17 +32,13 @@ def baseline_bits(cfg: SystemConfig, scheme: str) -> int:
     return cfg.l1 if scheme == "sas-ssk" else cfg.block_len
 
 
-@lru_cache(maxsize=None)
 def baseline_values(scheme: str, mod_order: int, sym_energy: float) -> np.ndarray:
-    """Transmit scalars indexed by symbol label, built once and shared
-    read-only: the scaled constellation (sas-sm), or the bare symbol energy
-    alone (sas-ssk)."""
+    """Transmit scalars indexed by symbol label: the superposition set at
+    n_sel 1, alpha (1.0,) (sas-sm), or the bare symbol energy alone
+    (sas-ssk)."""
     if scheme == "sas-sm":
-        values = sym_energy * make_constellation(mod_order).points
-    else:
-        values = np.array([sym_energy], dtype=complex)
-    values.setflags(write=False)
-    return values
+        return superposition_set(mod_order, (1.0,), sym_energy)[0]
+    return np.array([sym_energy], dtype=complex)
 
 
 def sas_encode_batch(bits: np.ndarray, phases: np.ndarray, values: np.ndarray, n_bits: int):
@@ -58,7 +54,7 @@ def sas_encode_batch(bits: np.ndarray, phases: np.ndarray, values: np.ndarray, n
     """
     # The bit block read as one integer is target index * V + symbol label.
     target, label = np.divmod(pack_bits(bits, n_bits)[:, 0], len(values))
-    return values[label], phases[np.arange(len(bits)), target]
+    return values[label], gather_phases(phases, target, 1)
 
 
 def sas_detect_batch(y: np.ndarray, h: np.ndarray, phases: np.ndarray, values: np.ndarray,

@@ -38,18 +38,14 @@ class Constellation:
 
     def __init__(self, points: np.ndarray):
         self.points = np.asarray(points, dtype=complex)
-        self.order = len(self.points)
-        self.bits_per_sym = int(round(math.log2(self.order)))
+        self.bits_per_sym = int(round(math.log2(len(self.points))))
 
     def index_of(self, point: complex) -> int:
         """Label of the nearest constellation point (first on exact ties)."""
         return int(np.argmin(np.abs(self.points - point)))
 
     def __len__(self) -> int:
-        return self.order
-
-    def __repr__(self) -> str:
-        return f"Constellation(order={self.order})"
+        return len(self.points)
 
 
 def _gray_levels(bits: int) -> np.ndarray:
@@ -66,8 +62,9 @@ def _gray_levels(bits: int) -> np.ndarray:
     return levels
 
 
+@lru_cache(maxsize=None)
 def make_constellation(mod_order: int) -> Constellation:
-    """Build the Gray-coded, unit-average-energy constellation for M-ary modulation.
+    """The Gray-coded, unit-average-energy M-ary constellation, built once, read-only.
 
     BPSK (M=2) lives on the real axis; 4/16/64-QAM are square grids with
     per-axis Gray labelling, first half of the bits on I, second half on Q.
@@ -91,6 +88,7 @@ def make_constellation(mod_order: int) -> Constellation:
             q_val = label & ((1 << q_bits) - 1)
             points[label] = i_levels[i_val] + 1j * q_levels[q_val]
     points /= np.sqrt(np.mean(np.abs(points) ** 2))
+    points.setflags(write=False)
     return Constellation(points)
 
 
@@ -180,12 +178,10 @@ def superposition_set(mod_order: int, alpha: tuple, sym_energy: float):
     for one (M, alpha, E_s), built once and shared read-only.
 
     Tuples are enumerated lexicographically; tuple position i carries power
-    ratio alpha[i].
+    ratio alpha[i].  The values are ``SuperpositionAxes.superpose``'s.
     """
-    points = make_constellation(mod_order).points
     labels = np.indices((mod_order,) * len(alpha)).reshape(len(alpha), -1).T
-    scale = np.sqrt(np.asarray(alpha)) * sym_energy
-    values = points[labels] @ scale.astype(complex)
+    values = superposition_axes(mod_order, alpha, sym_energy).superpose(labels)
     values.setflags(write=False)
     labels.setflags(write=False)
     return values, labels
@@ -198,10 +194,9 @@ class SuperpositionAxes:
     Constellation points are per-axis Gray and alpha and E_s are real, so
     the value of tuple v is a[ia[v]] + j b[ib[v]]: ``a`` holds every sum
     of slot I-levels, ``b`` every sum of slot Q-levels (just 0 for BPSK),
-    each enumerated lexicographically like the tuples.  Both sets sum slot
-    0 first; ``superposition_set`` may round in another order, so the two
-    agree within an ulp.  ``ia`` and ``ib`` have M^n_sel entries and are
-    built on first use.
+    each enumerated lexicographically like the tuples, summed in tuple
+    order.  ``ia`` and ``ib`` have M^n_sel entries and are built on first
+    use; ``superpose`` looks up the values of any label tuples.
     """
 
     a: np.ndarray
@@ -217,6 +212,16 @@ class SuperpositionAxes:
     @cached_property
     def ib(self) -> np.ndarray:
         return self._tuple_index(self.level_b)
+
+    def superpose(self, labels: np.ndarray) -> np.ndarray:
+        """Superposed values of label tuples (..., n_sel), position i at
+        alpha[i]: a + jb looked up by each axis's level digits, bit for bit
+        the in-order sum of sqrt(alpha[i]) E_s times position i's symbol."""
+        x = np.empty(labels.shape[:-1], dtype=complex)
+        for part, axis, level in ((x.real, self.a, self.level_a), (x.imag, self.b, self.level_b)):
+            digits = (level.max() + 1) ** np.arange(self.n_sel - 1, -1, -1)
+            part[...] = axis[level[labels] @ digits]
+        return x
 
     def _tuple_index(self, level: np.ndarray) -> np.ndarray:
         index = level

@@ -10,7 +10,7 @@ distance, which fixes the decision.
 The SSD receiver first ranks antenna combinations by received power (the
 candidate sorter), then for each of the top candidates re-derives the
 reflector configuration, peels the superposed symbols off weakest-slot
-first, rebuilds the transmit scalar, and keeps the candidate whose
+first, superposes the decoded symbols again, and keeps the candidate whose
 reconstruction is closest to the observed vector.
 
 ``ml_detect`` and ``ssd_detect`` run one trial, as a stack of one.
@@ -24,12 +24,13 @@ from .core import (
     Constellation,
     SuperpositionAxes,
     SystemConfig,
+    make_constellation,
     superposition_axes,
     superposition_set,
     unpack_bits,
 )
 from .rac import RacTable
-from .transmitter import aligning_phases, reflector_blocks, row_phases, slot_order
+from .transmitter import aligning_phases, gather_phases, phase_index, slot_order
 
 # Most scores (or distance terms) any one array of the ML search holds,
 # unless a single pair's |A| + |B| scores are more.
@@ -95,18 +96,18 @@ def ssd_detect_batch(
     y: np.ndarray,
     h: np.ndarray,
     norms: np.ndarray,
+    phases: np.ndarray,
     cfg: SystemConfig,
     table: RacTable,
-    const: Constellation,
 ):
-    """SSD receiver for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl)
-    and its row norms (T, n_rx).
+    """SSD receiver for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl),
+    its row norms (T, n_rx) and its ``aligning_phases``.
 
     Decodes the best n_iters ranked candidates of every trial at once.  A
     candidate's slots are visited weakest channel row first; the first is
     quantized against the largest power ratio, each later one after
     subtracting every component decoded before it (the first point wins a
-    tie).  The candidate whose rebuilt transmit scalar lies closest to y
+    tie).  The candidate whose superposed decoded symbols lie closest to y
     over all antennas wins, the first on ties.  A zero effective gain on
     any slot disqualifies a candidate, and a trial whose candidates are all
     disqualified falls back to its first ranked row with ``points[0]``
@@ -116,13 +117,13 @@ def ssd_detect_batch(
     """
     cand, n_cand = rac_candidates_batch(y, table, cfg.n_cand_antennas, cfg.n_iters)
     n_trials, n_v = cand.shape
-    n_sel, points = cfg.n_sel, const.points
+    n_sel, points = cfg.n_sel, make_constellation(cfg.mod_order).points
     trial = np.arange(n_trials)
     rows, _, order = slot_order(cand, norms, table)  # (T, V, n_sel), by slot
     order = order[..., ::-1]  # weakest first
     ant_o = np.take_along_axis(rows - 1, order, axis=-1)  # antennas in decoding order
 
-    theta = row_phases(h, rows, cfg.delta)  # (T, V, n_refl)
+    theta = gather_phases(phases, cand, n_sel)  # (T, V, n_refl)
     g_all = (h[:, None] @ theta[..., None])[..., 0]  # (T, V, n_rx), one H theta per candidate
     gains = np.take_along_axis(g_all, ant_o, axis=-1)
     dead = (gains == 0).any(axis=-1)
@@ -132,13 +133,13 @@ def ssd_detect_batch(
     # decoding step k scales by the k-th largest power ratio
     coef = [np.sqrt(cfg.alpha[n_sel - 1 - k]) * cfg.sym_energy for k in range(n_sel)]
     labels_o = np.zeros((n_trials, n_v, n_sel), dtype=np.int64)
-    x_hat = np.zeros((n_trials, n_v), dtype=complex)
     for k in range(n_sel):
         v = y_o[..., k] / gains[..., k]
         for m in range(k):
             v -= coef[m] * points[labels_o[..., m]]
         labels_o[..., k] = np.argmin(np.abs(v[..., None] - coef[k] * points), axis=-1)
-        x_hat += coef[k] * points[labels_o[..., k]]
+    axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
+    x_hat = axes.superpose(labels_o[..., ::-1])  # decoded in reverse tuple order
     distance = np.sum(np.abs(y[:, None, :] - g_all * x_hat[..., None]) ** 2, axis=-1)
 
     live = ~dead & (np.arange(n_v) < n_cand[:, None]) & (distance < np.inf)
@@ -151,26 +152,27 @@ def ssd_detect_batch(
     return cand[trial, best], labels, np.where(found, distance[trial, best], np.inf), n_cand
 
 
-def check_ml_guard(cfg: SystemConfig) -> None:
-    """Refuse an exhaustive ML search over more than cfg.ml_guard hypotheses."""
-    n_hyp = cfg.n_rac * cfg.mod_order**cfg.n_sel
+def check_ml_guard(cfg: SystemConfig, n_bits: int | None = None) -> None:
+    """Refuse an exhaustive search over more than cfg.ml_guard hypotheses:
+    the 2^n_bits that ``mac_ml`` bills, ML detection's 2^block_len by default."""
+    n_hyp = 2 ** (cfg.block_len if n_bits is None else n_bits)
     if n_hyp > cfg.ml_guard:
-        raise ValueError(
-            f"ML search space {n_hyp} exceeds guard {cfg.ml_guard}; use the SSD detector"
-        )
+        hint = "; the ssd detector has no such limit" if n_bits is None else ""
+        raise ValueError(f"ml_guard: the exhaustive ml search covers {n_hyp} hypotheses, "
+                         f"more than ml_guard = {cfg.ml_guard}{hint}")
 
 
 def ml_detect_batch(
     y: np.ndarray,
     h: np.ndarray,
     norms: np.ndarray,
+    phases: np.ndarray,
     cfg: SystemConfig,
     table: RacTable,
-    phases=None,
     buffers=None,
 ):
     """Exhaustive ML search for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl),
-    its row norms (T, n_rx) and, if already computed, its ``aligning_phases``.
+    its row norms (T, n_rx) and its ``aligning_phases``.
 
     Minimizes ||y - H theta_p x||^2 over every legitimate row p and every
     value x in the superposition set.  Ties resolve to the smaller p, then
@@ -195,29 +197,21 @@ def ml_detect_batch(
     check_ml_guard(cfg)
     values, tuples = superposition_set(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
     axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
-    n_trials, n_rx = y.shape
+    n_trials, n_rx, n_refl = h.shape
     n_rows = table.row_count
-    # theta_p of every row p is ``row_phases(h_t, table.rows, delta)``.  A
-    # reflector's phase depends only on the antenna it follows, so a trial's
-    # n_rx x n_refl phases are computed once and gathered for all C rows.
-    # One product per trial, as the direct search forms it: a stacked
-    # product may differ in the last bits.
-    n_refl = h.shape[-1]
-    follows = np.empty((n_rows, n_refl), dtype=np.int64)  # antenna of each reflector
-    for block, slot in reflector_blocks(n_refl, cfg.n_sel, cfg.delta):
-        follows[:, block] = table.rows[:, slot, None] - 1
-    flat = follows * n_refl + np.arange(n_refl)
-    if phases is None:
-        phases = aligning_phases(h)
+    # theta_p of every row p, gathered from the trial's phases through
+    # ``phase_index``.  One product per trial, as the direct search forms
+    # it: a stacked product may differ in the last bits.
+    index = phase_index(n_rx, cfg.n_sel, n_refl)
     if buffers is None:
         buffers = (np.empty((n_rows, n_refl), dtype=complex),
                    np.empty((n_trials, n_rx, n_rows), dtype=complex))
     theta, gains = buffers
     gains = gains[:n_trials]
     for h_t, u_t, g_t in zip(h, phases, gains):
-        # flat is in range, so "clip" changes no index; the default "raise"
+        # index is in range, so "clip" changes no index; the default "raise"
         # would have numpy copy the result through a temporary
-        np.take(u_t, flat, out=theta, mode="clip")
+        np.take(u_t, index, out=theta, mode="clip")
         np.matmul(h_t, theta.T, out=g_t)
 
     # score(p, a + jb) = distance - ||y||^2 = f_A(p, a) + f_B(p, b), with
@@ -229,16 +223,13 @@ def ml_detect_batch(
     ab = np.concatenate([axes.a, axes.b])
     n_a = len(axes.a)
     # Rounding, to first order in eps, with S = ||y|| + max|x| max||g||:
-    #  - a screened score is off from the exact one at a + jb by under
-    #    (3 n_rx + 5) eps/2 S^2 (||g||^2, g^H y, three roundings per axis and
-    #    the sum of the two);
-    #  - a + jb is off from values[v] by under 3 n_sel eps/2 max|x| (each is a
-    #    rounded n_sel-term sum), which moves the exact distance by under
-    #    6 n_sel eps/2 S^2;
+    #  - a screened score is off from the exact one at a + jb, which is
+    #    values[v] bit for bit, by under (3 n_rx + 5) eps/2 S^2 (||g||^2,
+    #    g^H y, three roundings per axis and the sum of the two);
     #  - the direct elementwise distance is off by under (n_rx + 11) eps/2 S^2.
     # The direct search can pick a hypothesis over the screened minimum only
-    # if their scores differ by less than twice the sum, (4 n_rx + 6 n_sel +
-    # 16) eps S^2.  The shortlist bound is more than twice that.
+    # if their scores differ by less than twice the sum, (4 n_rx + 16) eps
+    # S^2.  The shortlist bound is more than twice that.
     scale = np.linalg.norm(y, axis=1) + np.abs(values).max() * np.sqrt(
         energy.reshape(n_trials, n_rows).max(axis=1))
     tol = 8 * (n_rx + 2 * cfg.n_sel + 8) * np.finfo(float).eps * scale**2
@@ -330,8 +321,8 @@ def ml_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
     """Jointly optimal exhaustive search for one trial: ``ml_detect_batch``
     on a stack of one."""
     h = channel.h[None]
-    p_hat, labels, distance = ml_detect_batch(y[None], h, np.linalg.norm(h, axis=-1), cfg,
-                                              table)
+    p_hat, labels, distance = ml_detect_batch(y[None], h, np.linalg.norm(h, axis=-1),
+                                              aligning_phases(h), cfg, table)
     return _first_result(p_hat, labels, distance, cfg, const, mac_ml(cfg))
 
 
@@ -340,7 +331,7 @@ def ssd_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
     """SSD receiver for one trial: ``ssd_detect_batch`` on a stack of one."""
     h = channel.h[None]
     p_hat, labels, distance, n_cand = ssd_detect_batch(y[None], h, np.linalg.norm(h, axis=-1),
-                                                       cfg, table, const)
+                                                       aligning_phases(h), cfg, table)
     return _first_result(p_hat, labels, distance, cfg, const, mac_ssd(cfg, int(n_cand[0])))
 
 

@@ -26,7 +26,6 @@ import operator
 import os
 import queue
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 from multiprocessing import Pool
 
 import numpy as np
@@ -39,7 +38,7 @@ from .baselines import (
     sas_encode_batch,
 )
 from .channel import draw_layout, draw_trials, propagate_batch
-from .core import MOD_NAMES, SystemConfig, make_constellation, validate_config
+from .core import MOD_NAMES, SystemConfig, validate_config
 from .detection import (
     check_ml_guard,
     detected_bits,
@@ -92,11 +91,6 @@ class SweepRow:
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-@lru_cache(maxsize=None)
-def _constellation(mod_order: int):
-    return make_constellation(mod_order)
-
-
 def check_run(scheme: str, detector: str = "ml") -> None:
     """Reject an unknown scheme or detector, or a baseline detected by anything
     but ``ml``, naming the field; without a detector, check the scheme alone."""
@@ -136,21 +130,18 @@ def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range,
     n_trials = len(trials)
     n_bits = bits_per_tx(cfg, scheme)
     bits, h, noise = draw_trials(cfg.seed, trials, n_bits, cfg.n_rx, cfg.n_refl, out=draws)
-    if detector == "ml":
-        # every target's reflector phases, for a baseline's encoder and
-        # detector or for the ml search's gathers
-        phases = aligning_phases(h, out=buffers[0][:n_trials] if buffers else None)
+    # every antenna's reflector phases, from which every theta of the chunk is gathered
+    phases = aligning_phases(h, out=buffers[0][:n_trials] if buffers else None)
     if scheme == "mas":
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        const = _constellation(cfg.mod_order)
         norms = np.linalg.norm(h, axis=-1)  # for every slot order, encoder's and detector's
-        x, theta = encode_batch(bits, h, norms, cfg, table, const)
+        x, theta = encode_batch(bits, norms, phases, cfg, table)
         y = propagate_batch(h, theta, x, noise, cfg.noise_sigma)
         if detector == "ml":
-            p_hat, labels, _ = ml_detect_batch(y, h, norms, cfg, table, phases,
+            p_hat, labels, _ = ml_detect_batch(y, h, norms, phases, cfg, table,
                                                buffers[1:] or None)
         else:
-            p_hat, labels, _, n_cand = ssd_detect_batch(y, h, norms, cfg, table, const)
+            p_hat, labels, _, n_cand = ssd_detect_batch(y, h, norms, phases, cfg, table)
         bits_hat = detected_bits(p_hat, labels, cfg)
     else:
         values = baseline_values(scheme, cfg.mod_order, cfg.sym_energy)
@@ -164,10 +155,10 @@ def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range,
 
 def _workspace(cfg: SystemConfig, scheme: str, detector: str, n_trials: int):
     """The large arrays of a chunk of up to ``n_trials`` trials: the draws'
-    buffers and a list of the rest.  The list holds, for a baseline, the
-    aligning phases; for ``ml``, the aligning phases, the row-phase buffer
-    (C, n_refl) and the gains stack (n_trials, n_rx, C); for ``ssd``,
-    nothing.  The phases share the normals' bytes, so they cost no memory.
+    buffers and a list of the rest: the aligning phases, and for ``mas``
+    with ``ml`` the row-phase buffer (C, n_refl) and the gains stack
+    (n_trials, n_rx, C).  The phases share the normals' bytes, so they cost
+    no memory.
 
     A block allocates them once and every chunk overwrites them, so the
     chunk loop does not free and fault in the same pages again.  They are
@@ -186,13 +177,11 @@ def _workspace(cfg: SystemConfig, scheme: str, detector: str, n_trials: int):
     memory = np.empty(starts[-1], dtype=np.uint8)
     arrays = [memory[lo : lo + n].view(dtype).reshape(shape)
               for (shape, dtype), n, lo in zip(layout, nbytes, starts)]
-    draws, rest = arrays[:4], arrays[4:]
-    if detector == "ml":
-        # shaped like the channels; draw_trials has consumed the normals
-        # by the time the phases are computed
-        channels = draws[2]
-        rest.insert(0, draws[1].ravel().view(complex)[: channels.size].reshape(channels.shape))
-    return draws, rest
+    draws, channels = arrays[:4], arrays[2]
+    # the phases, shaped like the channels: draw_trials has consumed the
+    # normals by the time the phases are computed
+    phases = draws[1].ravel().view(complex)[: channels.size].reshape(channels.shape)
+    return draws, [phases, *arrays[4:]]
 
 
 def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -> TrialOutcome:
@@ -351,15 +340,15 @@ def run_sweep(cfg: SystemConfig, scheme: str = "mas", detector: str = "ssd",
               workers=None) -> list:
     """Sweep the configured SNR grid and return one SweepRow per point."""
     cfg = scheme_config(cfg, scheme, detector)
-    if scheme == "mas" and detector == "ml":
-        check_ml_guard(cfg)
+    block_len = bits_per_tx(cfg, scheme)
+    if detector == "ml":
+        check_ml_guard(cfg, None if scheme == "mas" else block_len)
     workers = _resolve_workers(workers)
 
     sigmas = [0.0 if np.isposinf(snr_db) else 10.0 ** (-snr_db / 20.0)
               for snr_db in cfg.snr_grid_db]
     point_cfgs = [replace(cfg, noise_sigma=sigma) for sigma in sigmas]
     sweep_counts = _sweep_counts(point_cfgs, scheme, detector, workers)
-    block_len = bits_per_tx(cfg, scheme)
     modulation = "none" if scheme == "sas-ssk" else MOD_NAMES[cfg.mod_order]
     rows = []
     for snr_db, counts in zip(cfg.snr_grid_db, sweep_counts):

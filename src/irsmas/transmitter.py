@@ -9,11 +9,12 @@ whose phases cancel that antenna's channel phases.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import Constellation, SystemConfig, pack_bits
-from .rac import RacTable
+from .core import SystemConfig, pack_bits, superposition_axes
+from .rac import RacTable, build_rac_table
 
 
 @dataclass
@@ -33,11 +34,13 @@ def reflector_phases(sel_channel: np.ndarray, delta: int) -> np.ndarray:
     Block i covers reflectors (i-1)*delta .. i*delta-1 and gets the
     ``aligning_phases`` of row i of the selected channel.  Reflectors beyond
     n_sel*delta (present only when n_sel does not divide n_refl) are
-    aligned to row 0.  This is ``row_phases`` for one row.
+    aligned to row 0.
     """
     sel_channel = np.atleast_2d(sel_channel)
-    rows = np.arange(1, len(sel_channel) + 1)
-    return row_phases(sel_channel, rows[None], delta)[0]
+    theta = np.empty(sel_channel.shape[-1], dtype=complex)
+    for block, slot in reflector_blocks(len(theta), len(sel_channel), delta):
+        aligning_phases(sel_channel[slot, block], out=theta[block])
+    return theta
 
 
 def aligning_phases(h: np.ndarray, out=None) -> np.ndarray:
@@ -68,20 +71,27 @@ def reflector_blocks(n_refl: int, n_sel: int, delta: int) -> list:
     return blocks
 
 
-def row_phases(h: np.ndarray, rows: np.ndarray, delta: int) -> np.ndarray:
-    """Phase vectors for many antenna rows at once, one per row of ``rows``.
+@lru_cache(maxsize=None)
+def phase_index(n_rx: int, n_sel: int, n_refl: int) -> np.ndarray:
+    """Where every RAC row's reflector phases lie in a trial's flattened
+    ``aligning_phases``, built once and shared read-only: theta of row p is
+    ``phases.ravel()[index[p]]``, (C, n_refl), block i of ``reflector_blocks``
+    following the row's antenna of slot i."""
+    rows = build_rac_table(n_rx, n_sel).rows
+    index = np.empty((len(rows), n_refl), dtype=np.int64)
+    for block, slot in reflector_blocks(n_refl, n_sel, n_refl // n_sel):
+        index[:, block] = (rows[:, slot, None] - 1) * n_refl + np.arange(n_refl)[block]
+    index.setflags(write=False)
+    return index
 
-    ``h`` is (..., n_rx, n_refl) and ``rows`` (..., R, n_sel) holds 1-based
-    antenna indices; the result is (..., R, n_refl).  Row r aligns block i
-    (reflectors i*delta .. (i+1)*delta-1) to antenna rows[r, i] and the
-    leftover reflectors to antenna rows[r, 0].
-    """
-    n_refl = h.shape[-1]
-    theta = np.empty(rows.shape[:-1] + (n_refl,), dtype=complex)
-    for block, slot in reflector_blocks(n_refl, rows.shape[-1], delta):
-        ant = rows[..., slot, None] - 1
-        aligning_phases(np.take_along_axis(h[..., block], ant, axis=-2), out=theta[..., block])
-    return theta
+
+def gather_phases(phases: np.ndarray, p: np.ndarray, n_sel: int) -> np.ndarray:
+    """Reflector phase vectors of RAC rows ``p`` (T, ...) gathered through
+    ``phase_index`` from the trials' ``aligning_phases`` (T, n_rx, n_refl):
+    (T, ..., n_refl)."""
+    n_trials, n_rx, n_refl = phases.shape
+    trial = np.arange(n_trials).reshape(-1, *(1,) * p.ndim)
+    return np.take(phases, phase_index(n_rx, n_sel, n_refl)[p] + trial * (n_rx * n_refl))
 
 
 def slot_order(p: np.ndarray, norms: np.ndarray, table: RacTable):
@@ -99,28 +109,26 @@ def slot_order(p: np.ndarray, norms: np.ndarray, table: RacTable):
     return sel, weights, np.argsort(-weights, axis=-1, kind="stable")
 
 
-def encode_batch(bits: np.ndarray, h: np.ndarray, norms: np.ndarray, cfg: SystemConfig,
-                 table: RacTable, const: Constellation):
+def encode_batch(bits: np.ndarray, norms: np.ndarray, phases: np.ndarray, cfg: SystemConfig,
+                 table: RacTable):
     """Map a stack of bit blocks to transmit scalars and reflector phases.
 
-    The first l1 bits pick the antenna combination; bit block j (of
-    bits_per_sym bits) modulates slot j's symbol.  Power ratio alpha[i] goes
-    to the slot in descending-weight position i.  ``bits`` is
-    (T, block_len), ``h`` (T, n_rx, n_refl) and ``norms`` its row norms
-    (T, n_rx).  Returns the transmit scalars (T,) and reflector phase
-    vectors (T, n_refl).
+    The first l1 bits pick RAC row p; bit block j (of bits_per_sym bits)
+    labels slot j's symbol.  Power ratio alpha[i] goes to the slot in
+    descending-weight position i, so x superposes the labels taken in that
+    order.  ``bits`` is (T, block_len), ``norms`` the channels' row norms
+    (T, n_rx) and ``phases`` their ``aligning_phases`` (T, n_rx, n_refl).
+    Returns the transmit scalars (T,) and reflector phase vectors (T, n_refl).
     """
-    sel, _, order = slot_order(pack_bits(bits[:, : cfg.l1], cfg.l1)[:, 0], norms, table)
-    symbols = const.points[pack_bits(bits[:, cfg.l1 :], cfg.bits_per_sym)]  # per slot
-    x = np.zeros(len(bits), dtype=complex)
-    for i in range(cfg.n_sel):
-        slot_symbols = np.take_along_axis(symbols, order[:, i, None], axis=1)[:, 0]
-        x += np.sqrt(cfg.alpha[i]) * cfg.sym_energy * slot_symbols
-    theta = row_phases(h, sel[:, None, :], cfg.delta)[:, 0]
-    return x, theta
+    p = pack_bits(bits[:, : cfg.l1], cfg.l1)[:, 0]
+    _, _, order = slot_order(p, norms, table)
+    labels = pack_bits(bits[:, cfg.l1 :], cfg.bits_per_sym)  # per slot
+    axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
+    x = axes.superpose(np.take_along_axis(labels, order, axis=1))
+    return x, gather_phases(phases, p, cfg.n_sel)
 
 
-def encode(bits, channel, cfg: SystemConfig, table: RacTable, const: Constellation) -> TxOutput:
+def encode(bits, channel, cfg: SystemConfig, table: RacTable) -> TxOutput:
     """One block of bits through ``encode_batch``, as a stack of one, with
     the selection it made."""
     bits = np.asarray(bits)
@@ -128,7 +136,7 @@ def encode(bits, channel, cfg: SystemConfig, table: RacTable, const: Constellati
         raise ValueError(f"expected {cfg.block_len} bits, got {len(bits)}")
     h = channel.h[None]
     norms = np.linalg.norm(h, axis=-1)
-    x, theta = encode_batch(bits[None], h, norms, cfg, table, const)
+    x, theta = encode_batch(bits[None], norms, aligning_phases(h), cfg, table)
     sel, weights, order = slot_order(pack_bits(bits[None, : cfg.l1], cfg.l1)[:, 0], norms,
                                      table)
     return TxOutput(x=complex(x[0]), theta=theta[0], sel=sel[0], order_desc=order[0] + 1,

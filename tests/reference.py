@@ -196,9 +196,7 @@ def ssd_candidate_decode(y, channel, p_hat: int, cfg: SystemConfig, table: RacTa
             v -= np.sqrt(cfg.alpha[n_sel - j]) * e_s * symbols[order[j - 1] - 1]
         symbols[slot - 1] = quantize(v, cfg.alpha[n_sel - i], e_s, const)
 
-    x_hat = 0j
-    for i in range(1, n_sel + 1):
-        x_hat += np.sqrt(cfg.alpha[n_sel - i]) * e_s * symbols[order[i - 1] - 1]
+    x_hat = superpose(symbols, order[::-1], cfg.alpha, e_s)  # as the encoder sums
     distance = float(np.sum(np.abs(y - channel.h @ theta * x_hat) ** 2))
     return symbols, complex(x_hat), distance
 

@@ -259,7 +259,7 @@ def test_criterion_7_oracle_equivalence():
         rng = trial_rng(7, trial)
         bits = rng.integers(0, 2, size=cfg.block_len)
         ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
-        tx = encode(bits, ch, cfg, table, const)
+        tx = encode(bits, ch, cfg, table)
         y = propagate(ch, tx.theta, tx.x, sigma, rng)
         got = ml_detect(y, ch, cfg, table, const).bits
         want = oracle(y, ch.h)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from irsmas.channel import ChannelMatrix, sample_channel, trial_rng
 from irsmas.core import SystemConfig, make_constellation, superposition_axes
 from irsmas.detection import (
+    check_ml_guard,
     detected_bits,
     mac_base,
     mac_ml,
@@ -21,7 +22,15 @@ from irsmas.detection import (
     superposition_set,
 )
 from irsmas.rac import build_rac_table, rac_find
-from reference import make_trial, make_trials, quantize, rac_candidates, ssd_candidate_decode
+from irsmas.transmitter import aligning_phases
+from reference import (
+    make_trial,
+    make_trials,
+    quantize,
+    rac_candidates,
+    ssd_candidate_decode,
+    superpose,
+)
 from reference import ssd_detect as reference_ssd_detect
 
 CFG = SystemConfig()
@@ -71,12 +80,26 @@ class TestSuperpositionSet:
         again = superposition_set(16, alpha, 2.5)
         assert again[0] is values and again[1] is labels
         assert not values.flags.writeable and not labels.flags.writeable
-        # equal, bit for bit, to a build from the constellation by one product
-        want_labels = np.indices((16,) * 3).reshape(3, -1).T
-        scale = np.sqrt(np.asarray(alpha)) * 2.5
-        np.testing.assert_array_equal(labels, want_labels)
-        np.testing.assert_array_equal(
-            values, make_constellation(16).points[want_labels] @ scale.astype(complex))
+        # equal, bit for bit, to a + jb of the per-axis sets
+        axes = superposition_axes(16, alpha, 2.5)
+        np.testing.assert_array_equal(labels, np.indices((16,) * 3).reshape(3, -1).T)
+        np.testing.assert_array_equal(values.real, axes.a[axes.ia])
+        np.testing.assert_array_equal(values.imag, axes.b[axes.ib])
+
+    @pytest.mark.parametrize("sym_energy", [1.0, 0.7, 2.5])
+    @pytest.mark.parametrize("mod_order", [2, 4, 16, 64])
+    def test_values_equal_scalar_superposition(self, mod_order, sym_energy):
+        # each value, bit for bit, is the reference's slot-by-slot sum with
+        # tuple position i at power ratio alpha[i]; a large set is sampled
+        points = make_constellation(mod_order).points
+        for alpha in [(1.0,), (0.2, 0.8), (0.05, 0.95), (0.05, 0.2, 0.75), (0.01, 0.1, 0.89)]:
+            values, labels = superposition_set(mod_order, alpha, sym_energy)
+            tuples = np.arange(len(values))
+            if len(tuples) > 4096:
+                tuples = np.random.default_rng(0).choice(tuples, 4096, replace=False)
+            order = np.arange(1, len(alpha) + 1)
+            for v in tuples:
+                assert values[v] == superpose(points[labels[v]], order, alpha, sym_energy)
 
 
 @st.composite
@@ -100,10 +123,11 @@ class TestSuperpositionAxes:
         assert len(values) == len(axes.a) * len(axes.b) == len(axes.ia) == len(axes.ib)
         np.testing.assert_array_equal(np.sort(axes.ia * len(axes.b) + axes.ib),
                                       np.arange(len(values)))
-        # ... and each value is a + jb to within an ulp of the largest value
-        ulp = np.spacing(np.abs(values).max())
-        assert np.abs(axes.a[axes.ia] - values.real).max() <= ulp
-        assert np.abs(axes.b[axes.ib] - values.imag).max() <= ulp
+        # ... each value is a + jb exactly, and superpose looks up any tuples
+        np.testing.assert_array_equal(axes.a[axes.ia], values.real)
+        np.testing.assert_array_equal(axes.b[axes.ib], values.imag)
+        _, labels = superposition_set(mod_order, alpha, sym_energy)
+        np.testing.assert_array_equal(axes.superpose(labels[::-7]), values[::-7])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from([(2, (0.05, 0.2, 0.75)), (4, (0.2, 0.8)), (16, (0.05, 0.95))]),
@@ -201,8 +225,8 @@ class TestSsdBatch:
 
     def assert_matches_scalar(self, y, h, cfg, const):
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        p_hat, labels, distance, n_cand = ssd_detect_batch(y, h, np.linalg.norm(h, axis=-1), cfg,
-                                                           table, const)
+        p_hat, labels, distance, n_cand = ssd_detect_batch(y, h, np.linalg.norm(h, axis=-1),
+                                                           aligning_phases(h), cfg, table)
         for t in range(len(y)):
             ref = reference_ssd_detect(y[t], ChannelMatrix(h[t]), cfg, table, const)
             assert p_hat[t] == ref.rac_index
@@ -268,6 +292,18 @@ class TestMl:
         with pytest.raises(ValueError, match="guard"):
             ml_detect(y, ch, cfg, TABLE, BPSK)
 
+    def test_guard_counts_the_hypotheses_mac_ml_bills(self):
+        # C M^n_sel = 2^l1 * 2^l2: 256 hypotheses at the headline config
+        n_hyp = TABLE.row_count * CFG.mod_order**CFG.n_sel
+        assert n_hyp * mac_base(CFG.n_rx, CFG.n_refl) == mac_ml(CFG)
+        check_ml_guard(dataclasses.replace(CFG, ml_guard=n_hyp))
+        with pytest.raises(ValueError, match="ml_guard"):
+            check_ml_guard(dataclasses.replace(CFG, ml_guard=n_hyp - 1))
+        check_ml_guard(dataclasses.replace(CFG, ml_guard=2**5), n_bits=5)
+        with pytest.raises(ValueError, match="ml_guard") as err:
+            check_ml_guard(dataclasses.replace(CFG, ml_guard=2**5 - 1), n_bits=5)
+        assert "ssd" not in str(err.value)
+
     def test_matches_ssd_on_clean_input(self):
         for trial in range(50):
             bits, ch, y = make_trial(CFG, trial, seed=3)
@@ -285,7 +321,8 @@ class TestBitsRecovery:
     def test_matches_encode_layout(self):
         bits, ch, y = make_trial(CFG, 9)
         h = ch.h[None]
-        p_hat, labels, _ = ml_detect_batch(y[None], h, np.linalg.norm(h, axis=-1), CFG, TABLE)
+        p_hat, labels, _ = ml_detect_batch(y[None], h, np.linalg.norm(h, axis=-1),
+                                           aligning_phases(h), CFG, TABLE)
         np.testing.assert_array_equal(detected_bits(p_hat, labels, CFG)[0], bits)
 
 

@@ -31,7 +31,7 @@ from irsmas.harness import (
     run_trial,
 )
 from irsmas.rac import build_rac_table
-from irsmas.transmitter import aligning_phases, row_phases
+from irsmas.transmitter import aligning_phases, gather_phases
 from reference import (
     detection_to_bits,
     direct_ml_detect,
@@ -176,7 +176,8 @@ class TestBatchedMlEngine:
     def assert_matches_direct(self, y, h, cfg):
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        p_hat, labels, distance = ml_detect_batch(y, h, np.linalg.norm(h, axis=-1), cfg, table)
+        p_hat, labels, distance = ml_detect_batch(y, h, np.linalg.norm(h, axis=-1),
+                                                  aligning_phases(h), cfg, table)
         for t in range(len(y)):
             ref_p, ref_symbols, ref_d = direct_ml_detect(y[t], ChannelMatrix(h[t]), cfg,
                                                          table, const)
@@ -263,8 +264,10 @@ class TestBatchedMlEngine:
         _, h, y = make_trials(cfg, range(3))
         h[:, 3] = h[:, 2]
         np.testing.assert_array_equal(table.rows[1:3], [[1, 3], [1, 4]])
+        every_row = np.broadcast_to(np.arange(table.row_count), (3, table.row_count))
+        theta = gather_phases(aligning_phases(h), every_row, cfg.n_sel)
         for t in range(3):
-            gains = h[t] @ row_phases(h[t], table.rows, cfg.delta).T
+            gains = h[t] @ theta[t].T
             np.testing.assert_array_equal(gains[:, 1], gains[:, 2])
             y[t] += gains[:, 2] * values[5 * t]  # sent on row 2, as loud as the noise
         p_hat, _, _ = self.assert_matches_direct(y, h, cfg)
@@ -279,11 +282,11 @@ class TestBatchedMlEngine:
         rng = np.random.default_rng(1)
         y = rng.standard_normal((CHUNK_TRIALS, cfg.n_rx)) + 0j
         h = np.zeros((CHUNK_TRIALS, cfg.n_rx, cfg.n_refl), dtype=complex)
-        norms = np.linalg.norm(h, axis=-1)
-        ml_detect_batch(y[:1], h[:1], norms[:1], cfg, table)  # build the cached sets first
+        norms, phases = np.linalg.norm(h, axis=-1), aligning_phases(h)
+        ml_detect_batch(y[:1], h[:1], norms[:1], phases[:1], cfg, table)  # build the caches
         tracemalloc.start()
         try:
-            p_hat, labels, distance = ml_detect_batch(y, h, norms, cfg, table)
+            p_hat, labels, distance = ml_detect_batch(y, h, norms, phases, cfg, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -408,20 +411,20 @@ class TestWorkspace:
             seen.append(("phases", len(h), out.ctypes.data))
             return real_phases(h, out=out)
 
-        def ml_detect_batch(y, h, norms, cfg, table, phases=None, buffers=None):
+        def ml_detect_batch(y, h, norms, phases, cfg, table, buffers=None):
             theta, gains = buffers
             assert theta.shape == (table.row_count, cfg.n_refl)
             assert gains.shape == (32, cfg.n_rx, table.row_count)
             seen.append(("ml", len(y), (phases.ctypes.data, theta.ctypes.data,
                                         gains.ctypes.data)))
-            return real_ml(y, h, norms, cfg, table, phases, buffers)
+            return real_ml(y, h, norms, phases, cfg, table, buffers)
 
         monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
         monkeypatch.setattr(irsmas.harness, "aligning_phases", aligning_phases)
         monkeypatch.setattr(irsmas.harness, "ml_detect_batch", ml_detect_batch)
         assert _block_counts((cfg, scheme, detector, *CHUNK_BLOCK)) == (CHUNK_BLOCK[1],
                                                                           *reference_block(name))
-        kinds = {"ssd": ["draws"], "ml": ["draws", "phases"]}[detector]
+        kinds = ["draws", "phases"]
         if scheme == "mas" and detector == "ml":
             kinds.append("ml")
         for kind in kinds:
@@ -442,10 +445,10 @@ class TestWorkspace:
         phases = np.full((size, cfg.n_rx, cfg.n_refl), np.nan, dtype=complex)
         buffers = (np.full((table.row_count, cfg.n_refl), np.nan, dtype=complex),
                    np.full((size, cfg.n_rx, table.row_count), np.nan, dtype=complex))
-        want = ml_detect_batch(y, h, norms, cfg, table)
+        want = ml_detect_batch(y, h, norms, aligning_phases(h), cfg, table)
         for _ in range(2):  # NaN-filled buffers, then the same buffers used
-            got = ml_detect_batch(y, h, norms, cfg, table,
-                                  aligning_phases(h, out=phases[:count]), buffers)
+            got = ml_detect_batch(y, h, norms, aligning_phases(h, out=phases[:count]), cfg,
+                                  table, buffers)
             for got_part, want_part in zip(got, want):
                 np.testing.assert_array_equal(got_part, want_part)
 
@@ -477,13 +480,13 @@ class TestWorkspace:
             memory = memory.base
         layout = draw_layout(CHUNK_TRIALS, bits_per_tx(cfg, scheme), cfg.n_rx, cfg.n_refl)
         assert [(buf.shape, buf.dtype) for buf in draws] == layout
-        if scheme != "mas" or detector == "ml":  # the phases take the normals' bytes
-            assert rest[0].shape == draws[2].shape and np.shares_memory(rest[0], draws[1])
+        # every chunk's phases take the normals' bytes
+        assert rest[0].shape == draws[2].shape and np.shares_memory(rest[0], draws[1])
         # every buffer is a multiple of 64 bytes here, so none is padded
         ml_bytes = sum(buf.nbytes for buf in rest[1:])
         assert memory.nbytes == ml_bytes + sum(math.prod(shape) * dtype.itemsize
                                                for shape, dtype in layout)
-        assert len(rest) == {"mas-ssd": 0, "mas-ml": 3}.get(name, 1)
+        assert len(rest) == (3 if name == "mas-ml" else 1)
 
     def test_draws_into_used_buffers_equal_fresh_draws(self):
         n_bits, n_rx, n_refl = 7, 3, 5
@@ -678,9 +681,15 @@ class TestRunSweep:
             raise AssertionError("a Pool was created before the ml guard was checked")
 
         monkeypatch.setattr(irsmas.harness, "Pool", no_pool)
-        cfg = self.small_cfg(ml_guard=100)
-        with pytest.raises(ValueError, match="guard"):
-            run_sweep(cfg, "mas", "ml", workers=2)
+        # one short of each search's 2^bits hypotheses: C M^n_sel = 64 * 2^2
+        # for mas, 16 targets * 4 symbols for sas-sm, 8 targets for sas-ssk
+        cases = {"mas": self.small_cfg(ml_guard=2**8 - 1),
+                 "sas-sm": self.small_cfg(n_rx=16, mod_order=4, ml_guard=2**6 - 1),
+                 "sas-ssk": self.small_cfg(n_rx=8, ml_guard=2**3 - 1)}
+        for scheme, cfg in cases.items():
+            with pytest.raises(ValueError, match="ml_guard") as err:
+                run_sweep(cfg, scheme, "ml", workers=2)
+            assert ("ssd" in str(err.value)) == (scheme == "mas")  # no ssd for a baseline
 
     def test_ml_worker_count_does_not_change_rows(self):
         cfg = self.small_cfg(n_trials=BLOCK_TRIALS + 37)
