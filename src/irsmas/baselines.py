@@ -57,19 +57,23 @@ def sas_encode_batch(bits: np.ndarray, phases: np.ndarray, values: np.ndarray, n
     return values[label], gather_phases(phases, target, 1)
 
 
-def sas_detect_batch(y: np.ndarray, h: np.ndarray, phases: np.ndarray, values: np.ndarray,
-                     n_bits: int):
-    """Exhaustive search over target antennas and symbols for a stack of
-    trials: y (T, n_rx), h and its aligning phases (T, n_rx, n_refl).
+def sas_gains(h: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The gain g = H theta of every target antenna, for any y, from a stack
+    of channels h and their aligning phases (T, n_rx, n_refl): one
+    matrix-vector product per (trial, target), (T, target, n_rx)."""
+    return (h[:, None] @ phases[..., None])[..., 0]
 
-    Each hypothesis gets the gain g = H theta as one matrix-vector product
-    per (trial, target), and the distance sum |y - g x|^2 over antennas,
+
+def sas_detect_batch(y: np.ndarray, gains: np.ndarray, values: np.ndarray, n_bits: int):
+    """Exhaustive search over target antennas and symbols for a stack of
+    trials: y (T, n_rx) and the ``sas_gains`` of their channels.
+
+    Each hypothesis gets the distance sum |y - g x|^2 over antennas,
     reduced by np.sum over an (n_rx, V) layout.  The first minimum in
     (target, symbol) order wins: ties resolve to the lowest antenna, then
     the lowest symbol label.  Returns the detected bits (T, n_bits) and
     distances (T,).
     """
-    gains = (h[:, None] @ phases[..., None])[..., 0]  # (T, target, n_rx)
     terms = np.abs(y[:, None, :, None] - gains[..., None] * values) ** 2
     distance = np.sum(terms, axis=-2).reshape(len(y), -1)  # (T, target * V + label)
     best = np.argmin(distance, axis=1)

@@ -116,14 +116,17 @@ def draw_trials(seed: int, trials, n_bits: int, n_rx: int, n_refl: int, out=None
     return bits.astype(np.int64), h, noise
 
 
-def propagate_batch(h: np.ndarray, theta: np.ndarray, x: np.ndarray, noise: np.ndarray,
-                    noise_sigma: float) -> np.ndarray:
-    """``propagate`` for a stack of trials: y = H theta x + sigma/sqrt(2) * noise.
+def propagate_batch(h: np.ndarray, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``propagate`` for a stack of trials without its noise: H theta x,
+    one matrix-vector product per trial.  It does not depend on the SNR,
+    so a sweep forms it once for all of its points."""
+    return (h @ theta[..., None])[..., 0] * x[:, None]
 
-    ``noise`` is the unit draw from ``draw_trials``.  H theta is one
-    matrix-vector product per trial.
-    """
-    return (h @ theta[..., None])[..., 0] * x[:, None] + noise * (noise_sigma / np.sqrt(2.0))
+
+def add_noise(received: np.ndarray, noise: np.ndarray, noise_sigma: float) -> np.ndarray:
+    """``propagate``'s y: H theta x from ``propagate_batch`` plus sigma/sqrt(2)
+    times ``noise``, the unit draw from ``draw_trials``."""
+    return received + noise * (noise_sigma / np.sqrt(2.0))
 
 
 def decompose_received(channel: ChannelMatrix, theta, x, sel, slot: int):

@@ -336,6 +336,8 @@ def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
             f"noise_sigma: must be finite and between 0 and {MAX_NOISE_SIGMA:g}, "
             f"the noise at {SNR_FLOOR_DB:g} dB (got {cfg.noise_sigma!r})"
         )
+    if not cfg.snr_grid_db:
+        problems.append("snr_grid_db: must hold at least one SNR point")
     bad_snr = [s for s in cfg.snr_grid_db if not snr_value_ok(s)]
     if bad_snr:
         problems.append(

@@ -162,41 +162,15 @@ def check_ml_guard(cfg: SystemConfig, n_bits: int | None = None) -> None:
                          f"more than ml_guard = {cfg.ml_guard}{hint}")
 
 
-def ml_detect_batch(
-    y: np.ndarray,
-    h: np.ndarray,
-    norms: np.ndarray,
-    phases: np.ndarray,
-    cfg: SystemConfig,
-    table: RacTable,
-    buffers=None,
-):
-    """Exhaustive ML search for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl),
-    its row norms (T, n_rx) and its ``aligning_phases``.
-
-    Minimizes ||y - H theta_p x||^2 over every legitimate row p and every
-    value x in the superposition set.  Ties resolve to the smaller p, then
-    the lexicographically earlier symbol tuple.  Returns the detected row
-    indices (T,), per-slot symbol labels (T, n_sel) and distances (T,).
-
-    Hypotheses are first screened in real arithmetic with the expansion
-    ||y||^2 - 2 Re(conj(x) g^H y) + |x|^2 ||g||^2.  Every superposed value
-    is x = a + jb with a from a per-axis set A and b from B, so the score
-    splits into one term per axis, and a (trial, row) pair's best score is
-    the sum of its two per-axis minima.  The screen costs C n_rx + C (|A| +
-    |B|) instead of C n_rx V (V = |A| |B| = M^n_sel), plus V for each pair
-    near its trial's minimum.  Every hypothesis whose score lies within a
-    rounding bound of that minimum is then recomputed elementwise, exactly
-    as the direct search computes it (antennas summed in order), so the
-    decision and distance are those of the direct search, bit for bit.
-
+def ml_gains(h: np.ndarray, phases: np.ndarray, cfg: SystemConfig, table: RacTable,
+             buffers=None):
+    """What the exhaustive ML search needs of a stack of channels h (T, n_rx,
+    n_refl) and their ``aligning_phases``, for any y: the gains g_p = H
+    theta_p of every legitimate row p (T, n_rx, C) and ||g_p||^2 (T C,).
     ``buffers``, if given, is a row-phase buffer (C, n_refl) and a gains
-    stack (at least T, n_rx, C), complex, which the search overwrites
-    instead of allocating them.
-    """
+    stack (at least T, n_rx, C), complex, which this overwrites instead of
+    allocating them."""
     check_ml_guard(cfg)
-    values, tuples = superposition_set(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
-    axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
     n_trials, n_rx, n_refl = h.shape
     n_rows = table.row_count
     # theta_p of every row p, gathered from the trial's phases through
@@ -213,12 +187,39 @@ def ml_detect_batch(
         # would have numpy copy the result through a temporary
         np.take(u_t, index, out=theta, mode="clip")
         np.matmul(h_t, theta.T, out=g_t)
+    return gains, np.sum(gains.real**2 + gains.imag**2, axis=1).ravel()
+
+
+def ml_detect_batch(y: np.ndarray, gains: np.ndarray, energy: np.ndarray, norms: np.ndarray,
+                    cfg: SystemConfig, table: RacTable):
+    """Exhaustive ML search for a stack of trials: y (T, n_rx), the gains
+    stack (T, n_rx, C) and ||g||^2 of its channels from ``ml_gains``, and
+    their row norms (T, n_rx).
+
+    Minimizes ||y - H theta_p x||^2 over every legitimate row p and every
+    value x in the superposition set.  Ties resolve to the smaller p, then
+    the lexicographically earlier symbol tuple.  Returns the detected row
+    indices (T,), per-slot symbol labels (T, n_sel) and distances (T,).
+
+    Hypotheses are first screened in real arithmetic with the expansion
+    ||y||^2 - 2 Re(conj(x) g^H y) + |x|^2 ||g||^2.  Every superposed value
+    is x = a + jb with a from a per-axis set A and b from B, so the score
+    splits into one term per axis, and a (trial, row) pair's best score is
+    the sum of its two per-axis minima.  The screen costs C n_rx + C (|A| +
+    |B|) instead of C n_rx V (V = |A| |B| = M^n_sel), plus V for each pair
+    near its trial's minimum.  Every hypothesis whose score lies within a
+    rounding bound of that minimum is then recomputed elementwise, exactly
+    as the direct search computes it (antennas summed in order), so the
+    decision and distance are those of the direct search, bit for bit.
+    """
+    values, tuples = superposition_set(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
+    axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
+    n_trials, n_rx, n_rows = gains.shape
 
     # score(p, a + jb) = distance - ||y||^2 = f_A(p, a) + f_B(p, b), with
     # f_A = a (||g||^2 a - 2 Re(g^H y)) and f_B = b (||g||^2 b - 2 Im(g^H y)),
     # one row per value of A then of B, and (trial, row) pairs along the
     # trailing axis.
-    energy = np.sum(gains.real**2 + gains.imag**2, axis=1).ravel()  # ||g||^2
     corr2 = 2 * (y[:, None, :] @ gains.conj())[:, 0].ravel()  # 2 g^H y
     ab = np.concatenate([axes.a, axes.b])
     n_a = len(axes.a)
@@ -321,8 +322,9 @@ def ml_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
     """Jointly optimal exhaustive search for one trial: ``ml_detect_batch``
     on a stack of one."""
     h = channel.h[None]
-    p_hat, labels, distance = ml_detect_batch(y[None], h, np.linalg.norm(h, axis=-1),
-                                              aligning_phases(h), cfg, table)
+    gains, energy = ml_gains(h, aligning_phases(h), cfg, table)
+    p_hat, labels, distance = ml_detect_batch(y[None], gains, energy,
+                                              np.linalg.norm(h, axis=-1), cfg, table)
     return _first_result(p_hat, labels, distance, cfg, const, mac_ml(cfg))
 
 

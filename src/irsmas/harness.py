@@ -6,11 +6,13 @@ its block sequence, each block is a pure function of (config, scheme,
 detector, block index), and counts are summed in block order.  The same
 seed therefore yields bit-identical output for any worker count.
 
-A sweep runs every point's blocks through one scheduler, on one process
-pool for the whole sweep (or in process with one worker).  Blocks are
-handed out breadth-first across the points that have not met their error
-budget, so a worker that finishes one point's last block starts on the
-next point instead of idling.
+Points differ only in their noise level, and a trial sees the same bits,
+channel and noise at each, so a sweep's job is one block for the points
+still live when it is handed out: drawn, encoded and propagated once, then
+detected at each point.  Jobs go out in block order through one scheduler,
+on one process pool for the whole sweep (or in process with one worker).
+With fewer blocks than workers, the points are dealt round-robin into
+max(1, min(points, workers // blocks)) groups, whose jobs each draw the block.
 
 Every block, of every scheme and detector, runs through the batched
 engine: chunks of CHUNK_TRIALS trials pass each stage (draws, encode,
@@ -20,12 +22,11 @@ in, so a block's counts equal the sum of ``run_trial`` outcomes over its
 trials.  ``run_trial`` runs one trial as a chunk of one.
 """
 
-import heapq
 import math
 import operator
 import os
 import queue
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from multiprocessing import Pool
 
 import numpy as np
@@ -36,8 +37,9 @@ from .baselines import (
     baseline_values,
     sas_detect_batch,
     sas_encode_batch,
+    sas_gains,
 )
-from .channel import draw_layout, draw_trials, propagate_batch
+from .channel import add_noise, draw_layout, draw_trials, propagate_batch
 from .core import MOD_NAMES, SystemConfig, validate_config
 from .detection import (
     check_ml_guard,
@@ -45,6 +47,7 @@ from .detection import (
     mac_ml,
     mac_ssd,
     ml_detect_batch,
+    ml_gains,
     ssd_detect_batch,
 )
 from .rac import build_rac_table
@@ -116,15 +119,17 @@ def bits_per_tx(cfg: SystemConfig, scheme: str) -> int:
     return cfg.block_len if scheme == "mas" else baseline_bits(baseline_config(cfg), scheme)
 
 
-def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range,
-                  workspace=None):
-    """(bit errors, block errors, MACs) of a few trials, run as arrays.
+def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range, sigmas,
+                  workspace=None) -> list:
+    """(bit errors, block errors, MACs) of a few trials, run as arrays, at
+    each noise level of ``sigmas``.
 
     Each trial draws bits, channel and noise from its own ``trial_rng``
-    stream, in that order, then is encoded, propagated and detected.
-    ``cfg`` is ``scheme_config``'s.  ``workspace``, if given, is
-    ``_workspace`` for at least this many trials, and the chunk overwrites
-    its arrays instead of allocating them.
+    stream, in that order, and is encoded and propagated once; each sigma
+    then scales and adds the noise and detects.  ``cfg`` is
+    ``scheme_config``'s; its noise_sigma is not read.  ``workspace``, if
+    given, is ``_workspace`` for at least this many trials, and the chunk
+    overwrites its arrays instead of allocating them.
     """
     draws, buffers = workspace or (None, [])
     n_trials = len(trials)
@@ -136,21 +141,29 @@ def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range,
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         norms = np.linalg.norm(h, axis=-1)  # for every slot order, encoder's and detector's
         x, theta = encode_batch(bits, norms, phases, cfg, table)
-        y = propagate_batch(h, theta, x, noise, cfg.noise_sigma)
         if detector == "ml":
-            p_hat, labels, _ = ml_detect_batch(y, h, norms, phases, cfg, table,
-                                               buffers[1:] or None)
-        else:
-            p_hat, labels, _, n_cand = ssd_detect_batch(y, h, norms, phases, cfg, table)
-        bits_hat = detected_bits(p_hat, labels, cfg)
+            gains, energy = ml_gains(h, phases, cfg, table, buffers[1:] or None)
     else:
         values = baseline_values(scheme, cfg.mod_order, cfg.sym_energy)
         x, theta = sas_encode_batch(bits, phases, values, n_bits)
-        y = propagate_batch(h, theta, x, noise, cfg.noise_sigma)
-        bits_hat, _ = sas_detect_batch(y, h, phases, values, n_bits)
-    mac = n_trials * mac_ml(cfg, n_bits) if detector == "ml" else int(mac_ssd(cfg, n_cand).sum())
-    errors = np.count_nonzero(bits != bits_hat, axis=1)
-    return int(errors.sum()), int(np.count_nonzero(errors)), mac
+        gains = sas_gains(h, phases)
+    received = propagate_batch(h, theta, x)
+    counts = []
+    for sigma in sigmas:
+        y = add_noise(received, noise, sigma)
+        if scheme != "mas":
+            bits_hat, _ = sas_detect_batch(y, gains, values, n_bits)
+        elif detector == "ml":
+            p_hat, labels, _ = ml_detect_batch(y, gains, energy, norms, cfg, table)
+        else:
+            p_hat, labels, _, n_cand = ssd_detect_batch(y, h, norms, phases, cfg, table)
+        if scheme == "mas":
+            bits_hat = detected_bits(p_hat, labels, cfg)
+        mac = (n_trials * mac_ml(cfg, n_bits) if detector == "ml"
+               else int(mac_ssd(cfg, n_cand).sum()))
+        errors = np.count_nonzero(bits != bits_hat, axis=1)
+        counts.append((int(errors.sum()), int(np.count_nonzero(errors)), mac))
+    return counts
 
 
 def _workspace(cfg: SystemConfig, scheme: str, detector: str, n_trials: int):
@@ -189,18 +202,19 @@ def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -
     the engine on a chunk of one trial."""
     cfg = scheme_config(cfg, scheme, detector)
     trials = range(trial_index, trial_index + 1)
-    return TrialOutcome(*_chunk_counts(cfg, scheme, detector, trials))
+    return TrialOutcome(*_chunk_counts(cfg, scheme, detector, trials, (cfg.noise_sigma,))[0])
 
 
-def _block_counts(args):
-    """Aggregate counts for one scheduling block (top level for pickling)."""
-    cfg, scheme, detector, start, count = args
+def _block_counts(args) -> list:
+    """(trials, bit errors, block errors, MACs) of one scheduling block at
+    each noise level of ``sigmas`` (top level for pickling)."""
+    cfg, scheme, detector, start, count, sigmas = args
     stop = start + count
     workspace = _workspace(cfg, scheme, detector, min(CHUNK_TRIALS, count))
     parts = [_chunk_counts(cfg, scheme, detector, range(lo, min(lo + CHUNK_TRIALS, stop)),
-                           workspace)
+                           sigmas, workspace)
              for lo in range(start, stop, CHUNK_TRIALS)]
-    return (count, *(sum(column) for column in zip(*parts)))
+    return [(count, *(sum(column) for column in zip(*point))) for point in zip(*parts)]
 
 
 def compute_metrics(trials: int, bit_errors: int, block_errors: int,
@@ -254,20 +268,15 @@ def _resolve_workers(workers) -> int:
 
 
 class _Point:
-    """One SNR point's share of the scheduler: the blocks handed out, the
-    results waiting for their turn, and the counts of the consumed prefix."""
+    """One SNR point's share of the scheduler: the results waiting for their
+    turn, and the counts of the consumed prefix."""
 
-    def __init__(self, cfg: SystemConfig):
-        self.cfg = cfg
-        self.n_blocks = (cfg.n_trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
+    def __init__(self, error_budget):
+        self.budget = error_budget
         self.consumed = 0
         self.waiting = {}  # block index -> counts that arrived out of order
         self.counts = (0, 0, 0, 0)  # trials, bit errors, block errors, MACs
         self.stopped = False
-
-    def job(self, block: int, scheme: str, detector: str):
-        start = block * BLOCK_TRIALS
-        return self.cfg, scheme, detector, start, min(BLOCK_TRIALS, self.cfg.n_trials - start)
 
     def take(self, block: int, result) -> None:
         """Consume every result now next in block order, stopping at a block
@@ -275,39 +284,44 @@ class _Point:
         if self.stopped:
             return
         self.waiting[block] = result
-        budget = self.cfg.error_budget
         while self.consumed in self.waiting:
             result = self.waiting.pop(self.consumed)
             self.consumed += 1
             self.counts = tuple(a + b for a, b in zip(self.counts, result))
-            if budget is not None and self.counts[2] >= budget:
+            if self.budget is not None and self.counts[2] >= self.budget:
                 self.stopped = True
                 self.waiting.clear()
                 return
 
 
-def _sweep_counts(point_cfgs: list, scheme: str, detector: str, workers: int) -> list:
-    """(trials, bit errors, block errors, MACs) of every point of a sweep.
+def _sweep_counts(cfg: SystemConfig, sigmas: list, scheme: str, detector: str,
+                  workers: int) -> list:
+    """(trials, bit errors, block errors, MACs) of every point of a sweep,
+    one point per noise level of ``sigmas``.
 
-    All points' blocks go through one scheduler.  It keeps at most
-    ``workers`` blocks in flight, on one pool for the whole sweep, and hands
-    each new block to the live point with the fewest blocks handed out
-    (lower index first), so points advance breadth-first.  Each point
-    consumes its results strictly in block order, so the consumed prefix,
-    and hence every count, is identical for any worker count.
+    Jobs of (block, a group's live points) go out in block order, at most
+    ``workers`` in flight.  Each point consumes its results strictly in
+    block order, so the consumed prefix, and hence every count, is
+    identical for any worker count.
     """
-    points = [_Point(cfg) for cfg in point_cfgs]
-    workers = min(workers, sum(p.n_blocks for p in points))
-    ready = [(0, i) for i in range(len(points))]  # heap of (blocks handed out, point)
-    done = queue.SimpleQueue()  # (point, block, counts or the exception raised)
+    points = [_Point(cfg.error_budget) for _ in sigmas]
+    n_blocks = -(-cfg.n_trials // BLOCK_TRIALS)
+    n_groups = max(1, min(len(points), workers // n_blocks))
+    workers = min(workers, n_blocks * n_groups)
+    jobs = ((block, range(g, len(points), n_groups))
+            for block in range(n_blocks) for g in range(n_groups))
+    done = queue.SimpleQueue()  # (points, block, counts or the exception raised)
 
     def next_job():
-        while ready:
-            block, i = heapq.heappop(ready)
-            if not points[i].stopped:
-                if block + 1 < points[i].n_blocks:
-                    heapq.heappush(ready, (block + 1, i))
-                return i, block, points[i].job(block, scheme, detector)
+        for block, group in jobs:
+            live = [i for i in group if not points[i].stopped]
+            if live:
+                start = block * BLOCK_TRIALS
+                count = min(BLOCK_TRIALS, cfg.n_trials - start)
+                return live, block, (cfg, scheme, detector, start, count,
+                                     tuple(sigmas[i] for i in live))
+            if all(p.stopped for p in points):
+                break
         return None
 
     def run(submit):
@@ -318,20 +332,21 @@ def _sweep_counts(point_cfgs: list, scheme: str, detector: str, workers: int) ->
                 in_flight += 1
             if not in_flight:
                 return
-            i, block, result = done.get()
+            live, block, result = done.get()
             in_flight -= 1
             if isinstance(result, BaseException):
                 raise result
-            points[i].take(block, result)
+            for i, counts in zip(live, result):
+                points[i].take(block, counts)
 
     if workers == 1:
-        run(lambda i, block, job: done.put((i, block, _block_counts(job))))
+        run(lambda live, block, job: done.put((live, block, _block_counts(job))))
     else:
         with Pool(workers) as pool:
-            def submit(i, block, job):
+            def submit(live, block, job):
                 pool.apply_async(_block_counts, (job,),
-                                 callback=lambda result: done.put((i, block, result)),
-                                 error_callback=lambda exc: done.put((i, block, exc)))
+                                 callback=lambda result: done.put((live, block, result)),
+                                 error_callback=lambda exc: done.put((live, block, exc)))
             run(submit)
     return [p.counts for p in points]
 
@@ -347,8 +362,7 @@ def run_sweep(cfg: SystemConfig, scheme: str = "mas", detector: str = "ssd",
 
     sigmas = [0.0 if np.isposinf(snr_db) else 10.0 ** (-snr_db / 20.0)
               for snr_db in cfg.snr_grid_db]
-    point_cfgs = [replace(cfg, noise_sigma=sigma) for sigma in sigmas]
-    sweep_counts = _sweep_counts(point_cfgs, scheme, detector, workers)
+    sweep_counts = _sweep_counts(cfg, sigmas, scheme, detector, workers)
     modulation = "none" if scheme == "sas-ssk" else MOD_NAMES[cfg.mod_order]
     rows = []
     for snr_db, counts in zip(cfg.snr_grid_db, sweep_counts):

@@ -5,7 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from irsmas.baselines import baseline_config, baseline_values, sas_detect_batch, sas_encode_batch
+from irsmas.baselines import (
+    baseline_config,
+    baseline_values,
+    sas_detect_batch,
+    sas_encode_batch,
+    sas_gains,
+)
 from irsmas.channel import sample_channel, trial_rng
 from irsmas.core import SystemConfig, bits_to_int, validate_config
 from irsmas.detection import mac_ml
@@ -31,8 +37,8 @@ def encode_one(bits, h, cfg, scheme):
 def detect_one(y, h, cfg, scheme):
     """``sas_detect_batch`` on a stack of one: (bits, distance)."""
     values = baseline_values(scheme, cfg.mod_order, cfg.sym_energy)
-    bits, distance = sas_detect_batch(y[None], h[None], aligning_phases(h[None]), values,
-                                      bits_per_tx(cfg, scheme))
+    gains = sas_gains(h[None], aligning_phases(h[None]))
+    bits, distance = sas_detect_batch(y[None], gains, values, bits_per_tx(cfg, scheme))
     return bits[0], distance[0]
 
 

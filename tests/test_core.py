@@ -161,6 +161,7 @@ class TestSystemConfig:
             ({"sym_energy": float("inf")}, "sym_energy"),
             ({"alpha": (float("nan"), float("nan"))}, "alpha: ratios must be finite"),
             ({"alpha": (0.05, float("nan"))}, "alpha: ratios must be finite"),
+            ({"snr_grid_db": ()}, "snr_grid_db: must hold at least one"),
         ],
     )
     def test_validation_names_field(self, fields, fragment):

@@ -16,6 +16,7 @@ from irsmas.detection import (
     mac_ssd,
     ml_detect,
     ml_detect_batch,
+    ml_gains,
     rac_candidates_batch,
     ssd_detect,
     ssd_detect_batch,
@@ -321,8 +322,9 @@ class TestBitsRecovery:
     def test_matches_encode_layout(self):
         bits, ch, y = make_trial(CFG, 9)
         h = ch.h[None]
-        p_hat, labels, _ = ml_detect_batch(y[None], h, np.linalg.norm(h, axis=-1),
-                                           aligning_phases(h), CFG, TABLE)
+        gains, energy = ml_gains(h, aligning_phases(h), CFG, TABLE)
+        p_hat, labels, _ = ml_detect_batch(y[None], gains, energy, np.linalg.norm(h, axis=-1),
+                                           CFG, TABLE)
         np.testing.assert_array_equal(detected_bits(p_hat, labels, CFG)[0], bits)
 
 

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import irsmas.harness
-from irsmas.baselines import baseline_values, sas_detect_batch
+from irsmas.baselines import baseline_values, sas_detect_batch, sas_gains
 from irsmas.channel import ChannelMatrix, draw_layout, draw_trials
 from irsmas.core import SystemConfig, make_constellation, superposition_set, validate_config
-from irsmas.detection import SCREEN_BUDGET, mac_ml, ml_detect, ml_detect_batch
+from irsmas.detection import SCREEN_BUDGET, mac_ml, ml_detect, ml_detect_batch, ml_gains
 from irsmas.harness import (
     BLOCK_TRIALS,
     CHUNK_TRIALS,
@@ -63,6 +63,12 @@ def failing_chunk_counts(*args):
     """Stands in for ``_chunk_counts`` in a worker (module level, so the
     forked worker finds it by name)."""
     raise RuntimeError("chunk failed in a worker")
+
+
+def point_block(cfg, scheme, detector, start, count):
+    """``_block_counts`` of one point, at the config's own noise level."""
+    (counts,) = _block_counts((cfg, scheme, detector, start, count, (cfg.noise_sigma,)))
+    return counts
 
 
 class TestRunTrial:
@@ -166,7 +172,7 @@ class TestBatchedSsdEngine:
             want[0] += out.bit_errors
             want[1] += out.block_error
             want[2] += out.mac
-        assert _block_counts((cfg, "mas", "ssd", start, count)) == (count, *want)
+        assert point_block(cfg, "mas", "ssd", start, count) == (count, *want)
 
 
 class TestBatchedMlEngine:
@@ -176,8 +182,9 @@ class TestBatchedMlEngine:
     def assert_matches_direct(self, y, h, cfg):
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        p_hat, labels, distance = ml_detect_batch(y, h, np.linalg.norm(h, axis=-1),
-                                                  aligning_phases(h), cfg, table)
+        gains, energy = ml_gains(h, aligning_phases(h), cfg, table)
+        p_hat, labels, distance = ml_detect_batch(y, gains, energy, np.linalg.norm(h, axis=-1),
+                                                  cfg, table)
         for t in range(len(y)):
             ref_p, ref_symbols, ref_d = direct_ml_detect(y[t], ChannelMatrix(h[t]), cfg,
                                                          table, const)
@@ -200,7 +207,7 @@ class TestBatchedMlEngine:
                                                            table, const))
                   for b, p, lab in zip(bits, p_hat, labels)]
         want = (count, sum(errors), np.count_nonzero(errors), count * mac_ml(cfg))
-        assert _block_counts((cfg, "mas", "ml", start, count)) == want
+        assert point_block(cfg, "mas", "ml", start, count) == want
 
     def test_all_zero_channel_ties_to_first_hypothesis(self):
         cfg = SystemConfig(n_rx=6, n_sel=3, n_refl=14, mod_order=4, alpha=(0.05, 0.2, 0.75),
@@ -283,10 +290,12 @@ class TestBatchedMlEngine:
         y = rng.standard_normal((CHUNK_TRIALS, cfg.n_rx)) + 0j
         h = np.zeros((CHUNK_TRIALS, cfg.n_rx, cfg.n_refl), dtype=complex)
         norms, phases = np.linalg.norm(h, axis=-1), aligning_phases(h)
-        ml_detect_batch(y[:1], h[:1], norms[:1], phases[:1], cfg, table)  # build the caches
+        ml_detect_batch(y[:1], *ml_gains(h[:1], phases[:1], cfg, table), norms[:1], cfg,
+                        table)  # build the caches
         tracemalloc.start()
         try:
-            p_hat, labels, distance = ml_detect_batch(y, h, norms, phases, cfg, table)
+            gains, energy = ml_gains(h, phases, cfg, table)
+            p_hat, labels, distance = ml_detect_batch(y, gains, energy, norms, cfg, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -335,12 +344,12 @@ class TestBatchedSasEngine:
 
             _, ch, *_, y = make_sas_trial(cfg, scheme, trial)
             h = ch.h[None]
-            got_bits, got_d = sas_detect_batch(y[None], h, aligning_phases(h), values,
-                                               bits_per_tx(cfg, scheme))
+            got_bits, got_d = sas_detect_batch(y[None], sas_gains(h, aligning_phases(h)),
+                                               values, bits_per_tx(cfg, scheme))
             ref_bits, ref_d = direct_sas_detect(y, ch, cfg, scheme)
             np.testing.assert_array_equal(got_bits[0], ref_bits)
             assert got_d[0] == ref_d
-        assert _block_counts((cfg, scheme, "ml", start, count)) == (count, *want)
+        assert point_block(cfg, scheme, "ml", start, count) == (count, *want)
 
     @pytest.mark.parametrize("mode", ["sm", "ssk"])
     def test_all_zero_channel_ties_to_first_hypothesis(self, mode):
@@ -349,7 +358,7 @@ class TestBatchedSasEngine:
         ch = ChannelMatrix(np.zeros((4, 9)))
         h = ch.h[None]
         for y in (np.zeros(4, dtype=complex), np.full(4, 0.3 - 0.1j)):
-            bits, distance = sas_detect_batch(y[None], h, aligning_phases(h), values,
+            bits, distance = sas_detect_batch(y[None], sas_gains(h, aligning_phases(h)), values,
                                               bits_per_tx(cfg, scheme))
             ref_bits, ref_d = direct_sas_detect(y, ch, cfg, scheme)
             np.testing.assert_array_equal(bits, 0)
@@ -386,7 +395,23 @@ def test_chunk_length_does_not_change_counts(monkeypatch, name, chunk):
     want = reference_block(name)
     assert want[1] > 0
     monkeypatch.setattr(irsmas.harness, "CHUNK_TRIALS", chunk)
-    assert _block_counts((cfg, scheme, detector, *CHUNK_BLOCK)) == (CHUNK_BLOCK[1], *want)
+    assert point_block(cfg, scheme, detector, *CHUNK_BLOCK) == (CHUNK_BLOCK[1], *want)
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+def test_joint_block_equals_per_point_blocks(name):
+    # noiseless, the case's own noise twice and a third of it; 67 trials
+    # span two full chunks and a ragged one
+    scheme, detector, cfg = CHUNK_CASES[name]
+    sigmas = (0.0, cfg.noise_sigma, cfg.noise_sigma / 3, cfg.noise_sigma)
+    alone = [point_block(dataclasses.replace(cfg, noise_sigma=sigma), scheme, detector,
+                         *CHUNK_BLOCK) for sigma in sigmas]
+    assert alone[1] == alone[3] == (CHUNK_BLOCK[1], *reference_block(name))
+    assert alone[0][2] == 0
+    for points in ((0, 1, 2, 3), (3, 2), (2,), (1, 0)):
+        joint = _block_counts((cfg, scheme, detector, *CHUNK_BLOCK,
+                               tuple(sigmas[i] for i in points)))
+        assert joint == [alone[i] for i in points]
 
 
 class TestWorkspace:
@@ -399,7 +424,7 @@ class TestWorkspace:
         monkeypatch.setattr(irsmas.harness, "CHUNK_TRIALS", 32)
         seen = []
         real_draw, real_phases = irsmas.harness.draw_trials, irsmas.harness.aligning_phases
-        real_ml = irsmas.harness.ml_detect_batch
+        real_ml = irsmas.harness.ml_gains
 
         def draw_trials(*args, out=None):
             bits, h, noise = real_draw(*args, out=out)
@@ -411,19 +436,19 @@ class TestWorkspace:
             seen.append(("phases", len(h), out.ctypes.data))
             return real_phases(h, out=out)
 
-        def ml_detect_batch(y, h, norms, phases, cfg, table, buffers=None):
+        def ml_gains(h, phases, cfg, table, buffers=None):
             theta, gains = buffers
             assert theta.shape == (table.row_count, cfg.n_refl)
             assert gains.shape == (32, cfg.n_rx, table.row_count)
-            seen.append(("ml", len(y), (phases.ctypes.data, theta.ctypes.data,
+            seen.append(("ml", len(h), (phases.ctypes.data, theta.ctypes.data,
                                         gains.ctypes.data)))
-            return real_ml(y, h, norms, phases, cfg, table, buffers)
+            return real_ml(h, phases, cfg, table, buffers)
 
         monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
         monkeypatch.setattr(irsmas.harness, "aligning_phases", aligning_phases)
-        monkeypatch.setattr(irsmas.harness, "ml_detect_batch", ml_detect_batch)
-        assert _block_counts((cfg, scheme, detector, *CHUNK_BLOCK)) == (CHUNK_BLOCK[1],
-                                                                          *reference_block(name))
+        monkeypatch.setattr(irsmas.harness, "ml_gains", ml_gains)
+        assert point_block(cfg, scheme, detector, *CHUNK_BLOCK) == (CHUNK_BLOCK[1],
+                                                                    *reference_block(name))
         kinds = ["draws", "phases"]
         if scheme == "mas" and detector == "ml":
             kinds.append("ml")
@@ -445,10 +470,11 @@ class TestWorkspace:
         phases = np.full((size, cfg.n_rx, cfg.n_refl), np.nan, dtype=complex)
         buffers = (np.full((table.row_count, cfg.n_refl), np.nan, dtype=complex),
                    np.full((size, cfg.n_rx, table.row_count), np.nan, dtype=complex))
-        want = ml_detect_batch(y, h, norms, aligning_phases(h), cfg, table)
+        want = ml_detect_batch(y, *ml_gains(h, aligning_phases(h), cfg, table), norms, cfg, table)
         for _ in range(2):  # NaN-filled buffers, then the same buffers used
-            got = ml_detect_batch(y, h, norms, aligning_phases(h, out=phases[:count]), cfg,
-                                  table, buffers)
+            gains, energy = ml_gains(h, aligning_phases(h, out=phases[:count]), cfg, table,
+                                     buffers)
+            got = ml_detect_batch(y, gains, energy, norms, cfg, table)
             for got_part, want_part in zip(got, want):
                 np.testing.assert_array_equal(got_part, want_part)
 
@@ -457,13 +483,14 @@ class TestWorkspace:
         trials = range(45, 45 + CHUNK_TRIALS)
         workspace = irsmas.harness._workspace(cfg, scheme, detector, CHUNK_TRIALS)
         (_, _, h, _), (phases, _, gains) = workspace
-        want = _chunk_counts(cfg, scheme, detector, trials)  # build the cached sets first
+        sigmas = (cfg.noise_sigma,)
+        want = _chunk_counts(cfg, scheme, detector, trials, sigmas)  # build the cached sets first
         peaks = []
         tracemalloc.start()
         try:
             for space in (None, workspace):
                 tracemalloc.reset_peak()
-                assert _chunk_counts(cfg, scheme, detector, trials, space) == want
+                assert _chunk_counts(cfg, scheme, detector, trials, sigmas, space) == want
                 peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -612,16 +639,22 @@ class TestRunSweep:
         assert rows1 == rows2
         assert rows1[0].trials < 4 * BLOCK_TRIALS
 
-    def staggered_cfg(self):
+    def staggered_cfg(self, stop_in_block_1=-14.0, **fields):
         """Three points that stop in block 0, in block 1 and never."""
         return self.small_cfg(n_trials=3 * BLOCK_TRIALS, error_budget=100,
-                              snr_grid_db=(-30.0, -14.0, float("inf")))
+                              snr_grid_db=(-30.0, stop_in_block_1, float("inf")), **fields)
 
     def test_staggered_stops_equal_for_any_worker_count(self):
-        cfg = self.staggered_cfg()
-        rows = {w: run_sweep(cfg, "mas", "ssd", workers=w) for w in (1, 2, 3)}
-        assert [r.trials for r in rows[1]] == [BLOCK_TRIALS, 2 * BLOCK_TRIALS, 3 * BLOCK_TRIALS]
-        assert rows[1] == rows[2] == rows[3]
+        cases = [("mas", "ssd", {}),
+                 ("mas", "ml", {"stop_in_block_1": -16.0}),
+                 ("sas-sm", "ml", {"stop_in_block_1": -27.0, "n_rx": 16, "n_sel": 1,
+                                   "alpha": (1.0,)})]
+        for scheme, detector, fields in cases:
+            cfg = self.staggered_cfg(**fields)
+            rows = {w: run_sweep(cfg, scheme, detector, workers=w) for w in (1, 2, 3)}
+            assert [r.trials for r in rows[1]] == [BLOCK_TRIALS, 2 * BLOCK_TRIALS,
+                                                   3 * BLOCK_TRIALS]
+            assert rows[1] == rows[2] == rows[3]
 
     def test_one_pool_per_sweep(self, monkeypatch):
         opened = []
@@ -662,6 +695,41 @@ class TestRunSweep:
         assert opened == [4]  # two points of two blocks each
         run_sweep(self.small_cfg(snr_grid_db=(-14.0,)), "mas", "ssd", workers=10_000)
         assert opened == [4]  # a single block runs in process
+
+    def test_block_drawn_and_encoded_once_per_sweep(self, monkeypatch):
+        calls = []
+        real_draw, real_encode = irsmas.harness.draw_trials, irsmas.harness.encode_batch
+
+        def draw_trials(*args, **kwargs):
+            calls.append("draws")
+            return real_draw(*args, **kwargs)
+
+        def encode_batch(*args):
+            calls.append("encode")
+            return real_encode(*args)
+
+        monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
+        monkeypatch.setattr(irsmas.harness, "encode_batch", encode_batch)
+        grid = (-14.0, -12.0, float("inf"))
+        cfg = self.small_cfg(n_trials=BLOCK_TRIALS + 37, snr_grid_db=grid)
+        rows = run_sweep(cfg, "mas", "ssd", workers=1)
+        chunks = -(-BLOCK_TRIALS // CHUNK_TRIALS) + -(-37 // CHUNK_TRIALS)  # both blocks
+        assert calls.count("draws") == calls.count("encode") == chunks
+        for snr_db, row in zip(grid, rows):
+            calls.clear()
+            assert run_sweep(dataclasses.replace(cfg, snr_grid_db=(snr_db,)), "mas", "ssd",
+                             workers=1) == [row]
+            assert calls.count("draws") == calls.count("encode") == chunks
+
+    def test_empty_grid_rejected_before_any_trial(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a pool or block started before the grid was checked")
+
+        monkeypatch.setattr(irsmas.harness, "Pool", no_run)
+        monkeypatch.setattr(irsmas.harness, "_block_counts", no_run)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="snr_grid_db"):
+                run_sweep(SystemConfig(snr_grid_db=()), "mas", "ssd", workers=workers)
 
     def test_worker_exception_comes_out(self, monkeypatch):
         monkeypatch.setattr(irsmas.harness, "_chunk_counts", failing_chunk_counts)
