@@ -20,9 +20,6 @@ import numpy as np
 from .core import MOD_ORDERS, SNR_FLOOR_DB, SystemConfig, snr_value_ok
 from .harness import CSV_COLUMNS, bits_per_tx, check_run, run_sweep, scheme_config
 
-# config-file keys, normalized to the flag spellings
-_KEYS = ("config", "scheme", "detector", "nr", "np", "n-reflectors", "mod",
-         "alpha", "nc", "iters", "snr", "trials", "seed", "out", "format")
 # most points a "start:step:stop" SNR range may expand to
 SNR_MAX_POINTS = 1000
 # keys that only the mas scheme reads; the single-antenna baselines pin or
@@ -32,7 +29,7 @@ _MAS_ONLY_KEYS = ("np", "alpha", "nc", "iters")
 
 @dataclasses.dataclass
 class RunSpec:
-    """Fully resolved run request; cfg already passed validation."""
+    """Fully resolved run request; cfg already passed ``scheme_config``."""
 
     cfg: SystemConfig
     scheme: str = "mas"
@@ -74,6 +71,30 @@ def parse_snr(text: str) -> tuple:
     return values
 
 
+def parse_mod(text: str) -> int:
+    if text not in MOD_ORDERS:
+        raise ValueError(f"unknown modulation {text!r}")
+    return MOD_ORDERS[text]
+
+
+# the SystemConfig field that each key (flag spelling) sets, and the parser
+# of its flag or config-file text
+_FIELDS = {
+    "nr": ("n_rx", int),
+    "np": ("n_sel", int),
+    "n-reflectors": ("n_refl", int),
+    "mod": ("mod_order", parse_mod),
+    "alpha": ("alpha", parse_alpha),
+    "nc": ("n_cand_antennas", int),
+    "iters": ("n_iters", int),
+    "snr": ("snr_grid_db", parse_snr),
+    "trials": ("n_trials", int),
+    "seed": ("seed", int),
+}
+# config-file keys, normalized to the flag spellings
+_KEYS = ("config", "scheme", "detector", *_FIELDS, "out", "format")
+
+
 def read_config_file(path: str) -> dict:
     """Parse a key=value config file; '#' comments and blank lines are skipped."""
     values = {}
@@ -101,16 +122,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
     parser.add_argument("--scheme", choices=["mas", "sas-sm", "sas-ssk"])
     parser.add_argument("--detector", choices=["ml", "ssd"])
-    parser.add_argument("--nr", type=int, help="receive antennas")
-    parser.add_argument("--np", type=int, help="selected antennas per transmission")
-    parser.add_argument("--n-reflectors", type=int)
+    parser.add_argument("--nr", help="receive antennas")
+    parser.add_argument("--np", help="selected antennas per transmission")
+    parser.add_argument("--n-reflectors")
     parser.add_argument("--mod", choices=sorted(MOD_ORDERS, key=MOD_ORDERS.get))
     parser.add_argument("--alpha", metavar="a1,a2,...", help="power ratios, ascending")
-    parser.add_argument("--nc", type=int, help="antennas kept by the candidate sorter")
-    parser.add_argument("--iters", type=int, help="candidate rows the SSD decodes")
+    parser.add_argument("--nc", help="antennas kept by the candidate sorter")
+    parser.add_argument("--iters", help="candidate rows the SSD decodes")
     parser.add_argument("--snr", metavar="start:step:stop", help="SNR grid in dB")
-    parser.add_argument("--trials", type=int, help="transmissions per SNR point")
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--trials", help="transmissions per SNR point")
+    parser.add_argument("--seed")
     parser.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     parser.add_argument("--format", choices=["csv", "json"])
     return parser
@@ -159,38 +180,16 @@ def parse_run_spec(argv=None) -> RunSpec:
                 raise ValueError(
                     f"{given[0]}: only applies to --scheme mas, not {scheme} "
                     f"(got {', '.join('--' + key for key in given)})")
-        defaults = SystemConfig()
         fields = {}
-        raw = resolve("nr", args.nr)
-        fields["n_rx"] = int(raw) if raw is not None else defaults.n_rx
-        raw = resolve("np", args.np)
-        fields["n_sel"] = int(raw) if raw is not None else defaults.n_sel
-        raw = resolve("n-reflectors", args.n_reflectors)
-        fields["n_refl"] = int(raw) if raw is not None else defaults.n_refl
-        raw = resolve("mod", args.mod)
-        if raw is not None:
-            if raw not in MOD_ORDERS:
-                raise ValueError(f"mod: unknown modulation {raw!r}")
-            fields["mod_order"] = MOD_ORDERS[raw]
-        raw = resolve("alpha", args.alpha)
-        if raw is not None:
-            fields["alpha"] = parse_alpha(raw) if isinstance(raw, str) else raw
-        raw = resolve("nc", args.nc)
-        if raw is not None:
-            fields["n_cand_antennas"] = int(raw)
-        raw = resolve("iters", args.iters)
-        if raw is not None:
-            fields["n_iters"] = int(raw)
-        raw = resolve("snr", args.snr)
-        if raw is not None:
-            fields["snr_grid_db"] = parse_snr(raw) if isinstance(raw, str) else raw
-        raw = resolve("trials", args.trials)
-        if raw is not None:
-            fields["n_trials"] = int(raw)
-        raw = resolve("seed", args.seed)
-        if raw is not None:
-            fields["seed"] = int(raw)
-        cfg = scheme_config(dataclasses.replace(defaults, **fields), scheme, detector)
+        for key, (name, parse) in _FIELDS.items():
+            raw = resolve(key, getattr(args, key.replace("-", "_")))
+            try:
+                if raw is not None:
+                    fields[name] = parse(raw)
+            except ValueError as exc:  # named once: parse_snr's own errors name snr
+                prefix = "" if str(exc).startswith(f"{key}:") else f"{key}: "
+                raise ValueError(f"{prefix}{exc}") from None
+        cfg = scheme_config(SystemConfig(**fields), scheme, detector)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -207,15 +206,13 @@ def _rows_to_csv(rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        record = row.as_dict() if hasattr(row, "as_dict") else dict(row)
         writer.writerow([repr(v) if isinstance(v, float) else v
-                         for v in (record[c] for c in CSV_COLUMNS)])
+                         for v in row.as_dict().values()])
     return buf.getvalue()
 
 
 def _rows_to_json(rows, config=None) -> str:
-    records = [row.as_dict() if hasattr(row, "as_dict") else dict(row) for row in rows]
-    doc = {"rows": records}
+    doc = {"rows": [row.as_dict() for row in rows]}
     if config is not None:
         doc["config"] = dataclasses.asdict(config)
         doc["seed"] = config.seed

@@ -11,7 +11,6 @@ MOD_ORDERS = {"bpsk": 2, "qpsk": 4, "qam16": 16, "qam64": 64}
 MOD_NAMES = {order: name for name, order in MOD_ORDERS.items()}
 
 ALPHA_SUM_TOL = 1e-12
-ENERGY_TOL = 1e-12
 # Minimum gap (relative to symbol energy) between any two superposed values.
 SUPERPOSITION_GAP = 1e-9
 # Most values per axis that the gap check sorts (an 8 MB array): BPSK and

@@ -170,7 +170,6 @@ def ml_gains(h: np.ndarray, phases: np.ndarray, cfg: SystemConfig, table: RacTab
     ``buffers``, if given, is a row-phase buffer (C, n_refl) and a gains
     stack (at least T, n_rx, C), complex, which this overwrites instead of
     allocating them."""
-    check_ml_guard(cfg)
     n_trials, n_rx, n_refl = h.shape
     n_rows = table.row_count
     # theta_p of every row p, gathered from the trial's phases through
@@ -321,6 +320,7 @@ def ml_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
               const: Constellation) -> DetectionResult:
     """Jointly optimal exhaustive search for one trial: ``ml_detect_batch``
     on a stack of one."""
+    check_ml_guard(cfg)
     h = channel.h[None]
     gains, energy = ml_gains(h, aligning_phases(h), cfg, table)
     p_hat, labels, distance = ml_detect_batch(y[None], gains, energy,

@@ -108,9 +108,13 @@ def check_run(scheme: str, detector: str = "ml") -> None:
 
 def scheme_config(cfg: SystemConfig, scheme: str, detector: str) -> SystemConfig:
     """``cfg`` as ``scheme`` reads it (``baseline_config`` for a baseline),
-    after ``check_run`` and ``validate_config``."""
+    after ``check_run``, ``validate_config`` and, for ``ml``, ``check_ml_guard``
+    on the search's 2^bits_per_tx hypotheses: the one gate of every run."""
     check_run(scheme, detector)
-    return validate_config(cfg if scheme == "mas" else baseline_config(cfg), scheme)
+    cfg = validate_config(cfg if scheme == "mas" else baseline_config(cfg), scheme)
+    if detector == "ml":
+        check_ml_guard(cfg, None if scheme == "mas" else baseline_bits(cfg, scheme))
+    return cfg
 
 
 def bits_per_tx(cfg: SystemConfig, scheme: str) -> int:
@@ -356,8 +360,6 @@ def run_sweep(cfg: SystemConfig, scheme: str = "mas", detector: str = "ssd",
     """Sweep the configured SNR grid and return one SweepRow per point."""
     cfg = scheme_config(cfg, scheme, detector)
     block_len = bits_per_tx(cfg, scheme)
-    if detector == "ml":
-        check_ml_guard(cfg, None if scheme == "mas" else block_len)
     workers = _resolve_workers(workers)
 
     sigmas = [0.0 if np.isposinf(snr_db) else 10.0 ** (-snr_db / 20.0)

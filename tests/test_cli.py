@@ -1,6 +1,8 @@
 """Command-line front-end tests: parsing, precedence, emission, exit codes."""
 
 import csv
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+
+import irsmas.cli
 
 from irsmas.cli import (
     SNR_MAX_POINTS,
@@ -17,10 +21,9 @@ from irsmas.cli import (
     parse_run_spec,
     parse_snr,
     read_config_file,
-    run_main,
 )
-from irsmas.core import SystemConfig
-from irsmas.harness import CSV_COLUMNS, SweepRow
+from irsmas.core import MOD_NAMES, SystemConfig
+from irsmas.harness import CSV_COLUMNS, SweepRow, run_sweep, run_trial, scheme_config
 
 
 def make_rows():
@@ -211,12 +214,52 @@ class TestParseRunSpec:
         ("--trials 0", "n_trials:"),
         ("--trials 18446744073709551617", "n_trials:"),
         ("--alpha=nan,nan", "alpha:"),
+        ("--alpha=0.2,x", "alpha:"),
+        ("--alpha 0.2,x", "alpha:"),
+        ("--snr -20:x:-8", "snr:"),
     ])
     def test_invalid_config_exits_naming_field(self, argv, field, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_run_spec(argv.split())
         assert exc.value.code != 0
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,field", [
+        ("nr=abc", "nr:"),
+        ("seed=1.5", "seed:"),
+        ("alpha=0.2,x", "alpha:"),
+        ("snr=-20:x:-8", "snr:"),
+        ("snr=-20:2", "snr:"),
+        ("trials=", "trials:"),
+    ])
+    def test_invalid_config_file_value_exits_naming_key(self, tmp_path, line, field, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_run_spec(["--config", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {field} " in err  # named once, at the start of the message
+
+    @pytest.mark.parametrize("key,value,field,want,context", [
+        ("nr", "16", "n_rx", 16, []),
+        ("np", "3", "n_sel", 3, ["--alpha", "0.05,0.2,0.75"]),
+        ("n-reflectors", "32", "n_refl", 32, []),
+        ("mod", "qpsk", "mod_order", 4, []),
+        ("alpha", "0.1,0.9", "alpha", (0.1, 0.9), []),
+        ("nc", "5", "n_cand_antennas", 5, []),
+        ("iters", "4", "n_iters", 4, []),
+        ("snr", "-14:2:-10", "snr_grid_db", (-14.0, -12.0, -10.0), []),
+        ("trials", "77", "n_trials", 77, []),
+        ("seed", "9", "seed", 9, []),
+    ])
+    def test_flag_and_file_key_give_same_spec(self, tmp_path, key, value, field, want, context):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={value}\n")
+        from_flag = parse_run_spec([f"--{key}", value] + context)
+        from_file = parse_run_spec(["--config", str(path)] + context)
+        assert from_flag == from_file
+        assert getattr(from_flag.cfg, field) == want != getattr(SystemConfig(), field)
 
     @pytest.mark.parametrize("scheme", ["sas-sm", "sas-ssk"])
     def test_baseline_with_ssd_exits_naming_detector(self, tmp_path, scheme, capsys):
@@ -232,6 +275,63 @@ class TestParseRunSpec:
     def test_qpsk_capacity_resolution(self):
         spec = parse_run_spec("--mod qpsk".split())
         assert spec.cfg.block_len == 10
+
+
+def cli_argv(cfg, scheme, detector):
+    """Flags that ask the CLI for ``cfg`` under ``scheme`` and ``detector``;
+    a baseline gets only the keys it reads."""
+    argv = ["--scheme", scheme, "--detector", detector, "--nr", str(cfg.n_rx),
+            "--n-reflectors", str(cfg.n_refl), "--mod", MOD_NAMES[cfg.mod_order],
+            "--snr", ",".join(f"{v:g}" for v in cfg.snr_grid_db),
+            "--trials", str(cfg.n_trials), "--seed", str(cfg.seed)]
+    if scheme == "mas":
+        argv += ["--np", str(cfg.n_sel), "--alpha", ",".join(map(repr, cfg.alpha)),
+                 "--nc", str(cfg.n_cand_antennas), "--iters", str(cfg.n_iters)]
+    return argv
+
+
+GATE_CFG = SystemConfig(n_trials=20, snr_grid_db=(float("inf"),))
+
+
+@pytest.mark.parametrize("scheme,detector,fields,rejected", [
+    # at and one short of each search's 2^bits hypotheses: C M^n_sel = 64 * 2^2
+    # for mas, 16 targets * 4 symbols for sas-sm, 8 targets for sas-ssk
+    ("mas", "ml", {"ml_guard": 2**8}, None),
+    ("mas", "ml", {"ml_guard": 2**8 - 1}, "ml_guard:"),
+    ("sas-sm", "ml", {"n_rx": 16, "mod_order": 4, "ml_guard": 2**6}, None),
+    ("sas-sm", "ml", {"n_rx": 16, "mod_order": 4, "ml_guard": 2**6 - 1}, "ml_guard:"),
+    ("sas-ssk", "ml", {"n_rx": 8, "ml_guard": 2**3}, None),
+    ("sas-ssk", "ml", {"n_rx": 8, "ml_guard": 2**3 - 1}, "ml_guard:"),
+    ("mas", "ssd", {}, None),
+    ("sas-sm", "ssd", {"n_rx": 16}, "detector:"),
+    ("sas-ssk", "ml", {"n_rx": 12}, "n_rx:"),
+    ("mas", "ssd", {"alpha": (0.1, 0.2, 0.7)}, "alpha:"),
+])
+def test_run_trial_sweep_and_cli_share_one_gate(monkeypatch, capsys, scheme, detector, fields,
+                                                rejected):
+    cfg = dataclasses.replace(GATE_CFG, **fields)
+    # the CLI has no ml_guard key: give its configs this case's guard
+    monkeypatch.setattr(irsmas.cli, "SystemConfig",
+                        functools.partial(SystemConfig, ml_guard=cfg.ml_guard))
+    errors = []
+    for run in (lambda: run_trial(cfg, scheme, detector, 0),
+                lambda: run_sweep(cfg, scheme, detector, workers=1)):
+        try:
+            run()
+            errors.append(None)
+        except ValueError as exc:
+            errors.append(str(exc))
+    try:
+        spec = parse_run_spec(cli_argv(cfg, scheme, detector))
+        errors.append(None)
+    except SystemExit as exc:
+        assert exc.code == 2
+        errors.append(capsys.readouterr().err)
+    if rejected is None:
+        assert errors == [None] * 3
+        assert spec.cfg == scheme_config(cfg, scheme, detector)
+    else:
+        assert all(err is not None and rejected in err for err in errors), errors
 
 
 class TestEmit:
@@ -311,13 +411,13 @@ class TestRunMain:
         assert int(records[0]["trials"]) == 20
 
     def test_oversized_ml_search_fails_cleanly(self, tmp_path, capsys):
-        spec = parse_run_spec(
-            "--nr 30 --np 3 --mod qam16 --alpha 0.1,0.3,0.6 --detector ml "
-            "--trials 10 --snr inf".split()
-        )
-        code = run_main(spec)
-        assert code != 0
-        assert "guard" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            parse_run_spec(
+                "--nr 30 --np 3 --mod qam16 --alpha 0.1,0.3,0.6 --detector ml "
+                "--trials 10 --snr inf".split()
+            )
+        assert exc.value.code == 2  # a parse error, before any sweep
+        assert "ml_guard:" in capsys.readouterr().err
 
     def test_csv_written_matches_sweep(self, tmp_path):
         code, out = self.run("--trials 100 --snr inf,-12".split(), tmp_path)
