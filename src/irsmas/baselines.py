@@ -2,7 +2,7 @@
 
 A baseline is a SystemConfig with one selected antenna carrying the full
 symbol power.  The index-only variant (sas-ssk) carries the l1 =
-log2(n_rx) antenna bits alone and transmits the bare symbol energy; the
+log2(n_rx) antenna bits alone and transmits the unit-energy value 1; the
 modulated variant (sas-sm) appends one constellation symbol, block_len
 bits in all.  Both are detected with an exhaustive search, which is
 affordable because the hypothesis count is small.
@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import SystemConfig, pack_bits, superposition_set, unpack_bits
+from .core import SystemConfig, pack_bits, superposition_axes, unpack_bits
 from .transmitter import gather_phases
 
 
@@ -32,13 +32,12 @@ def baseline_bits(cfg: SystemConfig, scheme: str) -> int:
     return cfg.l1 if scheme == "sas-ssk" else cfg.block_len
 
 
-def baseline_values(scheme: str, mod_order: int, sym_energy: float) -> np.ndarray:
+def baseline_values(scheme: str, mod_order: int) -> np.ndarray:
     """Transmit scalars indexed by symbol label: the superposition set at
-    n_sel 1, alpha (1.0,) (sas-sm), or the bare symbol energy alone
-    (sas-ssk)."""
+    n_sel 1, alpha (1.0,) (sas-sm), or 1 alone (sas-ssk)."""
     if scheme == "sas-sm":
-        return superposition_set(mod_order, (1.0,), sym_energy)[0]
-    return np.array([sym_energy], dtype=complex)
+        return superposition_axes(mod_order, (1.0,)).values
+    return np.array([1.0], dtype=complex)
 
 
 def sas_encode_batch(bits: np.ndarray, phases: np.ndarray, values: np.ndarray, n_bits: int):

@@ -163,7 +163,7 @@ def snr_aligned(channel: ChannelMatrix, sel, cfg: SystemConfig) -> float:
 
     Per selected antenna this is the squared coherent block gain plus the
     squared magnitude of the other blocks' (uncancelled) contribution,
-    scaled by E_s / sigma^2 and summed over antennas.
+    over sigma^2 (unit symbol energy) and summed over antennas.
     """
     if cfg.noise_sigma == 0:
         raise ValueError("noise_sigma is zero; SNR undefined (use the numerator directly)")
@@ -182,7 +182,7 @@ def snr_aligned(channel: ChannelMatrix, sel, cfg: SystemConfig) -> float:
             if q != i
         )
         total += aligned**2 + abs(cross) ** 2
-    return cfg.sym_energy * total / cfg.noise_sigma**2
+    return total / cfg.noise_sigma**2
 
 
 def snr_unaligned(channel: ChannelMatrix, sel, cfg: SystemConfig) -> float:
@@ -196,4 +196,4 @@ def snr_unaligned(channel: ChannelMatrix, sel, cfg: SystemConfig) -> float:
     for block, q in blocks:
         ant = sel[q] - 1
         acc += np.sum(np.conj(channel.h[ant, block]))
-    return cfg.sym_energy * n_sel * abs(acc) ** 2 / cfg.noise_sigma**2
+    return n_sel * abs(acc) ** 2 / cfg.noise_sigma**2

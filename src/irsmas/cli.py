@@ -91,8 +91,8 @@ _FIELDS = {
     "trials": ("n_trials", int),
     "seed": ("seed", int),
 }
-# config-file keys, normalized to the flag spellings
-_KEYS = ("config", "scheme", "detector", *_FIELDS, "out", "format")
+# config-file keys, normalized to the flag spellings; a file names no other file
+_KEYS = ("scheme", "detector", *_FIELDS, "out", "format")
 
 
 def read_config_file(path: str) -> dict:

@@ -11,7 +11,7 @@ MOD_ORDERS = {"bpsk": 2, "qpsk": 4, "qam16": 16, "qam64": 64}
 MOD_NAMES = {order: name for name, order in MOD_ORDERS.items()}
 
 ALPHA_SUM_TOL = 1e-12
-# Minimum gap (relative to symbol energy) between any two superposed values.
+# Minimum gap between any two superposed values (symbols have unit energy).
 SUPERPOSITION_GAP = 1e-9
 # Most values per axis that the gap check sorts (an 8 MB array): BPSK and
 # QPSK up to n_sel 20, 16-QAM up to 10, 64-QAM up to 6.
@@ -129,7 +129,6 @@ class SystemConfig:
     n_refl: int = 64
     mod_order: int = 2
     alpha: tuple = (0.2, 0.8)
-    sym_energy: float = 1.0
     noise_sigma: float = 0.0
     n_cand_antennas: int = 6
     n_iters: int = 8
@@ -138,8 +137,6 @@ class SystemConfig:
     seed: int = 0
     # Stop a sweep point once this many block errors accumulate (None = never).
     error_budget: int = 500
-    # Refuse exhaustive ML search beyond this many (combination, symbol) pairs.
-    ml_guard: int = 2**20
 
     @property
     def bits_per_sym(self) -> int:
@@ -171,31 +168,18 @@ class SystemConfig:
         return 1 << self.l1
 
 
-@lru_cache(maxsize=8)
-def superposition_set(mod_order: int, alpha: tuple, sym_energy: float):
-    """All M^n_sel superposed transmit values with their symbol-label tuples,
-    for one (M, alpha, E_s), built once and shared read-only.
-
-    Tuples are enumerated lexicographically; tuple position i carries power
-    ratio alpha[i].  The values are ``SuperpositionAxes.superpose``'s.
-    """
-    labels = np.indices((mod_order,) * len(alpha)).reshape(len(alpha), -1).T
-    values = superposition_axes(mod_order, alpha, sym_energy).superpose(labels)
-    values.setflags(write=False)
-    labels.setflags(write=False)
-    return values, labels
-
-
 @dataclass(frozen=True, eq=False)
 class SuperpositionAxes:
-    """The superposition set as the product of two real per-axis sets.
+    """The superposition set of one (M, alpha): every superposed transmit
+    value of unit-energy symbols, as the product of two real per-axis sets.
 
-    Constellation points are per-axis Gray and alpha and E_s are real, so
-    the value of tuple v is a[ia[v]] + j b[ib[v]]: ``a`` holds every sum
-    of slot I-levels, ``b`` every sum of slot Q-levels (just 0 for BPSK),
-    each enumerated lexicographically like the tuples, summed in tuple
-    order.  ``ia`` and ``ib`` have M^n_sel entries and are built on first
-    use; ``superpose`` looks up the values of any label tuples.
+    Constellation points are per-axis Gray and alpha is real, so the value
+    of tuple v is a[ia[v]] + j b[ib[v]]: ``a`` holds every sum of slot
+    I-levels, ``b`` every sum of slot Q-levels (just 0 for BPSK), each
+    enumerated lexicographically like the tuples, summed in tuple order.
+    ``ia``, ``ib``, ``tuples`` and ``values`` have M^n_sel entries and are
+    built on first use, read-only; ``superpose`` looks up the values of any
+    label tuples.
     """
 
     a: np.ndarray
@@ -212,10 +196,25 @@ class SuperpositionAxes:
     def ib(self) -> np.ndarray:
         return self._tuple_index(self.level_b)
 
+    @cached_property
+    def tuples(self) -> np.ndarray:
+        """Every symbol-label tuple (M^n_sel, n_sel), lexicographically;
+        tuple position i carries power ratio alpha[i]."""
+        labels = np.indices((len(self.level_a),) * self.n_sel).reshape(self.n_sel, -1).T
+        labels.setflags(write=False)
+        return labels
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The superposed value of every tuple, ``superpose(tuples)``."""
+        values = self.superpose(self.tuples)
+        values.setflags(write=False)
+        return values
+
     def superpose(self, labels: np.ndarray) -> np.ndarray:
         """Superposed values of label tuples (..., n_sel), position i at
         alpha[i]: a + jb looked up by each axis's level digits, bit for bit
-        the in-order sum of sqrt(alpha[i]) E_s times position i's symbol."""
+        the in-order sum of sqrt(alpha[i]) times position i's symbol."""
         x = np.empty(labels.shape[:-1], dtype=complex)
         for part, axis, level in ((x.real, self.a, self.level_a), (x.imag, self.b, self.level_b)):
             digits = (level.max() + 1) ** np.arange(self.n_sel - 1, -1, -1)
@@ -237,11 +236,10 @@ class SuperpositionAxes:
 
 
 @lru_cache(maxsize=8)
-def superposition_axes(mod_order: int, alpha: tuple, sym_energy: float) -> SuperpositionAxes:
-    """The per-axis split of ``superposition_set`` for one (M, alpha, E_s),
-    built once and shared read-only."""
+def superposition_axes(mod_order: int, alpha: tuple) -> SuperpositionAxes:
+    """The superposition set of one (M, alpha), built once and shared read-only."""
     points = make_constellation(mod_order).points
-    scale = np.sqrt(np.asarray(alpha)) * sym_energy
+    scale = np.sqrt(np.asarray(alpha))
     parts = []
     for part in (points.real, points.imag):
         levels, level_of = np.unique(part, return_inverse=True)
@@ -298,13 +296,13 @@ def _selection_problems(cfg: SystemConfig) -> list:
 
 def _superposition_problems(cfg: SystemConfig) -> list:
     """The gap check on a well-formed mas config: every pair of superposed
-    values at least SUPERPOSITION_GAP * E_s apart, checked exactly per axis."""
+    values at least SUPERPOSITION_GAP apart, checked exactly per axis."""
     levels = max(2, math.isqrt(cfg.mod_order))  # per axis: BPSK 2, square QAM sqrt(M)
     if levels**cfg.n_sel > MAX_AXIS_VALUES:
         return [f"n_sel: too many superposed levels to check ({levels}^{cfg.n_sel} per axis, "
                 f"at most {MAX_AXIS_VALUES})"]
-    gap = superposition_axes(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy).min_gap()
-    if gap <= SUPERPOSITION_GAP * cfg.sym_energy:
+    gap = superposition_axes(cfg.mod_order, tuple(cfg.alpha)).min_gap()
+    if gap <= SUPERPOSITION_GAP:
         return [f"alpha: superposed transmit values collide (min gap {gap:.3e})"]
     return []
 
@@ -328,8 +326,6 @@ def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
         problems.append("n_refl: must be a positive integer")
     if cfg.mod_order not in MOD_ORDERS.values():
         problems.append(f"mod_order: unsupported order {cfg.mod_order}")
-    if not (math.isfinite(cfg.sym_energy) and cfg.sym_energy > 0):
-        problems.append("sym_energy: must be positive and finite")
     if not 0 <= cfg.noise_sigma <= MAX_NOISE_SIGMA:
         problems.append(
             f"noise_sigma: must be finite and between 0 and {MAX_NOISE_SIGMA:g}, "

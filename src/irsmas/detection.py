@@ -26,7 +26,6 @@ from .core import (
     SystemConfig,
     make_constellation,
     superposition_axes,
-    superposition_set,
     unpack_bits,
 )
 from .rac import RacTable
@@ -35,6 +34,8 @@ from .transmitter import aligning_phases, gather_phases, phase_index, slot_order
 # Most scores (or distance terms) any one array of the ML search holds,
 # unless a single pair's |A| + |B| scores are more.
 SCREEN_BUDGET = 2**16
+# Most hypotheses (combination, symbol tuple) an exhaustive ML search covers.
+ML_GUARD = 2**20
 
 
 @dataclass
@@ -131,14 +132,14 @@ def ssd_detect_batch(
     y_o = y[trial[:, None, None], ant_o]
 
     # decoding step k scales by the k-th largest power ratio
-    coef = [np.sqrt(cfg.alpha[n_sel - 1 - k]) * cfg.sym_energy for k in range(n_sel)]
+    coef = [np.sqrt(cfg.alpha[n_sel - 1 - k]) for k in range(n_sel)]
     labels_o = np.zeros((n_trials, n_v, n_sel), dtype=np.int64)
     for k in range(n_sel):
         v = y_o[..., k] / gains[..., k]
         for m in range(k):
             v -= coef[m] * points[labels_o[..., m]]
         labels_o[..., k] = np.argmin(np.abs(v[..., None] - coef[k] * points), axis=-1)
-    axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
+    axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha))
     x_hat = axes.superpose(labels_o[..., ::-1])  # decoded in reverse tuple order
     distance = np.sum(np.abs(y[:, None, :] - g_all * x_hat[..., None]) ** 2, axis=-1)
 
@@ -153,13 +154,13 @@ def ssd_detect_batch(
 
 
 def check_ml_guard(cfg: SystemConfig, n_bits: int | None = None) -> None:
-    """Refuse an exhaustive search over more than cfg.ml_guard hypotheses:
-    the 2^n_bits that ``mac_ml`` bills, ML detection's 2^block_len by default."""
+    """Refuse an exhaustive search over more than ML_GUARD hypotheses: the
+    2^n_bits that ``mac_ml`` bills, ML detection's 2^block_len by default."""
     n_hyp = 2 ** (cfg.block_len if n_bits is None else n_bits)
-    if n_hyp > cfg.ml_guard:
+    if n_hyp > ML_GUARD:
         hint = "; the ssd detector has no such limit" if n_bits is None else ""
         raise ValueError(f"ml_guard: the exhaustive ml search covers {n_hyp} hypotheses, "
-                         f"more than ml_guard = {cfg.ml_guard}{hint}")
+                         f"more than ML_GUARD = {ML_GUARD}{hint}")
 
 
 def ml_gains(h: np.ndarray, phases: np.ndarray, cfg: SystemConfig, table: RacTable,
@@ -211,8 +212,8 @@ def ml_detect_batch(y: np.ndarray, gains: np.ndarray, energy: np.ndarray, norms:
     as the direct search computes it (antennas summed in order), so the
     decision and distance are those of the direct search, bit for bit.
     """
-    values, tuples = superposition_set(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
-    axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
+    axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha))
+    values = axes.values
     n_trials, n_rx, n_rows = gains.shape
 
     # score(p, a + jb) = distance - ||y||^2 = f_A(p, a) + f_B(p, b), with
@@ -264,7 +265,7 @@ def ml_detect_batch(y: np.ndarray, gains: np.ndarray, energy: np.ndarray, norms:
 
     _, _, order = slot_order(p_hat, norms, table)  # slot of each tuple position
     labels = np.empty((n_trials, cfg.n_sel), dtype=np.int64)
-    np.put_along_axis(labels, order, tuples[v_hat], axis=1)
+    np.put_along_axis(labels, order, axes.tuples[v_hat], axis=1)
     return p_hat, labels, distance
 
 

@@ -148,7 +148,7 @@ def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range, 
         if detector == "ml":
             gains, energy = ml_gains(h, phases, cfg, table, buffers[1:] or None)
     else:
-        values = baseline_values(scheme, cfg.mod_order, cfg.sym_energy)
+        values = baseline_values(scheme, cfg.mod_order)
         x, theta = sas_encode_batch(bits, phases, values, n_bits)
         gains = sas_gains(h, phases)
     received = propagate_batch(h, theta, x)

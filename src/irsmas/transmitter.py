@@ -123,7 +123,7 @@ def encode_batch(bits: np.ndarray, norms: np.ndarray, phases: np.ndarray, cfg: S
     p = pack_bits(bits[:, : cfg.l1], cfg.l1)[:, 0]
     _, _, order = slot_order(p, norms, table)
     labels = pack_bits(bits[:, cfg.l1 :], cfg.bits_per_sym)  # per slot
-    axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha), cfg.sym_energy)
+    axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha))
     x = axes.superpose(np.take_along_axis(labels, order, axis=1))
     return x, gather_phases(phases, p, cfg.n_sel)
 

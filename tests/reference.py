@@ -9,7 +9,9 @@ the engine with it, count for count and value for value.  ``irsmas``
 never imports it.
 """
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from irsmas.core import (
     SystemConfig,
     bits_to_int,
     make_constellation,
-    superposition_set,
 )
 from irsmas.detection import DetectionResult, mac_base, mac_ml, mac_ssd
 from irsmas.harness import TrialOutcome
@@ -59,8 +60,8 @@ def sort_weights_asc(weights) -> np.ndarray:
     return sort_weights_desc(weights)[::-1]
 
 
-def superpose(symbols, order_desc, alpha, sym_energy: float = 1.0) -> complex:
-    """Combine per-slot symbols into one scalar: x = sum_i sqrt(alpha_i) E_s s_{k_i}.
+def superpose(symbols, order_desc, alpha) -> complex:
+    """Combine per-slot symbols into one scalar: x = sum_i sqrt(alpha_i) s_{k_i}.
 
     ``symbols`` is indexed by slot; ``order_desc[i]`` names the slot whose
     symbol is scaled by ``alpha[i]``.
@@ -68,8 +69,19 @@ def superpose(symbols, order_desc, alpha, sym_energy: float = 1.0) -> complex:
     symbols = np.asarray(symbols)
     x = 0j
     for i, slot in enumerate(order_desc):
-        x += np.sqrt(alpha[i]) * sym_energy * symbols[slot - 1]
+        x += np.sqrt(alpha[i]) * symbols[slot - 1]
     return complex(x)
+
+
+@lru_cache(maxsize=None)
+def superposition_table(mod_order: int, alpha: tuple):
+    """Every symbol-label tuple, lexicographically, and its ``superpose``d
+    value with tuple position i at power ratio alpha[i]: (values, labels)."""
+    points = make_constellation(mod_order).points
+    labels = np.array(list(itertools.product(range(mod_order), repeat=len(alpha))))
+    order = range(1, len(alpha) + 1)
+    values = np.array([superpose(points[t], order, alpha) for t in labels])
+    return values, labels
 
 
 def reflector_phases(sel_channel: np.ndarray, delta: int) -> np.ndarray:
@@ -95,7 +107,7 @@ def encode(bits, channel, cfg: SystemConfig, table: RacTable, const: Constellati
     order = sort_weights_desc(weights)
     symbols = [const.points[bits_to_int(bits[start : start + mu])]
                for start in range(cfg.l1, cfg.block_len, mu)]
-    x = superpose(symbols, order, cfg.alpha, cfg.sym_energy)
+    x = superpose(symbols, order, cfg.alpha)
     theta = reflector_phases(sel_channel, cfg.delta)
     return TxOutput(x=x, theta=theta, sel=sel, order_desc=order, weights=weights)
 
@@ -129,9 +141,9 @@ class CandidateSet:
     order: np.ndarray    # positions into rows, best score first
 
 
-def quantize(value: complex, ratio: float, sym_energy: float, const: Constellation) -> complex:
-    """Nearest constellation point once scaled by sqrt(ratio)*E_s (first point on ties)."""
-    scaled = np.sqrt(ratio) * sym_energy * const.points
+def quantize(value: complex, ratio: float, const: Constellation) -> complex:
+    """Nearest constellation point once scaled by sqrt(ratio) (first point on ties)."""
+    scaled = np.sqrt(ratio) * const.points
     return complex(const.points[np.argmin(np.abs(value - scaled))])
 
 
@@ -184,7 +196,6 @@ def ssd_candidate_decode(y, channel, p_hat: int, cfg: SystemConfig, table: RacTa
     gains = sel_channel @ theta  # per-slot effective gain, slot j at gains[j-1]
 
     n_sel = cfg.n_sel
-    e_s = cfg.sym_energy
     symbols = np.zeros(n_sel, dtype=complex)
     for i in range(1, n_sel + 1):
         slot = order[i - 1]
@@ -193,10 +204,10 @@ def ssd_candidate_decode(y, channel, p_hat: int, cfg: SystemConfig, table: RacTa
             return symbols, 0j, np.inf
         v = y[sel[slot - 1] - 1] / gain
         for j in range(1, i):
-            v -= np.sqrt(cfg.alpha[n_sel - j]) * e_s * symbols[order[j - 1] - 1]
-        symbols[slot - 1] = quantize(v, cfg.alpha[n_sel - i], e_s, const)
+            v -= np.sqrt(cfg.alpha[n_sel - j]) * symbols[order[j - 1] - 1]
+        symbols[slot - 1] = quantize(v, cfg.alpha[n_sel - i], const)
 
-    x_hat = superpose(symbols, order[::-1], cfg.alpha, e_s)  # as the encoder sums
+    x_hat = superpose(symbols, order[::-1], cfg.alpha)  # as the encoder sums
     distance = float(np.sum(np.abs(y - channel.h @ theta * x_hat) ** 2))
     return symbols, complex(x_hat), distance
 
@@ -237,7 +248,7 @@ def direct_ml_detect(y, channel, cfg: SystemConfig, table: RacTable, const: Cons
     """Reference ML search: every (row, tuple) distance computed elementwise,
     2**14 hypotheses at a time; the first minimum wins.  Returns (row
     index, per-slot symbols, distance)."""
-    values, labels = superposition_set(cfg.mod_order, cfg.alpha, cfg.sym_energy)
+    values, labels = superposition_table(cfg.mod_order, tuple(cfg.alpha))
     theta = np.stack([reflector_phases(channel.h[row - 1], cfg.delta) for row in table.rows])
     gains = channel.h @ theta.T  # n_rx x C
 
@@ -275,16 +286,16 @@ def sas_encode(bits, channel, cfg: SystemConfig, scheme: str):
 
     The leading bits pick the target antenna (1-based); every reflector is
     phase-aligned to that antenna's channel row.  Under sas-sm the remaining
-    bits choose a constellation point; sas-ssk sends the bare symbol energy.
+    bits choose a constellation point; sas-ssk sends 1.
     """
     antenna_bits, _ = sas_bits(cfg, scheme)
     target = bits_to_int(bits[:antenna_bits]) + 1
     theta = reflector_phases(channel.h[target - 1 : target, :], channel.shape[1])
     if scheme == "sas-sm":
         const = make_constellation(cfg.mod_order)
-        x = cfg.sym_energy * const.points[bits_to_int(bits[antenna_bits:])]
+        x = const.points[bits_to_int(bits[antenna_bits:])]
     else:
-        x = complex(cfg.sym_energy)
+        x = 1 + 0j
     return x, theta, target
 
 
@@ -294,9 +305,9 @@ def direct_sas_detect(y, channel, cfg: SystemConfig, scheme: str):
     first minimum wins.  Returns (bits, distance)."""
     antenna_bits, symbol_bits = sas_bits(cfg, scheme)
     if scheme == "sas-sm":
-        values = cfg.sym_energy * make_constellation(cfg.mod_order).points
+        values = make_constellation(cfg.mod_order).points
     else:
-        values = np.array([cfg.sym_energy], dtype=complex)
+        values = np.array([1 + 0j])
     n_refl = channel.shape[1]
     best = (np.inf, -1, -1)
     for target in range(1, cfg.n_rx + 1):

@@ -13,7 +13,7 @@ from irsmas.baselines import (
     sas_gains,
 )
 from irsmas.channel import sample_channel, trial_rng
-from irsmas.core import SystemConfig, bits_to_int, validate_config
+from irsmas.core import SystemConfig, bits_to_int, make_constellation, validate_config
 from irsmas.detection import mac_ml
 from irsmas.harness import bits_per_tx, check_run, run_trial
 from irsmas.transmitter import aligning_phases
@@ -28,7 +28,7 @@ def sas_cfg(**fields) -> SystemConfig:
 
 def encode_one(bits, h, cfg, scheme):
     """``sas_encode_batch`` on a stack of one: (x, theta)."""
-    values = baseline_values(scheme, cfg.mod_order, cfg.sym_energy)
+    values = baseline_values(scheme, cfg.mod_order)
     x, theta = sas_encode_batch(np.asarray(bits)[None], aligning_phases(h[None]), values,
                                 bits_per_tx(cfg, scheme))
     return x[0], theta[0]
@@ -36,7 +36,7 @@ def encode_one(bits, h, cfg, scheme):
 
 def detect_one(y, h, cfg, scheme):
     """``sas_detect_batch`` on a stack of one: (bits, distance)."""
-    values = baseline_values(scheme, cfg.mod_order, cfg.sym_energy)
+    values = baseline_values(scheme, cfg.mod_order)
     gains = sas_gains(h[None], aligning_phases(h[None]))
     bits, distance = sas_detect_batch(y[None], gains, values, bits_per_tx(cfg, scheme))
     return bits[0], distance[0]
@@ -70,10 +70,11 @@ class TestScheme:
         assert baseline_config(SAS_CFG) is SAS_CFG
 
     def test_values_are_cached_and_read_only(self):
-        values = baseline_values("sas-sm", 4, 2.0)
-        assert baseline_values("sas-sm", 4, 2.0) is values
+        values = baseline_values("sas-sm", 4)
+        assert baseline_values("sas-sm", 4) is values
         assert not values.flags.writeable
-        np.testing.assert_array_equal(baseline_values("sas-ssk", 4, 2.0), [2.0])
+        np.testing.assert_array_equal(values, make_constellation(4).points)
+        np.testing.assert_array_equal(baseline_values("sas-ssk", 4), [1.0])
 
 
 class TestEncode:
@@ -87,9 +88,8 @@ class TestEncode:
         assert np.max(np.abs(np.abs(theta) - 1.0)) <= 1e-12
 
     def test_ssk_sends_bare_energy(self):
-        cfg = sas_cfg(sym_energy=1.0)
-        bits, ch, *_ = make_sas_trial(cfg, "sas-ssk", 1)
-        x, _ = encode_one(bits, ch.h, cfg, "sas-ssk")
+        bits, ch, *_ = make_sas_trial(SAS_CFG, "sas-ssk", 1)
+        x, _ = encode_one(bits, ch.h, SAS_CFG, "sas-ssk")
         assert x == 1.0
 
     def test_target_is_leading_bits(self):
@@ -104,7 +104,7 @@ class TestEncode:
         trials = [make_sas_trial(cfg, scheme, trial) for trial in range(20)]
         bits = np.stack([t[0] for t in trials])
         h = np.stack([t[1].h for t in trials])
-        values = baseline_values(scheme, cfg.mod_order, cfg.sym_energy)
+        values = baseline_values(scheme, cfg.mod_order)
         x, theta = sas_encode_batch(bits, aligning_phases(h), values, bits_per_tx(cfg, scheme))
         for k, (_, _, x_ref, theta_ref, _, _) in enumerate(trials):
             assert x[k] == x_ref

@@ -160,14 +160,14 @@ class TestDecompose:
 
 class TestSnr:
     def test_coherent_gain_unit_magnitudes(self):
-        # single antenna, every |h| = 1: aligned SNR is N^2 E_s / sigma^2
+        # single antenna, every |h| = 1: aligned SNR is N^2 / sigma^2
         rng = np.random.default_rng(4)
         n = 16
         h = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(1, n)))
         ch = ChannelMatrix(np.vstack([h, sample_channel(1, n, rng).h]))
         cfg = dataclasses.replace(CFG, n_rx=2, n_refl=n, noise_sigma=2.0)
         got = snr_aligned(ch, np.array([1]), cfg)
-        assert got == pytest.approx(cfg.sym_energy * n**2 / cfg.noise_sigma**2)
+        assert got == pytest.approx(n**2 / cfg.noise_sigma**2)
 
     def test_alignment_maximizes_block_gain(self):
         rng = np.random.default_rng(5)
@@ -194,7 +194,7 @@ class TestSnr:
         cfg = dataclasses.replace(CFG, n_rx=1, n_refl=1, n_sel=1, alpha=(1.0,),
                                   noise_sigma=3.0)
         got = snr_unaligned(ch, np.array([1]), cfg)
-        assert got == pytest.approx(cfg.sym_energy * 1 * 1.5**2 / 9.0)
+        assert got == pytest.approx(1 * 1.5**2 / 9.0)
 
     def test_unaligned_grows_with_reflector_count(self):
         cfg = dataclasses.replace(CFG, noise_sigma=1.0)

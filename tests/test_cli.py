@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -11,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import irsmas.cli
+import irsmas.detection
 
 from irsmas.cli import (
     SNR_MAX_POINTS,
@@ -109,6 +108,15 @@ class TestConfigFile:
         path.write_text("just a line\n")
         with pytest.raises(ValueError, match="key=value"):
             read_config_file(str(path))
+
+    def test_nested_config_rejected(self, tmp_path, capsys):
+        # a file names no other file: a config= line is an error, not ignored
+        path = tmp_path / "outer.cfg"
+        path.write_text("config=/nonexistent.cfg\ntrials=10\nsnr=inf\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(path)])
+        assert exc.value.code == 2
+        assert f"{path}:1: unknown key 'config'" in capsys.readouterr().err
 
 
 class TestParseRunSpec:
@@ -295,13 +303,14 @@ GATE_CFG = SystemConfig(n_trials=20, snr_grid_db=(float("inf"),))
 
 @pytest.mark.parametrize("scheme,detector,fields,rejected", [
     # at and one short of each search's 2^bits hypotheses: C M^n_sel = 64 * 2^2
-    # for mas, 16 targets * 4 symbols for sas-sm, 8 targets for sas-ssk
-    ("mas", "ml", {"ml_guard": 2**8}, None),
-    ("mas", "ml", {"ml_guard": 2**8 - 1}, "ml_guard:"),
-    ("sas-sm", "ml", {"n_rx": 16, "mod_order": 4, "ml_guard": 2**6}, None),
-    ("sas-sm", "ml", {"n_rx": 16, "mod_order": 4, "ml_guard": 2**6 - 1}, "ml_guard:"),
-    ("sas-ssk", "ml", {"n_rx": 8, "ml_guard": 2**3}, None),
-    ("sas-ssk", "ml", {"n_rx": 8, "ml_guard": 2**3 - 1}, "ml_guard:"),
+    # for mas, 16 targets * 4 symbols for sas-sm, 8 targets for sas-ssk;
+    # "guard" sets detection.ML_GUARD for the case
+    ("mas", "ml", {"guard": 2**8}, None),
+    ("mas", "ml", {"guard": 2**8 - 1}, "ml_guard:"),
+    ("sas-sm", "ml", {"n_rx": 16, "mod_order": 4, "guard": 2**6}, None),
+    ("sas-sm", "ml", {"n_rx": 16, "mod_order": 4, "guard": 2**6 - 1}, "ml_guard:"),
+    ("sas-ssk", "ml", {"n_rx": 8, "guard": 2**3}, None),
+    ("sas-ssk", "ml", {"n_rx": 8, "guard": 2**3 - 1}, "ml_guard:"),
     ("mas", "ssd", {}, None),
     ("sas-sm", "ssd", {"n_rx": 16}, "detector:"),
     ("sas-ssk", "ml", {"n_rx": 12}, "n_rx:"),
@@ -309,10 +318,10 @@ GATE_CFG = SystemConfig(n_trials=20, snr_grid_db=(float("inf"),))
 ])
 def test_run_trial_sweep_and_cli_share_one_gate(monkeypatch, capsys, scheme, detector, fields,
                                                 rejected):
+    fields = dict(fields)
+    if "guard" in fields:
+        monkeypatch.setattr(irsmas.detection, "ML_GUARD", fields.pop("guard"))
     cfg = dataclasses.replace(GATE_CFG, **fields)
-    # the CLI has no ml_guard key: give its configs this case's guard
-    monkeypatch.setattr(irsmas.cli, "SystemConfig",
-                        functools.partial(SystemConfig, ml_guard=cfg.ml_guard))
     errors = []
     for run in (lambda: run_trial(cfg, scheme, detector, 0),
                 lambda: run_sweep(cfg, scheme, detector, workers=1)):

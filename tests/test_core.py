@@ -16,7 +16,6 @@ from irsmas.core import (
     make_constellation,
     pack_bits,
     superposition_axes,
-    superposition_set,
     unpack_bits,
     validate_config,
 )
@@ -147,7 +146,7 @@ class TestSystemConfig:
             ({"n_iters": 0}, "n_iters"),
             ({"n_trials": 0}, "n_trials"),
             ({"noise_sigma": -1.0}, "noise_sigma"),
-            ({"sym_energy": 0.0}, "sym_energy"),
+            ({"n_refl": 0}, "n_refl"),
             ({"n_refl": 1, "n_sel": 2}, "n_refl"),
             ({"snr_grid_db": (-14.0, float("nan"))}, "snr"),
             ({"snr_grid_db": (float("-inf"),)}, "snr"),
@@ -157,8 +156,8 @@ class TestSystemConfig:
             ({"noise_sigma": float("nan")}, "noise_sigma"),
             ({"noise_sigma": float("inf")}, "noise_sigma"),
             ({"noise_sigma": 1.01e50}, "noise_sigma"),
-            ({"sym_energy": float("nan")}, "sym_energy"),
-            ({"sym_energy": float("inf")}, "sym_energy"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 2**64}, "seed"),
             ({"alpha": (float("nan"), float("nan"))}, "alpha: ratios must be finite"),
             ({"alpha": (0.05, float("nan"))}, "alpha: ratios must be finite"),
             ({"snr_grid_db": ()}, "snr_grid_db: must hold at least one"),
@@ -194,7 +193,7 @@ class TestSystemConfig:
         # sqrt(1/14) + sqrt(4/14) - sqrt(9/14) is exactly 0.0, so two tuples
         # superpose to the same value, not merely to close ones
         cfg = SystemConfig(n_sel=3, mod_order=2, alpha=(1 / 14, 4 / 14, 9 / 14))
-        values, _ = superposition_set(2, cfg.alpha, cfg.sym_energy)
+        values = superposition_axes(2, cfg.alpha).values
         assert np.count_nonzero(values == 0) == 2
         with pytest.raises(ValueError, match="alpha"):
             validate_config(cfg)
@@ -209,13 +208,13 @@ class TestSystemConfig:
                                            max_size=n_sel)))
         alpha = data.draw(st.sampled_from(crafted + [tuple(drawn / drawn.sum())]))
         cfg = SystemConfig(n_rx=8, n_sel=n_sel, mod_order=mod_order, alpha=alpha)
-        values, _ = superposition_set(mod_order, alpha, cfg.sym_energy)
+        values = superposition_axes(mod_order, alpha).values
         pairwise = np.inf
         for lo in range(0, len(values), 256):  # 256 rows of distances at a time
             d = np.abs(values[lo : lo + 256, None] - values)
             np.fill_diagonal(d[:, lo:], np.inf)  # each tuple's distance to itself
             pairwise = min(pairwise, d.min())
-        gap = superposition_axes(mod_order, alpha, 1.0).min_gap()
+        gap = superposition_axes(mod_order, alpha).min_gap()
         assert abs(gap - pairwise) <= 2.3e-16
         try:
             validate_config(cfg)

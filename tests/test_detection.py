@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from irsmas.channel import ChannelMatrix, sample_channel, trial_rng
+import irsmas.detection
 from irsmas.core import SystemConfig, make_constellation, superposition_axes
 from irsmas.detection import (
     check_ml_guard,
@@ -20,7 +21,6 @@ from irsmas.detection import (
     rac_candidates_batch,
     ssd_detect,
     ssd_detect_batch,
-    superposition_set,
 )
 from irsmas.rac import build_rac_table, rac_find
 from irsmas.transmitter import aligning_phases
@@ -44,23 +44,29 @@ class TestQuantize:
 
     def test_frozen_bpsk(self):
         # scaled points are +-sqrt(0.8) ~ +-0.894; -0.4 is nearer the negative one
-        assert quantize(-0.4, 0.8, 1.0, BPSK) == pytest.approx(-1.0)
-        assert quantize(0.5, 0.8, 1.0, BPSK) == pytest.approx(1.0)
+        assert quantize(-0.4, 0.8, BPSK) == pytest.approx(-1.0)
+        assert quantize(0.5, 0.8, BPSK) == pytest.approx(1.0)
 
     def test_tie_takes_first_point(self):
-        assert quantize(0.0, 0.8, 1.0, BPSK) == pytest.approx(1.0)
+        assert quantize(0.0, 0.8, BPSK) == pytest.approx(1.0)
 
     def test_scaling_changes_decision(self):
         qpsk = make_constellation(4)
         v = 0.3 + 0.3j
-        assert quantize(v, 1.0, 1.0, qpsk) == pytest.approx(qpsk.points[0])
-        # same value, tiny symbol energy: still snaps to the nearest scaled point
-        assert quantize(v, 1.0, 0.01, qpsk) == pytest.approx(qpsk.points[0])
+        assert quantize(v, 1.0, qpsk) == pytest.approx(qpsk.points[0])
+        # same value, tiny power ratio: still snaps to the nearest scaled point
+        assert quantize(v, 1e-4, qpsk) == pytest.approx(qpsk.points[0])
+
+
+def values_and_tuples(mod_order, alpha):
+    """(values, tuples) of the cached superposition of (M, alpha)."""
+    axes = superposition_axes(mod_order, alpha)
+    return axes.values, axes.tuples
 
 
 class TestSuperpositionSet:
     def test_bpsk_frozen_values(self):
-        values, labels = superposition_set(2, CFG.alpha, CFG.sym_energy)
+        values, labels = values_and_tuples(2, CFG.alpha)
         assert len(values) == 4
         np.testing.assert_array_equal(labels, [[0, 0], [0, 1], [1, 0], [1, 1]])
         np.testing.assert_allclose(
@@ -71,36 +77,36 @@ class TestSuperpositionSet:
         )
 
     def test_sizes(self):
-        values, labels = superposition_set(4, CFG.alpha, CFG.sym_energy)
+        values, labels = values_and_tuples(4, CFG.alpha)
         assert values.shape == (16,) and labels.shape == (16, 2)
         assert len(np.unique(np.round(values, 9))) == 16
 
     def test_built_once_read_only(self):
         alpha = (0.01, 0.1, 0.89)
-        values, labels = superposition_set(16, alpha, 2.5)
-        again = superposition_set(16, alpha, 2.5)
+        values, labels = values_and_tuples(16, alpha)
+        again = values_and_tuples(16, alpha)
         assert again[0] is values and again[1] is labels
         assert not values.flags.writeable and not labels.flags.writeable
         # equal, bit for bit, to a + jb of the per-axis sets
-        axes = superposition_axes(16, alpha, 2.5)
+        axes = superposition_axes(16, alpha)
+        assert superposition_axes(16, alpha) is axes  # one object per (M, alpha)
         np.testing.assert_array_equal(labels, np.indices((16,) * 3).reshape(3, -1).T)
         np.testing.assert_array_equal(values.real, axes.a[axes.ia])
         np.testing.assert_array_equal(values.imag, axes.b[axes.ib])
 
-    @pytest.mark.parametrize("sym_energy", [1.0, 0.7, 2.5])
     @pytest.mark.parametrize("mod_order", [2, 4, 16, 64])
-    def test_values_equal_scalar_superposition(self, mod_order, sym_energy):
+    def test_values_equal_scalar_superposition(self, mod_order):
         # each value, bit for bit, is the reference's slot-by-slot sum with
         # tuple position i at power ratio alpha[i]; a large set is sampled
         points = make_constellation(mod_order).points
         for alpha in [(1.0,), (0.2, 0.8), (0.05, 0.95), (0.05, 0.2, 0.75), (0.01, 0.1, 0.89)]:
-            values, labels = superposition_set(mod_order, alpha, sym_energy)
+            values, labels = values_and_tuples(mod_order, alpha)
             tuples = np.arange(len(values))
             if len(tuples) > 4096:
                 tuples = np.random.default_rng(0).choice(tuples, 4096, replace=False)
             order = np.arange(1, len(alpha) + 1)
             for v in tuples:
-                assert values[v] == superpose(points[labels[v]], order, alpha, sym_energy)
+                assert values[v] == superpose(points[labels[v]], order, alpha)
 
 
 @st.composite
@@ -109,17 +115,17 @@ def axis_cases(draw):
     mod_order = draw(st.sampled_from((2, 4, 16, 64)))
     n_sel = draw(st.integers(1, 3))
     alpha = tuple(draw(st.lists(st.floats(1e-3, 1.0), min_size=n_sel, max_size=n_sel)))
-    return mod_order, alpha, draw(st.sampled_from((1.0, 0.3, 2.5)))
+    return mod_order, alpha
 
 
 class TestSuperpositionAxes:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(axis_cases())
-    @example((64, (0.01, 0.1, 0.89), 1.0))
+    @example((64, (0.01, 0.1, 0.89)))
     def test_axes_rebuild_superposition_set(self, case):
-        mod_order, alpha, sym_energy = case
-        values, _ = superposition_set(mod_order, alpha, sym_energy)
-        axes = superposition_axes(mod_order, alpha, sym_energy)
+        mod_order, alpha = case
+        values, labels = values_and_tuples(mod_order, alpha)
+        axes = superposition_axes(mod_order, alpha)
         # (ia, ib) is a bijection from the tuples onto A x B
         assert len(values) == len(axes.a) * len(axes.b) == len(axes.ia) == len(axes.ib)
         np.testing.assert_array_equal(np.sort(axes.ia * len(axes.b) + axes.ib),
@@ -127,7 +133,6 @@ class TestSuperpositionAxes:
         # ... each value is a + jb exactly, and superpose looks up any tuples
         np.testing.assert_array_equal(axes.a[axes.ia], values.real)
         np.testing.assert_array_equal(axes.b[axes.ib], values.imag)
-        _, labels = superposition_set(mod_order, alpha, sym_energy)
         np.testing.assert_array_equal(axes.superpose(labels[::-7]), values[::-7])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -137,7 +142,7 @@ class TestSuperpositionAxes:
         # rounded addition is monotone, so min f_A + min f_B is exactly the
         # least of the |A| |B| rounded sums, whatever the scores
         mod_order, alpha = case
-        axes = superposition_axes(mod_order, alpha, 1.0)
+        axes = superposition_axes(mod_order, alpha)
         scores = st.floats(-1e6, 1e6, allow_subnormal=False)
         f_a = np.array(data.draw(st.lists(scores, min_size=len(axes.a), max_size=len(axes.a))))
         f_b = np.array(data.draw(st.lists(scores, min_size=len(axes.b), max_size=len(axes.b))))
@@ -287,22 +292,26 @@ class TestMl:
             result = ml_detect(y, ch, cfg, TABLE, qam)
             np.testing.assert_array_equal(result.bits, bits)
 
-    def test_guard_rejects_oversized_search(self):
-        cfg = dataclasses.replace(CFG, ml_guard=100)
+    def test_guard_rejects_oversized_search(self, monkeypatch):
+        monkeypatch.setattr(irsmas.detection, "ML_GUARD", 100)
         bits, ch, y = make_trial(CFG, 0)
         with pytest.raises(ValueError, match="guard"):
-            ml_detect(y, ch, cfg, TABLE, BPSK)
+            ml_detect(y, ch, CFG, TABLE, BPSK)
 
-    def test_guard_counts_the_hypotheses_mac_ml_bills(self):
+    def test_guard_counts_the_hypotheses_mac_ml_bills(self, monkeypatch):
         # C M^n_sel = 2^l1 * 2^l2: 256 hypotheses at the headline config
         n_hyp = TABLE.row_count * CFG.mod_order**CFG.n_sel
         assert n_hyp * mac_base(CFG.n_rx, CFG.n_refl) == mac_ml(CFG)
-        check_ml_guard(dataclasses.replace(CFG, ml_guard=n_hyp))
+        monkeypatch.setattr(irsmas.detection, "ML_GUARD", n_hyp)
+        check_ml_guard(CFG)
+        monkeypatch.setattr(irsmas.detection, "ML_GUARD", n_hyp - 1)
         with pytest.raises(ValueError, match="ml_guard"):
-            check_ml_guard(dataclasses.replace(CFG, ml_guard=n_hyp - 1))
-        check_ml_guard(dataclasses.replace(CFG, ml_guard=2**5), n_bits=5)
+            check_ml_guard(CFG)
+        monkeypatch.setattr(irsmas.detection, "ML_GUARD", 2**5)
+        check_ml_guard(CFG, n_bits=5)
+        monkeypatch.setattr(irsmas.detection, "ML_GUARD", 2**5 - 1)
         with pytest.raises(ValueError, match="ml_guard") as err:
-            check_ml_guard(dataclasses.replace(CFG, ml_guard=2**5 - 1), n_bits=5)
+            check_ml_guard(CFG, n_bits=5)
         assert "ssd" not in str(err.value)
 
     def test_matches_ssd_on_clean_input(self):

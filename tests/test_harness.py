@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import irsmas.detection
 import irsmas.harness
 from irsmas.baselines import baseline_values, sas_detect_batch, sas_gains
 from irsmas.channel import ChannelMatrix, draw_layout, draw_trials
-from irsmas.core import SystemConfig, make_constellation, superposition_set, validate_config
+from irsmas.core import SystemConfig, make_constellation, superposition_axes, validate_config
 from irsmas.detection import SCREEN_BUDGET, mac_ml, ml_detect, ml_detect_batch, ml_gains
 from irsmas.harness import (
     BLOCK_TRIALS,
@@ -267,7 +268,7 @@ class TestBatchedMlEngine:
         # align the same reflector phases and explain y equally well
         cfg = SystemConfig(n_rx=6, n_sel=2, n_refl=10, mod_order=4, noise_sigma=0.05, seed=5)
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        values, _ = superposition_set(cfg.mod_order, cfg.alpha, cfg.sym_energy)
+        values = superposition_axes(cfg.mod_order, cfg.alpha).values
         _, h, y = make_trials(cfg, range(3))
         h[:, 3] = h[:, 2]
         np.testing.assert_array_equal(table.rows[1:3], [[1, 3], [1, 4]])
@@ -334,7 +335,7 @@ class TestBatchedSasEngine:
     def test_block_counts_equal_sum_of_scalar_trials(self, case):
         cfg, scheme, start, count = case
         validate_config(cfg, scheme)
-        values = baseline_values(scheme, cfg.mod_order, cfg.sym_energy)
+        values = baseline_values(scheme, cfg.mod_order)
         want = [0, 0, 0]
         for trial in range(start, start + count):
             out = reference_run_trial(cfg, scheme, "ml", trial)
@@ -354,7 +355,7 @@ class TestBatchedSasEngine:
     @pytest.mark.parametrize("mode", ["sm", "ssk"])
     def test_all_zero_channel_ties_to_first_hypothesis(self, mode):
         cfg, scheme = SystemConfig(n_rx=4, n_sel=1, alpha=(1.0,), mod_order=4), "sas-" + mode
-        values = baseline_values(scheme, cfg.mod_order, cfg.sym_energy)
+        values = baseline_values(scheme, cfg.mod_order)
         ch = ChannelMatrix(np.zeros((4, 9)))
         h = ch.h[None]
         for y in (np.zeros(4, dtype=complex), np.full(4, 0.3 - 0.1j)):
@@ -751,10 +752,11 @@ class TestRunSweep:
         monkeypatch.setattr(irsmas.harness, "Pool", no_pool)
         # one short of each search's 2^bits hypotheses: C M^n_sel = 64 * 2^2
         # for mas, 16 targets * 4 symbols for sas-sm, 8 targets for sas-ssk
-        cases = {"mas": self.small_cfg(ml_guard=2**8 - 1),
-                 "sas-sm": self.small_cfg(n_rx=16, mod_order=4, ml_guard=2**6 - 1),
-                 "sas-ssk": self.small_cfg(n_rx=8, ml_guard=2**3 - 1)}
-        for scheme, cfg in cases.items():
+        cases = {"mas": (self.small_cfg(), 2**8 - 1),
+                 "sas-sm": (self.small_cfg(n_rx=16, mod_order=4), 2**6 - 1),
+                 "sas-ssk": (self.small_cfg(n_rx=8), 2**3 - 1)}
+        for scheme, (cfg, guard) in cases.items():
+            monkeypatch.setattr(irsmas.detection, "ML_GUARD", guard)
             with pytest.raises(ValueError, match="ml_guard") as err:
                 run_sweep(cfg, scheme, "ml", workers=2)
             assert ("ssd" in str(err.value)) == (scheme == "mas")  # no ssd for a baseline
@@ -785,7 +787,7 @@ class TestRunSweep:
         ({"snr_grid_db": (float("nan"),)}, "snr"),
         ({"n_trials": 0}, "n_trials"),
         ({"n_refl": 0}, "n_refl"),
-        ({"sym_energy": -1.0}, "sym_energy"),
+        ({"error_budget": 0}, "error_budget"),
         ({"seed": -1}, "seed"),
         ({"n_rx": 12}, "n_rx"),
     ])

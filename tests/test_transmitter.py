@@ -64,8 +64,9 @@ class TestSuperpose:
         assert b == pytest.approx(0.8944271909999159 - 0.4472135954999579)
 
     def test_symbol_energy_scales_linearly(self):
-        x1 = superpose([1.0, -1.0], [1, 2], (0.2, 0.8), sym_energy=1.0)
-        x2 = superpose([1.0, -1.0], [1, 2], (0.2, 0.8), sym_energy=2.5)
+        # symbols of amplitude 2.5 superpose to 2.5 times the unit-amplitude value
+        x1 = superpose([1.0, -1.0], [1, 2], (0.2, 0.8))
+        x2 = superpose([2.5, -2.5], [1, 2], (0.2, 0.8))
         assert x2 == pytest.approx(2.5 * x1)
 
     def test_single_slot(self):
@@ -178,7 +179,7 @@ class TestEncode:
                 for j in (1, 2)
             ]
         )
-        expected = superpose(symbols, tx.order_desc, CFG.alpha, CFG.sym_energy)
+        expected = superpose(symbols, tx.order_desc, CFG.alpha)
         assert tx.x == expected  # bit for bit
 
     def test_weights_are_row_norms(self):
@@ -204,7 +205,7 @@ class TestEncode:
         bits = np.zeros(CFG.block_len, dtype=int)
         tx = encode(bits, ch, CFG, TABLE)
         np.testing.assert_array_equal(tx.sel, [1, 2])
-        # both symbols are +1 (bit 0), so x = (sqrt(.2) + sqrt(.8)) E_s
+        # both symbols are +1 (bit 0), so x = sqrt(.2) + sqrt(.8)
         assert tx.x == pytest.approx(1.3416407864998738)
 
     def test_qpsk_encode(self):
@@ -220,5 +221,5 @@ class TestEncode:
                 for j in (1, 2)
             ]
         )
-        expected = superpose(symbols, tx.order_desc, cfg.alpha, cfg.sym_energy)
+        expected = superpose(symbols, tx.order_desc, cfg.alpha)
         assert tx.x == expected  # bit for bit
