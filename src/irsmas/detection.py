@@ -29,7 +29,7 @@ from .core import (
     unpack_bits,
 )
 from .rac import RacTable
-from .transmitter import aligning_phases, gather_phases, phase_index, slot_order
+from .transmitter import aligning_phases, gain_index, gather_phases, reflector_blocks, slot_order
 
 # Most scores (or distance terms) any one array of the ML search holds,
 # unless a single pair's |A| + |B| scores are more.
@@ -166,35 +166,48 @@ def check_ml_guard(cfg: SystemConfig, n_bits: int | None = None) -> None:
 def ml_gains(h: np.ndarray, phases: np.ndarray, cfg: SystemConfig, table: RacTable,
              buffers=None):
     """What the exhaustive ML search needs of a stack of channels h (T, n_rx,
-    n_refl) and their ``aligning_phases``, for any y: the gains g_p = H
-    theta_p of every legitimate row p (T, n_rx, C) and ||g_p||^2 (T C,).
-    ``buffers``, if given, is a row-phase buffer (C, n_refl) and a gains
-    stack (at least T, n_rx, C), complex, which this overwrites instead of
-    allocating them."""
+    n_refl) and their ``aligning_phases``, for any y: the conjugate gains
+    conj(g_p) = conj(H theta_p) of every legitimate row p (T, n_rx, C) and
+    ||g_p||^2 (T C,).  ``buffers``, if given, is a cross-gain buffer (at
+    least T, n_rx, n_rx) and a gains stack (at least T, n_rx, C), complex,
+    which this overwrites instead of allocating them.
+
+    Row p's theta aligns each of the K non-empty ``reflector_blocks`` k to
+    one antenna a_k(p), so g_p is a sum of K block gains, and a block has
+    only n_rx alignments.  One product per block forms them all, the cross
+    gains B_k[r, a] = sum over n in block k of h[r, n] u[a, n] (n_rx^2
+    n_refl MACs a trial in all, against C n_rx n_refl for every H theta_p),
+    and every row adds its term, B_k[r, a_k(p)] from ``gain_index``, in
+    block order.  The cross gains are conjugated first, which is exact
+    (negation commutes with rounding), so the stack is conj(g) and the
+    search's g^H y is one product.
+    """
     n_trials, n_rx, n_refl = h.shape
-    n_rows = table.row_count
-    # theta_p of every row p, gathered from the trial's phases through
-    # ``phase_index``.  One product per trial, as the direct search forms
-    # it: a stacked product may differ in the last bits.
-    index = phase_index(n_rx, cfg.n_sel, n_refl)
+    index = gain_index(n_rx, cfg.n_sel, n_refl)
+    blocks = reflector_blocks(n_refl, cfg.n_sel, n_refl // cfg.n_sel)[: len(index)]
     if buffers is None:
-        buffers = (np.empty((n_rows, n_refl), dtype=complex),
-                   np.empty((n_trials, n_rx, n_rows), dtype=complex))
-    theta, gains = buffers
-    gains = gains[:n_trials]
-    for h_t, u_t, g_t in zip(h, phases, gains):
-        # index is in range, so "clip" changes no index; the default "raise"
-        # would have numpy copy the result through a temporary
-        np.take(u_t, index, out=theta, mode="clip")
-        np.matmul(h_t, theta.T, out=g_t)
+        buffers = (np.empty((n_trials, n_rx, n_rx), dtype=complex),
+                   np.empty((n_trials, n_rx, table.row_count), dtype=complex))
+    cross, gains = (buf[:n_trials] for buf in buffers)
+    flat = gains.reshape(n_trials * n_rx, -1, copy=False)
+    for (block, _), antenna in zip(blocks, index):
+        np.matmul(h[..., block], phases[..., block].transpose(0, 2, 1), out=cross)
+        np.conjugate(cross, out=cross)
+        terms = cross.reshape(n_trials * n_rx, n_rx, copy=False)
+        if block.start == 0:
+            # index is in range, so "clip" changes no index; the default
+            # "raise" would have numpy copy the result through a temporary
+            np.take(terms, antenna, axis=1, out=flat, mode="clip")
+        else:
+            flat += np.take(terms, antenna, axis=1)
     return gains, np.sum(gains.real**2 + gains.imag**2, axis=1).ravel()
 
 
 def ml_detect_batch(y: np.ndarray, gains: np.ndarray, energy: np.ndarray, norms: np.ndarray,
                     cfg: SystemConfig, table: RacTable):
-    """Exhaustive ML search for a stack of trials: y (T, n_rx), the gains
-    stack (T, n_rx, C) and ||g||^2 of its channels from ``ml_gains``, and
-    their row norms (T, n_rx).
+    """Exhaustive ML search for a stack of trials: y (T, n_rx), the
+    conjugate gains stack (T, n_rx, C) and ||g||^2 of its channels from
+    ``ml_gains``, and their row norms (T, n_rx).
 
     Minimizes ||y - H theta_p x||^2 over every legitimate row p and every
     value x in the superposition set.  Ties resolve to the smaller p, then
@@ -210,7 +223,8 @@ def ml_detect_batch(y: np.ndarray, gains: np.ndarray, energy: np.ndarray, norms:
     near its trial's minimum.  Every hypothesis whose score lies within a
     rounding bound of that minimum is then recomputed elementwise, exactly
     as the direct search computes it (antennas summed in order), so the
-    decision and distance are those of the direct search, bit for bit.
+    decision and distance are those of the direct search over these
+    gains, bit for bit.
     """
     axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha))
     values = axes.values
@@ -220,7 +234,7 @@ def ml_detect_batch(y: np.ndarray, gains: np.ndarray, energy: np.ndarray, norms:
     # f_A = a (||g||^2 a - 2 Re(g^H y)) and f_B = b (||g||^2 b - 2 Im(g^H y)),
     # one row per value of A then of B, and (trial, row) pairs along the
     # trailing axis.
-    corr2 = 2 * (y[:, None, :] @ gains.conj())[:, 0].ravel()  # 2 g^H y
+    corr2 = 2 * (y[:, None, :] @ gains)[:, 0].ravel()  # 2 g^H y
     ab = np.concatenate([axes.a, axes.b])
     n_a = len(axes.a)
     # Rounding, to first order in eps, with S = ||y|| + max|x| max||g||:
@@ -288,15 +302,17 @@ def _near_hypotheses(f_a, f_b, axes: SuperpositionAxes, near, limit):
 
 
 def _exact_distance(y, gains, values, t, p, v):
-    """The direct search's distance of hypotheses (trial t, row p, value v):
-    elementwise terms summed over antennas in sequence (np.sum may pair
-    them up differently), at most SCREEN_BUDGET terms at a time."""
+    """The direct search's distance of hypotheses (trial t, row p, value v)
+    from the conjugate gains: elementwise terms summed over antennas in
+    sequence (np.sum may pair them up differently), at most SCREEN_BUDGET
+    terms at a time."""
     n_rx = y.shape[1]
     distance = np.empty(len(t))
     step = max(1, SCREEN_BUDGET // n_rx)
     for lo in range(0, len(t), step):
         s = slice(lo, lo + step)
-        terms = np.abs(y.T[:, t[s]] - gains.transpose(1, 0, 2)[:, t[s], p[s]] * values[v[s]]) ** 2
+        g = gains.transpose(1, 0, 2)[:, t[s], p[s]].conj()
+        terms = np.abs(y.T[:, t[s]] - g * values[v[s]]) ** 2
         part = distance[s]
         part[:] = terms[0]
         for r in range(1, n_rx):

@@ -173,9 +173,9 @@ def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range, 
 def _workspace(cfg: SystemConfig, scheme: str, detector: str, n_trials: int):
     """The large arrays of a chunk of up to ``n_trials`` trials: the draws'
     buffers and a list of the rest: the aligning phases, and for ``mas``
-    with ``ml`` the row-phase buffer (C, n_refl) and the gains stack
-    (n_trials, n_rx, C).  The phases share the normals' bytes, so they cost
-    no memory.
+    with ``ml`` the ``ml_gains`` buffers, one reflector block's cross gains
+    (n_trials, n_rx, n_rx) and the gains stack (n_trials, n_rx, C).  The
+    phases share the normals' bytes, so they cost no memory.
 
     A block allocates them once and every chunk overwrites them, so the
     chunk loop does not free and fault in the same pages again.  They are
@@ -187,7 +187,7 @@ def _workspace(cfg: SystemConfig, scheme: str, detector: str, n_trials: int):
     layout = draw_layout(n_trials, bits_per_tx(cfg, scheme), cfg.n_rx, cfg.n_refl)
     if scheme == "mas" and detector == "ml":
         n_rows = build_rac_table(cfg.n_rx, cfg.n_sel).row_count
-        layout += [((n_rows, cfg.n_refl), np.dtype(complex)),
+        layout += [((n_trials, cfg.n_rx, cfg.n_rx), np.dtype(complex)),
                    ((n_trials, cfg.n_rx, n_rows), np.dtype(complex))]
     nbytes = [math.prod(shape) * dtype.itemsize for shape, dtype in layout]
     starts = np.cumsum([0] + [-(-n // 64) * 64 for n in nbytes])
@@ -238,11 +238,6 @@ def compute_metrics(trials: int, bit_errors: int, block_errors: int,
         "asbt_block": block_len * (1.0 - bler),
         "mean_mac": mac_total / trials,
     }
-
-
-def monte_carlo_se(rate: float, trials: int) -> float:
-    """Standard error of a Monte Carlo rate estimate (binomial approximation)."""
-    return float(np.sqrt(max(rate * (1.0 - rate), 0.0) / trials))
 
 
 def _available_parallelism() -> int:

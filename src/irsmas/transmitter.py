@@ -85,6 +85,19 @@ def phase_index(n_rx: int, n_sel: int, n_refl: int) -> np.ndarray:
     return index
 
 
+@lru_cache(maxsize=None)
+def gain_index(n_rx: int, n_sel: int, n_refl: int) -> np.ndarray:
+    """The antenna (0-based) to which every RAC row aligns each non-empty
+    block of ``reflector_blocks``, built once and shared read-only: (K, C),
+    K blocks by C rows."""
+    rows = build_rac_table(n_rx, n_sel).rows
+    slots = [slot for block, slot in reflector_blocks(n_refl, n_sel, n_refl // n_sel)
+             if block.start < block.stop]
+    index = np.ascontiguousarray(rows[:, slots].T - 1)
+    index.setflags(write=False)
+    return index
+
+
 def gather_phases(phases: np.ndarray, p: np.ndarray, n_sel: int) -> np.ndarray:
     """Reflector phase vectors of RAC rows ``p`` (T, ...) gathered through
     ``phase_index`` from the trials' ``aligning_phases`` (T, n_rx, n_refl):

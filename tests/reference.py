@@ -35,6 +35,11 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int64)
 
 
+def monte_carlo_se(rate: float, trials: int) -> float:
+    """Standard error of a Monte Carlo rate estimate (binomial approximation)."""
+    return float(np.sqrt(max(rate * (1.0 - rate), 0.0) / trials))
+
+
 def draw_trial(seed: int, trial_index: int, n_bits: int, n_rx: int, n_refl: int):
     """One trial's bits, channel and unit-variance noise, drawn in order
     from its own stream."""
@@ -244,13 +249,22 @@ def ssd_detect(y, channel, cfg: SystemConfig, table: RacTable,
     )
 
 
-def direct_ml_detect(y, channel, cfg: SystemConfig, table: RacTable, const: Constellation):
+def direct_gains(h, table: RacTable, delta: int) -> np.ndarray:
+    """Effective gains H theta_p of every row p of the table, (n_rx, C):
+    each row's phase vector built block by block, then one product."""
+    theta = np.stack([reflector_phases(h[row - 1], delta) for row in table.rows])
+    return h @ theta.T
+
+
+def direct_ml_detect(y, channel, cfg: SystemConfig, table: RacTable, const: Constellation,
+                     gains=None):
     """Reference ML search: every (row, tuple) distance computed elementwise,
-    2**14 hypotheses at a time; the first minimum wins.  Returns (row
-    index, per-slot symbols, distance)."""
+    2**14 hypotheses at a time; the first minimum wins.  ``gains`` (n_rx,
+    C), if given, are searched in place of the oracle's own H theta_p of
+    every row.  Returns (row index, per-slot symbols, distance)."""
     values, labels = superposition_table(cfg.mod_order, tuple(cfg.alpha))
-    theta = np.stack([reflector_phases(channel.h[row - 1], cfg.delta) for row in table.rows])
-    gains = channel.h @ theta.T  # n_rx x C
+    if gains is None:
+        gains = direct_gains(channel.h, table, cfg.delta)
 
     best = (np.inf, -1, -1)
     chunk = max(1, 2**14 // len(values))

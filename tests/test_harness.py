@@ -27,7 +27,6 @@ from irsmas.harness import (
     _resolve_workers,
     bits_per_tx,
     compute_metrics,
-    monte_carlo_se,
     run_sweep,
     run_trial,
 )
@@ -35,10 +34,12 @@ from irsmas.rac import build_rac_table
 from irsmas.transmitter import aligning_phases, gather_phases
 from reference import (
     detection_to_bits,
+    direct_gains,
     direct_ml_detect,
     direct_sas_detect,
     make_sas_trial,
     make_trials,
+    monte_carlo_se,
 )
 from reference import run_trial as reference_run_trial
 
@@ -177,8 +178,12 @@ class TestBatchedSsdEngine:
 
 
 class TestBatchedMlEngine:
-    """The batched ML search against the direct search: row, labels and
-    distance must agree bit for bit."""
+    """The batched ML search against the direct search.  Row and labels
+    must agree with the direct search over its own gains H theta_p.  Row,
+    labels and distance must equal, bit for bit, those of the direct search
+    over the engine's gains, which ``TestMlGains`` bounds against H theta_p:
+    the two sum the same products in different orders, so a distance may
+    differ from the direct one in its last bits."""
 
     def assert_matches_direct(self, y, h, cfg):
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
@@ -187,11 +192,16 @@ class TestBatchedMlEngine:
         p_hat, labels, distance = ml_detect_batch(y, gains, energy, np.linalg.norm(h, axis=-1),
                                                   cfg, table)
         for t in range(len(y)):
-            ref_p, ref_symbols, ref_d = direct_ml_detect(y[t], ChannelMatrix(h[t]), cfg,
-                                                         table, const)
+            channel = ChannelMatrix(h[t])
+            ref_p, ref_symbols, _ = direct_ml_detect(y[t], channel, cfg, table, const)
             assert p_hat[t] == ref_p
             np.testing.assert_array_equal(const.points[labels[t]], ref_symbols)
-            assert distance[t] == ref_d
+            # the stack holds conj(g)
+            own_p, own_symbols, own_d = direct_ml_detect(y[t], channel, cfg, table, const,
+                                                         gains[t].conj())
+            assert p_hat[t] == own_p
+            np.testing.assert_array_equal(const.points[labels[t]], own_symbols)
+            assert distance[t] == own_d
         return p_hat, labels, distance
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -234,10 +244,13 @@ class TestBatchedMlEngine:
         _, h, y = make_trials(cfg, range(3))
         self.assert_matches_direct(y, h, cfg)
         ch = ChannelMatrix(h[0])
-        p_hat, symbols, distance = direct_ml_detect(y[0], ch, cfg, table, const)
+        p_hat, symbols, _ = direct_ml_detect(y[0], ch, cfg, table, const)
         result = ml_detect(y[0], ch, cfg, table, const)
-        assert (result.rac_index, result.distance) == (p_hat, distance)
+        assert result.rac_index == p_hat
         np.testing.assert_array_equal(result.symbols, symbols)
+        (gains,), _ = ml_gains(h[:1], aligning_phases(h[:1]), cfg, table)
+        assert result.distance == direct_ml_detect(y[0], ch, cfg, table, const,
+                                                   gains.conj())[2]
 
     def test_slice_boundary_inside_a_trial(self):
         # BPSK at n_sel 3: |A| + |B| = 8 + 1 scores a pair, so a slice holds
@@ -305,6 +318,87 @@ class TestBatchedMlEngine:
         np.testing.assert_array_equal(labels, 0)
         terms = np.abs(y) ** 2  # ||y - 0||^2, summed over antennas in order
         np.testing.assert_array_equal(distance, sum(terms[:, r] for r in range(cfg.n_rx)))
+
+
+def assert_within_gain_bound(gains, h, table, delta):
+    """Each trial's conjugate gains stack from ``ml_gains`` (T, n_rx, C)
+    lies within 2 (N + 2) eps sum_n |h[r, n]| of the direct H theta_p,
+    entry by entry (``TestMlGains.test_gains_within_rounding_bound``)."""
+    eps = np.finfo(float).eps
+    for g, h_t in zip(gains, h):
+        bound = 2 * (h_t.shape[1] + 2) * eps * np.abs(h_t).sum(axis=1)
+        error = np.abs(g.conj() - direct_gains(h_t, table, delta))
+        assert np.all(error <= bound[:, None])
+
+
+@st.composite
+def gain_stacks(draw):
+    """A config with n_sel 1 to 4 and any n_refl >= n_sel, plus a stack of
+    channels at some scale, with none, some or all of their entries zeroed,
+    over enough trials to leave the last chunk ragged."""
+    n_sel = draw(st.integers(1, 4))
+    n_rx = draw(st.integers(n_sel + 1, 8))
+    n_refl = n_sel * draw(st.integers(1, 9)) + draw(st.integers(0, n_sel - 1))
+    n_trials = draw(st.integers(1, 2 * CHUNK_TRIALS + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    shape = (n_trials, n_rx, n_refl)
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h *= draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    h[rng.random(shape) < draw(st.sampled_from((0.0, 0.2, 1.0)))] = 0
+    return SystemConfig(n_rx=n_rx, n_sel=n_sel, n_refl=n_refl), h
+
+
+class TestMlGains:
+    """``ml_gains`` sums per-block cross gains; the direct search forms
+    H theta_p in one product.  The two may differ by rounding alone."""
+
+    # the last two have a leftover block of 1 and 2 reflectors
+    @pytest.mark.parametrize("n_rx,n_sel,n_refl", [(12, 2, 64), (12, 3, 64), (8, 4, 66)])
+    def test_gains_within_rounding_bound(self, n_rx, n_sel, n_refl):
+        """|conj(stack) - H theta_p| <= 2 (N + 2) eps sum_n |h[r, n]| for
+        each antenna r and row p, N = n_refl and eps the machine epsilon.
+
+        Both sides sum the products h[r, n] u_n of the same rounded phases
+        u, |u_n| <= 1 + eps, in different orders: the engine per block and
+        then over blocks, the direct search in one product.  With
+        gamma_k = k (eps/2) / (1 - k eps/2), a complex product formed in
+        real arithmetic is off by at most sqrt(2) gamma_2 |h[r, n]| |u_n|,
+        with or without fused multiply-adds, and N - 1 complex additions in
+        any order add at most sqrt(2) gamma_(N-1) sum_n |h[r, n] u_n|.  So
+        either side lies within sqrt(2) gamma_(N+1) (1 + eps) sum_n
+        |h[r, n]| of the exact sum, about (N + 1) eps / sqrt(2) times it,
+        and the two within sqrt(2) (N + 1) eps sum_n |h[r, n]|; the bound's
+        2 (N + 2) leaves room for the second-order terms.  Conjugating the
+        stack is exact.  An all-zero row has a
+        zero bound, and both sides give exactly 0 there.
+        """
+        cfg = SystemConfig(n_rx=n_rx, n_sel=n_sel, n_refl=n_refl)
+        table = build_rac_table(n_rx, n_sel)
+        _, h, _ = draw_trials(7, range(CHUNK_TRIALS), 1, n_rx, n_refl)
+        h[3, 1] = 0  # a dead antenna
+        gains, _ = ml_gains(h, aligning_phases(h), cfg, table)
+        assert_within_gain_bound(gains, h, table, cfg.delta)
+        np.testing.assert_array_equal(gains[3, 1], 0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(gain_stacks())
+    @example((SystemConfig(n_rx=5, n_sel=4, n_refl=4),
+              np.ones((CHUNK_TRIALS + 1, 5, 4), dtype=complex)))
+    def test_chunked_gains_within_bound(self, case):
+        # chunks through a NaN-filled block workspace, as _block_counts runs
+        # them; a trial's gains do not depend on the chunk it runs in
+        cfg, h = case
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        _, (_, *buffers) = irsmas.harness._workspace(cfg, "mas", "ml", CHUNK_TRIALS)
+        for buf in buffers:
+            buf.fill(np.nan)
+        for lo in range(0, len(h), CHUNK_TRIALS):
+            chunk = h[lo : lo + CHUNK_TRIALS]
+            gains, _ = ml_gains(chunk, aligning_phases(chunk), cfg, table, buffers)
+            assert gains.shape == (len(chunk), cfg.n_rx, table.row_count)
+            assert_within_gain_bound(gains, chunk, table, cfg.delta)
+            alone, _ = ml_gains(chunk[-1:], aligning_phases(chunk[-1:]), cfg, table)
+            np.testing.assert_array_equal(alone[0], gains[-1])
 
 
 @st.composite
@@ -438,10 +532,10 @@ class TestWorkspace:
             return real_phases(h, out=out)
 
         def ml_gains(h, phases, cfg, table, buffers=None):
-            theta, gains = buffers
-            assert theta.shape == (table.row_count, cfg.n_refl)
+            cross, gains = buffers
+            assert cross.shape == (32, cfg.n_rx, cfg.n_rx)
             assert gains.shape == (32, cfg.n_rx, table.row_count)
-            seen.append(("ml", len(h), (phases.ctypes.data, theta.ctypes.data,
+            seen.append(("ml", len(h), (phases.ctypes.data, cross.ctypes.data,
                                         gains.ctypes.data)))
             return real_ml(h, phases, cfg, table, buffers)
 
@@ -469,7 +563,7 @@ class TestWorkspace:
         norms = np.linalg.norm(h, axis=-1)
         size = CHUNK_TRIALS + 5
         phases = np.full((size, cfg.n_rx, cfg.n_refl), np.nan, dtype=complex)
-        buffers = (np.full((table.row_count, cfg.n_refl), np.nan, dtype=complex),
+        buffers = (np.full((size, cfg.n_rx, cfg.n_rx), np.nan, dtype=complex),
                    np.full((size, cfg.n_rx, table.row_count), np.nan, dtype=complex))
         want = ml_detect_batch(y, *ml_gains(h, aligning_phases(h), cfg, table), norms, cfg, table)
         for _ in range(2):  # NaN-filled buffers, then the same buffers used

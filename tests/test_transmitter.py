@@ -13,6 +13,7 @@ from irsmas.rac import build_rac_table, rac_row
 from irsmas.transmitter import (
     aligning_phases,
     encode,
+    gain_index,
     gather_phases,
     phase_index,
     reflector_phases,
@@ -146,6 +147,15 @@ class TestReflectorPhases:
             for r, row in enumerate(table.rows):
                 want = reference_reflector_phases(h[t, row - 1], n_refl // n_sel)
                 np.testing.assert_array_equal(theta[t, r], want)
+
+    @pytest.mark.parametrize("n_rx,n_sel,n_refl", [(12, 2, 64), (8, 3, 64), (5, 4, 4), (5, 1, 7)])
+    def test_gain_index_follows_phase_index(self, n_rx, n_sel, n_refl):
+        # block k of every row gathers its phases from the antenna index[k]
+        index = gain_index(n_rx, n_sel, n_refl)
+        assert gain_index(n_rx, n_sel, n_refl) is index and not index.flags.writeable
+        assert len(index) == n_sel + (n_refl % n_sel > 0)  # a leftover block is the last
+        block = np.minimum(np.arange(n_refl) // (n_refl // n_sel), n_sel)  # of each reflector
+        np.testing.assert_array_equal(index[block].T, phase_index(n_rx, n_sel, n_refl) // n_refl)
 
     def test_aligned_gain_beats_random(self):
         # the beamforming gain at the aligned antenna dwarfs a random antenna
