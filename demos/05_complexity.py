@@ -11,7 +11,7 @@ not on the constellation size, so its advantage grows exponentially.
 import dataclasses
 
 from irsmas import SystemConfig, mac_ml, mac_ssd
-from irsmas.harness import bits_per_tx
+from irsmas.harness import scheme_config
 
 cfg = SystemConfig()
 
@@ -30,6 +30,6 @@ for n_cand in (8, 10, 12, 15):
 print("\nsingle-antenna baselines (16 rx, exhaustive detection):")
 for label, scheme, order in [("ssk", "sas-ssk", 2), ("sm-bpsk", "sas-sm", 2),
                              ("sm-qpsk", "sas-sm", 4)]:
-    c = dataclasses.replace(cfg, n_rx=16, mod_order=order)
-    bits = bits_per_tx(c, scheme)
-    print(f"  {label:<8} {bits} bits/tx, {mac_ml(c, bits):,} macs")
+    # a baseline's config is its pin: one selected antenna, and no symbol for ssk
+    c = scheme_config(dataclasses.replace(cfg, n_rx=16, mod_order=order), scheme, "ml")
+    print(f"  {label:<8} {c.block_len} bits/tx, {mac_ml(c):,} macs")

@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from .core import MOD_ORDERS, SNR_FLOOR_DB, SystemConfig, snr_value_ok
-from .harness import CSV_COLUMNS, bits_per_tx, check_run, run_sweep, scheme_config
+from .harness import CSV_COLUMNS, check_run, run_sweep, scheme_config
 
 # most points a "start:step:stop" SNR range may expand to
 SNR_MAX_POINTS = 1000
@@ -248,10 +248,9 @@ def emit_results(rows, out_format: str, path, config=None) -> None:
 def run_main(spec: RunSpec) -> int:
     """Run the sweep described by spec, print per-point summaries, emit results."""
     try:
-        block_len = bits_per_tx(spec.cfg, spec.scheme)
         rows = run_sweep(spec.cfg, spec.scheme, spec.detector)
         for row in rows:
-            print(f"{row.scheme} {row.detector} L={block_len} "
+            print(f"{row.scheme} {row.detector} L={spec.cfg.block_len} "
                   f"snr_db={row.snr_db:g} trials={row.trials} "
                   f"ber={row.ber:.6g} bler={row.bler:.6g} "
                   f"asbt={row.asbt_perbit:.6g} mean_mac={row.mean_mac:.6g}")

@@ -67,14 +67,18 @@ def make_constellation(mod_order: int) -> Constellation:
 
     BPSK (M=2) lives on the real axis; 4/16/64-QAM are square grids with
     per-axis Gray labelling, first half of the bits on I, second half on Q.
+    M=1 is the one-value alphabet {1} of the sas-ssk baseline, which sends
+    no symbol bits; no config accepts it as a modulation.
     """
-    if mod_order not in MOD_ORDERS.values():
+    if mod_order != 1 and mod_order not in MOD_ORDERS.values():
         raise ValueError(
             f"mod_order: unsupported order {mod_order} (expected one of "
             f"{sorted(MOD_ORDERS.values())})"
         )
     mu = int(round(math.log2(mod_order)))
-    if mod_order == 2:
+    if mod_order == 1:
+        points = np.ones(1, dtype=complex)
+    elif mod_order == 2:
         points = _gray_levels(1).astype(complex)
     else:
         i_bits = mu // 2
@@ -101,9 +105,10 @@ def bits_to_int(bits) -> int:
 
 def pack_bits(bits, width: int) -> np.ndarray:
     """Row-wise bits_to_int: big-endian groups of ``width`` bits along the
-    last axis become integers, (..., k*width) -> (..., k)."""
+    last axis become integers, (..., k*width) -> (..., k).  Width 0 reads
+    the empty last axis as one group, 0."""
     bits = np.asarray(bits, dtype=np.int64)
-    groups = bits.reshape(bits.shape[:-1] + (-1, width))
+    groups = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // width if width else 1, width))
     return groups @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
 
 
@@ -211,14 +216,20 @@ class SuperpositionAxes:
         values.setflags(write=False)
         return values
 
+    @cached_property
+    def digits(self) -> tuple:
+        """Per axis, the place value of each tuple position's level index."""
+        return tuple((level.max() + 1) ** np.arange(self.n_sel - 1, -1, -1)
+                     for level in (self.level_a, self.level_b))
+
     def superpose(self, labels: np.ndarray) -> np.ndarray:
         """Superposed values of label tuples (..., n_sel), position i at
         alpha[i]: a + jb looked up by each axis's level digits, bit for bit
         the in-order sum of sqrt(alpha[i]) times position i's symbol."""
+        digits_a, digits_b = self.digits
         x = np.empty(labels.shape[:-1], dtype=complex)
-        for part, axis, level in ((x.real, self.a, self.level_a), (x.imag, self.b, self.level_b)):
-            digits = (level.max() + 1) ** np.arange(self.n_sel - 1, -1, -1)
-            part[...] = axis[level[labels] @ digits]
+        x.real = self.a[self.level_a[labels] @ digits_a]
+        x.imag = self.b[self.level_b[labels] @ digits_b]
         return x
 
     def _tuple_index(self, level: np.ndarray) -> np.ndarray:
@@ -314,6 +325,7 @@ def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
     The single-antenna baselines (any scheme other than ``mas``) need n_rx
     to be a power of two and ignore the selection fields (n_sel, alpha,
     n_cand_antennas, n_iters); every scheme reads the remaining fields.
+    mod_order is checked for sas-ssk too, though its pin replaces it.
     """
     mas = scheme == "mas"
     if mas:

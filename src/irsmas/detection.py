@@ -102,7 +102,7 @@ def ssd_detect_batch(
     table: RacTable,
 ):
     """SSD receiver for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl),
-    its row norms (T, n_rx) and its ``aligning_phases``.
+    its row norms (T, n_rx; None at n_sel 1) and its ``aligning_phases``.
 
     Decodes the best n_iters ranked candidates of every trial at once.  A
     candidate's slots are visited weakest channel row first; the first is
@@ -153,12 +153,13 @@ def ssd_detect_batch(
     return cand[trial, best], labels, np.where(found, distance[trial, best], np.inf), n_cand
 
 
-def check_ml_guard(cfg: SystemConfig, n_bits: int | None = None) -> None:
-    """Refuse an exhaustive search over more than ML_GUARD hypotheses: the
-    2^n_bits that ``mac_ml`` bills, ML detection's 2^block_len by default."""
-    n_hyp = 2 ** (cfg.block_len if n_bits is None else n_bits)
+def check_ml_guard(cfg: SystemConfig) -> None:
+    """Refuse an exhaustive search over more than ML_GUARD hypotheses, the
+    2^block_len that ``mac_ml`` bills; a baseline's config is its pin."""
+    n_hyp = 2**cfg.block_len
     if n_hyp > ML_GUARD:
-        hint = "; the ssd detector has no such limit" if n_bits is None else ""
+        # ssd decodes superposed slots; a baseline (one slot) is ml-only
+        hint = "; the ssd detector has no such limit" if cfg.n_sel > 1 else ""
         raise ValueError(f"ml_guard: the exhaustive ml search covers {n_hyp} hypotheses, "
                          f"more than ML_GUARD = {ML_GUARD}{hint}")
 
@@ -200,14 +201,16 @@ def ml_gains(h: np.ndarray, phases: np.ndarray, cfg: SystemConfig, table: RacTab
             np.take(terms, antenna, axis=1, out=flat, mode="clip")
         else:
             flat += np.take(terms, antenna, axis=1)
-    return gains, np.sum(gains.real**2 + gains.imag**2, axis=1).ravel()
+    energy = gains.real**2
+    energy += gains.imag**2
+    return gains, energy.sum(axis=1).ravel()
 
 
 def ml_detect_batch(y: np.ndarray, gains: np.ndarray, energy: np.ndarray, norms: np.ndarray,
                     cfg: SystemConfig, table: RacTable):
     """Exhaustive ML search for a stack of trials: y (T, n_rx), the
     conjugate gains stack (T, n_rx, C) and ||g||^2 of its channels from
-    ``ml_gains``, and their row norms (T, n_rx).
+    ``ml_gains``, and their row norms (T, n_rx; None at n_sel 1).
 
     Minimizes ||y - H theta_p x||^2 over every legitimate row p and every
     value x in the superposition set.  Ties resolve to the smaller p, then
@@ -373,8 +376,7 @@ def mac_ssd(cfg: SystemConfig, n_cand):
     return cfg.n_iters * mac_base(cfg.n_rx, cfg.n_refl) + n_cand * (cfg.n_sel - 1) + 3 * cfg.n_rx
 
 
-def mac_ml(cfg: SystemConfig, n_bits: int | None = None) -> int:
-    """Multiply-accumulate count charged to one exhaustive search over
-    2^n_bits hypotheses: by default ML detection's 2^block_len, or a
-    baseline's own bit count."""
-    return 2 ** (cfg.block_len if n_bits is None else n_bits) * mac_base(cfg.n_rx, cfg.n_refl)
+def mac_ml(cfg: SystemConfig) -> int:
+    """Multiply-accumulate count charged to one exhaustive search over its
+    2^block_len hypotheses, of mas or of a baseline's pinned config."""
+    return 2**cfg.block_len * mac_base(cfg.n_rx, cfg.n_refl)

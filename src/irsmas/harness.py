@@ -2,8 +2,8 @@
 
 Trials are scheduled in fixed blocks of 1000 so that early stopping and
 parallel execution cannot change the result: a point consumes a prefix of
-its block sequence, each block is a pure function of (config, scheme,
-detector, block index), and counts are summed in block order.  The same
+its block sequence, each block is a pure function of (config, detector,
+block index), and counts are summed in block order.  The same
 seed therefore yields bit-identical output for any worker count.
 
 Points differ only in their noise level, and a trial sees the same bits,
@@ -16,31 +16,26 @@ max(1, min(points, workers // blocks)) groups, whose jobs each draw the block.
 
 Every block, of every scheme and detector, runs through the batched
 engine: chunks of CHUNK_TRIALS trials pass each stage (draws, encode,
-propagate, detect) as arrays over trials x candidates.  Every trial draws
-from its own stream and gets the same arithmetic whatever chunk it runs
-in, so a block's counts equal the sum of ``run_trial`` outcomes over its
-trials.  ``run_trial`` runs one trial as a chunk of one.
+propagate, detect) as arrays over trials x candidates.  Below the gate,
+``scheme_config``, a baseline is the mas config its pin made, so the
+engine reads the config and the detector, never the scheme.  Every trial
+draws from its own stream and gets the same arithmetic whatever chunk it
+runs in, so a block's counts equal the sum of ``run_trial`` outcomes over
+its trials.  ``run_trial`` runs one trial as a chunk of one.
 """
 
 import math
 import operator
 import os
 import queue
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from multiprocessing import Pool
 
 import numpy as np
 
-from .baselines import (
-    baseline_bits,
-    baseline_config,
-    baseline_values,
-    sas_detect_batch,
-    sas_encode_batch,
-    sas_gains,
-)
+from .baselines import baseline_config
 from .channel import add_noise, draw_layout, draw_trials, propagate_batch
-from .core import MOD_NAMES, SystemConfig, validate_config
+from .core import MOD_NAMES, MOD_ORDERS, SystemConfig, validate_config
 from .detection import (
     check_ml_guard,
     detected_bits,
@@ -107,23 +102,31 @@ def check_run(scheme: str, detector: str = "ml") -> None:
 
 
 def scheme_config(cfg: SystemConfig, scheme: str, detector: str) -> SystemConfig:
-    """``cfg`` as ``scheme`` reads it (``baseline_config`` for a baseline),
-    after ``check_run``, ``validate_config`` and, for ``ml``, ``check_ml_guard``
-    on the search's 2^bits_per_tx hypotheses: the one gate of every run."""
+    """``cfg`` as ``scheme`` reads it, ``baseline_config``'s pin for a
+    baseline, after ``check_run``, ``validate_config`` and, for ``ml``,
+    ``check_ml_guard`` on the search's 2^block_len hypotheses: the one gate
+    of every run.  A config it returned passes it again unchanged."""
     check_run(scheme, detector)
-    cfg = validate_config(cfg if scheme == "mas" else baseline_config(cfg), scheme)
+    # sas-ssk reads no modulation order, and the order 1 that its pin sets
+    # is none that validate_config accepts: a config pinned here before is
+    # checked with BPSK in its place
+    if (scheme, cfg.mod_order) == ("sas-ssk", 1):
+        validate_config(replace(cfg, mod_order=MOD_ORDERS["bpsk"]), scheme)
+    else:
+        validate_config(cfg, scheme)
+    cfg = baseline_config(cfg, scheme)
     if detector == "ml":
-        check_ml_guard(cfg, None if scheme == "mas" else baseline_bits(cfg, scheme))
+        check_ml_guard(cfg)
     return cfg
 
 
 def bits_per_tx(cfg: SystemConfig, scheme: str) -> int:
     """Bits carried by one transmission under the given scheme."""
     check_run(scheme)
-    return cfg.block_len if scheme == "mas" else baseline_bits(baseline_config(cfg), scheme)
+    return baseline_config(cfg, scheme).block_len
 
 
-def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range, sigmas,
+def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas,
                   workspace=None) -> list:
     """(bit errors, block errors, MACs) of a few trials, run as arrays, at
     each noise level of ``sigmas``.
@@ -131,51 +134,46 @@ def _chunk_counts(cfg: SystemConfig, scheme: str, detector: str, trials: range, 
     Each trial draws bits, channel and noise from its own ``trial_rng``
     stream, in that order, and is encoded and propagated once; each sigma
     then scales and adds the noise and detects.  ``cfg`` is
-    ``scheme_config``'s; its noise_sigma is not read.  ``workspace``, if
-    given, is ``_workspace`` for at least this many trials, and the chunk
-    overwrites its arrays instead of allocating them.
+    ``scheme_config``'s, a baseline's included, so every scheme takes the
+    same stages; its noise_sigma is not read.  ``workspace``, if given, is
+    ``_workspace`` for at least this many trials, and the chunk overwrites
+    its arrays instead of allocating them.
     """
     draws, buffers = workspace or (None, [])
     n_trials = len(trials)
-    n_bits = bits_per_tx(cfg, scheme)
-    bits, h, noise = draw_trials(cfg.seed, trials, n_bits, cfg.n_rx, cfg.n_refl, out=draws)
+    table = build_rac_table(cfg.n_rx, cfg.n_sel)
+    bits, h, noise = draw_trials(cfg.seed, trials, cfg.block_len, cfg.n_rx, cfg.n_refl,
+                                 out=draws)
     # every antenna's reflector phases, from which every theta of the chunk is gathered
     phases = aligning_phases(h, out=buffers[0][:n_trials] if buffers else None)
-    if scheme == "mas":
-        table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        norms = np.linalg.norm(h, axis=-1)  # for every slot order, encoder's and detector's
-        x, theta = encode_batch(bits, norms, phases, cfg, table)
-        if detector == "ml":
-            gains, energy = ml_gains(h, phases, cfg, table, buffers[1:] or None)
-    else:
-        values = baseline_values(scheme, cfg.mod_order)
-        x, theta = sas_encode_batch(bits, phases, values, n_bits)
-        gains = sas_gains(h, phases)
+    # the row norms order the slots, for the encoder and either detector;
+    # one slot needs no order
+    norms = np.linalg.norm(h, axis=-1) if cfg.n_sel > 1 else None
+    x, theta = encode_batch(bits, norms, phases, cfg, table)
+    if detector == "ml":
+        gains, energy = ml_gains(h, phases, cfg, table, buffers[1:] or None)
     received = propagate_batch(h, theta, x)
     counts = []
     for sigma in sigmas:
         y = add_noise(received, noise, sigma)
-        if scheme != "mas":
-            bits_hat, _ = sas_detect_batch(y, gains, values, n_bits)
-        elif detector == "ml":
+        if detector == "ml":
             p_hat, labels, _ = ml_detect_batch(y, gains, energy, norms, cfg, table)
+            mac = n_trials * mac_ml(cfg)
         else:
             p_hat, labels, _, n_cand = ssd_detect_batch(y, h, norms, phases, cfg, table)
-        if scheme == "mas":
-            bits_hat = detected_bits(p_hat, labels, cfg)
-        mac = (n_trials * mac_ml(cfg, n_bits) if detector == "ml"
-               else int(mac_ssd(cfg, n_cand).sum()))
-        errors = np.count_nonzero(bits != bits_hat, axis=1)
+            mac = int(mac_ssd(cfg, n_cand).sum())
+        errors = np.count_nonzero(bits != detected_bits(p_hat, labels, cfg), axis=1)
         counts.append((int(errors.sum()), int(np.count_nonzero(errors)), mac))
     return counts
 
 
-def _workspace(cfg: SystemConfig, scheme: str, detector: str, n_trials: int):
-    """The large arrays of a chunk of up to ``n_trials`` trials: the draws'
-    buffers and a list of the rest: the aligning phases, and for ``mas``
-    with ``ml`` the ``ml_gains`` buffers, one reflector block's cross gains
-    (n_trials, n_rx, n_rx) and the gains stack (n_trials, n_rx, C).  The
-    phases share the normals' bytes, so they cost no memory.
+def _workspace(cfg: SystemConfig, detector: str, n_trials: int):
+    """The large arrays of a chunk of up to ``n_trials`` trials of
+    ``scheme_config``'s ``cfg``: the draws' buffers and a list of the rest:
+    the aligning phases, and for ``ml``, of any scheme, the ``ml_gains``
+    buffers, one reflector block's cross gains (n_trials, n_rx, n_rx) and
+    the gains stack (n_trials, n_rx, C).  The phases share the normals'
+    bytes, so they cost no memory.
 
     A block allocates them once and every chunk overwrites them, so the
     chunk loop does not free and fault in the same pages again.  They are
@@ -184,8 +182,8 @@ def _workspace(cfg: SystemConfig, scheme: str, detector: str, n_trials: int):
     raise its heap trim threshold to twice its size, so the heap keeps the
     pages that the next block's workspace and temporaries reuse.
     """
-    layout = draw_layout(n_trials, bits_per_tx(cfg, scheme), cfg.n_rx, cfg.n_refl)
-    if scheme == "mas" and detector == "ml":
+    layout = draw_layout(n_trials, cfg.block_len, cfg.n_rx, cfg.n_refl)
+    if detector == "ml":
         n_rows = build_rac_table(cfg.n_rx, cfg.n_sel).row_count
         layout += [((n_trials, cfg.n_rx, cfg.n_rx), np.dtype(complex)),
                    ((n_trials, cfg.n_rx, n_rows), np.dtype(complex))]
@@ -206,17 +204,17 @@ def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -
     the engine on a chunk of one trial."""
     cfg = scheme_config(cfg, scheme, detector)
     trials = range(trial_index, trial_index + 1)
-    return TrialOutcome(*_chunk_counts(cfg, scheme, detector, trials, (cfg.noise_sigma,))[0])
+    return TrialOutcome(*_chunk_counts(cfg, detector, trials, (cfg.noise_sigma,))[0])
 
 
 def _block_counts(args) -> list:
     """(trials, bit errors, block errors, MACs) of one scheduling block at
     each noise level of ``sigmas`` (top level for pickling)."""
-    cfg, scheme, detector, start, count, sigmas = args
+    cfg, detector, start, count, sigmas = args
     stop = start + count
-    workspace = _workspace(cfg, scheme, detector, min(CHUNK_TRIALS, count))
-    parts = [_chunk_counts(cfg, scheme, detector, range(lo, min(lo + CHUNK_TRIALS, stop)),
-                           sigmas, workspace)
+    workspace = _workspace(cfg, detector, min(CHUNK_TRIALS, count))
+    parts = [_chunk_counts(cfg, detector, range(lo, min(lo + CHUNK_TRIALS, stop)), sigmas,
+                           workspace)
              for lo in range(start, stop, CHUNK_TRIALS)]
     return [(count, *(sum(column) for column in zip(*point))) for point in zip(*parts)]
 
@@ -293,8 +291,7 @@ class _Point:
                 return
 
 
-def _sweep_counts(cfg: SystemConfig, sigmas: list, scheme: str, detector: str,
-                  workers: int) -> list:
+def _sweep_counts(cfg: SystemConfig, sigmas: list, detector: str, workers: int) -> list:
     """(trials, bit errors, block errors, MACs) of every point of a sweep,
     one point per noise level of ``sigmas``.
 
@@ -317,7 +314,7 @@ def _sweep_counts(cfg: SystemConfig, sigmas: list, scheme: str, detector: str,
             if live:
                 start = block * BLOCK_TRIALS
                 count = min(BLOCK_TRIALS, cfg.n_trials - start)
-                return live, block, (cfg, scheme, detector, start, count,
+                return live, block, (cfg, detector, start, count,
                                      tuple(sigmas[i] for i in live))
             if all(p.stopped for p in points):
                 break
@@ -354,16 +351,15 @@ def run_sweep(cfg: SystemConfig, scheme: str = "mas", detector: str = "ssd",
               workers=None) -> list:
     """Sweep the configured SNR grid and return one SweepRow per point."""
     cfg = scheme_config(cfg, scheme, detector)
-    block_len = bits_per_tx(cfg, scheme)
     workers = _resolve_workers(workers)
 
     sigmas = [0.0 if np.isposinf(snr_db) else 10.0 ** (-snr_db / 20.0)
               for snr_db in cfg.snr_grid_db]
-    sweep_counts = _sweep_counts(cfg, sigmas, scheme, detector, workers)
-    modulation = "none" if scheme == "sas-ssk" else MOD_NAMES[cfg.mod_order]
+    sweep_counts = _sweep_counts(cfg, sigmas, detector, workers)
+    modulation = MOD_NAMES.get(cfg.mod_order, "none")  # sas-ssk's order 1 is no modulation
     rows = []
     for snr_db, counts in zip(cfg.snr_grid_db, sweep_counts):
-        metrics = compute_metrics(*counts, block_len)
+        metrics = compute_metrics(*counts, cfg.block_len)
         rows.append(SweepRow(
             scheme=scheme,
             detector=detector,

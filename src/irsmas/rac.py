@@ -54,15 +54,3 @@ def rac_row(table: RacTable, p: int) -> np.ndarray:
     if not 0 <= p < table.row_count:
         raise IndexError(f"RAC row {p} out of range [0, {table.row_count})")
     return table.rows[p]
-
-
-def rac_find(table: RacTable, antennas) -> int | None:
-    """Row index of an antenna set, or None if the set is not legitimate."""
-    ants = sorted(int(a) for a in antennas)
-    n_sel = table.rows.shape[1]
-    if len(ants) != n_sel or len(set(ants)) != n_sel:
-        raise ValueError(f"expected {n_sel} distinct antennas, got {antennas}")
-    if ants[0] < 1 or ants[-1] > table.n_rx:
-        raise ValueError(f"antenna indices out of range [1, {table.n_rx}]: {antennas}")
-    hits = np.flatnonzero((table.rows == ants).all(axis=1))
-    return int(hits[0]) if hits.size else None

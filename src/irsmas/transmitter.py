@@ -114,9 +114,12 @@ def slot_order(p: np.ndarray, norms: np.ndarray, table: RacTable):
     norms (T, n_rx), ``np.linalg.norm(h, axis=-1)`` of their channels.
     Returns the rows' antennas (T, ..., n_sel, 1-based), their channel row
     norms, and the slots by descending norm (0-based, ties to the smaller
-    slot).
+    slot).  At n_sel 1 the one slot needs no order: ``norms`` may be None,
+    and the norms returned are then None.
     """
     sel = table.rows[p]
+    if norms is None:
+        return sel, None, np.zeros_like(sel)
     norms = norms.reshape(len(norms), *(1,) * (p.ndim - 1), -1)
     weights = np.take_along_axis(norms, sel - 1, axis=-1)
     return sel, weights, np.argsort(-weights, axis=-1, kind="stable")
@@ -130,14 +133,15 @@ def encode_batch(bits: np.ndarray, norms: np.ndarray, phases: np.ndarray, cfg: S
     labels slot j's symbol.  Power ratio alpha[i] goes to the slot in
     descending-weight position i, so x superposes the labels taken in that
     order.  ``bits`` is (T, block_len), ``norms`` the channels' row norms
-    (T, n_rx) and ``phases`` their ``aligning_phases`` (T, n_rx, n_refl).
-    Returns the transmit scalars (T,) and reflector phase vectors (T, n_refl).
+    (T, n_rx; None at n_sel 1) and ``phases`` their ``aligning_phases``
+    (T, n_rx, n_refl).  Returns the transmit scalars (T,) and reflector
+    phase vectors (T, n_refl).
     """
     p = pack_bits(bits[:, : cfg.l1], cfg.l1)[:, 0]
     _, _, order = slot_order(p, norms, table)
     labels = pack_bits(bits[:, cfg.l1 :], cfg.bits_per_sym)  # per slot
     axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha))
-    x = axes.superpose(np.take_along_axis(labels, order, axis=1))
+    x = axes.superpose(labels[np.arange(len(labels))[:, None], order])
     return x, gather_phases(phases, p, cfg.n_sel)
 
 

@@ -24,7 +24,7 @@ from irsmas.core import (
 )
 from irsmas.detection import DetectionResult, mac_base, mac_ml, mac_ssd
 from irsmas.harness import TrialOutcome
-from irsmas.rac import RacTable, build_rac_table, rac_find, rac_row
+from irsmas.rac import RacTable, build_rac_table, rac_row
 from irsmas.transmitter import TxOutput, aligning_phases
 
 
@@ -33,6 +33,18 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     if not 0 <= value < (1 << width):
         raise ValueError(f"value {value} does not fit in {width} bits")
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int64)
+
+
+def rac_find(table: RacTable, antennas) -> int | None:
+    """Row index of an antenna set, or None if the set is not legitimate."""
+    ants = sorted(int(a) for a in antennas)
+    n_sel = table.rows.shape[1]
+    if len(ants) != n_sel or len(set(ants)) != n_sel:
+        raise ValueError(f"expected {n_sel} distinct antennas, got {antennas}")
+    if ants[0] < 1 or ants[-1] > table.n_rx:
+        raise ValueError(f"antenna indices out of range [1, {table.n_rx}]: {antennas}")
+    hits = np.flatnonzero((table.rows == ants).all(axis=1))
+    return int(hits[0]) if hits.size else None
 
 
 def monte_carlo_se(rate: float, trials: int) -> float:
@@ -313,10 +325,12 @@ def sas_encode(bits, channel, cfg: SystemConfig, scheme: str):
     return x, theta, target
 
 
-def direct_sas_detect(y, channel, cfg: SystemConfig, scheme: str):
+def direct_sas_detect(y, channel, cfg: SystemConfig, scheme: str, gains=None):
     """Reference baseline search: one target at a time, its phases from the
     scalar ``reflector_phases``, every symbol's distance elementwise; the
-    first minimum wins.  Returns (bits, distance)."""
+    first minimum wins.  Returns (bits, distance).  ``gains``, if given,
+    is every target's H theta (n_rx, targets) to search with instead, such
+    as the engine's (whose last bits may differ)."""
     antenna_bits, symbol_bits = sas_bits(cfg, scheme)
     if scheme == "sas-sm":
         values = make_constellation(cfg.mod_order).points
@@ -326,8 +340,11 @@ def direct_sas_detect(y, channel, cfg: SystemConfig, scheme: str):
     best = (np.inf, -1, -1)
     for target in range(1, cfg.n_rx + 1):
         theta = reflector_phases(channel.h[target - 1 : target, :], n_refl)
-        g = channel.h @ theta
-        d = np.sum(np.abs(y[:, None] - np.outer(g, values)) ** 2, axis=0)
+        g = channel.h @ theta if gains is None else gains[:, target - 1]
+        terms = np.abs(y[:, None] - np.outer(g, values)) ** 2
+        d = terms[0].copy()
+        for term in terms[1:]:  # antennas summed in order, as the engine's re-check does
+            d += term
         t = int(np.argmin(d))
         if d[t] < best[0]:
             best = (float(d[t]), target, t)

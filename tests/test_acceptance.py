@@ -24,9 +24,9 @@ from irsmas.channel import (
 from irsmas.core import SystemConfig, make_constellation, validate_config
 from irsmas.detection import mac_ml, mac_ssd, ml_detect, ssd_detect
 from irsmas.harness import bits_per_tx, run_sweep, run_trial
-from irsmas.rac import build_rac_table, rac_find, rac_row
+from irsmas.rac import build_rac_table, rac_row
 from irsmas.transmitter import encode, reflector_phases
-from reference import monte_carlo_se
+from reference import monte_carlo_se, rac_find
 from reference import run_trial as reference_run_trial
 
 BPSK_CFG = SystemConfig()  # 12 rx, 2 selected, 64 reflectors, [0.2, 0.8]

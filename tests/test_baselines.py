@@ -1,25 +1,37 @@
-"""Single-antenna baseline tests."""
+"""Single-antenna baseline tests: a baseline is the mas engine at n_sel 1."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from irsmas.baselines import (
-    baseline_config,
-    baseline_values,
-    sas_detect_batch,
-    sas_encode_batch,
-    sas_gains,
-)
+from irsmas.baselines import baseline_config
 from irsmas.channel import sample_channel, trial_rng
-from irsmas.core import SystemConfig, bits_to_int, make_constellation, validate_config
-from irsmas.detection import mac_ml
-from irsmas.harness import bits_per_tx, check_run, run_trial
-from irsmas.transmitter import aligning_phases
+from irsmas.cli import parse_run_spec
+from irsmas.core import (
+    MOD_ORDERS,
+    SystemConfig,
+    bits_to_int,
+    make_constellation,
+    superposition_axes,
+    validate_config,
+)
+from irsmas.detection import detected_bits, mac_ml, ml_detect_batch, ml_gains
+from irsmas.harness import (
+    _block_counts,
+    bits_per_tx,
+    check_run,
+    run_sweep,
+    run_trial,
+    scheme_config,
+)
+from irsmas.rac import build_rac_table
+from irsmas.transmitter import aligning_phases, encode_batch
 from reference import direct_sas_detect, make_sas_trial
 
 SAS_CFG = SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,))
+SCHEMES = ("mas", "sas-sm", "sas-ssk")
 
 
 def sas_cfg(**fields) -> SystemConfig:
@@ -27,19 +39,22 @@ def sas_cfg(**fields) -> SystemConfig:
 
 
 def encode_one(bits, h, cfg, scheme):
-    """``sas_encode_batch`` on a stack of one: (x, theta)."""
-    values = baseline_values(scheme, cfg.mod_order)
-    x, theta = sas_encode_batch(np.asarray(bits)[None], aligning_phases(h[None]), values,
-                                bits_per_tx(cfg, scheme))
+    """``encode_batch`` on a stack of one, under the baseline's pin, without
+    row norms, as the engine runs it: (x, theta)."""
+    cfg = scheme_config(cfg, scheme, "ml")
+    table = build_rac_table(cfg.n_rx, cfg.n_sel)
+    x, theta = encode_batch(np.asarray(bits)[None], None, aligning_phases(h[None]), cfg, table)
     return x[0], theta[0]
 
 
 def detect_one(y, h, cfg, scheme):
-    """``sas_detect_batch`` on a stack of one: (bits, distance)."""
-    values = baseline_values(scheme, cfg.mod_order)
-    gains = sas_gains(h[None], aligning_phases(h[None]))
-    bits, distance = sas_detect_batch(y[None], gains, values, bits_per_tx(cfg, scheme))
-    return bits[0], distance[0]
+    """``ml_gains`` and ``ml_detect_batch`` on a stack of one, under the
+    baseline's pin: (bits, distance)."""
+    cfg = scheme_config(cfg, scheme, "ml")
+    table = build_rac_table(cfg.n_rx, cfg.n_sel)
+    gains, energy = ml_gains(h[None], aligning_phases(h[None]), cfg, table)
+    p_hat, labels, distance = ml_detect_batch(y[None], gains, energy, None, cfg, table)
+    return detected_bits(p_hat, labels, cfg)[0], distance[0]
 
 
 class TestScheme:
@@ -68,13 +83,81 @@ class TestScheme:
         cfg = SystemConfig(n_rx=16, n_sel=3, alpha=(0.1, 0.3, 0.6), n_iters=5)
         assert baseline_config(cfg) == dataclasses.replace(cfg, n_sel=1, alpha=(1.0,))
         assert baseline_config(SAS_CFG) is SAS_CFG
+        assert baseline_config(cfg, "mas") is cfg
+
+    def test_ssk_pins_the_one_value_alphabet(self):
+        cfg = SystemConfig(n_rx=16, n_sel=3, alpha=(0.1, 0.3, 0.6), mod_order=16)
+        ssk = baseline_config(cfg, "sas-ssk")
+        assert ssk == dataclasses.replace(cfg, n_sel=1, alpha=(1.0,), mod_order=1)
+        assert baseline_config(ssk, "sas-ssk") is ssk
+        assert (ssk.bits_per_sym, ssk.l2, ssk.block_len) == (0, 0, 4)
 
     def test_values_are_cached_and_read_only(self):
-        values = baseline_values("sas-sm", 4)
-        assert baseline_values("sas-sm", 4) is values
+        # a baseline transmits the superposition set of its pin: one
+        # constellation point (sas-sm), or 1 alone (sas-ssk)
+        values = superposition_axes(4, (1.0,)).values
+        assert superposition_axes(4, (1.0,)).values is values
         assert not values.flags.writeable
         np.testing.assert_array_equal(values, make_constellation(4).points)
-        np.testing.assert_array_equal(baseline_values("sas-ssk", 4), [1.0])
+        ssk = baseline_config(sas_cfg(mod_order=4), "sas-ssk")
+        np.testing.assert_array_equal(superposition_axes(ssk.mod_order, ssk.alpha).values, [1.0])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_gate_passes_its_own_config_again(self, scheme):
+        cfg = SystemConfig(n_rx=16, mod_order=4, n_trials=7, seed=3)
+        once = scheme_config(cfg, scheme, "ml")
+        assert scheme_config(once, scheme, "ml") == once
+        assert run_sweep(once, scheme, "ml", workers=1) == run_sweep(cfg, scheme, "ml",
+                                                                     workers=1)
+
+
+class TestAlphabetStaysInternal:
+    """The order 1 of the sas-ssk pin is no modulation any caller can ask for."""
+
+    BAD_ORDERS = (0, 1, 3, 8, 32, 128, -2)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_validate_config_rejects_every_other_order(self, scheme):
+        for order in self.BAD_ORDERS:
+            with pytest.raises(ValueError, match="mod_order"):
+                validate_config(sas_cfg(mod_order=order), scheme)
+        for order in MOD_ORDERS.values():
+            validate_config(sas_cfg(mod_order=order), scheme)
+
+    @pytest.mark.parametrize("scheme", ["mas", "sas-sm"])
+    def test_runs_reject_the_one_value_alphabet(self, scheme):
+        cfg = SystemConfig(n_rx=16, mod_order=1, n_trials=2)
+        with pytest.raises(ValueError, match="mod_order"):
+            run_trial(cfg, scheme, "ml", 0)
+        with pytest.raises(ValueError, match="mod_order"):
+            run_sweep(cfg, scheme, "ml", workers=1)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_cli_and_config_file_reject_every_other_order(self, scheme, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        for name in ("1", "none", "ssk", "qam8", "qam1", str(MOD_ORDERS["qpsk"])):
+            path.write_text(f"scheme={scheme}\nmod={name}\n")
+            for argv in (["--scheme", scheme, "--nr", "16", "--mod", name],
+                         ["--config", str(path), "--nr", "16"]):
+                with pytest.raises(SystemExit) as exc:
+                    parse_run_spec(argv)
+                assert exc.value.code == 2
+                assert "mod" in capsys.readouterr().err
+
+    def test_one_value_alphabet_builds_without_a_warning(self):
+        points = make_constellation(1).points
+        np.testing.assert_array_equal(points, [1.0])
+        assert make_constellation(1).bits_per_sym == 0
+        assert not points.flags.writeable
+
+    @pytest.mark.parametrize("order", sorted(MOD_ORDERS.values()))
+    def test_ssk_rows_say_no_modulation_whatever_the_order(self, order):
+        cfg = SystemConfig(n_rx=8, mod_order=order, n_trials=40, seed=2,
+                           snr_grid_db=(-30.0, float("inf")))
+        rows = run_sweep(cfg, "sas-ssk", "ml", workers=1)
+        assert [row.modulation for row in rows] == ["none", "none"]
+        assert rows == run_sweep(dataclasses.replace(cfg, mod_order=2), "sas-ssk", "ml",
+                                 workers=1)
 
 
 class TestEncode:
@@ -100,15 +183,17 @@ class TestEncode:
 
     @pytest.mark.parametrize("mode,order", [("ssk", 2), ("sm", 2), ("sm", 16)])
     def test_batch_matches_scalar(self, mode, order):
-        cfg, scheme = sas_cfg(mod_order=order, n_refl=37), "sas-" + mode
+        scheme = "sas-" + mode
+        cfg = scheme_config(sas_cfg(mod_order=order, n_refl=37), scheme, "ml")
         trials = [make_sas_trial(cfg, scheme, trial) for trial in range(20)]
         bits = np.stack([t[0] for t in trials])
         h = np.stack([t[1].h for t in trials])
-        values = baseline_values(scheme, cfg.mod_order)
-        x, theta = sas_encode_batch(bits, aligning_phases(h), values, bits_per_tx(cfg, scheme))
-        for k, (_, _, x_ref, theta_ref, _, _) in enumerate(trials):
-            assert x[k] == x_ref
-            np.testing.assert_array_equal(theta[k], theta_ref)
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        for norms in (None, np.linalg.norm(h, axis=-1)):  # one slot: the norms change nothing
+            x, theta = encode_batch(bits, norms, aligning_phases(h), cfg, table)
+            for k, (_, _, x_ref, theta_ref, _, _) in enumerate(trials):
+                assert x[k] == x_ref
+                np.testing.assert_array_equal(theta[k], theta_ref)
 
 
 class TestDetect:
@@ -136,12 +221,47 @@ class TestDetect:
 class TestMac:
     def test_frozen_counts_for_64_reflectors(self):
         base = 8 * 16 * 64 + 10 * 16 - 1  # 8351
-        counts = [mac_ml(cfg, bits_per_tx(cfg, scheme)) for cfg, scheme in
+        counts = [mac_ml(scheme_config(cfg, scheme, "ml")) for cfg, scheme in
                   [(SAS_CFG, "sas-ssk"), (sas_cfg(mod_order=2), "sas-sm"),
                    (sas_cfg(mod_order=4), "sas-sm")]]
         assert counts == [16 * base, 32 * base, 64 * base] == [133_616, 267_232, 534_464]
 
     def test_detect_reports_same_count(self):
-        assert run_trial(SAS_CFG, "sas-ssk", "ml", 6).mac == mac_ml(SAS_CFG, 4) == 133_616
+        ssk = baseline_config(SAS_CFG, "sas-ssk")
+        assert run_trial(SAS_CFG, "sas-ssk", "ml", 6).mac == mac_ml(ssk) == 133_616
         # the sm baseline is billed exactly as ml at n_sel 1
         assert run_trial(SAS_CFG, "sas-sm", "ml", 6).mac == mac_ml(SAS_CFG) == 267_232
+
+
+class TestBaselineIsMas:
+    """sas-sm is mas with ml at n_sel 1 and alpha (1.0,), n_rx a power of two."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_rx,order,n_refl,snrs", [
+        (8, 2, 64, (-36.0, -30.0, float("inf"))),
+        (16, 4, 37, (-30.0, -26.0, float("inf"))),
+        (4, 16, 64, (-24.0, -20.0, float("inf"))),
+    ])
+    def test_same_rows_but_the_scheme(self, workers, n_rx, order, n_refl, snrs):
+        cfg = SystemConfig(n_rx=n_rx, n_sel=1, alpha=(1.0,), n_cand_antennas=n_rx,
+                           n_refl=n_refl, mod_order=order, snr_grid_db=snrs,
+                           n_trials=1100, seed=n_rx + order, error_budget=None)
+        mas = run_sweep(cfg, "mas", "ml", workers=workers)
+        sas = run_sweep(cfg, "sas-sm", "ml", workers=workers)
+        assert [dataclasses.replace(row, scheme="sas-sm") for row in mas] == sas
+        assert sas[0].block_errors > 0 and sas[-1].block_errors == 0
+
+
+def test_baseline_block_memory_is_bounded():
+    """One 32-trial sas-sm block at 64 rx and 64-QAM holds the channels and
+    (T, n_rx, n_rx) gains, not an (n_rx, n_rx, M) distance term a trial."""
+    cfg = scheme_config(SystemConfig(n_rx=64, mod_order=64, noise_sigma=0.05), "sas-sm", "ml")
+    job = (cfg, "ml", 0, 32, (cfg.noise_sigma,))
+    want = _block_counts(job)  # build the cached tables first
+    tracemalloc.start()
+    try:
+        assert _block_counts(job) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from irsmas.channel import ChannelMatrix, sample_channel, trial_rng
 import irsmas.detection
+from irsmas.baselines import baseline_config
 from irsmas.core import SystemConfig, make_constellation, superposition_axes
 from irsmas.detection import (
     check_ml_guard,
@@ -22,13 +23,14 @@ from irsmas.detection import (
     ssd_detect,
     ssd_detect_batch,
 )
-from irsmas.rac import build_rac_table, rac_find
+from irsmas.rac import build_rac_table
 from irsmas.transmitter import aligning_phases
 from reference import (
     make_trial,
     make_trials,
     quantize,
     rac_candidates,
+    rac_find,
     ssd_candidate_decode,
     superpose,
 )
@@ -305,13 +307,17 @@ class TestMl:
         monkeypatch.setattr(irsmas.detection, "ML_GUARD", n_hyp)
         check_ml_guard(CFG)
         monkeypatch.setattr(irsmas.detection, "ML_GUARD", n_hyp - 1)
-        with pytest.raises(ValueError, match="ml_guard"):
+        with pytest.raises(ValueError, match="ml_guard") as err:
             check_ml_guard(CFG)
+        assert "ssd" in str(err.value)
+        # a baseline's pinned config: 16 targets by 2 symbols, 5 bits
+        sas = baseline_config(dataclasses.replace(CFG, n_rx=16), "sas-sm")
+        assert sas.block_len == 5 and mac_ml(sas) == 2**5 * mac_base(16, CFG.n_refl)
         monkeypatch.setattr(irsmas.detection, "ML_GUARD", 2**5)
-        check_ml_guard(CFG, n_bits=5)
+        check_ml_guard(sas)
         monkeypatch.setattr(irsmas.detection, "ML_GUARD", 2**5 - 1)
         with pytest.raises(ValueError, match="ml_guard") as err:
-            check_ml_guard(CFG, n_bits=5)
+            check_ml_guard(sas)
         assert "ssd" not in str(err.value)
 
     def test_matches_ssd_on_clean_input(self):

