@@ -8,15 +8,17 @@ recomputes only those near the minimum with the direct elementwise
 distance, which fixes the decision.
 
 The SSD receiver first ranks antenna combinations by received power (the
-candidate sorter), then for each of the top candidates re-derives the
-reflector configuration, peels the superposed symbols off weakest-slot
-first, superposes the decoded symbols again, and keeps the candidate whose
-reconstruction is closest to the observed vector.
+candidate sorter), then for each of the top candidates sums its effective
+gains from the per-block cross gains that the ML search's gains come from
+too, peels the superposed symbols off weakest-slot first, superposes the
+decoded symbols again, and keeps the candidate whose reconstruction is
+closest to the observed vector.
 
 ``ml_detect`` and ``ssd_detect`` run one trial, as a stack of one.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .core import (
     unpack_bits,
 )
 from .rac import RacTable
-from .transmitter import aligning_phases, gain_index, gather_phases, reflector_blocks, slot_order
+from .transmitter import aligning_phases, gain_index, reflector_blocks, slot_order
 
 # Most scores (or distance terms) any one array of the ML search holds,
 # unless a single pair's |A| + |B| scores are more.
@@ -71,69 +73,72 @@ def rac_candidates_batch(y: np.ndarray, table: RacTable, n_c: int, n_iters: int)
     trial are candidates.
     """
     power = np.abs(y) ** 2
-    n_trials, n_rx = power.shape
-    n_sel = table.rows.shape[1]
+    n_trials = len(power)
+    n_sel, n_rows = table.rows.shape[1], table.row_count
+    slots = table.rows.T - 1  # (n_sel, C), one antenna column per slot
     ranked = np.argsort(-power, axis=1, kind="stable")
-    top = np.zeros((n_trials, n_rx), dtype=bool)
-    np.put_along_axis(top, ranked[:, :n_c], True, axis=1)
-    in_top = top[:, table.rows - 1].sum(axis=-1)  # (T, C)
+    top = np.zeros(power.shape, dtype=bool)
+    top[np.arange(n_trials)[:, None], ranked[:, :n_c]] = True
+    in_top = np.zeros((n_trials, n_rows), dtype=np.int8)  # n_sel is at most 20
+    for antenna in slots:
+        in_top += top[:, antenna]
 
     # Whole tiers join, fewest misses first, until n_iters rows are in: the
     # admitted rows are those with at least m* antennas in the top set, m*
-    # the largest m whose rows number n_iters or more (0 when none does).
-    at_least = (in_top[:, :, None] >= np.arange(n_sel + 1)).sum(axis=1)  # (T, n_sel+1)
-    enough = at_least[:, ::-1] >= n_iters
-    m_star = np.where(enough.any(axis=1), n_sel - np.argmax(enough, axis=1), 0)
-    admitted = in_top >= m_star[:, None]
+    # the n_iters-th largest count (0 when fewer rows exist).
+    kth = n_rows - n_iters
+    m_star = np.partition(in_top, kth, axis=1)[:, kth, None] if kth >= 0 else 0
+    admitted = in_top >= m_star
 
     # Score descending; ties keep tiered-list order (tier, then table index).
-    scores = power[:, table.rows - 1].sum(axis=-1)
-    key = np.where(admitted, -scores, np.inf)
+    if n_sel < 8:  # numpy sums fewer than 8 terms in sequence, so these are its sums
+        scores = power[:, slots[0]]
+        for antenna in slots[1:]:
+            scores += power[:, antenna]
+    else:
+        scores = power[:, table.rows - 1].sum(axis=-1)
+    key = np.negative(scores, out=scores)
+    key[~admitted] = np.inf
     ranking = np.lexsort((n_sel - in_top, key), axis=1)
-    return ranking[:, : min(n_iters, table.row_count)], admitted.sum(axis=1)
+    return ranking[:, : min(n_iters, n_rows)], np.count_nonzero(admitted, axis=1)
 
 
-def ssd_detect_batch(
-    y: np.ndarray,
-    h: np.ndarray,
-    norms: np.ndarray,
-    phases: np.ndarray,
-    cfg: SystemConfig,
-    table: RacTable,
-):
-    """SSD receiver for a stack of trials: y (T, n_rx), h (T, n_rx, n_refl),
-    its row norms (T, n_rx; None at n_sel 1) and its ``aligning_phases``.
+def ssd_detect_batch(y: np.ndarray, gains_of, norms: np.ndarray, cfg: SystemConfig,
+                     table: RacTable):
+    """SSD receiver for a stack of received vectors y (R, n_rx): ``gains_of``
+    maps candidate rows (R, V) to their effective gains H theta_p (R, V,
+    n_rx), ``candidate_gains`` bound to the channels, and ``norms`` are the
+    channel row norms of each y (R, n_rx; None at n_sel 1).
 
-    Decodes the best n_iters ranked candidates of every trial at once.  A
+    Decodes the best n_iters ranked candidates of every y at once.  A
     candidate's slots are visited weakest channel row first; the first is
     quantized against the largest power ratio, each later one after
     subtracting every component decoded before it (the first point wins a
     tie).  The candidate whose superposed decoded symbols lie closest to y
     over all antennas wins, the first on ties.  A zero effective gain on
-    any slot disqualifies a candidate, and a trial whose candidates are all
+    any slot disqualifies a candidate, and a y whose candidates are all
     disqualified falls back to its first ranked row with ``points[0]``
-    symbols.  Returns the detected row indices (T,), per-slot symbol labels
-    (T, n_sel), distances (T, inf when every candidate is disqualified)
-    and candidate counts (T,).
+    symbols.  Returns the detected row indices (R,), per-slot symbol labels
+    (R, n_sel), distances (R, inf when every candidate is disqualified)
+    and candidate counts (R,).
     """
     cand, n_cand = rac_candidates_batch(y, table, cfg.n_cand_antennas, cfg.n_iters)
-    n_trials, n_v = cand.shape
+    n_rows, n_v = cand.shape
     n_sel, points = cfg.n_sel, make_constellation(cfg.mod_order).points
-    trial = np.arange(n_trials)
-    rows, _, order = slot_order(cand, norms, table)  # (T, V, n_sel), by slot
+    row = np.arange(n_rows)
+    rows, _, order = slot_order(cand, norms, table)  # (R, V, n_sel), by slot
     order = order[..., ::-1]  # weakest first
     ant_o = np.take_along_axis(rows - 1, order, axis=-1)  # antennas in decoding order
 
-    theta = gather_phases(phases, cand, n_sel)  # (T, V, n_refl)
-    g_all = (h[:, None] @ theta[..., None])[..., 0]  # (T, V, n_rx), one H theta per candidate
-    gains = np.take_along_axis(g_all, ant_o, axis=-1)
+    g = gains_of(cand)  # (R, V, n_rx)
+    gains = np.take_along_axis(g, ant_o, axis=-1)
     dead = (gains == 0).any(axis=-1)
     gains[gains == 0] = 1  # a dead candidate's decode is discarded below
-    y_o = y[trial[:, None, None], ant_o]
+    y_o = y[row[:, None, None], ant_o]
 
     # decoding step k scales by the k-th largest power ratio
     coef = [np.sqrt(cfg.alpha[n_sel - 1 - k]) for k in range(n_sel)]
-    labels_o = np.zeros((n_trials, n_v, n_sel), dtype=np.int64)
+    labels_o = np.zeros((n_rows, n_v, n_sel), dtype=np.int64)
     for k in range(n_sel):
         v = y_o[..., k] / gains[..., k]
         for m in range(k):
@@ -141,16 +146,18 @@ def ssd_detect_batch(
         labels_o[..., k] = np.argmin(np.abs(v[..., None] - coef[k] * points), axis=-1)
     axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha))
     x_hat = axes.superpose(labels_o[..., ::-1])  # decoded in reverse tuple order
-    distance = np.sum(np.abs(y[:, None, :] - g_all * x_hat[..., None]) ** 2, axis=-1)
+    residual = np.multiply(g, x_hat[..., None], out=g)  # the gains are not read again
+    np.subtract(y[:, None, :], residual, out=residual)
+    distance = np.square(np.abs(residual)).sum(axis=-1)
 
     live = ~dead & (np.arange(n_v) < n_cand[:, None]) & (distance < np.inf)
     best = np.argmin(np.where(live, distance, np.inf), axis=1)
-    found = live[trial, best]
+    found = live[row, best]
     best[~found] = 0
-    labels = np.zeros((n_trials, n_sel), dtype=np.int64)
-    np.put_along_axis(labels, order[trial, best], labels_o[trial, best], axis=1)
+    labels = np.zeros((n_rows, n_sel), dtype=np.int64)
+    np.put_along_axis(labels, order[row, best], labels_o[row, best], axis=1)
     labels[~found] = 0
-    return cand[trial, best], labels, np.where(found, distance[trial, best], np.inf), n_cand
+    return cand[row, best], labels, np.where(found, distance[row, best], np.inf), n_cand
 
 
 def check_ml_guard(cfg: SystemConfig) -> None:
@@ -164,6 +171,45 @@ def check_ml_guard(cfg: SystemConfig) -> None:
                          f"more than ML_GUARD = {ML_GUARD}{hint}")
 
 
+def cross_gains(h: np.ndarray, phases: np.ndarray, n_sel: int, out=None):
+    """The per-block cross gains of a stack of channels h (T, n_rx, n_refl)
+    and their ``aligning_phases`` u, one block at a time: for each non-empty
+    block k of ``reflector_blocks``, in order, yields (a_k, B_k), with
+    B_k[t, r, a] = sum over n in block k of h[t, r, n] u[t, a, n] and a_k =
+    ``gain_index``[k] the antenna to which each RAC row aligns block k.
+
+    Row p's theta aligns block k to antenna a_k(p), so its effective gain
+    H theta_p is the sum over k of B_k[:, :, a_k(p)]: n_rx^2 n_refl MACs a
+    trial form every row's gains.  Each B_k overwrites the one before it,
+    in ``out`` (at least T, n_rx, n_rx, complex) if given.
+    """
+    n_trials, n_rx, n_refl = h.shape
+    blocks = reflector_blocks(n_refl, n_sel, n_refl // n_sel)
+    cross = np.empty((n_trials, n_rx, n_rx), dtype=complex) if out is None else out[:n_trials]
+    # only the leftover block, the last, can be empty, and gain_index omits it
+    for (block, _), antenna in zip(blocks, gain_index(n_rx, n_sel, n_refl)):
+        np.matmul(h[..., block], phases[..., block].transpose(0, 2, 1), out=cross)
+        yield antenna, cross
+
+
+def candidate_gains(h: np.ndarray, phases: np.ndarray, n_sel: int, cand: np.ndarray,
+                    out=None) -> np.ndarray:
+    """Effective gains H theta_p (R, V, n_rx) of candidate rows ``cand`` (R,
+    V) of the T channels h (T, n_rx, n_refl) with their ``aligning_phases``;
+    row i of ``cand`` belongs to trial i mod T, so the candidates of several
+    noise levels stack along R.  Each gain adds its blocks' ``cross_gains``
+    (through ``out``, if given) in block order, as ``ml_gains`` does, so it
+    is the conjugate of that stack's column bit for bit."""
+    trial = (np.arange(len(cand)) % len(h))[:, None]
+    # each term, (R, V, n_rx), is gathered before the next block overwrites the buffer
+    terms = (cross[trial, :, antenna[cand]]
+             for antenna, cross in cross_gains(h, phases, n_sel, out))
+    gains = next(terms)
+    for term in terms:
+        gains += term
+    return gains
+
+
 def ml_gains(h: np.ndarray, phases: np.ndarray, cfg: SystemConfig, table: RacTable,
              buffers=None):
     """What the exhaustive ML search needs of a stack of channels h (T, n_rx,
@@ -173,29 +219,20 @@ def ml_gains(h: np.ndarray, phases: np.ndarray, cfg: SystemConfig, table: RacTab
     least T, n_rx, n_rx) and a gains stack (at least T, n_rx, C), complex,
     which this overwrites instead of allocating them.
 
-    Row p's theta aligns each of the K non-empty ``reflector_blocks`` k to
-    one antenna a_k(p), so g_p is a sum of K block gains, and a block has
-    only n_rx alignments.  One product per block forms them all, the cross
-    gains B_k[r, a] = sum over n in block k of h[r, n] u[a, n] (n_rx^2
-    n_refl MACs a trial in all, against C n_rx n_refl for every H theta_p),
-    and every row adds its term, B_k[r, a_k(p)] from ``gain_index``, in
-    block order.  The cross gains are conjugated first, which is exact
-    (negation commutes with rounding), so the stack is conj(g) and the
-    search's g^H y is one product.
+    Every row adds its term of each block's ``cross_gains``, B_k[r, a_k(p)],
+    in block order (n_rx^2 n_refl MACs a trial in all, against C n_rx
+    n_refl for every H theta_p).  The cross gains are conjugated first,
+    which is exact (negation commutes with rounding), so the stack is
+    conj(g) and the search's g^H y is one product.
     """
-    n_trials, n_rx, n_refl = h.shape
-    index = gain_index(n_rx, cfg.n_sel, n_refl)
-    blocks = reflector_blocks(n_refl, cfg.n_sel, n_refl // cfg.n_sel)[: len(index)]
-    if buffers is None:
-        buffers = (np.empty((n_trials, n_rx, n_rx), dtype=complex),
-                   np.empty((n_trials, n_rx, table.row_count), dtype=complex))
-    cross, gains = (buf[:n_trials] for buf in buffers)
+    n_trials, n_rx, _ = h.shape
+    out, gains = buffers or (None, np.empty((n_trials, n_rx, table.row_count), dtype=complex))
+    gains = gains[:n_trials]
     flat = gains.reshape(n_trials * n_rx, -1, copy=False)
-    for (block, _), antenna in zip(blocks, index):
-        np.matmul(h[..., block], phases[..., block].transpose(0, 2, 1), out=cross)
+    for k, (antenna, cross) in enumerate(cross_gains(h, phases, cfg.n_sel, out)):
         np.conjugate(cross, out=cross)
         terms = cross.reshape(n_trials * n_rx, n_rx, copy=False)
-        if block.start == 0:
+        if k == 0:
             # index is in range, so "clip" changes no index; the default
             # "raise" would have numpy copy the result through a temporary
             np.take(terms, antenna, axis=1, out=flat, mode="clip")
@@ -352,8 +389,9 @@ def ssd_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
                const: Constellation) -> DetectionResult:
     """SSD receiver for one trial: ``ssd_detect_batch`` on a stack of one."""
     h = channel.h[None]
-    p_hat, labels, distance, n_cand = ssd_detect_batch(y[None], h, np.linalg.norm(h, axis=-1),
-                                                       aligning_phases(h), cfg, table)
+    gains_of = partial(candidate_gains, h, aligning_phases(h), cfg.n_sel)
+    p_hat, labels, distance, n_cand = ssd_detect_batch(y[None], gains_of,
+                                                       np.linalg.norm(h, axis=-1), cfg, table)
     return _first_result(p_hat, labels, distance, cfg, const, mac_ssd(cfg, int(n_cand[0])))
 
 

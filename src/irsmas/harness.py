@@ -8,9 +8,11 @@ seed therefore yields bit-identical output for any worker count.
 
 Points differ only in their noise level, and a trial sees the same bits,
 channel and noise at each, so a sweep's job is one block for the points
-still live when it is handed out: drawn, encoded and propagated once, then
-detected at each point.  Jobs go out in block order through one scheduler,
-on one process pool for the whole sweep (or in process with one worker).
+still live when it is handed out: drawn, encoded and propagated once, with
+the detector's channel-only gains formed once, then detected, by ``ssd``
+at every point in one pass and by ``ml`` at each point in turn.  Jobs go
+out in block order through one scheduler, on one process pool for the
+whole sweep (or in process with one worker).
 With fewer blocks than workers, the points are dealt round-robin into
 max(1, min(points, workers // blocks)) groups, whose jobs each draw the block.
 
@@ -29,6 +31,7 @@ import operator
 import os
 import queue
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from multiprocessing import Pool
 
 import numpy as np
@@ -37,6 +40,7 @@ from .baselines import baseline_config
 from .channel import add_noise, draw_layout, draw_trials, propagate_batch
 from .core import MOD_NAMES, MOD_ORDERS, SystemConfig, validate_config
 from .detection import (
+    candidate_gains,
     check_ml_guard,
     detected_bits,
     mac_ml,
@@ -132,48 +136,53 @@ def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas,
     each noise level of ``sigmas``.
 
     Each trial draws bits, channel and noise from its own ``trial_rng``
-    stream, in that order, and is encoded and propagated once; each sigma
-    then scales and adds the noise and detects.  ``cfg`` is
-    ``scheme_config``'s, a baseline's included, so every scheme takes the
-    same stages; its noise_sigma is not read.  ``workspace``, if given, is
-    ``_workspace`` for at least this many trials, and the chunk overwrites
-    its arrays instead of allocating them.
+    stream, in that order, and is encoded and propagated once.  What the
+    detector needs of the channels alone is formed once too: ``ml``'s gains
+    stack, or ``ssd``'s per-block cross gains.  ``ssd`` then detects every
+    noise level in one pass, its received vectors stacked level by level;
+    ``ml`` searches each level in turn.  ``cfg`` is ``scheme_config``'s, a
+    baseline's included, so every scheme takes the same stages; its
+    noise_sigma is not read.  ``workspace``, if given, is ``_workspace`` for
+    at least this many trials, and the chunk overwrites its arrays instead
+    of allocating them.
     """
     draws, buffers = workspace or (None, [])
     n_trials = len(trials)
     table = build_rac_table(cfg.n_rx, cfg.n_sel)
     bits, h, noise = draw_trials(cfg.seed, trials, cfg.block_len, cfg.n_rx, cfg.n_refl,
                                  out=draws)
-    # every antenna's reflector phases, from which every theta of the chunk is gathered
+    # every antenna's reflector phases, from which every theta and gain of the chunk is formed
     phases = aligning_phases(h, out=buffers[0][:n_trials] if buffers else None)
     # the row norms order the slots, for the encoder and either detector;
     # one slot needs no order
     norms = np.linalg.norm(h, axis=-1) if cfg.n_sel > 1 else None
     x, theta = encode_batch(bits, norms, phases, cfg, table)
+    received = propagate_batch(h, theta, x)
     if detector == "ml":
         gains, energy = ml_gains(h, phases, cfg, table, buffers[1:] or None)
-    received = propagate_batch(h, theta, x)
-    counts = []
-    for sigma in sigmas:
-        y = add_noise(received, noise, sigma)
-        if detector == "ml":
-            p_hat, labels, _ = ml_detect_batch(y, gains, energy, norms, cfg, table)
-            mac = n_trials * mac_ml(cfg)
-        else:
-            p_hat, labels, _, n_cand = ssd_detect_batch(y, h, norms, phases, cfg, table)
-            mac = int(mac_ssd(cfg, n_cand).sum())
-        errors = np.count_nonzero(bits != detected_bits(p_hat, labels, cfg), axis=1)
-        counts.append((int(errors.sum()), int(np.count_nonzero(errors)), mac))
-    return counts
+        found = [ml_detect_batch(add_noise(received, noise, sigma), gains, energy, norms, cfg,
+                                 table)[:2] for sigma in sigmas]
+        p_hat, labels = (np.concatenate(part) for part in zip(*found))
+        macs = [n_trials * mac_ml(cfg)] * len(sigmas)
+    else:
+        y = np.concatenate([add_noise(received, noise, sigma) for sigma in sigmas])
+        gains_of = partial(candidate_gains, h, phases, cfg.n_sel,
+                           out=buffers[1] if buffers else None)
+        p_hat, labels, _, n_cand = ssd_detect_batch(
+            y, gains_of, None if norms is None else np.tile(norms, (len(sigmas), 1)), cfg, table)
+        macs = mac_ssd(cfg, n_cand).reshape(len(sigmas), n_trials).sum(axis=1)
+    detected = detected_bits(p_hat, labels, cfg).reshape(len(sigmas), n_trials, -1)
+    errors = np.count_nonzero(detected != bits, axis=2)
+    return [(int(e.sum()), int(np.count_nonzero(e)), int(mac)) for e, mac in zip(errors, macs)]
 
 
 def _workspace(cfg: SystemConfig, detector: str, n_trials: int):
     """The large arrays of a chunk of up to ``n_trials`` trials of
     ``scheme_config``'s ``cfg``: the draws' buffers and a list of the rest:
-    the aligning phases, and for ``ml``, of any scheme, the ``ml_gains``
-    buffers, one reflector block's cross gains (n_trials, n_rx, n_rx) and
-    the gains stack (n_trials, n_rx, C).  The phases share the normals'
-    bytes, so they cost no memory.
+    the aligning phases, one reflector block's cross gains (n_trials, n_rx,
+    n_rx), which either detector forms block by block, and for ``ml``, of
+    any scheme, the ``ml_gains`` stack (n_trials, n_rx, C).  The phases
+    share the normals' bytes, so they cost no memory.
 
     A block allocates them once and every chunk overwrites them, so the
     chunk loop does not free and fault in the same pages again.  They are
@@ -183,10 +192,10 @@ def _workspace(cfg: SystemConfig, detector: str, n_trials: int):
     pages that the next block's workspace and temporaries reuse.
     """
     layout = draw_layout(n_trials, cfg.block_len, cfg.n_rx, cfg.n_refl)
+    layout.append(((n_trials, cfg.n_rx, cfg.n_rx), np.dtype(complex)))
     if detector == "ml":
         n_rows = build_rac_table(cfg.n_rx, cfg.n_sel).row_count
-        layout += [((n_trials, cfg.n_rx, cfg.n_rx), np.dtype(complex)),
-                   ((n_trials, cfg.n_rx, n_rows), np.dtype(complex))]
+        layout.append(((n_trials, cfg.n_rx, n_rows), np.dtype(complex)))
     nbytes = [math.prod(shape) * dtype.itemsize for shape, dtype in layout]
     starts = np.cumsum([0] + [-(-n // 64) * 64 for n in nbytes])
     memory = np.empty(starts[-1], dtype=np.uint8)

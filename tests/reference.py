@@ -197,26 +197,32 @@ def rac_candidates(y: np.ndarray, table: RacTable, n_c: int, n_iters: int) -> Ca
 
 
 def ssd_candidate_decode(y, channel, p_hat: int, cfg: SystemConfig, table: RacTable,
-                         const: Constellation):
+                         const: Constellation, gains=None):
     """Successively decode the superposed symbols assuming antenna row p_hat.
 
     Slots are visited weakest channel first; each later slot is quantized
     after subtracting every previously decoded component.  Returns
     (per-slot symbols, reconstructed transmit scalar, squared distance over
     all antennas); a zero effective gain on a visited slot gives an
-    infinite distance.
+    infinite distance.  ``gains`` (n_rx, C), if given, are every row's
+    effective gains, used in place of the oracle's own H theta_p.
     """
     sel = rac_row(table, p_hat)
     sel_channel = channel.h[sel - 1, :]
     order = sort_weights_asc(np.linalg.norm(sel_channel, axis=1))
-    theta = reflector_phases(sel_channel, cfg.delta)
-    gains = sel_channel @ theta  # per-slot effective gain, slot j at gains[j-1]
+    if gains is None:
+        theta = reflector_phases(sel_channel, cfg.delta)
+        row_gains = channel.h @ theta
+        slot_gains = sel_channel @ theta  # per-slot effective gain, slot j at [j-1]
+    else:
+        row_gains = gains[:, p_hat]
+        slot_gains = row_gains[sel - 1]
 
     n_sel = cfg.n_sel
     symbols = np.zeros(n_sel, dtype=complex)
     for i in range(1, n_sel + 1):
         slot = order[i - 1]
-        gain = gains[slot - 1]
+        gain = slot_gains[slot - 1]
         if gain == 0:
             return symbols, 0j, np.inf
         v = y[sel[slot - 1] - 1] / gain
@@ -225,7 +231,7 @@ def ssd_candidate_decode(y, channel, p_hat: int, cfg: SystemConfig, table: RacTa
         symbols[slot - 1] = quantize(v, cfg.alpha[n_sel - i], const)
 
     x_hat = superpose(symbols, order[::-1], cfg.alpha)  # as the encoder sums
-    distance = float(np.sum(np.abs(y - channel.h @ theta * x_hat) ** 2))
+    distance = float(np.sum(np.abs(y - row_gains * x_hat) ** 2))
     return symbols, complex(x_hat), distance
 
 
@@ -238,15 +244,17 @@ def detection_to_bits(p_hat: int, symbols, cfg: SystemConfig, table: RacTable,
     return np.concatenate(parts)
 
 
-def ssd_detect(y, channel, cfg: SystemConfig, table: RacTable,
-               const: Constellation) -> DetectionResult:
-    """Full ssd receiver: rank candidates, decode the best n_iters, keep the closest."""
+def ssd_detect(y, channel, cfg: SystemConfig, table: RacTable, const: Constellation,
+               gains=None) -> DetectionResult:
+    """Full ssd receiver: rank candidates, decode the best n_iters, keep the
+    closest.  ``gains`` (n_rx, C), if given, are every row's effective
+    gains, decoded with in place of the oracle's own H theta_p."""
     cands = rac_candidates(y, table, cfg.n_cand_antennas, cfg.n_iters)
     n_cand = len(cands.rows)
     best_d, best_p, best_symbols = np.inf, None, None
     for v in range(min(cfg.n_iters, n_cand)):
         p_hat = rac_find(table, cands.rows[cands.order[v]])
-        symbols, _, d = ssd_candidate_decode(y, channel, p_hat, cfg, table, const)
+        symbols, _, d = ssd_candidate_decode(y, channel, p_hat, cfg, table, const, gains)
         if d < best_d:
             best_d, best_p, best_symbols = d, p_hat, symbols
     if best_p is None:  # every candidate had a degenerate zero gain

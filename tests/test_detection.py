@@ -1,6 +1,7 @@
 """Receiver tests: quantizer, candidate sorter, SSD and ML detectors, MAC models."""
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import irsmas.detection
 from irsmas.baselines import baseline_config
 from irsmas.core import SystemConfig, make_constellation, superposition_axes
 from irsmas.detection import (
+    candidate_gains,
     check_ml_guard,
     detected_bits,
     mac_base,
@@ -229,18 +231,28 @@ class TestSsd:
 
 
 class TestSsdBatch:
-    """The batched receiver against the scalar reference, trial by trial."""
+    """The batched receiver against the scalar reference, trial by trial.
+    Rows, labels and MACs match the reference's own; the engine sums its
+    gains per reflector block (``candidate_gains``), so they may differ from
+    the reference's H theta_p in the last bits, and the distances match the
+    reference run on the engine's gains bit for bit."""
 
     def assert_matches_scalar(self, y, h, cfg, const):
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        p_hat, labels, distance, n_cand = ssd_detect_batch(y, h, np.linalg.norm(h, axis=-1),
-                                                           aligning_phases(h), cfg, table)
+        phases = aligning_phases(h)
+        gains_of = partial(candidate_gains, h, phases, cfg.n_sel)
+        p_hat, labels, distance, n_cand = ssd_detect_batch(y, gains_of,
+                                                           np.linalg.norm(h, axis=-1), cfg, table)
+        engine_gains = ml_gains(h, phases, cfg, table)[0].conj()  # as the ssd engine sums them
         for t in range(len(y)):
             ref = reference_ssd_detect(y[t], ChannelMatrix(h[t]), cfg, table, const)
             assert p_hat[t] == ref.rac_index
             np.testing.assert_array_equal(const.points[labels[t]], ref.symbols)
-            assert distance[t] == ref.distance
             assert mac_ssd(cfg, int(n_cand[t])) == ref.mac_count
+            same = reference_ssd_detect(y[t], ChannelMatrix(h[t]), cfg, table, const,
+                                        gains=engine_gains[t])
+            assert (same.rac_index, distance[t]) == (p_hat[t], same.distance)
+            np.testing.assert_array_equal(const.points[labels[t]], same.symbols)
         return p_hat, labels, distance
 
     def test_zeroed_channel_row_and_fallback(self):
@@ -276,6 +288,49 @@ class TestSsdBatch:
                 k = min(n_iters, len(ref.rows))
                 want = [rac_find(TABLE, row) for row in ref.rows[ref.order[:k]]]
                 assert cand[t, :k].tolist() == want
+
+
+@st.composite
+def ranking_cases(draw):
+    """A RAC table with n_sel 1 to 4, the sorter's n_c and an n_iters below,
+    at or above the row count, and a few received vectors: Gaussian, or
+    integer levels of either sign, so that antennas tie in power."""
+    n_sel = draw(st.integers(1, 4))
+    n_rx = draw(st.integers(n_sel + 1, 9))
+    n_rows = build_rac_table(n_rx, n_sel).row_count
+    n_c = draw(st.integers(n_sel, n_rx))
+    n_iters = draw(st.integers(1, n_rows + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    shape = (draw(st.integers(1, 6)), n_rx)
+    levels = draw(st.sampled_from((0, 1, 2, 3)))
+    if levels:
+        y = rng.integers(0, levels + 1, shape) * rng.choice((-1.0, 1.0), shape) + 0j
+    else:
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return n_sel, n_c, n_iters, y
+
+
+class TestRacCandidatesBatch:
+    """The engine's candidate sorter against the reference's tiered list."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ranking_cases())
+    # 8 slots: numpy sums the scores of 8 or more antennas pairwise, which
+    # ranks these rows of powers 2.25 and 2^-50 to 2^-54 unlike a sum in sequence
+    @example((8, 9, 8, 2.0 ** -np.array([[25, 26, 26, 0, 25, 25, 27, 0, 27]])
+              * np.array([1, 1, 1, 1.5, 1, 1, 1, 1.5, 1]) + 0j))
+    @example((8, 10, 40, np.linspace(1.0, 2.0, 10)[None] ** np.arange(1, 4)[:, None] + 0j))
+    def test_ranking_matches_tiered_list(self, case):
+        n_sel, n_c, n_iters, y = case
+        table = build_rac_table(y.shape[1], n_sel)
+        cand, n_cand = rac_candidates_batch(y, table, n_c, n_iters)
+        assert cand.shape == (len(y), min(n_iters, table.row_count))
+        for t in range(len(y)):
+            ref = rac_candidates(y[t], table, n_c, n_iters)
+            assert n_cand[t] == len(ref.rows)
+            k = min(n_iters, len(ref.rows))
+            want = [rac_find(table, row) for row in ref.rows[ref.order[:k]]]
+            assert cand[t, :k].tolist() == want
 
 
 class TestMl:

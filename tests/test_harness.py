@@ -17,6 +17,7 @@ from irsmas.channel import ChannelMatrix, draw_layout, draw_trials
 from irsmas.core import SystemConfig, make_constellation, superposition_axes, validate_config
 from irsmas.detection import (
     SCREEN_BUDGET,
+    candidate_gains,
     detected_bits,
     mac_ml,
     ml_detect,
@@ -410,6 +411,41 @@ class TestMlGains:
             np.testing.assert_array_equal(alone[0], gains[-1])
 
 
+class TestCandidateGains:
+    """``candidate_gains`` sums the per-block cross gains that ``ml_gains``
+    sums, in the same order, for the candidates of noise levels stacked
+    trial by trial."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(gain_stacks(), st.integers(1, 3), st.integers(0, 2**32))
+    @example((SystemConfig(n_rx=8, n_sel=4, n_refl=66),  # a leftover block of 2
+              np.ones((CHUNK_TRIALS + 1, 8, 66), dtype=complex)), 2, 0)
+    def test_equal_conjugate_ml_stack(self, case, n_points, seed):
+        cfg, h = case
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        phases = aligning_phases(h)
+        stack, _ = ml_gains(h, phases, cfg, table)
+        rng = np.random.default_rng(seed)
+        n_v = int(rng.integers(1, table.row_count + 3))
+        cand = rng.integers(0, table.row_count, (n_points * len(h), n_v))
+        out = np.full((len(h) + 3, cfg.n_rx, cfg.n_rx), np.nan, dtype=complex)
+        gains = candidate_gains(h, phases, cfg.n_sel, cand, out)
+        want = stack.conj().transpose(0, 2, 1)[np.arange(len(cand)) % len(h)]
+        np.testing.assert_array_equal(gains, np.take_along_axis(want, cand[..., None], axis=1))
+
+    @pytest.mark.parametrize("n_rx,n_sel,n_refl", [(12, 2, 64), (12, 3, 64), (8, 4, 66)])
+    def test_gains_within_rounding_bound(self, n_rx, n_sel, n_refl):
+        # the bound of TestMlGains.test_gains_within_rounding_bound
+        cfg = SystemConfig(n_rx=n_rx, n_sel=n_sel, n_refl=n_refl)
+        table = build_rac_table(n_rx, n_sel)
+        _, h, _ = draw_trials(8, range(CHUNK_TRIALS), 1, n_rx, n_refl)
+        h[3, 1] = 0  # a dead antenna
+        every_row = np.broadcast_to(np.arange(table.row_count), (CHUNK_TRIALS, table.row_count))
+        gains = candidate_gains(h, aligning_phases(h), n_sel, every_row)
+        assert_within_gain_bound(gains.transpose(0, 2, 1).conj(), h, table, cfg.delta)
+        np.testing.assert_array_equal(gains[3, :, 1], 0)
+
+
 @st.composite
 def sas_blocks(draw):
     """A small baseline config and scheme plus a block (start, count) of its trials."""
@@ -525,6 +561,25 @@ def test_joint_block_equals_per_point_blocks(name):
         assert joint == [alone[i] for i in points]
 
 
+def test_ssd_stacked_block_memory_is_bounded():
+    """One 32-trial ssd block at 4 points, 64 rx (C 1024) and 64-QAM, detected
+    in one stacked pass, holds the draws, one reflector block's cross gains
+    (2 MiB) and per-candidate arrays of the 4 x 32 received vectors: about
+    10 MiB of tracemalloc peak here, against 6.2 MiB for one pass per point
+    before the stacking.  Every row's gains for each of them would take
+    128 MiB."""
+    cfg = scheme_config(SystemConfig(n_rx=64, mod_order=64, alpha=(0.05, 0.95)), "mas", "ssd")
+    job = (cfg, "ssd", 0, CHUNK_TRIALS, (0.5, 0.2, 0.1, 0.05))
+    want = _block_counts(job)  # build the cached tables first
+    tracemalloc.start()
+    try:
+        assert _block_counts(job) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
 class TestWorkspace:
     """A block allocates its chunks' large arrays once, and every chunk
     overwrites them."""
@@ -555,21 +610,27 @@ class TestWorkspace:
                                         gains.ctypes.data)))
             return real_ml(h, phases, cfg, table, buffers)
 
+        def candidate_gains(h, phases, n_sel, cand, out=None):
+            assert out.shape == (32, cfg.n_rx, cfg.n_rx)
+            seen.append(("ssd", len(h), (phases.ctypes.data, out.ctypes.data)))
+            return real_ssd(h, phases, n_sel, cand, out)
+
+        real_ssd = irsmas.harness.candidate_gains
         monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
         monkeypatch.setattr(irsmas.harness, "aligning_phases", aligning_phases)
         monkeypatch.setattr(irsmas.harness, "ml_gains", ml_gains)
+        monkeypatch.setattr(irsmas.harness, "candidate_gains", candidate_gains)
         assert point_block(cfg, scheme, detector, *CHUNK_BLOCK) == (CHUNK_BLOCK[1],
                                                                     *reference_block(name))
-        kinds = ["draws", "phases"]
-        if detector == "ml":  # of any scheme: a baseline is an ml search at n_sel 1
-            kinds.append("ml")
+        # of any scheme: a baseline is an ml search at n_sel 1
+        kinds = ["draws", "phases", detector]
         for kind in kinds:
             calls = [(n, data) for k, n, data in seen if k == kind]
             assert [n for n, _ in calls] == [32, 32, 3]  # 67 trials: the last chunk is ragged
             assert len({data for _, data in calls}) == 1
-        if "ml" in kinds:  # the search gathers from the chunk's phases
-            assert ({data for k, _, data in seen if k == "phases"}
-                    == {data[0] for k, _, data in seen if k == "ml"})
+        # either detector forms its gains from the chunk's phases
+        assert ({data for k, _, data in seen if k == "phases"}
+                == {data[0] for k, _, data in seen if k == detector})
 
     @pytest.mark.parametrize("count", [CHUNK_TRIALS, 7])  # a full chunk, then a ragged one
     def test_ml_into_used_buffers_equals_fresh_search(self, count):
@@ -625,8 +686,10 @@ class TestWorkspace:
         ml_bytes = sum(buf.nbytes for buf in rest[1:])
         assert memory.nbytes == ml_bytes + sum(math.prod(shape) * dtype.itemsize
                                                for shape, dtype in layout)
-        # the ml search's two buffers, for mas and for the baselines alike
-        assert len(rest) == (3 if detector == "ml" else 1)
+        # one block's cross gains for either detector, and the ml search's
+        # gains stack, for mas and for the baselines alike
+        assert rest[1].shape == (CHUNK_TRIALS, cfg.n_rx, cfg.n_rx)
+        assert len(rest) == (3 if detector == "ml" else 2)
 
     def test_draws_into_used_buffers_equal_fresh_draws(self):
         n_bits, n_rx, n_refl = 7, 3, 5
@@ -810,6 +873,9 @@ class TestRunSweep:
         assert opened == [4]  # a single block runs in process
 
     def test_block_drawn_and_encoded_once_per_sweep(self, monkeypatch):
+        # ssd detects every live point of a chunk in one stacked pass: each
+        # point's row equals its one-point sweep's, for any worker count and
+        # whichever points the error budget has stopped
         calls = []
         real_draw, real_encode = irsmas.harness.draw_trials, irsmas.harness.encode_batch
 
@@ -821,18 +887,37 @@ class TestRunSweep:
             calls.append("encode")
             return real_encode(*args)
 
+        def chunks(trials):
+            return sum(-(-min(BLOCK_TRIALS, trials - lo) // CHUNK_TRIALS)
+                       for lo in range(0, trials, BLOCK_TRIALS))
+
         monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
         monkeypatch.setattr(irsmas.harness, "encode_batch", encode_batch)
-        grid = (-14.0, -12.0, float("inf"))
-        cfg = self.small_cfg(n_trials=BLOCK_TRIALS + 37, snr_grid_db=grid)
-        rows = run_sweep(cfg, "mas", "ssd", workers=1)
-        chunks = -(-BLOCK_TRIALS // CHUNK_TRIALS) + -(-37 // CHUNK_TRIALS)  # both blocks
-        assert calls.count("draws") == calls.count("encode") == chunks
-        for snr_db, row in zip(grid, rows):
+        inf = float("inf")
+        cases = [
+            self.small_cfg(n_trials=BLOCK_TRIALS + 37, snr_grid_db=(-14.0, -12.0, inf)),
+            self.small_cfg(n_trials=BLOCK_TRIALS + 37, snr_grid_db=(-8.0, -4.0, inf),
+                           mod_order=16, alpha=(0.05, 0.95)),
+            # 64 reflectors in 3 blocks of 21 and a leftover one
+            self.small_cfg(n_trials=BLOCK_TRIALS + 37, snr_grid_db=(-14.0, -10.0, inf),
+                           n_sel=3, alpha=(0.05, 0.2, 0.75), mod_order=4),
+            self.staggered_cfg(),  # stops in block 0, in block 1 and never
+        ]
+        for cfg in cases:
             calls.clear()
-            assert run_sweep(dataclasses.replace(cfg, snr_grid_db=(snr_db,)), "mas", "ssd",
-                             workers=1) == [row]
-            assert calls.count("draws") == calls.count("encode") == chunks
+            rows = run_sweep(cfg, "mas", "ssd", workers=1)
+            n_chunks = chunks(max(row.trials for row in rows))
+            assert calls.count("draws") == calls.count("encode") == n_chunks
+            for workers in (2, 3):
+                assert run_sweep(cfg, "mas", "ssd", workers=workers) == rows
+            for snr_db, row in zip(cfg.snr_grid_db, rows):
+                calls.clear()
+                alone = run_sweep(dataclasses.replace(cfg, snr_grid_db=(snr_db,)), "mas",
+                                  "ssd", workers=1)
+                assert [repr(r.as_dict()) for r in alone] == [repr(row.as_dict())]
+                assert calls.count("draws") == calls.count("encode") == chunks(row.trials)
+        assert [row.trials for row in rows] == [BLOCK_TRIALS, 2 * BLOCK_TRIALS,
+                                                3 * BLOCK_TRIALS]
 
     def test_empty_grid_rejected_before_any_trial(self, monkeypatch):
         def no_run(*args, **kwargs):
