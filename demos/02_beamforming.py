@@ -33,7 +33,7 @@ print(f"  median {np.median(gains):8.1f}x")
 print(f"  5th pct {np.percentile(gains, 5):8.1f}x")
 
 ch = sample_channel(cfg.n_rx, cfg.n_refl, trial_rng(42, 0))
-theta = reflector_phases(ch.h[sel - 1, :], cfg.delta)
+theta = reflector_phases(ch.h[sel - 1, :])
 x = 1.0 + 0.0j
 
 print("\nper-slot decomposition of the noiseless received sample:")

@@ -116,16 +116,9 @@ def draw_trials(seed: int, trials, n_bits: int, n_rx: int, n_refl: int, out=None
     return bits.astype(np.int64), h, noise
 
 
-def propagate_batch(h: np.ndarray, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``propagate`` for a stack of trials without its noise: H theta x,
-    one matrix-vector product per trial.  It does not depend on the SNR,
-    so a sweep forms it once for all of its points."""
-    return (h @ theta[..., None])[..., 0] * x[:, None]
-
-
 def add_noise(received: np.ndarray, noise: np.ndarray, noise_sigma: float) -> np.ndarray:
-    """``propagate``'s y: H theta x from ``propagate_batch`` plus sigma/sqrt(2)
-    times ``noise``, the unit draw from ``draw_trials``."""
+    """``propagate``'s y for a stack of trials: their noiseless H theta x
+    plus sigma/sqrt(2) times ``noise``, the unit draw from ``draw_trials``."""
     return received + noise * (noise_sigma / np.sqrt(2.0))
 
 
@@ -147,7 +140,7 @@ def decompose_received(channel: ChannelMatrix, theta, x, sel, slot: int):
     if not 1 <= slot <= n_sel:
         raise IndexError(f"slot {slot} out of range [1, {n_sel}]")
     n_refl = channel.shape[1]
-    *blocks, (tail, _) = reflector_blocks(n_refl, n_sel, n_refl // n_sel)
+    *blocks, (tail, _) = reflector_blocks(n_refl, n_sel)
     ant = sel[slot - 1] - 1
     constructive = np.sum(channel.beta[ant, blocks[slot - 1][0]]) * x
     nonconstructive = 0j
@@ -162,26 +155,18 @@ def snr_aligned(channel: ChannelMatrix, sel, cfg: SystemConfig) -> float:
     """Instantaneous SNR when the reflector blocks are phase-aligned to ``sel``.
 
     Per selected antenna this is the squared coherent block gain plus the
-    squared magnitude of the other blocks' (uncancelled) contribution,
-    over sigma^2 (unit symbol energy) and summed over antennas.
+    squared magnitude of the other blocks' (uncancelled) contribution, the
+    constructive and nonconstructive parts of ``decompose_received`` at
+    unit symbol energy, over sigma^2 and summed over antennas.
     """
     if cfg.noise_sigma == 0:
         raise ValueError("noise_sigma is zero; SNR undefined (use the numerator directly)")
     sel = np.asarray(sel)
-    n_sel = len(sel)
-    delta = channel.shape[1] // n_sel
-    blocks = reflector_blocks(channel.shape[1], n_sel, delta)[:-1]
-    theta = reflector_phases(channel.h[sel - 1, :], delta)
+    theta = reflector_phases(channel.h[sel - 1])
     total = 0.0
-    for i in range(n_sel):
-        ant = sel[i] - 1
-        aligned = np.sum(channel.beta[ant, blocks[i][0]])
-        cross = sum(
-            np.dot(channel.h[ant, block], theta[block])
-            for block, q in blocks
-            if q != i
-        )
-        total += aligned**2 + abs(cross) ** 2
+    for slot in range(1, len(sel) + 1):
+        aligned, cross, _ = decompose_received(channel, theta, 1.0, sel, slot)
+        total += abs(aligned) ** 2 + abs(cross) ** 2
     return total / cfg.noise_sigma**2
 
 
@@ -191,7 +176,7 @@ def snr_unaligned(channel: ChannelMatrix, sel, cfg: SystemConfig) -> float:
         raise ValueError("noise_sigma is zero; SNR undefined")
     sel = np.asarray(sel)
     n_sel = len(sel)
-    blocks = reflector_blocks(channel.shape[1], n_sel, channel.shape[1] // n_sel)[:-1]
+    blocks = reflector_blocks(channel.shape[1], n_sel)[:-1]
     acc = 0j
     for block, q in blocks:
         ant = sel[q] - 1

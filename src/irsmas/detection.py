@@ -18,7 +18,6 @@ closest to the observed vector.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -103,12 +102,13 @@ def rac_candidates_batch(y: np.ndarray, table: RacTable, n_c: int, n_iters: int)
     return ranking[:, : min(n_iters, n_rows)], np.count_nonzero(admitted, axis=1)
 
 
-def ssd_detect_batch(y: np.ndarray, gains_of, norms: np.ndarray, cfg: SystemConfig,
-                     table: RacTable):
-    """SSD receiver for a stack of received vectors y (R, n_rx): ``gains_of``
-    maps candidate rows (R, V) to their effective gains H theta_p (R, V,
-    n_rx), ``candidate_gains`` bound to the channels, and ``norms`` are the
-    channel row norms of each y (R, n_rx; None at n_sel 1).
+def ssd_detect_batch(y: np.ndarray, cross: np.ndarray, index: np.ndarray, norms: np.ndarray,
+                     cfg: SystemConfig, table: RacTable):
+    """SSD receiver for a stack of received vectors y (R, n_rx).  Its
+    candidates' effective gains H theta_p come from ``cross`` and ``index``,
+    the ``cross_gains`` of T channels, through ``candidate_gains``: y i
+    belongs to channel i mod T.  ``norms`` are the channel row norms of
+    each y (R, n_rx; None at n_sel 1).
 
     Decodes the best n_iters ranked candidates of every y at once.  A
     candidate's slots are visited weakest channel row first; the first is
@@ -130,7 +130,7 @@ def ssd_detect_batch(y: np.ndarray, gains_of, norms: np.ndarray, cfg: SystemConf
     order = order[..., ::-1]  # weakest first
     ant_o = np.take_along_axis(rows - 1, order, axis=-1)  # antennas in decoding order
 
-    g = gains_of(cand)  # (R, V, n_rx)
+    g = candidate_gains(cross, index, cand)  # (R, V, n_rx)
     gains = np.take_along_axis(g, ant_o, axis=-1)
     dead = (gains == 0).any(axis=-1)
     gains[gains == 0] = 1  # a dead candidate's decode is discarded below
@@ -173,65 +173,63 @@ def check_ml_guard(cfg: SystemConfig) -> None:
 
 def cross_gains(h: np.ndarray, phases: np.ndarray, n_sel: int, out=None):
     """The per-block cross gains of a stack of channels h (T, n_rx, n_refl)
-    and their ``aligning_phases`` u, one block at a time: for each non-empty
-    block k of ``reflector_blocks``, in order, yields (a_k, B_k), with
-    B_k[t, r, a] = sum over n in block k of h[t, r, n] u[t, a, n] and a_k =
-    ``gain_index``[k] the antenna to which each RAC row aligns block k.
+    and their ``aligning_phases`` u, with the antennas they serve.
 
-    Row p's theta aligns block k to antenna a_k(p), so its effective gain
-    H theta_p is the sum over k of B_k[:, :, a_k(p)]: n_rx^2 n_refl MACs a
-    trial form every row's gains.  Each B_k overwrites the one before it,
-    in ``out`` (at least T, n_rx, n_rx, complex) if given.
+    Returns B (K, T, n_rx, n_rx), one slab per non-empty block k of
+    ``reflector_blocks``, in order, with B_k[t, r, a] = sum over n in block
+    k of h[t, r, n] u[t, a, n], and ``gain_index`` a (K, C): row p's theta
+    aligns block k to antenna a_k(p), so its effective gain H theta_p is
+    the sum over k of B_k[:, :, a_k(p)].  n_rx^2 n_refl MACs a trial form
+    every row's gains, and this is the one place where they are formed.
+    ``out`` (at least K, T, n_rx, n_rx, complex), if given, is overwritten.
     """
     n_trials, n_rx, n_refl = h.shape
-    blocks = reflector_blocks(n_refl, n_sel, n_refl // n_sel)
-    cross = np.empty((n_trials, n_rx, n_rx), dtype=complex) if out is None else out[:n_trials]
     # only the leftover block, the last, can be empty, and gain_index omits it
-    for (block, _), antenna in zip(blocks, gain_index(n_rx, n_sel, n_refl)):
-        np.matmul(h[..., block], phases[..., block].transpose(0, 2, 1), out=cross)
-        yield antenna, cross
+    blocks = [block for block, _ in reflector_blocks(n_refl, n_sel)
+              if block.start < block.stop]
+    cross = (np.empty((len(blocks), n_trials, n_rx, n_rx), dtype=complex) if out is None
+             else out[:, :n_trials])
+    for block, cross_k in zip(blocks, cross):
+        np.matmul(h[..., block], phases[..., block].transpose(0, 2, 1), out=cross_k)
+    return cross, gain_index(n_rx, n_sel, n_refl)
 
 
-def candidate_gains(h: np.ndarray, phases: np.ndarray, n_sel: int, cand: np.ndarray,
-                    out=None) -> np.ndarray:
+def candidate_gains(cross: np.ndarray, index: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Effective gains H theta_p (R, V, n_rx) of candidate rows ``cand`` (R,
-    V) of the T channels h (T, n_rx, n_refl) with their ``aligning_phases``;
-    row i of ``cand`` belongs to trial i mod T, so the candidates of several
-    noise levels stack along R.  Each gain adds its blocks' ``cross_gains``
-    (through ``out``, if given) in block order, as ``ml_gains`` does, so it
-    is the conjugate of that stack's column bit for bit."""
-    trial = (np.arange(len(cand)) % len(h))[:, None]
-    # each term, (R, V, n_rx), is gathered before the next block overwrites the buffer
-    terms = (cross[trial, :, antenna[cand]]
-             for antenna, cross in cross_gains(h, phases, n_sel, out))
-    gains = next(terms)
-    for term in terms:
-        gains += term
+    V) from the T trials' ``cross_gains`` (K, T, n_rx, n_rx) and the
+    antennas (K, C) they serve; row i of ``cand`` belongs to trial i mod
+    T, so the candidates of several noise levels stack along R.  Each gain
+    adds its blocks' terms in block order, as ``ml_gains`` does, so it is
+    the conjugate of that stack's column bit for bit."""
+    trial = (np.arange(len(cand)) % cross.shape[1])[:, None]
+    gains = cross[0][trial, :, index[0][cand]]
+    for cross_k, antenna in zip(cross[1:], index[1:]):
+        gains += cross_k[trial, :, antenna[cand]]
     return gains
 
 
-def ml_gains(h: np.ndarray, phases: np.ndarray, cfg: SystemConfig, table: RacTable,
-             buffers=None):
-    """What the exhaustive ML search needs of a stack of channels h (T, n_rx,
-    n_refl) and their ``aligning_phases``, for any y: the conjugate gains
-    conj(g_p) = conj(H theta_p) of every legitimate row p (T, n_rx, C) and
-    ||g_p||^2 (T C,).  ``buffers``, if given, is a cross-gain buffer (at
-    least T, n_rx, n_rx) and a gains stack (at least T, n_rx, C), complex,
-    which this overwrites instead of allocating them.
+def ml_gains(cross: np.ndarray, index: np.ndarray, out=None):
+    """What the exhaustive ML search needs of the T trials' ``cross_gains``
+    (K, T, n_rx, n_rx) and the antennas (K, C) they serve, for any y: the
+    conjugate gains conj(g_p) = conj(H theta_p) of every legitimate row p
+    (T, n_rx, C) and ||g_p||^2 (T C,).  ``out``, if given, is a gains stack
+    (at least T, n_rx, C, complex), which this overwrites instead of
+    allocating one.
 
-    Every row adds its term of each block's ``cross_gains``, B_k[r, a_k(p)],
-    in block order (n_rx^2 n_refl MACs a trial in all, against C n_rx
-    n_refl for every H theta_p).  The cross gains are conjugated first,
-    which is exact (negation commutes with rounding), so the stack is
-    conj(g) and the search's g^H y is one product.
+    Every row adds its term of each block, B_k[r, a_k(p)], in block order
+    (the n_rx^2 n_refl MACs of the cross gains a trial in all, against C
+    n_rx n_refl for every H theta_p).  The cross gains are conjugated in
+    place first, which is exact (negation commutes with rounding), so the
+    stack is conj(g) and the search's g^H y is one product; ``cross`` holds
+    conj(B) afterwards.
     """
-    n_trials, n_rx, _ = h.shape
-    out, gains = buffers or (None, np.empty((n_trials, n_rx, table.row_count), dtype=complex))
-    gains = gains[:n_trials]
+    _, n_trials, n_rx, _ = cross.shape
+    gains = (np.empty((n_trials, n_rx, index.shape[1]), dtype=complex) if out is None
+             else out[:n_trials])
     flat = gains.reshape(n_trials * n_rx, -1, copy=False)
-    for k, (antenna, cross) in enumerate(cross_gains(h, phases, cfg.n_sel, out)):
-        np.conjugate(cross, out=cross)
-        terms = cross.reshape(n_trials * n_rx, n_rx, copy=False)
+    np.conjugate(cross, out=cross)
+    for k, (cross_k, antenna) in enumerate(zip(cross, index)):
+        terms = cross_k.reshape(n_trials * n_rx, n_rx, copy=False)
         if k == 0:
             # index is in range, so "clip" changes no index; the default
             # "raise" would have numpy copy the result through a temporary
@@ -379,7 +377,7 @@ def ml_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
     on a stack of one."""
     check_ml_guard(cfg)
     h = channel.h[None]
-    gains, energy = ml_gains(h, aligning_phases(h), cfg, table)
+    gains, energy = ml_gains(*cross_gains(h, aligning_phases(h), cfg.n_sel))
     p_hat, labels, distance = ml_detect_batch(y[None], gains, energy,
                                               np.linalg.norm(h, axis=-1), cfg, table)
     return _first_result(p_hat, labels, distance, cfg, const, mac_ml(cfg))
@@ -389,9 +387,9 @@ def ssd_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
                const: Constellation) -> DetectionResult:
     """SSD receiver for one trial: ``ssd_detect_batch`` on a stack of one."""
     h = channel.h[None]
-    gains_of = partial(candidate_gains, h, aligning_phases(h), cfg.n_sel)
-    p_hat, labels, distance, n_cand = ssd_detect_batch(y[None], gains_of,
-                                                       np.linalg.norm(h, axis=-1), cfg, table)
+    p_hat, labels, distance, n_cand = ssd_detect_batch(
+        y[None], *cross_gains(h, aligning_phases(h), cfg.n_sel), np.linalg.norm(h, axis=-1), cfg,
+        table)
     return _first_result(p_hat, labels, distance, cfg, const, mac_ssd(cfg, int(n_cand[0])))
 
 

@@ -8,22 +8,24 @@ seed therefore yields bit-identical output for any worker count.
 
 Points differ only in their noise level, and a trial sees the same bits,
 channel and noise at each, so a sweep's job is one block for the points
-still live when it is handed out: drawn, encoded and propagated once, with
-the detector's channel-only gains formed once, then detected, by ``ssd``
-at every point in one pass and by ``ml`` at each point in turn.  Jobs go
-out in block order through one scheduler, on one process pool for the
-whole sweep (or in process with one worker).
+still live when it is handed out: drawn and encoded once, with the
+per-block cross gains that give every antenna combination its effective
+gain formed once, for the noiseless received vectors and the detector
+alike, then detected, by ``ssd`` at every point in one pass and by ``ml``
+at each point in turn.  Jobs go out in block order through one scheduler,
+on one process pool for the whole sweep (or in process with one worker).
 With fewer blocks than workers, the points are dealt round-robin into
 max(1, min(points, workers // blocks)) groups, whose jobs each draw the block.
 
 Every block, of every scheme and detector, runs through the batched
-engine: chunks of CHUNK_TRIALS trials pass each stage (draws, encode,
-propagate, detect) as arrays over trials x candidates.  Below the gate,
-``scheme_config``, a baseline is the mas config its pin made, so the
-engine reads the config and the detector, never the scheme.  Every trial
-draws from its own stream and gets the same arithmetic whatever chunk it
-runs in, so a block's counts equal the sum of ``run_trial`` outcomes over
-its trials.  ``run_trial`` runs one trial as a chunk of one.
+engine: chunks of CHUNK_TRIALS trials pass each stage (draws, cross
+gains, encode, propagate, detect) as arrays over trials x candidates.
+Below the gate, ``scheme_config``, a baseline is the mas config its pin
+made, so the engine reads the config and the detector, never the scheme.
+Every trial draws from its own stream and gets the same arithmetic
+whatever chunk it runs in, so a block's counts equal the sum of
+``run_trial`` outcomes over its trials.  ``run_trial`` runs one trial as a
+chunk of one.
 """
 
 import math
@@ -31,17 +33,17 @@ import operator
 import os
 import queue
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from multiprocessing import Pool
 
 import numpy as np
 
 from .baselines import baseline_config
-from .channel import add_noise, draw_layout, draw_trials, propagate_batch
+from .channel import add_noise, draw_layout, draw_trials
 from .core import MOD_NAMES, MOD_ORDERS, SystemConfig, validate_config
 from .detection import (
     candidate_gains,
     check_ml_guard,
+    cross_gains,
     detected_bits,
     mac_ml,
     mac_ssd,
@@ -50,7 +52,7 @@ from .detection import (
     ssd_detect_batch,
 )
 from .rac import build_rac_table
-from .transmitter import aligning_phases, encode_batch
+from .transmitter import aligning_phases, encode_batch, gain_index
 
 BLOCK_TRIALS = 1000
 # Trials the batched engine carries through each stage at once.
@@ -136,40 +138,42 @@ def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas,
     each noise level of ``sigmas``.
 
     Each trial draws bits, channel and noise from its own ``trial_rng``
-    stream, in that order, and is encoded and propagated once.  What the
-    detector needs of the channels alone is formed once too: ``ml``'s gains
-    stack, or ``ssd``'s per-block cross gains.  ``ssd`` then detects every
-    noise level in one pass, its received vectors stacked level by level;
-    ``ml`` searches each level in turn.  ``cfg`` is ``scheme_config``'s, a
-    baseline's included, so every scheme takes the same stages; its
-    noise_sigma is not read.  ``workspace``, if given, is ``_workspace`` for
-    at least this many trials, and the chunk overwrites its arrays instead
-    of allocating them.
+    stream, in that order.  The chunk's ``cross_gains`` are formed once,
+    before encoding: the noiseless received vector is the transmitted row's
+    ``candidate_gains`` times x, and both detectors read the same stack,
+    ``ml`` through its gains stack and ``ssd`` through its candidates'
+    gains, so a noiseless distance is exactly 0.  ``ssd`` then detects
+    every noise level in one pass, its received vectors stacked level by
+    level; ``ml`` searches each level in turn.  ``cfg`` is
+    ``scheme_config``'s, a baseline's included, so every scheme takes the
+    same stages; its noise_sigma is not read.  ``workspace``, if given, is
+    ``_workspace`` for at least this many trials, and the chunk overwrites
+    its arrays instead of allocating them.
     """
     draws, buffers = workspace or (None, [])
     n_trials = len(trials)
     table = build_rac_table(cfg.n_rx, cfg.n_sel)
     bits, h, noise = draw_trials(cfg.seed, trials, cfg.block_len, cfg.n_rx, cfg.n_refl,
                                  out=draws)
-    # every antenna's reflector phases, from which every theta and gain of the chunk is formed
+    # every antenna's reflector phases, from which every gain of the chunk is formed
     phases = aligning_phases(h, out=buffers[0][:n_trials] if buffers else None)
+    cross, index = cross_gains(h, phases, cfg.n_sel, out=buffers[1] if buffers else None)
     # the row norms order the slots, for the encoder and either detector;
     # one slot needs no order
     norms = np.linalg.norm(h, axis=-1) if cfg.n_sel > 1 else None
-    x, theta = encode_batch(bits, norms, phases, cfg, table)
-    received = propagate_batch(h, theta, x)
+    p, x = encode_batch(bits, norms, cfg, table)
+    received = candidate_gains(cross, index, p[:, None])[:, 0] * x[:, None]
     if detector == "ml":
-        gains, energy = ml_gains(h, phases, cfg, table, buffers[1:] or None)
+        gains, energy = ml_gains(cross, index, buffers[2] if buffers else None)
         found = [ml_detect_batch(add_noise(received, noise, sigma), gains, energy, norms, cfg,
                                  table)[:2] for sigma in sigmas]
         p_hat, labels = (np.concatenate(part) for part in zip(*found))
         macs = [n_trials * mac_ml(cfg)] * len(sigmas)
     else:
         y = np.concatenate([add_noise(received, noise, sigma) for sigma in sigmas])
-        gains_of = partial(candidate_gains, h, phases, cfg.n_sel,
-                           out=buffers[1] if buffers else None)
         p_hat, labels, _, n_cand = ssd_detect_batch(
-            y, gains_of, None if norms is None else np.tile(norms, (len(sigmas), 1)), cfg, table)
+            y, cross, index, None if norms is None else np.tile(norms, (len(sigmas), 1)), cfg,
+            table)
         macs = mac_ssd(cfg, n_cand).reshape(len(sigmas), n_trials).sum(axis=1)
     detected = detected_bits(p_hat, labels, cfg).reshape(len(sigmas), n_trials, -1)
     errors = np.count_nonzero(detected != bits, axis=2)
@@ -179,10 +183,10 @@ def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas,
 def _workspace(cfg: SystemConfig, detector: str, n_trials: int):
     """The large arrays of a chunk of up to ``n_trials`` trials of
     ``scheme_config``'s ``cfg``: the draws' buffers and a list of the rest:
-    the aligning phases, one reflector block's cross gains (n_trials, n_rx,
-    n_rx), which either detector forms block by block, and for ``ml``, of
-    any scheme, the ``ml_gains`` stack (n_trials, n_rx, C).  The phases
-    share the normals' bytes, so they cost no memory.
+    the aligning phases, the ``cross_gains`` of every non-empty reflector
+    block (K, n_trials, n_rx, n_rx), and for ``ml``, of any scheme, the
+    ``ml_gains`` stack (n_trials, n_rx, C).  The phases share the normals'
+    bytes, so they cost no memory.
 
     A block allocates them once and every chunk overwrites them, so the
     chunk loop does not free and fault in the same pages again.  They are
@@ -192,9 +196,9 @@ def _workspace(cfg: SystemConfig, detector: str, n_trials: int):
     pages that the next block's workspace and temporaries reuse.
     """
     layout = draw_layout(n_trials, cfg.block_len, cfg.n_rx, cfg.n_refl)
-    layout.append(((n_trials, cfg.n_rx, cfg.n_rx), np.dtype(complex)))
+    n_blocks, n_rows = gain_index(cfg.n_rx, cfg.n_sel, cfg.n_refl).shape
+    layout.append(((n_blocks, n_trials, cfg.n_rx, cfg.n_rx), np.dtype(complex)))
     if detector == "ml":
-        n_rows = build_rac_table(cfg.n_rx, cfg.n_sel).row_count
         layout.append(((n_trials, cfg.n_rx, n_rows), np.dtype(complex)))
     nbytes = [math.prod(shape) * dtype.itemsize for shape, dtype in layout]
     starts = np.cumsum([0] + [-(-n // 64) * 64 for n in nbytes])

@@ -28,17 +28,17 @@ class TxOutput:
     weights: np.ndarray       # per-slot channel row norms
 
 
-def reflector_phases(sel_channel: np.ndarray, delta: int) -> np.ndarray:
+def reflector_phases(sel_channel: np.ndarray) -> np.ndarray:
     """Unit-modulus phase vector aligning reflector block i to selected antenna i.
 
-    Block i covers reflectors (i-1)*delta .. i*delta-1 and gets the
-    ``aligning_phases`` of row i of the selected channel.  Reflectors beyond
-    n_sel*delta (present only when n_sel does not divide n_refl) are
-    aligned to row 0.
+    Block i covers reflectors i*delta .. (i+1)*delta-1, delta = n_refl //
+    n_sel, and gets the ``aligning_phases`` of row i of the selected
+    channel.  Reflectors beyond n_sel*delta (present only when n_sel does
+    not divide n_refl) are aligned to row 0.
     """
     sel_channel = np.atleast_2d(sel_channel)
     theta = np.empty(sel_channel.shape[-1], dtype=complex)
-    for block, slot in reflector_blocks(len(theta), len(sel_channel), delta):
+    for block, slot in reflector_blocks(len(theta), len(sel_channel)):
         aligning_phases(sel_channel[slot, block], out=theta[block])
     return theta
 
@@ -63,26 +63,14 @@ def aligning_phases(h: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def reflector_blocks(n_refl: int, n_sel: int, delta: int) -> list:
-    """(reflectors, slot) pairs: block i, reflectors i*delta .. (i+1)*delta-1,
-    is aligned to the antenna of slot i; leftover reflectors to slot 0."""
+def reflector_blocks(n_refl: int, n_sel: int) -> list:
+    """(reflectors, slot) pairs: block i, reflectors i*delta .. (i+1)*delta-1
+    with delta = n_refl // n_sel, is aligned to the antenna of slot i;
+    leftover reflectors to slot 0."""
+    delta = n_refl // n_sel
     blocks = [(slice(i * delta, (i + 1) * delta), i) for i in range(n_sel)]
     blocks.append((slice(n_sel * delta, n_refl), 0))
     return blocks
-
-
-@lru_cache(maxsize=None)
-def phase_index(n_rx: int, n_sel: int, n_refl: int) -> np.ndarray:
-    """Where every RAC row's reflector phases lie in a trial's flattened
-    ``aligning_phases``, built once and shared read-only: theta of row p is
-    ``phases.ravel()[index[p]]``, (C, n_refl), block i of ``reflector_blocks``
-    following the row's antenna of slot i."""
-    rows = build_rac_table(n_rx, n_sel).rows
-    index = np.empty((len(rows), n_refl), dtype=np.int64)
-    for block, slot in reflector_blocks(n_refl, n_sel, n_refl // n_sel):
-        index[:, block] = (rows[:, slot, None] - 1) * n_refl + np.arange(n_refl)[block]
-    index.setflags(write=False)
-    return index
 
 
 @lru_cache(maxsize=None)
@@ -91,20 +79,10 @@ def gain_index(n_rx: int, n_sel: int, n_refl: int) -> np.ndarray:
     block of ``reflector_blocks``, built once and shared read-only: (K, C),
     K blocks by C rows."""
     rows = build_rac_table(n_rx, n_sel).rows
-    slots = [slot for block, slot in reflector_blocks(n_refl, n_sel, n_refl // n_sel)
-             if block.start < block.stop]
+    slots = [slot for block, slot in reflector_blocks(n_refl, n_sel) if block.start < block.stop]
     index = np.ascontiguousarray(rows[:, slots].T - 1)
     index.setflags(write=False)
     return index
-
-
-def gather_phases(phases: np.ndarray, p: np.ndarray, n_sel: int) -> np.ndarray:
-    """Reflector phase vectors of RAC rows ``p`` (T, ...) gathered through
-    ``phase_index`` from the trials' ``aligning_phases`` (T, n_rx, n_refl):
-    (T, ..., n_refl)."""
-    n_trials, n_rx, n_refl = phases.shape
-    trial = np.arange(n_trials).reshape(-1, *(1,) * p.ndim)
-    return np.take(phases, phase_index(n_rx, n_sel, n_refl)[p] + trial * (n_rx * n_refl))
 
 
 def slot_order(p: np.ndarray, norms: np.ndarray, table: RacTable):
@@ -125,36 +103,32 @@ def slot_order(p: np.ndarray, norms: np.ndarray, table: RacTable):
     return sel, weights, np.argsort(-weights, axis=-1, kind="stable")
 
 
-def encode_batch(bits: np.ndarray, norms: np.ndarray, phases: np.ndarray, cfg: SystemConfig,
-                 table: RacTable):
-    """Map a stack of bit blocks to transmit scalars and reflector phases.
+def encode_batch(bits: np.ndarray, norms: np.ndarray, cfg: SystemConfig, table: RacTable):
+    """Map a stack of bit blocks to RAC rows and transmit scalars.
 
     The first l1 bits pick RAC row p; bit block j (of bits_per_sym bits)
     labels slot j's symbol.  Power ratio alpha[i] goes to the slot in
     descending-weight position i, so x superposes the labels taken in that
-    order.  ``bits`` is (T, block_len), ``norms`` the channels' row norms
-    (T, n_rx; None at n_sel 1) and ``phases`` their ``aligning_phases``
-    (T, n_rx, n_refl).  Returns the transmit scalars (T,) and reflector
-    phase vectors (T, n_refl).
+    order.  ``bits`` is (T, block_len) and ``norms`` the channels' row norms
+    (T, n_rx; None at n_sel 1).  Returns the rows (T,) and the transmit
+    scalars (T,); row p's reflector phases, and with them its effective
+    gain, are the receivers' to form (``detection.cross_gains``).
     """
     p = pack_bits(bits[:, : cfg.l1], cfg.l1)[:, 0]
     _, _, order = slot_order(p, norms, table)
     labels = pack_bits(bits[:, cfg.l1 :], cfg.bits_per_sym)  # per slot
     axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha))
-    x = axes.superpose(labels[np.arange(len(labels))[:, None], order])
-    return x, gather_phases(phases, p, cfg.n_sel)
+    return p, axes.superpose(labels[np.arange(len(labels))[:, None], order])
 
 
 def encode(bits, channel, cfg: SystemConfig, table: RacTable) -> TxOutput:
     """One block of bits through ``encode_batch``, as a stack of one, with
-    the selection it made."""
+    the selection it made and its ``reflector_phases``."""
     bits = np.asarray(bits)
     if len(bits) != cfg.block_len:
         raise ValueError(f"expected {cfg.block_len} bits, got {len(bits)}")
-    h = channel.h[None]
-    norms = np.linalg.norm(h, axis=-1)
-    x, theta = encode_batch(bits[None], norms, aligning_phases(h), cfg, table)
-    sel, weights, order = slot_order(pack_bits(bits[None, : cfg.l1], cfg.l1)[:, 0], norms,
-                                     table)
-    return TxOutput(x=complex(x[0]), theta=theta[0], sel=sel[0], order_desc=order[0] + 1,
-                    weights=weights[0])
+    norms = np.linalg.norm(channel.h[None], axis=-1)
+    p, x = encode_batch(bits[None], norms, cfg, table)
+    (sel,), (weights,), (order,) = slot_order(p, norms, table)
+    return TxOutput(x=complex(x[0]), theta=reflector_phases(channel.h[sel - 1]), sel=sel,
+                    order_desc=order + 1, weights=weights)

@@ -283,7 +283,7 @@ def test_criterion_8_structural_invariants(tmp_path):
         p = trial % 64
         table = build_rac_table(12, 2)
         sel = rac_row(table, p)
-        theta = reflector_phases(ch.h[sel - 1, :], BPSK_CFG.delta)
+        theta = reflector_phases(ch.h[sel - 1, :])
         x = 0.7 - 0.2j
         y = ch.h @ theta * x
         for slot in (1, 2):
@@ -294,7 +294,7 @@ def test_criterion_8_structural_invariants(tmp_path):
 
     # unit-modulus reflector phases
     ch = sample_channel(12, 64, trial_rng(14, 0))
-    theta = reflector_phases(ch.h[:2, :], 32)
+    theta = reflector_phases(ch.h[:2, :])
     if np.max(np.abs(np.abs(theta) - 1.0)) > 1e-12:
         problems.append("reflector phases not unit modulus")
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from irsmas.baselines import baseline_config
-from irsmas.channel import sample_channel, trial_rng
+from irsmas.channel import ChannelMatrix, sample_channel, trial_rng
 from irsmas.cli import parse_run_spec
 from irsmas.core import (
     MOD_ORDERS,
@@ -17,7 +17,7 @@ from irsmas.core import (
     superposition_axes,
     validate_config,
 )
-from irsmas.detection import detected_bits, mac_ml, ml_detect_batch, ml_gains
+from irsmas.detection import cross_gains, detected_bits, mac_ml, ml_detect_batch, ml_gains
 from irsmas.harness import (
     _block_counts,
     bits_per_tx,
@@ -27,7 +27,7 @@ from irsmas.harness import (
     scheme_config,
 )
 from irsmas.rac import build_rac_table
-from irsmas.transmitter import aligning_phases, encode_batch
+from irsmas.transmitter import aligning_phases, encode, encode_batch, reflector_phases
 from reference import direct_sas_detect, make_sas_trial
 
 SAS_CFG = SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,))
@@ -39,12 +39,10 @@ def sas_cfg(**fields) -> SystemConfig:
 
 
 def encode_one(bits, h, cfg, scheme):
-    """``encode_batch`` on a stack of one, under the baseline's pin, without
-    row norms, as the engine runs it: (x, theta)."""
+    """``encode`` under the baseline's pin: (x, theta)."""
     cfg = scheme_config(cfg, scheme, "ml")
-    table = build_rac_table(cfg.n_rx, cfg.n_sel)
-    x, theta = encode_batch(np.asarray(bits)[None], None, aligning_phases(h[None]), cfg, table)
-    return x[0], theta[0]
+    tx = encode(bits, ChannelMatrix(h), cfg, build_rac_table(cfg.n_rx, cfg.n_sel))
+    return tx.x, tx.theta
 
 
 def detect_one(y, h, cfg, scheme):
@@ -52,7 +50,7 @@ def detect_one(y, h, cfg, scheme):
     baseline's pin: (bits, distance)."""
     cfg = scheme_config(cfg, scheme, "ml")
     table = build_rac_table(cfg.n_rx, cfg.n_sel)
-    gains, energy = ml_gains(h[None], aligning_phases(h[None]), cfg, table)
+    gains, energy = ml_gains(*cross_gains(h[None], aligning_phases(h[None]), cfg.n_sel))
     p_hat, labels, distance = ml_detect_batch(y[None], gains, energy, None, cfg, table)
     return detected_bits(p_hat, labels, cfg)[0], distance[0]
 
@@ -190,10 +188,10 @@ class TestEncode:
         h = np.stack([t[1].h for t in trials])
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         for norms in (None, np.linalg.norm(h, axis=-1)):  # one slot: the norms change nothing
-            x, theta = encode_batch(bits, norms, aligning_phases(h), cfg, table)
-            for k, (_, _, x_ref, theta_ref, _, _) in enumerate(trials):
-                assert x[k] == x_ref
-                np.testing.assert_array_equal(theta[k], theta_ref)
+            p, x = encode_batch(bits, norms, cfg, table)
+            for k, (_, _, x_ref, theta_ref, target, _) in enumerate(trials):
+                assert x[k] == x_ref and table.rows[p[k], 0] == target
+                np.testing.assert_array_equal(reflector_phases(h[k, target - 1]), theta_ref)
 
 
 class TestDetect:

@@ -105,7 +105,7 @@ class TestPropagate:
 
     def test_noiseless_reproducible(self):
         ch = sample_channel(4, 8, trial_rng(0, 0))
-        theta = reflector_phases(ch.h[:2, :], 4)
+        theta = reflector_phases(ch.h[:2, :])
         y1 = propagate(ch, theta, 1 + 1j, 0.0, trial_rng(0, 1))
         y2 = propagate(ch, theta, 1 + 1j, 0.0, trial_rng(0, 1))
         np.testing.assert_array_equal(y1, y2)
@@ -116,7 +116,7 @@ class TestDecompose:
         for trial in range(50):
             ch = sample_channel(CFG.n_rx, CFG.n_refl, trial_rng(11, trial))
             sel = np.array([3, 9])
-            theta = reflector_phases(ch.h[sel - 1, :], CFG.delta)
+            theta = reflector_phases(ch.h[sel - 1, :])
             x = 0.3 - 1.1j
             y = ch.h @ theta * x
             for slot in (1, 2):
@@ -126,7 +126,7 @@ class TestDecompose:
     def test_single_antenna_has_no_interference(self):
         ch = sample_channel(4, 8, trial_rng(5, 0))
         sel = np.array([2])
-        theta = reflector_phases(ch.h[sel - 1, :], 8)
+        theta = reflector_phases(ch.h[sel - 1, :])
         c, nc, lo = decompose_received(ch, theta, 1.0, sel, 1)
         assert nc == 0j and lo == 0j
         assert c == pytest.approx(np.sum(np.abs(ch.h[1, :])))
@@ -137,14 +137,14 @@ class TestDecompose:
         h[0, 4:] = 0.0  # block 2 (slots of antenna 2) contributes nothing at antenna 1
         ch = ChannelMatrix(h)
         sel = np.array([1, 2])
-        theta = reflector_phases(ch.h[sel - 1, :], 4)
+        theta = reflector_phases(ch.h[sel - 1, :])
         _, nc, _ = decompose_received(ch, theta, 1.0, sel, 1)
         assert nc == 0j
 
     def test_constructive_is_beta_sum(self):
         ch = sample_channel(6, 12, trial_rng(8, 2))
         sel = np.array([1, 4])
-        theta = reflector_phases(ch.h[sel - 1, :], 6)
+        theta = reflector_phases(ch.h[sel - 1, :])
         x = 2.0
         c, _, _ = decompose_received(ch, theta, x, sel, 2)
         assert c == pytest.approx(np.sum(np.abs(ch.h[3, 6:])) * x)

@@ -1,7 +1,6 @@
 """Receiver tests: quantizer, candidate sorter, SSD and ML detectors, MAC models."""
 
 import dataclasses
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,8 +11,8 @@ import irsmas.detection
 from irsmas.baselines import baseline_config
 from irsmas.core import SystemConfig, make_constellation, superposition_axes
 from irsmas.detection import (
-    candidate_gains,
     check_ml_guard,
+    cross_gains,
     detected_bits,
     mac_base,
     mac_ml,
@@ -239,11 +238,10 @@ class TestSsdBatch:
 
     def assert_matches_scalar(self, y, h, cfg, const):
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        phases = aligning_phases(h)
-        gains_of = partial(candidate_gains, h, phases, cfg.n_sel)
-        p_hat, labels, distance, n_cand = ssd_detect_batch(y, gains_of,
+        cross, index = cross_gains(h, aligning_phases(h), cfg.n_sel)
+        p_hat, labels, distance, n_cand = ssd_detect_batch(y, cross, index,
                                                            np.linalg.norm(h, axis=-1), cfg, table)
-        engine_gains = ml_gains(h, phases, cfg, table)[0].conj()  # as the ssd engine sums them
+        engine_gains = ml_gains(cross, index)[0].conj()  # as the ssd engine sums them
         for t in range(len(y)):
             ref = reference_ssd_detect(y[t], ChannelMatrix(h[t]), cfg, table, const)
             assert p_hat[t] == ref.rac_index
@@ -392,7 +390,7 @@ class TestBitsRecovery:
     def test_matches_encode_layout(self):
         bits, ch, y = make_trial(CFG, 9)
         h = ch.h[None]
-        gains, energy = ml_gains(h, aligning_phases(h), CFG, TABLE)
+        gains, energy = ml_gains(*cross_gains(h, aligning_phases(h), CFG.n_sel))
         p_hat, labels, _ = ml_detect_batch(y[None], gains, energy, np.linalg.norm(h, axis=-1),
                                            CFG, TABLE)
         np.testing.assert_array_equal(detected_bits(p_hat, labels, CFG)[0], bits)

@@ -18,6 +18,7 @@ from irsmas.core import SystemConfig, make_constellation, superposition_axes, va
 from irsmas.detection import (
     SCREEN_BUDGET,
     candidate_gains,
+    cross_gains,
     detected_bits,
     mac_ml,
     ml_detect,
@@ -39,7 +40,7 @@ from irsmas.harness import (
     scheme_config,
 )
 from irsmas.rac import build_rac_table
-from irsmas.transmitter import aligning_phases, gather_phases
+from irsmas.transmitter import aligning_phases
 from reference import (
     detection_to_bits,
     direct_gains,
@@ -52,6 +53,11 @@ from reference import (
 from reference import run_trial as reference_run_trial
 
 CFG = SystemConfig()
+
+
+def channel_gains(h, n_sel):
+    """``ml_gains`` of channels h (T, n_rx, n_refl) from their own ``cross_gains``."""
+    return ml_gains(*cross_gains(h, aligning_phases(h), n_sel))
 
 
 @contextmanager
@@ -198,7 +204,7 @@ class TestBatchedMlEngine:
     def assert_matches_direct(self, y, h, cfg):
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        gains, energy = ml_gains(h, aligning_phases(h), cfg, table)
+        gains, energy = channel_gains(h, cfg.n_sel)
         p_hat, labels, distance = ml_detect_batch(y, gains, energy, np.linalg.norm(h, axis=-1),
                                                   cfg, table)
         for t in range(len(y)):
@@ -258,7 +264,7 @@ class TestBatchedMlEngine:
         result = ml_detect(y[0], ch, cfg, table, const)
         assert result.rac_index == p_hat
         np.testing.assert_array_equal(result.symbols, symbols)
-        (gains,), _ = ml_gains(h[:1], aligning_phases(h[:1]), cfg, table)
+        (gains,), _ = channel_gains(h[:1], cfg.n_sel)
         assert result.distance == direct_ml_detect(y[0], ch, cfg, table, const,
                                                    gains.conj())[2]
 
@@ -295,10 +301,8 @@ class TestBatchedMlEngine:
         _, h, y = make_trials(cfg, range(3))
         h[:, 3] = h[:, 2]
         np.testing.assert_array_equal(table.rows[1:3], [[1, 3], [1, 4]])
-        every_row = np.broadcast_to(np.arange(table.row_count), (3, table.row_count))
-        theta = gather_phases(aligning_phases(h), every_row, cfg.n_sel)
         for t in range(3):
-            gains = h[t] @ theta[t].T
+            gains = direct_gains(h[t], table, cfg.delta)
             np.testing.assert_array_equal(gains[:, 1], gains[:, 2])
             y[t] += gains[:, 2] * values[5 * t]  # sent on row 2, as loud as the noise
         p_hat, _, _ = self.assert_matches_direct(y, h, cfg)
@@ -314,11 +318,11 @@ class TestBatchedMlEngine:
         y = rng.standard_normal((CHUNK_TRIALS, cfg.n_rx)) + 0j
         h = np.zeros((CHUNK_TRIALS, cfg.n_rx, cfg.n_refl), dtype=complex)
         norms, phases = np.linalg.norm(h, axis=-1), aligning_phases(h)
-        ml_detect_batch(y[:1], *ml_gains(h[:1], phases[:1], cfg, table), norms[:1], cfg,
+        ml_detect_batch(y[:1], *channel_gains(h[:1], cfg.n_sel), norms[:1], cfg,
                         table)  # build the caches
         tracemalloc.start()
         try:
-            gains, energy = ml_gains(h, phases, cfg, table)
+            gains, energy = ml_gains(*cross_gains(h, phases, cfg.n_sel))
             p_hat, labels, distance = ml_detect_batch(y, gains, energy, norms, cfg, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -386,7 +390,7 @@ class TestMlGains:
         table = build_rac_table(n_rx, n_sel)
         _, h, _ = draw_trials(7, range(CHUNK_TRIALS), 1, n_rx, n_refl)
         h[3, 1] = 0  # a dead antenna
-        gains, _ = ml_gains(h, aligning_phases(h), cfg, table)
+        gains, _ = channel_gains(h, n_sel)
         assert_within_gain_bound(gains, h, table, cfg.delta)
         np.testing.assert_array_equal(gains[3, 1], 0)
 
@@ -399,22 +403,23 @@ class TestMlGains:
         # them; a trial's gains do not depend on the chunk it runs in
         cfg, h = case
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        _, (_, *buffers) = irsmas.harness._workspace(cfg, "ml", CHUNK_TRIALS)
-        for buf in buffers:
-            buf.fill(np.nan)
+        _, (_, cross_buf, gains_buf) = irsmas.harness._workspace(cfg, "ml", CHUNK_TRIALS)
+        cross_buf.fill(np.nan)
+        gains_buf.fill(np.nan)
         for lo in range(0, len(h), CHUNK_TRIALS):
             chunk = h[lo : lo + CHUNK_TRIALS]
-            gains, _ = ml_gains(chunk, aligning_phases(chunk), cfg, table, buffers)
+            cross = cross_gains(chunk, aligning_phases(chunk), cfg.n_sel, cross_buf)
+            gains, _ = ml_gains(*cross, gains_buf)
             assert gains.shape == (len(chunk), cfg.n_rx, table.row_count)
             assert_within_gain_bound(gains, chunk, table, cfg.delta)
-            alone, _ = ml_gains(chunk[-1:], aligning_phases(chunk[-1:]), cfg, table)
+            alone, _ = channel_gains(chunk[-1:], cfg.n_sel)
             np.testing.assert_array_equal(alone[0], gains[-1])
 
 
 class TestCandidateGains:
     """``candidate_gains`` sums the per-block cross gains that ``ml_gains``
     sums, in the same order, for the candidates of noise levels stacked
-    trial by trial."""
+    trial by trial; ``cross_gains`` fills a used buffer as a fresh one."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(gain_stacks(), st.integers(1, 3), st.integers(0, 2**32))
@@ -423,13 +428,16 @@ class TestCandidateGains:
     def test_equal_conjugate_ml_stack(self, case, n_points, seed):
         cfg, h = case
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        phases = aligning_phases(h)
-        stack, _ = ml_gains(h, phases, cfg, table)
         rng = np.random.default_rng(seed)
         n_v = int(rng.integers(1, table.row_count + 3))
         cand = rng.integers(0, table.row_count, (n_points * len(h), n_v))
-        out = np.full((len(h) + 3, cfg.n_rx, cfg.n_rx), np.nan, dtype=complex)
-        gains = candidate_gains(h, phases, cfg.n_sel, cand, out)
+        n_blocks = cfg.n_sel + (cfg.n_refl % cfg.n_sel > 0)
+        out = np.full((n_blocks, len(h) + 3, cfg.n_rx, cfg.n_rx), np.nan, dtype=complex)
+        cross, index = cross_gains(h, aligning_phases(h), cfg.n_sel, out)
+        assert cross.shape == (n_blocks, len(h), cfg.n_rx, cfg.n_rx)
+        assert np.shares_memory(cross, out)
+        gains = candidate_gains(cross, index, cand)
+        stack, _ = ml_gains(cross, index)  # conjugates the cross gains in place
         want = stack.conj().transpose(0, 2, 1)[np.arange(len(cand)) % len(h)]
         np.testing.assert_array_equal(gains, np.take_along_axis(want, cand[..., None], axis=1))
 
@@ -441,7 +449,7 @@ class TestCandidateGains:
         _, h, _ = draw_trials(8, range(CHUNK_TRIALS), 1, n_rx, n_refl)
         h[3, 1] = 0  # a dead antenna
         every_row = np.broadcast_to(np.arange(table.row_count), (CHUNK_TRIALS, table.row_count))
-        gains = candidate_gains(h, aligning_phases(h), n_sel, every_row)
+        gains = candidate_gains(*cross_gains(h, aligning_phases(h), n_sel), every_row)
         assert_within_gain_bound(gains.transpose(0, 2, 1).conj(), h, table, cfg.delta)
         np.testing.assert_array_equal(gains[3, :, 1], 0)
 
@@ -487,7 +495,7 @@ class TestBatchedSasEngine:
 
             _, ch, *_, y = make_sas_trial(cfg, scheme, trial)
             h = ch.h[None]
-            gains, energy = ml_gains(h, aligning_phases(h), pinned, table)
+            gains, energy = channel_gains(h, pinned.n_sel)
             p_hat, labels, got_d = ml_detect_batch(y[None], gains, energy, None, pinned, table)
             ref_bits, _ = direct_sas_detect(y, ch, cfg, scheme)
             np.testing.assert_array_equal(detected_bits(p_hat, labels, pinned)[0], ref_bits)
@@ -502,7 +510,7 @@ class TestBatchedSasEngine:
         table = build_rac_table(cfg.n_rx, 1)
         ch = ChannelMatrix(np.zeros((4, 9)))
         h = ch.h[None]
-        gains, energy = ml_gains(h, aligning_phases(h), pinned, table)
+        gains, energy = channel_gains(h, pinned.n_sel)
         for y in (np.zeros(4, dtype=complex), np.full(4, 0.3 - 0.1j)):
             p_hat, labels, distance = ml_detect_batch(y[None], gains, energy, None, pinned, table)
             bits = detected_bits(p_hat, labels, pinned)
@@ -561,13 +569,61 @@ def test_joint_block_equals_per_point_blocks(name):
         assert joint == [alone[i] for i in points]
 
 
+NOISELESS_CASES = {
+    "bpsk": SystemConfig(),
+    "qam16": SystemConfig(mod_order=16, alpha=(0.05, 0.95)),
+    # 64 reflectors in 3 blocks of 21 and a leftover one
+    "n_sel-3": SystemConfig(n_sel=3, alpha=(0.05, 0.2, 0.75), mod_order=4),
+}
+
+
+@pytest.mark.parametrize("detector", ["ml", "ssd"])
+@pytest.mark.parametrize("name", sorted(NOISELESS_CASES))
+def test_noiseless_distances_are_exactly_zero(monkeypatch, name, detector):
+    """The noiseless received vector is the transmitted row's gain from the
+    chunk's cross gains times x, and both detectors read the same gains: so
+    every ml distance is exactly 0.0, and so is every ssd distance where it
+    returns the transmitted row and labels."""
+    cfg = dataclasses.replace(NOISELESS_CASES[name], n_trials=2 * CHUNK_TRIALS + 5,
+                              snr_grid_db=(float("inf"),))
+    sent, found = [], []
+    real_draw = irsmas.harness.draw_trials
+
+    def draw_trials(*args, **kwargs):
+        bits, h, noise = real_draw(*args, **kwargs)
+        sent.append(bits)
+        return bits, h, noise
+
+    def recording(detect):
+        def wrapper(*args):
+            result = detect(*args)
+            found.append(result[:3])
+            return result
+        return wrapper
+
+    monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
+    for detect in ("ml_detect_batch", "ssd_detect_batch"):
+        monkeypatch.setattr(irsmas.harness, detect,
+                            recording(getattr(irsmas.harness, detect)))
+    (row,) = run_sweep(cfg, "mas", detector, workers=1)
+    p_hat, labels, distance = (np.concatenate(part) for part in zip(*found))
+    right = (detected_bits(p_hat, labels, cfg) == np.concatenate(sent)).all(axis=1)
+    assert len(distance) == cfg.n_trials and row.block_errors == np.count_nonzero(~right)
+    if detector == "ml":
+        np.testing.assert_array_equal(distance, 0.0)
+        assert right.all()
+    else:
+        assert np.count_nonzero(right) >= 0.9 * cfg.n_trials
+        np.testing.assert_array_equal(distance[right], 0.0)
+
+
 def test_ssd_stacked_block_memory_is_bounded():
     """One 32-trial ssd block at 4 points, 64 rx (C 1024) and 64-QAM, detected
-    in one stacked pass, holds the draws, one reflector block's cross gains
-    (2 MiB) and per-candidate arrays of the 4 x 32 received vectors: about
-    10 MiB of tracemalloc peak here, against 6.2 MiB for one pass per point
-    before the stacking.  Every row's gains for each of them would take
-    128 MiB."""
+    in one stacked pass, holds the draws, both reflector blocks' cross gains
+    (2 MiB each) and per-candidate arrays of the 4 x 32 received vectors:
+    about 12 MiB of tracemalloc peak here, against 6.2 MiB for one pass per
+    point before the stacking.  Every row's gains for each of them would
+    take 128 MiB."""
     cfg = scheme_config(SystemConfig(n_rx=64, mod_order=64, alpha=(0.05, 0.95)), "mas", "ssd")
     job = (cfg, "ssd", 0, CHUNK_TRIALS, (0.5, 0.2, 0.1, 0.05))
     want = _block_counts(job)  # build the cached tables first
@@ -590,7 +646,7 @@ class TestWorkspace:
         monkeypatch.setattr(irsmas.harness, "CHUNK_TRIALS", 32)
         seen = []
         real_draw, real_phases = irsmas.harness.draw_trials, irsmas.harness.aligning_phases
-        real_ml = irsmas.harness.ml_gains
+        real_cross, real_ml = irsmas.harness.cross_gains, irsmas.harness.ml_gains
 
         def draw_trials(*args, out=None):
             bits, h, noise = real_draw(*args, out=out)
@@ -602,35 +658,38 @@ class TestWorkspace:
             seen.append(("phases", len(h), out.ctypes.data))
             return real_phases(h, out=out)
 
-        def ml_gains(h, phases, cfg, table, buffers=None):
-            cross, gains = buffers
-            assert cross.shape == (32, cfg.n_rx, cfg.n_rx)
-            assert gains.shape == (32, cfg.n_rx, table.row_count)
-            seen.append(("ml", len(h), (phases.ctypes.data, cross.ctypes.data,
-                                        gains.ctypes.data)))
-            return real_ml(h, phases, cfg, table, buffers)
+        def cross_gains(h, phases, n_sel, out=None):
+            cross, index = real_cross(h, phases, n_sel, out)
+            # every non-empty reflector block of the scheme's pin
+            assert out.shape == (len(index), 32, cfg.n_rx, cfg.n_rx)
+            assert np.shares_memory(cross, out)
+            seen.append(("cross", len(h), (phases.ctypes.data, cross.ctypes.data)))
+            return cross, index
 
-        def candidate_gains(h, phases, n_sel, cand, out=None):
-            assert out.shape == (32, cfg.n_rx, cfg.n_rx)
-            seen.append(("ssd", len(h), (phases.ctypes.data, out.ctypes.data)))
-            return real_ssd(h, phases, n_sel, cand, out)
+        def ml_gains(cross, index, out=None):
+            assert out.shape == (32, cfg.n_rx, index.shape[1])
+            seen.append(("ml", cross.shape[1], (cross.ctypes.data, out.ctypes.data)))
+            return real_ml(cross, index, out)
 
-        real_ssd = irsmas.harness.candidate_gains
         monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
         monkeypatch.setattr(irsmas.harness, "aligning_phases", aligning_phases)
+        monkeypatch.setattr(irsmas.harness, "cross_gains", cross_gains)
         monkeypatch.setattr(irsmas.harness, "ml_gains", ml_gains)
-        monkeypatch.setattr(irsmas.harness, "candidate_gains", candidate_gains)
         assert point_block(cfg, scheme, detector, *CHUNK_BLOCK) == (CHUNK_BLOCK[1],
                                                                     *reference_block(name))
         # of any scheme: a baseline is an ml search at n_sel 1
-        kinds = ["draws", "phases", detector]
+        kinds = ["draws", "phases", "cross"] + (["ml"] if detector == "ml" else [])
         for kind in kinds:
             calls = [(n, data) for k, n, data in seen if k == kind]
             assert [n for n, _ in calls] == [32, 32, 3]  # 67 trials: the last chunk is ragged
             assert len({data for _, data in calls}) == 1
-        # either detector forms its gains from the chunk's phases
-        assert ({data for k, _, data in seen if k == "phases"}
-                == {data[0] for k, _, data in seen if k == detector})
+        # the cross gains are formed from the chunk's phases, and the ml
+        # search reads them where they were formed
+        (phases,) = {data for k, _, data in seen if k == "phases"}
+        ((from_phases, cross),) = {data for k, _, data in seen if k == "cross"}
+        assert from_phases == phases
+        if detector == "ml":
+            assert {data[0] for k, _, data in seen if k == "ml"} == {cross}
 
     @pytest.mark.parametrize("count", [CHUNK_TRIALS, 7])  # a full chunk, then a ragged one
     def test_ml_into_used_buffers_equals_fresh_search(self, count):
@@ -640,12 +699,12 @@ class TestWorkspace:
         norms = np.linalg.norm(h, axis=-1)
         size = CHUNK_TRIALS + 5
         phases = np.full((size, cfg.n_rx, cfg.n_refl), np.nan, dtype=complex)
-        buffers = (np.full((size, cfg.n_rx, cfg.n_rx), np.nan, dtype=complex),
-                   np.full((size, cfg.n_rx, table.row_count), np.nan, dtype=complex))
-        want = ml_detect_batch(y, *ml_gains(h, aligning_phases(h), cfg, table), norms, cfg, table)
+        cross_buf = np.full((2, size, cfg.n_rx, cfg.n_rx), np.nan, dtype=complex)  # 2 blocks
+        gains_buf = np.full((size, cfg.n_rx, table.row_count), np.nan, dtype=complex)
+        want = ml_detect_batch(y, *channel_gains(h, cfg.n_sel), norms, cfg, table)
         for _ in range(2):  # NaN-filled buffers, then the same buffers used
-            gains, energy = ml_gains(h, aligning_phases(h, out=phases[:count]), cfg, table,
-                                     buffers)
+            cross = cross_gains(h, aligning_phases(h, out=phases[:count]), cfg.n_sel, cross_buf)
+            gains, energy = ml_gains(*cross, gains_buf)
             got = ml_detect_batch(y, gains, energy, norms, cfg, table)
             for got_part, want_part in zip(got, want):
                 np.testing.assert_array_equal(got_part, want_part)
@@ -686,9 +745,10 @@ class TestWorkspace:
         ml_bytes = sum(buf.nbytes for buf in rest[1:])
         assert memory.nbytes == ml_bytes + sum(math.prod(shape) * dtype.itemsize
                                                for shape, dtype in layout)
-        # one block's cross gains for either detector, and the ml search's
-        # gains stack, for mas and for the baselines alike
-        assert rest[1].shape == (CHUNK_TRIALS, cfg.n_rx, cfg.n_rx)
+        # every non-empty reflector block's cross gains for either detector,
+        # and the ml search's gains stack, for mas and for the baselines alike
+        n_blocks = cfg.n_sel + (cfg.n_refl % cfg.n_sel > 0)
+        assert rest[1].shape == (n_blocks, CHUNK_TRIALS, cfg.n_rx, cfg.n_rx)
         assert len(rest) == (3 if detector == "ml" else 2)
 
     def test_draws_into_used_buffers_equal_fresh_draws(self):
@@ -875,9 +935,11 @@ class TestRunSweep:
     def test_block_drawn_and_encoded_once_per_sweep(self, monkeypatch):
         # ssd detects every live point of a chunk in one stacked pass: each
         # point's row equals its one-point sweep's, for any worker count and
-        # whichever points the error budget has stopped
+        # whichever points the error budget has stopped.  Either detector
+        # forms the chunk's cross gains once, whatever the number of points.
         calls = []
         real_draw, real_encode = irsmas.harness.draw_trials, irsmas.harness.encode_batch
+        real_cross = irsmas.harness.cross_gains
 
         def draw_trials(*args, **kwargs):
             calls.append("draws")
@@ -887,12 +949,21 @@ class TestRunSweep:
             calls.append("encode")
             return real_encode(*args)
 
+        def cross_gains(*args, **kwargs):
+            calls.append("cross")
+            return real_cross(*args, **kwargs)
+
         def chunks(trials):
             return sum(-(-min(BLOCK_TRIALS, trials - lo) // CHUNK_TRIALS)
                        for lo in range(0, trials, BLOCK_TRIALS))
 
+        def assert_once_per_chunk(n_chunks):
+            assert calls.count("draws") == calls.count("encode") == n_chunks
+            assert calls.count("cross") == n_chunks
+
         monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
         monkeypatch.setattr(irsmas.harness, "encode_batch", encode_batch)
+        monkeypatch.setattr(irsmas.harness, "cross_gains", cross_gains)
         inf = float("inf")
         cases = [
             self.small_cfg(n_trials=BLOCK_TRIALS + 37, snr_grid_db=(-14.0, -12.0, inf)),
@@ -906,8 +977,7 @@ class TestRunSweep:
         for cfg in cases:
             calls.clear()
             rows = run_sweep(cfg, "mas", "ssd", workers=1)
-            n_chunks = chunks(max(row.trials for row in rows))
-            assert calls.count("draws") == calls.count("encode") == n_chunks
+            assert_once_per_chunk(chunks(max(row.trials for row in rows)))
             for workers in (2, 3):
                 assert run_sweep(cfg, "mas", "ssd", workers=workers) == rows
             for snr_db, row in zip(cfg.snr_grid_db, rows):
@@ -915,9 +985,18 @@ class TestRunSweep:
                 alone = run_sweep(dataclasses.replace(cfg, snr_grid_db=(snr_db,)), "mas",
                                   "ssd", workers=1)
                 assert [repr(r.as_dict()) for r in alone] == [repr(row.as_dict())]
-                assert calls.count("draws") == calls.count("encode") == chunks(row.trials)
+                assert_once_per_chunk(chunks(row.trials))
         assert [row.trials for row in rows] == [BLOCK_TRIALS, 2 * BLOCK_TRIALS,
                                                 3 * BLOCK_TRIALS]
+        # ml searches each point in turn, from one set of cross gains a chunk
+        for cfg in cases[0], cases[2]:
+            calls.clear()
+            rows = run_sweep(cfg, "mas", "ml", workers=1)
+            assert_once_per_chunk(chunks(cfg.n_trials))
+            calls.clear()
+            assert run_sweep(dataclasses.replace(cfg, snr_grid_db=cfg.snr_grid_db[:1]), "mas",
+                             "ml", workers=1) == rows[:1]
+            assert_once_per_chunk(chunks(cfg.n_trials))
 
     def test_empty_grid_rejected_before_any_trial(self, monkeypatch):
         def no_run(*args, **kwargs):

@@ -9,13 +9,13 @@ from hypothesis import given, strategies as st
 
 from irsmas.channel import ChannelMatrix, sample_channel, trial_rng
 from irsmas.core import SystemConfig, bits_to_int, make_constellation
+from irsmas.detection import cross_gains
 from irsmas.rac import build_rac_table, rac_row
 from irsmas.transmitter import (
     aligning_phases,
     encode,
     gain_index,
-    gather_phases,
-    phase_index,
+    reflector_blocks,
     reflector_phases,
 )
 from reference import reflector_phases as reference_reflector_phases
@@ -80,7 +80,7 @@ class TestReflectorPhases:
 
     def test_unit_modulus(self):
         ch = sample_channel(12, 64, self.rng())
-        theta = reflector_phases(ch.h[:2, :], 32)
+        theta = reflector_phases(ch.h[:2, :])
         assert np.max(np.abs(np.abs(theta) - 1.0)) <= 1e-12
         h = np.stack([sample_channel(16, 64, trial_rng(5, t)).h for t in range(16)])
         assert np.max(np.abs(np.abs(aligning_phases(h)) - 1.0)) <= 4 * np.finfo(float).eps
@@ -109,16 +109,17 @@ class TestReflectorPhases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             theta = aligning_phases(h)
-            block = reflector_phases(h[0, :2], 4)
-            rows = gather_phases(theta, np.zeros((3, 1), dtype=np.int64), 2)
-        assert np.all(theta == 1) and np.all(block == 1) and np.all(rows == 1)
+            block = reflector_phases(h[0, :2])
+            cross, _ = cross_gains(h, theta, 2)
+        assert np.all(theta == 1) and np.all(block == 1) and np.all(cross == 0)
+        assert cross.shape == (3, 3, 4, 4)  # two blocks of 4 and a leftover one
 
     def test_block_alignment_gain(self):
         # within its own block, the product h * theta must be real positive
         # and equal to the channel magnitude
         ch = sample_channel(12, 64, self.rng())
         sel_channel = ch.h[[2, 7], :]
-        theta = reflector_phases(sel_channel, 32)
+        theta = reflector_phases(sel_channel)
         own0 = sel_channel[0, :32] * theta[:32]
         own1 = sel_channel[1, 32:] * theta[32:]
         np.testing.assert_allclose(own0.imag, 0, atol=1e-12)
@@ -130,7 +131,7 @@ class TestReflectorPhases:
         # 65 reflectors, 2 slots: delta=32, one leftover aligned to row 0
         ch = sample_channel(4, 65, self.rng())
         sel_channel = ch.h[:2, :]
-        theta = reflector_phases(sel_channel, 32)
+        theta = reflector_phases(sel_channel)
         tail = sel_channel[0, 64] * theta[64]
         assert abs(tail.imag) <= 1e-12 and tail.real > 0
 
@@ -139,28 +140,35 @@ class TestReflectorPhases:
         # a stack of 3 trials, each with every row of its table, tail reflectors included
         table = build_rac_table(n_rx, n_sel)
         h = np.stack([sample_channel(n_rx, n_refl, trial_rng(9, t)).h for t in range(3)])
-        rows = np.broadcast_to(np.arange(table.row_count), (3, table.row_count))
-        theta = gather_phases(aligning_phases(h), rows, n_sel)
-        index = phase_index(n_rx, n_sel, n_refl)
-        assert phase_index(n_rx, n_sel, n_refl) is index and not index.flags.writeable
+        phases, index = aligning_phases(h), gain_index(n_rx, n_sel, n_refl)
+        blocks = [block for block, _ in reflector_blocks(n_refl, n_sel)
+                  if block.start < block.stop]
         for t in range(3):
             for r, row in enumerate(table.rows):
+                # block k of row r takes the phases of antenna index[k, r]
+                theta = np.concatenate([phases[t, a, block]
+                                        for block, a in zip(blocks, index[:, r])])
                 want = reference_reflector_phases(h[t, row - 1], n_refl // n_sel)
-                np.testing.assert_array_equal(theta[t, r], want)
+                np.testing.assert_array_equal(theta, want)
 
     @pytest.mark.parametrize("n_rx,n_sel,n_refl", [(12, 2, 64), (8, 3, 64), (5, 4, 4), (5, 1, 7)])
     def test_gain_index_follows_phase_index(self, n_rx, n_sel, n_refl):
-        # block k of every row gathers its phases from the antenna index[k]
+        # block k of every row gathers its phases from the antenna index[k]:
+        # the row's antenna of the slot that reflector_blocks gives block k
         index = gain_index(n_rx, n_sel, n_refl)
         assert gain_index(n_rx, n_sel, n_refl) is index and not index.flags.writeable
         assert len(index) == n_sel + (n_refl % n_sel > 0)  # a leftover block is the last
-        block = np.minimum(np.arange(n_refl) // (n_refl // n_sel), n_sel)  # of each reflector
-        np.testing.assert_array_equal(index[block].T, phase_index(n_rx, n_sel, n_refl) // n_refl)
+        rows = build_rac_table(n_rx, n_sel).rows
+        blocks = reflector_blocks(n_refl, n_sel)
+        assert [block.stop - block.start for block, _ in blocks] == (
+            [n_refl // n_sel] * n_sel + [n_refl % n_sel])
+        for antenna, (_, slot) in zip(index, blocks):
+            np.testing.assert_array_equal(antenna, rows[:, slot] - 1)
 
     def test_aligned_gain_beats_random(self):
         # the beamforming gain at the aligned antenna dwarfs a random antenna
         ch = sample_channel(12, 64, self.rng())
-        theta = reflector_phases(ch.h[:1, :], 64)
+        theta = reflector_phases(ch.h[:1, :])
         gains = np.abs(ch.h @ theta)
         assert gains[0] > 3 * gains[1:].max()
 
