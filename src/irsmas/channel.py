@@ -76,19 +76,34 @@ def draw_layout(n_trials: int, n_bits: int, n_rx: int, n_refl: int) -> list:
             ((n_trials, n_rx), np.dtype(complex))]
 
 
-def draw_trials(seed: int, trials, n_bits: int, n_rx: int, n_refl: int, out=None):
+class TrialStreams:
+    """Every trial's ``trial_rng`` stream of one seed, from one Philox
+    generator built once: ``start(i)`` sets it to exactly the state
+    ``trial_rng(seed, i)`` starts from (counter (0, 0, 0, i), empty output
+    buffer, no cached 32-bit half), which costs far less than building a
+    generator, and its ``SeedSequence``, for each trial."""
+
+    def __init__(self, seed: int):
+        self.bit_gen = np.random.Philox(key=seed)
+        self.rng = np.random.Generator(self.bit_gen)
+        self._state = self.bit_gen.state  # a fresh generator's state, at counter 0
+
+    def start(self, trial_index: int) -> None:
+        self._state["state"]["counter"][3] = trial_index
+        self.bit_gen.state = self._state
+
+
+def draw_trials(seed, trials, n_bits: int, n_rx: int, n_refl: int, out=None):
     """Every random draw of several trials.
 
     Each trial draws from its own ``trial_rng`` stream, in this order:
     bits (as ``integers(0, 2)``), channel (as ``sample_channel``), noise
-    (real, imaginary).  One
-    Philox generator serves all the trials: before each trial its state is
-    set to exactly the state ``trial_rng`` starts from (counter
-    (0, 0, 0, trial_index), empty output buffer, no cached 32-bit half),
-    which costs far less than building a generator per trial.  The bits
-    come from the raw 64-bit words that ``integers(0, 2)`` would consume,
-    and the complex parts are assembled with real arithmetic; both give
-    the stream's values bit for bit.
+    (real, imaginary).  ``seed`` is the master seed or its
+    ``TrialStreams``, which a caller drawing many chunks builds once and
+    passes to each; one generator serves all the trials.  The bits come
+    from the raw 64-bit words that ``integers(0, 2)`` would consume, and
+    the complex parts are assembled with real arithmetic; both give the
+    stream's values bit for bit.
     Returns bits (T, n_bits), channels (T, n_rx, n_refl) and unit-variance
     complex noise (T, n_rx) before its sigma / sqrt(2) scaling.  ``out``,
     if given, holds C-contiguous arrays laid out as ``draw_layout`` for at
@@ -100,14 +115,11 @@ def draw_trials(seed: int, trials, n_bits: int, n_rx: int, n_refl: int, out=None
         out = [np.empty(shape, dtype) for shape, dtype in draw_layout(n_trials, n_bits, n_rx,
                                                                       n_refl)]
     words, normals, h, noise = (buf[:n_trials] for buf in out)
-    bit_gen = np.random.Philox(key=seed)
-    rng = np.random.Generator(bit_gen)
-    start = bit_gen.state  # a fresh generator's state, at counter 0
+    streams = seed if isinstance(seed, TrialStreams) else TrialStreams(seed)
     for k, trial_index in enumerate(trials):
-        start["state"]["counter"][3] = trial_index
-        bit_gen.state = start
-        words[k] = bit_gen.random_raw(words.shape[1])
-        rng.standard_normal(out=normals[k])
+        streams.start(trial_index)
+        words[k] = streams.bit_gen.random_raw(words.shape[1])
+        streams.rng.standard_normal(out=normals[k])
     bits = (words[..., None] >> _BIT_SHIFTS & 1).reshape(n_trials, -1)[:, :n_bits]
     np.multiply(normals[:, :n_h].reshape(h.shape), _INV_SQRT2, out=h.real)
     np.multiply(normals[:, n_h : 2 * n_h].reshape(h.shape), _INV_SQRT2, out=h.imag)

@@ -143,21 +143,23 @@ class SystemConfig:
     # Stop a sweep point once this many block errors accumulate (None = never).
     error_budget: int = 500
 
-    @property
+    # The bit counts are computed on first use and kept: the fields are
+    # frozen, and the engine reads them every chunk.
+    @cached_property
     def bits_per_sym(self) -> int:
         return int(round(math.log2(self.mod_order)))
 
-    @property
+    @cached_property
     def l1(self) -> int:
         """Bits carried by the antenna-combination index."""
         return math.floor(math.log2(math.comb(self.n_rx, self.n_sel)))
 
-    @property
+    @cached_property
     def l2(self) -> int:
         """Bits carried by the symbol-modulation part."""
         return self.n_sel * self.bits_per_sym
 
-    @property
+    @cached_property
     def block_len(self) -> int:
         """Total bits per transmission."""
         return self.l1 + self.l2

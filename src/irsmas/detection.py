@@ -68,8 +68,7 @@ def rac_candidates_batch(y: np.ndarray, table: RacTable, n_c: int, n_iters: int)
     exhausted.  Candidates rank by the summed received power of their
     antennas, descending.  Returns the table indices of each trial's best
     min(n_iters, C) rows in ranked order (T, V), and each trial's count of
-    qualifying rows (T,).  Only the first min(n_iters, count) columns of a
-    trial are candidates.
+    qualifying rows (T,), which is at least V: every column is a candidate.
     """
     power = np.abs(y) ** 2
     n_trials = len(power)
@@ -107,8 +106,8 @@ def ssd_detect_batch(y: np.ndarray, cross: np.ndarray, index: np.ndarray, norms:
     """SSD receiver for a stack of received vectors y (R, n_rx).  Its
     candidates' effective gains H theta_p come from ``cross`` and ``index``,
     the ``cross_gains`` of T channels, through ``candidate_gains``: y i
-    belongs to channel i mod T.  ``norms`` are the channel row norms of
-    each y (R, n_rx; None at n_sel 1).
+    belongs to channel i mod T.  ``norms`` are the row norms of the T
+    channels (T, n_rx; None at n_sel 1).
 
     Decodes the best n_iters ranked candidates of every y at once.  A
     candidate's slots are visited weakest channel row first; the first is
@@ -126,15 +125,16 @@ def ssd_detect_batch(y: np.ndarray, cross: np.ndarray, index: np.ndarray, norms:
     n_rows, n_v = cand.shape
     n_sel, points = cfg.n_sel, make_constellation(cfg.mod_order).points
     row = np.arange(n_rows)
+    r, c = row[:, None, None], np.arange(n_v)[:, None]  # index (R, V, k) arrays by (r, c, k)
     rows, _, order = slot_order(cand, norms, table)  # (R, V, n_sel), by slot
     order = order[..., ::-1]  # weakest first
-    ant_o = np.take_along_axis(rows - 1, order, axis=-1)  # antennas in decoding order
+    ant_o = rows[r, c, order] - 1  # antennas in decoding order
 
     g = candidate_gains(cross, index, cand)  # (R, V, n_rx)
-    gains = np.take_along_axis(g, ant_o, axis=-1)
+    gains = g[r, c, ant_o]
     dead = (gains == 0).any(axis=-1)
     gains[gains == 0] = 1  # a dead candidate's decode is discarded below
-    y_o = y[row[:, None, None], ant_o]
+    y_o = y[r, ant_o]
 
     # decoding step k scales by the k-th largest power ratio
     coef = [np.sqrt(cfg.alpha[n_sel - 1 - k]) for k in range(n_sel)]
@@ -150,12 +150,14 @@ def ssd_detect_batch(y: np.ndarray, cross: np.ndarray, index: np.ndarray, norms:
     np.subtract(y[:, None, :], residual, out=residual)
     distance = np.square(np.abs(residual)).sum(axis=-1)
 
-    live = ~dead & (np.arange(n_v) < n_cand[:, None]) & (distance < np.inf)
+    # every one of the n_v columns is a candidate: each y has at least
+    # min(n_iters, C) qualifying rows
+    live = ~dead & (distance < np.inf)
     best = np.argmin(np.where(live, distance, np.inf), axis=1)
     found = live[row, best]
     best[~found] = 0
     labels = np.zeros((n_rows, n_sel), dtype=np.int64)
-    np.put_along_axis(labels, order[row, best], labels_o[row, best], axis=1)
+    labels[row[:, None], order[row, best]] = labels_o[row, best]
     labels[~found] = 0
     return cand[row, best], labels, np.where(found, distance[row, best], np.inf), n_cand
 

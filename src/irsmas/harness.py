@@ -38,13 +38,12 @@ from multiprocessing import Pool
 import numpy as np
 
 from .baselines import baseline_config
-from .channel import add_noise, draw_layout, draw_trials
+from .channel import TrialStreams, add_noise, draw_layout, draw_trials
 from .core import MOD_NAMES, MOD_ORDERS, SystemConfig, validate_config
 from .detection import (
     candidate_gains,
     check_ml_guard,
     cross_gains,
-    detected_bits,
     mac_ml,
     mac_ssd,
     ml_detect_batch,
@@ -144,16 +143,20 @@ def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas,
     ``ml`` through its gains stack and ``ssd`` through its candidates'
     gains, so a noiseless distance is exactly 0.  ``ssd`` then detects
     every noise level in one pass, its received vectors stacked level by
-    level; ``ml`` searches each level in turn.  ``cfg`` is
+    level; ``ml`` searches each level in turn.  A trial's bit errors are
+    the set bits of the detected row XOR the sent one plus those of each
+    slot's detected label XOR the sent label (``encode_batch`` returns
+    both packed), and it is a block error when any is set.  ``cfg`` is
     ``scheme_config``'s, a baseline's included, so every scheme takes the
     same stages; its noise_sigma is not read.  ``workspace``, if given, is
-    ``_workspace`` for at least this many trials, and the chunk overwrites
-    its arrays instead of allocating them.
+    ``_workspace`` for at least this many trials, and the chunk draws
+    through its generator and overwrites its arrays instead of allocating
+    them.
     """
-    draws, buffers = workspace or (None, [])
+    draws, buffers, streams = workspace or (None, [], cfg.seed)
     n_trials = len(trials)
     table = build_rac_table(cfg.n_rx, cfg.n_sel)
-    bits, h, noise = draw_trials(cfg.seed, trials, cfg.block_len, cfg.n_rx, cfg.n_refl,
+    bits, h, noise = draw_trials(streams, trials, cfg.block_len, cfg.n_rx, cfg.n_refl,
                                  out=draws)
     # every antenna's reflector phases, from which every gain of the chunk is formed
     phases = aligning_phases(h, out=buffers[0][:n_trials] if buffers else None)
@@ -161,35 +164,36 @@ def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas,
     # the row norms order the slots, for the encoder and either detector;
     # one slot needs no order
     norms = np.linalg.norm(h, axis=-1) if cfg.n_sel > 1 else None
-    p, x = encode_batch(bits, norms, cfg, table)
+    p, labels, x = encode_batch(bits, norms, cfg, table)
     received = candidate_gains(cross, index, p[:, None])[:, 0] * x[:, None]
     if detector == "ml":
         gains, energy = ml_gains(cross, index, buffers[2] if buffers else None)
         found = [ml_detect_batch(add_noise(received, noise, sigma), gains, energy, norms, cfg,
                                  table)[:2] for sigma in sigmas]
-        p_hat, labels = (np.concatenate(part) for part in zip(*found))
+        p_hat, labels_hat = (np.concatenate(part) for part in zip(*found))
         macs = [n_trials * mac_ml(cfg)] * len(sigmas)
     else:
         y = np.concatenate([add_noise(received, noise, sigma) for sigma in sigmas])
-        p_hat, labels, _, n_cand = ssd_detect_batch(
-            y, cross, index, None if norms is None else np.tile(norms, (len(sigmas), 1)), cfg,
-            table)
+        p_hat, labels_hat, _, n_cand = ssd_detect_batch(y, cross, index, norms, cfg, table)
         macs = mac_ssd(cfg, n_cand).reshape(len(sigmas), n_trials).sum(axis=1)
-    detected = detected_bits(p_hat, labels, cfg).reshape(len(sigmas), n_trials, -1)
-    errors = np.count_nonzero(detected != bits, axis=2)
+    shape = len(sigmas), n_trials
+    errors = (np.bitwise_count(p_hat.reshape(shape) ^ p)
+              + np.bitwise_count(labels_hat.reshape(*shape, -1) ^ labels).sum(axis=-1))
     return [(int(e.sum()), int(np.count_nonzero(e)), int(mac)) for e, mac in zip(errors, macs)]
 
 
 def _workspace(cfg: SystemConfig, detector: str, n_trials: int):
-    """The large arrays of a chunk of up to ``n_trials`` trials of
-    ``scheme_config``'s ``cfg``: the draws' buffers and a list of the rest:
-    the aligning phases, the ``cross_gains`` of every non-empty reflector
-    block (K, n_trials, n_rx, n_rx), and for ``ml``, of any scheme, the
-    ``ml_gains`` stack (n_trials, n_rx, C).  The phases share the normals'
-    bytes, so they cost no memory.
+    """What a chunk of up to ``n_trials`` trials of ``scheme_config``'s
+    ``cfg`` needs that does not change from chunk to chunk: the draws'
+    buffers, a list of the other large arrays (the aligning phases, the
+    ``cross_gains`` of every non-empty reflector block (K, n_trials, n_rx,
+    n_rx), and for ``ml``, of any scheme, the ``ml_gains`` stack
+    (n_trials, n_rx, C)), and the seed's ``TrialStreams``, whose one Philox
+    generator serves every trial of the block.  The phases share the
+    normals' bytes, so they cost no memory.
 
-    A block allocates them once and every chunk overwrites them, so the
-    chunk loop does not free and fault in the same pages again.  They are
+    A block builds them once and every chunk reuses them, so the chunk
+    loop does not free and fault in the same pages again.  The arrays are
     views of one allocation, at offsets that are multiples of 64 bytes:
     freed at the end of a block as one large mmap'ed chunk, it makes glibc
     raise its heap trim threshold to twice its size, so the heap keeps the
@@ -209,7 +213,7 @@ def _workspace(cfg: SystemConfig, detector: str, n_trials: int):
     # the phases, shaped like the channels: draw_trials has consumed the
     # normals by the time the phases are computed
     phases = draws[1].ravel().view(complex)[: channels.size].reshape(channels.shape)
-    return draws, [phases, *arrays[4:]]
+    return draws, [phases, *arrays[4:]], TrialStreams(cfg.seed)
 
 
 def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -> TrialOutcome:

@@ -53,10 +53,13 @@ def aligning_phases(h: np.ndarray, out=None) -> np.ndarray:
     overwritten.
     """
     mag = np.abs(h)
-    nonzero = mag != 0
     if out is None:
-        out = np.ones(mag.shape, dtype=complex)
-    else:
+        out = np.empty(mag.shape, dtype=complex)
+    # with no zero entry (an empty h has none) the divides need no mask,
+    # which would cost more than they do
+    nonzero = True
+    if not mag.min(initial=np.inf) > 0:
+        nonzero = mag != 0
         out[...] = 1
     np.divide(h.real, mag, out=out.real, where=nonzero)
     np.divide(h.imag, -mag, out=out.imag, where=nonzero)
@@ -88,37 +91,42 @@ def gain_index(n_rx: int, n_sel: int, n_refl: int) -> np.ndarray:
 def slot_order(p: np.ndarray, norms: np.ndarray, table: RacTable):
     """The antennas of RAC rows ``p`` and their slots in power order.
 
-    ``p`` holds row indices (T, ...) and ``norms`` the trials' channel row
-    norms (T, n_rx), ``np.linalg.norm(h, axis=-1)`` of their channels.
-    Returns the rows' antennas (T, ..., n_sel, 1-based), their channel row
-    norms, and the slots by descending norm (0-based, ties to the smaller
-    slot).  At n_sel 1 the one slot needs no order: ``norms`` may be None,
-    and the norms returned are then None.
+    ``p`` holds row indices (R, ...) and ``norms`` the channel row norms
+    (T, n_rx) of T trials, ``np.linalg.norm(h, axis=-1)`` of their
+    channels: row i of ``p`` belongs to trial i mod T, so the rows of
+    several noise levels stack along R.  Returns the rows' antennas (R,
+    ..., n_sel, 1-based), their channel row norms, and the slots by
+    descending norm (0-based, ties to the smaller slot).  At n_sel 1 the
+    one slot needs no order: ``norms`` may be None, and the norms returned
+    are then None.
     """
     sel = table.rows[p]
     if norms is None:
         return sel, None, np.zeros_like(sel)
-    norms = norms.reshape(len(norms), *(1,) * (p.ndim - 1), -1)
-    weights = np.take_along_axis(norms, sel - 1, axis=-1)
+    trial = (np.arange(len(p)) % len(norms)).reshape(-1, *(1,) * p.ndim)
+    weights = norms[trial, sel - 1]
     return sel, weights, np.argsort(-weights, axis=-1, kind="stable")
 
 
 def encode_batch(bits: np.ndarray, norms: np.ndarray, cfg: SystemConfig, table: RacTable):
-    """Map a stack of bit blocks to RAC rows and transmit scalars.
+    """Map a stack of bit blocks to RAC rows, slot labels and transmit scalars.
 
     The first l1 bits pick RAC row p; bit block j (of bits_per_sym bits)
     labels slot j's symbol.  Power ratio alpha[i] goes to the slot in
     descending-weight position i, so x superposes the labels taken in that
     order.  ``bits`` is (T, block_len) and ``norms`` the channels' row norms
-    (T, n_rx; None at n_sel 1).  Returns the rows (T,) and the transmit
-    scalars (T,); row p's reflector phases, and with them its effective
-    gain, are the receivers' to form (``detection.cross_gains``).
+    (T, n_rx; None at n_sel 1).  Returns the rows (T,), the per-slot labels
+    (T, n_sel) and the transmit scalars (T,).  The rows and labels are the
+    bits packed, as a detector reports its decisions, so a trial's bit
+    errors are the set bits of their XOR with the decisions.  Row p's
+    reflector phases, and with them its effective gain, are the receivers'
+    to form (``detection.cross_gains``).
     """
     p = pack_bits(bits[:, : cfg.l1], cfg.l1)[:, 0]
     _, _, order = slot_order(p, norms, table)
     labels = pack_bits(bits[:, cfg.l1 :], cfg.bits_per_sym)  # per slot
     axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha))
-    return p, axes.superpose(labels[np.arange(len(labels))[:, None], order])
+    return p, labels, axes.superpose(labels[np.arange(len(labels))[:, None], order])
 
 
 def encode(bits, channel, cfg: SystemConfig, table: RacTable) -> TxOutput:
@@ -128,7 +136,7 @@ def encode(bits, channel, cfg: SystemConfig, table: RacTable) -> TxOutput:
     if len(bits) != cfg.block_len:
         raise ValueError(f"expected {cfg.block_len} bits, got {len(bits)}")
     norms = np.linalg.norm(channel.h[None], axis=-1)
-    p, x = encode_batch(bits[None], norms, cfg, table)
+    p, _, x = encode_batch(bits[None], norms, cfg, table)
     (sel,), (weights,), (order,) = slot_order(p, norms, table)
     return TxOutput(x=complex(x[0]), theta=reflector_phases(channel.h[sel - 1]), sel=sel,
                     order_desc=order + 1, weights=weights)

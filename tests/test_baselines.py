@@ -188,9 +188,11 @@ class TestEncode:
         h = np.stack([t[1].h for t in trials])
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         for norms in (None, np.linalg.norm(h, axis=-1)):  # one slot: the norms change nothing
-            p, x = encode_batch(bits, norms, cfg, table)
+            p, labels, x = encode_batch(bits, norms, cfg, table)
             for k, (_, _, x_ref, theta_ref, target, _) in enumerate(trials):
                 assert x[k] == x_ref and table.rows[p[k], 0] == target
+                # the symbol bits packed; none, and label 0, for ssk
+                assert labels[k].tolist() == [bits_to_int(bits[k, cfg.l1 :])]
                 np.testing.assert_array_equal(reflector_phases(h[k, target - 1]), theta_ref)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from irsmas.channel import (
     ChannelMatrix,
+    TrialStreams,
     decompose_received,
     draw_trials,
     propagate,
@@ -72,6 +73,16 @@ class TestDrawTrials:
             np.testing.assert_array_equal(bits[k], want[0])
             np.testing.assert_array_equal(h[k], want[1])
             np.testing.assert_array_equal(noise[k], want[2])
+
+    def test_streams_serve_many_chunks(self):
+        # one generator, built once, re-pointed at every trial of every chunk
+        seed, n_bits, n_rx, n_refl = 2**63 + 5, 7, 3, 5
+        streams = TrialStreams(seed)
+        for trials in (range(40, 44), range(2**32 - 1, 2**32 + 2), range(3)):
+            got = draw_trials(streams, trials, n_bits, n_rx, n_refl)
+            want = draw_trials(seed, trials, n_bits, n_rx, n_refl)
+            for got_part, want_part in zip(got, want):
+                np.testing.assert_array_equal(got_part, want_part)
 
 
 class TestPropagate:

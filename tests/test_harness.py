@@ -14,7 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 import irsmas.detection
 import irsmas.harness
 from irsmas.channel import ChannelMatrix, draw_layout, draw_trials
-from irsmas.core import SystemConfig, make_constellation, superposition_axes, validate_config
+from irsmas.core import (
+    SystemConfig,
+    make_constellation,
+    pack_bits,
+    superposition_axes,
+    validate_config,
+)
 from irsmas.detection import (
     SCREEN_BUDGET,
     candidate_gains,
@@ -403,7 +409,7 @@ class TestMlGains:
         # them; a trial's gains do not depend on the chunk it runs in
         cfg, h = case
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        _, (_, cross_buf, gains_buf) = irsmas.harness._workspace(cfg, "ml", CHUNK_TRIALS)
+        _, (_, cross_buf, gains_buf), _ = irsmas.harness._workspace(cfg, "ml", CHUNK_TRIALS)
         cross_buf.fill(np.nan)
         gains_buf.fill(np.nan)
         for lo in range(0, len(h), CHUNK_TRIALS):
@@ -617,6 +623,85 @@ def test_noiseless_distances_are_exactly_zero(monkeypatch, name, detector):
         np.testing.assert_array_equal(distance[right], 0.0)
 
 
+# name: (scheme, detector, config); every case's labels carry a different
+# number of bits: none (ssk), 6 bits a slot, 2 bits in each of 3 slots
+ERROR_COUNT_CASES = {
+    "sas-ssk": ("sas-ssk", "ml", SystemConfig(n_rx=8, n_sel=1, alpha=(1.0,))),
+    "mas-ssd-qam64": ("mas", "ssd", SystemConfig(mod_order=64, alpha=(0.01, 0.99))),
+    "mas-ml-qam64": ("mas", "ml", SystemConfig(n_rx=6, mod_order=64, alpha=(0.01, 0.99))),
+    # 64 reflectors in 3 blocks of 21 and a leftover one
+    "mas-ssd-n_sel-3": ("mas", "ssd", SystemConfig(n_rx=8, n_sel=3, alpha=(0.05, 0.2, 0.75),
+                                                   mod_order=4, n_cand_antennas=5)),
+}
+
+
+@pytest.mark.parametrize("trials", [range(5, 5 + CHUNK_TRIALS), range(3)])
+@pytest.mark.parametrize("name", sorted(ERROR_COUNT_CASES))
+def test_error_counts_equal_the_bit_compare(monkeypatch, name, trials):
+    """A chunk counts a trial's bit errors on the packed row and labels;
+    for decisions that keep the sent row and labels or miss in any of
+    their bits, at several stacked points, its bit and block errors equal
+    those of the detected bits compared with the sent bits."""
+    scheme, detector, cfg = ERROR_COUNT_CASES[name]
+    cfg = scheme_config(cfg, scheme, detector)
+    table = build_rac_table(cfg.n_rx, cfg.n_sel)
+    sigmas = (0.0, 0.5, 0.05)
+    rng = np.random.default_rng(len(trials))
+    sent, decided = [], []
+    real_draw = irsmas.harness.draw_trials
+
+    def draw_trials(*args, **kwargs):
+        bits, h, noise = real_draw(*args, **kwargs)
+        sent.append(bits.copy())
+        return bits, h, noise
+
+    def detect(y, *args):
+        bits = sent[-1][np.arange(len(y)) % len(sent[-1])]
+        keep = rng.random(len(y)) < 0.3
+        p_hat = np.where(keep, pack_bits(bits[:, : cfg.l1], cfg.l1)[:, 0],
+                         rng.integers(0, table.row_count, len(y)))
+        labels = np.where(keep[:, None], pack_bits(bits[:, cfg.l1 :], cfg.bits_per_sym),
+                          rng.integers(0, cfg.mod_order, (len(y), cfg.n_sel)))
+        decided.append((p_hat, labels))
+        n_cand = np.full(len(y), cfg.n_iters)
+        return (p_hat, labels, np.zeros(len(y))) + ((n_cand,) if detector == "ssd" else ())
+
+    monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
+    monkeypatch.setattr(irsmas.harness, f"{detector}_detect_batch", detect)
+    counts = _chunk_counts(cfg, detector, trials, sigmas)
+    p_hat, labels = (np.concatenate(part) for part in zip(*decided))
+    wrong = detected_bits(p_hat, labels, cfg).reshape(len(sigmas), len(trials), -1) != sent[0]
+    errors = np.count_nonzero(wrong, axis=2)
+    assert 0 < np.count_nonzero(errors) < errors.size
+    assert [c[:2] for c in counts] == [(e.sum(), np.count_nonzero(e)) for e in errors]
+
+
+def test_one_generator_per_block(monkeypatch):
+    """A block builds one Philox generator, however many chunks it runs,
+    and re-points it at every trial: the counts are those of one chunk per
+    trial, each with a generator of its own."""
+    real = np.random.Philox
+    built = []
+
+    def philox(*args, **kwargs):
+        built.append(kwargs)
+        return real(*args, **kwargs)
+
+    cfg = scheme_config(CHUNK_CASES["mas-ssd"][2], "mas", "ssd")
+    count = 3 * CHUNK_TRIALS + 5
+    alone = [_chunk_counts(cfg, "ssd", range(t, t + 1), (10.0,))[0]
+             for t in range(100, 100 + count)]
+    monkeypatch.setattr(np.random, "Philox", philox)
+    got = _block_counts((cfg, "ssd", 100, count, (10.0,)))
+    assert built == [{"key": cfg.seed}]
+    assert got == [(count, *(sum(column) for column in zip(*alone)))]
+    assert got[0][2] > 0  # block errors
+    built.clear()
+    run_sweep(dataclasses.replace(cfg, n_trials=BLOCK_TRIALS + 37, snr_grid_db=(-14.0,),
+                                  error_budget=None), "mas", "ssd", workers=1)
+    assert len(built) == 2  # two blocks
+
+
 def test_ssd_stacked_block_memory_is_bounded():
     """One 32-trial ssd block at 4 points, 64 rx (C 1024) and 64-QAM, detected
     in one stacked pass, holds the draws, both reflector blocks' cross gains
@@ -713,7 +798,7 @@ class TestWorkspace:
         _, detector, cfg = CHUNK_CASES["mas-ml"]
         trials = range(45, 45 + CHUNK_TRIALS)
         workspace = irsmas.harness._workspace(cfg, detector, CHUNK_TRIALS)
-        (_, _, h, _), (phases, _, gains) = workspace
+        (_, _, h, _), (phases, _, gains), _ = workspace
         sigmas = (cfg.noise_sigma,)
         want = _chunk_counts(cfg, detector, trials, sigmas)  # build the cached sets first
         peaks = []
@@ -733,7 +818,7 @@ class TestWorkspace:
     def test_workspace_adds_only_the_ml_buffers_to_the_draws(self, name):
         scheme, detector, cfg = CHUNK_CASES[name]
         cfg = scheme_config(cfg, scheme, detector)
-        draws, rest = irsmas.harness._workspace(cfg, detector, CHUNK_TRIALS)
+        draws, rest, _ = irsmas.harness._workspace(cfg, detector, CHUNK_TRIALS)
         memory = draws[0]
         while memory.base is not None:
             memory = memory.base
