@@ -30,7 +30,7 @@ from .core import (
     unpack_bits,
 )
 from .rac import RacTable
-from .transmitter import aligning_phases, gain_index, reflector_blocks, slot_order
+from .transmitter import aligning_phases, gain_index, reflector_blocks, row_norms, slot_order
 
 # Most scores (or distance terms) any one array of the ML search holds,
 # unless a single pair's |A| + |B| scores are more.
@@ -380,8 +380,7 @@ def ml_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
     check_ml_guard(cfg)
     h = channel.h[None]
     gains, energy = ml_gains(*cross_gains(h, aligning_phases(h), cfg.n_sel))
-    p_hat, labels, distance = ml_detect_batch(y[None], gains, energy,
-                                              np.linalg.norm(h, axis=-1), cfg, table)
+    p_hat, labels, distance = ml_detect_batch(y[None], gains, energy, row_norms(h), cfg, table)
     return _first_result(p_hat, labels, distance, cfg, const, mac_ml(cfg))
 
 
@@ -390,8 +389,7 @@ def ssd_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
     """SSD receiver for one trial: ``ssd_detect_batch`` on a stack of one."""
     h = channel.h[None]
     p_hat, labels, distance, n_cand = ssd_detect_batch(
-        y[None], *cross_gains(h, aligning_phases(h), cfg.n_sel), np.linalg.norm(h, axis=-1), cfg,
-        table)
+        y[None], *cross_gains(h, aligning_phases(h), cfg.n_sel), row_norms(h), cfg, table)
     return _first_result(p_hat, labels, distance, cfg, const, mac_ssd(cfg, int(n_cand[0])))
 
 

@@ -51,7 +51,7 @@ from .detection import (
     ssd_detect_batch,
 )
 from .rac import build_rac_table
-from .transmitter import aligning_phases, encode_batch, gain_index
+from .transmitter import aligning_phases, encode_batch, gain_index, row_norms
 
 BLOCK_TRIALS = 1000
 # Trials the batched engine carries through each stage at once.
@@ -162,8 +162,9 @@ def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas,
     phases = aligning_phases(h, out=buffers[0][:n_trials] if buffers else None)
     cross, index = cross_gains(h, phases, cfg.n_sel, out=buffers[1] if buffers else None)
     # the row norms order the slots, for the encoder and either detector;
-    # one slot needs no order
-    norms = np.linalg.norm(h, axis=-1) if cfg.n_sel > 1 else None
+    # one slot needs no order.  The cross gains have read the phases, so
+    # their buffer takes the norms' conj(h) h.
+    norms = row_norms(h, out=phases) if cfg.n_sel > 1 else None
     p, labels, x = encode_batch(bits, norms, cfg, table)
     received = candidate_gains(cross, index, p[:, None])[:, 0] * x[:, None]
     if detector == "ml":

@@ -62,7 +62,7 @@ def aligning_phases(h: np.ndarray, out=None) -> np.ndarray:
         nonzero = mag != 0
         out[...] = 1
     np.divide(h.real, mag, out=out.real, where=nonzero)
-    np.divide(h.imag, -mag, out=out.imag, where=nonzero)
+    np.divide(h.imag, np.negative(mag, out=mag), out=out.imag, where=nonzero)
     return out
 
 
@@ -88,17 +88,27 @@ def gain_index(n_rx: int, n_sel: int, n_refl: int) -> np.ndarray:
     return index
 
 
+def row_norms(h: np.ndarray, out=None) -> np.ndarray:
+    """The norms of the rows of h along its last axis,
+    ``np.linalg.norm(h, axis=-1)`` bit for bit: computed as numpy computes
+    them, the square root of the summed real part of conj(h) h, but with
+    conj(h) h formed in place, in ``out`` (shaped like h, complex,
+    overwritten) if given, instead of in two temporaries."""
+    square = np.conjugate(h, out=out)
+    np.multiply(square, h, out=square)
+    return np.sqrt(np.add.reduce(square.real, axis=-1))
+
+
 def slot_order(p: np.ndarray, norms: np.ndarray, table: RacTable):
     """The antennas of RAC rows ``p`` and their slots in power order.
 
     ``p`` holds row indices (R, ...) and ``norms`` the channel row norms
-    (T, n_rx) of T trials, ``np.linalg.norm(h, axis=-1)`` of their
-    channels: row i of ``p`` belongs to trial i mod T, so the rows of
-    several noise levels stack along R.  Returns the rows' antennas (R,
-    ..., n_sel, 1-based), their channel row norms, and the slots by
-    descending norm (0-based, ties to the smaller slot).  At n_sel 1 the
-    one slot needs no order: ``norms`` may be None, and the norms returned
-    are then None.
+    (T, n_rx) of T trials, the ``row_norms`` of their channels: row i of
+    ``p`` belongs to trial i mod T, so the rows of several noise levels
+    stack along R.  Returns the rows' antennas (R, ..., n_sel, 1-based),
+    their channel row norms, and the slots by descending norm (0-based,
+    ties to the smaller slot).  At n_sel 1 the one slot needs no order:
+    ``norms`` may be None, and the norms returned are then None.
     """
     sel = table.rows[p]
     if norms is None:
@@ -135,7 +145,7 @@ def encode(bits, channel, cfg: SystemConfig, table: RacTable) -> TxOutput:
     bits = np.asarray(bits)
     if len(bits) != cfg.block_len:
         raise ValueError(f"expected {cfg.block_len} bits, got {len(bits)}")
-    norms = np.linalg.norm(channel.h[None], axis=-1)
+    norms = row_norms(channel.h[None])
     p, _, x = encode_batch(bits[None], norms, cfg, table)
     (sel,), (weights,), (order,) = slot_order(p, norms, table)
     return TxOutput(x=complex(x[0]), theta=reflector_phases(channel.h[sel - 1]), sel=sel,

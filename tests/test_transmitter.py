@@ -17,6 +17,7 @@ from irsmas.transmitter import (
     gain_index,
     reflector_blocks,
     reflector_phases,
+    row_norms,
 )
 from reference import reflector_phases as reference_reflector_phases
 from reference import sort_weights_asc, sort_weights_desc, superpose
@@ -171,6 +172,23 @@ class TestReflectorPhases:
         theta = reflector_phases(ch.h[:1, :])
         gains = np.abs(ch.h @ theta)
         assert gains[0] > 3 * gains[1:].max()
+
+
+class TestRowNorms:
+    """``row_norms`` orders the slots, so it must equal the reference's
+    ``np.linalg.norm`` bit for bit, into a buffer or not."""
+
+    @pytest.mark.parametrize("shape", [(1, 12, 64), (32, 12, 64), (7, 5, 37), (3, 64, 1)])
+    def test_equal_to_linalg_norm(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h[0, 0] = 0  # a dead antenna
+        h[-1, -1, 0] = 1e-300  # squares underflow
+        h[-1, 0] *= 1e150  # squares near the top of the range
+        out = np.full((shape[0] + 2, *shape[1:]), np.nan, dtype=complex)[1:-1]
+        want = np.linalg.norm(h, axis=-1)
+        for got in (row_norms(h), row_norms(h, out=out)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestEncode:
