@@ -28,8 +28,14 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     uint64: numpy would cast a list of Python ints through float64, which
     loses the trial index near 2**64.
     """
+    _check_trial_index(trial_index)
     counter = np.array([0, 0, 0, trial_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+
+def _check_trial_index(trial_index: int) -> None:
+    if not 0 <= trial_index < 2**64:  # the range of a Philox counter word
+        raise ValueError(f"trial_index: expected an integer in [0, 2**64), got {trial_index!r}")
 
 
 def sample_channel(n_rx: int, n_refl: int, rng: np.random.Generator) -> ChannelMatrix:
@@ -89,18 +95,19 @@ class TrialStreams:
         self._state = self.bit_gen.state  # a fresh generator's state, at counter 0
 
     def start(self, trial_index: int) -> None:
+        _check_trial_index(trial_index)
         self._state["state"]["counter"][3] = trial_index
         self.bit_gen.state = self._state
 
 
-def draw_trials(seed, trials, n_bits: int, n_rx: int, n_refl: int, out=None):
+def draw_trials(streams: TrialStreams, trials, n_bits: int, n_rx: int, n_refl: int, out=None):
     """Every random draw of several trials.
 
     Each trial draws from its own ``trial_rng`` stream, in this order:
     bits (as ``integers(0, 2)``), channel (as ``sample_channel``), noise
-    (real, imaginary).  ``seed`` is the master seed or its
-    ``TrialStreams``, which a caller drawing many chunks builds once and
-    passes to each; one generator serves all the trials.  The bits come
+    (real, imaginary).  ``streams`` holds the master seed's one generator,
+    which a caller drawing many chunks builds once and passes to each, and
+    which serves all the trials.  The bits come
     from the raw 64-bit words that ``integers(0, 2)`` would consume, and
     the complex parts are assembled with real arithmetic; both give the
     stream's values bit for bit.
@@ -115,7 +122,6 @@ def draw_trials(seed, trials, n_bits: int, n_rx: int, n_refl: int, out=None):
         out = [np.empty(shape, dtype) for shape, dtype in draw_layout(n_trials, n_bits, n_rx,
                                                                       n_refl)]
     words, normals, h, noise = (buf[:n_trials] for buf in out)
-    streams = seed if isinstance(seed, TrialStreams) else TrialStreams(seed)
     for k, trial_index in enumerate(trials):
         streams.start(trial_index)
         words[k] = streams.bit_gen.random_raw(words.shape[1])
@@ -152,7 +158,8 @@ def decompose_received(channel: ChannelMatrix, theta, x, sel, slot: int):
     if not 1 <= slot <= n_sel:
         raise IndexError(f"slot {slot} out of range [1, {n_sel}]")
     n_refl = channel.shape[1]
-    *blocks, (tail, _) = reflector_blocks(n_refl, n_sel)
+    blocks = reflector_blocks(n_refl, n_sel)[:n_sel]
+    tail = slice(blocks[-1][0].stop, n_refl)  # the leftover reflectors, if any
     ant = sel[slot - 1] - 1
     constructive = np.sum(channel.beta[ant, blocks[slot - 1][0]]) * x
     nonconstructive = 0j
@@ -188,7 +195,7 @@ def snr_unaligned(channel: ChannelMatrix, sel, cfg: SystemConfig) -> float:
         raise ValueError("noise_sigma is zero; SNR undefined")
     sel = np.asarray(sel)
     n_sel = len(sel)
-    blocks = reflector_blocks(channel.shape[1], n_sel)[:-1]
+    blocks = reflector_blocks(channel.shape[1], n_sel)[:n_sel]
     acc = 0j
     for block, q in blocks:
         ant = sel[q] - 1

@@ -1,6 +1,6 @@
 """Receivers: the optimal exhaustive ML search and the low-complexity
-successive signal detection (SSD) receiver, run on a stack of trials, plus
-the paper's MAC-complexity models.
+successive signal detection (SSD) receiver, run on stacks of received
+vectors, plus the paper's MAC-complexity models.
 
 The ML search screens every hypothesis with an expanded distance in real
 arithmetic, split into one term per axis of the superposed value, and
@@ -177,18 +177,17 @@ def cross_gains(h: np.ndarray, phases: np.ndarray, n_sel: int, out=None):
     """The per-block cross gains of a stack of channels h (T, n_rx, n_refl)
     and their ``aligning_phases`` u, with the antennas they serve.
 
-    Returns B (K, T, n_rx, n_rx), one slab per non-empty block k of
+    Returns B (K, T, n_rx, n_rx), one slab per block k of
     ``reflector_blocks``, in order, with B_k[t, r, a] = sum over n in block
     k of h[t, r, n] u[t, a, n], and ``gain_index`` a (K, C): row p's theta
     aligns block k to antenna a_k(p), so its effective gain H theta_p is
     the sum over k of B_k[:, :, a_k(p)].  n_rx^2 n_refl MACs a trial form
     every row's gains, and this is the one place where they are formed.
-    ``out`` (at least K, T, n_rx, n_rx, complex), if given, is overwritten.
+    ``out`` (at least K, T, n_rx, n_rx, complex), if given, is overwritten;
+    no reader writes B.
     """
     n_trials, n_rx, n_refl = h.shape
-    # only the leftover block, the last, can be empty, and gain_index omits it
-    blocks = [block for block, _ in reflector_blocks(n_refl, n_sel)
-              if block.start < block.stop]
+    blocks = [block for block, _ in reflector_blocks(n_refl, n_sel)]
     cross = (np.empty((len(blocks), n_trials, n_rx, n_rx), dtype=complex) if out is None
              else out[:, :n_trials])
     for block, cross_k in zip(blocks, cross):
@@ -201,8 +200,8 @@ def candidate_gains(cross: np.ndarray, index: np.ndarray, cand: np.ndarray) -> n
     V) from the T trials' ``cross_gains`` (K, T, n_rx, n_rx) and the
     antennas (K, C) they serve; row i of ``cand`` belongs to trial i mod
     T, so the candidates of several noise levels stack along R.  Each gain
-    adds its blocks' terms in block order, as ``ml_gains`` does, so it is
-    the conjugate of that stack's column bit for bit."""
+    adds its blocks' terms in block order, as ``ml_gains`` does, so it
+    equals that stack's column bit for bit."""
     trial = (np.arange(len(cand)) % cross.shape[1])[:, None]
     gains = cross[0][trial, :, index[0][cand]]
     for cross_k, antenna in zip(cross[1:], index[1:]):
@@ -210,26 +209,20 @@ def candidate_gains(cross: np.ndarray, index: np.ndarray, cand: np.ndarray) -> n
     return gains
 
 
-def ml_gains(cross: np.ndarray, index: np.ndarray, out=None):
+def ml_gains(cross: np.ndarray, index: np.ndarray):
     """What the exhaustive ML search needs of the T trials' ``cross_gains``
     (K, T, n_rx, n_rx) and the antennas (K, C) they serve, for any y: the
-    conjugate gains conj(g_p) = conj(H theta_p) of every legitimate row p
-    (T, n_rx, C) and ||g_p||^2 (T C,).  ``out``, if given, is a gains stack
-    (at least T, n_rx, C, complex), which this overwrites instead of
-    allocating one.
+    gains g_p = H theta_p of every legitimate row p (T, n_rx, C), in a
+    stack of their own, and ||g_p||^2 (T C,).  ``cross`` is only read.
 
-    Every row adds its term of each block, B_k[r, a_k(p)], in block order
-    (the n_rx^2 n_refl MACs of the cross gains a trial in all, against C
-    n_rx n_refl for every H theta_p).  The cross gains are conjugated in
-    place first, which is exact (negation commutes with rounding), so the
-    stack is conj(g) and the search's g^H y is one product; ``cross`` holds
-    conj(B) afterwards.
+    Every row adds its term of each block, B_k[r, a_k(p)], in block order,
+    as ``candidate_gains`` does, so column p equals row p's candidate gains
+    bit for bit (the n_rx^2 n_refl MACs of the cross gains a trial in all,
+    against C n_rx n_refl for every H theta_p).
     """
     _, n_trials, n_rx, _ = cross.shape
-    gains = (np.empty((n_trials, n_rx, index.shape[1]), dtype=complex) if out is None
-             else out[:n_trials])
+    gains = np.empty((n_trials, n_rx, index.shape[1]), dtype=complex)
     flat = gains.reshape(n_trials * n_rx, -1, copy=False)
-    np.conjugate(cross, out=cross)
     for k, (cross_k, antenna) in enumerate(zip(cross, index)):
         terms = cross_k.reshape(n_trials * n_rx, n_rx, copy=False)
         if k == 0:
@@ -245,14 +238,16 @@ def ml_gains(cross: np.ndarray, index: np.ndarray, out=None):
 
 def ml_detect_batch(y: np.ndarray, gains: np.ndarray, energy: np.ndarray, norms: np.ndarray,
                     cfg: SystemConfig, table: RacTable):
-    """Exhaustive ML search for a stack of trials: y (T, n_rx), the
-    conjugate gains stack (T, n_rx, C) and ||g||^2 of its channels from
-    ``ml_gains``, and their row norms (T, n_rx; None at n_sel 1).
+    """Exhaustive ML search for a stack of received vectors y (R, n_rx),
+    with the gains stack (T, n_rx, C) and ||g||^2 of T channels from
+    ``ml_gains`` and their row norms (T, n_rx; None at n_sel 1); y i
+    belongs to channel i mod T, as for ``ssd_detect_batch``.
 
     Minimizes ||y - H theta_p x||^2 over every legitimate row p and every
     value x in the superposition set.  Ties resolve to the smaller p, then
     the lexicographically earlier symbol tuple.  Returns the detected row
-    indices (T,), per-slot symbol labels (T, n_sel) and distances (T,).
+    indices (R,), per-slot symbol labels (R, n_sel) and distances (R,);
+    each y's are those of a search over it alone.
 
     Hypotheses are first screened in real arithmetic with the expansion
     ||y||^2 - 2 Re(conj(x) g^H y) + |x|^2 ||g||^2.  Every superposed value
@@ -260,21 +255,23 @@ def ml_detect_batch(y: np.ndarray, gains: np.ndarray, energy: np.ndarray, norms:
     splits into one term per axis, and a (trial, row) pair's best score is
     the sum of its two per-axis minima.  The screen costs C n_rx + C (|A| +
     |B|) instead of C n_rx V (V = |A| |B| = M^n_sel), plus V for each pair
-    near its trial's minimum.  Every hypothesis whose score lies within a
+    near its y's minimum.  Every hypothesis whose score lies within a
     rounding bound of that minimum is then recomputed elementwise, exactly
     as the direct search computes it (antennas summed in order), so the
     decision and distance are those of the direct search over these
-    gains, bit for bit.
+    gains, bit for bit, however the pairs are sliced.
     """
     axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha))
     values = axes.values
     n_trials, n_rx, n_rows = gains.shape
+    n_y = len(y)
 
     # score(p, a + jb) = distance - ||y||^2 = f_A(p, a) + f_B(p, b), with
     # f_A = a (||g||^2 a - 2 Re(g^H y)) and f_B = b (||g||^2 b - 2 Im(g^H y)),
-    # one row per value of A then of B, and (trial, row) pairs along the
-    # trailing axis.
-    corr2 = 2 * (y[:, None, :] @ gains)[:, 0].ravel()  # 2 g^H y
+    # one row per value of A then of B, and (y, row) pairs along the
+    # trailing axis.  2 g^H y is 2 conj(conj(y) g), exactly: each y against
+    # its channel's gains, the noise levels along a leading axis.
+    corr2 = 2 * np.conjugate(np.conjugate(y).reshape(-1, n_trials, 1, n_rx) @ gains).ravel()
     ab = np.concatenate([axes.a, axes.b])
     n_a = len(axes.a)
     # Rounding, to first order in eps, with S = ||y|| + max|x| max||g||:
@@ -285,21 +282,22 @@ def ml_detect_batch(y: np.ndarray, gains: np.ndarray, energy: np.ndarray, norms:
     # The direct search can pick a hypothesis over the screened minimum only
     # if their scores differ by less than twice the sum, (4 n_rx + 16) eps
     # S^2.  The shortlist bound is more than twice that.
-    scale = np.linalg.norm(y, axis=1) + np.abs(values).max() * np.sqrt(
-        energy.reshape(n_trials, n_rows).max(axis=1))
+    g_max = np.sqrt(energy.reshape(n_trials, n_rows).max(axis=1))
+    scale = np.linalg.norm(y, axis=1) + np.abs(values).max() * g_max[np.arange(n_y) % n_trials]
     tol = 8 * (n_rx + 2 * cfg.n_sel + 8) * np.finfo(float).eps * scale**2
+    energy = np.resize(energy, n_y * n_rows)  # each pair's, repeated level by level
 
     # Screen SCREEN_BUDGET // (|A| + |B|) pairs at a time.  A pair's minimum
     # is min f_A + min f_B, which rounded addition keeps equal to the least
     # of its V sums.  A slice keeps what lies near the running minimum of
-    # its trial: a superset of what lies near the final one, and so of
-    # every hypothesis the direct search could pick.  Those are re-checked
-    # as they come, in (trial, p, v) order, and the first least distance of
-    # each trial is kept.
-    n_pairs = n_trials * n_rows
+    # its y: a superset of what lies near the final one, and so of every
+    # hypothesis the direct search could pick.  Those are re-checked as
+    # they come, in (y, p, v) order, and the first least distance of each y
+    # is kept.
+    n_pairs = n_y * n_rows
     pair_step = max(1, SCREEN_BUDGET // len(ab))
-    low = np.full(n_trials, np.inf)
-    found = (np.full(n_trials, np.inf), np.full(n_trials, -1), np.zeros(n_trials, dtype=np.int64))
+    low = np.full(n_y, np.inf)
+    found = (np.full(n_y, np.inf), np.full(n_y, -1), np.zeros(n_y, dtype=np.int64))
     for lo in range(0, n_pairs, pair_step):
         pairs = slice(lo, min(lo + pair_step, n_pairs))
         f = np.multiply.outer(ab, energy[pairs])
@@ -318,7 +316,7 @@ def ml_detect_batch(y: np.ndarray, gains: np.ndarray, energy: np.ndarray, norms:
     distance, p_hat, v_hat = found
 
     _, _, order = slot_order(p_hat, norms, table)  # slot of each tuple position
-    labels = np.empty((n_trials, cfg.n_sel), dtype=np.int64)
+    labels = np.empty((n_y, cfg.n_sel), dtype=np.int64)
     np.put_along_axis(labels, order, axes.tuples[v_hat], axis=1)
     return p_hat, labels, distance
 
@@ -342,16 +340,16 @@ def _near_hypotheses(f_a, f_b, axes: SuperpositionAxes, near, limit):
 
 
 def _exact_distance(y, gains, values, t, p, v):
-    """The direct search's distance of hypotheses (trial t, row p, value v)
-    from the conjugate gains: elementwise terms summed over antennas in
-    sequence (np.sum may pair them up differently), at most SCREEN_BUDGET
-    terms at a time."""
-    n_rx = y.shape[1]
+    """The direct search's distance of hypotheses (y t, row p, value v) from
+    the gains stack as it is, y t belonging to channel t mod T: elementwise
+    terms summed over antennas in sequence (np.sum may pair them up
+    differently), at most SCREEN_BUDGET terms at a time."""
+    n_trials, n_rx, _ = gains.shape
     distance = np.empty(len(t))
     step = max(1, SCREEN_BUDGET // n_rx)
     for lo in range(0, len(t), step):
         s = slice(lo, lo + step)
-        g = gains.transpose(1, 0, 2)[:, t[s], p[s]].conj()
+        g = gains.transpose(1, 0, 2)[:, t[s] % n_trials, p[s]]
         terms = np.abs(y.T[:, t[s]] - g * values[v[s]]) ** 2
         part = distance[s]
         part[:] = terms[0]

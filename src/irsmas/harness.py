@@ -11,21 +11,22 @@ channel and noise at each, so a sweep's job is one block for the points
 still live when it is handed out: drawn and encoded once, with the
 per-block cross gains that give every antenna combination its effective
 gain formed once, for the noiseless received vectors and the detector
-alike, then detected, by ``ssd`` at every point in one pass and by ``ml``
-at each point in turn.  Jobs go out in block order through one scheduler,
-on one process pool for the whole sweep (or in process with one worker).
-With fewer blocks than workers, the points are dealt round-robin into
-max(1, min(points, workers // blocks)) groups, whose jobs each draw the block.
+alike, and never written after.  The received vectors of every live
+point are stacked, and one detector call, ``ml`` or ``ssd``, serves them
+all.  Jobs go out in block order through one scheduler, on one process
+pool for the whole sweep (or in process with one worker).  With fewer
+blocks than workers, the points are dealt round-robin into max(1,
+min(points, workers // blocks)) groups, whose jobs each draw the block.
 
 Every block, of every scheme and detector, runs through the batched
-engine: chunks of CHUNK_TRIALS trials pass each stage (draws, cross
-gains, encode, propagate, detect) as arrays over trials x candidates.
-Below the gate, ``scheme_config``, a baseline is the mas config its pin
-made, so the engine reads the config and the detector, never the scheme.
-Every trial draws from its own stream and gets the same arithmetic
-whatever chunk it runs in, so a block's counts equal the sum of
-``run_trial`` outcomes over its trials.  ``run_trial`` runs one trial as a
-chunk of one.
+engine, in one workspace of the same layout for either detector: chunks
+of CHUNK_TRIALS trials pass each stage (draws, cross gains, encode,
+propagate, detect) as arrays over trials x candidates.  Below the gate,
+``scheme_config``, a baseline is the mas config its pin made, so the
+engine reads the config and the detector, never the scheme.  Every trial
+draws from its own stream and gets the same arithmetic whatever chunk it
+runs in, so a block's counts equal the sum of ``run_trial`` outcomes over
+its trials.  ``run_trial`` is ``_block_counts`` on a block of one trial.
 """
 
 import math
@@ -51,7 +52,7 @@ from .detection import (
     ssd_detect_batch,
 )
 from .rac import build_rac_table
-from .transmitter import aligning_phases, encode_batch, gain_index, row_norms
+from .transmitter import aligning_phases, encode_batch, reflector_blocks, row_norms
 
 BLOCK_TRIALS = 1000
 # Trials the batched engine carries through each stage at once.
@@ -131,50 +132,44 @@ def bits_per_tx(cfg: SystemConfig, scheme: str) -> int:
     return baseline_config(cfg, scheme).block_len
 
 
-def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas,
-                  workspace=None) -> list:
-    """(bit errors, block errors, MACs) of a few trials, run as arrays, at
-    each noise level of ``sigmas``.
+def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas, workspace) -> list:
+    """(bit errors, block errors, MACs) of a few trials, run as arrays in
+    ``workspace``, ``_workspace``'s for at least this many trials, at each
+    noise level of ``sigmas``.
 
     Each trial draws bits, channel and noise from its own ``trial_rng``
-    stream, in that order.  The chunk's ``cross_gains`` are formed once,
-    before encoding: the noiseless received vector is the transmitted row's
-    ``candidate_gains`` times x, and both detectors read the same stack,
-    ``ml`` through its gains stack and ``ssd`` through its candidates'
-    gains, so a noiseless distance is exactly 0.  ``ssd`` then detects
-    every noise level in one pass, its received vectors stacked level by
-    level; ``ml`` searches each level in turn.  A trial's bit errors are
-    the set bits of the detected row XOR the sent one plus those of each
-    slot's detected label XOR the sent label (``encode_batch`` returns
-    both packed), and it is a block error when any is set.  ``cfg`` is
-    ``scheme_config``'s, a baseline's included, so every scheme takes the
-    same stages; its noise_sigma is not read.  ``workspace``, if given, is
-    ``_workspace`` for at least this many trials, and the chunk draws
-    through its generator and overwrites its arrays instead of allocating
-    them.
+    stream, in that order, and the draws, phases and cross gains overwrite
+    the workspace's arrays.  The chunk's ``cross_gains`` are formed once,
+    before encoding, and nothing writes them after: the noiseless received
+    vector is the transmitted row's ``candidate_gains`` times x, and either
+    detector reads the same cross gains, so a noiseless distance is exactly
+    0.  The received vectors of every level are stacked, level by level,
+    for one detector call.  A trial's bit errors are the set bits of the
+    detected row XOR the sent one plus those of each slot's detected label
+    XOR the sent label (both packed by ``encode_batch``), and it is a block
+    error when any is set.  ``cfg`` is ``scheme_config``'s, a baseline's
+    included, so every scheme takes the same stages; its noise_sigma is
+    not read.
     """
-    draws, buffers, streams = workspace or (None, [], cfg.seed)
+    draws, (phases, cross), streams = workspace
     n_trials = len(trials)
     table = build_rac_table(cfg.n_rx, cfg.n_sel)
     bits, h, noise = draw_trials(streams, trials, cfg.block_len, cfg.n_rx, cfg.n_refl,
                                  out=draws)
     # every antenna's reflector phases, from which every gain of the chunk is formed
-    phases = aligning_phases(h, out=buffers[0][:n_trials] if buffers else None)
-    cross, index = cross_gains(h, phases, cfg.n_sel, out=buffers[1] if buffers else None)
+    phases = aligning_phases(h, out=phases[:n_trials])
+    cross, index = cross_gains(h, phases, cfg.n_sel, out=cross)
     # the row norms order the slots, for the encoder and either detector;
     # one slot needs no order.  The cross gains have read the phases, so
     # their buffer takes the norms' conj(h) h.
     norms = row_norms(h, out=phases) if cfg.n_sel > 1 else None
     p, labels, x = encode_batch(bits, norms, cfg, table)
     received = candidate_gains(cross, index, p[:, None])[:, 0] * x[:, None]
+    y = np.concatenate([add_noise(received, noise, sigma) for sigma in sigmas])
     if detector == "ml":
-        gains, energy = ml_gains(cross, index, buffers[2] if buffers else None)
-        found = [ml_detect_batch(add_noise(received, noise, sigma), gains, energy, norms, cfg,
-                                 table)[:2] for sigma in sigmas]
-        p_hat, labels_hat = (np.concatenate(part) for part in zip(*found))
+        p_hat, labels_hat, _ = ml_detect_batch(y, *ml_gains(cross, index), norms, cfg, table)
         macs = [n_trials * mac_ml(cfg)] * len(sigmas)
     else:
-        y = np.concatenate([add_noise(received, noise, sigma) for sigma in sigmas])
         p_hat, labels_hat, _, n_cand = ssd_detect_batch(y, cross, index, norms, cfg, table)
         macs = mac_ssd(cfg, n_cand).reshape(len(sigmas), n_trials).sum(axis=1)
     shape = len(sigmas), n_trials
@@ -183,15 +178,14 @@ def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas,
     return [(int(e.sum()), int(np.count_nonzero(e)), int(mac)) for e, mac in zip(errors, macs)]
 
 
-def _workspace(cfg: SystemConfig, detector: str, n_trials: int):
+def _workspace(cfg: SystemConfig, n_trials: int):
     """What a chunk of up to ``n_trials`` trials of ``scheme_config``'s
-    ``cfg`` needs that does not change from chunk to chunk: the draws'
-    buffers, a list of the other large arrays (the aligning phases, the
-    ``cross_gains`` of every non-empty reflector block (K, n_trials, n_rx,
-    n_rx), and for ``ml``, of any scheme, the ``ml_gains`` stack
-    (n_trials, n_rx, C)), and the seed's ``TrialStreams``, whose one Philox
-    generator serves every trial of the block.  The phases share the
-    normals' bytes, so they cost no memory.
+    ``cfg`` needs that does not change from chunk to chunk, laid out the
+    same for either detector: the draws' buffers, the aligning phases and
+    the ``cross_gains`` of every reflector block (K, n_trials, n_rx, n_rx),
+    and the seed's ``TrialStreams``, whose one Philox generator serves
+    every trial of the block.  The phases share the normals' bytes, so they
+    cost no memory.
 
     A block builds them once and every chunk reuses them, so the chunk
     loop does not free and fault in the same pages again.  The arrays are
@@ -201,28 +195,26 @@ def _workspace(cfg: SystemConfig, detector: str, n_trials: int):
     pages that the next block's workspace and temporaries reuse.
     """
     layout = draw_layout(n_trials, cfg.block_len, cfg.n_rx, cfg.n_refl)
-    n_blocks, n_rows = gain_index(cfg.n_rx, cfg.n_sel, cfg.n_refl).shape
+    n_blocks = len(reflector_blocks(cfg.n_refl, cfg.n_sel))
     layout.append(((n_blocks, n_trials, cfg.n_rx, cfg.n_rx), np.dtype(complex)))
-    if detector == "ml":
-        layout.append(((n_trials, cfg.n_rx, n_rows), np.dtype(complex)))
     nbytes = [math.prod(shape) * dtype.itemsize for shape, dtype in layout]
     starts = np.cumsum([0] + [-(-n // 64) * 64 for n in nbytes])
     memory = np.empty(starts[-1], dtype=np.uint8)
-    arrays = [memory[lo : lo + n].view(dtype).reshape(shape)
-              for (shape, dtype), n, lo in zip(layout, nbytes, starts)]
-    draws, channels = arrays[:4], arrays[2]
+    *draws, cross = [memory[lo : lo + n].view(dtype).reshape(shape)
+                     for (shape, dtype), n, lo in zip(layout, nbytes, starts)]
     # the phases, shaped like the channels: draw_trials has consumed the
     # normals by the time the phases are computed
-    phases = draws[1].ravel().view(complex)[: channels.size].reshape(channels.shape)
-    return draws, [phases, *arrays[4:]], TrialStreams(cfg.seed)
+    phases = draws[1].ravel().view(complex)[: draws[2].size].reshape(draws[2].shape)
+    return draws, (phases, cross), TrialStreams(cfg.seed)
 
 
 def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -> TrialOutcome:
     """Simulate one transmission block and count its bit and block errors:
-    the engine on a chunk of one trial."""
+    ``_block_counts`` on a block of one trial, whose index must lie in
+    [0, 2**64)."""
     cfg = scheme_config(cfg, scheme, detector)
-    trials = range(trial_index, trial_index + 1)
-    return TrialOutcome(*_chunk_counts(cfg, detector, trials, (cfg.noise_sigma,))[0])
+    ((_, *counts),) = _block_counts((cfg, detector, trial_index, 1, (cfg.noise_sigma,)))
+    return TrialOutcome(*counts)
 
 
 def _block_counts(args) -> list:
@@ -230,7 +222,7 @@ def _block_counts(args) -> list:
     each noise level of ``sigmas`` (top level for pickling)."""
     cfg, detector, start, count, sigmas = args
     stop = start + count
-    workspace = _workspace(cfg, detector, min(CHUNK_TRIALS, count))
+    workspace = _workspace(cfg, min(CHUNK_TRIALS, count))
     parts = [_chunk_counts(cfg, detector, range(lo, min(lo + CHUNK_TRIALS, stop)), sigmas,
                            workspace)
              for lo in range(start, stop, CHUNK_TRIALS)]

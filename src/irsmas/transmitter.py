@@ -68,21 +68,22 @@ def aligning_phases(h: np.ndarray, out=None) -> np.ndarray:
 
 def reflector_blocks(n_refl: int, n_sel: int) -> list:
     """(reflectors, slot) pairs: block i, reflectors i*delta .. (i+1)*delta-1
-    with delta = n_refl // n_sel, is aligned to the antenna of slot i;
-    leftover reflectors to slot 0."""
+    with delta = n_refl // n_sel, is aligned to the antenna of slot i; the
+    leftover reflectors, if any, form a last block aligned to slot 0."""
     delta = n_refl // n_sel
     blocks = [(slice(i * delta, (i + 1) * delta), i) for i in range(n_sel)]
-    blocks.append((slice(n_sel * delta, n_refl), 0))
+    if n_refl % n_sel:
+        blocks.append((slice(n_sel * delta, n_refl), 0))
     return blocks
 
 
 @lru_cache(maxsize=None)
 def gain_index(n_rx: int, n_sel: int, n_refl: int) -> np.ndarray:
-    """The antenna (0-based) to which every RAC row aligns each non-empty
-    block of ``reflector_blocks``, built once and shared read-only: (K, C),
-    K blocks by C rows."""
+    """The antenna (0-based) to which every RAC row aligns each block of
+    ``reflector_blocks``, built once and shared read-only: (K, C), K blocks
+    by C rows."""
     rows = build_rac_table(n_rx, n_sel).rows
-    slots = [slot for block, slot in reflector_blocks(n_refl, n_sel) if block.start < block.stop]
+    slots = [slot for _, slot in reflector_blocks(n_refl, n_sel)]
     index = np.ascontiguousarray(rows[:, slots].T - 1)
     index.setflags(write=False)
     return index

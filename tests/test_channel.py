@@ -55,6 +55,17 @@ class TestTrialRng:
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
 
+    def test_index_outside_the_counter_rejected(self):
+        streams = TrialStreams(3)
+        for trial in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"^trial_index:"):
+                trial_rng(3, trial)
+            with pytest.raises(ValueError, match=r"^trial_index:"):
+                streams.start(trial)
+        last = trial_rng(3, 2**64 - 1).standard_normal(4)
+        streams.start(2**64 - 1)
+        np.testing.assert_array_equal(streams.rng.standard_normal(4), last)
+
 
 class TestDrawTrials:
     """``draw_trials`` re-points one generator at each trial's stream; every
@@ -67,7 +78,7 @@ class TestDrawTrials:
     @pytest.mark.parametrize("n_bits", [1, 7, 8])
     def test_matches_per_trial_streams(self, seed, trials, n_bits):
         n_rx, n_refl = 3, 5
-        bits, h, noise = draw_trials(seed, trials, n_bits, n_rx, n_refl)
+        bits, h, noise = draw_trials(TrialStreams(seed), trials, n_bits, n_rx, n_refl)
         for k, trial_index in enumerate(trials):
             want = draw_trial(seed, trial_index, n_bits, n_rx, n_refl)
             np.testing.assert_array_equal(bits[k], want[0])
@@ -80,7 +91,7 @@ class TestDrawTrials:
         streams = TrialStreams(seed)
         for trials in (range(40, 44), range(2**32 - 1, 2**32 + 2), range(3)):
             got = draw_trials(streams, trials, n_bits, n_rx, n_refl)
-            want = draw_trials(seed, trials, n_bits, n_rx, n_refl)
+            want = draw_trials(TrialStreams(seed), trials, n_bits, n_rx, n_refl)
             for got_part, want_part in zip(got, want):
                 np.testing.assert_array_equal(got_part, want_part)
 

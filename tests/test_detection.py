@@ -241,7 +241,7 @@ class TestSsdBatch:
         cross, index = cross_gains(h, aligning_phases(h), cfg.n_sel)
         p_hat, labels, distance, n_cand = ssd_detect_batch(y, cross, index,
                                                            np.linalg.norm(h, axis=-1), cfg, table)
-        engine_gains = ml_gains(cross, index)[0].conj()  # as the ssd engine sums them
+        engine_gains = ml_gains(cross, index)[0]  # as the ssd engine sums them
         for t in range(len(y)):
             ref = reference_ssd_detect(y[t], ChannelMatrix(h[t]), cfg, table, const)
             assert p_hat[t] == ref.rac_index

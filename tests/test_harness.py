@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import irsmas.detection
 import irsmas.harness
-from irsmas.channel import ChannelMatrix, draw_layout, draw_trials
+from irsmas.channel import ChannelMatrix, TrialStreams, draw_layout, draw_trials
 from irsmas.core import (
     SystemConfig,
     make_constellation,
@@ -135,6 +135,12 @@ class TestRunTrial:
         with pytest.raises(ValueError, match=fragment):
             run_trial(cfg, scheme, detector, 0)
 
+    def test_trial_index_outside_the_counter_rejected(self):
+        for trial in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"^trial_index:"):
+                run_trial(CFG, "mas", "ssd", trial)
+        assert run_trial(CFG, "mas", "ssd", 2**64 - 1).block_error == 0
+
     @pytest.mark.parametrize("scheme,cfg,fragment", [
         ("sas-ssk", SystemConfig(n_rx=12), "n_rx:"),
         ("sas-sm", SystemConfig(n_rx=16, n_refl=0), "n_refl:"),
@@ -218,9 +224,8 @@ class TestBatchedMlEngine:
             ref_p, ref_symbols, _ = direct_ml_detect(y[t], channel, cfg, table, const)
             assert p_hat[t] == ref_p
             np.testing.assert_array_equal(const.points[labels[t]], ref_symbols)
-            # the stack holds conj(g)
             own_p, own_symbols, own_d = direct_ml_detect(y[t], channel, cfg, table, const,
-                                                         gains[t].conj())
+                                                         gains[t])
             assert p_hat[t] == own_p
             np.testing.assert_array_equal(const.points[labels[t]], own_symbols)
             assert distance[t] == own_d
@@ -271,8 +276,7 @@ class TestBatchedMlEngine:
         assert result.rac_index == p_hat
         np.testing.assert_array_equal(result.symbols, symbols)
         (gains,), _ = channel_gains(h[:1], cfg.n_sel)
-        assert result.distance == direct_ml_detect(y[0], ch, cfg, table, const,
-                                                   gains.conj())[2]
+        assert result.distance == direct_ml_detect(y[0], ch, cfg, table, const, gains)[2]
 
     def test_slice_boundary_inside_a_trial(self):
         # BPSK at n_sel 3: |A| + |B| = 8 + 1 scores a pair, so a slice holds
@@ -314,6 +318,27 @@ class TestBatchedMlEngine:
         p_hat, _, _ = self.assert_matches_direct(y, h, cfg)
         np.testing.assert_array_equal(p_hat, 1)
 
+    @pytest.mark.parametrize("budget", [None, 40, 160])
+    @pytest.mark.parametrize("count", [CHUNK_TRIALS, 7])  # a full chunk, then a ragged one
+    def test_stacked_points_equal_per_point_searches(self, monkeypatch, count, budget):
+        # 16-QAM at n_sel 2: |A| + |B| = 32, so a budget of 40 screens one
+        # pair a slice and one of 160 five, and slices end inside trials
+        # (C = 8) and, stacked, across points
+        if budget is not None:
+            monkeypatch.setattr(irsmas.detection, "SCREEN_BUDGET", budget)
+        cfg = SystemConfig(n_rx=5, n_sel=2, n_refl=9, mod_order=16, alpha=(0.05, 0.95), seed=8)
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        points = [make_trials(cfg, range(40, 40 + count), sigma=sigma)
+                  for sigma in (0.0, 0.3, 0.05)]
+        h = points[0][1]
+        gains, energy = channel_gains(h, cfg.n_sel)
+        norms = np.linalg.norm(h, axis=-1)
+        stacked = ml_detect_batch(np.concatenate([y for _, _, y in points]), gains, energy,
+                                  norms, cfg, table)
+        alone = [ml_detect_batch(y, gains, energy, norms, cfg, table) for _, _, y in points]
+        for got, want in zip(stacked, zip(*alone)):
+            np.testing.assert_array_equal(got, np.concatenate(want))
+
     def test_all_zero_channel_memory_is_bounded(self):
         # Every hypothesis of every trial ties: 32 * 64 * 256 = 2**19 of
         # them.  Listing them all before the re-check took over 300 MB; the
@@ -341,13 +366,13 @@ class TestBatchedMlEngine:
 
 
 def assert_within_gain_bound(gains, h, table, delta):
-    """Each trial's conjugate gains stack from ``ml_gains`` (T, n_rx, C)
+    """Each trial's gains stack from ``ml_gains`` (T, n_rx, C)
     lies within 2 (N + 2) eps sum_n |h[r, n]| of the direct H theta_p,
     entry by entry (``TestMlGains.test_gains_within_rounding_bound``)."""
     eps = np.finfo(float).eps
     for g, h_t in zip(gains, h):
         bound = 2 * (h_t.shape[1] + 2) * eps * np.abs(h_t).sum(axis=1)
-        error = np.abs(g.conj() - direct_gains(h_t, table, delta))
+        error = np.abs(g - direct_gains(h_t, table, delta))
         assert np.all(error <= bound[:, None])
 
 
@@ -375,7 +400,7 @@ class TestMlGains:
     # the last two have a leftover block of 1 and 2 reflectors
     @pytest.mark.parametrize("n_rx,n_sel,n_refl", [(12, 2, 64), (12, 3, 64), (8, 4, 66)])
     def test_gains_within_rounding_bound(self, n_rx, n_sel, n_refl):
-        """|conj(stack) - H theta_p| <= 2 (N + 2) eps sum_n |h[r, n]| for
+        """|stack - H theta_p| <= 2 (N + 2) eps sum_n |h[r, n]| for
         each antenna r and row p, N = n_refl and eps the machine epsilon.
 
         Both sides sum the products h[r, n] u_n of the same rounded phases
@@ -388,17 +413,24 @@ class TestMlGains:
         either side lies within sqrt(2) gamma_(N+1) (1 + eps) sum_n
         |h[r, n]| of the exact sum, about (N + 1) eps / sqrt(2) times it,
         and the two within sqrt(2) (N + 1) eps sum_n |h[r, n]|; the bound's
-        2 (N + 2) leaves room for the second-order terms.  Conjugating the
-        stack is exact.  An all-zero row has a
-        zero bound, and both sides give exactly 0 there.
+        2 (N + 2) leaves room for the second-order terms.  An all-zero row
+        has a zero bound, and both sides give exactly 0 there.
         """
         cfg = SystemConfig(n_rx=n_rx, n_sel=n_sel, n_refl=n_refl)
         table = build_rac_table(n_rx, n_sel)
-        _, h, _ = draw_trials(7, range(CHUNK_TRIALS), 1, n_rx, n_refl)
+        _, h, _ = draw_trials(TrialStreams(7), range(CHUNK_TRIALS), 1, n_rx, n_refl)
         h[3, 1] = 0  # a dead antenna
         gains, _ = channel_gains(h, n_sel)
         assert_within_gain_bound(gains, h, table, cfg.delta)
         np.testing.assert_array_equal(gains[3, 1], 0)
+
+    @pytest.mark.parametrize("n_rx,n_sel,n_refl", [(12, 2, 64), (8, 3, 64), (5, 1, 7)])
+    def test_cross_gains_are_only_read(self, n_rx, n_sel, n_refl):
+        _, h, _ = draw_trials(TrialStreams(9), range(CHUNK_TRIALS), 1, n_rx, n_refl)
+        cross, index = cross_gains(h, aligning_phases(h), n_sel)
+        before = cross.copy()
+        ml_gains(cross, index)
+        np.testing.assert_array_equal(cross.view(np.uint64), before.view(np.uint64))
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(gain_stacks())
@@ -409,13 +441,12 @@ class TestMlGains:
         # them; a trial's gains do not depend on the chunk it runs in
         cfg, h = case
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        _, (_, cross_buf, gains_buf), _ = irsmas.harness._workspace(cfg, "ml", CHUNK_TRIALS)
+        _, (_, cross_buf), _ = irsmas.harness._workspace(cfg, CHUNK_TRIALS)
         cross_buf.fill(np.nan)
-        gains_buf.fill(np.nan)
         for lo in range(0, len(h), CHUNK_TRIALS):
             chunk = h[lo : lo + CHUNK_TRIALS]
             cross = cross_gains(chunk, aligning_phases(chunk), cfg.n_sel, cross_buf)
-            gains, _ = ml_gains(*cross, gains_buf)
+            gains, _ = ml_gains(*cross)
             assert gains.shape == (len(chunk), cfg.n_rx, table.row_count)
             assert_within_gain_bound(gains, chunk, table, cfg.delta)
             alone, _ = channel_gains(chunk[-1:], cfg.n_sel)
@@ -431,7 +462,7 @@ class TestCandidateGains:
     @given(gain_stacks(), st.integers(1, 3), st.integers(0, 2**32))
     @example((SystemConfig(n_rx=8, n_sel=4, n_refl=66),  # a leftover block of 2
               np.ones((CHUNK_TRIALS + 1, 8, 66), dtype=complex)), 2, 0)
-    def test_equal_conjugate_ml_stack(self, case, n_points, seed):
+    def test_equal_ml_stack(self, case, n_points, seed):
         cfg, h = case
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         rng = np.random.default_rng(seed)
@@ -443,8 +474,8 @@ class TestCandidateGains:
         assert cross.shape == (n_blocks, len(h), cfg.n_rx, cfg.n_rx)
         assert np.shares_memory(cross, out)
         gains = candidate_gains(cross, index, cand)
-        stack, _ = ml_gains(cross, index)  # conjugates the cross gains in place
-        want = stack.conj().transpose(0, 2, 1)[np.arange(len(cand)) % len(h)]
+        stack, _ = ml_gains(cross, index)
+        want = stack.transpose(0, 2, 1)[np.arange(len(cand)) % len(h)]
         np.testing.assert_array_equal(gains, np.take_along_axis(want, cand[..., None], axis=1))
 
     @pytest.mark.parametrize("n_rx,n_sel,n_refl", [(12, 2, 64), (12, 3, 64), (8, 4, 66)])
@@ -452,11 +483,11 @@ class TestCandidateGains:
         # the bound of TestMlGains.test_gains_within_rounding_bound
         cfg = SystemConfig(n_rx=n_rx, n_sel=n_sel, n_refl=n_refl)
         table = build_rac_table(n_rx, n_sel)
-        _, h, _ = draw_trials(8, range(CHUNK_TRIALS), 1, n_rx, n_refl)
+        _, h, _ = draw_trials(TrialStreams(8), range(CHUNK_TRIALS), 1, n_rx, n_refl)
         h[3, 1] = 0  # a dead antenna
         every_row = np.broadcast_to(np.arange(table.row_count), (CHUNK_TRIALS, table.row_count))
         gains = candidate_gains(*cross_gains(h, aligning_phases(h), n_sel), every_row)
-        assert_within_gain_bound(gains.transpose(0, 2, 1).conj(), h, table, cfg.delta)
+        assert_within_gain_bound(gains.transpose(0, 2, 1), h, table, cfg.delta)
         np.testing.assert_array_equal(gains[3, :, 1], 0)
 
 
@@ -505,7 +536,7 @@ class TestBatchedSasEngine:
             p_hat, labels, got_d = ml_detect_batch(y[None], gains, energy, None, pinned, table)
             ref_bits, _ = direct_sas_detect(y, ch, cfg, scheme)
             np.testing.assert_array_equal(detected_bits(p_hat, labels, pinned)[0], ref_bits)
-            _, ref_d = direct_sas_detect(y, ch, cfg, scheme, gains=gains[0].conj())
+            _, ref_d = direct_sas_detect(y, ch, cfg, scheme, gains=gains[0])
             assert got_d[0] == ref_d
         assert point_block(cfg, scheme, "ml", start, count) == (count, *want)
 
@@ -668,7 +699,8 @@ def test_error_counts_equal_the_bit_compare(monkeypatch, name, trials):
 
     monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
     monkeypatch.setattr(irsmas.harness, f"{detector}_detect_batch", detect)
-    counts = _chunk_counts(cfg, detector, trials, sigmas)
+    counts = _chunk_counts(cfg, detector, trials, sigmas,
+                           irsmas.harness._workspace(cfg, len(trials)))
     p_hat, labels = (np.concatenate(part) for part in zip(*decided))
     wrong = detected_bits(p_hat, labels, cfg).reshape(len(sigmas), len(trials), -1) != sent[0]
     errors = np.count_nonzero(wrong, axis=2)
@@ -689,7 +721,7 @@ def test_one_generator_per_block(monkeypatch):
 
     cfg = scheme_config(CHUNK_CASES["mas-ssd"][2], "mas", "ssd")
     count = 3 * CHUNK_TRIALS + 5
-    alone = [_chunk_counts(cfg, "ssd", range(t, t + 1), (10.0,))[0]
+    alone = [_block_counts((cfg, "ssd", t, 1, (10.0,)))[0][1:]
              for t in range(100, 100 + count)]
     monkeypatch.setattr(np.random, "Philox", philox)
     got = _block_counts((cfg, "ssd", 100, count, (10.0,)))
@@ -751,10 +783,9 @@ class TestWorkspace:
             seen.append(("cross", len(h), (phases.ctypes.data, cross.ctypes.data)))
             return cross, index
 
-        def ml_gains(cross, index, out=None):
-            assert out.shape == (32, cfg.n_rx, index.shape[1])
-            seen.append(("ml", cross.shape[1], (cross.ctypes.data, out.ctypes.data)))
-            return real_ml(cross, index, out)
+        def ml_gains(cross, index):
+            seen.append(("ml", cross.shape[1], cross.ctypes.data))
+            return real_ml(cross, index)
 
         monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
         monkeypatch.setattr(irsmas.harness, "aligning_phases", aligning_phases)
@@ -774,7 +805,7 @@ class TestWorkspace:
         ((from_phases, cross),) = {data for k, _, data in seen if k == "cross"}
         assert from_phases == phases
         if detector == "ml":
-            assert {data[0] for k, _, data in seen if k == "ml"} == {cross}
+            assert {data for k, _, data in seen if k == "ml"} == {cross}
 
     @pytest.mark.parametrize("count", [CHUNK_TRIALS, 7])  # a full chunk, then a ragged one
     def test_ml_into_used_buffers_equals_fresh_search(self, count):
@@ -785,40 +816,18 @@ class TestWorkspace:
         size = CHUNK_TRIALS + 5
         phases = np.full((size, cfg.n_rx, cfg.n_refl), np.nan, dtype=complex)
         cross_buf = np.full((2, size, cfg.n_rx, cfg.n_rx), np.nan, dtype=complex)  # 2 blocks
-        gains_buf = np.full((size, cfg.n_rx, table.row_count), np.nan, dtype=complex)
         want = ml_detect_batch(y, *channel_gains(h, cfg.n_sel), norms, cfg, table)
         for _ in range(2):  # NaN-filled buffers, then the same buffers used
             cross = cross_gains(h, aligning_phases(h, out=phases[:count]), cfg.n_sel, cross_buf)
-            gains, energy = ml_gains(*cross, gains_buf)
-            got = ml_detect_batch(y, gains, energy, norms, cfg, table)
+            got = ml_detect_batch(y, *ml_gains(*cross), norms, cfg, table)
             for got_part, want_part in zip(got, want):
                 np.testing.assert_array_equal(got_part, want_part)
 
-    def test_ml_workspace_lowers_the_chunk_peak(self):
-        _, detector, cfg = CHUNK_CASES["mas-ml"]
-        trials = range(45, 45 + CHUNK_TRIALS)
-        workspace = irsmas.harness._workspace(cfg, detector, CHUNK_TRIALS)
-        (_, _, h, _), (phases, _, gains), _ = workspace
-        sigmas = (cfg.noise_sigma,)
-        want = _chunk_counts(cfg, detector, trials, sigmas)  # build the cached sets first
-        peaks = []
-        tracemalloc.start()
-        try:
-            for space in (None, workspace):
-                tracemalloc.reset_peak()
-                assert _chunk_counts(cfg, detector, trials, sigmas, space) == want
-                peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        # without a workspace, the search holds the channels, their phases
-        # and the gains stack at once
-        assert peaks[0] - peaks[1] >= h.nbytes + phases.nbytes + gains.nbytes
-
     @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
-    def test_workspace_adds_only_the_ml_buffers_to_the_draws(self, name):
+    def test_workspace_adds_only_the_cross_gains_to_the_draws(self, name):
         scheme, detector, cfg = CHUNK_CASES[name]
         cfg = scheme_config(cfg, scheme, detector)
-        draws, rest, _ = irsmas.harness._workspace(cfg, detector, CHUNK_TRIALS)
+        draws, rest, _ = irsmas.harness._workspace(cfg, CHUNK_TRIALS)
         memory = draws[0]
         while memory.base is not None:
             memory = memory.base
@@ -827,14 +836,23 @@ class TestWorkspace:
         # every chunk's phases take the normals' bytes
         assert rest[0].shape == draws[2].shape and np.shares_memory(rest[0], draws[1])
         # every buffer is a multiple of 64 bytes here, so none is padded
-        ml_bytes = sum(buf.nbytes for buf in rest[1:])
-        assert memory.nbytes == ml_bytes + sum(math.prod(shape) * dtype.itemsize
-                                               for shape, dtype in layout)
-        # every non-empty reflector block's cross gains for either detector,
-        # and the ml search's gains stack, for mas and for the baselines alike
+        assert len(rest) == 2
+        assert memory.nbytes == rest[1].nbytes + sum(math.prod(shape) * dtype.itemsize
+                                                     for shape, dtype in layout)
+        # every reflector block's cross gains, for either detector, for mas
+        # and for the baselines alike
         n_blocks = cfg.n_sel + (cfg.n_refl % cfg.n_sel > 0)
         assert rest[1].shape == (n_blocks, CHUNK_TRIALS, cfg.n_rx, cfg.n_rx)
-        assert len(rest) == (3 if detector == "ml" else 2)
+
+    @pytest.mark.parametrize("name", ["bpsk", "n_sel-3"])
+    def test_one_layout_for_both_detectors(self, name):
+        # a chunk of either detector runs in the same workspace
+        layouts = []
+        for detector in ("ml", "ssd"):
+            cfg = scheme_config(NOISELESS_CASES[name], "mas", detector)
+            draws, rest, _ = irsmas.harness._workspace(cfg, CHUNK_TRIALS)
+            layouts.append([(buf.shape, buf.dtype) for buf in (*draws, *rest)])
+        assert layouts[0] == layouts[1]
 
     def test_draws_into_used_buffers_equal_fresh_draws(self):
         n_bits, n_rx, n_refl = 7, 3, 5
@@ -844,8 +862,8 @@ class TestWorkspace:
             buf.fill(np.nan)
         # NaN-filled buffers, then a larger chunk, then a smaller one after it
         for trials in (range(40, 44), range(20, 30), range(2**32 - 1, 2**32 + 2)):
-            got = draw_trials(9, trials, n_bits, n_rx, n_refl, out=out)
-            want = draw_trials(9, trials, n_bits, n_rx, n_refl)
+            got = draw_trials(TrialStreams(9), trials, n_bits, n_rx, n_refl, out=out)
+            want = draw_trials(TrialStreams(9), trials, n_bits, n_rx, n_refl)
             for got_part, want_part in zip(got, want):
                 np.testing.assert_array_equal(got_part, want_part)
 
@@ -1073,7 +1091,7 @@ class TestRunSweep:
                 assert_once_per_chunk(chunks(row.trials))
         assert [row.trials for row in rows] == [BLOCK_TRIALS, 2 * BLOCK_TRIALS,
                                                 3 * BLOCK_TRIALS]
-        # ml searches each point in turn, from one set of cross gains a chunk
+        # ml detects every point in one call too, from one set of cross gains a chunk
         for cfg in cases[0], cases[2]:
             calls.clear()
             rows = run_sweep(cfg, "mas", "ml", workers=1)

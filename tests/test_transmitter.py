@@ -142,8 +142,7 @@ class TestReflectorPhases:
         table = build_rac_table(n_rx, n_sel)
         h = np.stack([sample_channel(n_rx, n_refl, trial_rng(9, t)).h for t in range(3)])
         phases, index = aligning_phases(h), gain_index(n_rx, n_sel, n_refl)
-        blocks = [block for block, _ in reflector_blocks(n_refl, n_sel)
-                  if block.start < block.stop]
+        blocks = [block for block, _ in reflector_blocks(n_refl, n_sel)]
         for t in range(3):
             for r, row in enumerate(table.rows):
                 # block k of row r takes the phases of antenna index[k, r]
@@ -161,8 +160,9 @@ class TestReflectorPhases:
         assert len(index) == n_sel + (n_refl % n_sel > 0)  # a leftover block is the last
         rows = build_rac_table(n_rx, n_sel).rows
         blocks = reflector_blocks(n_refl, n_sel)
+        # a leftover block only when n_sel does not divide n_refl
         assert [block.stop - block.start for block, _ in blocks] == (
-            [n_refl // n_sel] * n_sel + [n_refl % n_sel])
+            [n_refl // n_sel] * n_sel + [n_refl % n_sel] * (n_refl % n_sel > 0))
         for antenna, (_, slot) in zip(index, blocks):
             np.testing.assert_array_equal(antenna, rows[:, slot] - 1)
 
