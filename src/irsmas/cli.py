@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -219,6 +220,17 @@ def _rows_to_json(rows, config=None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _file_mode(path) -> int:
+    """The mode ``open(path, "w")`` leaves: an existing file's own, else
+    0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def emit_results(rows, out_format: str, path, config=None) -> None:
     """Write sweep rows as CSV or JSON, atomically when a path is given."""
     rows = list(rows)
@@ -234,10 +246,12 @@ def emit_results(rows, out_format: str, path, config=None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
+    mode = _file_mode(path)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)  # mkstemp's file is 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -12,21 +12,28 @@ still live when it is handed out: drawn and encoded once, with the
 per-block cross gains that give every antenna combination its effective
 gain formed once, for the noiseless received vectors and the detector
 alike, and never written after.  The received vectors of every live
-point are stacked, and one detector call, ``ml`` or ``ssd``, serves them
-all.  Jobs go out in block order through one scheduler, on one process
-pool for the whole sweep (or in process with one worker).  With fewer
-blocks than workers, the points are dealt round-robin into max(1,
-min(points, workers // blocks)) groups, whose jobs each draw the block.
+point are stacked, and one detector call serves them all: one ``ssd``
+call a stack, one ``ml`` call a chunk.  Jobs go out in block order
+through one scheduler, on one process pool for the whole sweep (or in
+process with one worker).  With fewer blocks than workers, the points
+are dealt round-robin into max(1, min(points, workers // blocks))
+groups, whose jobs each draw the block.
 
 Every block, of every scheme and detector, runs through the batched
-engine, in one workspace of the same layout for either detector: chunks
-of CHUNK_TRIALS trials pass each stage (draws, cross gains, encode,
-propagate, detect) as arrays over trials x candidates.  Below the gate,
-``scheme_config``, a baseline is the mas config its pin made, so the
-engine reads the config and the detector, never the scheme.  Every trial
-draws from its own stream and gets the same arithmetic whatever chunk it
-runs in, so a block's counts equal the sum of ``run_trial`` outcomes over
-its trials.  ``run_trial`` is ``_block_counts`` on a block of one trial.
+engine, in one workspace of the same layout for either detector, as
+arrays over trials x candidates.  A block is cut into stacks of k chunks
+of CHUNK_TRIALS trials.  Each chunk is drawn, and its phases, cross gains
+and row norms formed, in chunk-sized draw buffers; each stack is encoded,
+propagated and detected at once.  k is STACK_ROWS // (CHUNK_TRIALS x the
+live points), at least 1, lowered until the stack's cross gains take no
+more bytes than a chunk's draw buffers.  The ``ml`` search takes a stack
+a chunk at a time, since its gains stack and screen grow with the trials
+searched.  Below the gate, ``scheme_config``, a baseline is the mas
+config its pin made, so the engine reads the config and the detector,
+never the scheme.  Every trial draws from its own stream and gets the
+same arithmetic whatever chunk and stack it runs in, so a block's counts
+equal the sum of ``run_trial`` outcomes over its trials.  ``run_trial``
+is ``_block_counts`` on a block of one trial.
 """
 
 import math
@@ -55,8 +62,11 @@ from .rac import build_rac_table
 from .transmitter import aligning_phases, encode_batch, reflector_blocks, row_norms
 
 BLOCK_TRIALS = 1000
-# Trials the batched engine carries through each stage at once.
+# Trials the batched engine draws and forms cross gains for at once.
 CHUNK_TRIALS = 32
+# Most received vectors (trials x live points) a stack of chunks detects at
+# once, unless one chunk's are more.
+STACK_ROWS = 128
 
 SCHEMES = ("mas", "sas-sm", "sas-ssk")
 DETECTORS = ("ml", "ssd")
@@ -133,61 +143,91 @@ def bits_per_tx(cfg: SystemConfig, scheme: str) -> int:
 
 
 def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas, workspace) -> list:
-    """(bit errors, block errors, MACs) of a few trials, run as arrays in
-    ``workspace``, ``_workspace``'s for at least this many trials, at each
-    noise level of ``sigmas``.
+    """(bit errors, block errors, MACs) of a stack of trials, run as arrays
+    in ``workspace``, ``_workspace``'s for at least this many trials, at
+    each noise level of ``sigmas``.
 
-    Each trial draws bits, channel and noise from its own ``trial_rng``
-    stream, in that order, and the draws, phases and cross gains overwrite
-    the workspace's arrays.  The chunk's ``cross_gains`` are formed once,
-    before encoding, and nothing writes them after: the noiseless received
-    vector is the transmitted row's ``candidate_gains`` times x, and either
-    detector reads the same cross gains, so a noiseless distance is exactly
-    0.  The received vectors of every level are stacked, level by level,
-    for one detector call.  A trial's bit errors are the set bits of the
-    detected row XOR the sent one plus those of each slot's detected label
-    XOR the sent label (both packed by ``encode_batch``), and it is a block
-    error when any is set.  ``cfg`` is ``scheme_config``'s, a baseline's
-    included, so every scheme takes the same stages; its noise_sigma is
-    not read.
+    The front end runs chunk by chunk, in the workspace's chunk-sized draw
+    buffers: each trial draws bits, channel and noise from its own
+    ``trial_rng`` stream, in that order, and its chunk's phases give its
+    ``cross_gains``, formed into the stack's slab and never written after.
+    The chunk's bits, unit noise and row norms are kept in the stack's
+    arrays too.  The back end then runs once for the stack: the noiseless
+    received vector is the transmitted row's ``candidate_gains`` times x,
+    and either detector reads the same cross gains, so a noiseless distance
+    is exactly 0.  The received vectors of every level are stacked, level
+    by level, for one ``ssd`` call; the ``ml`` search takes them a chunk of
+    trials at a time, so its (T, n_rx, C) gains stack stays chunk-sized.  A
+    trial's bit errors are the set bits of the detected row XOR the sent
+    one plus those of each slot's detected label XOR the sent label (both
+    packed by ``encode_batch``), and it is a block error when any is set.
+    ``cfg`` is ``scheme_config``'s, a baseline's included, so every scheme
+    takes the same stages; its noise_sigma is not read.
     """
-    draws, (phases, cross), streams = workspace
-    n_trials = len(trials)
+    draws, (phases, cross, norms, bits, noise), streams = workspace
+    n_trials, n_points = len(trials), len(sigmas)
+    step = len(phases)  # the draw buffers' chunk
+    chunks = [slice(lo, min(lo + step, n_trials)) for lo in range(0, n_trials, step)]
     table = build_rac_table(cfg.n_rx, cfg.n_sel)
-    bits, h, noise = draw_trials(streams, trials, cfg.block_len, cfg.n_rx, cfg.n_refl,
-                                 out=draws)
-    # every antenna's reflector phases, from which every gain of the chunk is formed
-    phases = aligning_phases(h, out=phases[:n_trials])
-    cross, index = cross_gains(h, phases, cfg.n_sel, out=cross)
-    # the row norms order the slots, for the encoder and either detector;
-    # one slot needs no order.  The cross gains have read the phases, so
-    # their buffer takes the norms' conj(h) h.
-    norms = row_norms(h, out=phases) if cfg.n_sel > 1 else None
+    cross, bits, noise = cross[:, :n_trials], bits[:n_trials], noise[:n_trials]
+    norms = norms[:n_trials] if cfg.n_sel > 1 else None  # one slot needs no order
+    for chunk in chunks:
+        bits[chunk], h, noise[chunk] = draw_trials(streams, trials[chunk], cfg.block_len,
+                                                   cfg.n_rx, cfg.n_refl, out=draws)
+        # every antenna's reflector phases, from which every gain of the chunk is formed
+        u = aligning_phases(h, out=phases[: len(h)])
+        _, index = cross_gains(h, u, cfg.n_sel, out=cross[:, chunk])
+        # the row norms order the slots, for the encoder and either
+        # detector.  The cross gains have read the phases, so their buffer
+        # takes the norms' conj(h) h.
+        if norms is not None:
+            norms[chunk] = row_norms(h, out=u)
     p, labels, x = encode_batch(bits, norms, cfg, table)
     received = candidate_gains(cross, index, p[:, None])[:, 0] * x[:, None]
     y = np.concatenate([add_noise(received, noise, sigma) for sigma in sigmas])
+    shape = n_points, n_trials
     if detector == "ml":
-        p_hat, labels_hat, _ = ml_detect_batch(y, *ml_gains(cross, index), norms, cfg, table)
-        macs = [n_trials * mac_ml(cfg)] * len(sigmas)
+        y = y.reshape(*shape, cfg.n_rx)
+        found = [ml_detect_batch(y[:, chunk].reshape(-1, cfg.n_rx),
+                                 *ml_gains(cross[:, chunk], index),
+                                 None if norms is None else norms[chunk], cfg, table)
+                 for chunk in chunks]
+        p_hat = np.concatenate([f[0].reshape(n_points, -1) for f in found], axis=1)
+        labels_hat = np.concatenate([f[1].reshape(n_points, -1, cfg.n_sel) for f in found], axis=1)
+        macs = [n_trials * mac_ml(cfg)] * n_points
     else:
         p_hat, labels_hat, _, n_cand = ssd_detect_batch(y, cross, index, norms, cfg, table)
-        macs = mac_ssd(cfg, n_cand).reshape(len(sigmas), n_trials).sum(axis=1)
-    shape = len(sigmas), n_trials
+        macs = mac_ssd(cfg, n_cand).reshape(shape).sum(axis=1)
     errors = (np.bitwise_count(p_hat.reshape(shape) ^ p)
               + np.bitwise_count(labels_hat.reshape(*shape, -1) ^ labels).sum(axis=-1))
     return [(int(e.sum()), int(np.count_nonzero(e)), int(mac)) for e, mac in zip(errors, macs)]
 
 
-def _workspace(cfg: SystemConfig, n_trials: int):
-    """What a chunk of up to ``n_trials`` trials of ``scheme_config``'s
-    ``cfg`` needs that does not change from chunk to chunk, laid out the
-    same for either detector: the draws' buffers, the aligning phases and
-    the ``cross_gains`` of every reflector block (K, n_trials, n_rx, n_rx),
-    and the seed's ``TrialStreams``, whose one Philox generator serves
-    every trial of the block.  The phases share the normals' bytes, so they
-    cost no memory.
+def _stack_trials(cfg: SystemConfig, count: int, n_points: int) -> int:
+    """Trials a stack of a block of ``count`` trials at ``n_points`` live
+    points holds: k chunks, k = STACK_ROWS // (CHUNK_TRIALS n_points), at
+    least 1, and lowered so that the stack's cross gains take no more bytes
+    than one chunk's draw buffers; never more than the block."""
+    chunk = min(CHUNK_TRIALS, count)
+    draw_bytes = sum(math.prod(shape) * dtype.itemsize
+                     for shape, dtype in draw_layout(chunk, cfg.block_len, cfg.n_rx, cfg.n_refl))
+    n_blocks = len(reflector_blocks(cfg.n_refl, cfg.n_sel))
+    cross_bytes = n_blocks * chunk * cfg.n_rx * cfg.n_rx * np.dtype(complex).itemsize
+    k = max(1, min(STACK_ROWS // (CHUNK_TRIALS * n_points), draw_bytes // cross_bytes))
+    return min(k * CHUNK_TRIALS, count)
 
-    A block builds them once and every chunk reuses them, so the chunk
+
+def _workspace(cfg: SystemConfig, n_trials: int, n_stack: int):
+    """What a stack of up to ``n_stack`` trials of ``scheme_config``'s
+    ``cfg``, run in chunks of up to ``n_trials``, needs that does not change
+    from stack to stack, laid out the same for either detector: the draws'
+    chunk-sized buffers and aligning phases, the stack's ``cross_gains`` of
+    every reflector block (K, n_stack, n_rx, n_rx), row norms, bits and
+    unit noise, which each chunk fills in its own rows, and the seed's
+    ``TrialStreams``, whose one Philox generator serves every trial of the
+    block.  The phases share the normals' bytes, so they cost no memory.
+
+    A block builds them once and every stack reuses them, so the stack
     loop does not free and fault in the same pages again.  The arrays are
     views of one allocation, at offsets that are multiples of 64 bytes:
     freed at the end of a block as one large mmap'ed chunk, it makes glibc
@@ -196,16 +236,20 @@ def _workspace(cfg: SystemConfig, n_trials: int):
     """
     layout = draw_layout(n_trials, cfg.block_len, cfg.n_rx, cfg.n_refl)
     n_blocks = len(reflector_blocks(cfg.n_refl, cfg.n_sel))
-    layout.append(((n_blocks, n_trials, cfg.n_rx, cfg.n_rx), np.dtype(complex)))
+    layout += [((n_blocks, n_stack, cfg.n_rx, cfg.n_rx), np.dtype(complex)),
+               ((n_stack, cfg.n_rx), np.dtype(float)),
+               ((n_stack, cfg.block_len), np.dtype(np.int64)),
+               ((n_stack, cfg.n_rx), np.dtype(complex))]
     nbytes = [math.prod(shape) * dtype.itemsize for shape, dtype in layout]
     starts = np.cumsum([0] + [-(-n // 64) * 64 for n in nbytes])
     memory = np.empty(starts[-1], dtype=np.uint8)
-    *draws, cross = [memory[lo : lo + n].view(dtype).reshape(shape)
-                     for (shape, dtype), n, lo in zip(layout, nbytes, starts)]
+    buffers = [memory[lo : lo + n].view(dtype).reshape(shape)
+               for (shape, dtype), n, lo in zip(layout, nbytes, starts)]
+    draws, stack = buffers[:4], buffers[4:]
     # the phases, shaped like the channels: draw_trials has consumed the
     # normals by the time the phases are computed
     phases = draws[1].ravel().view(complex)[: draws[2].size].reshape(draws[2].shape)
-    return draws, (phases, cross), TrialStreams(cfg.seed)
+    return draws, (phases, *stack), TrialStreams(cfg.seed)
 
 
 def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -> TrialOutcome:
@@ -219,13 +263,15 @@ def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -
 
 def _block_counts(args) -> list:
     """(trials, bit errors, block errors, MACs) of one scheduling block at
-    each noise level of ``sigmas`` (top level for pickling)."""
+    each noise level of ``sigmas`` (top level for pickling), summed over
+    its stacks of ``_stack_trials`` trials, each run by ``_chunk_counts`` in
+    the block's one ``_workspace``."""
     cfg, detector, start, count, sigmas = args
     stop = start + count
-    workspace = _workspace(cfg, min(CHUNK_TRIALS, count))
-    parts = [_chunk_counts(cfg, detector, range(lo, min(lo + CHUNK_TRIALS, stop)), sigmas,
-                           workspace)
-             for lo in range(start, stop, CHUNK_TRIALS)]
+    n_stack = _stack_trials(cfg, count, len(sigmas))
+    workspace = _workspace(cfg, min(CHUNK_TRIALS, count), n_stack)
+    parts = [_chunk_counts(cfg, detector, range(lo, min(lo + n_stack, stop)), sigmas, workspace)
+             for lo in range(start, stop, n_stack)]
     return [(count, *(sum(column) for column in zip(*point))) for point in zip(*parts)]
 
 

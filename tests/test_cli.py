@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -371,6 +372,30 @@ class TestEmit:
         assert "stale" not in out.read_text()
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path, umask):
+        # as `python -m irsmas --trials 10 --snr inf --out r.csv` writes it
+        out, reference = tmp_path / "r.csv", tmp_path / "reference.csv"
+        previous = os.umask(umask)
+        try:
+            assert main(["--trials", "10", "--snr", "inf", "--out", str(out)]) == 0
+            with open(reference, "w"):
+                pass
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640, 0o664])
+    def test_existing_file_keeps_its_mode(self, tmp_path, mode):
+        out = tmp_path / "r.csv"
+        out.write_text("stale")
+        out.chmod(mode)
+        emit_results(make_rows(), "csv", str(out))
+        assert "stale" not in out.read_text()
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
 
     def test_rerun_identical(self, tmp_path):
         out = tmp_path / "r.csv"

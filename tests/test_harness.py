@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import irsmas.detection
 import irsmas.harness
 from irsmas.channel import ChannelMatrix, TrialStreams, draw_layout, draw_trials
+from irsmas.cli import emit_results
 from irsmas.core import (
     SystemConfig,
     make_constellation,
@@ -35,10 +36,12 @@ from irsmas.harness import (
     BLOCK_TRIALS,
     CHUNK_TRIALS,
     CSV_COLUMNS,
+    STACK_ROWS,
     SweepRow,
     _block_counts,
     _chunk_counts,
     _resolve_workers,
+    _stack_trials,
     bits_per_tx,
     compute_metrics,
     run_sweep,
@@ -441,7 +444,7 @@ class TestMlGains:
         # them; a trial's gains do not depend on the chunk it runs in
         cfg, h = case
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        _, (_, cross_buf), _ = irsmas.harness._workspace(cfg, CHUNK_TRIALS)
+        _, (_, cross_buf, *_), _ = irsmas.harness._workspace(cfg, CHUNK_TRIALS, CHUNK_TRIALS)
         cross_buf.fill(np.nan)
         for lo in range(0, len(h), CHUNK_TRIALS):
             chunk = h[lo : lo + CHUNK_TRIALS]
@@ -700,7 +703,7 @@ def test_error_counts_equal_the_bit_compare(monkeypatch, name, trials):
     monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
     monkeypatch.setattr(irsmas.harness, f"{detector}_detect_batch", detect)
     counts = _chunk_counts(cfg, detector, trials, sigmas,
-                           irsmas.harness._workspace(cfg, len(trials)))
+                           irsmas.harness._workspace(cfg, len(trials), len(trials)))
     p_hat, labels = (np.concatenate(part) for part in zip(*decided))
     wrong = detected_bits(p_hat, labels, cfg).reshape(len(sigmas), len(trials), -1) != sent[0]
     errors = np.count_nonzero(wrong, axis=2)
@@ -753,6 +756,153 @@ def test_ssd_stacked_block_memory_is_bounded():
     assert peak < 16 * 2**20, peak
 
 
+# name: (detector, config, the most chunks a stack's cross gains allow: one
+# chunk's draw buffers over its cross gains, 781 KiB / 144 KiB at 12 rx and
+# 2 blocks, 781 KiB / 288 KiB at 3 blocks of 21 reflectors and a leftover one)
+STACK_CASES = {
+    "ssd-bpsk": ("ssd", SystemConfig(noise_sigma=10.0, seed=21), 5),
+    "ml-qam16": ("ml", SystemConfig(mod_order=16, alpha=(0.05, 0.95), noise_sigma=4.0,
+                                    seed=22), 5),
+    "ssd-n_sel-3": ("ssd", SystemConfig(n_sel=3, alpha=(0.05, 0.2, 0.75), mod_order=4,
+                                        noise_sigma=10.0, seed=23), 2),
+    "ml-n_sel-3": ("ml", SystemConfig(n_sel=3, alpha=(0.05, 0.2, 0.75), mod_order=4,
+                                      noise_sigma=10.0, seed=24), 2),
+}
+
+
+def record_calls(monkeypatch, *names):
+    """Replace each named stage of the harness with a wrapper that records
+    the length of its first argument, and return the records."""
+    seen = []
+
+    def recording(name, real):
+        def wrapper(*args, **kwargs):
+            seen.append((name, len(args[1] if name == "draw_trials" else args[0])))
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(irsmas.harness, name, recording(name, getattr(irsmas.harness, name)))
+    return seen
+
+
+def sizes(seen, name):
+    return [n for k, n in seen if k == name]
+
+
+def splits(count, step):
+    """The lengths of ``count`` trials cut ``step`` at a time."""
+    return [min(step, count - lo) for lo in range(0, count, step)]
+
+
+class TestStacks:
+    """A block runs in stacks of k chunks: each chunk is drawn and its cross
+    gains formed on its own, and each stack is encoded and detected (ml a
+    chunk at a time) at once.  The counts are the one-chunk engine's."""
+
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(STACK_CASES))
+    def test_counts_equal_one_chunk_stacks(self, monkeypatch, name, n_points):
+        detector, cfg, most = STACK_CASES[name]
+        cfg = scheme_config(cfg, "mas", detector)
+        sigmas = (cfg.noise_sigma, 0.0, cfg.noise_sigma / 2, 2 * cfg.noise_sigma)[:n_points]
+        job = (cfg, detector, *CHUNK_BLOCK, sigmas)
+        monkeypatch.setattr(irsmas.harness, "STACK_ROWS", CHUNK_TRIALS)  # one chunk a stack
+        want = _block_counts(job)
+        assert want[0][2] > 0  # block errors
+        seen = record_calls(monkeypatch, "draw_trials", "encode_batch", "ml_detect_batch",
+                            "ssd_detect_batch")
+        # 67 trials in chunks of 32 (a ragged last stack at k = 2), and in
+        # chunks of 7 (stacks that end inside the block, ragged chunks)
+        for chunk in (32, 7):
+            monkeypatch.setattr(irsmas.harness, "CHUNK_TRIALS", chunk)
+            for k in (1, 2, 3, 4):
+                monkeypatch.setattr(irsmas.harness, "STACK_ROWS", k * chunk * n_points)
+                seen.clear()
+                assert _block_counts(job) == want, (chunk, k)
+                stack = min(k, most) * chunk
+                assert sizes(seen, "draw_trials") == splits(CHUNK_BLOCK[1], chunk)
+                assert sizes(seen, "encode_batch") == splits(CHUNK_BLOCK[1], stack)
+                # ssd detects a stack at once, ml a chunk at a time
+                step = stack if detector == "ssd" else chunk
+                detected = [n_points * n for n in splits(CHUNK_BLOCK[1], step)]
+                if detector == "ml":  # a stack's last chunk may be ragged
+                    detected = [n_points * n for part in splits(CHUNK_BLOCK[1], stack)
+                                for n in splits(part, chunk)]
+                assert sizes(seen, f"{detector}_detect_batch") == detected
+
+    def test_stack_length(self):
+        headline = scheme_config(SystemConfig(), "mas", "ssd")
+        # STACK_ROWS // (CHUNK_TRIALS x points) chunks, at least one
+        assert [_stack_trials(headline, BLOCK_TRIALS, n) for n in range(1, 7)] == \
+            [4 * CHUNK_TRIALS, 2 * CHUNK_TRIALS] + [CHUNK_TRIALS] * 4
+        assert STACK_ROWS == 4 * CHUNK_TRIALS
+        # never more than the block, nor than a stack of one-trial chunks
+        assert _stack_trials(headline, 67, 1) == 67
+        assert _stack_trials(headline, 1, 1) == 1
+        # lowered by the cross gains' bytes: two chunks at 3 blocks, one at 64 rx
+        n_sel_3 = scheme_config(STACK_CASES["ssd-n_sel-3"][1], "mas", "ssd")
+        assert _stack_trials(n_sel_3, BLOCK_TRIALS, 1) == 2 * CHUNK_TRIALS
+        wide = scheme_config(SystemConfig(n_rx=64, mod_order=64, alpha=(0.05, 0.95)), "mas",
+                             "ssd")
+        assert _stack_trials(wide, BLOCK_TRIALS, 1) == CHUNK_TRIALS
+
+    @pytest.mark.parametrize("detector", ["ssd", "ml"])
+    def test_headline_block_runs_128_trial_stacks(self, monkeypatch, detector):
+        cfg = scheme_config(SystemConfig(seed=5), "mas", detector)
+        seen = record_calls(monkeypatch, "draw_trials", "cross_gains", "encode_batch",
+                            "ml_gains", "ml_detect_batch", "ssd_detect_batch")
+        ((trials, _, block_errors, _),) = _block_counts((cfg, detector, 0, BLOCK_TRIALS,
+                                                         (10 ** (14 / 20),)))  # -14 dB
+        assert trials == BLOCK_TRIALS and block_errors > 0
+        chunks, stacks = splits(BLOCK_TRIALS, 32), splits(BLOCK_TRIALS, 128)
+        assert CHUNK_TRIALS == 32 and stacks == [128] * 7 + [104]
+        assert sizes(seen, "draw_trials") == sizes(seen, "cross_gains") == chunks
+        assert sizes(seen, "encode_batch") == stacks
+        if detector == "ssd":  # one detector call a stack
+            assert sizes(seen, "ssd_detect_batch") == stacks
+        else:  # the ml search keeps its chunk-sized gains stack
+            assert sizes(seen, "ml_detect_batch") == chunks
+            assert len(sizes(seen, "ml_gains")) == len(chunks)
+
+    def test_staggered_sweep_rows_equal_for_any_worker_count(self, monkeypatch, tmp_path):
+        """Three points stop in block 0, in block 1 and never, so block 0
+        runs stacks of one chunk, block 1 of two and block 2 of four; the
+        CSV is the same bytes at 1, 2 and 3 workers."""
+        cfg = TestRunSweep().staggered_cfg()
+        seen = record_calls(monkeypatch, "encode_batch")  # in this process alone
+        text = []
+        for workers in (1, 2, 3):
+            rows = run_sweep(cfg, "mas", "ssd", workers=workers)
+            emit_results(rows, "csv", str(tmp_path / f"{workers}.csv"))
+            text.append((tmp_path / f"{workers}.csv").read_bytes())
+            if workers == 1:
+                assert [r.trials for r in rows] == [BLOCK_TRIALS, 2 * BLOCK_TRIALS,
+                                                    3 * BLOCK_TRIALS]
+                assert sizes(seen, "encode_batch") == (splits(BLOCK_TRIALS, 32)
+                                                       + splits(BLOCK_TRIALS, 64)
+                                                       + splits(BLOCK_TRIALS, 128))
+        assert text[0] == text[1] == text[2]
+
+
+def test_ssd_one_point_stack_memory_is_bounded():
+    """A one-point 128-trial ssd block at 64 rx (C 1024) and 64-QAM keeps
+    one-chunk stacks: four chunks' cross gains (8 MiB) would outgrow a
+    chunk's draw buffers (4 MiB) and lift the tracemalloc peak from about
+    9 MiB to about 24 MiB."""
+    cfg = scheme_config(SystemConfig(n_rx=64, mod_order=64, alpha=(0.05, 0.95)), "mas", "ssd")
+    job = (cfg, "ssd", 0, 4 * CHUNK_TRIALS, (0.2,))
+    assert _stack_trials(cfg, 4 * CHUNK_TRIALS, 1) == CHUNK_TRIALS
+    want = _block_counts(job)  # build the cached tables first
+    tracemalloc.start()
+    try:
+        assert _block_counts(job) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
 class TestWorkspace:
     """A block allocates its chunks' large arrays once, and every chunk
     overwrites them."""
@@ -760,7 +910,9 @@ class TestWorkspace:
     @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
     def test_every_chunk_reuses_the_block_buffers(self, monkeypatch, name):
         scheme, detector, cfg = CHUNK_CASES[name]
+        # stacks of two chunks: 67 trials run as stacks of 64 and 3 trials
         monkeypatch.setattr(irsmas.harness, "CHUNK_TRIALS", 32)
+        monkeypatch.setattr(irsmas.harness, "STACK_ROWS", 64)
         seen = []
         real_draw, real_phases = irsmas.harness.draw_trials, irsmas.harness.aligning_phases
         real_cross, real_ml = irsmas.harness.cross_gains, irsmas.harness.ml_gains
@@ -777,8 +929,9 @@ class TestWorkspace:
 
         def cross_gains(h, phases, n_sel, out=None):
             cross, index = real_cross(h, phases, n_sel, out)
-            # every non-empty reflector block of the scheme's pin
-            assert out.shape == (len(index), 32, cfg.n_rx, cfg.n_rx)
+            # every non-empty reflector block of the scheme's pin, into the
+            # chunk's rows of the stack's cross gains
+            assert out.shape == (len(index), len(h), cfg.n_rx, cfg.n_rx)
             assert np.shares_memory(cross, out)
             seen.append(("cross", len(h), (phases.ctypes.data, cross.ctypes.data)))
             return cross, index
@@ -794,18 +947,21 @@ class TestWorkspace:
         assert point_block(cfg, scheme, detector, *CHUNK_BLOCK) == (CHUNK_BLOCK[1],
                                                                     *reference_block(name))
         # of any scheme: a baseline is an ml search at n_sel 1
-        kinds = ["draws", "phases", "cross"] + (["ml"] if detector == "ml" else [])
-        for kind in kinds:
+        for kind in ("draws", "phases"):
             calls = [(n, data) for k, n, data in seen if k == kind]
             assert [n for n, _ in calls] == [32, 32, 3]  # 67 trials: the last chunk is ragged
             assert len({data for _, data in calls}) == 1
-        # the cross gains are formed from the chunk's phases, and the ml
-        # search reads them where they were formed
+        # the cross gains are formed from the chunk's phases, into its rows
+        # of the stack's one buffer, which the second stack overwrites
         (phases,) = {data for k, _, data in seen if k == "phases"}
-        ((from_phases, cross),) = {data for k, _, data in seen if k == "cross"}
-        assert from_phases == phases
+        cross = [(n, data) for k, n, data in seen if k == "cross"]
+        assert {from_phases for _, (from_phases, _) in cross} == {phases}
+        cross = [(n, data) for n, (_, data) in cross]
+        base, row_bytes = cross[0][1], cfg.n_rx**2 * np.dtype(complex).itemsize
+        assert cross == [(32, base), (32, base + 32 * row_bytes), (3, base)]
         if detector == "ml":
-            assert {data for k, _, data in seen if k == "ml"} == {cross}
+            # the ml search reads each chunk's cross gains where they were formed
+            assert [(n, data) for k, n, data in seen if k == "ml"] == cross
 
     @pytest.mark.parametrize("count", [CHUNK_TRIALS, 7])  # a full chunk, then a ragged one
     def test_ml_into_used_buffers_equals_fresh_search(self, count):
@@ -825,24 +981,31 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
     def test_workspace_adds_only_the_cross_gains_to_the_draws(self, name):
+        # and what else the stack keeps of each chunk: its row norms, bits
+        # and unit noise, for a stack of one chunk and of four
         scheme, detector, cfg = CHUNK_CASES[name]
         cfg = scheme_config(cfg, scheme, detector)
-        draws, rest, _ = irsmas.harness._workspace(cfg, CHUNK_TRIALS)
-        memory = draws[0]
-        while memory.base is not None:
-            memory = memory.base
         layout = draw_layout(CHUNK_TRIALS, bits_per_tx(cfg, scheme), cfg.n_rx, cfg.n_refl)
-        assert [(buf.shape, buf.dtype) for buf in draws] == layout
-        # every chunk's phases take the normals' bytes
-        assert rest[0].shape == draws[2].shape and np.shares_memory(rest[0], draws[1])
-        # every buffer is a multiple of 64 bytes here, so none is padded
-        assert len(rest) == 2
-        assert memory.nbytes == rest[1].nbytes + sum(math.prod(shape) * dtype.itemsize
-                                                     for shape, dtype in layout)
-        # every reflector block's cross gains, for either detector, for mas
-        # and for the baselines alike
         n_blocks = cfg.n_sel + (cfg.n_refl % cfg.n_sel > 0)
-        assert rest[1].shape == (n_blocks, CHUNK_TRIALS, cfg.n_rx, cfg.n_rx)
+        for n_stack in (CHUNK_TRIALS, 4 * CHUNK_TRIALS):
+            draws, rest, _ = irsmas.harness._workspace(cfg, CHUNK_TRIALS, n_stack)
+            memory = draws[0]
+            while memory.base is not None:
+                memory = memory.base
+            # the draw buffers stay chunk-sized
+            assert [(buf.shape, buf.dtype) for buf in draws] == layout
+            # every chunk's phases take the normals' bytes
+            assert rest[0].shape == draws[2].shape and np.shares_memory(rest[0], draws[1])
+            # every reflector block's cross gains, for either detector, for
+            # mas and for the baselines alike, then the norms, bits and noise
+            stack = [((n_blocks, n_stack, cfg.n_rx, cfg.n_rx), np.dtype(complex)),
+                     ((n_stack, cfg.n_rx), np.dtype(float)),
+                     ((n_stack, cfg.block_len), np.dtype(np.int64)),
+                     ((n_stack, cfg.n_rx), np.dtype(complex))]
+            assert [(buf.shape, buf.dtype) for buf in rest[1:]] == stack
+            # every buffer is a multiple of 64 bytes here, so none is padded
+            assert memory.nbytes == sum(math.prod(shape) * dtype.itemsize
+                                        for shape, dtype in layout + stack)
 
     @pytest.mark.parametrize("name", ["bpsk", "n_sel-3"])
     def test_one_layout_for_both_detectors(self, name):
@@ -850,7 +1013,7 @@ class TestWorkspace:
         layouts = []
         for detector in ("ml", "ssd"):
             cfg = scheme_config(NOISELESS_CASES[name], "mas", detector)
-            draws, rest, _ = irsmas.harness._workspace(cfg, CHUNK_TRIALS)
+            draws, rest, _ = irsmas.harness._workspace(cfg, CHUNK_TRIALS, CHUNK_TRIALS)
             layouts.append([(buf.shape, buf.dtype) for buf in (*draws, *rest)])
         assert layouts[0] == layouts[1]
 
@@ -1036,33 +1199,38 @@ class TestRunSweep:
         assert opened == [4]  # a single block runs in process
 
     def test_block_drawn_and_encoded_once_per_sweep(self, monkeypatch):
-        # ssd detects every live point of a chunk in one stacked pass: each
+        # ssd detects every live point of a stack in one stacked pass: each
         # point's row equals its one-point sweep's, for any worker count and
         # whichever points the error budget has stopped.  Either detector
-        # forms the chunk's cross gains once, whatever the number of points.
+        # draws a trial and forms its cross gains once, a chunk at a time,
+        # and encodes it once, a stack of whole chunks at a time, whatever
+        # the number of points.
         calls = []
         real_draw, real_encode = irsmas.harness.draw_trials, irsmas.harness.encode_batch
         real_cross = irsmas.harness.cross_gains
 
-        def draw_trials(*args, **kwargs):
-            calls.append("draws")
-            return real_draw(*args, **kwargs)
+        def draw_trials(streams, trials, *args, **kwargs):
+            calls.append(("draws", len(trials)))
+            return real_draw(streams, trials, *args, **kwargs)
 
-        def encode_batch(*args):
-            calls.append("encode")
-            return real_encode(*args)
+        def encode_batch(bits, *args):
+            calls.append(("encode", len(bits)))
+            return real_encode(bits, *args)
 
-        def cross_gains(*args, **kwargs):
-            calls.append("cross")
-            return real_cross(*args, **kwargs)
+        def cross_gains(h, *args, **kwargs):
+            calls.append(("cross", len(h)))
+            return real_cross(h, *args, **kwargs)
 
         def chunks(trials):
             return sum(-(-min(BLOCK_TRIALS, trials - lo) // CHUNK_TRIALS)
                        for lo in range(0, trials, BLOCK_TRIALS))
 
-        def assert_once_per_chunk(n_chunks):
-            assert calls.count("draws") == calls.count("encode") == n_chunks
-            assert calls.count("cross") == n_chunks
+        def assert_once_per_trial(trials):
+            sizes = {kind: [n for k, n in calls if k == kind]
+                     for kind in ("draws", "cross", "encode")}
+            assert len(sizes["draws"]) == len(sizes["cross"]) == chunks(trials)
+            assert len(sizes["encode"]) <= chunks(trials)
+            assert sum(sizes["draws"]) == sum(sizes["cross"]) == sum(sizes["encode"]) == trials
 
         monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
         monkeypatch.setattr(irsmas.harness, "encode_batch", encode_batch)
@@ -1080,7 +1248,7 @@ class TestRunSweep:
         for cfg in cases:
             calls.clear()
             rows = run_sweep(cfg, "mas", "ssd", workers=1)
-            assert_once_per_chunk(chunks(max(row.trials for row in rows)))
+            assert_once_per_trial(max(row.trials for row in rows))
             for workers in (2, 3):
                 assert run_sweep(cfg, "mas", "ssd", workers=workers) == rows
             for snr_db, row in zip(cfg.snr_grid_db, rows):
@@ -1088,18 +1256,19 @@ class TestRunSweep:
                 alone = run_sweep(dataclasses.replace(cfg, snr_grid_db=(snr_db,)), "mas",
                                   "ssd", workers=1)
                 assert [repr(r.as_dict()) for r in alone] == [repr(row.as_dict())]
-                assert_once_per_chunk(chunks(row.trials))
+                assert_once_per_trial(row.trials)
         assert [row.trials for row in rows] == [BLOCK_TRIALS, 2 * BLOCK_TRIALS,
                                                 3 * BLOCK_TRIALS]
-        # ml detects every point in one call too, from one set of cross gains a chunk
+        # ml detects every point of a chunk in one call too, from one set of
+        # cross gains a chunk
         for cfg in cases[0], cases[2]:
             calls.clear()
             rows = run_sweep(cfg, "mas", "ml", workers=1)
-            assert_once_per_chunk(chunks(cfg.n_trials))
+            assert_once_per_trial(cfg.n_trials)
             calls.clear()
             assert run_sweep(dataclasses.replace(cfg, snr_grid_db=cfg.snr_grid_db[:1]), "mas",
                              "ml", workers=1) == rows[:1]
-            assert_once_per_chunk(chunks(cfg.n_trials))
+            assert_once_per_trial(cfg.n_trials)
 
     def test_empty_grid_rejected_before_any_trial(self, monkeypatch):
         def no_run(*args, **kwargs):
