@@ -195,6 +195,9 @@ def parse_run_spec(argv=None) -> RunSpec:
         parser.error(str(exc))
 
     out_path = resolve("out", args.out)
+    if out_path is not None and (not out_path or os.path.isdir(out_path) or
+                                 not os.path.isdir(os.path.dirname(os.path.abspath(out_path)))):
+        parser.error(f"out: expected a file in an existing directory, got {out_path!r}")
     out_format = resolve("format", args.format) or "csv"
     if out_format not in ("csv", "json"):
         parser.error(f"format: expected csv or json, got {out_format!r}")
@@ -213,11 +216,15 @@ def _rows_to_csv(rows) -> str:
 
 
 def _rows_to_json(rows, config=None) -> str:
-    doc = {"rows": [row.as_dict() for row in rows]}
+    def snr(value):  # strict JSON has no infinity: a noiseless point is "inf", as --snr takes it
+        return "inf" if value == math.inf else value
+
+    doc = {"rows": [{**row.as_dict(), "snr_db": snr(row.snr_db)} for row in rows]}
     if config is not None:
         doc["config"] = dataclasses.asdict(config)
+        doc["config"]["snr_grid_db"] = [snr(v) for v in config.snr_grid_db]
         doc["seed"] = config.seed
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _file_mode(path) -> int:
@@ -245,29 +252,33 @@ def emit_results(rows, out_format: str, path, config=None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    mode = _file_mode(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        mode = _file_mode(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.chmod(tmp, mode)  # mkstemp's file is 0600
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # named for the path, not the temporary file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
 def run_main(spec: RunSpec) -> int:
-    """Run the sweep described by spec, print per-point summaries, emit results."""
+    """Run the sweep described by spec, print per-point summaries (to stderr
+    when JSON goes to stdout), emit results."""
+    summaries = sys.stderr if (spec.out_format, spec.out_path) == ("json", None) else sys.stdout
     try:
         rows = run_sweep(spec.cfg, spec.scheme, spec.detector)
         for row in rows:
             print(f"{row.scheme} {row.detector} L={spec.cfg.block_len} "
                   f"snr_db={row.snr_db:g} trials={row.trials} "
                   f"ber={row.ber:.6g} bler={row.bler:.6g} "
-                  f"asbt={row.asbt_perbit:.6g} mean_mac={row.mean_mac:.6g}")
+                  f"asbt={row.asbt_perbit:.6g} mean_mac={row.mean_mac:.6g}", file=summaries)
         emit_results(rows, spec.out_format, spec.out_path, config=spec.cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,28 +12,24 @@ still live when it is handed out: drawn and encoded once, with the
 per-block cross gains that give every antenna combination its effective
 gain formed once, for the noiseless received vectors and the detector
 alike, and never written after.  The received vectors of every live
-point are stacked, and one detector call serves them all: one ``ssd``
-call a stack, one ``ml`` call a chunk.  Jobs go out in block order
-through one scheduler, on one process pool for the whole sweep (or in
-process with one worker).  With fewer blocks than workers, the points
-are dealt round-robin into max(1, min(points, workers // blocks))
-groups, whose jobs each draw the block.
+point are stacked, and one detector call a stack serves them all.  Jobs
+go out in block order through one scheduler, on one process pool for the
+whole sweep (or in process with one worker).  With fewer blocks than
+workers, the points are dealt round-robin into max(1, min(points,
+workers // blocks)) groups, whose jobs each draw the block.
 
 Every block, of every scheme and detector, runs through the batched
 engine, in one workspace of the same layout for either detector, as
-arrays over trials x candidates.  A block is cut into stacks of k chunks
-of CHUNK_TRIALS trials.  Each chunk is drawn, and its phases, cross gains
-and row norms formed, in chunk-sized draw buffers; each stack is encoded,
-propagated and detected at once.  k is STACK_ROWS // (CHUNK_TRIALS x the
-live points), at least 1, lowered until the stack's cross gains take no
-more bytes than a chunk's draw buffers.  The ``ml`` search takes a stack
-a chunk at a time, since its gains stack and screen grow with the trials
-searched.  Below the gate, ``scheme_config``, a baseline is the mas
-config its pin made, so the engine reads the config and the detector,
-never the scheme.  Every trial draws from its own stream and gets the
-same arithmetic whatever chunk and stack it runs in, so a block's counts
-equal the sum of ``run_trial`` outcomes over its trials.  ``run_trial``
-is ``_block_counts`` on a block of one trial.
+arrays over trials x candidates.  A block is cut into stacks of chunks
+of CHUNK_TRIALS trials, sized by ``_workspace``.  Each chunk is drawn, and
+its phases, cross gains and row norms formed, in chunk-sized draw
+buffers; each stack is encoded, propagated and detected at once.  Below
+the gate, ``scheme_config``, a baseline is the mas config its pin made,
+so the engine reads the config and the detector, never the scheme.
+Every trial draws from its own stream and gets the same arithmetic
+whatever chunk and stack it runs in, so a block's counts equal the sum of
+``run_trial`` outcomes over its trials.  ``run_trial`` is
+``_block_counts`` on a block of one trial.
 """
 
 import math
@@ -55,7 +51,6 @@ from .detection import (
     mac_ml,
     mac_ssd,
     ml_detect_batch,
-    ml_gains,
     ssd_detect_batch,
 )
 from .rac import build_rac_table
@@ -142,36 +137,32 @@ def bits_per_tx(cfg: SystemConfig, scheme: str) -> int:
     return baseline_config(cfg, scheme).block_len
 
 
-def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas, workspace) -> list:
-    """(bit errors, block errors, MACs) of a stack of trials, run as arrays
-    in ``workspace``, ``_workspace``'s for at least this many trials, at
-    each noise level of ``sigmas``.
+def _stack_counts(cfg: SystemConfig, detector: str, trials: range, sigmas, workspace) -> list:
+    """(bit errors, block errors, MACs) of a stack of trials at each noise
+    level of ``sigmas``, run as arrays in ``workspace``, ``_workspace``'s
+    for at least this many trials.
 
-    The front end runs chunk by chunk, in the workspace's chunk-sized draw
-    buffers: each trial draws bits, channel and noise from its own
-    ``trial_rng`` stream, in that order, and its chunk's phases give its
-    ``cross_gains``, formed into the stack's slab and never written after.
-    The chunk's bits, unit noise and row norms are kept in the stack's
-    arrays too.  The back end then runs once for the stack: the noiseless
-    received vector is the transmitted row's ``candidate_gains`` times x,
-    and either detector reads the same cross gains, so a noiseless distance
-    is exactly 0.  The received vectors of every level are stacked, level
-    by level, for one ``ssd`` call; the ``ml`` search takes them a chunk of
-    trials at a time, so its (T, n_rx, C) gains stack stays chunk-sized.  A
-    trial's bit errors are the set bits of the detected row XOR the sent
-    one plus those of each slot's detected label XOR the sent label (both
-    packed by ``encode_batch``), and it is a block error when any is set.
-    ``cfg`` is ``scheme_config``'s, a baseline's included, so every scheme
-    takes the same stages; its noise_sigma is not read.
+    Chunk by chunk, in the workspace's draw buffers, each trial draws bits,
+    channel and noise from its own ``trial_rng`` stream, in that order, and
+    its chunk's phases give its ``cross_gains`` and row norms, kept with its
+    bits and unit noise in the stack's arrays; nothing writes the cross
+    gains after.  The stack is then encoded at once.  The noiseless received
+    vector is the sent row's ``candidate_gains`` times x, so a noiseless
+    distance is exactly 0, and one detector call takes the received vectors
+    of every level, stacked level by level.  A trial's bit errors are the
+    set bits of the detected row XOR the sent one plus those of each slot's
+    detected label XOR the sent label (both packed by ``encode_batch``), and
+    it is a block error when any is set.  ``cfg`` is ``scheme_config``'s, a
+    baseline's included; its noise_sigma is not read.
     """
     draws, (phases, cross, norms, bits, noise), streams = workspace
     n_trials, n_points = len(trials), len(sigmas)
     step = len(phases)  # the draw buffers' chunk
-    chunks = [slice(lo, min(lo + step, n_trials)) for lo in range(0, n_trials, step)]
     table = build_rac_table(cfg.n_rx, cfg.n_sel)
-    cross, bits, noise = cross[:, :n_trials], bits[:n_trials], noise[:n_trials]
-    norms = norms[:n_trials] if cfg.n_sel > 1 else None  # one slot needs no order
-    for chunk in chunks:
+    cross = cross[:, :n_trials]
+    norms, bits, noise = norms[:n_trials], bits[:n_trials], noise[:n_trials]
+    for lo in range(0, n_trials, step):
+        chunk = slice(lo, min(lo + step, n_trials))
         bits[chunk], h, noise[chunk] = draw_trials(streams, trials[chunk], cfg.block_len,
                                                    cfg.n_rx, cfg.n_refl, out=draws)
         # every antenna's reflector phases, from which every gain of the chunk is formed
@@ -180,20 +171,13 @@ def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas, works
         # the row norms order the slots, for the encoder and either
         # detector.  The cross gains have read the phases, so their buffer
         # takes the norms' conj(h) h.
-        if norms is not None:
-            norms[chunk] = row_norms(h, out=u)
+        norms[chunk] = row_norms(h, out=u)
     p, labels, x = encode_batch(bits, norms, cfg, table)
     received = candidate_gains(cross, index, p[:, None])[:, 0] * x[:, None]
     y = np.concatenate([add_noise(received, noise, sigma) for sigma in sigmas])
     shape = n_points, n_trials
     if detector == "ml":
-        y = y.reshape(*shape, cfg.n_rx)
-        found = [ml_detect_batch(y[:, chunk].reshape(-1, cfg.n_rx),
-                                 *ml_gains(cross[:, chunk], index),
-                                 None if norms is None else norms[chunk], cfg, table)
-                 for chunk in chunks]
-        p_hat = np.concatenate([f[0].reshape(n_points, -1) for f in found], axis=1)
-        labels_hat = np.concatenate([f[1].reshape(n_points, -1, cfg.n_sel) for f in found], axis=1)
+        p_hat, labels_hat, _ = ml_detect_batch(y, cross, index, norms, cfg, table)
         macs = [n_trials * mac_ml(cfg)] * n_points
     else:
         p_hat, labels_hat, _, n_cand = ssd_detect_batch(y, cross, index, norms, cfg, table)
@@ -203,39 +187,32 @@ def _chunk_counts(cfg: SystemConfig, detector: str, trials: range, sigmas, works
     return [(int(e.sum()), int(np.count_nonzero(e)), int(mac)) for e, mac in zip(errors, macs)]
 
 
-def _stack_trials(cfg: SystemConfig, count: int, n_points: int) -> int:
-    """Trials a stack of a block of ``count`` trials at ``n_points`` live
-    points holds: k chunks, k = STACK_ROWS // (CHUNK_TRIALS n_points), at
-    least 1, and lowered so that the stack's cross gains take no more bytes
-    than one chunk's draw buffers; never more than the block."""
+def _workspace(cfg: SystemConfig, count: int, n_points: int):
+    """The stack length of a block of ``count`` trials of
+    ``scheme_config``'s ``cfg`` at ``n_points`` live points, and the
+    workspace its stacks share.  A stack is k chunks of CHUNK_TRIALS
+    trials, k = STACK_ROWS // (CHUNK_TRIALS n_points), at least 1, lowered
+    so that the stack's cross gains take no more bytes than one chunk's
+    draw buffers; never more than the block.
+
+    The workspace holds the draws' chunk-sized buffers and aligning phases
+    (in the normals' bytes), the stack's ``cross_gains`` (K, stack, n_rx,
+    n_rx), row norms, bits and unit noise, which each chunk fills in its
+    own rows, and the seed's ``TrialStreams``, one Philox generator for
+    every trial of the block.  A block builds it once and every stack
+    reuses it, so the stack loop does not fault in the same pages again.
+    Its arrays are views of one allocation, at offsets that are multiples
+    of 64 bytes: freed at the end of a block as one large mmap'ed chunk, it
+    makes glibc raise its heap trim threshold to twice its size, so the
+    heap keeps the pages that the next block's workspace and temporaries reuse.
+    """
     chunk = min(CHUNK_TRIALS, count)
-    draw_bytes = sum(math.prod(shape) * dtype.itemsize
-                     for shape, dtype in draw_layout(chunk, cfg.block_len, cfg.n_rx, cfg.n_refl))
+    layout = draw_layout(chunk, cfg.block_len, cfg.n_rx, cfg.n_refl)
+    draw_bytes = sum(math.prod(shape) * dtype.itemsize for shape, dtype in layout)
     n_blocks = len(reflector_blocks(cfg.n_refl, cfg.n_sel))
     cross_bytes = n_blocks * chunk * cfg.n_rx * cfg.n_rx * np.dtype(complex).itemsize
     k = max(1, min(STACK_ROWS // (CHUNK_TRIALS * n_points), draw_bytes // cross_bytes))
-    return min(k * CHUNK_TRIALS, count)
-
-
-def _workspace(cfg: SystemConfig, n_trials: int, n_stack: int):
-    """What a stack of up to ``n_stack`` trials of ``scheme_config``'s
-    ``cfg``, run in chunks of up to ``n_trials``, needs that does not change
-    from stack to stack, laid out the same for either detector: the draws'
-    chunk-sized buffers and aligning phases, the stack's ``cross_gains`` of
-    every reflector block (K, n_stack, n_rx, n_rx), row norms, bits and
-    unit noise, which each chunk fills in its own rows, and the seed's
-    ``TrialStreams``, whose one Philox generator serves every trial of the
-    block.  The phases share the normals' bytes, so they cost no memory.
-
-    A block builds them once and every stack reuses them, so the stack
-    loop does not free and fault in the same pages again.  The arrays are
-    views of one allocation, at offsets that are multiples of 64 bytes:
-    freed at the end of a block as one large mmap'ed chunk, it makes glibc
-    raise its heap trim threshold to twice its size, so the heap keeps the
-    pages that the next block's workspace and temporaries reuse.
-    """
-    layout = draw_layout(n_trials, cfg.block_len, cfg.n_rx, cfg.n_refl)
-    n_blocks = len(reflector_blocks(cfg.n_refl, cfg.n_sel))
+    n_stack = min(k * CHUNK_TRIALS, count)
     layout += [((n_blocks, n_stack, cfg.n_rx, cfg.n_rx), np.dtype(complex)),
                ((n_stack, cfg.n_rx), np.dtype(float)),
                ((n_stack, cfg.block_len), np.dtype(np.int64)),
@@ -249,7 +226,7 @@ def _workspace(cfg: SystemConfig, n_trials: int, n_stack: int):
     # the phases, shaped like the channels: draw_trials has consumed the
     # normals by the time the phases are computed
     phases = draws[1].ravel().view(complex)[: draws[2].size].reshape(draws[2].shape)
-    return draws, (phases, *stack), TrialStreams(cfg.seed)
+    return n_stack, (draws, (phases, *stack), TrialStreams(cfg.seed))
 
 
 def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -> TrialOutcome:
@@ -264,13 +241,12 @@ def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -
 def _block_counts(args) -> list:
     """(trials, bit errors, block errors, MACs) of one scheduling block at
     each noise level of ``sigmas`` (top level for pickling), summed over
-    its stacks of ``_stack_trials`` trials, each run by ``_chunk_counts`` in
-    the block's one ``_workspace``."""
+    its stacks, each run by ``_stack_counts`` in the block's one
+    ``_workspace``."""
     cfg, detector, start, count, sigmas = args
     stop = start + count
-    n_stack = _stack_trials(cfg, count, len(sigmas))
-    workspace = _workspace(cfg, min(CHUNK_TRIALS, count), n_stack)
-    parts = [_chunk_counts(cfg, detector, range(lo, min(lo + n_stack, stop)), sigmas, workspace)
+    n_stack, workspace = _workspace(cfg, count, len(sigmas))
+    parts = [_stack_counts(cfg, detector, range(lo, min(lo + n_stack, stop)), sigmas, workspace)
              for lo in range(start, stop, n_stack)]
     return [(count, *(sum(column) for column in zip(*point))) for point in zip(*parts)]
 

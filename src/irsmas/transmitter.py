@@ -108,12 +108,9 @@ def slot_order(p: np.ndarray, norms: np.ndarray, table: RacTable):
     ``p`` belongs to trial i mod T, so the rows of several noise levels
     stack along R.  Returns the rows' antennas (R, ..., n_sel, 1-based),
     their channel row norms, and the slots by descending norm (0-based,
-    ties to the smaller slot).  At n_sel 1 the one slot needs no order:
-    ``norms`` may be None, and the norms returned are then None.
+    ties to the smaller slot).
     """
     sel = table.rows[p]
-    if norms is None:
-        return sel, None, np.zeros_like(sel)
     trial = (np.arange(len(p)) % len(norms)).reshape(-1, *(1,) * p.ndim)
     weights = norms[trial, sel - 1]
     return sel, weights, np.argsort(-weights, axis=-1, kind="stable")
@@ -126,12 +123,12 @@ def encode_batch(bits: np.ndarray, norms: np.ndarray, cfg: SystemConfig, table: 
     labels slot j's symbol.  Power ratio alpha[i] goes to the slot in
     descending-weight position i, so x superposes the labels taken in that
     order.  ``bits`` is (T, block_len) and ``norms`` the channels' row norms
-    (T, n_rx; None at n_sel 1).  Returns the rows (T,), the per-slot labels
-    (T, n_sel) and the transmit scalars (T,).  The rows and labels are the
-    bits packed, as a detector reports its decisions, so a trial's bit
-    errors are the set bits of their XOR with the decisions.  Row p's
-    reflector phases, and with them its effective gain, are the receivers'
-    to form (``detection.cross_gains``).
+    (T, n_rx).  Returns the rows (T,), the per-slot labels (T, n_sel) and
+    the transmit scalars (T,).  The rows and labels are the bits packed, as
+    a detector reports its decisions, so a trial's bit errors are the set
+    bits of their XOR with the decisions.  Row p's reflector phases, and
+    with them its effective gain, are the receivers' to form
+    (``detection.cross_gains``).
     """
     p = pack_bits(bits[:, : cfg.l1], cfg.l1)[:, 0]
     _, _, order = slot_order(p, norms, table)

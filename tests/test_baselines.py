@@ -17,7 +17,7 @@ from irsmas.core import (
     superposition_axes,
     validate_config,
 )
-from irsmas.detection import cross_gains, detected_bits, mac_ml, ml_detect_batch, ml_gains
+from irsmas.detection import cross_gains, detected_bits, mac_ml, ml_detect_batch
 from irsmas.harness import (
     _block_counts,
     bits_per_tx,
@@ -46,12 +46,13 @@ def encode_one(bits, h, cfg, scheme):
 
 
 def detect_one(y, h, cfg, scheme):
-    """``ml_gains`` and ``ml_detect_batch`` on a stack of one, under the
-    baseline's pin: (bits, distance)."""
+    """``ml_detect_batch`` on a stack of one, under the baseline's pin:
+    (bits, distance)."""
     cfg = scheme_config(cfg, scheme, "ml")
     table = build_rac_table(cfg.n_rx, cfg.n_sel)
-    gains, energy = ml_gains(*cross_gains(h[None], aligning_phases(h[None]), cfg.n_sel))
-    p_hat, labels, distance = ml_detect_batch(y[None], gains, energy, None, cfg, table)
+    p_hat, labels, distance = ml_detect_batch(
+        y[None], *cross_gains(h[None], aligning_phases(h[None]), cfg.n_sel),
+        np.linalg.norm(h[None], axis=-1), cfg, table)
     return detected_bits(p_hat, labels, cfg)[0], distance[0]
 
 
@@ -187,13 +188,12 @@ class TestEncode:
         bits = np.stack([t[0] for t in trials])
         h = np.stack([t[1].h for t in trials])
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        for norms in (None, np.linalg.norm(h, axis=-1)):  # one slot: the norms change nothing
-            p, labels, x = encode_batch(bits, norms, cfg, table)
-            for k, (_, _, x_ref, theta_ref, target, _) in enumerate(trials):
-                assert x[k] == x_ref and table.rows[p[k], 0] == target
-                # the symbol bits packed; none, and label 0, for ssk
-                assert labels[k].tolist() == [bits_to_int(bits[k, cfg.l1 :])]
-                np.testing.assert_array_equal(reflector_phases(h[k, target - 1]), theta_ref)
+        p, labels, x = encode_batch(bits, np.linalg.norm(h, axis=-1), cfg, table)
+        for k, (_, _, x_ref, theta_ref, target, _) in enumerate(trials):
+            assert x[k] == x_ref and table.rows[p[k], 0] == target
+            # the symbol bits packed; none, and label 0, for ssk
+            assert labels[k].tolist() == [bits_to_int(bits[k, cfg.l1 :])]
+            np.testing.assert_array_equal(reflector_phases(h[k, target - 1]), theta_ref)
 
 
 class TestDetect:

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import irsmas.cli
 import irsmas.detection
 
 from irsmas.cli import (
@@ -363,7 +364,11 @@ class TestEmit:
         assert doc["seed"] == 0
         assert doc["config"]["n_rx"] == 12
         for row, rec in zip(rows, doc["rows"]):
-            assert rec == row.as_dict()
+            # strict JSON has no infinity: the noiseless row's snr_db is "inf"
+            want = row.as_dict()
+            if math.isinf(row.snr_db):
+                want["snr_db"] = "inf"
+            assert rec == want
 
     def test_atomic_overwrite(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -411,6 +416,49 @@ class TestEmit:
     def test_unwritable_path(self):
         with pytest.raises(OSError):
             emit_results(make_rows(), "csv", "/nonexistent-dir/r.csv")
+
+    def test_write_error_names_the_path(self, tmp_path):
+        # the path asked for, not mkstemp's temporary file
+        for path in (tmp_path / "missing" / "r.csv", tmp_path):
+            with pytest.raises(OSError) as err:
+                emit_results(make_rows(), "csv", str(path))
+            assert str(err.value).endswith(repr(str(path)))
+            assert ".tmp" not in str(err.value)
+        assert os.listdir(tmp_path) == []
+
+
+def strict_json(text):
+    """``json.loads`` that rejects NaN and Infinity, as RFC 8259 does."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    ARGV = "--trials 3 --snr inf,-10 --format json".split()
+
+    def test_stdout_is_one_json_document(self, capsys):
+        assert main(self.ARGV) == 0
+        out, err = capsys.readouterr()
+        doc = strict_json(out)
+        assert [row["snr_db"] for row in doc["rows"]] == ["inf", -10.0]
+        assert doc["config"]["snr_grid_db"] == ["inf", -10.0]
+        # the per-point summaries go to stderr
+        assert err.count("snr_db=") == 2
+
+    def test_out_file_is_strict_json(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(self.ARGV + ["--out", str(out)]) == 0
+        doc = strict_json(out.read_text())
+        assert doc["rows"][0]["snr_db"] == "inf" and doc["config"]["snr_grid_db"][0] == "inf"
+        assert capsys.readouterr().out.count("snr_db=") == 2  # a file leaves stdout to them
+
+    def test_csv_stdout_keeps_its_summaries(self, capsys):
+        assert main("--trials 3 --snr inf".split()) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0].startswith("mas ssd L=8 snr_db=inf ")
+        assert out.splitlines()[1] == ",".join(CSV_COLUMNS) and err == ""
 
 
 class TestRunMain:
@@ -463,9 +511,25 @@ class TestRunMain:
         assert int(records[0]["trials"]) == 100
 
     def test_unwritable_out_nonzero_exit(self, capsys):
-        code = main("--trials 10 --snr inf --out /nonexistent-dir/x.csv".split())
-        assert code != 0
+        # rejected as a configuration, before the sweep
+        with pytest.raises(SystemExit) as exc:
+            main("--trials 10 --snr inf --out /nonexistent-dir/x.csv".split())
+        assert exc.value.code != 0
         assert capsys.readouterr().err != ""
+
+    @pytest.mark.parametrize("out", ["{tmp}/missing/x.csv", "{tmp}", ""])
+    def test_bad_out_rejected_before_the_sweep(self, monkeypatch, tmp_path, capsys, out):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(irsmas.cli, "run_sweep", no_sweep)
+        out = out.format(tmp=tmp_path)
+        for argv in (["--out", out], ["--config", str(tmp_path / "run.cfg")]):
+            (tmp_path / "run.cfg").write_text(f"out={out}\n")
+            with pytest.raises(SystemExit) as exc:
+                main(["--trials", "10", "--snr", "inf", *argv])
+            assert exc.value.code == 2
+            assert "out: " in capsys.readouterr().err
 
 
 def test_module_entry_point():

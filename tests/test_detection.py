@@ -393,9 +393,8 @@ class TestBitsRecovery:
     def test_matches_encode_layout(self):
         bits, ch, y = make_trial(CFG, 9)
         h = ch.h[None]
-        gains, energy = ml_gains(*cross_gains(h, aligning_phases(h), CFG.n_sel))
-        p_hat, labels, _ = ml_detect_batch(y[None], gains, energy, np.linalg.norm(h, axis=-1),
-                                           CFG, TABLE)
+        p_hat, labels, _ = ml_detect_batch(y[None], *cross_gains(h, aligning_phases(h), CFG.n_sel),
+                                           np.linalg.norm(h, axis=-1), CFG, TABLE)
         np.testing.assert_array_equal(detected_bits(p_hat, labels, CFG)[0], bits)
 
 

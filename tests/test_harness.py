@@ -23,6 +23,7 @@ from irsmas.core import (
     validate_config,
 )
 from irsmas.detection import (
+    ML_TRIALS,
     SCREEN_BUDGET,
     candidate_gains,
     cross_gains,
@@ -39,9 +40,9 @@ from irsmas.harness import (
     STACK_ROWS,
     SweepRow,
     _block_counts,
-    _chunk_counts,
     _resolve_workers,
-    _stack_trials,
+    _stack_counts,
+    _workspace,
     bits_per_tx,
     compute_metrics,
     run_sweep,
@@ -84,10 +85,10 @@ def time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-def failing_chunk_counts(*args):
-    """Stands in for ``_chunk_counts`` in a worker (module level, so the
+def failing_stack_counts(*args):
+    """Stands in for ``_stack_counts`` in a worker (module level, so the
     forked worker finds it by name)."""
-    raise RuntimeError("chunk failed in a worker")
+    raise RuntimeError("stack failed in a worker")
 
 
 def point_block(cfg, scheme, detector, start, count):
@@ -133,7 +134,7 @@ class TestRunTrial:
         def no_chunk(*args):
             raise AssertionError("a trial ran before the scheme and detector were checked")
 
-        monkeypatch.setattr(irsmas.harness, "_chunk_counts", no_chunk)
+        monkeypatch.setattr(irsmas.harness, "_stack_counts", no_chunk)
         cfg = dataclasses.replace(CFG, n_rx=16, n_sel=1, alpha=(1.0,))
         with pytest.raises(ValueError, match=fragment):
             run_trial(cfg, scheme, detector, 0)
@@ -219,9 +220,10 @@ class TestBatchedMlEngine:
     def assert_matches_direct(self, y, h, cfg):
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        gains, energy = channel_gains(h, cfg.n_sel)
-        p_hat, labels, distance = ml_detect_batch(y, gains, energy, np.linalg.norm(h, axis=-1),
-                                                  cfg, table)
+        gains, _ = channel_gains(h, cfg.n_sel)
+        cross = cross_gains(h, aligning_phases(h), cfg.n_sel)
+        p_hat, labels, distance = ml_detect_batch(y, *cross, np.linalg.norm(h, axis=-1), cfg,
+                                                  table)
         for t in range(len(y)):
             channel = ChannelMatrix(h[t])
             ref_p, ref_symbols, _ = direct_ml_detect(y[t], channel, cfg, table, const)
@@ -281,9 +283,11 @@ class TestBatchedMlEngine:
         (gains,), _ = channel_gains(h[:1], cfg.n_sel)
         assert result.distance == direct_ml_detect(y[0], ch, cfg, table, const, gains)[2]
 
-    def test_slice_boundary_inside_a_trial(self):
+    def test_slice_boundary_inside_a_trial(self, monkeypatch):
         # BPSK at n_sel 3: |A| + |B| = 8 + 1 scores a pair, so a slice holds
-        # 2**16 // 9 = 7281 pairs, which ends inside trial 227 (C = 32)
+        # 2**16 // 9 = 7281 pairs, which ends inside trial 227 (C = 32) of
+        # one search over all 240 trials
+        monkeypatch.setattr(irsmas.detection, "ML_TRIALS", 240)
         cfg = SystemConfig(n_rx=8, n_sel=3, n_refl=31, alpha=(0.05, 0.2, 0.75),
                            noise_sigma=0.5, seed=6)
         pair_step = SCREEN_BUDGET // 9
@@ -334,13 +338,47 @@ class TestBatchedMlEngine:
         points = [make_trials(cfg, range(40, 40 + count), sigma=sigma)
                   for sigma in (0.0, 0.3, 0.05)]
         h = points[0][1]
-        gains, energy = channel_gains(h, cfg.n_sel)
+        cross = cross_gains(h, aligning_phases(h), cfg.n_sel)
         norms = np.linalg.norm(h, axis=-1)
-        stacked = ml_detect_batch(np.concatenate([y for _, _, y in points]), gains, energy,
-                                  norms, cfg, table)
-        alone = [ml_detect_batch(y, gains, energy, norms, cfg, table) for _, _, y in points]
+        stacked = ml_detect_batch(np.concatenate([y for _, _, y in points]), *cross, norms, cfg,
+                                  table)
+        alone = [ml_detect_batch(y, *cross, norms, cfg, table) for _, _, y in points]
         for got, want in zip(stacked, zip(*alone)):
             np.testing.assert_array_equal(got, np.concatenate(want))
+
+    @pytest.mark.parametrize("n_points", [1, 2, 3])
+    @pytest.mark.parametrize("n_sel", [1, 2, 3])
+    def test_search_slices_ml_trials_channels_at_a_time(self, monkeypatch, n_sel, n_points):
+        # 7 channels, ML_TRIALS 3: the gains stack is formed for channels
+        # 0-2, 3-5 and 6, and each slice is searched for every stacked point
+        # as a search over that slice alone would search it
+        cfg = SystemConfig(n_rx=6, n_sel=n_sel, n_refl=11, mod_order=4,
+                           alpha={1: (1.0,), 2: (0.2, 0.8), 3: (0.05, 0.2, 0.75)}[n_sel], seed=9)
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        points = [make_trials(cfg, range(20, 27), sigma=sigma)
+                  for sigma in (0.5, 0.0, 0.1)[:n_points]]
+        h = points[0][1]
+        y = np.concatenate([y for _, _, y in points])
+        cross, index = cross_gains(h, aligning_phases(h), cfg.n_sel)
+        norms = np.linalg.norm(h, axis=-1)
+        slices = [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert ML_TRIALS >= 3  # each slice below is one search
+        alone = [ml_detect_batch(y.reshape(n_points, 7, -1)[:, s].reshape(-1, cfg.n_rx),
+                                 cross[:, s], index, norms[s], cfg, table) for s in slices]
+        searched, real_gains = [], irsmas.detection.ml_gains
+
+        def ml_gains(cross, index):
+            searched.append(cross.shape[1])
+            return real_gains(cross, index)
+
+        monkeypatch.setattr(irsmas.detection, "ML_TRIALS", 3)
+        monkeypatch.setattr(irsmas.detection, "ml_gains", ml_gains)
+        got = ml_detect_batch(y, cross, index, norms, cfg, table)
+        assert searched == [3, 3, 1]
+        for got_part, parts in zip(got, zip(*alone)):
+            want = np.concatenate([part.reshape(n_points, -1, *part.shape[1:]) for part in parts],
+                                  axis=1)
+            np.testing.assert_array_equal(got_part, want.reshape(got_part.shape))
 
     def test_all_zero_channel_memory_is_bounded(self):
         # Every hypothesis of every trial ties: 32 * 64 * 256 = 2**19 of
@@ -352,12 +390,12 @@ class TestBatchedMlEngine:
         y = rng.standard_normal((CHUNK_TRIALS, cfg.n_rx)) + 0j
         h = np.zeros((CHUNK_TRIALS, cfg.n_rx, cfg.n_refl), dtype=complex)
         norms, phases = np.linalg.norm(h, axis=-1), aligning_phases(h)
-        ml_detect_batch(y[:1], *channel_gains(h[:1], cfg.n_sel), norms[:1], cfg,
+        ml_detect_batch(y[:1], *cross_gains(h[:1], phases[:1], cfg.n_sel), norms[:1], cfg,
                         table)  # build the caches
         tracemalloc.start()
         try:
-            gains, energy = ml_gains(*cross_gains(h, phases, cfg.n_sel))
-            p_hat, labels, distance = ml_detect_batch(y, gains, energy, norms, cfg, table)
+            p_hat, labels, distance = ml_detect_batch(y, *cross_gains(h, phases, cfg.n_sel),
+                                                      norms, cfg, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -444,7 +482,7 @@ class TestMlGains:
         # them; a trial's gains do not depend on the chunk it runs in
         cfg, h = case
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        _, (_, cross_buf, *_), _ = irsmas.harness._workspace(cfg, CHUNK_TRIALS, CHUNK_TRIALS)
+        _, (_, (_, cross_buf, *_), _) = _workspace(cfg, CHUNK_TRIALS, 1)
         cross_buf.fill(np.nan)
         for lo in range(0, len(h), CHUNK_TRIALS):
             chunk = h[lo : lo + CHUNK_TRIALS]
@@ -535,8 +573,10 @@ class TestBatchedSasEngine:
 
             _, ch, *_, y = make_sas_trial(cfg, scheme, trial)
             h = ch.h[None]
-            gains, energy = channel_gains(h, pinned.n_sel)
-            p_hat, labels, got_d = ml_detect_batch(y[None], gains, energy, None, pinned, table)
+            gains, _ = channel_gains(h, pinned.n_sel)
+            p_hat, labels, got_d = ml_detect_batch(
+                y[None], *cross_gains(h, aligning_phases(h), pinned.n_sel),
+                np.linalg.norm(h, axis=-1), pinned, table)
             ref_bits, _ = direct_sas_detect(y, ch, cfg, scheme)
             np.testing.assert_array_equal(detected_bits(p_hat, labels, pinned)[0], ref_bits)
             _, ref_d = direct_sas_detect(y, ch, cfg, scheme, gains=gains[0])
@@ -550,9 +590,10 @@ class TestBatchedSasEngine:
         table = build_rac_table(cfg.n_rx, 1)
         ch = ChannelMatrix(np.zeros((4, 9)))
         h = ch.h[None]
-        gains, energy = channel_gains(h, pinned.n_sel)
+        cross = cross_gains(h, aligning_phases(h), pinned.n_sel)
         for y in (np.zeros(4, dtype=complex), np.full(4, 0.3 - 0.1j)):
-            p_hat, labels, distance = ml_detect_batch(y[None], gains, energy, None, pinned, table)
+            p_hat, labels, distance = ml_detect_batch(y[None], *cross, np.linalg.norm(h, axis=-1),
+                                                      pinned, table)
             bits = detected_bits(p_hat, labels, pinned)
             ref_bits, ref_d = direct_sas_detect(y, ch, cfg, scheme)
             np.testing.assert_array_equal(bits, 0)
@@ -702,8 +743,8 @@ def test_error_counts_equal_the_bit_compare(monkeypatch, name, trials):
 
     monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
     monkeypatch.setattr(irsmas.harness, f"{detector}_detect_batch", detect)
-    counts = _chunk_counts(cfg, detector, trials, sigmas,
-                           irsmas.harness._workspace(cfg, len(trials), len(trials)))
+    counts = _stack_counts(cfg, detector, trials, sigmas,
+                           _workspace(cfg, len(trials), len(sigmas))[1])
     p_hat, labels = (np.concatenate(part) for part in zip(*decided))
     wrong = detected_bits(p_hat, labels, cfg).reshape(len(sigmas), len(trials), -1) != sent[0]
     errors = np.count_nonzero(wrong, axis=2)
@@ -823,35 +864,51 @@ class TestStacks:
                 stack = min(k, most) * chunk
                 assert sizes(seen, "draw_trials") == splits(CHUNK_BLOCK[1], chunk)
                 assert sizes(seen, "encode_batch") == splits(CHUNK_BLOCK[1], stack)
-                # ssd detects a stack at once, ml a chunk at a time
-                step = stack if detector == "ssd" else chunk
-                detected = [n_points * n for n in splits(CHUNK_BLOCK[1], step)]
-                if detector == "ml":  # a stack's last chunk may be ragged
-                    detected = [n_points * n for part in splits(CHUNK_BLOCK[1], stack)
-                                for n in splits(part, chunk)]
-                assert sizes(seen, f"{detector}_detect_batch") == detected
+                # either detector takes a stack at once
+                assert sizes(seen, f"{detector}_detect_batch") == \
+                    [n_points * n for n in splits(CHUNK_BLOCK[1], stack)]
+
+    @pytest.mark.parametrize("n_points", [1, 3])
+    @pytest.mark.parametrize("name", sorted(STACK_CASES))
+    def test_one_detector_call_a_stack(self, monkeypatch, name, n_points):
+        # a stack of several chunks (67 trials at one point, 32 in chunks
+        # of 7 at three) is detected in one call, for every point at once
+        detector, cfg, _ = STACK_CASES[name]
+        cfg = scheme_config(cfg, "mas", detector)
+        monkeypatch.setattr(irsmas.harness, "CHUNK_TRIALS", 7 if n_points > 1 else 32)
+        sigmas = (cfg.noise_sigma, 0.0, cfg.noise_sigma / 2)[:n_points]
+        n_stack, workspace = _workspace(cfg, CHUNK_BLOCK[1], n_points)
+        seen = record_calls(monkeypatch, "draw_trials", "ml_detect_batch", "ssd_detect_batch")
+        _stack_counts(cfg, detector, range(45, 45 + n_stack), sigmas, workspace)
+        chunk = irsmas.harness.CHUNK_TRIALS
+        assert sizes(seen, "draw_trials") == splits(n_stack, chunk) and n_stack > chunk
+        assert [k for k, _ in seen if k.endswith("_detect_batch")] == [f"{detector}_detect_batch"]
+        assert sizes(seen, f"{detector}_detect_batch") == [n_points * n_stack]
 
     def test_stack_length(self):
+        def stack_trials(cfg, count, n_points):
+            return _workspace(cfg, count, n_points)[0]
+
         headline = scheme_config(SystemConfig(), "mas", "ssd")
         # STACK_ROWS // (CHUNK_TRIALS x points) chunks, at least one
-        assert [_stack_trials(headline, BLOCK_TRIALS, n) for n in range(1, 7)] == \
+        assert [stack_trials(headline, BLOCK_TRIALS, n) for n in range(1, 7)] == \
             [4 * CHUNK_TRIALS, 2 * CHUNK_TRIALS] + [CHUNK_TRIALS] * 4
         assert STACK_ROWS == 4 * CHUNK_TRIALS
         # never more than the block, nor than a stack of one-trial chunks
-        assert _stack_trials(headline, 67, 1) == 67
-        assert _stack_trials(headline, 1, 1) == 1
+        assert stack_trials(headline, 67, 1) == 67
+        assert stack_trials(headline, 1, 1) == 1
         # lowered by the cross gains' bytes: two chunks at 3 blocks, one at 64 rx
         n_sel_3 = scheme_config(STACK_CASES["ssd-n_sel-3"][1], "mas", "ssd")
-        assert _stack_trials(n_sel_3, BLOCK_TRIALS, 1) == 2 * CHUNK_TRIALS
+        assert stack_trials(n_sel_3, BLOCK_TRIALS, 1) == 2 * CHUNK_TRIALS
         wide = scheme_config(SystemConfig(n_rx=64, mod_order=64, alpha=(0.05, 0.95)), "mas",
                              "ssd")
-        assert _stack_trials(wide, BLOCK_TRIALS, 1) == CHUNK_TRIALS
+        assert stack_trials(wide, BLOCK_TRIALS, 1) == CHUNK_TRIALS
 
     @pytest.mark.parametrize("detector", ["ssd", "ml"])
     def test_headline_block_runs_128_trial_stacks(self, monkeypatch, detector):
         cfg = scheme_config(SystemConfig(seed=5), "mas", detector)
         seen = record_calls(monkeypatch, "draw_trials", "cross_gains", "encode_batch",
-                            "ml_gains", "ml_detect_batch", "ssd_detect_batch")
+                            "ml_detect_batch", "ssd_detect_batch")
         ((trials, _, block_errors, _),) = _block_counts((cfg, detector, 0, BLOCK_TRIALS,
                                                          (10 ** (14 / 20),)))  # -14 dB
         assert trials == BLOCK_TRIALS and block_errors > 0
@@ -859,11 +916,9 @@ class TestStacks:
         assert CHUNK_TRIALS == 32 and stacks == [128] * 7 + [104]
         assert sizes(seen, "draw_trials") == sizes(seen, "cross_gains") == chunks
         assert sizes(seen, "encode_batch") == stacks
-        if detector == "ssd":  # one detector call a stack
-            assert sizes(seen, "ssd_detect_batch") == stacks
-        else:  # the ml search keeps its chunk-sized gains stack
-            assert sizes(seen, "ml_detect_batch") == chunks
-            assert len(sizes(seen, "ml_gains")) == len(chunks)
+        # one detector call a stack; ml slices its own search
+        # (test_search_slices_ml_trials_channels_at_a_time)
+        assert sizes(seen, f"{detector}_detect_batch") == stacks
 
     def test_staggered_sweep_rows_equal_for_any_worker_count(self, monkeypatch, tmp_path):
         """Three points stop in block 0, in block 1 and never, so block 0
@@ -892,7 +947,7 @@ def test_ssd_one_point_stack_memory_is_bounded():
     9 MiB to about 24 MiB."""
     cfg = scheme_config(SystemConfig(n_rx=64, mod_order=64, alpha=(0.05, 0.95)), "mas", "ssd")
     job = (cfg, "ssd", 0, 4 * CHUNK_TRIALS, (0.2,))
-    assert _stack_trials(cfg, 4 * CHUNK_TRIALS, 1) == CHUNK_TRIALS
+    assert _workspace(cfg, 4 * CHUNK_TRIALS, 1)[0] == CHUNK_TRIALS
     want = _block_counts(job)  # build the cached tables first
     tracemalloc.start()
     try:
@@ -915,7 +970,7 @@ class TestWorkspace:
         monkeypatch.setattr(irsmas.harness, "STACK_ROWS", 64)
         seen = []
         real_draw, real_phases = irsmas.harness.draw_trials, irsmas.harness.aligning_phases
-        real_cross, real_ml = irsmas.harness.cross_gains, irsmas.harness.ml_gains
+        real_cross, real_ml = irsmas.harness.cross_gains, irsmas.detection.ml_gains
 
         def draw_trials(*args, out=None):
             bits, h, noise = real_draw(*args, out=out)
@@ -943,7 +998,7 @@ class TestWorkspace:
         monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
         monkeypatch.setattr(irsmas.harness, "aligning_phases", aligning_phases)
         monkeypatch.setattr(irsmas.harness, "cross_gains", cross_gains)
-        monkeypatch.setattr(irsmas.harness, "ml_gains", ml_gains)
+        monkeypatch.setattr(irsmas.detection, "ml_gains", ml_gains)
         assert point_block(cfg, scheme, detector, *CHUNK_BLOCK) == (CHUNK_BLOCK[1],
                                                                     *reference_block(name))
         # of any scheme: a baseline is an ml search at n_sel 1
@@ -960,7 +1015,8 @@ class TestWorkspace:
         base, row_bytes = cross[0][1], cfg.n_rx**2 * np.dtype(complex).itemsize
         assert cross == [(32, base), (32, base + 32 * row_bytes), (3, base)]
         if detector == "ml":
-            # the ml search reads each chunk's cross gains where they were formed
+            # the ml search reads each chunk's cross gains where they were
+            # formed, ML_TRIALS = CHUNK_TRIALS channels at a time
             assert [(n, data) for k, n, data in seen if k == "ml"] == cross
 
     @pytest.mark.parametrize("count", [CHUNK_TRIALS, 7])  # a full chunk, then a ragged one
@@ -972,10 +1028,11 @@ class TestWorkspace:
         size = CHUNK_TRIALS + 5
         phases = np.full((size, cfg.n_rx, cfg.n_refl), np.nan, dtype=complex)
         cross_buf = np.full((2, size, cfg.n_rx, cfg.n_rx), np.nan, dtype=complex)  # 2 blocks
-        want = ml_detect_batch(y, *channel_gains(h, cfg.n_sel), norms, cfg, table)
+        want = ml_detect_batch(y, *cross_gains(h, aligning_phases(h), cfg.n_sel), norms, cfg,
+                               table)
         for _ in range(2):  # NaN-filled buffers, then the same buffers used
             cross = cross_gains(h, aligning_phases(h, out=phases[:count]), cfg.n_sel, cross_buf)
-            got = ml_detect_batch(y, *ml_gains(*cross), norms, cfg, table)
+            got = ml_detect_batch(y, *cross, norms, cfg, table)
             for got_part, want_part in zip(got, want):
                 np.testing.assert_array_equal(got_part, want_part)
 
@@ -987,8 +1044,9 @@ class TestWorkspace:
         cfg = scheme_config(cfg, scheme, detector)
         layout = draw_layout(CHUNK_TRIALS, bits_per_tx(cfg, scheme), cfg.n_rx, cfg.n_refl)
         n_blocks = cfg.n_sel + (cfg.n_refl % cfg.n_sel > 0)
-        for n_stack in (CHUNK_TRIALS, 4 * CHUNK_TRIALS):
-            draws, rest, _ = irsmas.harness._workspace(cfg, CHUNK_TRIALS, n_stack)
+        for n_points, n_stack in ((4, CHUNK_TRIALS), (1, 4 * CHUNK_TRIALS)):
+            length, (draws, rest, _) = _workspace(cfg, BLOCK_TRIALS, n_points)
+            assert length == n_stack
             memory = draws[0]
             while memory.base is not None:
                 memory = memory.base
@@ -1013,7 +1071,7 @@ class TestWorkspace:
         layouts = []
         for detector in ("ml", "ssd"):
             cfg = scheme_config(NOISELESS_CASES[name], "mas", detector)
-            draws, rest, _ = irsmas.harness._workspace(cfg, CHUNK_TRIALS, CHUNK_TRIALS)
+            _, (draws, rest, _) = _workspace(cfg, CHUNK_TRIALS, 1)
             layouts.append([(buf.shape, buf.dtype) for buf in (*draws, *rest)])
         assert layouts[0] == layouts[1]
 
@@ -1259,7 +1317,7 @@ class TestRunSweep:
                 assert_once_per_trial(row.trials)
         assert [row.trials for row in rows] == [BLOCK_TRIALS, 2 * BLOCK_TRIALS,
                                                 3 * BLOCK_TRIALS]
-        # ml detects every point of a chunk in one call too, from one set of
+        # ml detects every point of a stack in one call too, from one set of
         # cross gains a chunk
         for cfg in cases[0], cases[2]:
             calls.clear()
@@ -1281,8 +1339,8 @@ class TestRunSweep:
                 run_sweep(SystemConfig(snr_grid_db=()), "mas", "ssd", workers=workers)
 
     def test_worker_exception_comes_out(self, monkeypatch):
-        monkeypatch.setattr(irsmas.harness, "_chunk_counts", failing_chunk_counts)
-        with time_limit(60), pytest.raises(RuntimeError, match="chunk failed"):
+        monkeypatch.setattr(irsmas.harness, "_stack_counts", failing_stack_counts)
+        with time_limit(60), pytest.raises(RuntimeError, match="stack failed"):
             run_sweep(self.staggered_cfg(), "mas", "ssd", workers=2)
 
     def test_invalid_scheme_and_detector(self):
