@@ -12,22 +12,18 @@ import numpy as np
 
 from irsmas import (
     SystemConfig,
+    alignment_gain,
     decompose_received,
     reflector_phases,
     sample_channel,
-    snr_aligned,
-    snr_unaligned,
     trial_rng,
 )
 
-cfg = SystemConfig(noise_sigma=0.1)
+cfg = SystemConfig()
 sel = np.array([3, 7])  # pretend the index bits picked antennas 3 and 7
 
-gains = []
-for trial in range(2000):
-    ch = sample_channel(cfg.n_rx, cfg.n_refl, trial_rng(42, trial))
-    gains.append(snr_aligned(ch, sel, cfg) / snr_unaligned(ch, sel, cfg))
-gains = np.array(gains)
+gains = np.array([alignment_gain(sample_channel(cfg.n_rx, cfg.n_refl, trial_rng(42, trial)), sel)
+                  for trial in range(2000)])
 print(f"alignment gain over {len(gains)} channels:")
 print(f"  median {np.median(gains):8.1f}x")
 print(f"  5th pct {np.percentile(gains, 5):8.1f}x")

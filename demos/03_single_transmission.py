@@ -13,14 +13,15 @@ import numpy as np
 
 from irsmas import (
     SystemConfig,
-    bits_to_int,
     build_rac_table,
     encode,
     make_constellation,
     ml_detect,
+    pack_bits,
     propagate,
     rac_row,
     sample_channel,
+    snr_to_sigma,
     ssd_detect,
     trial_rng,
 )
@@ -31,7 +32,7 @@ const = make_constellation(cfg.mod_order)
 rng = trial_rng(seed=2024, trial_index=0)
 
 bits = rng.integers(0, 2, size=cfg.block_len)
-row = bits_to_int(bits[: cfg.l1])
+row = int(pack_bits(bits[: cfg.l1], cfg.l1)[0])
 antennas = tuple(int(a) for a in rac_row(table, row))
 print(f"block bits      : {''.join(map(str, bits))}")
 print(f"  index part    : {''.join(map(str, bits[:cfg.l1]))} "
@@ -45,7 +46,7 @@ print(f"power order     : slot {tx.order_desc[0]} strongest "
       f"(ratio {cfg.alpha[0]}), slot {tx.order_desc[1]} gets {cfg.alpha[1]}")
 print(f"transmit scalar : {tx.x:+.4f}")
 
-sigma = 10 ** (12 / 20)  # -12 dB on the sweep axis, mid waterfall
+sigma = snr_to_sigma(-12.0)  # mid waterfall on the sweep axis
 y = propagate(channel, tx.theta, tx.x, sigma, rng)
 
 for name, detect in [("ml ", ml_detect), ("ssd", ssd_detect)]:

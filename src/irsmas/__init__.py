@@ -10,14 +10,13 @@ single-antenna baselines as pinned configs of the same engine
 """
 
 from .channel import (
+    alignment_gain,
     decompose_received,
     propagate,
     sample_channel,
-    snr_aligned,
-    snr_unaligned,
     trial_rng,
 )
-from .core import SystemConfig, bits_to_int, make_constellation, validate_config
+from .core import SystemConfig, make_constellation, pack_bits, snr_to_sigma, validate_config
 from .detection import mac_ml, mac_ssd, ml_detect, ssd_detect
 from .harness import CSV_COLUMNS, run_sweep, run_trial
 from .rac import build_rac_table, rac_row
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CSV_COLUMNS",
     "SystemConfig",
-    "bits_to_int",
+    "alignment_gain",
     "build_rac_table",
     "decompose_received",
     "encode",
@@ -36,14 +35,14 @@ __all__ = [
     "mac_ssd",
     "make_constellation",
     "ml_detect",
+    "pack_bits",
     "propagate",
     "rac_row",
     "reflector_phases",
     "run_sweep",
     "run_trial",
     "sample_channel",
-    "snr_aligned",
-    "snr_unaligned",
+    "snr_to_sigma",
     "ssd_detect",
     "trial_rng",
     "validate_config",

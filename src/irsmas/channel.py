@@ -1,9 +1,10 @@
-"""Rayleigh fading channel, propagation through the reflecting surface, and
-per-antenna signal decompositions / SNR diagnostics."""
+"""Rayleigh fading channel, per-trial streams, propagation through the
+reflecting surface, per-antenna signal decompositions and alignment gain."""
+
+import operator
 
 import numpy as np
 
-from .core import SystemConfig
 from .transmitter import reflector_blocks, reflector_phases
 
 
@@ -20,22 +21,23 @@ class ChannelMatrix:
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent, reproducible random stream for one trial.
-
-    Counter-based split of the master seed: each trial owns a disjoint
-    stretch of the Philox counter space, so streams are identical no matter
-    which worker runs the trial or in what order.  The counter is built as
-    uint64: numpy would cast a list of Python ints through float64, which
-    loses the trial index near 2**64.
-    """
-    _check_trial_index(trial_index)
-    counter = np.array([0, 0, 0, trial_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    """Independent, reproducible random stream for one trial, a
+    ``TrialStreams(seed)`` generator started at ``trial_index``: each trial
+    owns a disjoint stretch of the Philox counter space, so streams are
+    identical no matter which worker runs the trial or in what order."""
+    return TrialStreams(seed).start(trial_index)
 
 
-def _check_trial_index(trial_index: int) -> None:
-    if not 0 <= trial_index < 2**64:  # the range of a Philox counter word
+def check_trial_index(trial_index) -> int:
+    """``trial_index`` as an int in [0, 2**64), the range of a Philox
+    counter word; anything else, a float such as 3.0 too, is rejected."""
+    try:
+        index = operator.index(trial_index)
+    except TypeError:
+        index = -1
+    if not 0 <= index < 2**64:
         raise ValueError(f"trial_index: expected an integer in [0, 2**64), got {trial_index!r}")
+    return index
 
 
 def sample_channel(n_rx: int, n_refl: int, rng: np.random.Generator) -> ChannelMatrix:
@@ -44,21 +46,14 @@ def sample_channel(n_rx: int, n_refl: int, rng: np.random.Generator) -> ChannelM
     return ChannelMatrix(h / np.sqrt(2.0))
 
 
-def propagate(
-    channel: ChannelMatrix,
-    theta: np.ndarray,
-    x: complex,
-    noise_sigma: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def propagate(channel: ChannelMatrix, theta: np.ndarray, x: complex, noise_sigma: float,
+              rng: np.random.Generator) -> np.ndarray:
     """Received vector y = H theta x + n with complex Gaussian noise of variance sigma^2."""
     n_rx, n_refl = channel.shape
     if len(theta) != n_refl:
         raise ValueError(f"theta length {len(theta)} does not match {n_refl} reflectors")
-    noise = (rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)) * (
-        noise_sigma / np.sqrt(2.0)
-    )
-    return channel.h @ theta * x + noise
+    noise = rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
+    return add_noise(channel.h @ theta * x, noise, noise_sigma)
 
 
 # Generator.integers(0, 2) turns each 32-bit output u into u >> 31 (a
@@ -83,21 +78,20 @@ def draw_layout(n_trials: int, n_bits: int, n_rx: int, n_refl: int) -> list:
 
 
 class TrialStreams:
-    """Every trial's ``trial_rng`` stream of one seed, from one Philox
-    generator built once: ``start(i)`` sets it to exactly the state
-    ``trial_rng(seed, i)`` starts from (counter (0, 0, 0, i), empty output
-    buffer, no cached 32-bit half), which costs far less than building a
-    generator, and its ``SeedSequence``, for each trial."""
+    """Every trial's stream of one seed, from one Philox generator built
+    once: ``start(i)`` sets it to trial i's start (counter (0, 0, 0, i),
+    empty output buffer, no cached 32-bit half) and returns it, which costs
+    far less than building a generator, and its ``SeedSequence``, a trial."""
 
     def __init__(self, seed: int):
         self.bit_gen = np.random.Philox(key=seed)
         self.rng = np.random.Generator(self.bit_gen)
         self._state = self.bit_gen.state  # a fresh generator's state, at counter 0
 
-    def start(self, trial_index: int) -> None:
-        _check_trial_index(trial_index)
-        self._state["state"]["counter"][3] = trial_index
+    def start(self, trial_index: int) -> np.random.Generator:
+        self._state["state"]["counter"][3] = check_trial_index(trial_index)
         self.bit_gen.state = self._state
+        return self.rng
 
 
 def draw_trials(streams: TrialStreams, trials, n_bits: int, n_rx: int, n_refl: int, out=None):
@@ -135,8 +129,8 @@ def draw_trials(streams: TrialStreams, trials, n_bits: int, n_rx: int, n_refl: i
 
 
 def add_noise(received: np.ndarray, noise: np.ndarray, noise_sigma: float) -> np.ndarray:
-    """``propagate``'s y for a stack of trials: their noiseless H theta x
-    plus sigma/sqrt(2) times ``noise``, the unit draw from ``draw_trials``."""
+    """Received vectors y: the noiseless H theta x plus sigma/sqrt(2) times
+    ``noise``, whose real and imaginary parts are standard normal."""
     return received + noise * (noise_sigma / np.sqrt(2.0))
 
 
@@ -170,34 +164,19 @@ def decompose_received(channel: ChannelMatrix, theta, x, sel, slot: int):
     return complex(constructive), complex(nonconstructive), complex(leftover)
 
 
-def snr_aligned(channel: ChannelMatrix, sel, cfg: SystemConfig) -> float:
-    """Instantaneous SNR when the reflector blocks are phase-aligned to ``sel``.
-
-    Per selected antenna this is the squared coherent block gain plus the
-    squared magnitude of the other blocks' (uncancelled) contribution, the
-    constructive and nonconstructive parts of ``decompose_received`` at
-    unit symbol energy, over sigma^2 and summed over antennas.
-    """
-    if cfg.noise_sigma == 0:
-        raise ValueError("noise_sigma is zero; SNR undefined (use the numerator directly)")
-    sel = np.asarray(sel)
-    theta = reflector_phases(channel.h[sel - 1])
-    total = 0.0
-    for slot in range(1, len(sel) + 1):
-        aligned, cross, _ = decompose_received(channel, theta, 1.0, sel, slot)
-        total += abs(aligned) ** 2 + abs(cross) ** 2
-    return total / cfg.noise_sigma**2
-
-
-def snr_unaligned(channel: ChannelMatrix, sel, cfg: SystemConfig) -> float:
-    """Reference SNR with no phase alignment: the raw conjugate block sums."""
-    if cfg.noise_sigma == 0:
-        raise ValueError("noise_sigma is zero; SNR undefined")
+def alignment_gain(channel: ChannelMatrix, sel) -> float:
+    """Signal energy with the reflector blocks phase-aligned to ``sel`` over
+    that of the raw conjugate block sums, n_sel |sum|^2.  The aligned
+    energy sums, over selected antennas, the squared constructive and
+    nonconstructive parts of ``decompose_received`` at unit symbol energy."""
     sel = np.asarray(sel)
     n_sel = len(sel)
-    blocks = reflector_blocks(channel.shape[1], n_sel)[:n_sel]
+    theta = reflector_phases(channel.h[sel - 1])
+    aligned = 0.0
+    for slot in range(1, n_sel + 1):
+        constructive, cross, _ = decompose_received(channel, theta, 1.0, sel, slot)
+        aligned += abs(constructive) ** 2 + abs(cross) ** 2
     acc = 0j
-    for block, q in blocks:
-        ant = sel[q] - 1
-        acc += np.sum(np.conj(channel.h[ant, block]))
-    return n_sel * abs(acc) ** 2 / cfg.noise_sigma**2
+    for block, q in reflector_blocks(channel.shape[1], n_sel)[:n_sel]:
+        acc += np.sum(np.conj(channel.h[sel[q] - 1, block]))
+    return aligned / (n_sel * abs(acc) ** 2)

@@ -20,8 +20,6 @@ MAX_AXIS_VALUES = 2**20
 # received vectors and every squared distance the receivers form stay
 # finite; far lower SNRs overflow to inf and NaN.
 SNR_FLOOR_DB = -1000.0
-# Noise standard deviation at SNR_FLOOR_DB, the largest accepted.
-MAX_NOISE_SIGMA = 10.0 ** (-SNR_FLOOR_DB / 20.0)
 # Most trials per SNR point.  Trial indices address Philox counter space
 # and must stay below 2**64; a sweep also lists its 1000-trial blocks up
 # front.  10**9 trials is days of work per point, far below either limit.
@@ -95,18 +93,10 @@ def make_constellation(mod_order: int) -> Constellation:
     return Constellation(points)
 
 
-def bits_to_int(bits) -> int:
-    """Big-endian bit vector -> integer (first bit most significant)."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
-
-
 def pack_bits(bits, width: int) -> np.ndarray:
-    """Row-wise bits_to_int: big-endian groups of ``width`` bits along the
-    last axis become integers, (..., k*width) -> (..., k).  Width 0 reads
-    the empty last axis as one group, 0."""
+    """Big-endian groups of ``width`` bits along the last axis become
+    integers, first bit most significant, (..., k*width) -> (..., k).
+    Width 0 reads the empty last axis as one group, 0."""
     bits = np.asarray(bits, dtype=np.int64)
     groups = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // width if width else 1, width))
     return groups @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
@@ -134,7 +124,6 @@ class SystemConfig:
     n_refl: int = 64
     mod_order: int = 2
     alpha: tuple = (0.2, 0.8)
-    noise_sigma: float = 0.0
     n_cand_antennas: int = 6
     n_iters: int = 8
     snr_grid_db: tuple = (-20.0, -18.0, -16.0, -14.0, -12.0, -10.0, -8.0)
@@ -272,6 +261,16 @@ def snr_value_ok(snr_db: float) -> bool:
     return snr_db == math.inf or (math.isfinite(snr_db) and snr_db >= SNR_FLOOR_DB)
 
 
+def snr_to_sigma(snr_db: float) -> float:
+    """Noise standard deviation at an SNR of ``snr_db`` dB, for unit-energy
+    symbols: 10^(-snr_db/20), and 0 at +inf (a noiseless point).  An SNR
+    that ``snr_value_ok`` rejects raises ValueError naming ``snr_db``."""
+    if not snr_value_ok(snr_db):
+        raise ValueError(f"snr_db: must be inf or finite and at least {SNR_FLOOR_DB:g} dB "
+                         f"(got {snr_db!r})")
+    return 0.0 if snr_db == math.inf else 10.0 ** (-snr_db / 20.0)
+
+
 def _selection_problems(cfg: SystemConfig) -> list:
     """Violations among the fields that only the mas scheme reads."""
     problems = []
@@ -340,11 +339,6 @@ def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
         problems.append("n_refl: must be a positive integer")
     if cfg.mod_order not in MOD_ORDERS.values():
         problems.append(f"mod_order: unsupported order {cfg.mod_order}")
-    if not 0 <= cfg.noise_sigma <= MAX_NOISE_SIGMA:
-        problems.append(
-            f"noise_sigma: must be finite and between 0 and {MAX_NOISE_SIGMA:g}, "
-            f"the noise at {SNR_FLOOR_DB:g} dB (got {cfg.noise_sigma!r})"
-        )
     if not cfg.snr_grid_db:
         problems.append("snr_grid_db: must hold at least one SNR point")
     bad_snr = [s for s in cfg.snr_grid_db if not snr_value_ok(s)]

@@ -42,8 +42,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from .baselines import baseline_config
-from .channel import TrialStreams, add_noise, draw_layout, draw_trials
-from .core import MOD_NAMES, MOD_ORDERS, SystemConfig, validate_config
+from .channel import TrialStreams, add_noise, check_trial_index, draw_layout, draw_trials
+from .core import MOD_NAMES, MOD_ORDERS, SystemConfig, snr_to_sigma, validate_config
 from .detection import (
     candidate_gains,
     check_ml_guard,
@@ -153,7 +153,7 @@ def _stack_counts(cfg: SystemConfig, detector: str, trials: range, sigmas, works
     set bits of the detected row XOR the sent one plus those of each slot's
     detected label XOR the sent label (both packed by ``encode_batch``), and
     it is a block error when any is set.  ``cfg`` is ``scheme_config``'s, a
-    baseline's included; its noise_sigma is not read.
+    baseline's included.
     """
     draws, (phases, cross, norms, bits, noise), streams = workspace
     n_trials, n_points = len(trials), len(sigmas)
@@ -229,12 +229,15 @@ def _workspace(cfg: SystemConfig, count: int, n_points: int):
     return n_stack, (draws, (phases, *stack), TrialStreams(cfg.seed))
 
 
-def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -> TrialOutcome:
-    """Simulate one transmission block and count its bit and block errors:
-    ``_block_counts`` on a block of one trial, whose index must lie in
-    [0, 2**64)."""
+def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int,
+              snr_db: float = math.inf) -> TrialOutcome:
+    """Simulate one transmission block at ``snr_db`` dB (noiseless by
+    default) and count its bit and block errors: ``_block_counts`` on a
+    block of one trial, whose index must be an integer in [0, 2**64)."""
+    sigma = snr_to_sigma(snr_db)
+    trial_index = check_trial_index(trial_index)
     cfg = scheme_config(cfg, scheme, detector)
-    ((_, *counts),) = _block_counts((cfg, detector, trial_index, 1, (cfg.noise_sigma,)))
+    ((_, *counts),) = _block_counts((cfg, detector, trial_index, 1, (sigma,)))
     return TrialOutcome(*counts)
 
 
@@ -385,8 +388,7 @@ def run_sweep(cfg: SystemConfig, scheme: str = "mas", detector: str = "ssd",
     cfg = scheme_config(cfg, scheme, detector)
     workers = _resolve_workers(workers)
 
-    sigmas = [0.0 if np.isposinf(snr_db) else 10.0 ** (-snr_db / 20.0)
-              for snr_db in cfg.snr_grid_db]
+    sigmas = [snr_to_sigma(snr_db) for snr_db in cfg.snr_grid_db]
     sweep_counts = _sweep_counts(cfg, sigmas, detector, workers)
     modulation = MOD_NAMES.get(cfg.mod_order, "none")  # sas-ssk's order 1 is no modulation
     rows = []

@@ -16,16 +16,19 @@ from functools import lru_cache
 import numpy as np
 
 from irsmas.channel import propagate, sample_channel, trial_rng
-from irsmas.core import (
-    Constellation,
-    SystemConfig,
-    bits_to_int,
-    make_constellation,
-)
+from irsmas.core import Constellation, SystemConfig, make_constellation
 from irsmas.detection import DetectionResult, mac_base, mac_ml, mac_ssd
 from irsmas.harness import TrialOutcome
 from irsmas.rac import RacTable, build_rac_table, rac_row
 from irsmas.transmitter import TxOutput, aligning_phases
+
+
+def bits_to_int(bits) -> int:
+    """Big-endian bit vector -> integer (first bit most significant)."""
+    value = 0
+    for b in bits:
+        value = (value << 1) | int(b)
+    return value
 
 
 def int_to_bits(value: int, width: int) -> np.ndarray:
@@ -129,20 +132,21 @@ def encode(bits, channel, cfg: SystemConfig, table: RacTable, const: Constellati
     return TxOutput(x=x, theta=theta, sel=sel, order_desc=order, weights=weights)
 
 
-def make_trial(cfg: SystemConfig, trial: int, seed=None, sigma=None):
-    """One mas trial's bits, channel and received vector, drawn and encoded
-    one step at a time.  ``seed`` and ``sigma`` default to the config's."""
+def make_trial(cfg: SystemConfig, trial: int, seed=None, sigma=0.0):
+    """One mas trial's bits, channel and received vector at noise level
+    ``sigma``, drawn and encoded one step at a time.  ``seed`` defaults to
+    the config's."""
     table = build_rac_table(cfg.n_rx, cfg.n_sel)
     const = make_constellation(cfg.mod_order)
     rng = trial_rng(cfg.seed if seed is None else seed, trial)
     bits = rng.integers(0, 2, size=cfg.block_len, dtype=np.int64)
     ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
     tx = encode(bits, ch, cfg, table, const)
-    y = propagate(ch, tx.theta, tx.x, cfg.noise_sigma if sigma is None else sigma, rng)
+    y = propagate(ch, tx.theta, tx.x, sigma, rng)
     return bits, ch, y
 
 
-def make_trials(cfg: SystemConfig, trials, seed=None, sigma=None):
+def make_trials(cfg: SystemConfig, trials, seed=None, sigma=0.0):
     """``make_trial`` for several trials, stacked: bits (T, block_len),
     channels (T, n_rx, n_refl) and received vectors (T, n_rx)."""
     bits, channels, ys = zip(*(make_trial(cfg, t, seed, sigma) for t in trials))
@@ -362,23 +366,25 @@ def direct_sas_detect(y, channel, cfg: SystemConfig, scheme: str, gains=None):
     return np.concatenate(bits), distance
 
 
-def make_sas_trial(cfg: SystemConfig, scheme: str, trial: int):
-    """One baseline trial of ``cfg`` (its seed, n_rx, n_refl and
-    noise_sigma): (bits, channel, x, theta, target, y)."""
+def make_sas_trial(cfg: SystemConfig, scheme: str, trial: int, sigma=0.0):
+    """One baseline trial of ``cfg`` (its seed, n_rx and n_refl) at noise
+    level ``sigma``: (bits, channel, x, theta, target, y)."""
     rng = trial_rng(cfg.seed, trial)
     bits = rng.integers(0, 2, size=sum(sas_bits(cfg, scheme)), dtype=np.int64)
     ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
     x, theta, target = sas_encode(bits, ch, cfg, scheme)
-    y = propagate(ch, theta, x, cfg.noise_sigma, rng)
+    y = propagate(ch, theta, x, sigma, rng)
     return bits, ch, x, theta, target, y
 
 
-def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -> TrialOutcome:
-    """Simulate one transmission block, step by step, and count its errors."""
+def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int,
+              sigma=0.0) -> TrialOutcome:
+    """Simulate one transmission block at noise level ``sigma``, step by
+    step, and count its errors."""
     if scheme == "mas":
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        bits, ch, y = make_trial(cfg, trial_index)
+        bits, ch, y = make_trial(cfg, trial_index, sigma=sigma)
         if detector == "ml":
             p_hat, symbols, _ = direct_ml_detect(y, ch, cfg, table, const)
             bits_hat, mac = detection_to_bits(p_hat, symbols, cfg, table, const), mac_ml(cfg)
@@ -386,7 +392,7 @@ def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int) -
             result = ssd_detect(y, ch, cfg, table, const)
             bits_hat, mac = result.bits, result.mac_count
     else:
-        bits, ch, *_, y = make_sas_trial(cfg, scheme, trial_index)
+        bits, ch, *_, y = make_sas_trial(cfg, scheme, trial_index, sigma)
         bits_hat, _ = direct_sas_detect(y, ch, cfg, scheme)
         mac = 2 ** len(bits) * mac_base(cfg.n_rx, cfg.n_refl)
     bit_errors = int(np.sum(bits != bits_hat))

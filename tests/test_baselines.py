@@ -12,7 +12,6 @@ from irsmas.cli import parse_run_spec
 from irsmas.core import (
     MOD_ORDERS,
     SystemConfig,
-    bits_to_int,
     make_constellation,
     superposition_axes,
     validate_config,
@@ -28,7 +27,7 @@ from irsmas.harness import (
 )
 from irsmas.rac import build_rac_table
 from irsmas.transmitter import aligning_phases, encode, encode_batch, reflector_phases
-from reference import direct_sas_detect, make_sas_trial
+from reference import bits_to_int, direct_sas_detect, make_sas_trial
 
 SAS_CFG = SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,))
 SCHEMES = ("mas", "sas-sm", "sas-ssk")
@@ -209,10 +208,10 @@ class TestDetect:
             np.testing.assert_array_equal(ref_bits, bits)
 
     def test_noisy_errors_recoverable_at_high_snr(self):
-        cfg = sas_cfg(mod_order=2, seed=5, noise_sigma=0.5)
+        cfg = sas_cfg(mod_order=2, seed=5)
         wrong = 0
         for trial in range(100):
-            bits, ch, *_, y = make_sas_trial(cfg, "sas-sm", trial)
+            bits, ch, *_, y = make_sas_trial(cfg, "sas-sm", trial, sigma=0.5)
             got, _ = detect_one(y, ch.h, cfg, "sas-sm")
             wrong += int(not np.array_equal(got, bits))
         assert wrong == 0  # 64 aligned reflectors vs sigma=0.5: huge margin
@@ -255,8 +254,8 @@ class TestBaselineIsMas:
 def test_baseline_block_memory_is_bounded():
     """One 32-trial sas-sm block at 64 rx and 64-QAM holds the channels and
     (T, n_rx, n_rx) gains, not an (n_rx, n_rx, M) distance term a trial."""
-    cfg = scheme_config(SystemConfig(n_rx=64, mod_order=64, noise_sigma=0.05), "sas-sm", "ml")
-    job = (cfg, "ml", 0, 32, (cfg.noise_sigma,))
+    cfg = scheme_config(SystemConfig(n_rx=64, mod_order=64), "sas-sm", "ml")
+    job = (cfg, "ml", 0, 32, (0.05,))
     want = _block_counts(job)  # build the cached tables first
     tracemalloc.start()
     try:

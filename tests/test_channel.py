@@ -1,6 +1,5 @@
-"""Channel model tests: statistics, propagation, decomposition, SNR forms."""
-
-import dataclasses
+"""Channel model tests: statistics, streams, propagation, decomposition,
+alignment gain."""
 
 import numpy as np
 import pytest
@@ -8,12 +7,12 @@ import pytest
 from irsmas.channel import (
     ChannelMatrix,
     TrialStreams,
+    add_noise,
+    alignment_gain,
     decompose_received,
     draw_trials,
     propagate,
     sample_channel,
-    snr_aligned,
-    snr_unaligned,
     trial_rng,
 )
 from irsmas.core import SystemConfig
@@ -65,6 +64,21 @@ class TestTrialRng:
         last = trial_rng(3, 2**64 - 1).standard_normal(4)
         streams.start(2**64 - 1)
         np.testing.assert_array_equal(streams.rng.standard_normal(4), last)
+
+    @pytest.mark.parametrize("trial", [3.0, 3.5, np.float64(3.0), "3"])
+    def test_non_integer_index_rejected(self, trial):
+        with pytest.raises(ValueError, match=r"^trial_index:"):
+            trial_rng(3, trial)
+        with pytest.raises(ValueError, match=r"^trial_index:"):
+            TrialStreams(3).start(trial)
+
+    @pytest.mark.parametrize("trial", [0, 5, np.int64(5), np.uint64(2**64 - 1), 2**64 - 1])
+    def test_stream_is_philox_at_the_trial_counter(self, trial):
+        # a trial's stream address: key seed, counter (0, 0, 0, trial index)
+        counter = np.array([0, 0, 0, trial], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=7, counter=counter))
+        np.testing.assert_array_equal(trial_rng(7, trial).standard_normal(9),
+                                      want.standard_normal(9))
 
 
 class TestDrawTrials:
@@ -132,6 +146,16 @@ class TestPropagate:
         y2 = propagate(ch, theta, 1 + 1j, 0.0, trial_rng(0, 1))
         np.testing.assert_array_equal(y1, y2)
 
+    def test_noise_is_add_noise_of_the_draws(self):
+        # propagate draws the real, then the imaginary noise parts and
+        # scales them as the engine does
+        ch = sample_channel(4, 8, trial_rng(0, 0))
+        theta = reflector_phases(ch.h[:2, :])
+        y = propagate(ch, theta, 0.3 - 1j, 2.5, trial_rng(0, 1))
+        rng = trial_rng(0, 1)
+        noise = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        np.testing.assert_array_equal(y, add_noise(ch.h @ theta * (0.3 - 1j), noise, 2.5))
+
 
 class TestDecompose:
     def test_parts_sum_to_received_sample(self):
@@ -181,15 +205,17 @@ class TestDecompose:
 
 
 class TestSnr:
+    """``alignment_gain``: the aligned signal energy over the unaligned one."""
+
     def test_coherent_gain_unit_magnitudes(self):
-        # single antenna, every |h| = 1: aligned SNR is N^2 / sigma^2
+        # single antenna, every |h| = 1: the aligned energy is N^2, the
+        # unaligned one |sum conj(h)|^2
         rng = np.random.default_rng(4)
         n = 16
         h = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(1, n)))
         ch = ChannelMatrix(np.vstack([h, sample_channel(1, n, rng).h]))
-        cfg = dataclasses.replace(CFG, n_rx=2, n_refl=n, noise_sigma=2.0)
-        got = snr_aligned(ch, np.array([1]), cfg)
-        assert got == pytest.approx(n**2 / cfg.noise_sigma**2)
+        got = alignment_gain(ch, np.array([1]))
+        assert got == pytest.approx(n**2 / abs(np.sum(h)) ** 2)
 
     def test_alignment_maximizes_block_gain(self):
         rng = np.random.default_rng(5)
@@ -200,43 +226,27 @@ class TestSnr:
             assert aligned >= abs(np.sum(ch.h[0, :] * phases)) - 1e-9
 
     def test_aligned_exceeds_unaligned_on_average(self):
-        cfg = dataclasses.replace(CFG, noise_sigma=1.0)
-        ratios = []
-        for trial in range(60):
-            ch = sample_channel(cfg.n_rx, cfg.n_refl, trial_rng(21, trial))
-            sel = np.array([1, 2])
-            ratios.append(
-                snr_aligned(ch, sel, cfg) / max(snr_unaligned(ch, sel, cfg), 1e-12)
-            )
-        assert np.median(ratios) > 5.0
+        gains = [alignment_gain(sample_channel(CFG.n_rx, CFG.n_refl, trial_rng(21, trial)),
+                                np.array([1, 2]))
+                 for trial in range(60)]
+        assert np.median(gains) > 5.0
 
     def test_single_reflector_unaligned(self):
-        h = np.array([[1.5 * np.exp(0.4j)]])
-        ch = ChannelMatrix(h)
-        cfg = dataclasses.replace(CFG, n_rx=1, n_refl=1, n_sel=1, alpha=(1.0,),
-                                  noise_sigma=3.0)
-        got = snr_unaligned(ch, np.array([1]), cfg)
-        assert got == pytest.approx(1 * 1.5**2 / 9.0)
+        # one reflector, one antenna: aligning it changes no magnitude
+        ch = ChannelMatrix(np.array([[1.5 * np.exp(0.4j)]]))
+        assert alignment_gain(ch, np.array([1])) == pytest.approx(1.0)
 
-    def test_unaligned_grows_with_reflector_count(self):
-        cfg = dataclasses.replace(CFG, noise_sigma=1.0)
-        means = []
-        for n_refl in (16, 64):
-            vals = [
-                snr_unaligned(
-                    sample_channel(CFG.n_rx, n_refl, trial_rng(31, t)),
-                    np.array([1, 2]),
-                    dataclasses.replace(cfg, n_refl=n_refl),
-                )
-                for t in range(200)
-            ]
-            means.append(np.mean(vals))
-        assert means[1] > means[0]
+    def test_two_antennas_of_constructed_blocks(self):
+        # antenna 1 sees block 1 as 1, 1 and block 2 as 0, 0; antenna 2 sees
+        # block 1 as 0, 0 and block 2 as 1j, -1.  Aligned: 2^2 at each
+        # antenna.  Unaligned: 2 |1 + 1 + conj(1j) + conj(-1)|^2 = 2 |1 - 1j|^2.
+        ch = ChannelMatrix(np.array([[1, 1, 0, 0], [0, 0, 1j, -1]]))
+        assert alignment_gain(ch, np.array([1, 2])) == pytest.approx(8 / 4)
 
-    def test_zero_sigma_rejected(self):
-        ch = sample_channel(4, 8, trial_rng(0, 0))
-        cfg = dataclasses.replace(CFG, noise_sigma=0.0)
-        with pytest.raises(ValueError, match="sigma"):
-            snr_aligned(ch, np.array([1, 2]), cfg)
-        with pytest.raises(ValueError, match="sigma"):
-            snr_unaligned(ch, np.array([1, 2]), cfg)
+    def test_gain_grows_with_reflector_count(self):
+        # coherent blocks add N^2, the unaligned sums only N
+        means = [np.mean([alignment_gain(sample_channel(CFG.n_rx, n_refl, trial_rng(31, t)),
+                                         np.array([1, 2]))
+                          for t in range(200)])
+                 for n_refl in (16, 64)]
+        assert means[1] > 2 * means[0]

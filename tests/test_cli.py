@@ -447,6 +447,13 @@ class TestStrictJson:
         # the per-point summaries go to stderr
         assert err.count("snr_db=") == 2
 
+    def test_config_holds_every_config_field_and_no_other(self, capsys):
+        # the noise of each point is its SNR: the config names no noise level
+        assert main(self.ARGV) == 0
+        doc = strict_json(capsys.readouterr().out)
+        fields = [f.name for f in dataclasses.fields(SystemConfig)]
+        assert list(doc["config"]) == fields and len(fields) == 11
+
     def test_out_file_is_strict_json(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert main(self.ARGV + ["--out", str(out)]) == 0

@@ -7,19 +7,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from irsmas.core import (
-    MAX_NOISE_SIGMA,
+    MAX_TRIALS,
     MOD_ORDERS,
     SNR_FLOOR_DB,
     SUPERPOSITION_GAP,
     SystemConfig,
-    bits_to_int,
     make_constellation,
     pack_bits,
+    snr_to_sigma,
     superposition_axes,
     unpack_bits,
     validate_config,
 )
-from reference import int_to_bits
+from reference import bits_to_int, int_to_bits
 
 PAPER_CFG = SystemConfig()  # 12 rx, 2 selected, 64 reflectors, BPSK, [0.2, 0.8]
 
@@ -145,7 +145,7 @@ class TestSystemConfig:
             ({"n_cand_antennas": 13}, "n_cand_antennas"),
             ({"n_iters": 0}, "n_iters"),
             ({"n_trials": 0}, "n_trials"),
-            ({"noise_sigma": -1.0}, "noise_sigma"),
+            ({"n_trials": MAX_TRIALS + 1}, "n_trials"),
             ({"n_refl": 0}, "n_refl"),
             ({"n_refl": 1, "n_sel": 2}, "n_refl"),
             ({"snr_grid_db": (-14.0, float("nan"))}, "snr"),
@@ -153,9 +153,9 @@ class TestSystemConfig:
             ({"snr_grid_db": (-14.0, -1000.5)}, "snr"),
             ({"error_budget": 0}, "error_budget"),
             ({"error_budget": -4}, "error_budget"),
-            ({"noise_sigma": float("nan")}, "noise_sigma"),
-            ({"noise_sigma": float("inf")}, "noise_sigma"),
-            ({"noise_sigma": 1.01e50}, "noise_sigma"),
+            ({"n_rx": 0}, "n_rx"),
+            ({"alpha": (1.0,)}, "alpha: expected 2 ratios"),
+            ({"alpha": (0.2, float("inf"))}, "alpha: ratios must be finite"),
             ({"seed": -1}, "seed"),
             ({"seed": 2**64}, "seed"),
             ({"alpha": (float("nan"), float("nan"))}, "alpha: ratios must be finite"),
@@ -169,9 +169,11 @@ class TestSystemConfig:
             validate_config(cfg)
 
     def test_noise_at_snr_floor_accepted(self):
-        sigma = 10.0 ** (-SNR_FLOOR_DB / 20.0)  # as run_sweep derives it
-        assert sigma == MAX_NOISE_SIGMA
-        validate_config(dataclasses.replace(PAPER_CFG, noise_sigma=sigma))
+        # the noise of the lowest SNR that validate_config accepts is finite
+        validate_config(dataclasses.replace(PAPER_CFG, snr_grid_db=(SNR_FLOOR_DB,)))
+        assert snr_to_sigma(SNR_FLOOR_DB) == 10.0 ** (-SNR_FLOOR_DB / 20.0) == 1e50
+        assert snr_to_sigma(float("inf")) == 0.0
+        assert snr_to_sigma(-14.0) == 10.0 ** (14.0 / 20.0)
 
     def test_equal_power_split_collides(self):
         # alpha = [0.5, 0.5] makes s1+s2 and s2+s1 style collisions; the

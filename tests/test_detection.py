@@ -1,16 +1,25 @@
 """Receiver tests: quantizer, candidate sorter, SSD and ML detectors, MAC models."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from irsmas.channel import ChannelMatrix, sample_channel, trial_rng
+from irsmas.channel import (
+    ChannelMatrix,
+    TrialStreams,
+    add_noise,
+    draw_trials,
+    sample_channel,
+    trial_rng,
+)
 import irsmas.detection
 from irsmas.baselines import baseline_config
-from irsmas.core import SystemConfig, make_constellation, superposition_axes
+from irsmas.core import SystemConfig, make_constellation, snr_to_sigma, superposition_axes
 from irsmas.detection import (
+    candidate_gains,
     check_ml_guard,
     cross_gains,
     detected_bits,
@@ -25,7 +34,7 @@ from irsmas.detection import (
     ssd_detect_batch,
 )
 from irsmas.rac import build_rac_table
-from irsmas.transmitter import aligning_phases
+from irsmas.transmitter import aligning_phases, encode_batch, row_norms, slot_order
 from reference import (
     make_trial,
     make_trials,
@@ -382,6 +391,72 @@ class TestMl:
             a = ml_detect(y, ch, CFG, TABLE, BPSK)
             b = ssd_detect(y, ch, CFG, TABLE, BPSK)
             np.testing.assert_array_equal(a.bits, b.bits)
+
+
+def q_function(t: float) -> float:
+    """Gaussian tail probability P(Z > t)."""
+    return math.erfc(t / math.sqrt(2)) / 2
+
+
+def wilson_interval(successes: int, n: int, z: float) -> tuple:
+    """Wilson score interval of a binomial rate at normal quantile z."""
+    rate, z2 = successes / n, z * z
+    centre = (rate + z2 / (2 * n)) / (1 + z2 / n)
+    half = z * math.sqrt(rate * (1 - rate) / n + z2 / (4 * n * n)) / (1 + z2 / n)
+    return centre - half, centre + half
+
+
+# name: (config, the sent block's bits, SNR in dB); on its channel each
+# block is lost at a rate of 1-20% at that SNR, and its slot labels differ
+BRACKET_CASES = {
+    "headline-bpsk": (CFG, [0, 1, 0, 1, 1, 1, 0, 1], -14.0),
+    "n_sel-3": (SystemConfig(n_rx=8, n_sel=3, alpha=(0.05, 0.2, 0.75), n_cand_antennas=3),
+                [1, 0, 1, 1, 0, 0, 1, 1], -4.0),
+}
+
+
+class TestMlBracket:
+    """The ml block error rate of one channel and one sent block against
+    its analytic bracket.  With d_j the noiseless distance from the sent
+    hypothesis to hypothesis j and complex noise of variance sigma^2 an
+    antenna, y lies nearer j than the sent point with probability
+    Q(d_j / (sqrt(2) sigma)).  ML then errs, so the largest of these bounds
+    the rate from below and their sum (the union bound) from above."""
+
+    N_RECEIVED = 20_000
+    Z_999 = 3.2905  # two-sided 99.9%
+
+    @pytest.mark.parametrize("name", sorted(BRACKET_CASES))
+    def test_block_error_rate_within_the_bracket(self, name):
+        cfg, block, snr_db = BRACKET_CASES[name]
+        table = build_rac_table(cfg.n_rx, cfg.n_sel)
+        axes = superposition_axes(cfg.mod_order, cfg.alpha)
+        h = sample_channel(cfg.n_rx, cfg.n_refl, trial_rng(1, 0)).h[None]
+        norms = row_norms(h)
+        cross, index = cross_gains(h, aligning_phases(h), cfg.n_sel)
+        p, labels, x = encode_batch(np.array([block]), norms, cfg, table)
+        assert len(set(labels[0])) > 1
+
+        # every hypothesis (row q, value v) as the receiver sees it, noiseless
+        gains, _ = ml_gains(cross, index)
+        points = (gains[0][:, :, None] * axes.values).reshape(cfg.n_rx, -1)
+        _, _, order = slot_order(p, norms, table)
+        v_sent = np.ravel_multi_index(labels[0, order[0]], (cfg.mod_order,) * cfg.n_sel)
+        sent = p[0] * len(axes.values) + v_sent
+        distances = np.delete(np.linalg.norm(points - points[:, sent, None], axis=0), sent)
+        sigma = snr_to_sigma(snr_db)
+        pairwise = [q_function(d / (math.sqrt(2) * sigma)) for d in distances]
+        low, high = max(pairwise), sum(pairwise)
+
+        # unit noise as the engine draws it, one trial's stream per received vector
+        _, _, noise = draw_trials(TrialStreams(2), range(self.N_RECEIVED), 0, cfg.n_rx, 0)
+        received = candidate_gains(cross, index, p[:, None])[:, 0] * x[:, None]
+        y = add_noise(received, noise, sigma)
+        p_hat, labels_hat, _ = ml_detect_batch(y, cross, index, norms, cfg, table)
+        errors = np.count_nonzero((p_hat != p) | (labels_hat != labels).any(axis=1))
+        ci_low, ci_high = wilson_interval(errors, self.N_RECEIVED, self.Z_999)
+        assert ci_low <= high and low <= ci_high, (errors, low, high)
+        assert 0.01 <= errors / self.N_RECEIVED <= 0.2
 
 
 class TestBitsRecovery:

@@ -16,6 +16,7 @@ import irsmas.harness
 from irsmas.channel import ChannelMatrix, TrialStreams, draw_layout, draw_trials
 from irsmas.cli import emit_results
 from irsmas.core import (
+    SNR_FLOOR_DB,
     SystemConfig,
     make_constellation,
     pack_bits,
@@ -39,6 +40,7 @@ from irsmas.harness import (
     CSV_COLUMNS,
     STACK_ROWS,
     SweepRow,
+    TrialOutcome,
     _block_counts,
     _resolve_workers,
     _stack_counts,
@@ -91,19 +93,23 @@ def failing_stack_counts(*args):
     raise RuntimeError("stack failed in a worker")
 
 
-def point_block(cfg, scheme, detector, start, count):
+def point_block(cfg, scheme, detector, start, count, sigma=0.0):
     """``_block_counts`` of one point of ``cfg`` as ``scheme`` reads it, at
-    the config's own noise level."""
+    noise level ``sigma``."""
     cfg = scheme_config(cfg, scheme, detector)
-    (counts,) = _block_counts((cfg, detector, start, count, (cfg.noise_sigma,)))
+    (counts,) = _block_counts((cfg, detector, start, count, (sigma,)))
     return counts
+
+
+def snr_of(sigma):
+    """The SNR in dB whose noise level is ``sigma``."""
+    return -20 * math.log10(sigma)
 
 
 class TestRunTrial:
     def test_deterministic(self):
-        cfg = dataclasses.replace(CFG, noise_sigma=3.0)
-        a = run_trial(cfg, "mas", "ssd", 12)
-        b = run_trial(cfg, "mas", "ssd", 12)
+        a = run_trial(CFG, "mas", "ssd", 12, snr_db=snr_of(3.0))
+        b = run_trial(CFG, "mas", "ssd", 12, snr_db=snr_of(3.0))
         assert (a.bit_errors, a.block_error, a.mac) == (b.bit_errors, b.block_error, b.mac)
 
     def test_noiseless_is_error_free(self):
@@ -112,11 +118,10 @@ class TestRunTrial:
             assert out.bit_errors == 0 and out.block_error == 0
 
     def test_block_error_consistent(self):
-        cfg = dataclasses.replace(CFG, noise_sigma=20.0)
         for trial in range(30):
-            out = run_trial(cfg, "mas", "ssd", trial)
+            out = run_trial(CFG, "mas", "ssd", trial, snr_db=snr_of(20.0))
             assert out.block_error == int(out.bit_errors > 0)
-            assert 0 <= out.bit_errors <= cfg.block_len
+            assert 0 <= out.bit_errors <= CFG.block_len
 
     def test_sas_trial(self):
         cfg = dataclasses.replace(CFG, n_rx=16, n_sel=1, alpha=(1.0,))
@@ -145,6 +150,40 @@ class TestRunTrial:
                 run_trial(CFG, "mas", "ssd", trial)
         assert run_trial(CFG, "mas", "ssd", 2**64 - 1).block_error == 0
 
+    def test_non_integer_trial_index_rejected(self):
+        for trial in (3.0, 3.5):
+            with pytest.raises(ValueError, match=r"^trial_index:"):
+                run_trial(CFG, "mas", "ssd", trial)
+        snr = snr_of(20.0)
+        assert run_trial(CFG, "mas", "ssd", np.int64(3), snr) == run_trial(CFG, "mas", "ssd", 3, snr)
+
+    @pytest.mark.parametrize("snr_db", [math.inf, -14.0, SNR_FLOOR_DB])
+    @pytest.mark.parametrize("detector", ["ml", "ssd"])
+    def test_snr_db_is_the_sweeps_noise_level(self, monkeypatch, detector, snr_db):
+        # run_sweep's own noise level for the point, as it hands it to the scheduler
+        levels = []
+
+        def sweep_counts(cfg, sigmas, *args):
+            levels.extend(sigmas)
+            return [(1, 0, 0, 0)] * len(sigmas)
+
+        monkeypatch.setattr(irsmas.harness, "_sweep_counts", sweep_counts)
+        run_sweep(dataclasses.replace(CFG, snr_grid_db=(snr_db,)), "mas", detector, workers=1)
+        cfg = scheme_config(CFG, "mas", detector)
+        for trial in (0, 7, 40):
+            (counts,) = _block_counts((cfg, detector, trial, 1, tuple(levels)))
+            assert run_trial(CFG, "mas", detector, trial, snr_db) == TrialOutcome(*counts[1:])
+        assert levels == [0.0 if snr_db == math.inf else 10.0 ** (-snr_db / 20.0)]
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, SNR_FLOOR_DB - 0.5])
+    def test_unusable_snr_db_rejected(self, monkeypatch, snr_db):
+        def no_stack(*args):
+            raise AssertionError("a trial ran with an unusable SNR")
+
+        monkeypatch.setattr(irsmas.harness, "_stack_counts", no_stack)
+        with pytest.raises(ValueError, match=r"^snr_db:"):
+            run_trial(CFG, "mas", "ssd", 0, snr_db)
+
     @pytest.mark.parametrize("scheme,cfg,fragment", [
         ("sas-ssk", SystemConfig(n_rx=12), "n_rx:"),
         ("sas-sm", SystemConfig(n_rx=16, n_refl=0), "n_refl:"),
@@ -157,10 +196,12 @@ class TestRunTrial:
     @pytest.mark.parametrize("scheme", ["sas-sm", "sas-ssk"])
     def test_baseline_pins_selection_fields(self, scheme):
         # n_sel 2 would give sas-ssk floor(log2(C(16, 2))) = 6 index bits
-        pinned = SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,), noise_sigma=25.0, seed=3)
+        pinned = SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,), seed=3)
         loose = dataclasses.replace(pinned, n_sel=2, alpha=(0.2, 0.8))
+        snr = snr_of(25.0)
         for trial in range(5):
-            assert run_trial(loose, scheme, "ml", trial) == run_trial(pinned, scheme, "ml", trial)
+            assert run_trial(loose, scheme, "ml", trial, snr) == \
+                run_trial(pinned, scheme, "ml", trial, snr)
 
 
 # power ratios with distinct superposed values, by (n_sel, modulation order)
@@ -173,40 +214,40 @@ ALPHAS = {
 
 @st.composite
 def mas_blocks(draw):
-    """A small mas config plus a block (start, count) of its trials."""
+    """A small mas config, a noise level and a block (start, count) of its trials."""
     n_sel = draw(st.sampled_from((1, 2, 3)))
     n_rx = draw(st.integers(n_sel + 1, 8))
     mod_order = draw(st.sampled_from((2, 4, 16)))
     n_refl = n_sel * draw(st.integers(1, 12)) + draw(st.integers(0, n_sel - 1))
     n_rac = 1 << (math.comb(n_rx, n_sel).bit_length() - 1)
+    n_cand_antennas = draw(st.integers(n_sel, n_rx))
+    n_iters = draw(st.integers(1, n_rac + 2))
+    sigma = draw(st.sampled_from((0.0, 0.05, 0.5, 2.0, 20.0)))
     cfg = SystemConfig(
         n_rx=n_rx, n_sel=n_sel, n_refl=n_refl, mod_order=mod_order,
-        alpha=ALPHAS[n_sel, mod_order],
-        n_cand_antennas=draw(st.integers(n_sel, n_rx)),
-        n_iters=draw(st.integers(1, n_rac + 2)),
-        noise_sigma=draw(st.sampled_from((0.0, 0.05, 0.5, 2.0, 20.0))),
+        alpha=ALPHAS[n_sel, mod_order], n_cand_antennas=n_cand_antennas, n_iters=n_iters,
         seed=draw(st.integers(0, 2**32)),
     )
-    return cfg, draw(st.integers(0, 5000)), draw(st.integers(1, 3 * CHUNK_TRIALS + 5))
+    return cfg, sigma, draw(st.integers(0, 5000)), draw(st.integers(1, 3 * CHUNK_TRIALS + 5))
 
 
 class TestBatchedSsdEngine:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(mas_blocks())
     @example((SystemConfig(n_rx=8, n_sel=3, n_refl=31, mod_order=16, alpha=(0.01, 0.1, 0.89),
-                           n_cand_antennas=3, n_iters=1, noise_sigma=0.5, seed=4), 997, 37))
+                           n_cand_antennas=3, n_iters=1, seed=4), 0.5, 997, 37))
     @example((SystemConfig(n_rx=5, n_sel=2, n_refl=9, mod_order=4, n_cand_antennas=5,
-                           n_iters=10, seed=2), 16, 20))
+                           n_iters=10, seed=2), 0.0, 16, 20))
     def test_block_counts_equal_sum_of_scalar_trials(self, case):
-        cfg, start, count = case
+        cfg, sigma, start, count = case
         validate_config(cfg)
         want = [0, 0, 0]
         for trial in range(start, start + count):
-            out = reference_run_trial(cfg, "mas", "ssd", trial)
+            out = reference_run_trial(cfg, "mas", "ssd", trial, sigma)
             want[0] += out.bit_errors
             want[1] += out.block_error
             want[2] += out.mac
-        assert point_block(cfg, "mas", "ssd", start, count) == (count, *want)
+        assert point_block(cfg, "mas", "ssd", start, count, sigma) == (count, *want)
 
 
 class TestBatchedMlEngine:
@@ -239,25 +280,25 @@ class TestBatchedMlEngine:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(mas_blocks())
     def test_block_matches_direct_search(self, case):
-        cfg, start, count = case
+        cfg, sigma, start, count = case
         validate_config(cfg)
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        bits, h, y = make_trials(cfg, range(start, start + count))
+        bits, h, y = make_trials(cfg, range(start, start + count), sigma=sigma)
         p_hat, labels, _ = self.assert_matches_direct(y, h, cfg)
 
         errors = [np.count_nonzero(b != detection_to_bits(int(p), const.points[lab], cfg,
                                                            table, const))
                   for b, p, lab in zip(bits, p_hat, labels)]
         want = (count, sum(errors), np.count_nonzero(errors), count * mac_ml(cfg))
-        assert point_block(cfg, "mas", "ml", start, count) == want
+        assert point_block(cfg, "mas", "ml", start, count, sigma) == want
 
     def test_all_zero_channel_ties_to_first_hypothesis(self):
         cfg = SystemConfig(n_rx=6, n_sel=3, n_refl=14, mod_order=4, alpha=(0.05, 0.2, 0.75),
-                           noise_sigma=0.5, seed=3)
+                           seed=3)
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        _, h, y = make_trials(cfg, range(4))
+        _, h, y = make_trials(cfg, range(4), sigma=0.5)
         h[1] = 0.0  # every hypothesis explains y[1] equally badly
         h[3] = 0.0
         y[3] = 0.0  # ...and here equally well
@@ -270,10 +311,10 @@ class TestBatchedMlEngine:
     def test_search_wider_than_budget_is_sliced(self):
         # C * V = 32 * 16**3 = 2**17 hypotheses a trial, twice the screening budget
         cfg = SystemConfig(n_rx=8, n_sel=3, n_refl=31, mod_order=16, alpha=(0.01, 0.1, 0.89),
-                           noise_sigma=0.5, seed=4)
+                           seed=4)
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        _, h, y = make_trials(cfg, range(3))
+        _, h, y = make_trials(cfg, range(3), sigma=0.5)
         self.assert_matches_direct(y, h, cfg)
         ch = ChannelMatrix(h[0])
         p_hat, symbols, _ = direct_ml_detect(y[0], ch, cfg, table, const)
@@ -288,11 +329,10 @@ class TestBatchedMlEngine:
         # 2**16 // 9 = 7281 pairs, which ends inside trial 227 (C = 32) of
         # one search over all 240 trials
         monkeypatch.setattr(irsmas.detection, "ML_TRIALS", 240)
-        cfg = SystemConfig(n_rx=8, n_sel=3, n_refl=31, alpha=(0.05, 0.2, 0.75),
-                           noise_sigma=0.5, seed=6)
+        cfg = SystemConfig(n_rx=8, n_sel=3, n_refl=31, alpha=(0.05, 0.2, 0.75), seed=6)
         pair_step = SCREEN_BUDGET // 9
         assert pair_step % 32 and 240 * 32 > pair_step
-        _, h, y = make_trials(cfg, range(240))
+        _, h, y = make_trials(cfg, range(240), sigma=0.5)
         self.assert_matches_direct(y, h, cfg)
 
     @pytest.mark.parametrize("budget", [40, 100, 300])
@@ -301,9 +341,8 @@ class TestBatchedMlEngine:
         # these budgets, so slices end inside trials and each kept pair is
         # expanded over several runs of values; trial 2 ties everywhere
         monkeypatch.setattr(irsmas.detection, "SCREEN_BUDGET", budget)
-        cfg = SystemConfig(n_rx=5, n_sel=2, n_refl=9, mod_order=16, alpha=(0.05, 0.95),
-                           noise_sigma=0.3, seed=8)
-        _, h, y = make_trials(cfg, range(5))
+        cfg = SystemConfig(n_rx=5, n_sel=2, n_refl=9, mod_order=16, alpha=(0.05, 0.95), seed=8)
+        _, h, y = make_trials(cfg, range(5), sigma=0.3)
         h[2] = 0.0
         p_hat, labels, _ = self.assert_matches_direct(y, h, cfg)
         assert p_hat[2] == 0
@@ -312,10 +351,10 @@ class TestBatchedMlEngine:
     def test_identical_channel_rows_tie_to_smaller_row(self):
         # antennas 3 and 4 see the same channel, so rows (1, 3) and (1, 4)
         # align the same reflector phases and explain y equally well
-        cfg = SystemConfig(n_rx=6, n_sel=2, n_refl=10, mod_order=4, noise_sigma=0.05, seed=5)
+        cfg = SystemConfig(n_rx=6, n_sel=2, n_refl=10, mod_order=4, seed=5)
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         values = superposition_axes(cfg.mod_order, cfg.alpha).values
-        _, h, y = make_trials(cfg, range(3))
+        _, h, y = make_trials(cfg, range(3), sigma=0.05)
         h[:, 3] = h[:, 2]
         np.testing.assert_array_equal(table.rows[1:3], [[1, 3], [1, 4]])
         for t in range(3):
@@ -534,16 +573,17 @@ class TestCandidateGains:
 
 @st.composite
 def sas_blocks(draw):
-    """A small baseline config and scheme plus a block (start, count) of its trials."""
-    cfg = SystemConfig(
-        n_rx=draw(st.sampled_from((2, 4, 16))), n_sel=1, alpha=(1.0,),
-        n_refl=draw(st.integers(1, 70)),
-        mod_order=draw(st.sampled_from((2, 4, 16))),
-        noise_sigma=draw(st.sampled_from((0.0, 0.05, 0.5, 2.0, 20.0))),
-        seed=draw(st.integers(0, 2**32)),
-    )
+    """A small baseline config, a noise level and a scheme plus a block
+    (start, count) of its trials."""
+    n_rx = draw(st.sampled_from((2, 4, 16)))
+    n_refl = draw(st.integers(1, 70))
+    mod_order = draw(st.sampled_from((2, 4, 16)))
+    sigma = draw(st.sampled_from((0.0, 0.05, 0.5, 2.0, 20.0)))
+    cfg = SystemConfig(n_rx=n_rx, n_sel=1, alpha=(1.0,), n_refl=n_refl, mod_order=mod_order,
+                       seed=draw(st.integers(0, 2**32)))
     scheme = draw(st.sampled_from(("sas-sm", "sas-ssk")))
-    return cfg, scheme, draw(st.integers(0, 5000)), draw(st.integers(1, 3 * CHUNK_TRIALS + 5))
+    return (cfg, sigma, scheme, draw(st.integers(0, 5000)),
+            draw(st.integers(1, 3 * CHUNK_TRIALS + 5)))
 
 
 class TestBatchedSasEngine:
@@ -556,22 +596,22 @@ class TestBatchedSasEngine:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(sas_blocks())
-    @example((SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,), n_refl=64, mod_order=16,
-                           noise_sigma=25.0, seed=1), "sas-sm", 999, 37))
-    @example((SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,), n_refl=70, noise_sigma=25.0,
-                           seed=2), "sas-ssk", 0, 16))
+    @example((SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,), n_refl=64, mod_order=16, seed=1),
+              25.0, "sas-sm", 999, 37))
+    @example((SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,), n_refl=70, seed=2),
+              25.0, "sas-ssk", 0, 16))
     def test_block_counts_equal_sum_of_scalar_trials(self, case):
-        cfg, scheme, start, count = case
+        cfg, sigma, scheme, start, count = case
         pinned = scheme_config(cfg, scheme, "ml")
         table = build_rac_table(cfg.n_rx, 1)
         want = [0, 0, 0]
         for trial in range(start, start + count):
-            out = reference_run_trial(cfg, scheme, "ml", trial)
+            out = reference_run_trial(cfg, scheme, "ml", trial, sigma)
             want[0] += out.bit_errors
             want[1] += out.block_error
             want[2] += out.mac
 
-            _, ch, *_, y = make_sas_trial(cfg, scheme, trial)
+            _, ch, *_, y = make_sas_trial(cfg, scheme, trial, sigma)
             h = ch.h[None]
             gains, _ = channel_gains(h, pinned.n_sel)
             p_hat, labels, got_d = ml_detect_batch(
@@ -581,7 +621,7 @@ class TestBatchedSasEngine:
             np.testing.assert_array_equal(detected_bits(p_hat, labels, pinned)[0], ref_bits)
             _, ref_d = direct_sas_detect(y, ch, cfg, scheme, gains=gains[0])
             assert got_d[0] == ref_d
-        assert point_block(cfg, scheme, "ml", start, count) == (count, *want)
+        assert point_block(cfg, scheme, "ml", start, count, sigma) == (count, *want)
 
     @pytest.mark.parametrize("mode", ["sm", "ssk"])
     def test_all_zero_channel_ties_to_first_hypothesis(self, mode):
@@ -601,14 +641,12 @@ class TestBatchedSasEngine:
             assert distance[0] == ref_d == np.sum(np.abs(y) ** 2)
 
 
-# name: (scheme, detector, noisy config); the block below has errors in each
+# name: (scheme, detector, config, noise level); the block below has errors in each
 CHUNK_CASES = {
-    "mas-ssd": ("mas", "ssd", SystemConfig(noise_sigma=10.0, seed=11)),
-    "mas-ml": ("mas", "ml", SystemConfig(noise_sigma=10.0, seed=12)),
-    "sas-sm": ("sas-sm", "ml", SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,), noise_sigma=25.0,
-                                            seed=13)),
-    "sas-ssk": ("sas-ssk", "ml", SystemConfig(n_rx=8, n_sel=1, alpha=(1.0,), noise_sigma=30.0,
-                                              seed=14)),
+    "mas-ssd": ("mas", "ssd", SystemConfig(seed=11), 10.0),
+    "mas-ml": ("mas", "ml", SystemConfig(seed=12), 10.0),
+    "sas-sm": ("sas-sm", "ml", SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,), seed=13), 25.0),
+    "sas-ssk": ("sas-ssk", "ml", SystemConfig(n_rx=8, n_sel=1, alpha=(1.0,), seed=14), 30.0),
 }
 CHUNK_BLOCK = (45, 67)  # start, count: 67 trials is no multiple of 7, 16 or 32
 
@@ -616,9 +654,10 @@ CHUNK_BLOCK = (45, 67)  # start, count: 67 trials is no multiple of 7, 16 or 32
 @lru_cache(maxsize=None)
 def reference_block(name):
     """(bit errors, block errors, MACs) of CHUNK_BLOCK by the scalar reference."""
-    scheme, detector, cfg = CHUNK_CASES[name]
+    scheme, detector, cfg, sigma = CHUNK_CASES[name]
     start, count = CHUNK_BLOCK
-    outs = [reference_run_trial(cfg, scheme, detector, t) for t in range(start, start + count)]
+    outs = [reference_run_trial(cfg, scheme, detector, t, sigma)
+            for t in range(start, start + count)]
     return (sum(o.bit_errors for o in outs), sum(o.block_error for o in outs),
             sum(o.mac for o in outs))
 
@@ -626,21 +665,20 @@ def reference_block(name):
 @pytest.mark.parametrize("chunk", [1, 7, 16, 32])
 @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
 def test_chunk_length_does_not_change_counts(monkeypatch, name, chunk):
-    scheme, detector, cfg = CHUNK_CASES[name]
+    scheme, detector, cfg, sigma = CHUNK_CASES[name]
     want = reference_block(name)
     assert want[1] > 0
     monkeypatch.setattr(irsmas.harness, "CHUNK_TRIALS", chunk)
-    assert point_block(cfg, scheme, detector, *CHUNK_BLOCK) == (CHUNK_BLOCK[1], *want)
+    assert point_block(cfg, scheme, detector, *CHUNK_BLOCK, sigma) == (CHUNK_BLOCK[1], *want)
 
 
 @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
 def test_joint_block_equals_per_point_blocks(name):
     # noiseless, the case's own noise twice and a third of it; 67 trials
     # span two full chunks and a ragged one
-    scheme, detector, cfg = CHUNK_CASES[name]
-    sigmas = (0.0, cfg.noise_sigma, cfg.noise_sigma / 3, cfg.noise_sigma)
-    alone = [point_block(dataclasses.replace(cfg, noise_sigma=sigma), scheme, detector,
-                         *CHUNK_BLOCK) for sigma in sigmas]
+    scheme, detector, cfg, sigma = CHUNK_CASES[name]
+    sigmas = (0.0, sigma, sigma / 3, sigma)
+    alone = [point_block(cfg, scheme, detector, *CHUNK_BLOCK, s) for s in sigmas]
     assert alone[1] == alone[3] == (CHUNK_BLOCK[1], *reference_block(name))
     assert alone[0][2] == 0
     cfg = scheme_config(cfg, scheme, detector)
@@ -797,17 +835,17 @@ def test_ssd_stacked_block_memory_is_bounded():
     assert peak < 16 * 2**20, peak
 
 
-# name: (detector, config, the most chunks a stack's cross gains allow: one
-# chunk's draw buffers over its cross gains, 781 KiB / 144 KiB at 12 rx and
-# 2 blocks, 781 KiB / 288 KiB at 3 blocks of 21 reflectors and a leftover one)
+# name: (detector, config, noise level, the most chunks a stack's cross gains
+# allow: one chunk's draw buffers over its cross gains, 781 KiB / 144 KiB at
+# 12 rx and 2 blocks, 781 KiB / 288 KiB at 3 blocks of 21 reflectors and a
+# leftover one)
 STACK_CASES = {
-    "ssd-bpsk": ("ssd", SystemConfig(noise_sigma=10.0, seed=21), 5),
-    "ml-qam16": ("ml", SystemConfig(mod_order=16, alpha=(0.05, 0.95), noise_sigma=4.0,
-                                    seed=22), 5),
+    "ssd-bpsk": ("ssd", SystemConfig(seed=21), 10.0, 5),
+    "ml-qam16": ("ml", SystemConfig(mod_order=16, alpha=(0.05, 0.95), seed=22), 4.0, 5),
     "ssd-n_sel-3": ("ssd", SystemConfig(n_sel=3, alpha=(0.05, 0.2, 0.75), mod_order=4,
-                                        noise_sigma=10.0, seed=23), 2),
+                                        seed=23), 10.0, 2),
     "ml-n_sel-3": ("ml", SystemConfig(n_sel=3, alpha=(0.05, 0.2, 0.75), mod_order=4,
-                                      noise_sigma=10.0, seed=24), 2),
+                                      seed=24), 10.0, 2),
 }
 
 
@@ -844,9 +882,9 @@ class TestStacks:
     @pytest.mark.parametrize("n_points", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", sorted(STACK_CASES))
     def test_counts_equal_one_chunk_stacks(self, monkeypatch, name, n_points):
-        detector, cfg, most = STACK_CASES[name]
+        detector, cfg, sigma, most = STACK_CASES[name]
         cfg = scheme_config(cfg, "mas", detector)
-        sigmas = (cfg.noise_sigma, 0.0, cfg.noise_sigma / 2, 2 * cfg.noise_sigma)[:n_points]
+        sigmas = (sigma, 0.0, sigma / 2, 2 * sigma)[:n_points]
         job = (cfg, detector, *CHUNK_BLOCK, sigmas)
         monkeypatch.setattr(irsmas.harness, "STACK_ROWS", CHUNK_TRIALS)  # one chunk a stack
         want = _block_counts(job)
@@ -873,10 +911,10 @@ class TestStacks:
     def test_one_detector_call_a_stack(self, monkeypatch, name, n_points):
         # a stack of several chunks (67 trials at one point, 32 in chunks
         # of 7 at three) is detected in one call, for every point at once
-        detector, cfg, _ = STACK_CASES[name]
+        detector, cfg, sigma, _ = STACK_CASES[name]
         cfg = scheme_config(cfg, "mas", detector)
         monkeypatch.setattr(irsmas.harness, "CHUNK_TRIALS", 7 if n_points > 1 else 32)
-        sigmas = (cfg.noise_sigma, 0.0, cfg.noise_sigma / 2)[:n_points]
+        sigmas = (sigma, 0.0, sigma / 2)[:n_points]
         n_stack, workspace = _workspace(cfg, CHUNK_BLOCK[1], n_points)
         seen = record_calls(monkeypatch, "draw_trials", "ml_detect_batch", "ssd_detect_batch")
         _stack_counts(cfg, detector, range(45, 45 + n_stack), sigmas, workspace)
@@ -964,7 +1002,7 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("name", sorted(CHUNK_CASES))
     def test_every_chunk_reuses_the_block_buffers(self, monkeypatch, name):
-        scheme, detector, cfg = CHUNK_CASES[name]
+        scheme, detector, cfg, sigma = CHUNK_CASES[name]
         # stacks of two chunks: 67 trials run as stacks of 64 and 3 trials
         monkeypatch.setattr(irsmas.harness, "CHUNK_TRIALS", 32)
         monkeypatch.setattr(irsmas.harness, "STACK_ROWS", 64)
@@ -999,8 +1037,8 @@ class TestWorkspace:
         monkeypatch.setattr(irsmas.harness, "aligning_phases", aligning_phases)
         monkeypatch.setattr(irsmas.harness, "cross_gains", cross_gains)
         monkeypatch.setattr(irsmas.detection, "ml_gains", ml_gains)
-        assert point_block(cfg, scheme, detector, *CHUNK_BLOCK) == (CHUNK_BLOCK[1],
-                                                                    *reference_block(name))
+        assert point_block(cfg, scheme, detector, *CHUNK_BLOCK, sigma) == \
+            (CHUNK_BLOCK[1], *reference_block(name))
         # of any scheme: a baseline is an ml search at n_sel 1
         for kind in ("draws", "phases"):
             calls = [(n, data) for k, n, data in seen if k == kind]
@@ -1021,9 +1059,10 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("count", [CHUNK_TRIALS, 7])  # a full chunk, then a ragged one
     def test_ml_into_used_buffers_equals_fresh_search(self, count):
-        cfg = dataclasses.replace(CHUNK_CASES["mas-ml"][2], mod_order=16, alpha=(0.05, 0.95))
+        _, _, cfg, sigma = CHUNK_CASES["mas-ml"]
+        cfg = dataclasses.replace(cfg, mod_order=16, alpha=(0.05, 0.95))
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        _, h, y = make_trials(cfg, range(100, 100 + count))
+        _, h, y = make_trials(cfg, range(100, 100 + count), sigma=sigma)
         norms = np.linalg.norm(h, axis=-1)
         size = CHUNK_TRIALS + 5
         phases = np.full((size, cfg.n_rx, cfg.n_refl), np.nan, dtype=complex)
@@ -1040,7 +1079,7 @@ class TestWorkspace:
     def test_workspace_adds_only_the_cross_gains_to_the_draws(self, name):
         # and what else the stack keeps of each chunk: its row norms, bits
         # and unit noise, for a stack of one chunk and of four
-        scheme, detector, cfg = CHUNK_CASES[name]
+        scheme, detector, cfg, _ = CHUNK_CASES[name]
         cfg = scheme_config(cfg, scheme, detector)
         layout = draw_layout(CHUNK_TRIALS, bits_per_tx(cfg, scheme), cfg.n_rx, cfg.n_refl)
         n_blocks = cfg.n_sel + (cfg.n_refl % cfg.n_sel > 0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from irsmas.channel import ChannelMatrix, sample_channel, trial_rng
-from irsmas.core import SystemConfig, bits_to_int, make_constellation
+from irsmas.core import SystemConfig, make_constellation
 from irsmas.detection import cross_gains
 from irsmas.rac import build_rac_table, rac_row
 from irsmas.transmitter import (
@@ -19,6 +19,7 @@ from irsmas.transmitter import (
     reflector_phases,
     row_norms,
 )
+from reference import bits_to_int
 from reference import reflector_phases as reference_reflector_phases
 from reference import sort_weights_asc, sort_weights_desc, superpose
 
