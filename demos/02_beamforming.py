@@ -10,32 +10,27 @@ unconfigured surface and shows the per-antenna signal decomposition.
 
 import numpy as np
 
-from irsmas import (
-    SystemConfig,
-    alignment_gain,
-    decompose_received,
-    reflector_phases,
-    sample_channel,
-    trial_rng,
-)
+from irsmas import SystemConfig, alignment_gain, decompose_received, reflector_phases
+from irsmas.channel import TrialStreams, draw_trials
 
 cfg = SystemConfig()
 sel = np.array([3, 7])  # pretend the index bits picked antennas 3 and 7
 
-gains = np.array([alignment_gain(sample_channel(cfg.n_rx, cfg.n_refl, trial_rng(42, trial)), sel)
-                  for trial in range(2000)])
+# the channels of trials 0 to 1999 of seed 42, each from its own stream
+_, channels, _ = draw_trials(TrialStreams(42), range(2000), 0, cfg.n_rx, cfg.n_refl)
+gains = np.array([alignment_gain(h, sel) for h in channels])
 print(f"alignment gain over {len(gains)} channels:")
 print(f"  median {np.median(gains):8.1f}x")
 print(f"  5th pct {np.percentile(gains, 5):8.1f}x")
 
-ch = sample_channel(cfg.n_rx, cfg.n_refl, trial_rng(42, 0))
-theta = reflector_phases(ch.h[sel - 1, :])
+h = channels[0]
+theta = reflector_phases(h[sel - 1, :])
 x = 1.0 + 0.0j
 
 print("\nper-slot decomposition of the noiseless received sample:")
 for slot in (1, 2):
-    c, nc, lo = decompose_received(ch, theta, x, sel, slot)
-    total = ch.h[sel[slot - 1] - 1, :] @ theta * x
+    c, nc, lo = decompose_received(h, theta, x, sel, slot)
+    total = h[sel[slot - 1] - 1, :] @ theta * x
     print(
         f"  antenna {sel[slot - 1]:2d}: constructive {abs(c):7.3f}  "
         f"cross-block {abs(nc):6.3f}  leftover {abs(lo):.3f}  "
@@ -45,6 +40,6 @@ for slot in (1, 2):
 # The constructive part is real-positive by construction: the dedicated
 # block contributes sum(|h|) rather than a random phasor walk.
 block = slice(0, cfg.delta)
-expected = np.sum(np.abs(ch.h[sel[0] - 1, block]))
-c, _, _ = decompose_received(ch, theta, x, sel, 1)
+expected = np.sum(np.abs(h[sel[0] - 1, block]))
+c, _, _ = decompose_received(h, theta, x, sel, 1)
 print(f"\nslot 1 dedicated block: sum of magnitudes {expected:.3f}, got {c.real:.3f}")

@@ -1,23 +1,11 @@
-"""Rayleigh fading channel, per-trial streams, propagation through the
-reflecting surface, per-antenna signal decompositions and alignment gain."""
+"""Rayleigh fading channels, per-trial streams and noise, per-antenna
+signal decompositions and alignment gain."""
 
 import operator
 
 import numpy as np
 
 from .transmitter import reflector_blocks, reflector_phases
-
-
-class ChannelMatrix:
-    """n_rx x n_refl complex fading matrix with an amplitude view."""
-
-    def __init__(self, h: np.ndarray):
-        self.h = np.asarray(h, dtype=complex)
-        self.beta = np.abs(self.h)  # entry amplitudes
-
-    @property
-    def shape(self):
-        return self.h.shape
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -40,30 +28,14 @@ def check_trial_index(trial_index) -> int:
     return index
 
 
-def sample_channel(n_rx: int, n_refl: int, rng: np.random.Generator) -> ChannelMatrix:
-    """Draw an i.i.d. zero-mean unit-variance complex Gaussian channel."""
-    h = (rng.standard_normal((n_rx, n_refl)) + 1j * rng.standard_normal((n_rx, n_refl)))
-    return ChannelMatrix(h / np.sqrt(2.0))
-
-
-def propagate(channel: ChannelMatrix, theta: np.ndarray, x: complex, noise_sigma: float,
-              rng: np.random.Generator) -> np.ndarray:
-    """Received vector y = H theta x + n with complex Gaussian noise of variance sigma^2."""
-    n_rx, n_refl = channel.shape
-    if len(theta) != n_refl:
-        raise ValueError(f"theta length {len(theta)} does not match {n_refl} reflectors")
-    noise = rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
-    return add_noise(channel.h @ theta * x, noise, noise_sigma)
-
-
 # Generator.integers(0, 2) turns each 32-bit output u into u >> 31 (a
 # range of two never rejects), and Philox serves 32-bit outputs as the low,
 # then the high half of each 64-bit word: bit j is bit _BIT_SHIFTS[j % 2]
 # of word j // 2.
 _BIT_SHIFTS = np.array([31, 63], dtype=np.uint64)
 # numpy divides a complex value by the real sqrt(2) by multiplying both
-# parts by this reciprocal, so (re + 1j * im) / sqrt(2), as sample_channel
-# forms it, equals re * _INV_SQRT2 + 1j * (im * _INV_SQRT2) bit for bit.
+# parts by this reciprocal, so a channel entry drawn as (re + 1j * im) /
+# sqrt(2) equals re * _INV_SQRT2 + 1j * (im * _INV_SQRT2) bit for bit.
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -98,10 +70,11 @@ def draw_trials(streams: TrialStreams, trials, n_bits: int, n_rx: int, n_refl: i
     """Every random draw of several trials.
 
     Each trial draws from its own ``trial_rng`` stream, in this order:
-    bits (as ``integers(0, 2)``), channel (as ``sample_channel``), noise
-    (real, imaginary).  ``streams`` holds the master seed's one generator,
-    which a caller drawing many chunks builds once and passes to each, and
-    which serves all the trials.  The bits come
+    bits (as ``integers(0, 2)``), channel ((re + 1j * im) / sqrt(2), the
+    standard normals of every real part, then of every imaginary part),
+    noise (real, imaginary).  ``streams`` holds the master seed's one
+    generator, which a caller drawing many chunks builds once and passes
+    to each, and which serves all the trials.  The bits come
     from the raw 64-bit words that ``integers(0, 2)`` would consume, and
     the complex parts are assembled with real arithmetic; both give the
     stream's values bit for bit.
@@ -134,12 +107,13 @@ def add_noise(received: np.ndarray, noise: np.ndarray, noise_sigma: float) -> np
     return received + noise * (noise_sigma / np.sqrt(2.0))
 
 
-def decompose_received(channel: ChannelMatrix, theta, x, sel, slot: int):
-    """Split the noiseless sample at selected antenna ``slot`` into three parts.
+def decompose_received(h: np.ndarray, theta, x, sel, slot: int):
+    """Split the noiseless sample of channel h (n_rx, n_refl) at selected
+    antenna ``slot`` into three parts.
 
     Returns (constructive, nonconstructive, leftover):
       * constructive  -- the dedicated reflector block, phase-aligned, worth
-        sum(beta) * x;
+        sum(|h|) * x;
       * nonconstructive -- the blocks dedicated to the other selected antennas;
       * leftover      -- reflectors beyond n_sel*delta (zero when n_sel
         divides n_refl).
@@ -151,32 +125,33 @@ def decompose_received(channel: ChannelMatrix, theta, x, sel, slot: int):
     n_sel = len(sel)
     if not 1 <= slot <= n_sel:
         raise IndexError(f"slot {slot} out of range [1, {n_sel}]")
-    n_refl = channel.shape[1]
+    n_refl = h.shape[1]
     blocks = reflector_blocks(n_refl, n_sel)[:n_sel]
     tail = slice(blocks[-1][0].stop, n_refl)  # the leftover reflectors, if any
     ant = sel[slot - 1] - 1
-    constructive = np.sum(channel.beta[ant, blocks[slot - 1][0]]) * x
+    constructive = np.sum(np.abs(h[ant, blocks[slot - 1][0]])) * x
     nonconstructive = 0j
     for block, q in blocks:
         if q != slot - 1:
-            nonconstructive += np.dot(channel.h[ant, block], theta[block]) * x
-    leftover = np.dot(channel.h[ant, tail], theta[tail]) * x
+            nonconstructive += np.dot(h[ant, block], theta[block]) * x
+    leftover = np.dot(h[ant, tail], theta[tail]) * x
     return complex(constructive), complex(nonconstructive), complex(leftover)
 
 
-def alignment_gain(channel: ChannelMatrix, sel) -> float:
-    """Signal energy with the reflector blocks phase-aligned to ``sel`` over
-    that of the raw conjugate block sums, n_sel |sum|^2.  The aligned
-    energy sums, over selected antennas, the squared constructive and
-    nonconstructive parts of ``decompose_received`` at unit symbol energy."""
+def alignment_gain(h: np.ndarray, sel) -> float:
+    """Signal energy of channel h (n_rx, n_refl) with the reflector blocks
+    phase-aligned to ``sel`` over that of the raw conjugate block sums,
+    n_sel |sum|^2.  The aligned energy sums, over selected antennas, the
+    squared constructive and nonconstructive parts of ``decompose_received``
+    at unit symbol energy."""
     sel = np.asarray(sel)
     n_sel = len(sel)
-    theta = reflector_phases(channel.h[sel - 1])
+    theta = reflector_phases(h[sel - 1])
     aligned = 0.0
     for slot in range(1, n_sel + 1):
-        constructive, cross, _ = decompose_received(channel, theta, 1.0, sel, slot)
+        constructive, cross, _ = decompose_received(h, theta, 1.0, sel, slot)
         aligned += abs(constructive) ** 2 + abs(cross) ** 2
     acc = 0j
-    for block, q in reflector_blocks(channel.shape[1], n_sel)[:n_sel]:
-        acc += np.sum(np.conj(channel.h[sel[q] - 1, block]))
+    for block, q in reflector_blocks(h.shape[1], n_sel)[:n_sel]:
+        acc += np.sum(np.conj(h[sel[q] - 1, block]))
     return aligned / (n_sel * abs(acc) ** 2)

@@ -13,16 +13,11 @@ gains from the per-block cross gains that the ML search's gains come from
 too, peels the superposed symbols off weakest-slot first, superposes the
 decoded symbols again, and keeps the candidate whose reconstruction is
 closest to the observed vector.
-
-``ml_detect`` and ``ssd_detect`` run one trial, as a stack of one.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    Constellation,
     SuperpositionAxes,
     SystemConfig,
     make_constellation,
@@ -30,7 +25,7 @@ from .core import (
     unpack_bits,
 )
 from .rac import RacTable
-from .transmitter import aligning_phases, gain_index, reflector_blocks, row_norms, slot_order
+from .transmitter import gain_index, reflector_blocks, slot_order
 
 # Most scores (or distance terms) any one array of the ML search holds,
 # unless a single pair's |A| + |B| scores are more.
@@ -40,17 +35,6 @@ ML_GUARD = 2**20
 # Channels one ML gains stack holds: a 128-trial headline 16-QAM search took 27 us
 # a trial and 730 minor page faults, four 32-trial searches 18 us and 5.
 ML_TRIALS = 32
-
-
-@dataclass
-class DetectionResult:
-    """Decoder output: antenna-combination index, per-slot symbols, bits."""
-
-    rac_index: int
-    symbols: np.ndarray   # constellation point per slot
-    bits: np.ndarray
-    distance: float
-    mac_count: int
 
 
 def detected_bits(p_hat: np.ndarray, labels: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -384,34 +368,6 @@ def _keep_first_minimum(found, t, p, v, distance):
     tf = t[first]
     take = first[(rows[tf] < 0) | (distance[first] < best[tf])]
     best[t[take]], rows[t[take]], vals[t[take]] = distance[take], p[take], v[take]
-
-
-def ml_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
-              const: Constellation) -> DetectionResult:
-    """Jointly optimal exhaustive search for one trial: ``ml_detect_batch``
-    on a stack of one."""
-    check_ml_guard(cfg)
-    h = channel.h[None]
-    p_hat, labels, distance = ml_detect_batch(
-        y[None], *cross_gains(h, aligning_phases(h), cfg.n_sel), row_norms(h), cfg, table)
-    return _first_result(p_hat, labels, distance, cfg, const, mac_ml(cfg))
-
-
-def ssd_detect(y: np.ndarray, channel, cfg: SystemConfig, table: RacTable,
-               const: Constellation) -> DetectionResult:
-    """SSD receiver for one trial: ``ssd_detect_batch`` on a stack of one."""
-    h = channel.h[None]
-    p_hat, labels, distance, n_cand = ssd_detect_batch(
-        y[None], *cross_gains(h, aligning_phases(h), cfg.n_sel), row_norms(h), cfg, table)
-    return _first_result(p_hat, labels, distance, cfg, const, mac_ssd(cfg, int(n_cand[0])))
-
-
-def _first_result(p_hat, labels, distance, cfg: SystemConfig, const: Constellation,
-                  mac_count: int) -> DetectionResult:
-    """The first trial of a batched detector's output, with its bits."""
-    return DetectionResult(rac_index=int(p_hat[0]), symbols=const.points[labels[0]],
-                           bits=detected_bits(p_hat, labels, cfg)[0],
-                           distance=float(distance[0]), mac_count=mac_count)
 
 
 def mac_base(n_rx: int, n_refl: int) -> int:

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: per-trial simulation, metric aggregation, SNR sweeps.
+"""Monte Carlo harness: the batched trial engine, metric aggregation, SNR sweeps.
 
 Trials are scheduled in fixed blocks of 1000 so that early stopping and
 parallel execution cannot change the result: a point consumes a prefix of
@@ -23,9 +23,10 @@ engine, in one workspace of the same layout for either detector, as
 arrays over trials x candidates.  A block is cut into stacks of chunks
 of CHUNK_TRIALS trials, sized by ``_workspace``.  Each chunk is drawn, and
 its phases, cross gains and row norms formed, in chunk-sized draw
-buffers; each stack is encoded, propagated and detected at once.  Below
-the gate, ``scheme_config``, a baseline is the mas config its pin made,
-so the engine reads the config and the detector, never the scheme.
+buffers; each stack's encoding, received vectors and detection run at
+once.  Below the gate, ``scheme_config``, a baseline is the mas config
+its pin made, so the engine reads the config and the detector, never the
+scheme.
 Every trial draws from its own stream and gets the same arithmetic
 whatever chunk and stack it runs in, so a block's counts equal the sum of
 ``run_trial`` outcomes over its trials.  ``run_trial`` is

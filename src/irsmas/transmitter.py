@@ -8,24 +8,12 @@ strongest.  Each selected antenna also gets a dedicated block of reflectors
 whose phases cancel that antenna's channel phases.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import SystemConfig, pack_bits, superposition_axes
 from .rac import RacTable, build_rac_table
-
-
-@dataclass
-class TxOutput:
-    """Everything the transmitter produces for one block of bits."""
-
-    x: complex                # superposed transmit scalar
-    theta: np.ndarray         # unit-modulus reflector phase vector, length n_refl
-    sel: np.ndarray           # selected antennas (1-based)
-    order_desc: np.ndarray    # slot permutation, strongest channel first (1-based)
-    weights: np.ndarray       # per-slot channel row norms
 
 
 def reflector_phases(sel_channel: np.ndarray) -> np.ndarray:
@@ -135,16 +123,3 @@ def encode_batch(bits: np.ndarray, norms: np.ndarray, cfg: SystemConfig, table: 
     labels = pack_bits(bits[:, cfg.l1 :], cfg.bits_per_sym)  # per slot
     axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha))
     return p, labels, axes.superpose(labels[np.arange(len(labels))[:, None], order])
-
-
-def encode(bits, channel, cfg: SystemConfig, table: RacTable) -> TxOutput:
-    """One block of bits through ``encode_batch``, as a stack of one, with
-    the selection it made and its ``reflector_phases``."""
-    bits = np.asarray(bits)
-    if len(bits) != cfg.block_len:
-        raise ValueError(f"expected {cfg.block_len} bits, got {len(bits)}")
-    norms = row_norms(channel.h[None])
-    p, _, x = encode_batch(bits[None], norms, cfg, table)
-    (sel,), (weights,), (order,) = slot_order(p, norms, table)
-    return TxOutput(x=complex(x[0]), theta=reflector_phases(channel.h[sel - 1]), sel=sel,
-                    order_desc=order + 1, weights=weights)

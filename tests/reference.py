@@ -3,10 +3,24 @@
 ``irsmas`` runs every trial through its batched engine.  This module keeps
 an independent implementation of the same chain, written with per-slot,
 per-block and per-candidate loops: each trial's draws from its own
-``trial_rng`` stream, MAS encoding, the ssd receiver, the direct ml search
-and the single-antenna baselines.  The engine-equivalence tests compare
-the engine with it, count for count and value for value.  ``irsmas``
-never imports it.
+``trial_rng`` stream, the channel, propagation, MAS encoding, the ssd
+receiver, the direct ml search and the single-antenna baselines.  The
+engine-equivalence tests compare the engine with it, count for count and
+value for value.  ``irsmas`` never imports it.
+
+It imports from ``irsmas`` only these names; none of them encodes,
+propagates or detects:
+  * ``trial_rng``, the stream address of a trial, so that the oracle
+    draws what the engine draws;
+  * ``SystemConfig``, ``Constellation``, ``make_constellation``,
+    ``RacTable``, ``build_rac_table`` and ``rac_row``: the config, the
+    symbol alphabets and the antenna-combination table, read as data;
+  * ``mac_base``, ``mac_ml`` and ``mac_ssd``, the paper's MAC formulas
+    that a trial is billed by, and ``TrialOutcome``, the record of a
+    trial's counts, so that ``run_trial`` returns what the engine's does;
+  * ``aligning_phases``, the elementwise kernel conj(h)/|h| that gives
+    each reflector its phase, so that phases agree bit for bit and the
+    oracle's gains differ from the engine's only by the order of summing.
 """
 
 import itertools
@@ -15,12 +29,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from irsmas.channel import propagate, sample_channel, trial_rng
+from irsmas.channel import trial_rng
 from irsmas.core import Constellation, SystemConfig, make_constellation
-from irsmas.detection import DetectionResult, mac_base, mac_ml, mac_ssd
+from irsmas.detection import mac_base, mac_ml, mac_ssd
 from irsmas.harness import TrialOutcome
 from irsmas.rac import RacTable, build_rac_table, rac_row
-from irsmas.transmitter import TxOutput, aligning_phases
+from irsmas.transmitter import aligning_phases
 
 
 def bits_to_int(bits) -> int:
@@ -55,14 +69,31 @@ def monte_carlo_se(rate: float, trials: int) -> float:
     return float(np.sqrt(max(rate * (1.0 - rate), 0.0) / trials))
 
 
+def sample_channel(n_rx: int, n_refl: int, rng: np.random.Generator) -> np.ndarray:
+    """An i.i.d. zero-mean unit-variance complex Gaussian channel h (n_rx,
+    n_refl): every real part, then every imaginary part."""
+    h = rng.standard_normal((n_rx, n_refl)) + 1j * rng.standard_normal((n_rx, n_refl))
+    return h / np.sqrt(2.0)
+
+
+def unit_noise(n_rx: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex noise whose real parts, then imaginary parts, are standard
+    normal draws of ``rng``."""
+    return rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
+
+
+def propagate(h, theta, x, noise_sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Received vector y = H theta x + n, with complex Gaussian noise n of
+    variance sigma^2 an antenna drawn from ``rng``."""
+    return h @ theta * x + unit_noise(len(h), rng) * (noise_sigma / np.sqrt(2.0))
+
+
 def draw_trial(seed: int, trial_index: int, n_bits: int, n_rx: int, n_refl: int):
     """One trial's bits, channel and unit-variance noise, drawn in order
     from its own stream."""
     rng = trial_rng(seed, trial_index)
     bits = rng.integers(0, 2, size=n_bits, dtype=np.int64)
-    h = sample_channel(n_rx, n_refl, rng).h
-    noise = rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
-    return bits, h, noise
+    return bits, sample_channel(n_rx, n_refl, rng), unit_noise(n_rx, rng)
 
 
 def sort_weights_desc(weights) -> np.ndarray:
@@ -118,18 +149,18 @@ def reflector_phases(sel_channel: np.ndarray, delta: int) -> np.ndarray:
     return theta
 
 
-def encode(bits, channel, cfg: SystemConfig, table: RacTable, const: Constellation) -> TxOutput:
-    """Map one block of bits to the transmit scalar and reflector configuration."""
+def encode(bits, h, cfg: SystemConfig, table: RacTable, const: Constellation):
+    """Map one block of bits on channel h to the transmit scalar and the
+    reflector phases: (x, theta)."""
     mu = cfg.bits_per_sym
     sel = rac_row(table, bits_to_int(bits[: cfg.l1]))
-    sel_channel = channel.h[sel - 1, :]
+    sel_channel = h[sel - 1, :]
     weights = np.linalg.norm(sel_channel, axis=1)
     order = sort_weights_desc(weights)
     symbols = [const.points[bits_to_int(bits[start : start + mu])]
                for start in range(cfg.l1, cfg.block_len, mu)]
     x = superpose(symbols, order, cfg.alpha)
-    theta = reflector_phases(sel_channel, cfg.delta)
-    return TxOutput(x=x, theta=theta, sel=sel, order_desc=order, weights=weights)
+    return x, reflector_phases(sel_channel, cfg.delta)
 
 
 def make_trial(cfg: SystemConfig, trial: int, seed=None, sigma=0.0):
@@ -140,17 +171,16 @@ def make_trial(cfg: SystemConfig, trial: int, seed=None, sigma=0.0):
     const = make_constellation(cfg.mod_order)
     rng = trial_rng(cfg.seed if seed is None else seed, trial)
     bits = rng.integers(0, 2, size=cfg.block_len, dtype=np.int64)
-    ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
-    tx = encode(bits, ch, cfg, table, const)
-    y = propagate(ch, tx.theta, tx.x, sigma, rng)
-    return bits, ch, y
+    h = sample_channel(cfg.n_rx, cfg.n_refl, rng)
+    x, theta = encode(bits, h, cfg, table, const)
+    return bits, h, propagate(h, theta, x, sigma, rng)
 
 
 def make_trials(cfg: SystemConfig, trials, seed=None, sigma=0.0):
     """``make_trial`` for several trials, stacked: bits (T, block_len),
     channels (T, n_rx, n_refl) and received vectors (T, n_rx)."""
-    bits, channels, ys = zip(*(make_trial(cfg, t, seed, sigma) for t in trials))
-    return np.stack(bits), np.stack([ch.h for ch in channels]), np.stack(ys)
+    parts = zip(*(make_trial(cfg, t, seed, sigma) for t in trials))
+    return tuple(np.stack(part) for part in parts)
 
 
 @dataclass
@@ -200,7 +230,7 @@ def rac_candidates(y: np.ndarray, table: RacTable, n_c: int, n_iters: int) -> Ca
     return CandidateSet(rows=rows, scores=scores, order=order)
 
 
-def ssd_candidate_decode(y, channel, p_hat: int, cfg: SystemConfig, table: RacTable,
+def ssd_candidate_decode(y, h, p_hat: int, cfg: SystemConfig, table: RacTable,
                          const: Constellation, gains=None):
     """Successively decode the superposed symbols assuming antenna row p_hat.
 
@@ -212,11 +242,11 @@ def ssd_candidate_decode(y, channel, p_hat: int, cfg: SystemConfig, table: RacTa
     effective gains, used in place of the oracle's own H theta_p.
     """
     sel = rac_row(table, p_hat)
-    sel_channel = channel.h[sel - 1, :]
+    sel_channel = h[sel - 1, :]
     order = sort_weights_asc(np.linalg.norm(sel_channel, axis=1))
     if gains is None:
         theta = reflector_phases(sel_channel, cfg.delta)
-        row_gains = channel.h @ theta
+        row_gains = h @ theta
         slot_gains = sel_channel @ theta  # per-slot effective gain, slot j at [j-1]
     else:
         row_gains = gains[:, p_hat]
@@ -248,29 +278,23 @@ def detection_to_bits(p_hat: int, symbols, cfg: SystemConfig, table: RacTable,
     return np.concatenate(parts)
 
 
-def ssd_detect(y, channel, cfg: SystemConfig, table: RacTable, const: Constellation,
-               gains=None) -> DetectionResult:
+def ssd_detect(y, h, cfg: SystemConfig, table: RacTable, const: Constellation, gains=None):
     """Full ssd receiver: rank candidates, decode the best n_iters, keep the
     closest.  ``gains`` (n_rx, C), if given, are every row's effective
-    gains, decoded with in place of the oracle's own H theta_p."""
+    gains, decoded with in place of the oracle's own H theta_p.  Returns
+    (row index, per-slot symbols, distance, candidate count)."""
     cands = rac_candidates(y, table, cfg.n_cand_antennas, cfg.n_iters)
     n_cand = len(cands.rows)
     best_d, best_p, best_symbols = np.inf, None, None
     for v in range(min(cfg.n_iters, n_cand)):
         p_hat = rac_find(table, cands.rows[cands.order[v]])
-        symbols, _, d = ssd_candidate_decode(y, channel, p_hat, cfg, table, const, gains)
+        symbols, _, d = ssd_candidate_decode(y, h, p_hat, cfg, table, const, gains)
         if d < best_d:
             best_d, best_p, best_symbols = d, p_hat, symbols
     if best_p is None:  # every candidate had a degenerate zero gain
         best_p = rac_find(table, cands.rows[cands.order[0]])
         best_symbols = np.full(cfg.n_sel, const.points[0])
-    return DetectionResult(
-        rac_index=best_p,
-        symbols=best_symbols,
-        bits=detection_to_bits(best_p, best_symbols, cfg, table, const),
-        distance=best_d,
-        mac_count=mac_ssd(cfg, n_cand),
-    )
+    return best_p, best_symbols, best_d, n_cand
 
 
 def direct_gains(h, table: RacTable, delta: int) -> np.ndarray:
@@ -280,7 +304,7 @@ def direct_gains(h, table: RacTable, delta: int) -> np.ndarray:
     return h @ theta.T
 
 
-def direct_ml_detect(y, channel, cfg: SystemConfig, table: RacTable, const: Constellation,
+def direct_ml_detect(y, h, cfg: SystemConfig, table: RacTable, const: Constellation,
                      gains=None):
     """Reference ML search: every (row, tuple) distance computed elementwise,
     2**14 hypotheses at a time; the first minimum wins.  ``gains`` (n_rx,
@@ -288,7 +312,7 @@ def direct_ml_detect(y, channel, cfg: SystemConfig, table: RacTable, const: Cons
     every row.  Returns (row index, per-slot symbols, distance)."""
     values, labels = superposition_table(cfg.mod_order, tuple(cfg.alpha))
     if gains is None:
-        gains = direct_gains(channel.h, table, cfg.delta)
+        gains = direct_gains(h, table, cfg.delta)
 
     best = (np.inf, -1, -1)
     chunk = max(1, 2**14 // len(values))
@@ -305,7 +329,7 @@ def direct_ml_detect(y, channel, cfg: SystemConfig, table: RacTable, const: Cons
 
     distance, p_hat, t_hat = best
     sel = rac_row(table, p_hat)
-    order = sort_weights_desc(np.linalg.norm(channel.h[sel - 1, :], axis=1))
+    order = sort_weights_desc(np.linalg.norm(h[sel - 1, :], axis=1))
     symbols = np.zeros(cfg.n_sel, dtype=complex)
     for i, slot in enumerate(order):
         symbols[slot - 1] = const.points[labels[t_hat, i]]
@@ -319,7 +343,7 @@ def sas_bits(cfg: SystemConfig, scheme: str) -> tuple:
     return antenna_bits, cfg.bits_per_sym if scheme == "sas-sm" else 0
 
 
-def sas_encode(bits, channel, cfg: SystemConfig, scheme: str):
+def sas_encode(bits, h, cfg: SystemConfig, scheme: str):
     """Map a bit block to (transmit scalar, reflector phases, target antenna).
 
     The leading bits pick the target antenna (1-based); every reflector is
@@ -328,7 +352,7 @@ def sas_encode(bits, channel, cfg: SystemConfig, scheme: str):
     """
     antenna_bits, _ = sas_bits(cfg, scheme)
     target = bits_to_int(bits[:antenna_bits]) + 1
-    theta = reflector_phases(channel.h[target - 1 : target, :], channel.shape[1])
+    theta = reflector_phases(h[target - 1 : target, :], h.shape[1])
     if scheme == "sas-sm":
         const = make_constellation(cfg.mod_order)
         x = const.points[bits_to_int(bits[antenna_bits:])]
@@ -337,7 +361,7 @@ def sas_encode(bits, channel, cfg: SystemConfig, scheme: str):
     return x, theta, target
 
 
-def direct_sas_detect(y, channel, cfg: SystemConfig, scheme: str, gains=None):
+def direct_sas_detect(y, h, cfg: SystemConfig, scheme: str, gains=None):
     """Reference baseline search: one target at a time, its phases from the
     scalar ``reflector_phases``, every symbol's distance elementwise; the
     first minimum wins.  Returns (bits, distance).  ``gains``, if given,
@@ -348,11 +372,11 @@ def direct_sas_detect(y, channel, cfg: SystemConfig, scheme: str, gains=None):
         values = make_constellation(cfg.mod_order).points
     else:
         values = np.array([1 + 0j])
-    n_refl = channel.shape[1]
+    n_refl = h.shape[1]
     best = (np.inf, -1, -1)
     for target in range(1, cfg.n_rx + 1):
-        theta = reflector_phases(channel.h[target - 1 : target, :], n_refl)
-        g = channel.h @ theta if gains is None else gains[:, target - 1]
+        theta = reflector_phases(h[target - 1 : target, :], n_refl)
+        g = h @ theta if gains is None else gains[:, target - 1]
         terms = np.abs(y[:, None] - np.outer(g, values)) ** 2
         d = terms[0].copy()
         for term in terms[1:]:  # antennas summed in order, as the engine's re-check does
@@ -368,13 +392,12 @@ def direct_sas_detect(y, channel, cfg: SystemConfig, scheme: str, gains=None):
 
 def make_sas_trial(cfg: SystemConfig, scheme: str, trial: int, sigma=0.0):
     """One baseline trial of ``cfg`` (its seed, n_rx and n_refl) at noise
-    level ``sigma``: (bits, channel, x, theta, target, y)."""
+    level ``sigma``: (bits, channel h, x, theta, target, y)."""
     rng = trial_rng(cfg.seed, trial)
     bits = rng.integers(0, 2, size=sum(sas_bits(cfg, scheme)), dtype=np.int64)
-    ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
-    x, theta, target = sas_encode(bits, ch, cfg, scheme)
-    y = propagate(ch, theta, x, sigma, rng)
-    return bits, ch, x, theta, target, y
+    h = sample_channel(cfg.n_rx, cfg.n_refl, rng)
+    x, theta, target = sas_encode(bits, h, cfg, scheme)
+    return bits, h, x, theta, target, propagate(h, theta, x, sigma, rng)
 
 
 def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int,
@@ -384,16 +407,17 @@ def run_trial(cfg: SystemConfig, scheme: str, detector: str, trial_index: int,
     if scheme == "mas":
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        bits, ch, y = make_trial(cfg, trial_index, sigma=sigma)
+        bits, h, y = make_trial(cfg, trial_index, sigma=sigma)
         if detector == "ml":
-            p_hat, symbols, _ = direct_ml_detect(y, ch, cfg, table, const)
-            bits_hat, mac = detection_to_bits(p_hat, symbols, cfg, table, const), mac_ml(cfg)
+            p_hat, symbols, _ = direct_ml_detect(y, h, cfg, table, const)
+            mac = mac_ml(cfg)
         else:
-            result = ssd_detect(y, ch, cfg, table, const)
-            bits_hat, mac = result.bits, result.mac_count
+            p_hat, symbols, _, n_cand = ssd_detect(y, h, cfg, table, const)
+            mac = mac_ssd(cfg, n_cand)
+        bits_hat = detection_to_bits(p_hat, symbols, cfg, table, const)
     else:
-        bits, ch, *_, y = make_sas_trial(cfg, scheme, trial_index, sigma)
-        bits_hat, _ = direct_sas_detect(y, ch, cfg, scheme)
+        bits, h, *_, y = make_sas_trial(cfg, scheme, trial_index, sigma)
+        bits_hat, _ = direct_sas_detect(y, h, cfg, scheme)
         mac = 2 ** len(bits) * mac_base(cfg.n_rx, cfg.n_refl)
     bit_errors = int(np.sum(bits != bits_hat))
     return TrialOutcome(bit_errors=bit_errors, block_error=int(bit_errors > 0), mac=mac)

@@ -15,19 +15,15 @@ import sys
 import numpy as np
 import pytest
 
-from irsmas.channel import (
-    decompose_received,
-    propagate,
-    sample_channel,
-    trial_rng,
-)
+from irsmas.channel import decompose_received, trial_rng
 from irsmas.core import SystemConfig, make_constellation, validate_config
-from irsmas.detection import mac_ml, mac_ssd, ml_detect, ssd_detect
+from irsmas.detection import detected_bits, mac_ml, mac_ssd, ml_detect_batch
 from irsmas.harness import bits_per_tx, run_sweep, run_trial
 from irsmas.rac import build_rac_table, rac_row
-from irsmas.transmitter import encode, reflector_phases
-from reference import monte_carlo_se, rac_find
+from irsmas.transmitter import reflector_phases
+from reference import make_trials, monte_carlo_se, rac_find, sample_channel
 from reference import run_trial as reference_run_trial
+from test_harness import detector_inputs
 
 BPSK_CFG = SystemConfig()  # 12 rx, 2 selected, 64 reflectors, [0.2, 0.8]
 QPSK_CFG = dataclasses.replace(BPSK_CFG, mod_order=4)
@@ -223,12 +219,11 @@ def test_criterion_6_complexity_formulas():
 
 
 def test_criterion_7_oracle_equivalence():
-    """ml_detect vs an independently coded brute-force enumerator."""
+    """ml_detect_batch vs an independently coded brute-force enumerator."""
     cfg = dataclasses.replace(
         BPSK_CFG, n_rx=4, n_sel=2, n_refl=4, n_cand_antennas=3, n_iters=4,
     )
     table = build_rac_table(4, 2)
-    const = make_constellation(2)
     sigma = 10 ** (5 / 20)  # -5 dB: low enough for frequent detection errors
     combos = list(itertools.islice(itertools.combinations(range(1, 5), 2), 4))
 
@@ -256,14 +251,10 @@ def test_criterion_7_oracle_equivalence():
 
     mismatches = 0
     disagreements = []
-    for trial in range(1000):
-        rng = trial_rng(7, trial)
-        bits = rng.integers(0, 2, size=cfg.block_len)
-        ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
-        tx = encode(bits, ch, cfg, table)
-        y = propagate(ch, tx.theta, tx.x, sigma, rng)
-        got = ml_detect(y, ch, cfg, table, const).bits
-        want = oracle(y, ch.h)
+    _, h, y = make_trials(cfg, range(1000), seed=7, sigma=sigma)
+    p_hat, labels, _ = ml_detect_batch(y, *detector_inputs(h, cfg.n_sel), cfg, table)
+    for trial, got in enumerate(detected_bits(p_hat, labels, cfg)):
+        want = oracle(y[trial], h[trial])
         if not np.array_equal(got, want):
             mismatches += 1
             if len(disagreements) < 3:
@@ -279,22 +270,22 @@ def test_criterion_8_structural_invariants(tmp_path):
     # received-signal decomposition reconstructs the sample
     worst = 0.0
     for trial in range(1000):
-        ch = sample_channel(BPSK_CFG.n_rx, BPSK_CFG.n_refl, trial_rng(13, trial))
+        h = sample_channel(BPSK_CFG.n_rx, BPSK_CFG.n_refl, trial_rng(13, trial))
         p = trial % 64
         table = build_rac_table(12, 2)
         sel = rac_row(table, p)
-        theta = reflector_phases(ch.h[sel - 1, :])
+        theta = reflector_phases(h[sel - 1, :])
         x = 0.7 - 0.2j
-        y = ch.h @ theta * x
+        y = h @ theta * x
         for slot in (1, 2):
-            c, nc, lo = decompose_received(ch, theta, x, sel, slot)
+            c, nc, lo = decompose_received(h, theta, x, sel, slot)
             worst = max(worst, abs(c + nc + lo - y[sel[slot - 1] - 1]))
     if worst > 1e-9:
         problems.append(f"decomposition residual {worst:.2e} > 1e-9")
 
     # unit-modulus reflector phases
-    ch = sample_channel(12, 64, trial_rng(14, 0))
-    theta = reflector_phases(ch.h[:2, :])
+    h = sample_channel(12, 64, trial_rng(14, 0))
+    theta = reflector_phases(h[:2, :])
     if np.max(np.abs(np.abs(theta) - 1.0)) > 1e-12:
         problems.append("reflector phases not unit modulus")
 

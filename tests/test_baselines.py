@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from irsmas.baselines import baseline_config
-from irsmas.channel import ChannelMatrix, sample_channel, trial_rng
+from irsmas.channel import trial_rng
 from irsmas.cli import parse_run_spec
 from irsmas.core import (
     MOD_ORDERS,
@@ -16,7 +16,7 @@ from irsmas.core import (
     superposition_axes,
     validate_config,
 )
-from irsmas.detection import cross_gains, detected_bits, mac_ml, ml_detect_batch
+from irsmas.detection import detected_bits, mac_ml, ml_detect_batch
 from irsmas.harness import (
     _block_counts,
     bits_per_tx,
@@ -26,8 +26,9 @@ from irsmas.harness import (
     scheme_config,
 )
 from irsmas.rac import build_rac_table
-from irsmas.transmitter import aligning_phases, encode, encode_batch, reflector_phases
-from reference import bits_to_int, direct_sas_detect, make_sas_trial
+from irsmas.transmitter import aligning_phases, encode_batch, reflector_phases, row_norms
+from reference import bits_to_int, direct_sas_detect, make_sas_trial, sample_channel
+from test_harness import detector_inputs
 
 SAS_CFG = SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,))
 SCHEMES = ("mas", "sas-sm", "sas-ssk")
@@ -38,10 +39,12 @@ def sas_cfg(**fields) -> SystemConfig:
 
 
 def encode_one(bits, h, cfg, scheme):
-    """``encode`` under the baseline's pin: (x, theta)."""
+    """``encode_batch`` on a stack of one, under the baseline's pin: (x, the
+    ``reflector_phases`` of the sent row)."""
     cfg = scheme_config(cfg, scheme, "ml")
-    tx = encode(bits, ChannelMatrix(h), cfg, build_rac_table(cfg.n_rx, cfg.n_sel))
-    return tx.x, tx.theta
+    table = build_rac_table(cfg.n_rx, cfg.n_sel)
+    (p,), _, (x,) = encode_batch(np.asarray(bits)[None], row_norms(h[None]), cfg, table)
+    return x, reflector_phases(h[table.rows[p] - 1])
 
 
 def detect_one(y, h, cfg, scheme):
@@ -49,9 +52,8 @@ def detect_one(y, h, cfg, scheme):
     (bits, distance)."""
     cfg = scheme_config(cfg, scheme, "ml")
     table = build_rac_table(cfg.n_rx, cfg.n_sel)
-    p_hat, labels, distance = ml_detect_batch(
-        y[None], *cross_gains(h[None], aligning_phases(h[None]), cfg.n_sel),
-        np.linalg.norm(h[None], axis=-1), cfg, table)
+    p_hat, labels, distance = ml_detect_batch(y[None], *detector_inputs(h[None], cfg.n_sel),
+                                              cfg, table)
     return detected_bits(p_hat, labels, cfg)[0], distance[0]
 
 
@@ -160,23 +162,23 @@ class TestAlphabetStaysInternal:
 
 class TestEncode:
     def test_all_reflectors_align_to_target(self):
-        bits, ch, *_ = make_sas_trial(SAS_CFG, "sas-ssk", 0)
-        x, theta = encode_one(bits, ch.h, SAS_CFG, "sas-ssk")
+        bits, h, *_ = make_sas_trial(SAS_CFG, "sas-ssk", 0)
+        x, theta = encode_one(bits, h, SAS_CFG, "sas-ssk")
         target = bits_to_int(bits) + 1
-        aligned = ch.h[target - 1, :] * theta
+        aligned = h[target - 1, :] * theta
         np.testing.assert_allclose(aligned.imag, 0, atol=1e-12)
         assert (aligned.real >= 0).all()
         assert np.max(np.abs(np.abs(theta) - 1.0)) <= 1e-12
 
     def test_ssk_sends_bare_energy(self):
-        bits, ch, *_ = make_sas_trial(SAS_CFG, "sas-ssk", 1)
-        x, _ = encode_one(bits, ch.h, SAS_CFG, "sas-ssk")
+        bits, h, *_ = make_sas_trial(SAS_CFG, "sas-ssk", 1)
+        x, _ = encode_one(bits, h, SAS_CFG, "sas-ssk")
         assert x == 1.0
 
     def test_target_is_leading_bits(self):
-        ch = sample_channel(16, 64, trial_rng(0, 2))
-        x, theta = encode_one([1, 0, 1, 1, 0], ch.h, SAS_CFG, "sas-sm")
-        np.testing.assert_array_equal(theta, aligning_phases(ch.h)[0b1011])
+        h = sample_channel(16, 64, trial_rng(0, 2))
+        x, theta = encode_one([1, 0, 1, 1, 0], h, SAS_CFG, "sas-sm")
+        np.testing.assert_array_equal(theta, aligning_phases(h)[0b1011])
         assert x == pytest.approx(1.0)  # symbol bit 0 -> +1
 
     @pytest.mark.parametrize("mode,order", [("ssk", 2), ("sm", 2), ("sm", 16)])
@@ -185,7 +187,7 @@ class TestEncode:
         cfg = scheme_config(sas_cfg(mod_order=order, n_refl=37), scheme, "ml")
         trials = [make_sas_trial(cfg, scheme, trial) for trial in range(20)]
         bits = np.stack([t[0] for t in trials])
-        h = np.stack([t[1].h for t in trials])
+        h = np.stack([t[1] for t in trials])
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         p, labels, x = encode_batch(bits, np.linalg.norm(h, axis=-1), cfg, table)
         for k, (_, _, x_ref, theta_ref, target, _) in enumerate(trials):
@@ -200,19 +202,19 @@ class TestDetect:
     def test_noiseless_round_trip(self, mode, order):
         cfg, scheme = sas_cfg(mod_order=order, seed=4), "sas-" + mode
         for trial in range(100):
-            bits, ch, *_, y = make_sas_trial(cfg, scheme, trial)
-            got, distance = detect_one(y, ch.h, cfg, scheme)
+            bits, h, *_, y = make_sas_trial(cfg, scheme, trial)
+            got, distance = detect_one(y, h, cfg, scheme)
             np.testing.assert_array_equal(got, bits)
             assert distance <= 1e-12
-            ref_bits, _ = direct_sas_detect(y, ch, cfg, scheme)
+            ref_bits, _ = direct_sas_detect(y, h, cfg, scheme)
             np.testing.assert_array_equal(ref_bits, bits)
 
     def test_noisy_errors_recoverable_at_high_snr(self):
         cfg = sas_cfg(mod_order=2, seed=5)
         wrong = 0
         for trial in range(100):
-            bits, ch, *_, y = make_sas_trial(cfg, "sas-sm", trial, sigma=0.5)
-            got, _ = detect_one(y, ch.h, cfg, "sas-sm")
+            bits, h, *_, y = make_sas_trial(cfg, "sas-sm", trial, sigma=0.5)
+            got, _ = detect_one(y, h, cfg, "sas-sm")
             wrong += int(not np.array_equal(got, bits))
         assert wrong == 0  # 64 aligned reflectors vs sigma=0.5: huge margin
 

@@ -1,44 +1,42 @@
-"""Channel model tests: statistics, streams, propagation, decomposition,
+"""Channel model tests: statistics, streams, noise, decomposition,
 alignment gain."""
 
 import numpy as np
 import pytest
 
 from irsmas.channel import (
-    ChannelMatrix,
     TrialStreams,
     add_noise,
     alignment_gain,
     decompose_received,
     draw_trials,
-    propagate,
-    sample_channel,
     trial_rng,
 )
 from irsmas.core import SystemConfig
 from irsmas.transmitter import reflector_phases
-from reference import draw_trial
+from reference import draw_trial, propagate, sample_channel
 
 CFG = SystemConfig()
 
 
+def drawn_channels(seed, n_trials, n_rx, n_refl):
+    """The channels of trials 0 .. n_trials - 1 as the engine draws them."""
+    return draw_trials(TrialStreams(seed), range(n_trials), 0, n_rx, n_refl)[1]
+
+
 class TestSampleChannel:
+    """The engine's channel draws: unit-variance circular Gaussian entries."""
+
     def test_moments(self):
-        rng = np.random.default_rng(42)
-        h = sample_channel(100, 1000, rng).h  # 1e5 entries
+        h = drawn_channels(42, 100, 10, 100)  # 1e5 entries
         assert abs(np.mean(h.real)) <= 0.02 and abs(np.mean(h.imag)) <= 0.02
         assert abs(np.var(h.real) - 0.5) <= 0.01
         assert abs(np.var(h.imag) - 0.5) <= 0.01
         assert abs(np.mean(np.abs(h) ** 2) - 1.0) <= 0.02
 
     def test_magnitude_is_rayleigh(self):
-        rng = np.random.default_rng(7)
-        h = sample_channel(100, 1000, rng).h
+        h = drawn_channels(7, 100, 10, 100)
         assert abs(np.mean(np.abs(h)) - np.sqrt(np.pi) / 2) <= 0.01
-
-    def test_beta_is_amplitude(self):
-        ch = sample_channel(4, 8, np.random.default_rng(0))
-        np.testing.assert_array_equal(ch.beta, np.abs(ch.h))
 
 
 class TestTrialRng:
@@ -111,97 +109,90 @@ class TestDrawTrials:
 
 
 class TestPropagate:
+    """The engine's ``add_noise`` of its drawn unit noise, and the reference
+    ``propagate`` that the oracle builds its received vectors with."""
+
     def test_phase_cancellation_example(self):
-        ch = ChannelMatrix(np.array([[2.0 * np.exp(1j * np.pi / 3)]]))
+        h = np.array([[2.0 * np.exp(1j * np.pi / 3)]])
         theta = np.array([np.exp(-1j * np.pi / 3)])
-        y = propagate(ch, theta, 1.0, 0.0, np.random.default_rng(0))
+        y = propagate(h, theta, 1.0, 0.0, np.random.default_rng(0))
         np.testing.assert_allclose(y, [2.0], atol=1e-12)
 
     def test_zero_input(self):
         rng = np.random.default_rng(1)
-        ch = sample_channel(4, 8, rng)
+        h = sample_channel(4, 8, rng)
         theta = np.ones(8, dtype=complex)
-        y = propagate(ch, theta, 0.0, 0.0, rng)
+        y = propagate(h, theta, 0.0, 0.0, rng)
         np.testing.assert_array_equal(y, np.zeros(4, dtype=complex))
 
     def test_noise_variance(self):
-        rng = np.random.default_rng(2)
-        ch = ChannelMatrix(np.zeros((200, 1), dtype=complex))
+        # 500 trials of 200 antennas' unit noise, as the engine draws it
+        _, _, noise = draw_trials(TrialStreams(2), range(500), 0, 200, 0)
         sigma = 1.7
-        samples = np.concatenate(
-            [propagate(ch, np.ones(1, complex), 0.0, sigma, rng) for _ in range(500)]
-        )
+        samples = add_noise(np.zeros(noise.shape, dtype=complex), noise, sigma)
         assert abs(np.mean(np.abs(samples) ** 2) - sigma**2) <= 0.02 * sigma**2
 
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(3)
-        ch = sample_channel(4, 8, rng)
-        with pytest.raises(ValueError, match="reflectors"):
-            propagate(ch, np.ones(7, complex), 1.0, 0.0, rng)
-
     def test_noiseless_reproducible(self):
-        ch = sample_channel(4, 8, trial_rng(0, 0))
-        theta = reflector_phases(ch.h[:2, :])
-        y1 = propagate(ch, theta, 1 + 1j, 0.0, trial_rng(0, 1))
-        y2 = propagate(ch, theta, 1 + 1j, 0.0, trial_rng(0, 1))
+        h = sample_channel(4, 8, trial_rng(0, 0))
+        theta = reflector_phases(h[:2, :])
+        y1 = propagate(h, theta, 1 + 1j, 0.0, trial_rng(0, 1))
+        y2 = propagate(h, theta, 1 + 1j, 0.0, trial_rng(0, 1))
         np.testing.assert_array_equal(y1, y2)
 
     def test_noise_is_add_noise_of_the_draws(self):
-        # propagate draws the real, then the imaginary noise parts and
-        # scales them as the engine does
-        ch = sample_channel(4, 8, trial_rng(0, 0))
-        theta = reflector_phases(ch.h[:2, :])
-        y = propagate(ch, theta, 0.3 - 1j, 2.5, trial_rng(0, 1))
+        # the reference propagate draws the real, then the imaginary noise
+        # parts and scales them as the engine does
+        h = sample_channel(4, 8, trial_rng(0, 0))
+        theta = reflector_phases(h[:2, :])
+        y = propagate(h, theta, 0.3 - 1j, 2.5, trial_rng(0, 1))
         rng = trial_rng(0, 1)
         noise = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        np.testing.assert_array_equal(y, add_noise(ch.h @ theta * (0.3 - 1j), noise, 2.5))
+        np.testing.assert_array_equal(y, add_noise(h @ theta * (0.3 - 1j), noise, 2.5))
 
 
 class TestDecompose:
     def test_parts_sum_to_received_sample(self):
         for trial in range(50):
-            ch = sample_channel(CFG.n_rx, CFG.n_refl, trial_rng(11, trial))
+            h = sample_channel(CFG.n_rx, CFG.n_refl, trial_rng(11, trial))
             sel = np.array([3, 9])
-            theta = reflector_phases(ch.h[sel - 1, :])
+            theta = reflector_phases(h[sel - 1, :])
             x = 0.3 - 1.1j
-            y = ch.h @ theta * x
+            y = h @ theta * x
             for slot in (1, 2):
-                c, nc, lo = decompose_received(ch, theta, x, sel, slot)
+                c, nc, lo = decompose_received(h, theta, x, sel, slot)
                 assert abs((c + nc + lo) - y[sel[slot - 1] - 1]) <= 1e-9
 
     def test_single_antenna_has_no_interference(self):
-        ch = sample_channel(4, 8, trial_rng(5, 0))
+        h = sample_channel(4, 8, trial_rng(5, 0))
         sel = np.array([2])
-        theta = reflector_phases(ch.h[sel - 1, :])
-        c, nc, lo = decompose_received(ch, theta, 1.0, sel, 1)
+        theta = reflector_phases(h[sel - 1, :])
+        c, nc, lo = decompose_received(h, theta, 1.0, sel, 1)
         assert nc == 0j and lo == 0j
-        assert c == pytest.approx(np.sum(np.abs(ch.h[1, :])))
+        assert c == pytest.approx(np.sum(np.abs(h[1, :])))
 
     def test_zeroed_other_block_kills_interference(self):
-        ch = sample_channel(4, 8, trial_rng(6, 0))
-        h = ch.h.copy()
+        h = sample_channel(4, 8, trial_rng(6, 0))
         h[0, 4:] = 0.0  # block 2 (slots of antenna 2) contributes nothing at antenna 1
-        ch = ChannelMatrix(h)
         sel = np.array([1, 2])
-        theta = reflector_phases(ch.h[sel - 1, :])
-        _, nc, _ = decompose_received(ch, theta, 1.0, sel, 1)
+        theta = reflector_phases(h[sel - 1, :])
+        _, nc, _ = decompose_received(h, theta, 1.0, sel, 1)
         assert nc == 0j
 
     def test_constructive_is_beta_sum(self):
-        ch = sample_channel(6, 12, trial_rng(8, 2))
+        h = sample_channel(6, 12, trial_rng(8, 2))
         sel = np.array([1, 4])
-        theta = reflector_phases(ch.h[sel - 1, :])
+        theta = reflector_phases(h[sel - 1, :])
         x = 2.0
-        c, _, _ = decompose_received(ch, theta, x, sel, 2)
-        assert c == pytest.approx(np.sum(np.abs(ch.h[3, 6:])) * x)
+        c, _, _ = decompose_received(h, theta, x, sel, 2)
+        assert c == pytest.approx(np.sum(np.abs(h[3, 6:])) * x)
 
     def test_slot_out_of_range(self):
-        ch = sample_channel(4, 8, trial_rng(9, 0))
+        h = sample_channel(4, 8, trial_rng(9, 0))
         theta = np.ones(8, complex)
         with pytest.raises(IndexError):
-            decompose_received(ch, theta, 1.0, np.array([1, 2]), 3)
+            decompose_received(h, theta, 1.0, np.array([1, 2]), 3)
         with pytest.raises(IndexError):
-            decompose_received(ch, theta, 1.0, np.array([1, 2]), 0)
+            decompose_received(h, theta, 1.0, np.array([1, 2]), 0)
 
 
 class TestSnr:
@@ -212,18 +203,17 @@ class TestSnr:
         # unaligned one |sum conj(h)|^2
         rng = np.random.default_rng(4)
         n = 16
-        h = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(1, n)))
-        ch = ChannelMatrix(np.vstack([h, sample_channel(1, n, rng).h]))
-        got = alignment_gain(ch, np.array([1]))
-        assert got == pytest.approx(n**2 / abs(np.sum(h)) ** 2)
+        row = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(1, n)))
+        got = alignment_gain(np.vstack([row, sample_channel(1, n, rng)]), np.array([1]))
+        assert got == pytest.approx(n**2 / abs(np.sum(row)) ** 2)
 
     def test_alignment_maximizes_block_gain(self):
         rng = np.random.default_rng(5)
-        ch = sample_channel(2, 32, rng)
-        aligned = np.abs(np.sum(np.abs(ch.h[0, :])))
+        h = sample_channel(2, 32, rng)
+        aligned = np.abs(np.sum(np.abs(h[0, :])))
         for _ in range(50):
             phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 32))
-            assert aligned >= abs(np.sum(ch.h[0, :] * phases)) - 1e-9
+            assert aligned >= abs(np.sum(h[0, :] * phases)) - 1e-9
 
     def test_aligned_exceeds_unaligned_on_average(self):
         gains = [alignment_gain(sample_channel(CFG.n_rx, CFG.n_refl, trial_rng(21, trial)),
@@ -233,15 +223,15 @@ class TestSnr:
 
     def test_single_reflector_unaligned(self):
         # one reflector, one antenna: aligning it changes no magnitude
-        ch = ChannelMatrix(np.array([[1.5 * np.exp(0.4j)]]))
-        assert alignment_gain(ch, np.array([1])) == pytest.approx(1.0)
+        h = np.array([[1.5 * np.exp(0.4j)]])
+        assert alignment_gain(h, np.array([1])) == pytest.approx(1.0)
 
     def test_two_antennas_of_constructed_blocks(self):
         # antenna 1 sees block 1 as 1, 1 and block 2 as 0, 0; antenna 2 sees
         # block 1 as 0, 0 and block 2 as 1j, -1.  Aligned: 2^2 at each
         # antenna.  Unaligned: 2 |1 + 1 + conj(1j) + conj(-1)|^2 = 2 |1 - 1j|^2.
-        ch = ChannelMatrix(np.array([[1, 1, 0, 0], [0, 0, 1j, -1]]))
-        assert alignment_gain(ch, np.array([1, 2])) == pytest.approx(8 / 4)
+        h = np.array([[1, 1, 0, 0], [0, 0, 1j, -1]])
+        assert alignment_gain(h, np.array([1, 2])) == pytest.approx(8 / 4)
 
     def test_gain_grows_with_reflector_count(self):
         # coherent blocks add N^2, the unaligned sums only N

@@ -7,44 +7,36 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from irsmas.channel import (
-    ChannelMatrix,
-    TrialStreams,
-    add_noise,
-    draw_trials,
-    sample_channel,
-    trial_rng,
-)
+from irsmas.channel import TrialStreams, add_noise, draw_trials, trial_rng
 import irsmas.detection
 from irsmas.baselines import baseline_config
 from irsmas.core import SystemConfig, make_constellation, snr_to_sigma, superposition_axes
 from irsmas.detection import (
     candidate_gains,
     check_ml_guard,
-    cross_gains,
     detected_bits,
     mac_base,
     mac_ml,
     mac_ssd,
-    ml_detect,
     ml_detect_batch,
     ml_gains,
     rac_candidates_batch,
-    ssd_detect,
     ssd_detect_batch,
 )
+from irsmas.harness import run_trial
 from irsmas.rac import build_rac_table
-from irsmas.transmitter import aligning_phases, encode_batch, row_norms, slot_order
+from irsmas.transmitter import encode_batch, slot_order
 from reference import (
-    make_trial,
     make_trials,
     quantize,
     rac_candidates,
     rac_find,
+    sample_channel,
     ssd_candidate_decode,
     superpose,
 )
 from reference import ssd_detect as reference_ssd_detect
+from test_harness import detector_inputs
 
 CFG = SystemConfig()
 TABLE = build_rac_table(CFG.n_rx, CFG.n_sel)
@@ -201,41 +193,49 @@ class TestRacCandidates:
         assert all(max(r) <= 6 for r in cands.rows.tolist())
 
 
+def ssd(y, h, cfg):
+    """``ssd_detect_batch`` of received vectors y on their channels h."""
+    return ssd_detect_batch(y, *detector_inputs(h, cfg.n_sel), cfg,
+                            build_rac_table(cfg.n_rx, cfg.n_sel))
+
+
+def ml(y, h, cfg):
+    """``ml_detect_batch`` of received vectors y on their channels h."""
+    return ml_detect_batch(y, *detector_inputs(h, cfg.n_sel), cfg,
+                           build_rac_table(cfg.n_rx, cfg.n_sel))
+
+
 class TestSsd:
     def test_noiseless_exact_recovery(self):
-        for trial in range(200):
-            bits, ch, y = make_trial(CFG, trial)
-            result = ssd_detect(y, ch, CFG, TABLE, BPSK)
-            np.testing.assert_array_equal(result.bits, bits)
-            assert result.distance <= 1e-18
+        bits, h, y = make_trials(CFG, range(200))
+        p_hat, labels, distance, _ = ssd(y, h, CFG)
+        np.testing.assert_array_equal(detected_bits(p_hat, labels, CFG), bits)
+        assert (distance <= 1e-18).all()
 
     def test_noiseless_exact_recovery_qpsk(self):
         cfg = dataclasses.replace(CFG, mod_order=4)
-        qpsk = make_constellation(4)
-        for trial in range(100):
-            bits, ch, y = make_trial(cfg, trial, seed=1)
-            result = ssd_detect(y, ch, cfg, TABLE, qpsk)
-            np.testing.assert_array_equal(result.bits, bits)
+        bits, h, y = make_trials(cfg, range(100), seed=1)
+        p_hat, labels, _, _ = ssd(y, h, cfg)
+        np.testing.assert_array_equal(detected_bits(p_hat, labels, cfg), bits)
 
     def test_zero_gain_candidate_disqualified(self):
-        h = sample_channel(CFG.n_rx, CFG.n_refl, trial_rng(2, 0)).h.copy()
+        h = sample_channel(CFG.n_rx, CFG.n_refl, trial_rng(2, 0))
         h[0, :] = 0.0  # antenna 1 dead: rows containing it cannot explain y
-        ch = ChannelMatrix(h)
         y = np.ones(CFG.n_rx, dtype=complex)
-        _, _, d = ssd_candidate_decode(y, ch, 0, CFG, TABLE, BPSK)  # row (1,2)
+        _, _, d = ssd_candidate_decode(y, h, 0, CFG, TABLE, BPSK)  # row (1,2)
         assert d == np.inf
 
     def test_distance_over_all_antennas(self):
-        bits, ch, y = make_trial(CFG, 3, sigma=0.5)
-        result = ssd_detect(y, ch, CFG, TABLE, BPSK)
-        _, _, d = ssd_candidate_decode(y, ch, result.rac_index, CFG, TABLE, BPSK)
-        assert result.distance == pytest.approx(d)
+        _, h, y = make_trials(CFG, [3], sigma=0.5)
+        (p_hat,), _, (distance,), _ = ssd(y, h, CFG)
+        _, _, d = ssd_candidate_decode(y[0], h[0], int(p_hat), CFG, TABLE, BPSK)
+        assert distance == pytest.approx(d)
 
     def test_mac_count_reflects_candidate_total(self):
-        bits, ch, y = make_trial(CFG, 4)
-        result = ssd_detect(y, ch, CFG, TABLE, BPSK)
-        n_cand = len(rac_candidates(y, TABLE, CFG.n_cand_antennas, CFG.n_iters).rows)
-        assert result.mac_count == mac_ssd(CFG, n_cand)
+        _, h, y = make_trials(CFG, [4])
+        *_, (n_cand,) = ssd(y, h, CFG)
+        want = len(rac_candidates(y[0], TABLE, CFG.n_cand_antennas, CFG.n_iters).rows)
+        assert mac_ssd(CFG, n_cand) == mac_ssd(CFG, want)
 
 
 class TestSsdBatch:
@@ -247,19 +247,19 @@ class TestSsdBatch:
 
     def assert_matches_scalar(self, y, h, cfg, const):
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        cross, index = cross_gains(h, aligning_phases(h), cfg.n_sel)
-        p_hat, labels, distance, n_cand = ssd_detect_batch(y, cross, index,
-                                                           np.linalg.norm(h, axis=-1), cfg, table)
+        cross, index, norms = detector_inputs(h, cfg.n_sel)
+        p_hat, labels, distance, n_cand = ssd_detect_batch(y, cross, index, norms, cfg, table)
         engine_gains = ml_gains(cross, index)[0]  # as the ssd engine sums them
         for t in range(len(y)):
-            ref = reference_ssd_detect(y[t], ChannelMatrix(h[t]), cfg, table, const)
-            assert p_hat[t] == ref.rac_index
-            np.testing.assert_array_equal(const.points[labels[t]], ref.symbols)
-            assert mac_ssd(cfg, int(n_cand[t])) == ref.mac_count
-            same = reference_ssd_detect(y[t], ChannelMatrix(h[t]), cfg, table, const,
-                                        gains=engine_gains[t])
-            assert (same.rac_index, distance[t]) == (p_hat[t], same.distance)
-            np.testing.assert_array_equal(const.points[labels[t]], same.symbols)
+            ref_p, ref_symbols, _, ref_n_cand = reference_ssd_detect(y[t], h[t], cfg, table,
+                                                                     const)
+            assert p_hat[t] == ref_p
+            np.testing.assert_array_equal(const.points[labels[t]], ref_symbols)
+            assert n_cand[t] == ref_n_cand
+            same_p, same_symbols, same_d, _ = reference_ssd_detect(y[t], h[t], cfg, table, const,
+                                                                   gains=engine_gains[t])
+            assert (same_p, distance[t]) == (p_hat[t], same_d)
+            np.testing.assert_array_equal(const.points[labels[t]], same_symbols)
         return p_hat, labels, distance
 
     def test_zeroed_channel_row_and_fallback(self):
@@ -345,25 +345,22 @@ class TestRacCandidatesBatch:
 
 class TestMl:
     def test_noiseless_exact_recovery(self):
-        for trial in range(150):
-            bits, ch, y = make_trial(CFG, trial)
-            result = ml_detect(y, ch, CFG, TABLE, BPSK)
-            np.testing.assert_array_equal(result.bits, bits)
-            assert result.distance <= 1e-12
+        bits, h, y = make_trials(CFG, range(150))
+        p_hat, labels, distance = ml(y, h, CFG)
+        np.testing.assert_array_equal(detected_bits(p_hat, labels, CFG), bits)
+        assert (distance <= 1e-12).all()
 
     def test_noiseless_exact_recovery_qam16(self):
         cfg = dataclasses.replace(CFG, mod_order=16, alpha=(0.05, 0.95))
-        qam = make_constellation(16)
-        for trial in range(30):
-            bits, ch, y = make_trial(cfg, trial, seed=2)
-            result = ml_detect(y, ch, cfg, TABLE, qam)
-            np.testing.assert_array_equal(result.bits, bits)
+        bits, h, y = make_trials(cfg, range(30), seed=2)
+        p_hat, labels, _ = ml(y, h, cfg)
+        np.testing.assert_array_equal(detected_bits(p_hat, labels, cfg), bits)
 
     def test_guard_rejects_oversized_search(self, monkeypatch):
+        # the guard is enforced at the gate, scheme_config, before any trial runs
         monkeypatch.setattr(irsmas.detection, "ML_GUARD", 100)
-        bits, ch, y = make_trial(CFG, 0)
         with pytest.raises(ValueError, match="guard"):
-            ml_detect(y, ch, CFG, TABLE, BPSK)
+            run_trial(CFG, "mas", "ml", 0)
 
     def test_guard_counts_the_hypotheses_mac_ml_bills(self, monkeypatch):
         # C M^n_sel = 2^l1 * 2^l2: 256 hypotheses at the headline config
@@ -386,11 +383,11 @@ class TestMl:
         assert "ssd" not in str(err.value)
 
     def test_matches_ssd_on_clean_input(self):
-        for trial in range(50):
-            bits, ch, y = make_trial(CFG, trial, seed=3)
-            a = ml_detect(y, ch, CFG, TABLE, BPSK)
-            b = ssd_detect(y, ch, CFG, TABLE, BPSK)
-            np.testing.assert_array_equal(a.bits, b.bits)
+        _, h, y = make_trials(CFG, range(50), seed=3)
+        p_ml, labels_ml, _ = ml(y, h, CFG)
+        p_ssd, labels_ssd, _, _ = ssd(y, h, CFG)
+        np.testing.assert_array_equal(detected_bits(p_ml, labels_ml, CFG),
+                                      detected_bits(p_ssd, labels_ssd, CFG))
 
 
 def q_function(t: float) -> float:
@@ -431,9 +428,8 @@ class TestMlBracket:
         cfg, block, snr_db = BRACKET_CASES[name]
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         axes = superposition_axes(cfg.mod_order, cfg.alpha)
-        h = sample_channel(cfg.n_rx, cfg.n_refl, trial_rng(1, 0)).h[None]
-        norms = row_norms(h)
-        cross, index = cross_gains(h, aligning_phases(h), cfg.n_sel)
+        h = sample_channel(cfg.n_rx, cfg.n_refl, trial_rng(1, 0))[None]
+        cross, index, norms = detector_inputs(h, cfg.n_sel)
         p, labels, x = encode_batch(np.array([block]), norms, cfg, table)
         assert len(set(labels[0])) > 1
 
@@ -466,11 +462,9 @@ class TestBitsRecovery:
         np.testing.assert_array_equal(bits[6:], [1, 0])
 
     def test_matches_encode_layout(self):
-        bits, ch, y = make_trial(CFG, 9)
-        h = ch.h[None]
-        p_hat, labels, _ = ml_detect_batch(y[None], *cross_gains(h, aligning_phases(h), CFG.n_sel),
-                                           np.linalg.norm(h, axis=-1), CFG, TABLE)
-        np.testing.assert_array_equal(detected_bits(p_hat, labels, CFG)[0], bits)
+        bits, h, y = make_trials(CFG, [9])
+        p_hat, labels, _ = ml(y, h, CFG)
+        np.testing.assert_array_equal(detected_bits(p_hat, labels, CFG), bits)
 
 
 class TestMacModels:

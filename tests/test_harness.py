@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import irsmas.detection
 import irsmas.harness
-from irsmas.channel import ChannelMatrix, TrialStreams, draw_layout, draw_trials
+from irsmas.channel import TrialStreams, draw_layout, draw_trials
 from irsmas.cli import emit_results
 from irsmas.core import (
     SNR_FLOOR_DB,
@@ -30,7 +30,6 @@ from irsmas.detection import (
     cross_gains,
     detected_bits,
     mac_ml,
-    ml_detect,
     ml_detect_batch,
     ml_gains,
 )
@@ -52,7 +51,7 @@ from irsmas.harness import (
     scheme_config,
 )
 from irsmas.rac import build_rac_table
-from irsmas.transmitter import aligning_phases
+from irsmas.transmitter import aligning_phases, row_norms
 from reference import (
     detection_to_bits,
     direct_gains,
@@ -67,9 +66,16 @@ from reference import run_trial as reference_run_trial
 CFG = SystemConfig()
 
 
+def detector_inputs(h, n_sel):
+    """What both batch receivers take of channels h (T, n_rx, n_refl) but
+    the received vectors: their ``cross_gains``, the antennas those serve
+    (``gain_index``) and their row norms, as the engine forms them."""
+    return (*cross_gains(h, aligning_phases(h), n_sel), row_norms(h))
+
+
 def channel_gains(h, n_sel):
     """``ml_gains`` of channels h (T, n_rx, n_refl) from their own ``cross_gains``."""
-    return ml_gains(*cross_gains(h, aligning_phases(h), n_sel))
+    return ml_gains(*detector_inputs(h, n_sel)[:2])
 
 
 @contextmanager
@@ -262,15 +268,12 @@ class TestBatchedMlEngine:
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
         gains, _ = channel_gains(h, cfg.n_sel)
-        cross = cross_gains(h, aligning_phases(h), cfg.n_sel)
-        p_hat, labels, distance = ml_detect_batch(y, *cross, np.linalg.norm(h, axis=-1), cfg,
-                                                  table)
+        p_hat, labels, distance = ml_detect_batch(y, *detector_inputs(h, cfg.n_sel), cfg, table)
         for t in range(len(y)):
-            channel = ChannelMatrix(h[t])
-            ref_p, ref_symbols, _ = direct_ml_detect(y[t], channel, cfg, table, const)
+            ref_p, ref_symbols, _ = direct_ml_detect(y[t], h[t], cfg, table, const)
             assert p_hat[t] == ref_p
             np.testing.assert_array_equal(const.points[labels[t]], ref_symbols)
-            own_p, own_symbols, own_d = direct_ml_detect(y[t], channel, cfg, table, const,
+            own_p, own_symbols, own_d = direct_ml_detect(y[t], h[t], cfg, table, const,
                                                          gains[t])
             assert p_hat[t] == own_p
             np.testing.assert_array_equal(const.points[labels[t]], own_symbols)
@@ -312,17 +315,9 @@ class TestBatchedMlEngine:
         # C * V = 32 * 16**3 = 2**17 hypotheses a trial, twice the screening budget
         cfg = SystemConfig(n_rx=8, n_sel=3, n_refl=31, mod_order=16, alpha=(0.01, 0.1, 0.89),
                            seed=4)
-        table = build_rac_table(cfg.n_rx, cfg.n_sel)
-        const = make_constellation(cfg.mod_order)
         _, h, y = make_trials(cfg, range(3), sigma=0.5)
         self.assert_matches_direct(y, h, cfg)
-        ch = ChannelMatrix(h[0])
-        p_hat, symbols, _ = direct_ml_detect(y[0], ch, cfg, table, const)
-        result = ml_detect(y[0], ch, cfg, table, const)
-        assert result.rac_index == p_hat
-        np.testing.assert_array_equal(result.symbols, symbols)
-        (gains,), _ = channel_gains(h[:1], cfg.n_sel)
-        assert result.distance == direct_ml_detect(y[0], ch, cfg, table, const, gains)[2]
+        self.assert_matches_direct(y[:1], h[:1], cfg)  # a search of one trial alone
 
     def test_slice_boundary_inside_a_trial(self, monkeypatch):
         # BPSK at n_sel 3: |A| + |B| = 8 + 1 scores a pair, so a slice holds
@@ -611,15 +606,13 @@ class TestBatchedSasEngine:
             want[1] += out.block_error
             want[2] += out.mac
 
-            _, ch, *_, y = make_sas_trial(cfg, scheme, trial, sigma)
-            h = ch.h[None]
-            gains, _ = channel_gains(h, pinned.n_sel)
+            _, h, *_, y = make_sas_trial(cfg, scheme, trial, sigma)
+            gains, _ = channel_gains(h[None], pinned.n_sel)
             p_hat, labels, got_d = ml_detect_batch(
-                y[None], *cross_gains(h, aligning_phases(h), pinned.n_sel),
-                np.linalg.norm(h, axis=-1), pinned, table)
-            ref_bits, _ = direct_sas_detect(y, ch, cfg, scheme)
+                y[None], *detector_inputs(h[None], pinned.n_sel), pinned, table)
+            ref_bits, _ = direct_sas_detect(y, h, cfg, scheme)
             np.testing.assert_array_equal(detected_bits(p_hat, labels, pinned)[0], ref_bits)
-            _, ref_d = direct_sas_detect(y, ch, cfg, scheme, gains=gains[0])
+            _, ref_d = direct_sas_detect(y, h, cfg, scheme, gains=gains[0])
             assert got_d[0] == ref_d
         assert point_block(cfg, scheme, "ml", start, count, sigma) == (count, *want)
 
@@ -628,14 +621,12 @@ class TestBatchedSasEngine:
         cfg, scheme = SystemConfig(n_rx=4, n_sel=1, alpha=(1.0,), mod_order=4), "sas-" + mode
         pinned = scheme_config(cfg, scheme, "ml")
         table = build_rac_table(cfg.n_rx, 1)
-        ch = ChannelMatrix(np.zeros((4, 9)))
-        h = ch.h[None]
-        cross = cross_gains(h, aligning_phases(h), pinned.n_sel)
+        h = np.zeros((4, 9), dtype=complex)
+        inputs = detector_inputs(h[None], pinned.n_sel)
         for y in (np.zeros(4, dtype=complex), np.full(4, 0.3 - 0.1j)):
-            p_hat, labels, distance = ml_detect_batch(y[None], *cross, np.linalg.norm(h, axis=-1),
-                                                      pinned, table)
+            p_hat, labels, distance = ml_detect_batch(y[None], *inputs, pinned, table)
             bits = detected_bits(p_hat, labels, pinned)
-            ref_bits, ref_d = direct_sas_detect(y, ch, cfg, scheme)
+            ref_bits, ref_d = direct_sas_detect(y, h, cfg, scheme)
             np.testing.assert_array_equal(bits, 0)
             np.testing.assert_array_equal(ref_bits, 0)
             assert distance[0] == ref_d == np.sum(np.abs(y) ** 2)

@@ -7,19 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from irsmas.channel import ChannelMatrix, sample_channel, trial_rng
+from irsmas.channel import trial_rng
 from irsmas.core import SystemConfig, make_constellation
 from irsmas.detection import cross_gains
 from irsmas.rac import build_rac_table, rac_row
 from irsmas.transmitter import (
     aligning_phases,
-    encode,
+    encode_batch,
     gain_index,
     reflector_blocks,
     reflector_phases,
     row_norms,
+    slot_order,
 )
-from reference import bits_to_int
+from reference import bits_to_int, sample_channel
 from reference import reflector_phases as reference_reflector_phases
 from reference import sort_weights_asc, sort_weights_desc, superpose
 
@@ -81,22 +82,22 @@ class TestReflectorPhases:
         return trial_rng(1234, 0)
 
     def test_unit_modulus(self):
-        ch = sample_channel(12, 64, self.rng())
-        theta = reflector_phases(ch.h[:2, :])
+        h = sample_channel(12, 64, self.rng())
+        theta = reflector_phases(h[:2, :])
         assert np.max(np.abs(np.abs(theta) - 1.0)) <= 1e-12
-        h = np.stack([sample_channel(16, 64, trial_rng(5, t)).h for t in range(16)])
+        h = np.stack([sample_channel(16, 64, trial_rng(5, t)) for t in range(16)])
         assert np.max(np.abs(np.abs(aligning_phases(h)) - 1.0)) <= 4 * np.finfo(float).eps
 
     def test_aligning_phases_match_exponential_form(self):
         # conj(h)/|h| is exp(-j arg h) up to rounding, also for tiny and huge entries
-        h = np.stack([sample_channel(16, 64, trial_rng(6, t)).h for t in range(16)])
+        h = np.stack([sample_channel(16, 64, trial_rng(6, t)) for t in range(16)])
         h[0] *= 1e-300
         h[1] *= 1e300
         want = np.exp(-1j * np.angle(h))
         assert np.max(np.abs(aligning_phases(h) - want)) <= 1e-15
 
     def test_zero_entries_give_exactly_one(self):
-        h = sample_channel(4, 8, self.rng()).h
+        h = sample_channel(4, 8, self.rng())
         h[1, 2] = 0
         h[2, :] = complex(-0.0, -0.0)
         theta = aligning_phases(h)
@@ -119,8 +120,8 @@ class TestReflectorPhases:
     def test_block_alignment_gain(self):
         # within its own block, the product h * theta must be real positive
         # and equal to the channel magnitude
-        ch = sample_channel(12, 64, self.rng())
-        sel_channel = ch.h[[2, 7], :]
+        h = sample_channel(12, 64, self.rng())
+        sel_channel = h[[2, 7], :]
         theta = reflector_phases(sel_channel)
         own0 = sel_channel[0, :32] * theta[:32]
         own1 = sel_channel[1, 32:] * theta[32:]
@@ -131,8 +132,8 @@ class TestReflectorPhases:
 
     def test_leftover_aligned_to_first_row(self):
         # 65 reflectors, 2 slots: delta=32, one leftover aligned to row 0
-        ch = sample_channel(4, 65, self.rng())
-        sel_channel = ch.h[:2, :]
+        h = sample_channel(4, 65, self.rng())
+        sel_channel = h[:2, :]
         theta = reflector_phases(sel_channel)
         tail = sel_channel[0, 64] * theta[64]
         assert abs(tail.imag) <= 1e-12 and tail.real > 0
@@ -141,7 +142,7 @@ class TestReflectorPhases:
     def test_row_phases_match_per_row_phases(self, n_rx, n_sel, n_refl):
         # a stack of 3 trials, each with every row of its table, tail reflectors included
         table = build_rac_table(n_rx, n_sel)
-        h = np.stack([sample_channel(n_rx, n_refl, trial_rng(9, t)).h for t in range(3)])
+        h = np.stack([sample_channel(n_rx, n_refl, trial_rng(9, t)) for t in range(3)])
         phases, index = aligning_phases(h), gain_index(n_rx, n_sel, n_refl)
         blocks = [block for block, _ in reflector_blocks(n_refl, n_sel)]
         for t in range(3):
@@ -169,9 +170,9 @@ class TestReflectorPhases:
 
     def test_aligned_gain_beats_random(self):
         # the beamforming gain at the aligned antenna dwarfs a random antenna
-        ch = sample_channel(12, 64, self.rng())
-        theta = reflector_phases(ch.h[:1, :])
-        gains = np.abs(ch.h @ theta)
+        h = sample_channel(12, 64, self.rng())
+        theta = reflector_phases(h[:1, :])
+        gains = np.abs(h @ theta)
         assert gains[0] > 3 * gains[1:].max()
 
 
@@ -192,22 +193,32 @@ class TestRowNorms:
             np.testing.assert_array_equal(got, want)
 
 
+def encode_one(bits, h, cfg):
+    """``encode_batch`` of one block on channel h (a stack of one), and what
+    ``slot_order`` says of the row it sent: (x, antennas, weights, slots by
+    descending weight, 1-based)."""
+    table = build_rac_table(cfg.n_rx, cfg.n_sel)
+    norms = row_norms(h[None])
+    p, _, x = encode_batch(np.asarray(bits)[None], norms, cfg, table)
+    (sel,), (weights,), (order,) = slot_order(p, norms, table)
+    return x[0], sel, weights, order + 1
+
+
 class TestEncode:
     def make_inputs(self, seed=0, trial=5):
         rng = trial_rng(seed, trial)
         bits = rng.integers(0, 2, size=CFG.block_len)
-        ch = sample_channel(CFG.n_rx, CFG.n_refl, rng)
-        return bits, ch
+        return bits, sample_channel(CFG.n_rx, CFG.n_refl, rng)
 
     def test_selected_row_matches_index_bits(self):
-        bits, ch = self.make_inputs()
-        tx = encode(bits, ch, CFG, TABLE)
+        bits, h = self.make_inputs()
+        _, sel, _, _ = encode_one(bits, h, CFG)
         p = bits_to_int(bits[: CFG.l1])
-        np.testing.assert_array_equal(tx.sel, rac_row(TABLE, p))
+        np.testing.assert_array_equal(sel, rac_row(TABLE, p))
 
     def test_transmit_scalar_matches_manual_composition(self):
-        bits, ch = self.make_inputs()
-        tx = encode(bits, ch, CFG, TABLE)
+        bits, h = self.make_inputs()
+        x, _, _, order_desc = encode_one(bits, h, CFG)
         # rebuild by hand: slot j's symbol from its own bit block, power
         # ratio by descending-weight position
         symbols = np.array(
@@ -216,47 +227,40 @@ class TestEncode:
                 for j in (1, 2)
             ]
         )
-        expected = superpose(symbols, tx.order_desc, CFG.alpha)
-        assert tx.x == expected  # bit for bit
+        expected = superpose(symbols, order_desc, CFG.alpha)
+        assert x == expected  # bit for bit
 
     def test_weights_are_row_norms(self):
-        bits, ch = self.make_inputs()
-        tx = encode(bits, ch, CFG, TABLE)
-        np.testing.assert_allclose(
-            tx.weights, np.linalg.norm(ch.h[tx.sel - 1, :], axis=1), atol=1e-12
-        )
+        bits, h = self.make_inputs()
+        _, sel, weights, _ = encode_one(bits, h, CFG)
+        np.testing.assert_allclose(weights, np.linalg.norm(h[sel - 1, :], axis=1), atol=1e-12)
 
     def test_strongest_slot_gets_smallest_ratio(self):
-        bits, ch = self.make_inputs()
-        tx = encode(bits, ch, CFG, TABLE)
-        strongest = int(np.argmax(tx.weights)) + 1
-        assert tx.order_desc[0] == strongest  # paired with alpha[0] = min
-
-    def test_wrong_bit_count_raises(self):
-        _, ch = self.make_inputs()
-        with pytest.raises(ValueError, match="bits"):
-            encode(np.zeros(7, dtype=int), ch, CFG, TABLE)
+        bits, h = self.make_inputs()
+        _, _, weights, order_desc = encode_one(bits, h, CFG)
+        strongest = int(np.argmax(weights)) + 1
+        assert order_desc[0] == strongest  # paired with alpha[0] = min
 
     def test_zero_index_bits_select_row_zero(self):
-        _, ch = self.make_inputs()
+        _, h = self.make_inputs()
         bits = np.zeros(CFG.block_len, dtype=int)
-        tx = encode(bits, ch, CFG, TABLE)
-        np.testing.assert_array_equal(tx.sel, [1, 2])
+        x, sel, _, _ = encode_one(bits, h, CFG)
+        np.testing.assert_array_equal(sel, [1, 2])
         # both symbols are +1 (bit 0), so x = sqrt(.2) + sqrt(.8)
-        assert tx.x == pytest.approx(1.3416407864998738)
+        assert x == pytest.approx(1.3416407864998738)
 
     def test_qpsk_encode(self):
         cfg = dataclasses.replace(CFG, mod_order=4)
         qpsk = make_constellation(4)
         rng = trial_rng(7, 1)
         bits = rng.integers(0, 2, size=cfg.block_len)
-        ch = sample_channel(cfg.n_rx, cfg.n_refl, rng)
-        tx = encode(bits, ch, cfg, TABLE)
+        h = sample_channel(cfg.n_rx, cfg.n_refl, rng)
+        x, _, _, order_desc = encode_one(bits, h, cfg)
         symbols = np.array(
             [
                 qpsk.points[bits_to_int(bits[cfg.l1 + (j - 1) * 2 : cfg.l1 + j * 2])]
                 for j in (1, 2)
             ]
         )
-        expected = superpose(symbols, tx.order_desc, cfg.alpha)
-        assert tx.x == expected  # bit for bit
+        expected = superpose(symbols, order_desc, cfg.alpha)
+        assert x == expected  # bit for bit
