@@ -1,6 +1,7 @@
 """Scenario configuration, Gray-coded constellations, and bit/integer helpers."""
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -271,6 +272,25 @@ def snr_to_sigma(snr_db: float) -> float:
     return 0.0 if snr_db == math.inf else 10.0 ** (-snr_db / 20.0)
 
 
+def _integer_problems(cfg: SystemConfig, mas: bool) -> list:
+    """The integer fields read (the selection fields only by mas) that hold
+    anything but an integer, a float such as 2.0 included; error_budget
+    may be None."""
+    names = ("n_rx", "n_refl", "mod_order", "n_trials", "seed", "error_budget")
+    if mas:
+        names += ("n_sel", "n_cand_antennas", "n_iters")
+    problems = []
+    for name in names:
+        value = getattr(cfg, name)
+        if name == "error_budget" and value is None:
+            continue
+        try:
+            operator.index(value)
+        except TypeError:
+            problems.append(f"{name}: must be an integer (got {value!r})")
+    return problems
+
+
 def _selection_problems(cfg: SystemConfig) -> list:
     """Violations among the fields that only the mas scheme reads."""
     problems = []
@@ -329,6 +349,9 @@ def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
     mod_order is checked for sas-ssk too, though its pin replaces it.
     """
     mas = scheme == "mas"
+    problems = _integer_problems(cfg, mas)
+    if problems:
+        raise ValueError("invalid configuration: " + "; ".join(problems))
     if mas:
         problems = _selection_problems(cfg)
     elif cfg.n_rx < 2 or cfg.n_rx & (cfg.n_rx - 1):

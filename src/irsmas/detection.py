@@ -8,11 +8,11 @@ recomputes only those near the minimum with the direct elementwise
 distance, which fixes the decision.
 
 The SSD receiver first ranks antenna combinations by received power (the
-candidate sorter), then for each of the top candidates sums its effective
-gains from the per-block cross gains that the ML search's gains come from
-too, peels the superposed symbols off weakest-slot first, superposes the
-decoded symbols again, and keeps the candidate whose reconstruction is
-closest to the observed vector.
+candidate sorter), then for each of the top candidates takes its effective
+gains from ``candidate_gains``, as the ML search takes every row's, peels
+the superposed symbols off weakest-slot first, superposes the decoded
+symbols again, and keeps the candidate whose reconstruction is closest to
+the observed vector.
 """
 
 import numpy as np
@@ -187,8 +187,10 @@ def candidate_gains(cross: np.ndarray, index: np.ndarray, cand: np.ndarray) -> n
     V) from the T trials' ``cross_gains`` (K, T, n_rx, n_rx) and the
     antennas (K, C) they serve; row i of ``cand`` belongs to trial i mod
     T, so the candidates of several noise levels stack along R.  Each gain
-    adds its blocks' terms in block order, as ``ml_gains`` does, so it
-    equals that stack's column bit for bit."""
+    adds its blocks' terms in block order, so a row's gain is the same bits
+    whichever candidates it is formed among: the ML search's gains of every
+    row and the SSD receiver's of its candidates agree.  ``cross`` is only
+    read."""
     trial = (np.arange(len(cand)) % cross.shape[1])[:, None]
     gains = cross[0][trial, :, index[0][cand]]
     for cross_k, antenna in zip(cross[1:], index[1:]):
@@ -196,40 +198,13 @@ def candidate_gains(cross: np.ndarray, index: np.ndarray, cand: np.ndarray) -> n
     return gains
 
 
-def ml_gains(cross: np.ndarray, index: np.ndarray):
-    """What the exhaustive ML search needs of the T trials' ``cross_gains``
-    (K, T, n_rx, n_rx) and the antennas (K, C) they serve, for any y: the
-    gains g_p = H theta_p of every legitimate row p (T, n_rx, C), in a
-    stack of their own, and ||g_p||^2 (T C,).  ``cross`` is only read.
-
-    Every row adds its term of each block, B_k[r, a_k(p)], in block order,
-    as ``candidate_gains`` does, so column p equals row p's candidate gains
-    bit for bit (the n_rx^2 n_refl MACs of the cross gains a trial in all,
-    against C n_rx n_refl for every H theta_p).
-    """
-    _, n_trials, n_rx, _ = cross.shape
-    gains = np.empty((n_trials, n_rx, index.shape[1]), dtype=complex)
-    flat = gains.reshape(n_trials * n_rx, -1, copy=False)
-    for k, (cross_k, antenna) in enumerate(zip(cross, index)):
-        terms = cross_k.reshape(n_trials * n_rx, n_rx, copy=False)
-        if k == 0:
-            # index is in range, so "clip" changes no index; the default
-            # "raise" would have numpy copy the result through a temporary
-            np.take(terms, antenna, axis=1, out=flat, mode="clip")
-        else:
-            flat += np.take(terms, antenna, axis=1)
-    energy = gains.real**2
-    energy += gains.imag**2
-    return gains, energy.sum(axis=1).ravel()
-
-
 def ml_detect_batch(y: np.ndarray, cross: np.ndarray, index: np.ndarray, norms: np.ndarray,
                     cfg: SystemConfig, table: RacTable):
     """Exhaustive ML search for a stack of received vectors y (R, n_rx),
     from ``ssd_detect_batch``'s inputs: the ``cross_gains`` and antennas of
     T channels and their row norms (T, n_rx), y i belonging to channel i
-    mod T.  It forms its gains stack (``ml_gains``) ML_TRIALS channels at a
-    time and searches every y of those channels with it.
+    mod T.  It forms the ``candidate_gains`` of every row ML_TRIALS
+    channels at a time and searches every y of those channels with them.
 
     Minimizes ||y - H theta_p x||^2 over every legitimate row p and every
     value x in the superposition set.  Ties resolve to the smaller p, then
@@ -239,9 +214,14 @@ def ml_detect_batch(y: np.ndarray, cross: np.ndarray, index: np.ndarray, norms: 
     """
     axes = superposition_axes(cfg.mod_order, tuple(cfg.alpha))
     n_trials, n_rx = cross.shape[1], y.shape[1]
+    every_row = np.arange(index.shape[1])
     points = y.reshape(-1, n_trials, n_rx)  # the noise levels along a leading axis
-    found = [_ml_search(points[:, s].reshape(-1, n_rx), *ml_gains(cross[:, s], index), axes)
-             for s in (slice(lo, lo + ML_TRIALS) for lo in range(0, n_trials, ML_TRIALS))]
+    found = []
+    for lo in range(0, n_trials, ML_TRIALS):
+        s = slice(lo, min(lo + ML_TRIALS, n_trials))
+        cand = np.broadcast_to(every_row, (s.stop - lo, len(every_row)))
+        found.append(_ml_search(points[:, s].reshape(-1, n_rx),
+                                candidate_gains(cross[:, s], index, cand), axes))
     distance, p_hat, v_hat = (np.hstack([f.reshape(len(points), -1) for f in parts]).ravel()
                               for parts in zip(*found))
     _, _, order = slot_order(p_hat, norms, table)  # slot of each tuple position
@@ -250,9 +230,9 @@ def ml_detect_batch(y: np.ndarray, cross: np.ndarray, index: np.ndarray, norms: 
     return p_hat, labels, distance
 
 
-def _ml_search(y: np.ndarray, gains: np.ndarray, energy: np.ndarray, axes: SuperpositionAxes):
-    """``ml_detect_batch``'s search of y against ``ml_gains``'s stack (T,
-    n_rx, C) and ||g||^2: the distances, rows and ``axes.values`` indices.
+def _ml_search(y: np.ndarray, gains: np.ndarray, axes: SuperpositionAxes):
+    """``ml_detect_batch``'s search of y against the gains of every row (T,
+    C, n_rx): the distances, rows and ``axes.values`` indices.
 
     Hypotheses are first screened in real arithmetic with the expansion
     ||y||^2 - 2 Re(conj(x) g^H y) + |x|^2 ||g||^2.  Every superposed value
@@ -267,26 +247,30 @@ def _ml_search(y: np.ndarray, gains: np.ndarray, energy: np.ndarray, axes: Super
     gains, bit for bit, however the pairs are sliced.
     """
     values = axes.values
-    n_trials, n_rx, n_rows = gains.shape
+    n_trials, n_rows, n_rx = gains.shape
     n_y = len(y)
 
     # score(p, a + jb) = distance - ||y||^2 = f_A(p, a) + f_B(p, b), with
     # f_A = a (||g||^2 a - 2 Re(g^H y)) and f_B = b (||g||^2 b - 2 Im(g^H y)),
     # one row per value of A then of B, and (y, row) pairs along the
-    # trailing axis.  2 g^H y is 2 conj(conj(y) g), exactly: each y against
+    # trailing axis.  2 g^H y is 2 conj(g conj(y)), exactly: each y against
     # its channel's gains, the noise levels along a leading axis.
-    corr2 = 2 * np.conjugate(np.conjugate(y).reshape(-1, n_trials, 1, n_rx) @ gains).ravel()
+    corr2 = 2 * np.conjugate(gains @ np.conjugate(y).reshape(-1, n_trials, n_rx, 1)).ravel()
+    # ||g||^2 as a sum of squares over the real and imaginary parts
+    parts = gains.view(float)
+    energy = np.einsum("tpk,tpk->tp", parts, parts)
     ab = np.concatenate([axes.a, axes.b])
     n_a = len(axes.a)
     # Rounding, to first order in eps, with S = ||y|| + max|x| max||g||:
     #  - a screened score is off from the exact one at a + jb, which is
-    #    values[v] bit for bit, by under (3 n_rx + 5) eps/2 S^2 (||g||^2,
-    #    g^H y, three roundings per axis and the sum of the two);
+    #    values[v] bit for bit, by under (4 n_rx + 4) eps/2 S^2 (||g||^2 as
+    #    a sum of 2 n_rx squares, g^H y, three roundings per axis and the
+    #    sum of the two);
     #  - the direct elementwise distance is off by under (n_rx + 11) eps/2 S^2.
     # The direct search can pick a hypothesis over the screened minimum only
-    # if their scores differ by less than twice the sum, (4 n_rx + 16) eps
-    # S^2.  The shortlist bound is more than twice that.
-    g_max = np.sqrt(energy.reshape(n_trials, n_rows).max(axis=1))
+    # if their scores differ by less than twice the sum, (5 n_rx + 15) eps
+    # S^2.  The shortlist bound is more than 1.6 times that.
+    g_max = np.sqrt(energy.max(axis=1))
     scale = np.linalg.norm(y, axis=1) + np.abs(values).max() * g_max[np.arange(n_y) % n_trials]
     tol = 8 * (n_rx + 2 * axes.n_sel + 8) * np.finfo(float).eps * scale**2
     energy = np.resize(energy, n_y * n_rows)  # each pair's, repeated level by level
@@ -340,15 +324,15 @@ def _near_hypotheses(f_a, f_b, axes: SuperpositionAxes, near, limit):
 
 def _exact_distance(y, gains, values, t, p, v):
     """The direct search's distance of hypotheses (y t, row p, value v) from
-    the gains stack as it is, y t belonging to channel t mod T: elementwise
-    terms summed over antennas in sequence (np.sum may pair them up
-    differently), at most SCREEN_BUDGET terms at a time."""
-    n_trials, n_rx, _ = gains.shape
+    the gains (T, C, n_rx) as they are, y t belonging to channel t mod T:
+    elementwise terms summed over antennas in sequence (np.sum may pair
+    them up differently), at most SCREEN_BUDGET terms at a time."""
+    n_trials, _, n_rx = gains.shape
     distance = np.empty(len(t))
     step = max(1, SCREEN_BUDGET // n_rx)
     for lo in range(0, len(t), step):
         s = slice(lo, lo + step)
-        g = gains.transpose(1, 0, 2)[:, t[s] % n_trials, p[s]]
+        g = gains[t[s] % n_trials, p[s]].T
         terms = np.abs(y.T[:, t[s]] - g * values[v[s]]) ** 2
         part = distance[s]
         part[:] = terms[0]

@@ -14,9 +14,10 @@ gain formed once, for the noiseless received vectors and the detector
 alike, and never written after.  The received vectors of every live
 point are stacked, and one detector call a stack serves them all.  Jobs
 go out in block order through one scheduler, on one process pool for the
-whole sweep (or in process with one worker).  With fewer blocks than
-workers, the points are dealt round-robin into max(1, min(points,
-workers // blocks)) groups, whose jobs each draw the block.
+whole sweep (or in process with one worker), and their results are taken
+in the order the jobs went out.  With fewer blocks than workers, the
+points are dealt round-robin into max(1, min(points, workers // blocks))
+groups, whose jobs each draw the block.
 
 Every block, of every scheme and detector, runs through the batched
 engine, in one workspace of the same layout for either detector, as
@@ -36,8 +37,11 @@ whatever chunk and stack it runs in, so a block's counts equal the sum of
 import math
 import operator
 import os
-import queue
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from functools import partial
+from itertools import islice
 from multiprocessing import Pool
 
 import numpy as np
@@ -300,87 +304,53 @@ def _resolve_workers(workers) -> int:
     return count
 
 
-class _Point:
-    """One SNR point's share of the scheduler: the results waiting for their
-    turn, and the counts of the consumed prefix."""
-
-    def __init__(self, error_budget):
-        self.budget = error_budget
-        self.consumed = 0
-        self.waiting = {}  # block index -> counts that arrived out of order
-        self.counts = (0, 0, 0, 0)  # trials, bit errors, block errors, MACs
-        self.stopped = False
-
-    def take(self, block: int, result) -> None:
-        """Consume every result now next in block order, stopping at a block
-        boundary once the error budget is met; later results are dropped."""
-        if self.stopped:
-            return
-        self.waiting[block] = result
-        while self.consumed in self.waiting:
-            result = self.waiting.pop(self.consumed)
-            self.consumed += 1
-            self.counts = tuple(a + b for a, b in zip(self.counts, result))
-            if self.budget is not None and self.counts[2] >= self.budget:
-                self.stopped = True
-                self.waiting.clear()
-                return
-
-
 def _sweep_counts(cfg: SystemConfig, sigmas: list, detector: str, workers: int) -> list:
     """(trials, bit errors, block errors, MACs) of every point of a sweep,
     one point per noise level of ``sigmas``.
 
     Jobs of (block, a group's live points) go out in block order, at most
-    ``workers`` in flight.  Each point consumes its results strictly in
-    block order, so the consumed prefix, and hence every count, is
-    identical for any worker count.
+    ``workers`` in flight, and their results are taken in the order the
+    jobs went out.  A point's jobs go out in block order, so it adds its
+    blocks in block order, and it stops at the first block that meets its
+    error budget; a result it is still owed after that is dropped.  The
+    blocks it adds, and hence every count, are identical for any worker
+    count.
     """
-    points = [_Point(cfg.error_budget) for _ in sigmas]
+    n_points = len(sigmas)
+    counts = [(0, 0, 0, 0)] * n_points
+    live = [True] * n_points  # error budget not met yet
     n_blocks = -(-cfg.n_trials // BLOCK_TRIALS)
-    n_groups = max(1, min(len(points), workers // n_blocks))
+    n_groups = max(1, min(n_points, workers // n_blocks))
     workers = min(workers, n_blocks * n_groups)
-    jobs = ((block, range(g, len(points), n_groups))
-            for block in range(n_blocks) for g in range(n_groups))
-    done = queue.SimpleQueue()  # (points, block, counts or the exception raised)
 
-    def next_job():
-        for block, group in jobs:
-            live = [i for i in group if not points[i].stopped]
-            if live:
-                start = block * BLOCK_TRIALS
-                count = min(BLOCK_TRIALS, cfg.n_trials - start)
-                return live, block, (cfg, detector, start, count,
-                                     tuple(sigmas[i] for i in live))
-            if all(p.stopped for p in points):
-                break
-        return None
-
-    def run(submit):
-        in_flight = 0
-        while True:
-            while in_flight < workers and (job := next_job()) is not None:
-                submit(*job)
-                in_flight += 1
-            if not in_flight:
+    def hand_out():
+        """(points, job) of each block and group in turn, for the group's
+        points live at hand-out, until every point has stopped."""
+        for block in range(n_blocks):
+            if not any(live):
                 return
-            live, block, result = done.get()
-            in_flight -= 1
-            if isinstance(result, BaseException):
-                raise result
-            for i, counts in zip(live, result):
-                points[i].take(block, counts)
+            start = block * BLOCK_TRIALS
+            count = min(BLOCK_TRIALS, cfg.n_trials - start)
+            for g in range(n_groups):
+                points = [i for i in range(g, n_points, n_groups) if live[i]]
+                if points:
+                    yield points, (cfg, detector, start, count, tuple(sigmas[i] for i in points))
 
-    if workers == 1:
-        run(lambda live, block, job: done.put((live, block, _block_counts(job))))
-    else:
-        with Pool(workers) as pool:
-            def submit(live, block, job):
-                pool.apply_async(_block_counts, (job,),
-                                 callback=lambda result: done.put((live, block, result)),
-                                 error_callback=lambda exc: done.put((live, block, exc)))
-            run(submit)
-    return [p.counts for p in points]
+    jobs = hand_out()
+    pending = deque()  # (points, a call returning their counts), in hand-out order
+    with nullcontext() if workers == 1 else Pool(workers) as pool:
+        while True:
+            for points, job in islice(jobs, workers - len(pending)):
+                pending.append((points, partial(_block_counts, job) if pool is None
+                                else pool.apply_async(_block_counts, (job,)).get))
+            if not pending:
+                break
+            points, call = pending.popleft()
+            for i, result in zip(points, call()):
+                if live[i]:
+                    counts[i] = tuple(a + b for a, b in zip(counts[i], result))
+                    live[i] = cfg.error_budget is None or counts[i][2] < cfg.error_budget
+    return counts
 
 
 def run_sweep(cfg: SystemConfig, scheme: str = "mas", detector: str = "ssd",

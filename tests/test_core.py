@@ -168,6 +168,16 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=fragment):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("name,value", [
+        ("n_trials", 1500.5), ("n_rx", 12.0), ("n_sel", 2.0), ("n_refl", 64.0), ("n_iters", 8.5),
+        ("n_cand_antennas", 6.0), ("seed", 1.5), ("error_budget", 2.5), ("mod_order", 2.0),
+    ])
+    def test_non_integer_field_named(self, name, value):
+        # each would pass the range checks, then fail deep in a sweep
+        cfg = dataclasses.replace(PAPER_CFG, **{name: value})
+        with pytest.raises(ValueError, match=f"{name}: must be an integer"):
+            validate_config(cfg)
+
     def test_noise_at_snr_floor_accepted(self):
         # the noise of the lowest SNR that validate_config accepts is finite
         validate_config(dataclasses.replace(PAPER_CFG, snr_grid_db=(SNR_FLOOR_DB,)))

@@ -19,7 +19,6 @@ from irsmas.detection import (
     mac_ml,
     mac_ssd,
     ml_detect_batch,
-    ml_gains,
     rac_candidates_batch,
     ssd_detect_batch,
 )
@@ -36,7 +35,7 @@ from reference import (
     superpose,
 )
 from reference import ssd_detect as reference_ssd_detect
-from test_harness import detector_inputs
+from test_harness import detector_inputs, every_row_gains
 
 CFG = SystemConfig()
 TABLE = build_rac_table(CFG.n_rx, CFG.n_sel)
@@ -249,7 +248,7 @@ class TestSsdBatch:
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         cross, index, norms = detector_inputs(h, cfg.n_sel)
         p_hat, labels, distance, n_cand = ssd_detect_batch(y, cross, index, norms, cfg, table)
-        engine_gains = ml_gains(cross, index)[0]  # as the ssd engine sums them
+        engine_gains = every_row_gains(cross, index)  # as the ssd engine sums them
         for t in range(len(y)):
             ref_p, ref_symbols, _, ref_n_cand = reference_ssd_detect(y[t], h[t], cfg, table,
                                                                      const)
@@ -434,7 +433,7 @@ class TestMlBracket:
         assert len(set(labels[0])) > 1
 
         # every hypothesis (row q, value v) as the receiver sees it, noiseless
-        gains, _ = ml_gains(cross, index)
+        gains = every_row_gains(cross, index)
         points = (gains[0][:, :, None] * axes.values).reshape(cfg.n_rx, -1)
         _, _, order = slot_order(p, norms, table)
         v_sent = np.ravel_multi_index(labels[0, order[0]], (cfg.mod_order,) * cfg.n_sel)

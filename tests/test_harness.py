@@ -4,6 +4,7 @@ import dataclasses
 import math
 import signal
 import tracemalloc
+import types
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -31,7 +32,6 @@ from irsmas.detection import (
     detected_bits,
     mac_ml,
     ml_detect_batch,
-    ml_gains,
 )
 from irsmas.harness import (
     BLOCK_TRIALS,
@@ -73,9 +73,19 @@ def detector_inputs(h, n_sel):
     return (*cross_gains(h, aligning_phases(h), n_sel), row_norms(h))
 
 
+def every_row_gains(cross, index):
+    """``candidate_gains`` of every row, the ml search's gains, from the T
+    trials' ``cross_gains`` and antennas, laid out (T, n_rx, C) as the
+    reference reads them."""
+    n_trials, n_rows = cross.shape[1], index.shape[1]
+    cand = np.broadcast_to(np.arange(n_rows), (n_trials, n_rows))
+    return candidate_gains(cross, index, cand).transpose(0, 2, 1)
+
+
 def channel_gains(h, n_sel):
-    """``ml_gains`` of channels h (T, n_rx, n_refl) from their own ``cross_gains``."""
-    return ml_gains(*detector_inputs(h, n_sel)[:2])
+    """``every_row_gains`` of channels h (T, n_rx, n_refl) from their own
+    ``cross_gains``."""
+    return every_row_gains(*detector_inputs(h, n_sel)[:2])
 
 
 @contextmanager
@@ -267,7 +277,7 @@ class TestBatchedMlEngine:
     def assert_matches_direct(self, y, h, cfg):
         table = build_rac_table(cfg.n_rx, cfg.n_sel)
         const = make_constellation(cfg.mod_order)
-        gains, _ = channel_gains(h, cfg.n_sel)
+        gains = channel_gains(h, cfg.n_sel)
         p_hat, labels, distance = ml_detect_batch(y, *detector_inputs(h, cfg.n_sel), cfg, table)
         for t in range(len(y)):
             ref_p, ref_symbols, _ = direct_ml_detect(y[t], h[t], cfg, table, const)
@@ -282,6 +292,9 @@ class TestBatchedMlEngine:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(mas_blocks())
+    # a 512-row table, larger than any drawn: C(16, 3) = 560 combinations
+    @example((SystemConfig(n_rx=16, n_sel=3, n_refl=64, alpha=ALPHAS[3, 2], seed=5),
+              0.5, 40, 4))
     def test_block_matches_direct_search(self, case):
         cfg, sigma, start, count = case
         validate_config(cfg)
@@ -399,14 +412,14 @@ class TestBatchedMlEngine:
         assert ML_TRIALS >= 3  # each slice below is one search
         alone = [ml_detect_batch(y.reshape(n_points, 7, -1)[:, s].reshape(-1, cfg.n_rx),
                                  cross[:, s], index, norms[s], cfg, table) for s in slices]
-        searched, real_gains = [], irsmas.detection.ml_gains
+        searched, real_gains = [], irsmas.detection.candidate_gains
 
-        def ml_gains(cross, index):
+        def candidate_gains(cross, index, cand):
             searched.append(cross.shape[1])
-            return real_gains(cross, index)
+            return real_gains(cross, index, cand)
 
         monkeypatch.setattr(irsmas.detection, "ML_TRIALS", 3)
-        monkeypatch.setattr(irsmas.detection, "ml_gains", ml_gains)
+        monkeypatch.setattr(irsmas.detection, "candidate_gains", candidate_gains)
         got = ml_detect_batch(y, cross, index, norms, cfg, table)
         assert searched == [3, 3, 1]
         for got_part, parts in zip(got, zip(*alone)):
@@ -441,7 +454,7 @@ class TestBatchedMlEngine:
 
 
 def assert_within_gain_bound(gains, h, table, delta):
-    """Each trial's gains stack from ``ml_gains`` (T, n_rx, C)
+    """Each trial's gains from ``every_row_gains`` (T, n_rx, C)
     lies within 2 (N + 2) eps sum_n |h[r, n]| of the direct H theta_p,
     entry by entry (``TestMlGains.test_gains_within_rounding_bound``)."""
     eps = np.finfo(float).eps
@@ -469,8 +482,9 @@ def gain_stacks(draw):
 
 
 class TestMlGains:
-    """``ml_gains`` sums per-block cross gains; the direct search forms
-    H theta_p in one product.  The two may differ by rounding alone."""
+    """The ml search's gains, every row's ``candidate_gains``, sum per-block
+    cross gains; the direct search forms H theta_p in one product.  The
+    two may differ by rounding alone."""
 
     # the last two have a leftover block of 1 and 2 reflectors
     @pytest.mark.parametrize("n_rx,n_sel,n_refl", [(12, 2, 64), (12, 3, 64), (8, 4, 66)])
@@ -495,7 +509,7 @@ class TestMlGains:
         table = build_rac_table(n_rx, n_sel)
         _, h, _ = draw_trials(TrialStreams(7), range(CHUNK_TRIALS), 1, n_rx, n_refl)
         h[3, 1] = 0  # a dead antenna
-        gains, _ = channel_gains(h, n_sel)
+        gains = channel_gains(h, n_sel)
         assert_within_gain_bound(gains, h, table, cfg.delta)
         np.testing.assert_array_equal(gains[3, 1], 0)
 
@@ -504,7 +518,7 @@ class TestMlGains:
         _, h, _ = draw_trials(TrialStreams(9), range(CHUNK_TRIALS), 1, n_rx, n_refl)
         cross, index = cross_gains(h, aligning_phases(h), n_sel)
         before = cross.copy()
-        ml_gains(cross, index)
+        every_row_gains(cross, index)
         np.testing.assert_array_equal(cross.view(np.uint64), before.view(np.uint64))
 
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -521,17 +535,18 @@ class TestMlGains:
         for lo in range(0, len(h), CHUNK_TRIALS):
             chunk = h[lo : lo + CHUNK_TRIALS]
             cross = cross_gains(chunk, aligning_phases(chunk), cfg.n_sel, cross_buf)
-            gains, _ = ml_gains(*cross)
+            gains = every_row_gains(*cross)
             assert gains.shape == (len(chunk), cfg.n_rx, table.row_count)
             assert_within_gain_bound(gains, chunk, table, cfg.delta)
-            alone, _ = channel_gains(chunk[-1:], cfg.n_sel)
+            alone = channel_gains(chunk[-1:], cfg.n_sel)
             np.testing.assert_array_equal(alone[0], gains[-1])
 
 
 class TestCandidateGains:
-    """``candidate_gains`` sums the per-block cross gains that ``ml_gains``
-    sums, in the same order, for the candidates of noise levels stacked
-    trial by trial; ``cross_gains`` fills a used buffer as a fresh one."""
+    """``candidate_gains`` gives a row the same bits whichever candidates it
+    is formed among, every row as the ml search forms them included, for
+    the candidates of noise levels stacked trial by trial; ``cross_gains``
+    fills a used buffer as a fresh one."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(gain_stacks(), st.integers(1, 3), st.integers(0, 2**32))
@@ -549,7 +564,7 @@ class TestCandidateGains:
         assert cross.shape == (n_blocks, len(h), cfg.n_rx, cfg.n_rx)
         assert np.shares_memory(cross, out)
         gains = candidate_gains(cross, index, cand)
-        stack, _ = ml_gains(cross, index)
+        stack = every_row_gains(cross, index)
         want = stack.transpose(0, 2, 1)[np.arange(len(cand)) % len(h)]
         np.testing.assert_array_equal(gains, np.take_along_axis(want, cand[..., None], axis=1))
 
@@ -607,7 +622,7 @@ class TestBatchedSasEngine:
             want[2] += out.mac
 
             _, h, *_, y = make_sas_trial(cfg, scheme, trial, sigma)
-            gains, _ = channel_gains(h[None], pinned.n_sel)
+            gains = channel_gains(h[None], pinned.n_sel)
             p_hat, labels, got_d = ml_detect_batch(
                 y[None], *detector_inputs(h[None], pinned.n_sel), pinned, table)
             ref_bits, _ = direct_sas_detect(y, h, cfg, scheme)
@@ -999,7 +1014,7 @@ class TestWorkspace:
         monkeypatch.setattr(irsmas.harness, "STACK_ROWS", 64)
         seen = []
         real_draw, real_phases = irsmas.harness.draw_trials, irsmas.harness.aligning_phases
-        real_cross, real_ml = irsmas.harness.cross_gains, irsmas.detection.ml_gains
+        real_cross, real_gains = irsmas.harness.cross_gains, irsmas.detection.candidate_gains
 
         def draw_trials(*args, out=None):
             bits, h, noise = real_draw(*args, out=out)
@@ -1020,14 +1035,14 @@ class TestWorkspace:
             seen.append(("cross", len(h), (phases.ctypes.data, cross.ctypes.data)))
             return cross, index
 
-        def ml_gains(cross, index):
-            seen.append(("ml", cross.shape[1], cross.ctypes.data))
-            return real_ml(cross, index)
+        def candidate_gains(cross, index, cand):
+            seen.append(("gains", cross.shape[1], cross.ctypes.data))
+            return real_gains(cross, index, cand)
 
         monkeypatch.setattr(irsmas.harness, "draw_trials", draw_trials)
         monkeypatch.setattr(irsmas.harness, "aligning_phases", aligning_phases)
         monkeypatch.setattr(irsmas.harness, "cross_gains", cross_gains)
-        monkeypatch.setattr(irsmas.detection, "ml_gains", ml_gains)
+        monkeypatch.setattr(irsmas.detection, "candidate_gains", candidate_gains)
         assert point_block(cfg, scheme, detector, *CHUNK_BLOCK, sigma) == \
             (CHUNK_BLOCK[1], *reference_block(name))
         # of any scheme: a baseline is an ml search at n_sel 1
@@ -1046,7 +1061,7 @@ class TestWorkspace:
         if detector == "ml":
             # the ml search reads each chunk's cross gains where they were
             # formed, ML_TRIALS = CHUNK_TRIALS channels at a time
-            assert [(n, data) for k, n, data in seen if k == "ml"] == cross
+            assert [(n, data) for k, n, data in seen if k == "gains"] == cross
 
     @pytest.mark.parametrize("count", [CHUNK_TRIALS, 7])  # a full chunk, then a ragged one
     def test_ml_into_used_buffers_equals_fresh_search(self, count):
@@ -1276,8 +1291,9 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def apply_async(self, fn, args, callback, error_callback):
-                callback(fn(*args))
+            def apply_async(self, fn, args):
+                result = fn(*args)
+                return types.SimpleNamespace(get=lambda: result)
 
         monkeypatch.setattr(irsmas.harness, "Pool", InlinePool)
         cfg = self.small_cfg(n_trials=BLOCK_TRIALS + 1, snr_grid_db=(-14.0, -12.0))
