@@ -3,10 +3,11 @@ selection modulation with superposition coding.
 
 The modules: configuration and constellations (core), the antenna
 combination table (rac), transmitter mapping (transmitter), channel and
-noise models (channel), the ML and SSD receivers (detection), the
-single-antenna baselines as pinned configs of the same engine
-(baselines), the sweep engine (harness), and a CSV/JSON command line
-(cli).  The package exports the names the demos and the benchmark use.
+noise models (channel), the ML and SSD receivers (detection), the scheme
+table, whose single-antenna baselines are the fields they pin on the
+same engine (baselines), the sweep engine (harness), and a CSV/JSON
+command line (cli).  The package exports the names the demos and the
+benchmark use.
 """
 
 from .channel import alignment_gain, decompose_received

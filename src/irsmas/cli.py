@@ -19,7 +19,8 @@ import tempfile
 import numpy as np
 
 from .core import MOD_ORDERS, SNR_FLOOR_DB, SystemConfig, snr_value_ok
-from .harness import CSV_COLUMNS, check_run, run_sweep, scheme_config
+from .baselines import PINS, SCHEMES
+from .harness import CSV_COLUMNS, DETECTORS, check_run, run_sweep, scheme_config
 
 # most points a "start:step:stop" SNR range may expand to
 SNR_MAX_POINTS = 1000
@@ -121,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "reflector-aided antenna-selection modulation",
     )
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
-    parser.add_argument("--scheme", choices=["mas", "sas-sm", "sas-ssk"])
-    parser.add_argument("--detector", choices=["ml", "ssd"])
+    parser.add_argument("--scheme", choices=SCHEMES)
+    parser.add_argument("--detector", choices=DETECTORS)
     parser.add_argument("--nr", help="receive antennas")
     parser.add_argument("--np", help="selected antennas per transmission")
     parser.add_argument("--n-reflectors")
@@ -174,7 +175,7 @@ def parse_run_spec(argv=None) -> RunSpec:
         scheme = resolve("scheme", args.scheme) or "mas"
         detector = resolve("detector", args.detector) or ("ssd" if scheme == "mas" else "ml")
         check_run(scheme, detector)
-        if scheme != "mas":
+        if scheme in PINS:
             given = [key for key in _MAS_ONLY_KEYS
                      if resolve(key, getattr(args, key)) is not None]
             if given:

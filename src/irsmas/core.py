@@ -1,11 +1,14 @@
 """Scenario configuration, Gray-coded constellations, and bit/integer helpers."""
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .baselines import SCHEMES
 
 # Modulation orders supported by make_constellation, keyed by CLI/config name.
 MOD_ORDERS = {"bpsk": 2, "qpsk": 4, "qam16": 16, "qam64": 64}
@@ -64,8 +67,10 @@ def _gray_levels(bits: int) -> np.ndarray:
 def make_constellation(mod_order: int) -> Constellation:
     """The Gray-coded, unit-average-energy M-ary constellation, built once, read-only.
 
-    BPSK (M=2) lives on the real axis; 4/16/64-QAM are square grids with
-    per-axis Gray labelling, first half of the bits on I, second half on Q.
+    Label l is the point I[l >> q] + j Q[l mod 2^q], q = floor(log2(M) / 2),
+    with I and Q each axis's ``_gray_levels``: the leading log2(M) - q bits
+    pick the I level, the last q bits the Q level.  So BPSK (M=2) is one I
+    bit and no Q bit, on the real axis, and 4/16/64-QAM are square grids.
     M=1 is the one-value alphabet {1} of the sas-ssk baseline, which sends
     no symbol bits; no config accepts it as a modulation.
     """
@@ -74,21 +79,13 @@ def make_constellation(mod_order: int) -> Constellation:
             f"mod_order: unsupported order {mod_order} (expected one of "
             f"{sorted(MOD_ORDERS.values())})"
         )
-    mu = int(round(math.log2(mod_order)))
     if mod_order == 1:
         points = np.ones(1, dtype=complex)
-    elif mod_order == 2:
-        points = _gray_levels(1).astype(complex)
     else:
-        i_bits = mu // 2
-        q_bits = mu - i_bits
-        i_levels = _gray_levels(i_bits)
-        q_levels = _gray_levels(q_bits)
-        points = np.empty(mod_order, dtype=complex)
-        for label in range(mod_order):
-            i_val = label >> q_bits
-            q_val = label & ((1 << q_bits) - 1)
-            points[label] = i_levels[i_val] + 1j * q_levels[q_val]
+        mu = int(round(math.log2(mod_order)))
+        q_bits, label = mu // 2, np.arange(mod_order)
+        points = (_gray_levels(mu - q_bits)[label >> q_bits]
+                  + 1j * _gray_levels(q_bits)[label & ((1 << q_bits) - 1)])
     points /= np.sqrt(np.mean(np.abs(points) ** 2))
     points.setflags(write=False)
     return Constellation(points)
@@ -187,11 +184,15 @@ class SuperpositionAxes:
 
     @cached_property
     def ia(self) -> np.ndarray:
-        return self._tuple_index(self.level_a)
+        index = self.level_a[self.tuples] @ self.digits[0]
+        index.setflags(write=False)
+        return index
 
     @cached_property
     def ib(self) -> np.ndarray:
-        return self._tuple_index(self.level_b)
+        index = self.level_b[self.tuples] @ self.digits[1]
+        index.setflags(write=False)
+        return index
 
     @cached_property
     def tuples(self) -> np.ndarray:
@@ -223,13 +224,6 @@ class SuperpositionAxes:
         x.real = self.a[self.level_a[labels] @ digits_a]
         x.imag = self.b[self.level_b[labels] @ digits_b]
         return x
-
-    def _tuple_index(self, level: np.ndarray) -> np.ndarray:
-        index = level
-        for _ in range(1, self.n_sel):
-            index = (index[:, None] * (level.max() + 1) + level).ravel()
-        index.setflags(write=False)
-        return index
 
     def min_gap(self) -> float:
         """Smallest distance between the values of two different tuples:
@@ -272,22 +266,28 @@ def snr_to_sigma(snr_db: float) -> float:
     return 0.0 if snr_db == math.inf else 10.0 ** (-snr_db / 20.0)
 
 
-def _integer_problems(cfg: SystemConfig, mas: bool) -> list:
-    """The integer fields read (the selection fields only by mas) that hold
-    anything but an integer, a float such as 2.0 included; error_budget
-    may be None."""
-    names = ("n_rx", "n_refl", "mod_order", "n_trials", "seed", "error_budget")
+def _type_problems(cfg: SystemConfig, mas: bool) -> list:
+    """The fields read (alpha and the selection fields only by mas) that hold
+    the wrong type: an integer field anything but an integer, a float such
+    as 2.0 included (error_budget may be None), and alpha or snr_grid_db
+    anything but a sequence of real numbers."""
+    integers = ("n_rx", "n_refl", "mod_order", "n_trials", "seed", "error_budget")
+    reals = ("snr_grid_db",)
     if mas:
-        names += ("n_sel", "n_cand_antennas", "n_iters")
+        integers += ("n_sel", "n_cand_antennas", "n_iters")
+        reals += ("alpha",)
     problems = []
-    for name in names:
+    for name in integers + reals:
         value = getattr(cfg, name)
-        if name == "error_budget" and value is None:
-            continue
         try:
-            operator.index(value)
+            if name in reals:
+                if not all(isinstance(v, numbers.Real) for v in value):
+                    raise TypeError
+            elif not (name == "error_budget" and value is None):
+                operator.index(value)
         except TypeError:
-            problems.append(f"{name}: must be an integer (got {value!r})")
+            kind = "a sequence of real numbers" if name in reals else "an integer"
+            problems.append(f"{name}: must be {kind} (got {value!r})")
     return problems
 
 
@@ -341,15 +341,17 @@ def _superposition_problems(cfg: SystemConfig) -> list:
 
 def validate_config(cfg: SystemConfig, scheme: str = "mas") -> SystemConfig:
     """Check every invariant of a SystemConfig that ``scheme`` reads; raise
-    ValueError naming each violation.
+    ValueError naming each violation, or ``scheme`` if it is none of SCHEMES.
 
-    The single-antenna baselines (any scheme other than ``mas``) need n_rx
+    The single-antenna baselines (every scheme but ``mas``) need n_rx
     to be a power of two and ignore the selection fields (n_sel, alpha,
     n_cand_antennas, n_iters); every scheme reads the remaining fields.
     mod_order is checked for sas-ssk too, though its pin replaces it.
     """
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme: expected one of {SCHEMES}, got {scheme!r}")
     mas = scheme == "mas"
-    problems = _integer_problems(cfg, mas)
+    problems = _type_problems(cfg, mas)
     if problems:
         raise ValueError("invalid configuration: " + "; ".join(problems))
     if mas:

@@ -46,7 +46,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .baselines import baseline_config
+from .baselines import PINS
 from .channel import TrialStreams, add_noise, check_trial_index, draw_layout, draw_trials
 from .core import MOD_NAMES, MOD_ORDERS, SystemConfig, snr_to_sigma, validate_config
 from .detection import (
@@ -68,7 +68,6 @@ CHUNK_TRIALS = 32
 # once, unless one chunk's are more.
 STACK_ROWS = 128
 
-SCHEMES = ("mas", "sas-sm", "sas-ssk")
 DETECTORS = ("ml", "ssd")
 
 
@@ -105,21 +104,19 @@ class SweepRow:
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def check_run(scheme: str, detector: str = "ml") -> None:
-    """Reject an unknown scheme or detector, or a baseline detected by anything
-    but ``ml``, naming the field; without a detector, check the scheme alone."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme: expected one of {SCHEMES}, got {scheme!r}")
+def check_run(scheme: str, detector: str) -> None:
+    """Reject an unknown detector, or a baseline detected by anything but
+    ``ml``, naming ``detector``; ``validate_config`` rejects an unknown scheme."""
     if detector not in DETECTORS:
         raise ValueError(f"detector: expected one of {DETECTORS}, got {detector!r}")
-    if scheme != "mas" and detector != "ml":
+    if scheme in PINS and detector != "ml":
         raise ValueError(f"detector: baseline schemes are detected with the exhaustive ml "
                          f"search, got {detector!r} for {scheme}")
 
 
 def scheme_config(cfg: SystemConfig, scheme: str, detector: str) -> SystemConfig:
-    """``cfg`` as ``scheme`` reads it, ``baseline_config``'s pin for a
-    baseline, after ``check_run``, ``validate_config`` and, for ``ml``,
+    """``cfg`` as ``scheme`` reads it, with a baseline's ``PINS`` applied,
+    after ``check_run``, ``validate_config`` and, for ``ml``,
     ``check_ml_guard`` on the search's 2^block_len hypotheses: the one gate
     of every run.  A config it returned passes it again unchanged."""
     check_run(scheme, detector)
@@ -130,16 +127,10 @@ def scheme_config(cfg: SystemConfig, scheme: str, detector: str) -> SystemConfig
         validate_config(replace(cfg, mod_order=MOD_ORDERS["bpsk"]), scheme)
     else:
         validate_config(cfg, scheme)
-    cfg = baseline_config(cfg, scheme)
+    cfg = replace(cfg, **PINS.get(scheme, {}))
     if detector == "ml":
         check_ml_guard(cfg)
     return cfg
-
-
-def bits_per_tx(cfg: SystemConfig, scheme: str) -> int:
-    """Bits carried by one transmission under the given scheme."""
-    check_run(scheme)
-    return baseline_config(cfg, scheme).block_len
 
 
 def _stack_counts(cfg: SystemConfig, detector: str, trials: range, sigmas, workspace) -> list:

@@ -18,7 +18,7 @@ import pytest
 from irsmas.channel import decompose_received, trial_rng
 from irsmas.core import SystemConfig, make_constellation, validate_config
 from irsmas.detection import detected_bits, mac_ml, mac_ssd, ml_detect_batch
-from irsmas.harness import bits_per_tx, run_sweep, run_trial
+from irsmas.harness import run_sweep, run_trial, scheme_config
 from irsmas.rac import build_rac_table, rac_row
 from irsmas.transmitter import reflector_phases
 from reference import make_trials, monte_carlo_se, rac_find, sample_channel
@@ -81,9 +81,10 @@ def test_criterion_1_capacities():
     values = {
         "mas bpsk": validate_config(BPSK_CFG).block_len,
         "mas qpsk": validate_config(QPSK_CFG).block_len,
-        "sas-sm bpsk": bits_per_tx(SAS_CFG, "sas-sm"),
-        "sas-sm qpsk": bits_per_tx(dataclasses.replace(SAS_CFG, mod_order=4), "sas-sm"),
-        "sas-ssk": bits_per_tx(SAS_CFG, "sas-ssk"),
+        "sas-sm bpsk": scheme_config(SAS_CFG, "sas-sm", "ml").block_len,
+        "sas-sm qpsk": scheme_config(dataclasses.replace(SAS_CFG, mod_order=4), "sas-sm",
+                                     "ml").block_len,
+        "sas-ssk": scheme_config(SAS_CFG, "sas-ssk", "ml").block_len,
     }
     expected = {"mas bpsk": 8, "mas qpsk": 10, "sas-sm bpsk": 5,
                 "sas-sm qpsk": 6, "sas-ssk": 4}

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from irsmas.baselines import baseline_config
+from irsmas.baselines import SCHEMES
 from irsmas.channel import trial_rng
 from irsmas.cli import parse_run_spec
 from irsmas.core import (
@@ -19,8 +19,6 @@ from irsmas.core import (
 from irsmas.detection import detected_bits, mac_ml, ml_detect_batch
 from irsmas.harness import (
     _block_counts,
-    bits_per_tx,
-    check_run,
     run_sweep,
     run_trial,
     scheme_config,
@@ -31,7 +29,6 @@ from reference import bits_to_int, direct_sas_detect, make_sas_trial, sample_cha
 from test_harness import detector_inputs
 
 SAS_CFG = SystemConfig(n_rx=16, n_sel=1, alpha=(1.0,))
-SCHEMES = ("mas", "sas-sm", "sas-ssk")
 
 
 def sas_cfg(**fields) -> SystemConfig:
@@ -59,12 +56,12 @@ def detect_one(y, h, cfg, scheme):
 
 class TestScheme:
     def test_capacities(self):
-        assert bits_per_tx(SAS_CFG, "sas-ssk") == 4
-        assert bits_per_tx(sas_cfg(mod_order=2), "sas-sm") == 5
-        assert bits_per_tx(sas_cfg(mod_order=4), "sas-sm") == 6
+        assert scheme_config(SAS_CFG, "sas-ssk", "ml").block_len == 4
+        assert scheme_config(sas_cfg(mod_order=2), "sas-sm", "ml").block_len == 5
+        assert scheme_config(sas_cfg(mod_order=4), "sas-sm", "ml").block_len == 6
         # the selection fields are pinned, whatever the config says
-        assert bits_per_tx(SystemConfig(n_rx=16, mod_order=4), "sas-sm") == 6
-        assert bits_per_tx(SystemConfig(n_rx=16, n_sel=3), "sas-ssk") == 4
+        assert scheme_config(SystemConfig(n_rx=16, mod_order=4), "sas-sm", "ml").block_len == 6
+        assert scheme_config(SystemConfig(n_rx=16, n_sel=3), "sas-ssk", "ml").block_len == 4
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="n_rx: must be a power of two"):
@@ -74,22 +71,24 @@ class TestScheme:
             run_trial(SystemConfig(n_rx=12), "sas-ssk", "ml", 0)
 
     def test_unknown_mode_rejected(self):
+        # validate_config does not take it for a baseline
         with pytest.raises(ValueError, match="scheme: expected one of"):
-            check_run("sas-both")
+            validate_config(SystemConfig(n_rx=16), "both")
         with pytest.raises(ValueError, match="scheme: expected one of"):
-            bits_per_tx(SAS_CFG, "both")
+            scheme_config(SAS_CFG, "both", "ml")
 
-    def test_baseline_config_pins_one_full_power_slot(self):
+    def test_sm_pins_one_full_power_slot(self):
         cfg = SystemConfig(n_rx=16, n_sel=3, alpha=(0.1, 0.3, 0.6), n_iters=5)
-        assert baseline_config(cfg) == dataclasses.replace(cfg, n_sel=1, alpha=(1.0,))
-        assert baseline_config(SAS_CFG) is SAS_CFG
-        assert baseline_config(cfg, "mas") is cfg
+        assert scheme_config(cfg, "sas-sm", "ml") == dataclasses.replace(cfg, n_sel=1,
+                                                                        alpha=(1.0,))
+        assert scheme_config(SAS_CFG, "sas-sm", "ml") == SAS_CFG
+        assert scheme_config(cfg, "mas", "ml") == cfg
 
     def test_ssk_pins_the_one_value_alphabet(self):
         cfg = SystemConfig(n_rx=16, n_sel=3, alpha=(0.1, 0.3, 0.6), mod_order=16)
-        ssk = baseline_config(cfg, "sas-ssk")
+        ssk = scheme_config(cfg, "sas-ssk", "ml")
         assert ssk == dataclasses.replace(cfg, n_sel=1, alpha=(1.0,), mod_order=1)
-        assert baseline_config(ssk, "sas-ssk") is ssk
+        assert scheme_config(ssk, "sas-ssk", "ml") == ssk
         assert (ssk.bits_per_sym, ssk.l2, ssk.block_len) == (0, 0, 4)
 
     def test_values_are_cached_and_read_only(self):
@@ -99,7 +98,7 @@ class TestScheme:
         assert superposition_axes(4, (1.0,)).values is values
         assert not values.flags.writeable
         np.testing.assert_array_equal(values, make_constellation(4).points)
-        ssk = baseline_config(sas_cfg(mod_order=4), "sas-ssk")
+        ssk = scheme_config(sas_cfg(mod_order=4), "sas-ssk", "ml")
         np.testing.assert_array_equal(superposition_axes(ssk.mod_order, ssk.alpha).values, [1.0])
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -228,7 +227,7 @@ class TestMac:
         assert counts == [16 * base, 32 * base, 64 * base] == [133_616, 267_232, 534_464]
 
     def test_detect_reports_same_count(self):
-        ssk = baseline_config(SAS_CFG, "sas-ssk")
+        ssk = scheme_config(SAS_CFG, "sas-ssk", "ml")
         assert run_trial(SAS_CFG, "sas-ssk", "ml", 6).mac == mac_ml(ssk) == 133_616
         # the sm baseline is billed exactly as ml at n_sel 1
         assert run_trial(SAS_CFG, "sas-sm", "ml", 6).mac == mac_ml(SAS_CFG) == 267_232

@@ -161,6 +161,13 @@ class TestSystemConfig:
             ({"alpha": (float("nan"), float("nan"))}, "alpha: ratios must be finite"),
             ({"alpha": (0.05, float("nan"))}, "alpha: ratios must be finite"),
             ({"snr_grid_db": ()}, "snr_grid_db: must hold at least one"),
+            # ill-typed, each raised a bare TypeError from the range checks
+            ({"alpha": 0.5}, "alpha: must be a sequence of real numbers"),
+            ({"alpha": ("0.2", "0.8")}, "alpha: must be a sequence of real numbers"),
+            ({"alpha": (0.2 + 0j, 0.8)}, "alpha: must be a sequence of real numbers"),
+            ({"snr_grid_db": -14.0}, "snr_grid_db: must be a sequence of real numbers"),
+            ({"snr_grid_db": ("x",)}, "snr_grid_db: must be a sequence of real numbers"),
+            ({"snr_grid_db": (None,)}, "snr_grid_db: must be a sequence of real numbers"),
         ],
     )
     def test_validation_names_field(self, fields, fragment):
@@ -177,6 +184,10 @@ class TestSystemConfig:
         cfg = dataclasses.replace(PAPER_CFG, **{name: value})
         with pytest.raises(ValueError, match=f"{name}: must be an integer"):
             validate_config(cfg)
+
+    def test_baseline_reads_no_alpha(self):
+        for alpha in (0.5, ("0.2", "0.8"), (0.2 + 0j, 0.8)):
+            validate_config(dataclasses.replace(PAPER_CFG, n_rx=16, alpha=alpha), "sas-sm")
 
     def test_noise_at_snr_floor_accepted(self):
         # the noise of the lowest SNR that validate_config accepts is finite

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from irsmas.channel import TrialStreams, add_noise, draw_trials, trial_rng
 import irsmas.detection
-from irsmas.baselines import baseline_config
 from irsmas.core import SystemConfig, make_constellation, snr_to_sigma, superposition_axes
 from irsmas.detection import (
     candidate_gains,
@@ -22,7 +21,7 @@ from irsmas.detection import (
     rac_candidates_batch,
     ssd_detect_batch,
 )
-from irsmas.harness import run_trial
+from irsmas.harness import run_trial, scheme_config
 from irsmas.rac import build_rac_table
 from irsmas.transmitter import encode_batch, slot_order
 from reference import (
@@ -372,7 +371,7 @@ class TestMl:
             check_ml_guard(CFG)
         assert "ssd" in str(err.value)
         # a baseline's pinned config: 16 targets by 2 symbols, 5 bits
-        sas = baseline_config(dataclasses.replace(CFG, n_rx=16), "sas-sm")
+        sas = scheme_config(dataclasses.replace(CFG, n_rx=16), "sas-sm", "ml")
         assert sas.block_len == 5 and mac_ml(sas) == 2**5 * mac_base(16, CFG.n_refl)
         monkeypatch.setattr(irsmas.detection, "ML_GUARD", 2**5)
         check_ml_guard(sas)
